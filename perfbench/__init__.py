@@ -15,12 +15,14 @@ Modules
 ``layers``     which public entry point belongs to which layer.
 ``inputs``     seeded input generation (frames, map cloud, request streams).
 ``oracle``     scipy-based references for radius, kNN and cluster results.
-``frames``     the ``frames-*`` workloads (one LiDAR frame per op).
+``frames``     the ``frames-bonsai`` workload (one LiDAR frame per op).
 ``mapserve``   the ``map-serve`` workload (two closed-loop clients).
+``memory``     the program's memory, read from ``/proc``.
 ``report``     metric tables, machine context and the exact-count check.
 ``run``        the command line: one workload, one seed, one result line.
 ``steadiness`` one run per seed and the quartile spread of every metric.
 
-``workloads.json`` records, per workload, why it was chosen, its loop type,
-client count, seed argument and the layers it stresses and bypasses.
+``workloads.json`` records, per workload, its loop type, client count, seed
+argument and the layers it stresses and bypasses; its why-sentence is in
+``BENCHMARK.json``.
 """

@@ -1,6 +1,6 @@
-"""The ``frames-*`` workloads: one urban LiDAR frame per op, closed loop.
+"""The ``frames-bonsai`` workload: one urban LiDAR frame per op, closed loop.
 
-``frames-bonsai``: op ``j`` (``j = k mod N``) runs frame ``j + 1`` through
+Op ``j`` (``j = k mod N``) runs frame ``j + 1`` through
 ``EuclideanClusterPipeline.run_frame`` on ``bonsai-batched``, filters the
 detections by extent, updates the tracker
 (a fresh tracker at every cycle start) and registers the frame against
@@ -8,9 +8,9 @@ frame ``j`` with scan-to-scan NDT, using ``PipelineRunner``'s localization
 config, the ``ego_position`` ground truth and its initial-guess
 perturbation.
 
-``frames-hw``: op ``j`` runs frame ``j + 1`` through ``run_frame`` twice in
-hardware-in-the-loop mode, once per flavour, and keeps the modelled
-latency and energy of both.
+The hardware pass (:meth:`FramesWorkload.hardware_op`, traced runs only)
+runs frame ``j + 1`` through ``run_frame`` twice in hardware-in-the-loop
+mode, once per flavour, and keeps the modelled latency and energy of both.
 
 Every cycle repeats the same ops on the same frames, so the exact counts of
 any two cycles must be identical.
@@ -28,10 +28,9 @@ import numpy as np
 from . import inputs, oracle
 from .tracing import Patches
 
-BACKENDS = {
-    "frames-bonsai": ("bonsai-batched",),
-    "frames-hw": ("baseline-batched", "bonsai-batched"),
-}
+BACKEND = "bonsai-batched"
+#: The flavours the hardware pass compares, baseline first.
+HARDWARE_BACKENDS = ("baseline-batched", "bonsai-batched")
 
 
 @dataclass
@@ -44,21 +43,22 @@ class OpOutcome:
     points: int = 0
     queries: int = 0
     counts: Dict[str, float] = field(default_factory=dict)
+    #: Cluster extractions the op ran (one per flavour).
+    extractions: int = 1
 
 
 class FramesWorkload:
-    """Set-up, references and the op of one ``frames-*`` workload."""
+    """Set-up, references, the op and the hardware pass of ``frames-bonsai``."""
 
-    def __init__(self, name: str, seed: int):
+    def __init__(self, seed: int):
         from repro.engine import ExecutionConfig
         from repro.workloads.autoware import EuclideanClusterPipeline, PipelineConfig
         from repro.workloads.pipeline import PipelineRunnerConfig
 
-        self.name = name
         self.seed = seed
-        self.hardware = name == "frames-hw"
-        self.executions = [ExecutionConfig(backend=b, hardware=self.hardware)
-                           for b in BACKENDS[name]]
+        self.execution = ExecutionConfig(backend=BACKEND)
+        self.hardware_executions = [ExecutionConfig(backend=b, hardware=True)
+                                    for b in HARDWARE_BACKENDS]
         self.runner = PipelineRunnerConfig()
         self.pipeline_config = PipelineConfig(simulate_caches=False)
         self.pipeline = EuclideanClusterPipeline(self.pipeline_config)
@@ -108,36 +108,39 @@ class FramesWorkload:
     # ------------------------------------------------------------------
     def op(self, k: int) -> OpOutcome:
         """Run and time op ``k`` (see :meth:`check` for its verdict)."""
-        from repro.core.compressed_leaf import compression_pass_count
+        return self._timed(self._perception_op, k % self.cycle)
 
-        j = k % self.cycle
-        self._captured.clear()
-        passes = compression_pass_count()
-        start = time.perf_counter()
-        try:
-            if self.hardware:
-                measured = self._hardware_op(j)
-            else:
-                measured = self._perception_op(j)
-        except Exception:  # an op that raises is a failed op; the loop goes on
-            traceback.print_exc()
-            return OpOutcome(time.perf_counter() - start, "exception")
-        measured.seconds = time.perf_counter() - start
-        measured.points = len(self.drive.frames[j + 1]) * len(self.executions)
-        measured.counts["core.compress_passes"] = compression_pass_count() - passes
-        return measured
+    def hardware_op(self, j: int) -> OpOutcome:
+        """Run and time frame ``j + 1`` through the hardware pass."""
+        return self._timed(self._hardware_op, j)
 
     def check(self, k: int, outcome: OpOutcome) -> None:
         """Set ``outcome.error`` if op ``k``'s clusters miss the reference."""
         if outcome.error is None:
-            outcome.error = self._check_clusters(k % self.cycle)
+            outcome.error = self._check_clusters(k % self.cycle, outcome.extractions)
+
+    def _timed(self, body, j: int) -> OpOutcome:
+        from repro.core.compressed_leaf import compression_pass_count
+
+        self._captured.clear()
+        passes = compression_pass_count()
+        start = time.perf_counter()
+        try:
+            measured = body(j)
+        except Exception:  # an op that raises is a failed op; the loop goes on
+            traceback.print_exc()
+            return OpOutcome(time.perf_counter() - start, "exception")
+        measured.seconds = time.perf_counter() - start
+        measured.points = len(self.drive.frames[j + 1]) * measured.extractions
+        measured.counts["core.compress_passes"] = compression_pass_count() - passes
+        return measured
 
     def _perception_op(self, j: int) -> OpOutcome:
         from repro.perception import cluster_filter
         from repro.perception.tracking import ClusterTracker
         from repro.workloads.localization import NDTLocalizationPipeline
 
-        execution = self.executions[0]
+        execution = self.execution
         runner = self.runner
         sequence, frames = self.drive.sequence, self.drive.frames
         if j == 0:
@@ -175,7 +178,7 @@ class FramesWorkload:
         cloud = self.drive.frames[j + 1]
         line = self.pipeline_config.cpu.l2.line_size
         measurements = [self.pipeline.run_frame(cloud, frame_index=j + 1, execution=ex)
-                        for ex in self.executions]
+                        for ex in self.hardware_executions]
         counts = _search_counts([m.search_stats for m in measurements],
                                 [m.bonsai_stats for m in measurements])
         counts["perception.clusters"] = sum(m.n_clusters for m in measurements)
@@ -191,11 +194,12 @@ class FramesWorkload:
             if m.use_bonsai:
                 counts["core.compressed_bytes"] = m.compressed_total_bytes or 0
                 counts["core.baseline_bytes"] = m.baseline_point_bytes or 0
-        return OpOutcome(0.0, None, queries=counts["runtime.queries"], counts=counts)
+        return OpOutcome(0.0, None, queries=counts["runtime.queries"], counts=counts,
+                         extractions=len(measurements))
 
-    def _check_clusters(self, j: int) -> Optional[str]:
-        if len(self._captured) != len(self.executions):
-            return f"expected {len(self.executions)} cluster extractions, saw {len(self._captured)}"
+    def _check_clusters(self, j: int, extractions: int) -> Optional[str]:
+        if len(self._captured) != extractions:
+            return f"expected {extractions} cluster extractions, saw {len(self._captured)}"
         for result in self._captured:
             if result.n_points != self.filtered_sizes[j]:
                 return "clustered cloud differs from the reference input"

@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-#: Frames per cycle of a ``frames-*`` workload.  Op ``j`` clusters frame
+#: Frames per cycle of the ``frames-bonsai`` workload.  Op ``j`` clusters frame
 #: ``j + 1`` and registers it against frame ``j``, so a cycle needs
 #: ``FRAMES_PER_CYCLE + 1`` generated frames.
 FRAMES_PER_CYCLE = 8
@@ -21,18 +21,22 @@ MAP_POINTS = 100_000
 #: Euclidean-cluster tolerance (m): the radius of every map-serve radius query.
 RADIUS_M = 0.6
 KNN_K = 5
-#: One client cycle: (kind, batch size).  A third of the requests are the
-#: largest batch, so the tail percentile lies inside that mode rather than
-#: on the edge between two modes.
+#: One client cycle: (kind, batch size).  Five of the eight requests are the
+#: largest batch, so both the median and the tail percentile lie inside a
+#: 1024-query mode (the path client's and the uniform client's, which
+#: differ about twofold) rather than on the edge between two modes.
 REQUEST_CYCLE = (("radius", 64), ("knn", 256), ("radius", 256),
-                 ("radius", 1024), ("radius", 256), ("radius", 1024))
-#: Distinct request cycles generated per client (the loop wraps after them).
-CYCLES_PER_CLIENT = 20
+                 ("radius", 1024), ("radius", 1024), ("radius", 1024),
+                 ("radius", 1024), ("radius", 1024))
+#: Distinct request cycles generated per client (the stream wraps after
+#: them).  Short enough that a run laps the stream several times, so the
+#: requests a run serves, and with them its work, hardly depend on the seed.
+CYCLES_PER_CLIENT = 4
 #: Client A drives one lap of a fixed loop of streets (corners as fractions
 #: of the map's xy bounding box) per request stream; each request samples
 #: map points within ``PATH_DISC_M`` of its waypoint, and consecutive
-#: waypoints are about 3 m apart, so consecutive requests overlap.  Only the
-#: starting point on the loop depends on the seed.
+#: waypoints are about 11 m apart, so consecutive requests overlap.  Only
+#: the starting point on the loop depends on the seed.
 PATH_LOOP = ((0.25, 0.5), (0.75, 0.5), (0.75, 0.75), (0.25, 0.75))
 PATH_DISC_M = 50.0
 

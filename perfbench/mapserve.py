@@ -9,7 +9,8 @@ Two client threads then each send their next request only after the
 previous one returned: ``bonsai-batched`` radius batches of 64, 256 and
 1024 queries at 0.6 m plus kNN batches (k = 5).  Client A follows a path
 through the map, client B draws uniformly.  Clients stop at the first cycle
-boundary after the deadline, so every run serves whole request cycles.
+boundary after the deadline, so every run serves whole request cycles; a
+later run goes on where the previous one stopped.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import inputs, layers, oracle
+from . import inputs, layers
 from .tracing import Tracer
 
 BACKEND = "bonsai-batched"
@@ -52,6 +53,8 @@ class MapServeWorkload:
         self.service = None
         self.requests: Dict[str, List[inputs.Request]] = {}
         self.references: Dict[str, List[object]] = {}
+        #: Each client's next request number.
+        self.next_number = {"A": 0, "B": 0}
 
     # ------------------------------------------------------------------
     def setup(self, tracer: Optional[Tracer] = None) -> float:
@@ -76,8 +79,14 @@ class MapServeWorkload:
         return time.perf_counter() - start
 
     def build_references(self) -> None:
-        """Request streams and their scipy answers (untimed)."""
+        """Request streams and their scipy answers (untimed).
+
+        scipy is first imported here, after the last set-up forked the
+        workers, so its pages never count as a worker's memory.
+        """
         from scipy.spatial import cKDTree
+
+        from . import oracle
 
         cloud = np.asarray(self.points, dtype=np.float64)
         tree = cKDTree(cloud)
@@ -119,7 +128,7 @@ class MapServeWorkload:
         stream = self.requests[client]
         references = self.references[client]
         cycle = len(inputs.REQUEST_CYCLE)
-        number = 0
+        number = self.next_number[client]
         while number % cycle or time.perf_counter() < deadline:
             request = stream[number % len(stream)]
             # Alternate traced and untraced requests, flipping the parity
@@ -148,6 +157,7 @@ class MapServeWorkload:
                               (end - start) / 1e9, error,
                               sum(a.nbytes for a in arrays), traced))
             number += 1
+        self.next_number[client] = number
 
     # ------------------------------------------------------------------
     def replay(self, tracer: Tracer) -> Dict[str, float]:

@@ -11,9 +11,12 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
 #: End-to-end metrics (``--trace 0``): name -> unit.  An op is one frame on
-#: the ``frames-*`` workloads and one client request on ``map-serve``;
+#: ``frames-bonsai`` and one client request on ``map-serve``;
 #: ``points_per_s`` counts the input points an op consumes: raw LiDAR points
-#: (once per flavour) on ``frames-*``, query points on ``map-serve``.
+#: on ``frames-bonsai``, query points on ``map-serve``.
+#: ``peak_rss_mb`` is the program's memory (see ``perfbench.memory``): the
+#: benchmark process's peak growth over its size before set-up, plus, on
+#: ``map-serve``, the unique memory of the service's processes.
 END_TO_END = {
     "setup_s": "s",
     "op_p50_ms": "ms",
@@ -69,6 +72,7 @@ PER_LAYER = {
     "serve.overhead_ms": "ms",
     "serve.response_bytes": "B",
     "serve.setup_pool_ms": "ms",
+    "serve.worker_mb": "MB",
     "hwmodel.recorded_ms": "ms",
     "hwmodel.baseline_l1_misses": "count",
     "hwmodel.bonsai_l1_misses": "count",

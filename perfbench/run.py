@@ -16,7 +16,6 @@ JSON result.  Spans and the exact-count record are written under
 from __future__ import annotations
 
 import argparse
-import resource
 import statistics
 import sys
 import time
@@ -24,9 +23,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STATE = ROOT / "perfbench" / ".state"
-WORKLOADS = ("frames-bonsai", "map-serve", "frames-hw")
-#: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+WORKLOADS = ("frames-bonsai", "map-serve")
+#: Set-ups per run; ``setup_s`` is their median.  They are spread over the
+#: run (the host's speed drifts over seconds, so set-ups made back to back
+#: would all see the same moment): frames set up again between cycles,
+#: map-serve at the start, halfway and at the end.  A map-serve set-up costs
+#: about three times a frames one.
+SETUP_REPEATS = {"frames-bonsai": 5, "map-serve": 3}
+#: Op ids of the traced run's hardware pass start here.
+HARDWARE_OP_BASE = 1_000_000
 
 
 def parse_args(argv):
@@ -52,12 +57,14 @@ def main(argv=None) -> int:
     from perfbench.tracing import Tracer
 
     tracer = Tracer() if args.trace else None
-    context = report.machine_context()
     if args.workload == "map-serve":
         outcome = run_map_serve(args, tracer)
     else:
         outcome = run_frames(args, tracer)
     values, notes, counts, repeats, attempted, failed = outcome
+    # Read after the run: it imports scipy, which map-serve keeps out of
+    # its workers by importing it only after they are forked.
+    context = report.machine_context()
 
     key = (f"{args.workload} seed={args.seed} trace={args.trace} "
            f"code={report.source_digest(ROOT / 'src', ROOT / 'perfbench')}")
@@ -89,13 +96,6 @@ def main(argv=None) -> int:
 
 
 # ----------------------------------------------------------------------
-def _peak_rss_mb(workers: int = 0) -> float:
-    """Own peak RSS plus ``workers`` times the largest reaped child's."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + workers * child) / 1024.0
-
-
 def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
@@ -127,16 +127,18 @@ def _overhead_pct(latencies, traced) -> float:
 
 # ----------------------------------------------------------------------
 def run_frames(args, tracer):
-    from perfbench import layers, report
+    from perfbench import layers, memory, report
     from perfbench.frames import FramesWorkload
     from perfbench.stats import distribution
     from perfbench.tracing import call_counts
 
-    workload = FramesWorkload(args.workload, args.seed)
-    setups = [workload.setup() for _ in range(SETUP_REPEATS)]
+    n_setups = SETUP_REPEATS[args.workload]
+    workload = FramesWorkload(args.seed)
+    baseline_mb = memory.rss_mb()
+    setups = [workload.setup()]
     workload.build_references()
     cycle = workload.cycle
-    outcomes, traced = [], []
+    outcomes, traced, hardware = [], [], []
     with workload:
         workload.op(0)  # warm-up: lazy imports and first calls, untimed
         start = time.perf_counter()
@@ -146,6 +148,11 @@ def run_frames(args, tracer):
         while k % cycle or k == 0 or (
                 start + args.seconds - time.perf_counter()
                 > 0.5 * cycle * (time.perf_counter() - start) / k):
+            if k and k % cycle == 0 and len(setups) < n_setups:
+                # Set up again between cycles; the deadline moves by the
+                # set-up's time, which the ops do not see.
+                setups.append(workload.setup())
+                start += setups[-1]
             # Trace every other op, flipping the parity each cycle so every
             # frame is seen both traced and untraced.
             trace_op = tracer is not None and (k + k // cycle) % 2 == 1
@@ -158,10 +165,21 @@ def run_frames(args, tracer):
             outcomes.append(outcome)
             traced.append(trace_op)
             k += 1
+        if tracer is not None:
+            # The hardware pass over one cycle, after the timed ops: the
+            # hwmodel layer and the paper's modelled savings.
+            for j in range(cycle):
+                with tracer.installed(layers.frame_targets()), \
+                        tracer.op(HARDWARE_OP_BASE + j):
+                    outcome = workload.hardware_op(j)
+                workload.check(j, outcome)
+                hardware.append(outcome)
+    while len(setups) < n_setups:
+        setups.append(workload.setup())
 
-    attempted = len(outcomes)
-    failed = sum(o.error is not None for o in outcomes)
-    for k, o in enumerate(outcomes):
+    attempted = len(outcomes) + len(hardware)
+    failed = sum(o.error is not None for o in outcomes + hardware)
+    for k, o in enumerate(outcomes + hardware):
         if o.error is not None:
             print(f"perfbench: op {k} failed: {o.error}", file=sys.stderr)
     latencies = [o.seconds * 1e3 for o in outcomes]
@@ -176,10 +194,11 @@ def run_frames(args, tracer):
         "op_tail_ms": dist.tail,
         "points_per_s": _ratio(sum(o.points for o in outcomes),
                                sum(o.seconds for o in outcomes)),
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": memory.peak_rss_mb() - baseline_mb,
     }
-    notes = {"setup_s": f"median of {SETUP_REPEATS} set-ups",
-             "op_tail_ms": dist.note}
+    notes = {"setup_s": f"median of {n_setups} set-ups",
+             "op_tail_ms": dist.note,
+             "peak_rss_mb": f"peak over the {baseline_mb:.1f} MB before set-up"}
     values.update(_frame_counts(window))
     values["bench.fail_ratio"] = failed / attempted
 
@@ -200,6 +219,11 @@ def run_frames(args, tracer):
                 for k in counted))
         counts.append({span: [calls[k].get(span, 0) for k in counted]
                        for span in report.SPAN_CALLS})
+        hardware_ids = [HARDWARE_OP_BASE + j for j in range(cycle)]
+        values["hwmodel.recorded_ms"] = _mean(
+            totals[k].get("hwmodel.recorded", 0) for k in hardware_ids) / 1e6
+        values.update(_hardware_counts(hardware))
+        counts.extend(dict(o.counts) for o in hardware)
         for name in report.PER_LAYER:
             values.setdefault(name, 0.0)
     return values, notes, counts, repeats, attempted, failed
@@ -215,17 +239,27 @@ def _frame_counts(window):
         "core.compress_passes", "core.leaf_visits", "core.compressed_bytes_loaded",
         "core.recompute_bytes_loaded", "runtime.leaves_visited", "runtime.points_examined",
         "runtime.point_bytes_loaded", "perception.clusters", "perception.ndt_iterations",
-        "perception.ndt_error_m", "hwmodel.baseline_l1_misses", "hwmodel.bonsai_l1_misses",
-        "hwmodel.baseline_l2_misses", "hwmodel.bonsai_l2_misses",
-        "hwmodel.baseline_dram_bytes", "hwmodel.bonsai_dram_bytes")}
+        "perception.ndt_error_m")}
     values["core.inconclusive_ratio"] = _ratio(total("core.inconclusive"),
                                                total("core.points_classified"))
     values["core.compressed_bytes_ratio"] = _ratio(total("core.compressed_bytes"),
                                                    total("core.baseline_bytes"))
-    if "model.bonsai_latency_s" in window[0].counts:
+    return values
+
+
+def _hardware_counts(frames):
+    """Per-frame means of the hardware pass's counts, and the modelled savings."""
+    def total(key):
+        return sum(o.counts.get(key, 0) for o in frames)
+
+    values = {name: total(name) / len(frames) for name in (
+        "hwmodel.baseline_l1_misses", "hwmodel.bonsai_l1_misses",
+        "hwmodel.baseline_l2_misses", "hwmodel.bonsai_l2_misses",
+        "hwmodel.baseline_dram_bytes", "hwmodel.bonsai_dram_bytes")}
+    if all(o.error is None for o in frames):
         values.update(model_savings(
-            [o.counts["model.baseline_latency_s"] for o in window],
-            [o.counts["model.bonsai_latency_s"] for o in window],
+            [o.counts["model.baseline_latency_s"] for o in frames],
+            [o.counts["model.bonsai_latency_s"] for o in frames],
             total("model.baseline_energy_j"), total("model.bonsai_energy_j")))
     return values
 
@@ -248,33 +282,58 @@ def model_savings(baseline_s, bonsai_s, baseline_j, bonsai_j):
 
 # ----------------------------------------------------------------------
 def run_map_serve(args, tracer):
-    from perfbench import inputs, layers, report
+    from perfbench import inputs, layers, memory, report
     from perfbench.mapserve import N_WORKERS, REPLAY_OP_BASE, MapServeWorkload
     from perfbench.stats import distribution
     from perfbench.tracing import call_counts, per_op_totals
+    from repro import serve  # noqa: F401  (imported before the baseline)
     from repro.core.compressed_leaf import compression_pass_count
 
-    workload = MapServeWorkload(args.seed)
     setups = []
+
+    def timed_setup(target):
+        if tracer is None:
+            return target.setup()
+        with tracer.installed(layers.store_targets()), \
+                tracer.op(-1 - len(setups), name="setup"):
+            return target.setup(tracer)
+
+    def spare_setup():
+        # A whole second store and service, timed and closed again: the
+        # served one must stay the one forked before scipy was imported.
+        spare = MapServeWorkload(args.seed)
+        try:
+            setups.append(timed_setup(spare))
+        finally:
+            spare.close()
+
+    workload = MapServeWorkload(args.seed)
     replay = None
+    baseline_mb = memory.rss_mb()
     try:
-        for repeat in range(SETUP_REPEATS):
-            if tracer is None:
-                setups.append(workload.setup())
-                continue
-            with tracer.installed(layers.store_targets()), \
-                    tracer.op(-1 - repeat, name="setup"):
-                setups.append(workload.setup(tracer))
+        setups.append(timed_setup(workload))
+        # The client side's memory is the set-up (build, compression, the
+        # published store); the oracle built next is the benchmark's.
+        setup_mb = memory.peak_rss_mb() - baseline_mb
         workload.build_references()
-        passes = compression_pass_count()
-        served, wall = workload.run(args.seconds, tracer)
-        passes = compression_pass_count() - passes
+        # The clients pause halfway for the middle set-up.
+        served, wall, passes = [], 0.0, 0
+        for half in range(2):
+            if half:
+                spare_setup()
+            before = compression_pass_count()
+            more, seconds = workload.run(args.seconds / 2, tracer)
+            passes += compression_pass_count() - before
+            served += more
+            wall += seconds
+        children_mb = memory.children_unique_mb()
         if tracer is not None:
             replay = workload.replay(tracer)
         ratio = workload.compression_ratio()
+        while len(setups) < SETUP_REPEATS["map-serve"]:
+            spare_setup()
     finally:
         workload.close()
-    peak = _peak_rss_mb(N_WORKERS)
 
     attempted = len(served)
     failed = sum(s.error is not None for s in served)
@@ -297,21 +356,24 @@ def run_map_serve(args, tracer):
         "op_p50_ms": dist.p50,
         "op_tail_ms": dist.tail,
         "points_per_s": sum(s.size for s in served if s.error is None) / wall,
-        "peak_rss_mb": peak,
+        "peak_rss_mb": setup_mb + children_mb,
         "bench.fail_ratio": failed / attempted,
         "core.compress_passes": passes / attempted,
         "core.compressed_bytes_ratio": ratio,
         "serve.response_bytes": _mean(s.response_bytes for s in first),
+        "serve.worker_mb": children_mb,
     }
-    notes = {"setup_s": f"median of {SETUP_REPEATS} set-ups",
+    notes = {"setup_s": f"median of {len(setups)} set-ups",
              "op_tail_ms": dist.note,
-             "peak_rss_mb": f"parent + {N_WORKERS} workers"}
+             "peak_rss_mb": f"set-up peak over the {baseline_mb:.1f} MB before it "
+                            f"{setup_mb:.1f} MB + unique memory of the "
+                            f"{N_WORKERS} workers and helpers {children_mb:.1f} MB"}
 
     if tracer is not None:
         replay_ids = [REPLAY_OP_BASE + i for i in range(replay["replayed"])]
         totals = _layer_times(tracer, replay_ids, values)
         full = per_op_totals(tracer.spans, use_self_time=False)
-        setup_ids = [-1 - r for r in range(SETUP_REPEATS)]
+        setup_ids = [-1 - r for r in range(len(setups))]
         values["kdtree.setup_build_ms"] = _mean(full[k].get("kdtree.build", 0) for k in setup_ids) / 1e6
         values["core.setup_compress_ms"] = _mean(full[k].get("core.compress", 0) for k in setup_ids) / 1e6
         values["serve.setup_pool_ms"] = _mean(full[k].get("serve.pool_start", 0) for k in setup_ids) / 1e6
