@@ -35,8 +35,10 @@ CYCLES_PER_CLIENT = 4
 #: Client A drives one lap of a fixed loop of streets (corners as fractions
 #: of the map's xy bounding box) per request stream; each request samples
 #: map points within ``PATH_DISC_M`` of its waypoint, and consecutive
-#: waypoints are about 11 m apart, so consecutive requests overlap.  Only
-#: the starting point on the loop depends on the seed.
+#: waypoints are about 11 m apart, so consecutive requests overlap.  The
+#: waypoints are the same for every seed (a seed-drawn starting point would
+#: move the large batches between dense and sparse streets, and with them
+#: the work per request); the seed draws the queries around them.
 PATH_LOOP = ((0.25, 0.5), (0.75, 0.5), (0.75, 0.75), (0.25, 0.75))
 PATH_DISC_M = 50.0
 
@@ -107,7 +109,7 @@ def client_requests(points: np.ndarray, seed: int, client: str,
     if client == "A":
         index = cKDTree(cloud[:, :2])
         waypoints = loop_waypoints(cloud[:, :2].min(axis=0), cloud[:, :2].max(axis=0),
-                                   n_requests, phase=rng.uniform())
+                                   n_requests)
     requests: List[Request] = []
     for number in range(n_requests):
         kind, size = REQUEST_CYCLE[number % len(REQUEST_CYCLE)]
@@ -123,12 +125,12 @@ def client_requests(points: np.ndarray, seed: int, client: str,
     return requests
 
 
-def loop_waypoints(lo: np.ndarray, hi: np.ndarray, n: int, phase: float) -> np.ndarray:
-    """``n`` evenly spaced points on the :data:`PATH_LOOP` polygon, from ``phase``."""
+def loop_waypoints(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """``n`` evenly spaced points on the :data:`PATH_LOOP` polygon, from its first corner."""
     corners = lo + (hi - lo) * np.asarray(PATH_LOOP)
     edges = np.roll(corners, -1, axis=0) - corners
     lengths = np.linalg.norm(edges, axis=1)
-    along = ((phase + np.arange(n) / n) % 1.0) * lengths.sum()
+    along = (np.arange(n) / n) * lengths.sum()
     edge = np.searchsorted(np.cumsum(lengths), along, side="right")
     start = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))[edge]
     return corners[edge] + edges[edge] * ((along - start) / lengths[edge])[:, None]

@@ -8,9 +8,13 @@ per worker ends set-up.
 Two client threads then each send their next request only after the
 previous one returned: ``bonsai-batched`` radius batches of 64, 256 and
 1024 queries at 0.6 m plus kNN batches (k = 5).  Client A follows a path
-through the map, client B draws uniformly.  Clients stop at the first cycle
-boundary after the deadline, so every run serves whole request cycles; a
-later run goes on where the previous one stopped.
+through the map, client B draws uniformly.  The clients run in step: each
+waits for the other at every cycle boundary, where the host-speed kernel is
+timed while nothing else runs.  So both serve the same number of whole
+cycles (the mix of requests, and with it where the median and the tail
+fall, does not depend on the host's speed), and the kernel samples the
+host all through the run.  A later run goes on where the previous one
+stopped.
 """
 
 from __future__ import annotations
@@ -24,10 +28,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import inputs, layers
+from .hostspeed import HostSpeed, slowdown_of
 from .tracing import Tracer
 
 BACKEND = "bonsai-batched"
 N_WORKERS = 2
+#: Kernel runs at each cycle boundary (a cycle takes about two seconds).
+KERNEL_RUNS_PER_CYCLE = 2
+#: How long a client may wait for the other, or the run for its clients,
+#: beyond the run's length.
+CLIENT_TIMEOUT_S = 120.0
 #: Op ids of the in-process replay start here (client requests count from 0).
 REPLAY_OP_BASE = 1_000_000
 
@@ -43,6 +53,49 @@ class Served:
     error: Optional[str]
     response_bytes: int
     traced: bool
+    #: The run's cycle it belongs to, and that cycle's host slowdown.
+    cycle: int
+    slowdown: float = 1.0
+
+
+class Lockstep:
+    """The cycle boundaries at which the two clients wait for each other.
+
+    At each, one client times the host-speed kernel while the other waits
+    and the workers are idle, and the deadline is checked.  A cycle's
+    slowdown is taken from the kernel samples at its two ends.
+    """
+
+    def __init__(self, host: HostSpeed, deadline: float, clients: int):
+        self.host = host
+        self.deadline = deadline
+        #: The kernel samples, and when the kernel started and ended, at
+        #: each boundary so far.
+        self.kernel_s: List[List[float]] = []
+        self.marks: List[Tuple[float, float]] = []
+        self.stop = False
+        self.barrier = threading.Barrier(clients, action=self._at_boundary,
+                                         timeout=CLIENT_TIMEOUT_S)
+
+    def _at_boundary(self) -> None:
+        start = time.perf_counter()
+        self.kernel_s.append(self.host.sample(KERNEL_RUNS_PER_CYCLE))
+        self.marks.append((start, time.perf_counter()))
+        self.stop = start >= self.deadline
+
+    def wait(self) -> Optional[int]:
+        """Wait for the other client: the cycle to serve next, or ``None``
+        once the deadline has passed."""
+        self.barrier.wait()
+        return None if self.stop else len(self.marks) - 1
+
+    def seconds(self, cycle: int) -> float:
+        """Wall time of ``cycle``, from the end of the kernel before it to
+        the start of the one after it."""
+        return self.marks[cycle + 1][0] - self.marks[cycle][1]
+
+    def slowdown(self, cycle: int) -> float:
+        return slowdown_of(self.kernel_s[cycle] + self.kernel_s[cycle + 1])
 
 
 class MapServeWorkload:
@@ -107,29 +160,51 @@ class MapServeWorkload:
             self.store = None
 
     # ------------------------------------------------------------------
-    def run(self, seconds: float, tracer: Optional[Tracer]) -> Tuple[List[Served], float]:
-        """Both clients' closed loops: every completed request, and the wall time."""
-        start = time.perf_counter()
-        deadline = start + seconds
+    def run(self, seconds: float, tracer: Optional[Tracer],
+            host: HostSpeed) -> Tuple[List[Served], float, float]:
+        """Both clients' closed loops, in step by cycle.
+
+        Returns every completed request, each with the slowdown of its
+        cycle; the wall time of the cycles; and that time for the nominal
+        host, each cycle divided by its slowdown.
+        """
+        step = Lockstep(host, time.perf_counter() + seconds, len(self.requests))
         served: Dict[str, List[Served]] = {client: [] for client in self.requests}
         threads = [threading.Thread(target=self._client, daemon=True,
-                                    args=(client, deadline, tracer, served[client]))
+                                    args=(client, step, tracer, served[client]))
                    for client in self.requests]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=seconds + 120.0)
-            if thread.is_alive():
+            thread.join(timeout=seconds + CLIENT_TIMEOUT_S)
+            if thread.is_alive() or step.barrier.broken:
                 raise RuntimeError("a map-serve client did not finish")
-        return served["A"] + served["B"], time.perf_counter() - start
+        done = served["A"] + served["B"]
+        for s in done:
+            s.slowdown = step.slowdown(s.cycle)
+        cycles = range(len(step.kernel_s) - 1)
+        return (done, sum(step.seconds(c) for c in cycles),
+                sum(step.seconds(c) / step.slowdown(c) for c in cycles))
 
-    def _client(self, client: str, deadline: float, tracer: Optional[Tracer],
+    def _client(self, client: str, step: Lockstep, tracer: Optional[Tracer],
                 out: List[Served]) -> None:
+        try:
+            self._serve_cycles(client, step, tracer, out)
+        except BaseException:
+            step.barrier.abort()  # the other client must not wait for this one
+            raise
+
+    def _serve_cycles(self, client: str, step: Lockstep, tracer: Optional[Tracer],
+                      out: List[Served]) -> None:
         stream = self.requests[client]
         references = self.references[client]
         cycle = len(inputs.REQUEST_CYCLE)
         number = self.next_number[client]
-        while number % cycle or time.perf_counter() < deadline:
+        while True:
+            if number % cycle == 0:
+                current = step.wait()
+                if current is None:
+                    break
             request = stream[number % len(stream)]
             # Alternate traced and untraced requests, flipping the parity
             # every cycle so each request position is seen both ways.
@@ -155,7 +230,7 @@ class MapServeWorkload:
                 error = references[number % len(stream)].check(*arrays)
             out.append(Served(client, number, len(request.queries),
                               (end - start) / 1e9, error,
-                              sum(a.nbytes for a in arrays), traced))
+                              sum(a.nbytes for a in arrays), traced, current))
             number += 1
         self.next_number[client] = number
 

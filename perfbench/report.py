@@ -16,7 +16,8 @@ from typing import Dict, List, Mapping, Optional, Sequence
 #: on ``frames-bonsai``, query points on ``map-serve``.
 #: ``peak_rss_mb`` is the program's memory (see ``perfbench.memory``): the
 #: benchmark process's peak growth over its size before set-up, plus, on
-#: ``map-serve``, the unique memory of the service's processes.
+#: ``map-serve``, the unique memory of the service's processes.  Times and
+#: rates are reported for the nominal host of ``perfbench.hostspeed``.
 END_TO_END = {
     "setup_s": "s",
     "op_p50_ms": "ms",
@@ -37,6 +38,7 @@ PER_LAYER = {
     "bench.fail_ratio": "ratio",
     "bench.trace_overhead_pct": "%",
     "bench.op_self_ms": "ms",
+    "bench.host_slowdown": "ratio",
     "pointcloud.preprocess_ms": "ms",
     "kdtree.build_ms": "ms",
     "kdtree.build_calls": "count",

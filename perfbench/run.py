@@ -5,7 +5,8 @@ Usage, from the repository root::
 
     python3 perfbench/run.py --workload frames-bonsai --seed 1 --seconds 20 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with nothing patched;
+``--trace 0`` measures the end-to-end metrics with nothing patched, and
+reports their times and rates for a nominal host (``perfbench/hostspeed.py``);
 ``--trace 1`` installs span wrappers around each layer's entry points on
 every other op and reports the per-layer metrics plus the tracing overhead.
 Human-readable lines come first; the last line of standard output is the
@@ -16,10 +17,13 @@ JSON result.  Spans and the exact-count record are written under
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Dict, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 STATE = ROOT / "perfbench" / ".state"
@@ -30,6 +34,11 @@ WORKLOADS = ("frames-bonsai", "map-serve")
 #: map-serve at the start, halfway and at the end.  A map-serve set-up costs
 #: about three times a frames one.
 SETUP_REPEATS = {"frames-bonsai": 5, "map-serve": 3}
+#: Kernel samples (``perfbench.hostspeed``) just before and just after each
+#: set-up, which is scaled by the slowdown they give.  Ops are scaled the
+#: same way, by the samples on either side of them: frames samples the
+#: kernel between ops, map-serve's clients at every cycle boundary.
+SETUP_KERNEL_RUNS = 2
 #: Op ids of the traced run's hardware pass start here.
 HARDWARE_OP_BASE = 1_000_000
 
@@ -57,10 +66,13 @@ def main(argv=None) -> int:
     from perfbench.tracing import Tracer
 
     tracer = Tracer() if args.trace else None
-    if args.workload == "map-serve":
-        outcome = run_map_serve(args, tracer)
-    else:
-        outcome = run_frames(args, tracer)
+    try:
+        if args.workload == "map-serve":
+            outcome = run_map_serve(args, tracer)
+        else:
+            outcome = run_frames(args, tracer)
+    finally:
+        stop_children()
     values, notes, counts, repeats, attempted, failed = outcome
     # Read after the run: it imports scipy, which map-serve keeps out of
     # its workers by importing it only after they are forked.
@@ -85,6 +97,8 @@ def main(argv=None) -> int:
     print(f"  ops attempted {attempted}, failed {failed}, fail_ratio "
           f"{failed / attempted:.4f}; exact-count digest {digest}"
           + ("" if not drift else " DRIFT: " + "; ".join(drift)))
+    print(f"  host slowdown {values['bench.host_slowdown']:.4f}: times and rates below "
+          "are for the nominal host (raw figures in brackets)")
     report.print_table(values, units, notes, aliases)
     extra = {**report.END_TO_END, **report.PER_LAYER}
     for name in sorted(set(values) - set(units)):
@@ -93,6 +107,60 @@ def main(argv=None) -> int:
         print(f"perfbench: {line}", file=sys.stderr)
     print(report.result_line(failed == 0 and not drift, attempted, failed, values, units))
     return 0
+
+
+def stop_children() -> None:
+    """Stop every process the run started and wait until each has ended.
+
+    Closing the service already joins its workers.  Shared memory also
+    starts multiprocessing's resource tracker, which is left to notice this
+    process's exit on its own and so outlives it (as an orphan, or a zombie
+    nobody reaps); stopping it here closes its pipe and waits for it.  Any
+    other child still alive is terminated and waited for.
+    """
+    from multiprocessing import resource_tracker
+
+    from perfbench import memory
+
+    resource_tracker._resource_tracker._stop()
+    for pid in memory.child_pids(os.getpid()):
+        try:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # ended meanwhile
+            pass
+
+
+def timed_setup(host, setup) -> Tuple[float, float]:
+    """Seconds ``setup()`` took, and the host's slowdown around it."""
+    from perfbench.hostspeed import slowdown_of
+
+    around = host.sample(SETUP_KERNEL_RUNS)
+    seconds = setup()
+    around += host.sample(SETUP_KERNEL_RUNS)
+    return seconds, slowdown_of(around)
+
+
+def nominal_setup_s(setups, notes) -> float:
+    """Median of the ``(seconds, slowdown)`` set-ups, each for the nominal
+    host; the raw median goes into the notes."""
+    raw = statistics.median(seconds for seconds, _ in setups)
+    notes["setup_s"] = (f"median of {len(setups)} set-ups, each scaled by the slowdown "
+                        f"around it; raw {raw:.4f}")
+    return statistics.median(seconds / slowdown for seconds, slowdown in setups)
+
+
+def nominal_ops(latencies_ms, slowdowns, notes) -> Dict[str, float]:
+    """``op_p50_ms`` and ``op_tail_ms`` for the nominal host of
+    ``perfbench.hostspeed``: each op's latency divided by the slowdown
+    measured around it.  The raw figures go into the notes."""
+    from perfbench.stats import distribution
+
+    raw = distribution(latencies_ms)
+    nominal = distribution([t / s for t, s in zip(latencies_ms, slowdowns)])
+    notes["op_p50_ms"] = f"raw {raw.p50:.4f}"
+    notes["op_tail_ms"] = f"{nominal.note}; raw {raw.tail:.4f}"
+    return {"op_p50_ms": nominal.p50, "op_tail_ms": nominal.tail}
 
 
 # ----------------------------------------------------------------------
@@ -129,16 +197,20 @@ def _overhead_pct(latencies, traced) -> float:
 def run_frames(args, tracer):
     from perfbench import layers, memory, report
     from perfbench.frames import FramesWorkload
-    from perfbench.stats import distribution
+    from perfbench.hostspeed import HostSpeed, slowdown_of
     from perfbench.tracing import call_counts
 
     n_setups = SETUP_REPEATS[args.workload]
     workload = FramesWorkload(args.seed)
+    host = HostSpeed()
     baseline_mb = memory.rss_mb()
-    setups = [workload.setup()]
+    setups = [timed_setup(host, workload.setup)]
     workload.build_references()
     cycle = workload.cycle
-    outcomes, traced, hardware = [], [], []
+    outcomes, slowdowns, traced, hardware = [], [], [], []
+    # The kernel sample taken after the last op, which is also the one
+    # before the next: every op is scaled by the samples on either side.
+    between = None
     with workload:
         workload.op(0)  # warm-up: lazy imports and first calls, untimed
         start = time.perf_counter()
@@ -151,18 +223,23 @@ def run_frames(args, tracer):
             if k and k % cycle == 0 and len(setups) < n_setups:
                 # Set up again between cycles; the deadline moves by the
                 # set-up's time, which the ops do not see.
-                setups.append(workload.setup())
-                start += setups[-1]
+                setup_start = time.perf_counter()
+                setups.append(timed_setup(host, workload.setup))
+                start += time.perf_counter() - setup_start
+                between = None
             # Trace every other op, flipping the parity each cycle so every
             # frame is seen both traced and untraced.
             trace_op = tracer is not None and (k + k // cycle) % 2 == 1
+            before = between or host.sample()
             if trace_op:
                 with tracer.installed(layers.frame_targets()), tracer.op(k):
                     outcome = workload.op(k)
             else:
                 outcome = workload.op(k)
+            between = host.sample()
             workload.check(k, outcome)
             outcomes.append(outcome)
+            slowdowns.append(slowdown_of(before + between))
             traced.append(trace_op)
             k += 1
         if tracer is not None:
@@ -175,7 +252,7 @@ def run_frames(args, tracer):
                 workload.check(j, outcome)
                 hardware.append(outcome)
     while len(setups) < n_setups:
-        setups.append(workload.setup())
+        setups.append(timed_setup(host, workload.setup))
 
     attempted = len(outcomes) + len(hardware)
     failed = sum(o.error is not None for o in outcomes + hardware)
@@ -187,26 +264,25 @@ def run_frames(args, tracer):
     counts = [dict(o.counts) for o in window]
     repeats = report.repeat_drift([dict(o.counts) for o in outcomes[:2 * cycle]], cycle)
 
-    dist = distribution(latencies)
+    points = sum(o.points for o in outcomes)
+    notes = {"points_per_s": f"raw {_ratio(points, sum(o.seconds for o in outcomes)):.4f}",
+             "peak_rss_mb": f"peak over the {baseline_mb:.1f} MB before set-up"}
     values = {
-        "setup_s": statistics.median(setups),
-        "op_p50_ms": dist.p50,
-        "op_tail_ms": dist.tail,
-        "points_per_s": _ratio(sum(o.points for o in outcomes),
-                               sum(o.seconds for o in outcomes)),
+        "setup_s": nominal_setup_s(setups, notes),
+        **nominal_ops(latencies, slowdowns, notes),
+        "points_per_s": _ratio(points, sum(o.seconds / s for o, s in zip(outcomes, slowdowns))),
         "peak_rss_mb": memory.peak_rss_mb() - baseline_mb,
     }
-    notes = {"setup_s": f"median of {n_setups} set-ups",
-             "op_tail_ms": dist.note,
-             "peak_rss_mb": f"peak over the {baseline_mb:.1f} MB before set-up"}
     values.update(_frame_counts(window))
     values["bench.fail_ratio"] = failed / attempted
+    values["bench.host_slowdown"] = host.slowdown
 
     if tracer is not None:
         traced_ids = [k for k, flag in enumerate(traced) if flag]
         totals = _layer_times(tracer, traced_ids, values)
         values["bench.op_self_ms"] = _mean(totals[k].get("op", 0) for k in traced_ids) / 1e6
-        values["bench.trace_overhead_pct"] = _overhead_pct(latencies, traced)
+        values["bench.trace_overhead_pct"] = _overhead_pct(
+            [t / s for t, s in zip(latencies, slowdowns)], traced)
         # Calls per op over the traced ops of the first cycle: a fixed set
         # of frames, so the counts repeat exactly.
         calls = call_counts(tracer.spans)
@@ -283,27 +359,28 @@ def model_savings(baseline_s, bonsai_s, baseline_j, bonsai_j):
 # ----------------------------------------------------------------------
 def run_map_serve(args, tracer):
     from perfbench import inputs, layers, memory, report
+    from perfbench.hostspeed import HostSpeed
     from perfbench.mapserve import N_WORKERS, REPLAY_OP_BASE, MapServeWorkload
-    from perfbench.stats import distribution
     from perfbench.tracing import call_counts, per_op_totals
     from repro import serve  # noqa: F401  (imported before the baseline)
     from repro.core.compressed_leaf import compression_pass_count
 
     setups = []
+    host = HostSpeed()
 
-    def timed_setup(target):
+    def set_up(target):
         if tracer is None:
-            return target.setup()
+            return timed_setup(host, target.setup)
         with tracer.installed(layers.store_targets()), \
                 tracer.op(-1 - len(setups), name="setup"):
-            return target.setup(tracer)
+            return timed_setup(host, lambda: target.setup(tracer))
 
     def spare_setup():
         # A whole second store and service, timed and closed again: the
         # served one must stay the one forked before scipy was imported.
         spare = MapServeWorkload(args.seed)
         try:
-            setups.append(timed_setup(spare))
+            setups.append(set_up(spare))
         finally:
             spare.close()
 
@@ -311,21 +388,22 @@ def run_map_serve(args, tracer):
     replay = None
     baseline_mb = memory.rss_mb()
     try:
-        setups.append(timed_setup(workload))
+        setups.append(set_up(workload))
         # The client side's memory is the set-up (build, compression, the
         # published store); the oracle built next is the benchmark's.
         setup_mb = memory.peak_rss_mb() - baseline_mb
         workload.build_references()
         # The clients pause halfway for the middle set-up.
-        served, wall, passes = [], 0.0, 0
+        served, wall, nominal_wall, passes = [], 0.0, 0.0, 0
         for half in range(2):
             if half:
                 spare_setup()
             before = compression_pass_count()
-            more, seconds = workload.run(args.seconds / 2, tracer)
+            more, seconds, nominal_seconds = workload.run(args.seconds / 2, tracer, host)
             passes += compression_pass_count() - before
             served += more
             wall += seconds
+            nominal_wall += nominal_seconds
         children_mb = memory.children_unique_mb()
         if tracer is not None:
             replay = workload.replay(tracer)
@@ -350,24 +428,24 @@ def run_map_serve(args, tracer):
     repeats = [f"{c}{n}" for (c, n), size in by_id.items()
                if n >= stream and by_id.get((c, n - stream)) != size]
 
-    dist = distribution(latencies)
+    queries = sum(s.size for s in served if s.error is None)
+    notes = {"points_per_s": f"raw {queries / wall:.4f}",
+             "peak_rss_mb": f"set-up peak over the {baseline_mb:.1f} MB before it "
+                            f"{setup_mb:.1f} MB + unique memory of the "
+                            f"{N_WORKERS} workers and helpers {children_mb:.1f} MB"}
+    slowdowns = [s.slowdown for s in served]
     values = {
-        "setup_s": statistics.median(setups),
-        "op_p50_ms": dist.p50,
-        "op_tail_ms": dist.tail,
-        "points_per_s": sum(s.size for s in served if s.error is None) / wall,
+        "setup_s": nominal_setup_s(setups, notes),
+        **nominal_ops(latencies, slowdowns, notes),
+        "points_per_s": queries / nominal_wall,
         "peak_rss_mb": setup_mb + children_mb,
         "bench.fail_ratio": failed / attempted,
         "core.compress_passes": passes / attempted,
         "core.compressed_bytes_ratio": ratio,
         "serve.response_bytes": _mean(s.response_bytes for s in first),
         "serve.worker_mb": children_mb,
+        "bench.host_slowdown": host.slowdown,
     }
-    notes = {"setup_s": f"median of {len(setups)} set-ups",
-             "op_tail_ms": dist.note,
-             "peak_rss_mb": f"set-up peak over the {baseline_mb:.1f} MB before it "
-                            f"{setup_mb:.1f} MB + unique memory of the "
-                            f"{N_WORKERS} workers and helpers {children_mb:.1f} MB"}
 
     if tracer is not None:
         replay_ids = [REPLAY_OP_BASE + i for i in range(replay["replayed"])]
@@ -386,7 +464,8 @@ def run_map_serve(args, tracer):
             groups.setdefault((s.client, s.number % cycle), []).append(s.seconds * 1e3)
         values["serve.request_ms"] = _mean(_mean(g) for g in groups.values())
         values["serve.overhead_ms"] = values["serve.request_ms"] - values["serve.inproc_ms"]
-        values["bench.trace_overhead_pct"] = _overhead_pct(latencies, [s.traced for s in served])
+        values["bench.trace_overhead_pct"] = _overhead_pct(
+            [t / s for t, s in zip(latencies, slowdowns)], [s.traced for s in served])
         calls = call_counts(tracer.spans)
         for span, metric in report.SPAN_CALLS.items():
             values[metric] = _mean(calls[k].get(span, 0) for k in replay_ids)

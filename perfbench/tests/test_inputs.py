@@ -33,7 +33,7 @@ def test_path_client_stays_local_and_uniform_client_spreads():
 
 
 def test_path_loop_is_closed_and_evenly_spaced():
-    points = inputs.loop_waypoints(np.array([0.0, 0.0]), np.array([100.0, 100.0]), 60, phase=0.0)
+    points = inputs.loop_waypoints(np.array([0.0, 0.0]), np.array([100.0, 100.0]), 60)
     steps = np.linalg.norm(np.diff(np.vstack([points, points[:1]]), axis=0), axis=1)
     assert np.allclose(steps, 150.0 / 60)
     assert np.allclose(points[0], [25.0, 50.0])
