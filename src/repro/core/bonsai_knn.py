@@ -26,10 +26,11 @@ import numpy as np
 from ..kdtree.build import KDTree
 from ..kdtree.node import Node
 from ..kdtree.radius_search import SearchStats
-from ..runtime.kernels import reduced_precision_max_delta, shell_error_bound
+from ..runtime.kernels import shell_error_bound
+from ..runtime.queries import as_query_point, check_k
 from .compressed_leaf import CompressedStructArray, compress_tree
 from .floatfmt import FLOAT16, FloatFormat
-from .leaf_compression import ZIPPTS_SLICE_BYTES, decompress_leaf
+from .leaf_compression import ZIPPTS_SLICE_BYTES
 
 __all__ = ["BonsaiKNNStats", "BonsaiNearestNeighbors"]
 
@@ -63,8 +64,6 @@ class BonsaiNearestNeighbors:
             compress_tree(tree, fmt)
         self.array: CompressedStructArray = tree.compressed_array  # type: ignore[attr-defined]
         self.stats = BonsaiKNNStats()
-        self._decoded_cache = {}
-        self._error_cache = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -74,11 +73,8 @@ class BonsaiNearestNeighbors:
 
         Results are identical to :func:`repro.kdtree.nearest_neighbors`.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        query_arr = np.asarray(query, dtype=np.float64)
-        if query_arr.shape != (3,):
-            raise ValueError("query must be a 3D point")
+        k = check_k(k)
+        query_arr = as_query_point(query)
         self.stats.queries += 1
 
         heap: List[Tuple[float, int]] = []  # max-heap via negated distances
@@ -115,7 +111,7 @@ class BonsaiNearestNeighbors:
         ref = leaf.compressed_ref
         self.stats.compressed_bytes_loaded += ref.n_slices * ZIPPTS_SLICE_BYTES
 
-        reduced, max_delta = self._decoded(leaf.leaf_id)
+        reduced, max_delta = self.array.mirror.leaf(leaf.leaf_id)
         diffs = query - reduced
         sq = diffs * diffs
         d2_approx = sq.sum(axis=1)
@@ -135,13 +131,3 @@ class BonsaiNearestNeighbors:
                 heapq.heappush(heap, (-d2, int(point_index)))
             elif d2 < worst_d2():
                 heapq.heapreplace(heap, (-d2, int(point_index)))
-
-    def _decoded(self, leaf_id: int):
-        cached = self._decoded_cache.get(leaf_id)
-        if cached is not None:
-            return cached, self._error_cache[leaf_id]
-        reduced = decompress_leaf(self.array.get(leaf_id), self.fmt)
-        max_delta = reduced_precision_max_delta(reduced, self.fmt)
-        self._decoded_cache[leaf_id] = reduced
-        self._error_cache[leaf_id] = max_delta
-        return reduced, max_delta

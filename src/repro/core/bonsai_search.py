@@ -5,7 +5,8 @@ only leaf processing differs.  When the search reaches a leaf whose compressed
 structure exists, the inspector:
 
 1. loads the compressed structure in 128-bit slices (modelling the LDDCP
-   micro-operations) and decompresses it into reduced-precision coordinates;
+   micro-operations) and takes its reduced-precision coordinates from the
+   tree's decoded mirror, which the compression pass emitted;
 2. computes the approximate squared distance and the worst-case error bound
    per point (what the vectorised (A-B')^2 functional units produce);
 3. applies the shell classification of Eq. 12;
@@ -21,7 +22,7 @@ memory-access recorder for cache simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -29,16 +30,11 @@ from ..kdtree.build import KDTree
 from ..kdtree.layout import POINT_STRIDE_BYTES, TreeMemoryLayout
 from ..kdtree.node import LeafNode
 from ..kdtree.radius_search import MemoryRecorder, SearchStats
-from ..runtime.kernels import (
-    leaf_distances2,
-    reduced_precision_max_delta,
-    shell_classify,
-    shell_error_bound,
-)
+from ..runtime.kernels import leaf_distances2, shell_classify, shell_error_bound
 from .compressed_leaf import CompressedRef, CompressedStructArray, compress_tree
 from .error_model import PartErrorTable
 from .floatfmt import FLOAT16, FloatFormat
-from .leaf_compression import ZIPPTS_SLICE_BYTES, decompress_leaf
+from .leaf_compression import ZIPPTS_SLICE_BYTES
 
 __all__ = ["BonsaiStats", "BonsaiLeafInspector", "BonsaiRadiusSearch"]
 
@@ -85,29 +81,27 @@ class BonsaiStats:
 class BonsaiLeafInspector:
     """Leaf inspector operating on compressed leaf structures.
 
+    Each visit charges the leaf's slices and bytes, then reads the leaf's
+    reduced coordinates and Eq. 6 bounds from the array's decoded mirror
+    (:class:`~repro.core.leaf_compression.LeafMirror`): decoding is the
+    hardware's job, so the functional model does not repeat it per visit.
+
     Parameters
     ----------
     array:
-        The tree's ``cmprsd_strct_array``.  If omitted, the inspector looks
-        for ``tree.compressed_array`` (set by :func:`compress_tree`).
+        The tree's ``cmprsd_strct_array``, as built by
+        :func:`compress_tree`.  If omitted, the inspector looks for
+        ``tree.compressed_array``.
     fmt:
         Reduced float format of the compressed coordinates.
-    cache_decoded:
-        Keep decoded leaves in a per-inspector cache.  Decoding is repeated
-        work in hardware too, but caching only the *functional* result keeps
-        the pure-Python model fast; the byte/slice accounting still charges
-        every visit.
     """
 
     def __init__(self, array: Optional[CompressedStructArray] = None,
-                 fmt: FloatFormat = FLOAT16, cache_decoded: bool = True):
+                 fmt: FloatFormat = FLOAT16):
         self.array = array
         self.fmt = fmt
-        self.cache_decoded = cache_decoded
         self.part_error = PartErrorTable(fmt)
         self.bonsai_stats = BonsaiStats()
-        self._decoded_cache: Dict[int, np.ndarray] = {}
-        self._error_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # LeafInspector protocol
@@ -137,7 +131,7 @@ class BonsaiLeafInspector:
                     ZIPPTS_SLICE_BYTES,
                 )
 
-        reduced, max_delta = self._decoded(array, leaf.leaf_id, ref)
+        reduced, max_delta = array.mirror.leaf(leaf.leaf_id)
 
         diffs = query - reduced
         sq = diffs * diffs
@@ -178,28 +172,6 @@ class BonsaiLeafInspector:
         if self.array is not None:
             return self.array
         return getattr(tree, "compressed_array", None)
-
-    def _decoded(self, array: CompressedStructArray, leaf_id: int,
-                 ref: CompressedRef) -> tuple:
-        if self.cache_decoded and leaf_id in self._decoded_cache:
-            return self._decoded_cache[leaf_id], self._error_cache[leaf_id]
-        compressed = array.get(leaf_id)
-        reduced = decompress_leaf(compressed, self.fmt)
-        max_delta = self._max_delta_array(reduced)
-        if self.cache_decoded:
-            self._decoded_cache[leaf_id] = reduced
-            self._error_cache[leaf_id] = max_delta
-        return reduced, max_delta
-
-    def _max_delta_array(self, reduced: np.ndarray) -> np.ndarray:
-        """Per-coordinate worst-case rounding error (Eq. 6), vectorised.
-
-        The hardware derives this from the exponent field via the
-        ``part_error_mem`` lookup; here the same quantity is computed from the
-        decoded magnitudes: for normal numbers ``2**(e - bias - (m+1))`` equals
-        half a ULP of the binade the value lies in.
-        """
-        return reduced_precision_max_delta(reduced, self.fmt)
 
     def _baseline_inspect(self, tree, leaf, query, r2, results, stats, recorder, layout):
         points = tree.points_f64[leaf.indices]

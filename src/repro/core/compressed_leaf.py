@@ -5,24 +5,26 @@ compressed structures of all leaves are stored consecutively as they are
 created during the tree build, and re-uses otherwise-unused leaf fields to
 hold each leaf's (offset, length) into that array.  This module models both
 pieces and provides ``compress_tree`` to run the whole build-time compression
-pass over a k-d tree.
+pass over a k-d tree.  The pass also emits the tree's decoded mirror
+(:class:`~repro.core.leaf_compression.LeafMirror`), which the array carries
+for the search paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from ..kdtree.build import KDTree
-from ..kdtree.node import LeafNode
 from .floatfmt import FLOAT16, FloatFormat
 from .leaf_compression import (
-    MAX_POINTS_PER_LEAF,
     ZIPPTS_SLICE_BYTES,
     CompressedLeaf,
-    compress_leaf,
+    LeafMirror,
+    compress_leaves,
+    compressed_size_bits,
 )
 
 __all__ = [
@@ -46,9 +48,12 @@ def compression_pass_count() -> int:
     return _COMPRESSION_PASSES
 
 
-@dataclass(frozen=True)
-class CompressedRef:
-    """Reference from a leaf into the compressed-structure array."""
+class CompressedRef(NamedTuple):
+    """Reference from a leaf into the compressed-structure array.
+
+    A named tuple: the compression pass creates one per leaf, and a tuple
+    is several times cheaper to create than a frozen dataclass.
+    """
 
     offset: int
     length: int
@@ -63,13 +68,24 @@ class CompressedRef:
 
 
 class CompressedStructArray:
-    """A growable byte array holding compressed leaf structures back to back."""
+    """Compressed leaf structures back to back, plus the tree's decoded mirror.
 
-    def __init__(self, fmt: FloatFormat = FLOAT16):
+    :func:`compress_tree` fills one in a single pass; :meth:`append` adds
+    one :func:`~repro.core.leaf_compression.compress_leaf` result at a time
+    and emits no mirror, so the search paths need an array built by
+    :func:`compress_tree`.  ``data`` may also be a read-only buffer, such as
+    a shared-memory segment, with ``refs`` and ``mirror`` rebuilt over it.
+    """
+
+    def __init__(self, fmt: FloatFormat = FLOAT16, *, data=None,
+                 refs: Optional[Dict[int, CompressedRef]] = None,
+                 mirror: Optional[LeafMirror] = None):
         self.fmt = fmt
-        self._data = bytearray()
-        self._leaves: Dict[int, CompressedLeaf] = {}
-        self._refs: Dict[int, CompressedRef] = {}
+        self._data = bytearray() if data is None else data
+        self._refs: Dict[int, CompressedRef] = {} if refs is None else refs
+        #: Decoded coordinates and Eq. 6 bounds of every leaf
+        #: (``None`` for an array built by :meth:`append`).
+        self.mirror = mirror
 
     # ------------------------------------------------------------------
     # Population
@@ -92,7 +108,6 @@ class CompressedStructArray:
             flags=compressed.flags,
         )
         self._refs[leaf_id] = ref
-        self._leaves[leaf_id] = compressed
         return ref
 
     # ------------------------------------------------------------------
@@ -116,8 +131,15 @@ class CompressedStructArray:
         return self._refs[leaf_id]
 
     def get(self, leaf_id: int) -> CompressedLeaf:
-        """The compressed structure of ``leaf_id``."""
-        return self._leaves[leaf_id]
+        """The compressed structure of ``leaf_id`` (rebuilt from the bytes)."""
+        ref = self._refs[leaf_id]
+        return CompressedLeaf(
+            data=self.read(ref),
+            n_points=ref.n_points,
+            flags=ref.flags,
+            payload_bits=compressed_size_bits(ref.n_points, ref.flags, self.fmt),
+            fmt_name=self.fmt.name,
+        )
 
     def read(self, ref: CompressedRef) -> bytes:
         """Read the raw bytes referenced by ``ref`` (as the LDDCP loads would)."""
@@ -149,39 +171,46 @@ class CompressionReport:
 
 
 def compress_tree(tree: KDTree, fmt: FloatFormat = FLOAT16,
-                  array: Optional[CompressedStructArray] = None,
-                  baseline_bytes_per_point: int = 16) -> CompressionReport:
+                  baseline_bytes_per_point: int = 16, *,
+                  mirror_buffer=None) -> CompressionReport:
     """Compress every leaf of ``tree`` into a :class:`CompressedStructArray`.
 
-    Each leaf's ``compressed_ref`` attribute is populated, mirroring the
-    paper's reuse of unused leaf fields to store the reference.  Returns a
-    :class:`CompressionReport`; the array itself can be retrieved from any
-    leaf's reference or passed in explicitly.
+    One vectorised pass (:func:`~repro.core.leaf_compression.compress_leaves`)
+    writes the bytes and the decoded mirror.  Each leaf's ``compressed_ref``
+    attribute is populated, mirroring the paper's reuse of unused leaf
+    fields to store the reference, and the array is stashed on the tree as
+    ``tree.compressed_array``.  ``mirror_buffer`` is a writable buffer of
+    ``LeafMirror.nbytes(...)`` bytes to lay the mirror out in (a
+    shared-memory segment); fresh memory when omitted.
     """
     global _COMPRESSION_PASSES
     _COMPRESSION_PASSES += 1
-    array = array if array is not None else CompressedStructArray(fmt)
-    coords_shared = {"x": 0, "y": 0, "z": 0}
-    fully_shared = 0
-    total_points = 0
-    for leaf in tree.leaves:
-        points = tree.leaf_points(leaf)
-        compressed = compress_leaf(points, fmt)
-        ref = array.append(leaf.leaf_id, compressed)
+    leaves = tree.leaves
+    indices = [leaf.indices for leaf in leaves]
+    counts = np.fromiter(map(len, indices), dtype=np.int64, count=len(indices))
+    points = tree.points[np.concatenate(indices)]
+    mirror = LeafMirror.allocate(points.shape[0], len(leaves), fmt, mirror_buffer)
+    packed = compress_leaves(points, counts, mirror, fmt)
+
+    lengths = np.diff(packed.offsets)
+    refs = {}
+    for leaf, offset, length, n_points, flags in zip(
+            leaves, packed.offsets.tolist(), lengths.tolist(), counts.tolist(),
+            packed.flags.tolist()):
+        ref = CompressedRef(offset=offset, length=length, n_points=n_points,
+                            n_slices=length // ZIPPTS_SLICE_BYTES,
+                            flags=tuple(flags))
         leaf.compressed_ref = ref
-        total_points += leaf.n_points
-        for name, flag in zip(("x", "y", "z"), compressed.flags):
-            if flag:
-                coords_shared[name] += 1
-        if all(compressed.flags):
-            fully_shared += 1
+        refs[leaf.leaf_id] = ref
     # Stash the array on the tree so searches can find it without new APIs.
-    tree.compressed_array = array  # type: ignore[attr-defined]
+    tree.compressed_array = CompressedStructArray(  # type: ignore[attr-defined]
+        fmt, data=packed.data, refs=refs, mirror=mirror)
+    coords_shared = packed.flags.sum(axis=0).tolist()
     return CompressionReport(
         n_leaves=tree.n_leaves,
-        n_points=total_points,
-        baseline_bytes=total_points * baseline_bytes_per_point,
-        compressed_bytes=array.total_bytes,
-        leaves_fully_shared=fully_shared,
-        coords_shared=coords_shared,
+        n_points=len(points),
+        baseline_bytes=len(points) * baseline_bytes_per_point,
+        compressed_bytes=len(packed.data),
+        leaves_fully_shared=int(packed.flags.all(axis=1).sum()),
+        coords_shared=dict(zip(("x", "y", "z"), coords_shared)),
     )

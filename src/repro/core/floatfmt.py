@@ -196,6 +196,61 @@ class FloatFormat:
         """Encode then decode ``value`` (the value "as stored" in the format)."""
         return self.decode(self.encode(value))
 
+    def encode_array(self, values: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`encode` of an arbitrary-shaped array (``uint64``).
+
+        Bit for bit the scalar codec: round-to-nearest-even, subnormals,
+        overflow to infinity, signed zeros and the canonical NaN.  Works on
+        the exact integer significand of each float64 (formats with at most
+        52 mantissa bits).
+        """
+        shape = np.shape(values)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        mb = self.mantissa_bits
+        all_ones = (1 << self.exponent_bits) - 1
+        finite = np.isfinite(values)
+        fraction, exponent = np.frexp(np.where(finite, np.abs(values), 0.0))
+        # 54-bit integer significand: fraction in [0.5, 1) -> [2**53, 2**54).
+        significand = np.ldexp(fraction, 54).astype(np.uint64)
+        biased = exponent.astype(np.int64) - 1 + self.bias
+        # Subnormals (biased <= 0) keep exponent field 0 and shift further
+        # right; past 55 bits every significand rounds to zero.
+        effective = np.maximum(biased, 1)
+        shift = np.minimum(53 - mb + effective - biased, 55).astype(np.uint64)
+        kept = significand >> shift
+        rest = significand & ((np.uint64(1) << shift) - np.uint64(1))
+        half = np.uint64(1) << (shift - np.uint64(1))
+        kept += (rest > half) | ((rest == half) & ((kept & np.uint64(1)) == 1))
+        # Adding the rounded significand (implicit bit included) to the
+        # exponent field lets a round-up carry into the next binade, or
+        # into infinity, exactly as the scalar codec does.
+        packed = ((effective - 1) << mb).astype(np.uint64) + kept
+        packed[biased >= all_ones] = all_ones << mb
+        packed[values == 0.0] = 0
+        packed[np.isinf(values)] = all_ones << mb
+        packed |= np.signbit(values).astype(np.uint64) << np.uint64(
+            mb + self.exponent_bits)
+        packed[np.isnan(values)] = (all_ones << mb) | (1 << (mb - 1))
+        return packed.reshape(shape)
+
+    def decode_array(self, bits: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`decode` of packed patterns (float64, same shape)."""
+        shape = np.shape(bits)
+        bits = np.asarray(bits, dtype=np.uint64).reshape(-1)
+        mb = self.mantissa_bits
+        all_ones = (1 << self.exponent_bits) - 1
+        mantissa = bits & np.uint64((1 << mb) - 1)
+        exponent = ((bits >> np.uint64(mb)) & np.uint64(all_ones)).astype(np.int64)
+        significand = mantissa | ((exponent != 0).astype(np.uint64) << np.uint64(mb))
+        values = np.ldexp(significand.astype(np.float64),
+                          np.maximum(exponent, 1) - self.bias - mb)
+        values[exponent == all_ones] = np.inf
+        negative = ((bits >> np.uint64(mb + self.exponent_bits)) & np.uint64(1)) == 1
+        values[negative] = -values[negative]
+        # The scalar codec decodes every NaN pattern to the positive NaN.
+        values[(exponent == all_ones) & (mantissa != 0)] = np.nan
+        return values.reshape(shape)
+
     def quantize(self, values: Iterable[float]) -> np.ndarray:
         """Round-trip an iterable of values, returned as float64 ndarray."""
         return np.array([self.round_trip(v) for v in values], dtype=np.float64)
@@ -203,17 +258,9 @@ class FloatFormat:
     def quantize_array(self, values: np.ndarray) -> np.ndarray:
         """Vectorised round-trip of an arbitrary-shaped float array.
 
-        IEEE half precision uses NumPy's native conversion (bit-exact with the
-        scalar path); other formats fall back to the scalar codec.
+        Bit-exact with the scalar path (:meth:`round_trip`) for every format.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if self.name == "ieee_fp16":
-            return values.astype(np.float16).astype(np.float64)
-        if self.name == "ieee_fp32":
-            return values.astype(np.float32).astype(np.float64)
-        flat = values.reshape(-1)
-        out = np.array([self.round_trip(float(v)) for v in flat], dtype=np.float64)
-        return out.reshape(values.shape)
+        return self.decode_array(self.encode_array(values))
 
     # ------------------------------------------------------------------
     # Field helpers

@@ -14,15 +14,25 @@ Compression is lossless with respect to the reduced 16-bit values: decoding a
 compressed leaf reproduces exactly the fp16 bit patterns that were encoded.
 The only information loss relative to the original cloud is the fp32 -> fp16
 conversion, whose error the shell classifier bounds at search time.
+
+Two codecs write this layout.  :func:`compress_leaf` / :func:`decompress_leaf`
+stream one leaf field by field through :class:`BitWriter` /
+:class:`BitReader`: the ISA ZipPts model, the software-only baseline of
+Section IV-A and the reference the tests check against.
+:func:`compress_leaves` encodes every leaf of a tree with array operations
+into the same bytes and, in the same pass, fills the tree's
+:class:`LeafMirror` with the decoded coordinates, so the search paths never
+decode bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..runtime.kernels import reduced_precision_max_delta
 from .bitstream import BitReader, BitWriter
 from .floatfmt import FLOAT16, FloatFormat
 
@@ -30,7 +40,10 @@ __all__ = [
     "ZIPPTS_SLICE_BYTES",
     "MAX_POINTS_PER_LEAF",
     "CompressedLeaf",
+    "LeafMirror",
+    "PackedLeaves",
     "compress_leaf",
+    "compress_leaves",
     "decompress_leaf",
     "compressed_size_bits",
 ]
@@ -41,6 +54,10 @@ ZIPPTS_SLICE_BYTES = 16
 MAX_POINTS_PER_LEAF = 16
 #: Number of spatial coordinates.
 N_COORDS = 3
+#: Leaves :func:`compress_leaves` encodes per array step, which bounds its
+#: temporaries (about 1.5 MB) whatever the size of the tree; larger chunks
+#: measured no faster.
+ENCODE_CHUNK_LEAVES = 256
 
 
 @dataclass(frozen=True)
@@ -228,3 +245,193 @@ def decompress_leaf_bits(compressed: CompressedLeaf,
         for c in range(values.shape[1]):
             bits[i, c] = fmt.encode(float(values[i, c]))
     return bits
+
+
+# ----------------------------------------------------------------------
+# Whole-tree (array) codec
+# ----------------------------------------------------------------------
+class LeafMirror:
+    """The decoded leaves of a compressed tree, emitted by its compression pass.
+
+    Row ``r`` is the tree's ``r``-th point in leaf order and leaf ``i`` owns
+    rows ``starts[i]:starts[i + 1]``.  ``reduced`` holds each coordinate as
+    the leaf's compressed structure decodes it and ``max_delta`` its Eq. 6
+    bound, bit for bit what :func:`decompress_leaf` and
+    :func:`~repro.runtime.kernels.reduced_precision_max_delta` return.  Both
+    are float32 where that is exact (fp16, bfloat16, float24) and float64
+    otherwise; square ``max_delta`` in float64, since bfloat16's smallest
+    bound (2**-134) squares to zero in float32.
+    """
+
+    def __init__(self, reduced: np.ndarray, max_delta: np.ndarray,
+                 starts: np.ndarray):
+        self.reduced = reduced
+        self.max_delta = max_delta
+        self.starts = starts
+
+    @staticmethod
+    def dtype(fmt: FloatFormat) -> np.dtype:
+        """Float32 when every value and bound of ``fmt`` is a float32."""
+        smallest_bound = 1 - fmt.bias - fmt.mantissa_bits - 1
+        exact = (fmt.exponent_bits <= 8 and fmt.mantissa_bits <= 23
+                 and smallest_bound >= -149)
+        return np.dtype(np.float32 if exact else np.float64)
+
+    @classmethod
+    def nbytes(cls, n_points: int, n_leaves: int, fmt: FloatFormat) -> int:
+        """Bytes of the buffer :meth:`allocate` lays a mirror out in."""
+        return 8 * (n_leaves + 1) + 2 * N_COORDS * n_points * cls.dtype(fmt).itemsize
+
+    @classmethod
+    def allocate(cls, n_points: int, n_leaves: int, fmt: FloatFormat,
+                 buffer=None) -> "LeafMirror":
+        """An unfilled mirror laid out in ``buffer`` (fresh memory if omitted)."""
+        if buffer is None:
+            buffer = bytearray(cls.nbytes(n_points, n_leaves, fmt))
+        dtype = cls.dtype(fmt)
+        starts = np.ndarray((n_leaves + 1,), dtype=np.int64, buffer=buffer)
+        reduced = np.ndarray((n_points, N_COORDS), dtype=dtype, buffer=buffer,
+                             offset=starts.nbytes)
+        max_delta = np.ndarray((n_points, N_COORDS), dtype=dtype, buffer=buffer,
+                               offset=starts.nbytes + reduced.nbytes)
+        return cls(reduced, max_delta, starts)
+
+    def leaf(self, leaf_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(reduced, max_delta)`` rows of one leaf (views, no decoding)."""
+        start = self.starts[leaf_id]
+        stop = self.starts[leaf_id + 1]
+        return self.reduced[start:stop], self.max_delta[start:stop]
+
+
+@dataclass(frozen=True)
+class PackedLeaves:
+    """Figure-6 structures of consecutive leaves, packed back to back.
+
+    ``data[offsets[i]:offsets[i + 1]]``, ``flags[i]`` and
+    ``payload_bits[i]`` equal ``compress_leaf(...)``'s ``data``, ``flags``
+    and ``payload_bits`` for leaf ``i``.
+    """
+
+    data: bytes
+    offsets: np.ndarray
+    flags: np.ndarray
+    payload_bits: np.ndarray
+
+
+def compress_leaves(points_fp32: np.ndarray, counts: Sequence[int],
+                    mirror: LeafMirror, fmt: FloatFormat = FLOAT16) -> PackedLeaves:
+    """:func:`compress_leaf` for consecutive leaves, with array operations.
+
+    ``points_fp32`` holds the leaves' points back to back, leaf ``i`` owning
+    the next ``counts[i]`` rows.  Leaves are encoded
+    ``ENCODE_CHUNK_LEAVES`` at a time; each field is OR-ed into whole
+    big-endian 64-bit words, which streams bits MSB first like
+    :class:`BitWriter`.  The same pass fills ``mirror`` (allocated for these
+    points and leaves) with the decoded coordinates and their Eq. 6 bounds.
+
+    Raises ``ValueError`` for the leaves :func:`compress_leaf` rejects.
+    """
+    points = np.asarray(points_fp32, dtype=np.float32)
+    counts = np.asarray(counts, dtype=np.int64)
+    if points.ndim != 2 or points.shape[1] != N_COORDS:
+        raise ValueError("leaf points must form an (N, 3) array")
+    if np.any(counts < 1):
+        raise ValueError("cannot compress an empty leaf")
+    if np.any(counts > MAX_POINTS_PER_LEAF):
+        raise ValueError(
+            f"leaf holds {int(counts.max())} points; the ZipPts buffer supports "
+            f"at most {MAX_POINTS_PER_LEAF}")
+    rows = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=rows[1:])
+    if rows[-1] != points.shape[0]:
+        raise ValueError("leaf sizes must add up to the number of points")
+
+    parts = []
+    flags = np.empty((counts.size, N_COORDS), dtype=bool)
+    payload_bits = np.empty(counts.size, dtype=np.int64)
+    for first in range(0, counts.size, ENCODE_CHUNK_LEAVES):
+        last = min(first + ENCODE_CHUNK_LEAVES, counts.size)
+        lo, hi = rows[first], rows[last]
+        bits = fmt.encode_array(points[lo:hi])
+        reduced = fmt.decode_array(bits)
+        mirror.reduced[lo:hi] = reduced
+        mirror.max_delta[lo:hi] = reduced_precision_max_delta(reduced, fmt)
+        data, flags[first:last], payload_bits[first:last] = _pack_leaves(
+            bits, counts[first:last], fmt)
+        parts.append(data)
+    mirror.starts[:] = rows
+
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(_padded_bytes(payload_bits), out=offsets[1:])
+    return PackedLeaves(b"".join(parts), offsets, flags, payload_bits)
+
+
+def _padded_bytes(payload_bits: np.ndarray) -> np.ndarray:
+    """Whole 128-bit slices holding ``payload_bits`` bits, in bytes."""
+    slice_bits = 8 * ZIPPTS_SLICE_BYTES
+    return -(-payload_bits // slice_bits) * ZIPPTS_SLICE_BYTES
+
+
+def _pack_leaves(bits: np.ndarray, counts: np.ndarray,
+                 fmt: FloatFormat) -> Tuple[bytes, np.ndarray, np.ndarray]:
+    """Pack one chunk of leaves; ``bits`` are their points' reduced patterns.
+
+    Returns the chunk's bytes and each leaf's flags and payload bits.
+    """
+    mb = fmt.mantissa_bits
+    se_bits = _sign_exponent_bits(fmt)
+    rows = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=rows[1:])
+    leaf = np.repeat(np.arange(counts.size), counts)
+    point = (np.arange(rows[-1]) - rows[leaf])[:, None]
+    coord = np.arange(N_COORDS)
+    se = bits >> np.uint64(mb)
+    mantissa = bits & np.uint64((1 << mb) - 1)
+
+    flags = (np.minimum.reduceat(se, rows[:-1], axis=0)
+             == np.maximum.reduceat(se, rows[:-1], axis=0))
+    n_shared = flags.sum(axis=1)
+    payload_bits = (N_COORDS + counts * (N_COORDS * mb) + n_shared * se_bits
+                    + (N_COORDS - n_shared) * counts * se_bits)
+
+    leaf_bytes = _padded_bytes(payload_bits)
+    leaf_bit = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(8 * leaf_bytes[:-1], out=leaf_bit[1:])
+    words = np.zeros(int(leaf_bytes.sum()) // 8, dtype=np.uint64)
+    # [cX cY cZ]
+    _write_fields(words, leaf_bit, N_COORDS, flags @ np.array([4, 2, 1]))
+    # Mantissas, point-major (x, y, z per point).
+    _write_fields(words, (leaf_bit + N_COORDS)[leaf][:, None]
+                  + (point * N_COORDS + coord) * mb, mb, mantissa)
+    # One <sign, exponent> copy per shared coordinate, then the remaining
+    # tuples point-major over the coordinates that are not shared.
+    se_bit = leaf_bit + N_COORDS + counts * (N_COORDS * mb)
+    rank = np.cumsum(flags, axis=1) - flags
+    _write_fields(words, (se_bit[:, None] + rank * se_bits)[flags], se_bits,
+                  se[rows[:-1]][flags])
+    unshared = ~flags[leaf]
+    urank = (np.cumsum(~flags, axis=1) - ~flags)[leaf]
+    position = ((se_bit + n_shared * se_bits)[leaf][:, None]
+                + (point * (N_COORDS - n_shared)[leaf][:, None] + urank) * se_bits)
+    _write_fields(words, position[unshared], se_bits, se[unshared])
+    return words.astype(">u8").tobytes(), flags, payload_bits
+
+
+def _write_fields(words: np.ndarray, position: np.ndarray, width: int,
+                  value: np.ndarray) -> None:
+    """OR ``width``-bit fields into big-endian words at absolute bit offsets.
+
+    A field spans at most two words; fields never overlap, so OR-ing them
+    in any order builds the same stream.
+    """
+    position = np.ravel(position)
+    value = np.ravel(value).astype(np.uint64)
+    index = position >> 6
+    end = (position & 63) + width
+    spill = end > 64
+    head = ((value << np.where(spill, 0, 64 - end).astype(np.uint64))
+            >> np.where(spill, end - 64, 0).astype(np.uint64))
+    np.bitwise_or.at(words, index, head)
+    if spill.any():
+        np.bitwise_or.at(words, index[spill] + 1,
+                         value[spill] << (128 - end[spill]).astype(np.uint64))

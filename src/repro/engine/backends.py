@@ -59,13 +59,9 @@ from ..kdtree.build import KDTree
 from ..kdtree.knn import nearest_neighbors
 from ..kdtree.layout import TreeMemoryLayout
 from ..kdtree.radius_search import MemoryRecorder, SearchStats, radius_search
-from ..runtime.batch import (
-    BatchKNNResult,
-    BatchQueryEngine,
-    BatchRadiusResult,
-    as_query_batch,
-)
+from ..runtime.batch import BatchKNNResult, BatchQueryEngine, BatchRadiusResult
 from ..runtime.bonsai import BonsaiBatchSearcher
+from ..runtime.queries import as_query_batch, check_k, check_radius
 
 __all__ = [
     "SearchBackend",
@@ -141,8 +137,7 @@ class _PerQueryBackendBase:
 
     def radius_search(self, queries, radius: float) -> BatchRadiusResult:
         """Per-query searches presented in the batched (CSR) result format."""
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        radius = check_radius(radius)
         batch = as_query_batch(queries)
         offsets = np.zeros(batch.shape[0] + 1, dtype=np.intp)
         chunks: List[np.ndarray] = []
@@ -163,8 +158,7 @@ class _PerQueryBackendBase:
         :mod:`repro.core.bonsai_knn`), so all backends return identical
         neighbours.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = check_k(k)
         batch = as_query_batch(queries)
         width = min(k, self.tree.n_points)
         indices = np.full((batch.shape[0], width), -1, dtype=np.intp)
@@ -265,7 +259,7 @@ class BaselineBatchedBackend:
 
 
 class BonsaiBatchedBackend:
-    """One compressed-leaf traversal per query batch, decoded once per leaf."""
+    """One compressed-leaf traversal per query batch over the decoded mirror."""
 
     name = "bonsai-batched"
     flavor = "bonsai"

@@ -67,7 +67,8 @@ from ..core.bonsai_search import BonsaiStats
 from ..core.floatfmt import FLOAT16, FloatFormat
 from ..kdtree.build import KDTree
 from ..kdtree.radius_search import MemoryRecorder, SearchStats
-from ..runtime.batch import BatchKNNResult, BatchRadiusResult, as_query_batch
+from ..runtime.batch import BatchKNNResult, BatchRadiusResult
+from ..runtime.queries import as_query_batch, check_k, check_radius
 
 __all__ = [
     "MIN_PARALLEL_QUERIES",
@@ -402,11 +403,10 @@ class _ShardedBatchedBackend:
     def radius_search(self, queries, radius: float) -> BatchRadiusResult:
         """Sharded batched radius search; bitwise identical to the inner
         backend's result (per-query index-sorted CSR form)."""
+        radius = check_radius(radius)
         batch = as_query_batch(queries)
         if not self._use_parallel(batch.shape[0]):
             return self._inner.radius_search(batch, radius)
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
         payloads = [(batch[start:stop], radius)
                     for start, stop in plan_shards(batch.shape[0], self.n_workers)]
         parts = self._run_shards(_radius_shard, payloads)
@@ -419,11 +419,10 @@ class _ShardedBatchedBackend:
         """Sharded batched kNN; bitwise identical to the inner backend's
         dense ``(Q, k)`` result (ties at the k-th place broken by lowest
         point index, like every batched engine)."""
+        k = check_k(k)
         batch = as_query_batch(queries)
         if not self._use_parallel(batch.shape[0]):
             return self._inner.knn(batch, k)
-        if k < 1:
-            raise ValueError("k must be at least 1")
         payloads = [(batch[start:stop], k)
                     for start, stop in plan_shards(batch.shape[0], self.n_workers)]
         parts = self._run_shards(_knn_shard, payloads)

@@ -74,9 +74,9 @@ from ..runtime.batch import (
     BatchRadiusResult,
     _build_radius_result,
     _empty_radius_result,
-    as_query_batch,
 )
 from ..runtime.kernels import rowwise_distances2
+from ..runtime.queries import as_query_batch, check_k, check_radius
 from .index import DEFAULT_BACKEND, PointCloudIndex
 from .parallel import merge_knn_shards, merge_radius_shards, plan_shards
 
@@ -303,13 +303,11 @@ class ShardedPointCloudIndex:
         empty (well-formed) row.  ``recorded``/``cpu`` select each tile's
         hardware-recorded counterpart, as in :meth:`PointCloudIndex.backend`.
         """
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        r = check_radius(radius)
         batch = as_query_batch(queries)
         n_queries = batch.shape[0]
         if n_queries == 0 or self.n_tiles == 0:
             return _empty_radius_result(n_queries)
-        r = float(radius)
         threshold = r * r * (1.0 + _BBOX_SLACK_REL) + _BBOX_SLACK_ABS
         parts: List[BatchRadiusResult] = []
         for start, stop in self._query_chunks(n_queries):
@@ -341,8 +339,7 @@ class ShardedPointCloudIndex:
         engine's (sort by ``(query, d2, point)``), so the result is bitwise
         identical to the unsharded index's up to k-th-place distance ties.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = check_k(k)
         batch = as_query_batch(queries)
         n_queries = batch.shape[0]
         width = min(k, self.n_points)

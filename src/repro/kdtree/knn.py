@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..runtime.kernels import leaf_distances2
+from ..runtime.queries import as_query_point, check_k
 from .build import KDTree
 from .node import Node
 from .radius_search import SearchStats
@@ -34,11 +35,8 @@ def nearest_neighbors(
     Results are sorted by increasing distance.  If the tree holds fewer than
     ``k`` points, all points are returned.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    query_arr = np.asarray(query, dtype=np.float64)
-    if query_arr.shape != (3,):
-        raise ValueError("query must be a 3D point")
+    k = check_k(k)
+    query_arr = as_query_point(query)
     stats = stats if stats is not None else SearchStats()
     stats.queries += 1
 

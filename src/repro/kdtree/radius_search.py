@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Protocol, Sequence
 import numpy as np
 
 from ..runtime.kernels import leaf_distances2
+from ..runtime.queries import as_query_point, check_radius
 from .build import KDTree
 from .layout import POINT_STRIDE_BYTES, NODE_RECORD_BYTES, TreeMemoryLayout
 from .node import LeafNode, Node
@@ -159,17 +160,14 @@ def radius_search(
         Optional accounting hooks (search counters, memory-access recorder and
         address layout).
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    radius = check_radius(radius)
+    query_arr = as_query_point(query)
     inspector = inspector or Float32LeafInspector()
     stats = stats if stats is not None else SearchStats()
-    query_arr = np.asarray(query, dtype=np.float64)
-    if query_arr.shape != (3,):
-        raise ValueError("query must be a 3D point")
-    r2 = float(radius) * float(radius)
+    r2 = radius * radius
     results: List[int] = []
     stats.queries += 1
-    _search_node(tree, tree.root, query_arr, float(radius), r2, inspector,
+    _search_node(tree, tree.root, query_arr, radius, r2, inspector,
                  results, stats, recorder, layout, node_ordinal=[0])
     return results
 

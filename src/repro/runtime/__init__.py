@@ -14,13 +14,15 @@ Public API
     Binds a tree plus a :class:`~repro.kdtree.radius_search.SearchStats`
     accumulator for repeated batches (the batched ``RadiusSearcher``).
 :class:`BonsaiBatchSearcher`
-    The compressed-leaf (K-D Bonsai) variant with a per-call
-    decompressed-leaf cache; same results as the baseline.
+    The compressed-leaf (K-D Bonsai) variant, reading each visited leaf
+    from the tree's decoded mirror; same results as the baseline.
 :class:`BatchRadiusResult` / :class:`BatchKNNResult`
     CSR-style and dense result containers with ``as_lists()`` converters to
     the single-query formats.
 :mod:`repro.runtime.kernels`
     The shared leaf-distance kernels (also used by the single-query paths).
+:mod:`repro.runtime.queries`
+    The query, radius and ``k`` checks every search entry point shares.
 
 Attributes resolve lazily (PEP 562): the single-query modules import
 :mod:`repro.runtime.kernels` without dragging in the engine, and the engine

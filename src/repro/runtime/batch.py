@@ -51,6 +51,7 @@ from ..kdtree.layout import POINT_STRIDE_BYTES
 from ..kdtree.node import LeafNode
 from ..kdtree.radius_search import SearchStats
 from .kernels import pairwise_distances2
+from .queries import as_query_batch, check_k, check_radius
 
 __all__ = [
     "BatchRadiusResult",
@@ -59,16 +60,6 @@ __all__ = [
     "batch_radius_search",
     "batch_knn",
 ]
-
-
-def as_query_batch(queries) -> np.ndarray:
-    """Validate and convert ``queries`` into a ``(Q, 3)`` float64 array."""
-    arr = np.asarray(queries, dtype=np.float64)
-    if arr.ndim == 1 and arr.shape == (3,):
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("queries must form a (Q, 3) array of 3D points")
-    return arr
 
 
 @dataclass
@@ -157,15 +148,14 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------
     def radius_search(self, queries, radius: float) -> BatchRadiusResult:
         """All tree points within ``radius`` of each query."""
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        radius = check_radius(radius)
         query_arr = as_query_batch(queries)
         n_queries = query_arr.shape[0]
         self.stats.queries += n_queries
         if n_queries == 0:
             return _empty_radius_result(0)
 
-        r2 = float(radius) * float(radius)
+        r2 = radius * radius
         points_f64 = self.tree.points_f64
         stats = self.stats
         hit_queries: List[np.ndarray] = []
@@ -183,7 +173,7 @@ class BatchQueryEngine:
                 hit_queries.append(qidx[rows])
                 hit_points.append(leaf.indices[cols])
 
-        radius_traverse(self.tree, query_arr, float(radius), stats, visit_leaf)
+        radius_traverse(self.tree, query_arr, radius, stats, visit_leaf)
         return _build_radius_result(n_queries, hit_queries, hit_points)
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
@@ -209,8 +199,7 @@ class BatchQueryEngine:
         traversal's counters; radius-search counters, by contrast, aggregate
         exactly.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = check_k(k)
         query_arr = as_query_batch(queries)
         n_queries = query_arr.shape[0]
         self.stats.queries += n_queries

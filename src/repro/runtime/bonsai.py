@@ -6,13 +6,13 @@ squared distances from the reduced-precision coordinates, the shell
 classification of Eq. 12, and exact 32-bit recomputation of inconclusive
 points only — so results are identical to the baseline search.
 
-The batched form adds the natural leaf-level optimisation the per-query
-inspector cannot exploit: each visited leaf is decompressed **once per call**
-and its decoded coordinates (plus per-coordinate error bounds) are reused for
-every query that reaches the leaf in the batch.  The byte/slice accounting
-still charges every (query, leaf) visit, as the hardware would, so
-:class:`~repro.core.bonsai_search.BonsaiStats` aggregates exactly like the
-per-query inspector's.
+Nothing is decoded at query time: the tree's compression pass emitted a
+decoded mirror (:class:`~repro.core.leaf_compression.LeafMirror`) of every
+leaf, and each visit takes the leaf's reduced coordinates and error bounds
+from it as a slice, once for all the queries of the batch that reach the
+leaf.  The byte/slice accounting still charges every (query, leaf) visit, as
+the hardware would, so :class:`~repro.core.bonsai_search.BonsaiStats`
+aggregates exactly like the per-query inspector's.
 
 Example
 -------
@@ -24,14 +24,14 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.bonsai_search import BonsaiStats
 from ..core.compressed_leaf import CompressedStructArray, compress_tree
 from ..core.floatfmt import FLOAT16, FloatFormat
-from ..core.leaf_compression import ZIPPTS_SLICE_BYTES, decompress_leaf
+from ..core.leaf_compression import ZIPPTS_SLICE_BYTES
 from ..kdtree.build import KDTree
 from ..kdtree.layout import POINT_STRIDE_BYTES
 from ..kdtree.node import LeafNode
@@ -40,16 +40,15 @@ from .batch import (
     BatchRadiusResult,
     _build_radius_result,
     _empty_radius_result,
-    as_query_batch,
     radius_traverse,
 )
 from .kernels import (
     batch_shell_distances,
     pairwise_distances2,
-    reduced_precision_max_delta,
     rowwise_distances2,
     shell_classify,
 )
+from .queries import as_query_batch, check_radius
 
 __all__ = ["BonsaiBatchSearcher"]
 
@@ -82,23 +81,20 @@ class BonsaiBatchSearcher:
 
     def radius_search(self, queries, radius: float) -> BatchRadiusResult:
         """Batched radius search; identical results to the baseline engine."""
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        radius = check_radius(radius)
         query_arr = as_query_batch(queries)
         n_queries = query_arr.shape[0]
         self.stats.queries += n_queries
         if n_queries == 0:
             return _empty_radius_result(0)
 
-        r2 = float(radius) * float(radius)
+        r2 = radius * radius
         tree = self.tree
         points_f64 = tree.points_f64
         array: Optional[CompressedStructArray] = getattr(tree, "compressed_array", None)
+        mirror = array.mirror if array is not None else None
         stats = self.stats
         bstats = self.bonsai_stats
-        # Per-call decompressed-leaf cache: each leaf is decoded at most once
-        # per batch, no matter how many queries visit it.
-        decoded: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         hit_queries: List[np.ndarray] = []
         hit_points: List[np.ndarray] = []
 
@@ -126,24 +122,16 @@ class BonsaiBatchSearcher:
             stats.point_bytes_loaded += n_visits * ref.n_slices * ZIPPTS_SLICE_BYTES
             bstats.points_classified += n_visits * leaf.n_points
 
-            cached = decoded.get(leaf.leaf_id)
-            if cached is None:
-                reduced = decompress_leaf(array.get(leaf.leaf_id), self.fmt)
-                cached = (reduced, reduced_precision_max_delta(reduced, self.fmt))
-                decoded[leaf.leaf_id] = cached
-            reduced, max_delta = cached
-
+            reduced, max_delta = mirror.leaf(leaf.leaf_id)
             d2_approx, eps = batch_shell_distances(reduced, query_arr[qidx], max_delta)
-            conclusive_in, conclusive_out, inconclusive = shell_classify(
-                d2_approx, eps, r2)
-
-            bstats.conclusive_in += int(conclusive_in.sum())
-            bstats.conclusive_out += int(conclusive_out.sum())
-            n_inconclusive = int(inconclusive.sum())
-            bstats.inconclusive += n_inconclusive
-
+            conclusive_in, _, inconclusive = shell_classify(d2_approx, eps, r2)
             in_rows, in_cols = np.nonzero(conclusive_in)
             n_in = in_rows.size
+            n_inconclusive = int(np.count_nonzero(inconclusive))
+            # The three classes partition the leaf's (query, point) pairs.
+            bstats.conclusive_in += n_in
+            bstats.conclusive_out += n_visits * leaf.n_points - n_in - n_inconclusive
+            bstats.inconclusive += n_inconclusive
             if n_in:
                 hit_queries.append(qidx[in_rows])
                 hit_points.append(leaf.indices[in_cols])
@@ -164,7 +152,7 @@ class BonsaiBatchSearcher:
                     hit_points.append(leaf.indices[cols[exact_in]])
                 stats.points_in_radius += n_exact
 
-        radius_traverse(tree, query_arr, float(radius), stats, visit_leaf)
+        radius_traverse(tree, query_arr, radius, stats, visit_leaf)
         return _build_radius_result(n_queries, hit_queries, hit_points)
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:

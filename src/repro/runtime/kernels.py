@@ -104,7 +104,10 @@ def shell_error_bound(abs_diffs: np.ndarray, max_delta: np.ndarray) -> np.ndarra
 
     ``abs_diffs`` holds ``|query - reduced|`` per coordinate; ``max_delta``
     the per-coordinate rounding bound.  Sums over the last (coordinate) axis.
+    The arithmetic is float64 whatever ``max_delta``'s dtype: a float32
+    ``max_delta * max_delta`` would flush bfloat16's smallest bounds to zero.
     """
+    max_delta = np.asarray(max_delta, dtype=np.float64)
     return (2.0 * abs_diffs * max_delta + max_delta * max_delta).sum(axis=-1)
 
 

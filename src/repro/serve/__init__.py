@@ -3,9 +3,9 @@
 Three pieces, layered bottom-up:
 
 * :class:`SharedCloudStore` (:mod:`repro.serve.store`) — the map's heavy,
-  immutable arrays (points, leaf index lists, Bonsai compressed bytes) in
-  refcounted POSIX shared memory; built and compressed exactly once,
-  attached zero-copy by name.
+  immutable arrays (points, leaf index lists, Bonsai compressed bytes and
+  their decoded mirror) in refcounted POSIX shared memory; built and
+  compressed exactly once, attached zero-copy by name.
 * :class:`QueryService` (:mod:`repro.serve.service`) — a persistent worker
   pool attached to one store, serving mixed radius/kNN/pipeline traffic
   against any registered backend.
@@ -22,14 +22,13 @@ latency percentiles (``repro serve-bench`` /
 
 from .loadgen import ServingLoadResult, render_serving_load, run_serving_load
 from .service import QueryService
-from .store import SharedCloudStore, SharedStructArray
+from .store import SharedCloudStore
 from .streaming import StreamingPipelineRunner
 
 __all__ = [
     "QueryService",
     "ServingLoadResult",
     "SharedCloudStore",
-    "SharedStructArray",
     "StreamingPipelineRunner",
     "render_serving_load",
     "run_serving_load",

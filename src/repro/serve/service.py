@@ -41,6 +41,7 @@ from ..engine.parallel import (
 )
 from ..kdtree.build import KDTreeConfig
 from ..runtime.batch import BatchKNNResult, BatchRadiusResult
+from ..runtime.queries import as_query_batch, check_k, check_radius
 from .store import SharedCloudStore
 
 __all__ = ["QueryService"]
@@ -187,7 +188,7 @@ class QueryService:
                backend: str = DEFAULT_BACKEND) -> BatchRadiusResult:
         """Batched radius search through the service."""
         offsets, point_indices = self.serve(
-            [("radius", np.asarray(queries, dtype=np.float64), radius,
+            [("radius", as_query_batch(queries), check_radius(radius),
               backend)])[0]
         return BatchRadiusResult(offsets=offsets, point_indices=point_indices)
 
@@ -195,7 +196,7 @@ class QueryService:
             backend: str = DEFAULT_BACKEND) -> BatchKNNResult:
         """Batched kNN through the service."""
         indices, distances = self.serve(
-            [("knn", np.asarray(queries, dtype=np.float64), k, backend)])[0]
+            [("knn", as_query_batch(queries), check_k(k), backend)])[0]
         return BatchKNNResult(indices=indices, distances=distances)
 
     def pipeline(self, scenario: str, *, n_frames: int = 2, seed: int = 0,

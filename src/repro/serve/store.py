@@ -5,12 +5,14 @@ the pool initializer — one pickle per worker, one resident copy per process.
 That is fine for a single backend's private pool, but a *service* wants the
 opposite shape: one resident map serving a fleet of client processes.  This
 module puts the heavy, immutable parts of an index — the float32/float64
-point arrays, the concatenated leaf index lists and the Bonsai
-compressed-structure bytes — into POSIX shared memory
-(:mod:`multiprocessing.shared_memory`), so that
+point arrays, the concatenated leaf index lists, the Bonsai
+compressed-structure bytes and their decoded mirror — into POSIX shared
+memory (:mod:`multiprocessing.shared_memory`), so that
 
 * the tree is built and compressed **exactly once**, by the creating
-  process (``compression_pass_count()`` counts the pass);
+  process (``compression_pass_count()`` counts the pass), whose
+  compression pass writes the decoded mirror straight into its segment,
+  so no attached process ever decodes a leaf;
 * any number of processes **attach by name** and reconstruct a fully
   functional :class:`~repro.kdtree.build.KDTree` whose arrays are zero-copy
   views into the shared segments (only the node skeleton — a few bytes per
@@ -58,16 +60,17 @@ try:  # Advisory locking of the refcount; POSIX only (Linux/macOS).
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..core.compressed_leaf import CompressedRef, compress_tree
+from ..core.compressed_leaf import CompressedRef, CompressedStructArray, compress_tree
 from ..core.floatfmt import FLOAT16, FORMATS_BY_NAME, FloatFormat
-from ..core.leaf_compression import CompressedLeaf
+from ..core.leaf_compression import LeafMirror
 from ..kdtree.build import KDTree, KDTreeConfig, KDTreeStats, build_kdtree
 from ..kdtree.node import InteriorNode, LeafNode
 
-__all__ = ["SharedCloudStore", "SharedStructArray"]
+__all__ = ["SharedCloudStore"]
 
-#: Suffixes of the segments one store is made of (``<name>-<suffix>``).
-SEGMENT_SUFFIXES = ("ctrl", "meta", "pts32", "pts64", "idx", "cmp")
+#: Suffixes of the segments one store is made of (``<name>-<suffix>``);
+#: ``dec`` holds the decoded mirror of the compressed leaves.
+SEGMENT_SUFFIXES = ("ctrl", "meta", "pts32", "pts64", "idx", "cmp", "dec")
 
 #: Control-segment layout: one little-endian int64 refcount.
 _CTRL_BYTES = 8
@@ -132,58 +135,6 @@ def _leaf_payload(node) -> tuple:
     )
 
 
-class SharedStructArray:
-    """Read-only :class:`CompressedStructArray` protocol over shared bytes.
-
-    The byte blob lives in the store's ``cmp`` segment; per-leaf
-    :class:`CompressedLeaf` objects are reconstructed lazily from the stored
-    references plus the per-leaf payload-bit table (bytes are *copied out*
-    of the segment on first access, so a cached leaf survives the segment).
-    Covers every accessor the Bonsai search paths use (``get``/``ref``/
-    ``read``/``data``/``total_bytes``/``len``).
-    """
-
-    def __init__(self, fmt: FloatFormat, buffer, refs: Dict[int, CompressedRef],
-                 payload_bits: Dict[int, int], total_bytes: int):
-        self.fmt = fmt
-        self._buf = buffer
-        self._refs = refs
-        self._payload_bits = payload_bits
-        self._total_bytes = int(total_bytes)
-        self._cache: Dict[int, CompressedLeaf] = {}
-
-    def __len__(self) -> int:
-        return len(self._refs)
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total_bytes
-
-    @property
-    def data(self) -> bytes:
-        return bytes(self._buf[:self._total_bytes])
-
-    def ref(self, leaf_id: int) -> CompressedRef:
-        return self._refs[leaf_id]
-
-    def read(self, ref: CompressedRef) -> bytes:
-        return bytes(self._buf[ref.offset:ref.end])
-
-    def get(self, leaf_id: int) -> CompressedLeaf:
-        leaf = self._cache.get(leaf_id)
-        if leaf is None:
-            ref = self._refs[leaf_id]
-            leaf = CompressedLeaf(
-                data=bytes(self._buf[ref.offset:ref.end]),
-                n_points=ref.n_points,
-                flags=ref.flags,
-                payload_bits=self._payload_bits[leaf_id],
-                fmt_name=self.fmt.name,
-            )
-            self._cache[leaf_id] = leaf
-        return leaf
-
-
 class SharedCloudStore:
     """A compressed point-cloud index resident in shared memory.
 
@@ -228,55 +179,61 @@ class SharedCloudStore:
             tree = cloud
         else:
             tree = build_kdtree(cloud, tree_config)
-        if getattr(tree, "compressed_array", None) is None:
-            compress_tree(tree, fmt)
-        array = tree.compressed_array  # type: ignore[attr-defined]
-        if array.fmt.name != fmt.name:
+        array = getattr(tree, "compressed_array", None)
+        if array is not None:
             fmt = array.fmt
-
         name = name or f"repro-store-{os.getpid():x}-{secrets.token_hex(3)}"
 
-        points32 = np.ascontiguousarray(tree.points, dtype=np.float32)
-        points64 = np.ascontiguousarray(tree.points_f64, dtype=np.float64)
-        indices = np.concatenate(
-            [leaf.indices for leaf in tree.leaves]).astype(np.int64)
-        blob = array.data
-
-        offset = 0
-        index_spans: Dict[int, Tuple[int, int]] = {}
-        for leaf in tree.leaves:
-            index_spans[leaf.leaf_id] = (offset, leaf.n_points)
-            offset += leaf.n_points
-
-        meta = {
-            "fmt_name": fmt.name,
-            "n_points": int(tree.n_points),
-            "max_leaf_size": int(tree.config.max_leaf_size),
-            "stats": (int(tree.stats.n_points), int(tree.stats.n_leaves),
-                      int(tree.stats.n_interior), int(tree.stats.max_depth)),
-            "skeleton": _leaf_payload(tree.root),
-            "index_spans": index_spans,
-            "payload_bits": {leaf.leaf_id: int(array.get(leaf.leaf_id).payload_bits)
-                             for leaf in tree.leaves},
-            "compressed_bytes": int(array.total_bytes),
-        }
-        meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-
-        sizes = {
-            "ctrl": _CTRL_BYTES,
-            "meta": len(meta_blob),
-            "pts32": points32.nbytes,
-            "pts64": points64.nbytes,
-            "idx": max(indices.nbytes, 8),
-            "cmp": max(len(blob), 1),
-        }
         segments: Dict[str, shared_memory.SharedMemory] = {}
+
+        def create_segment(suffix: str, size: int) -> shared_memory.SharedMemory:
+            shm = shared_memory.SharedMemory(
+                name=f"{name}-{suffix}", create=True, size=max(size, 1))
+            _untrack(shm)
+            segments[suffix] = shm
+            return shm
+
         try:
-            for suffix in SEGMENT_SUFFIXES:
-                shm = shared_memory.SharedMemory(
-                    name=f"{name}-{suffix}", create=True, size=sizes[suffix])
-                _untrack(shm)
-                segments[suffix] = shm
+            dec = create_segment(
+                "dec", LeafMirror.nbytes(tree.n_points, tree.n_leaves, fmt))
+            if array is None:
+                compress_tree(tree, fmt, mirror_buffer=dec.buf)
+                array = tree.compressed_array  # type: ignore[attr-defined]
+            else:
+                mirror = LeafMirror.allocate(tree.n_points, tree.n_leaves, fmt,
+                                             dec.buf)
+                mirror.starts[:] = array.mirror.starts
+                mirror.reduced[:] = array.mirror.reduced
+                mirror.max_delta[:] = array.mirror.max_delta
+
+            points32 = np.ascontiguousarray(tree.points, dtype=np.float32)
+            points64 = np.ascontiguousarray(tree.points_f64, dtype=np.float64)
+            indices = np.concatenate(
+                [leaf.indices for leaf in tree.leaves]).astype(np.int64)
+            blob = array.data
+
+            offset = 0
+            index_spans: Dict[int, Tuple[int, int]] = {}
+            for leaf in tree.leaves:
+                index_spans[leaf.leaf_id] = (offset, leaf.n_points)
+                offset += leaf.n_points
+
+            meta = {
+                "fmt_name": fmt.name,
+                "n_points": int(tree.n_points),
+                "max_leaf_size": int(tree.config.max_leaf_size),
+                "stats": (int(tree.stats.n_points), int(tree.stats.n_leaves),
+                          int(tree.stats.n_interior), int(tree.stats.max_depth)),
+                "skeleton": _leaf_payload(tree.root),
+                "index_spans": index_spans,
+                "compressed_bytes": int(array.total_bytes),
+            }
+            meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+            for suffix, size in (("ctrl", _CTRL_BYTES), ("meta", len(meta_blob)),
+                                 ("pts32", points32.nbytes),
+                                 ("pts64", points64.nbytes),
+                                 ("idx", indices.nbytes), ("cmp", len(blob))):
+                create_segment(suffix, size)
         except BaseException:
             for shm in segments.values():
                 _unlink_segment(shm)
@@ -436,11 +393,12 @@ class SharedCloudStore:
     def tree(self) -> KDTree:
         """The shared k-d tree (reconstructed once per handle, zero-copy).
 
-        Point arrays, leaf index lists and the compressed-structure bytes
-        are views into the shared segments; only the node skeleton is
-        process-local.  The tree is pre-compressed (``compressed_array`` is
-        a :class:`SharedStructArray`) and carries ``shared_store_name`` so
-        the ``*-batched-mp`` pools re-attach instead of pickling it.
+        Point arrays, leaf index lists, the compressed-structure bytes and
+        their decoded mirror are read-only views into the shared segments;
+        only the node skeleton is process-local.  The tree is pre-compressed
+        (``compressed_array`` is a :class:`CompressedStructArray` over the
+        segments) and carries ``shared_store_name`` so the
+        ``*-batched-mp`` pools re-attach instead of pickling it.
         """
         if self._closed:
             raise ValueError(f"shared store {self.name!r} is closed")
@@ -495,12 +453,16 @@ class SharedCloudStore:
                           stats, leaves)
             tree._points_f64 = points64
             fmt = FORMATS_BY_NAME[meta["fmt_name"]]
-            refs = {
-                leaf.leaf_id: leaf.compressed_ref for leaf in leaves
-            }
-            tree.compressed_array = SharedStructArray(  # type: ignore[attr-defined]
-                fmt, self._segments["cmp"].buf, refs,
-                meta["payload_bits"], meta["compressed_bytes"])
+            blob = np.ndarray((meta["compressed_bytes"],), dtype=np.uint8,
+                              buffer=self._segments["cmp"].buf)
+            mirror = LeafMirror.allocate(n_points, len(leaves), fmt,
+                                         self._segments["dec"].buf)
+            for view in (blob, mirror.reduced, mirror.max_delta, mirror.starts):
+                view.flags.writeable = False
+            tree.compressed_array = CompressedStructArray(  # type: ignore[attr-defined]
+                fmt, data=blob,
+                refs={leaf.leaf_id: leaf.compressed_ref for leaf in leaves},
+                mirror=mirror)
             tree.shared_store_name = self.name  # type: ignore[attr-defined]
             tree._shared_store = self  # keep the mappings alive with the tree
             self._tree = tree

@@ -131,15 +131,6 @@ class TestBonsaiLeafInspectorFallback:
         assert inspector.bonsai_stats.fallback_leaf_visits > 0
         assert inspector.bonsai_stats.leaf_visits == 0
 
-    def test_cache_disabled_still_correct(self, random_cloud):
-        tree = build_kdtree(random_cloud)
-        compress_tree(tree)
-        inspector = BonsaiLeafInspector(cache_decoded=False)
-        stats = SearchStats()
-        query = random_cloud[10]
-        got = radius_search(tree, query, 1.0, inspector=inspector, stats=stats)
-        assert sorted(got) == sorted(radius_search(tree, query, 1.0))
-
 
 class TestBonsaiWithRecorder:
     def test_recorder_sees_compressed_and_recompute_loads(self, filtered_frame):

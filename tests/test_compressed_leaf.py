@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.compressed_leaf import CompressedStructArray, compress_tree
-from repro.core.leaf_compression import ZIPPTS_SLICE_BYTES, compress_leaf, decompress_leaf
+from repro.core.floatfmt import BFLOAT16, FLOAT16, FLOAT24
+from repro.core.leaf_compression import (
+    ZIPPTS_SLICE_BYTES,
+    LeafMirror,
+    compress_leaf,
+    decompress_leaf,
+)
 from repro.kdtree import KDTreeConfig, build_kdtree
+from repro.runtime.kernels import reduced_precision_max_delta
 
 
 class TestCompressedStructArray:
@@ -105,3 +112,39 @@ class TestCompressTree:
         report = compress_tree(tree)
         assert report.n_leaves == tree.n_leaves
         assert report.compressed_bytes > 0
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT24],
+                             ids=lambda f: f.name)
+    def test_one_pass_matches_the_scalar_codec(self, frame_tree, fmt):
+        """The tree blob is every leaf's compress_leaf bytes back to back,
+        and each mirror row is decompress_leaf's value and its Eq. 6 bound."""
+        tree = build_kdtree(frame_tree.points)
+        compress_tree(tree, fmt)
+        array = tree.compressed_array
+        expected = [compress_leaf(tree.leaf_points(leaf), fmt) for leaf in tree.leaves]
+        assert array.data == b"".join(leaf.data for leaf in expected)
+        for leaf, scalar in zip(tree.leaves, expected):
+            ref = leaf.compressed_ref
+            assert (ref.flags, ref.n_slices, ref.length) == \
+                (scalar.flags, scalar.n_slices, scalar.size_bytes)
+            assert array.get(leaf.leaf_id) == scalar
+            decoded = decompress_leaf(scalar, fmt)
+            reduced, max_delta = array.mirror.leaf(leaf.leaf_id)
+            np.testing.assert_array_equal(
+                reduced.astype(np.float64).view(np.uint64), decoded.view(np.uint64))
+            np.testing.assert_array_equal(
+                max_delta.astype(np.float64).view(np.uint64),
+                reduced_precision_max_delta(decoded, fmt).view(np.uint64))
+
+    def test_mirror_written_into_the_given_buffer(self, random_tree):
+        tree = build_kdtree(random_tree.points)
+        buffer = bytearray(LeafMirror.nbytes(tree.n_points, tree.n_leaves, FLOAT16))
+        compress_tree(tree, mirror_buffer=buffer)
+        mirror = tree.compressed_array.mirror
+        assert np.shares_memory(mirror.reduced, np.frombuffer(buffer, dtype=np.uint8))
+        assert mirror.starts[-1] == tree.n_points
+
+    def test_oversized_leaves_rejected(self, random_cloud):
+        tree = build_kdtree(random_cloud, KDTreeConfig(max_leaf_size=40))
+        with pytest.raises(ValueError):
+            compress_tree(tree)

@@ -252,6 +252,48 @@ class TestQuantizeArrays:
                 assert quantised == BFLOAT16.round_trip(float(value))
 
 
+def _edges(fmt: FloatFormat) -> list:
+    """Signed zeros, subnormals, half-ULP ties, binade edges, overflow."""
+    ulp = 2.0 ** -fmt.mantissa_bits
+    tiny = fmt.min_normal * ulp
+    top = fmt.max_finite
+    magnitudes = [0.0, tiny, tiny / 2, tiny / 2 * 3, tiny / 4, fmt.min_normal,
+                  fmt.min_normal * (1 - ulp / 2), 1.0 + ulp / 2, 1.0 + ulp * 1.5,
+                  2.0 * (1 - ulp / 4), top, top * (1 + ulp / 2), top * 4,
+                  float("inf"), 5e-324, 1e308]
+    return magnitudes + [-m for m in magnitudes] + [float("nan")]
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @given(values=st.lists(st.floats(width=64), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_encode_decode_match_scalar_bit_for_bit(self, fmt, values):
+        values = np.array(values + _edges(fmt), dtype=np.float64)
+        bits = fmt.encode_array(values)
+        assert bits.tolist() == [fmt.encode(float(v)) for v in values]
+        decoded = fmt.decode_array(bits)
+        scalar = np.array([fmt.decode(int(b)) for b in bits], dtype=np.float64)
+        np.testing.assert_array_equal(decoded.view(np.uint64), scalar.view(np.uint64))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_decode_every_pattern(self, fmt):
+        """Every 16-bit pattern, or a sample of the wider formats'."""
+        if fmt.total_bits <= 16:
+            bits = np.arange(1 << fmt.total_bits, dtype=np.uint64)
+        else:
+            bits = np.random.default_rng(5).integers(
+                0, 1 << fmt.total_bits, 4096, dtype=np.uint64)
+        decoded = fmt.decode_array(bits)
+        scalar = np.array([fmt.decode(int(b)) for b in bits], dtype=np.float64)
+        np.testing.assert_array_equal(decoded.view(np.uint64), scalar.view(np.uint64))
+
+    def test_shapes_preserved(self):
+        assert FLOAT16.encode_array(np.zeros((2, 0, 3))).shape == (2, 0, 3)
+        assert FLOAT16.decode_array(np.uint64(0x3C00)) == 1.0
+        assert FLOAT16.encode_array(3.0) == FLOAT16.encode(3.0)
+
+
 class TestPrecisionOrdering:
     def test_fp16_more_accurate_than_bfloat16_in_lidar_range(self, rng):
         """Table I rationale: fp16 balances range/precision better than bfloat16."""

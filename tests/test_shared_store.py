@@ -22,8 +22,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.compressed_leaf import compression_pass_count
+from repro.core.compressed_leaf import compress_tree, compression_pass_count
 from repro.engine import PointCloudIndex, backend_names
+from repro.kdtree import build_kdtree
 from repro.serve import QueryService, SharedCloudStore
 
 SEGMENT_GLOB = "/dev/shm/repro-store-*"
@@ -213,6 +214,29 @@ class TestAttachedTreeParity:
             assert not tree.points.flags.writeable
             with pytest.raises(ValueError):
                 tree.points[0, 0] = 0.0
+
+    def test_attached_mirror_is_readonly_and_matches_creator(self, cloud):
+        """Attachers map the creator's decoded mirror: same bits, no pass."""
+        local = build_kdtree(cloud)
+        compress_tree(local)
+        with SharedCloudStore.create(cloud) as store:
+            passes_before = compression_pass_count()
+            with SharedCloudStore.attach(store.name) as client:
+                array = client.tree().compressed_array
+                mirror = array.mirror
+                expected = local.compressed_array.mirror
+                for name in ("reduced", "max_delta", "starts"):
+                    view, want = getattr(mirror, name), getattr(expected, name)
+                    assert not view.flags.writeable, name
+                    assert view.dtype == want.dtype, name
+                    assert np.array_equal(view.view(np.uint8), want.view(np.uint8)), name
+                with pytest.raises(ValueError):
+                    mirror.reduced[0, 0] = 0.0
+                assert array.data == local.compressed_array.data
+                served = client.index().radius_search(cloud[:40], 0.6,
+                                                      backend="bonsai-batched")
+                assert served.total_matches > 0
+            assert compression_pass_count() == passes_before
 
 
 # ----------------------------------------------------------------------
