@@ -62,8 +62,9 @@ def test_fig11_batched_engine_matches_functional_counters(benchmark, pipeline,
                                                           bench_sequence):
     """The batched query engine serves the same frame with identical stats.
 
-    With cache simulation disabled the extract kernel runs its cluster growth
-    through :mod:`repro.runtime` (one batched radius query per BFS wave).
+    With cache simulation disabled the extract kernel clusters through
+    :mod:`repro.runtime`: one batched radius query over the whole frame, whose
+    radius graph it labels into connected components.
     The functional search counters that drive the latency model must be
     identical to the per-query trace-driven run.
     """

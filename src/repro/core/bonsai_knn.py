@@ -77,7 +77,9 @@ class BonsaiNearestNeighbors:
         query_arr = as_query_point(query)
         self.stats.queries += 1
 
-        heap: List[Tuple[float, int]] = []  # max-heap via negated distances
+        # The best k as (-d2, -index), like repro.kdtree.knn: a tie at the
+        # k-th distance keeps the lowest point index.
+        heap: List[Tuple[float, int]] = []
 
         def worst_d2() -> float:
             if len(heap) < k:
@@ -100,7 +102,7 @@ class BonsaiNearestNeighbors:
                 visit(far)
 
         visit(self.tree.root)
-        ordered = sorted((-neg_d2, index) for neg_d2, index in heap)
+        ordered = sorted((-neg_d2, -neg_index) for neg_d2, neg_index in heap)
         return [(index, float(np.sqrt(d2))) for d2, index in ordered]
 
     # ------------------------------------------------------------------
@@ -126,8 +128,8 @@ class BonsaiNearestNeighbors:
             self.stats.exact_bytes_loaded += 16
             original = self.tree.points_f64[int(point_index)]
             diff = query - original
-            d2 = float(diff @ diff)
+            entry = (-float(diff @ diff), -int(point_index))
             if len(heap) < k:
-                heapq.heappush(heap, (-d2, int(point_index)))
-            elif d2 < worst_d2():
-                heapq.heapreplace(heap, (-d2, int(point_index)))
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)

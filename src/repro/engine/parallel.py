@@ -346,7 +346,7 @@ class _ShardedBatchedBackend:
 
         One pool per backend instance, reused across every parallel call —
         the tree is pickled to the workers exactly once (at pool startup),
-        so repeated large batches (clustering BFS waves, NDT iterations)
+        so repeated large batches (clustering radius graphs, NDT iterations)
         don't re-pay startup or tree transfer.  The tree is effectively
         immutable by then: the Bonsai flavour compresses it in the parent's
         constructor, before any pool can exist.  Torn down by

@@ -14,9 +14,9 @@ cache-geometry sweep can finally reach L2-capacity working sets
 Determinism contract
 --------------------
 Query results are **bitwise identical** to the unsharded
-``PointCloudIndex`` over the same cloud (up to kNN distance ties at the
-k-th place, the same caveat the batched engines already carry versus the
-per-query heaps — see :mod:`repro.runtime.batch`).  Three mechanisms:
+``PointCloudIndex`` over the same cloud, kNN distance ties included (every
+kNN path keeps the lowest point indices among tied points).  Three
+mechanisms:
 
 * *Shared distance arithmetic.*  Every squared distance that reaches a
   result is a per-(query, point) quantity computed by the kernels of
@@ -337,7 +337,7 @@ class ShardedPointCloudIndex:
         standard per-tile kNN, candidate distances are recomputed through
         the shared per-pair kernel, and the final selection is the batched
         engine's (sort by ``(query, d2, point)``), so the result is bitwise
-        identical to the unsharded index's up to k-th-place distance ties.
+        identical to the unsharded index's.
         """
         k = check_k(k)
         batch = as_query_batch(queries)

@@ -32,15 +32,18 @@ def nearest_neighbors(
 ) -> List[Tuple[int, float]]:
     """Return the ``k`` nearest points to ``query`` as ``(index, distance)``.
 
-    Results are sorted by increasing distance.  If the tree holds fewer than
-    ``k`` points, all points are returned.
+    Results are sorted by increasing distance, then index; among points tied
+    at the k-th distance the lowest indices are kept.  If the tree holds
+    fewer than ``k`` points, all points are returned.
     """
     k = check_k(k)
     query_arr = as_query_point(query)
     stats = stats if stats is not None else SearchStats()
     stats.queries += 1
 
-    # Max-heap of (-d2, index); the root is the worst of the current best-k.
+    # The best k as (-d2, -index): the heap's root is the worst candidate,
+    # the largest (d2, index), so a tie at the k-th distance keeps the lowest
+    # point index, as the batched engine does.
     heap: List[Tuple[float, int]] = []
 
     def worst_d2() -> float:
@@ -55,10 +58,11 @@ def nearest_neighbors(
             d2 = leaf_distances2(points, query_arr)
             stats.points_examined += node.n_points
             for point_index, dist2 in zip(node.indices, d2):
+                entry = (-float(dist2), -int(point_index))
                 if len(heap) < k:
-                    heapq.heappush(heap, (-float(dist2), int(point_index)))
-                elif dist2 < worst_d2():
-                    heapq.heapreplace(heap, (-float(dist2), int(point_index)))
+                    heapq.heappush(heap, entry)
+                elif entry > heap[0]:
+                    heapq.heapreplace(heap, entry)
             return
 
         stats.interior_visited += 1
@@ -74,7 +78,7 @@ def nearest_neighbors(
             visit(far)
 
     visit(tree.root)
-    ordered = sorted(((-neg_d2, idx) for neg_d2, idx in heap))
+    ordered = sorted((-neg_d2, -neg_idx) for neg_d2, neg_idx in heap)
     return [(idx, float(np.sqrt(d2))) for d2, idx in ordered]
 
 

@@ -16,7 +16,7 @@ keeping the mode as *data* (an :class:`~repro.engine.execution.ExecutionConfig`)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -112,12 +112,13 @@ class EuclideanClusterExtractor:
     def extract(self, cloud: PointCloud) -> ClusterResult:
         """Build the tree, grow clusters and return the filtered result.
 
-        Batched backends grow clusters wave-by-wave: every BFS frontier is
-        issued as one batched radius query.  Per-query backends — and any
-        backend when a memory recorder is attached, because the trace-driven
-        cache simulation depends on the exact order of the recorded memory
-        accesses — keep the query-by-query growth.  Both paths produce
-        identical clusters and search statistics.
+        Batched backends search every point of the cloud in one batched
+        radius query and label the connected components of the resulting
+        radius graph.  Per-query backends — and any backend when a memory
+        recorder is attached, because the trace-driven cache simulation
+        depends on the exact order of the recorded memory accesses — keep
+        the query-by-query growth.  Both paths produce identical clusters
+        and search statistics.
         """
         if cloud.is_empty:
             return ClusterResult(clusters=[], n_points=0, search_stats=SearchStats(),
@@ -156,43 +157,24 @@ class EuclideanClusterExtractor:
             self, cloud: PointCloud,
             batch_search: Callable[[np.ndarray, float], BatchRadiusResult],
     ) -> List[Cluster]:
-        """Grow clusters wave-by-wave: one batched query per BFS frontier.
+        """Cluster from one radius graph: a single batched query per cloud.
 
-        Produces the same clusters as the per-query loop — euclidean
-        clustering computes the connected components of the fixed-radius
-        graph, which are independent of the search order — with every point
-        still searched exactly once, so the statistics aggregate identically.
+        Euclidean clusters are the connected components of the fixed-radius
+        graph, which do not depend on the search order, so this produces the
+        same clusters as the per-query growth.  Every point is searched
+        exactly once, so the statistics aggregate identically.
         """
-        n = len(cloud)
-        points = cloud.points
-        processed = np.zeros(n, dtype=bool)
-        clusters: List[Cluster] = []
-        tolerance = self.config.tolerance
-
-        for seed in range(n):
-            if processed[seed]:
-                continue
-            processed[seed] = True
-            members = [seed]
-            frontier = np.array([seed], dtype=np.intp)
-            while frontier.size:
-                result = batch_search(points[frontier], tolerance)
-                neighbors = np.unique(result.point_indices)
-                fresh = neighbors[~processed[neighbors]]
-                processed[fresh] = True
-                members.extend(fresh.tolist())
-                frontier = fresh
-            if self.config.min_cluster_size <= len(members) <= self.config.max_cluster_size:
-                member_indices = sorted(members)
-                member_points = cloud.points[member_indices].astype(np.float64)
-                clusters.append(
-                    Cluster(
-                        indices=member_indices,
-                        centroid=member_points.mean(axis=0),
-                        bbox=BoundingBox.from_points(member_points),
-                    )
-                )
-        return clusters
+        roots = _component_roots(batch_search(cloud.points, self.config.tolerance))
+        # A stable sort by root groups each component's members in
+        # ascending order, components in order of their lowest point index.
+        members = np.argsort(roots, kind="stable")
+        sizes = np.bincount(roots)
+        sizes = sizes[sizes > 0]
+        ends = np.cumsum(sizes)
+        keep = ((sizes >= self.config.min_cluster_size)
+                & (sizes <= self.config.max_cluster_size))
+        return [_make_cluster(cloud, members[end - size:end].tolist())
+                for end, size in zip(ends[keep].tolist(), sizes[keep].tolist())]
 
     def _grow_clusters(self, cloud: PointCloud,
                        search: Callable[[Sequence[float], float], List[int]],
@@ -232,12 +214,42 @@ class EuclideanClusterExtractor:
                                 layout.queue_address(len(frontier)), 4
                             )
             if self.config.min_cluster_size <= len(members) <= self.config.max_cluster_size:
-                points = cloud.points[members].astype(np.float64)
-                clusters.append(
-                    Cluster(
-                        indices=sorted(members),
-                        centroid=points.mean(axis=0),
-                        bbox=BoundingBox.from_points(points),
-                    )
-                )
+                clusters.append(_make_cluster(cloud, sorted(members)))
         return clusters
+
+
+def _make_cluster(cloud: PointCloud, indices: List[int]) -> Cluster:
+    """The cluster of ``indices`` (ascending), its geometry in float64."""
+    points = cloud.points[indices].astype(np.float64)
+    return Cluster(indices=indices, centroid=points.mean(axis=0),
+                   bbox=BoundingBox.from_points(points))
+
+
+def _component_roots(graph: BatchRadiusResult) -> np.ndarray:
+    """The lowest point index of each point's connected component.
+
+    ``graph`` holds every point's radius hits; its edges are read as
+    undirected, so a point whose row is empty (it did not even find itself)
+    still joins the rows that found it, and a point no edge touches stays a
+    singleton.  Min-label hooking with pointer jumping: each round hooks
+    every component root onto the smallest root across its edges, then
+    shortcuts every point straight to its root and drops the edges that
+    now join a component to itself.  Every component that still has an
+    edge to another one merges in this round or the next, so the rounds
+    grow with the logarithm of the component size, not with its diameter.
+    """
+    roots = np.arange(graph.n_queries)
+    heads = np.repeat(roots, graph.counts)
+    tails = graph.point_indices
+    while heads.size:
+        np.minimum.at(roots, np.maximum(heads, tails), np.minimum(heads, tails))
+        jumped = roots[roots]
+        while not np.array_equal(jumped, roots):
+            roots = jumped
+            jumped = roots[roots]
+        heads = roots[heads]
+        tails = roots[tails]
+        linked = heads != tails
+        heads = heads[linked]
+        tails = tails[linked]
+    return roots

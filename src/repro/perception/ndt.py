@@ -13,7 +13,8 @@ This implementation keeps the structure that matters for the reproduction:
 * a k-d tree is built over the voxel means;
 * every optimisation iteration radius-searches that tree once per scan point
   (all scan points of an iteration are issued as one batched query through
-  :mod:`repro.runtime`);
+  :mod:`repro.runtime`) and scores every (scan point, voxel) pair in one
+  array pass;
 * a 3-DoF (translation) Newton optimisation maximises the NDT score.
 
 The restriction to translation keeps the optimiser small while leaving the
@@ -92,8 +93,12 @@ class NDTMap:
                 "no voxel accumulated enough points; decrease min_points_per_voxel "
                 "or increase voxel_size"
             )
-        means = np.array([voxel.mean for voxel in self.voxels], dtype=np.float32)
-        self.tree: KDTree = build_kdtree(means)
+        #: Voxel means ``(V, 3)`` and inverse covariances ``(V, 3, 3)``,
+        #: stacked once so an iteration gathers every pair's Gaussian at once.
+        self.means = np.array([voxel.mean for voxel in self.voxels])
+        self.inverse_covariances = np.array(
+            [voxel.inverse_covariance for voxel in self.voxels])
+        self.tree: KDTree = build_kdtree(self.means.astype(np.float32))
 
     def _build_voxels(self, cloud: PointCloud) -> List[VoxelGaussian]:
         config = self.config
@@ -243,25 +248,35 @@ class NDTMatcher:
 
     def _evaluate(self, points: np.ndarray,
                   translation: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-        """NDT score, gradient and Hessian w.r.t. the translation."""
-        config = self.config
-        score = 0.0
-        gradient = np.zeros(3)
-        hessian = np.zeros((3, 3))
+        """NDT score, gradient and Hessian w.r.t. the translation.
+
+        Every (scan point, voxel) pair of the radius result is scored at
+        once, and the three sums accumulate in pair order (sequential
+        ``np.cumsum``), so they are bitwise what adding the pairs one by one
+        gives; ``np.matmul`` keeps the arithmetic of the per-pair products.
+        """
         transformed = points + translation
-        neighbors = self._batch_search(transformed, config.search_radius)
-        for point_index, point in enumerate(transformed):
-            for voxel_index in neighbors.indices_for(point_index):
-                voxel = self.map.voxels[voxel_index]
-                diff = point - voxel.mean
-                exponent = -0.5 * float(diff @ voxel.inverse_covariance @ diff)
-                # Clamp to avoid overflow for far-away voxels.
-                weight = float(np.exp(max(exponent, -50.0)))
-                score += weight
-                grad_term = weight * (voxel.inverse_covariance @ diff)
-                gradient += -grad_term
-                hessian += weight * (
-                    np.outer(voxel.inverse_covariance @ diff, voxel.inverse_covariance @ diff)
-                    - voxel.inverse_covariance
-                )
-        return score, gradient, hessian
+        neighbors = self._batch_search(transformed, self.config.search_radius)
+        voxels = neighbors.point_indices
+        if voxels.size == 0:
+            return 0.0, np.zeros(3), np.zeros((3, 3))
+        diff = np.repeat(transformed, neighbors.counts, axis=0)
+        diff -= self.map.means[voxels]
+        inverse = self.map.inverse_covariances[voxels]
+        weight = (diff[:, None, :] @ inverse @ diff[:, :, None])[:, 0, 0]
+        weight *= -0.5
+        # Clamp to avoid overflow for far-away voxels.
+        np.exp(np.maximum(weight, -50.0, out=weight), out=weight)
+        pulled = (inverse @ diff[:, :, None])[:, :, 0]
+        # weight * (outer(pulled, pulled) - inverse), in the inverses' buffer:
+        # -b + a rounds exactly as a - b.
+        hessian = np.negative(inverse, out=inverse)
+        hessian += pulled[:, :, None] * pulled[:, None, :]
+        hessian *= weight[:, None, None]
+        pulled *= weight[:, None]
+        gradient = np.negative(pulled, out=pulled)
+        # Pair by pair, each sum would start from +0.0: adding 0.0 to the last
+        # partial sum turns a sum of -0.0 terms only into +0.0 likewise.
+        return (float(np.cumsum(weight, out=weight)[-1]),
+                np.cumsum(gradient, axis=0, out=gradient)[-1] + 0.0,
+                np.cumsum(hessian, axis=0, out=hessian)[-1] + 0.0)

@@ -4,8 +4,8 @@ The single-query paths (:mod:`repro.kdtree.knn`,
 :mod:`repro.kdtree.radius_search`) walk the tree once per query and pay the
 Python interpreter for every node.  The perception workloads, however, issue
 queries in large, known batches — every scan point of an NDT iteration, every
-frontier of a euclidean-clustering BFS wave, every ICP correspondence round —
-so this module traverses the tree once per *batch*: each node is visited with
+point of a euclidean-clustering frame, every ICP correspondence round — so
+this module traverses the tree once per *batch*: each node is visited with
 the subset of queries whose search region reaches it, and leaf work becomes
 one ``(queries, points)`` distance matrix per leaf
 (:func:`repro.runtime.kernels.pairwise_distances2`).
@@ -14,11 +14,8 @@ Results are exact: the traversal applies the same per-query pruning rules as
 the single-query code, and the distance kernels are shared, so
 ``batch_radius_search`` / ``batch_knn`` return precisely the points the
 per-query functions return (radius results are index-sorted per query; kNN
-results are ``(distance, index)``-sorted like the single-query output).  The
-one defined difference is kNN *distance ties at the k-th place*: the batched
-engine breaks them deterministically by lowest point index, whereas the
-per-query heap keeps whichever tied point its traversal encountered first —
-on such ties the two may pick different (equidistant) points.
+results are ``(distance, index)``-sorted like the single-query output, and a
+distance tie at the k-th place keeps the lowest point indices in both).
 
 :class:`~repro.kdtree.radius_search.SearchStats` counters aggregate exactly
 as if the queries had been issued one by one.
@@ -191,9 +188,8 @@ class BatchQueryEngine:
         its k-th nearest squared distance; a single radius-style traversal
         then visits exactly the subtrees within that bound of each query and
         the k nearest are selected from the collected candidates.  Results
-        match :func:`repro.kdtree.knn.nearest_neighbors` per query, except
-        that distance ties at the k-th place are broken by lowest point index
-        (the per-query heap keeps the first-encountered tied point instead).
+        match :func:`repro.kdtree.knn.nearest_neighbors` per query, ties at
+        the k-th place included (both keep the lowest point indices).
         ``SearchStats`` counters are charged by the sweep pass only, so they
         approximate (within a few node visits per query) the per-query
         traversal's counters; radius-search counters, by contrast, aggregate
@@ -357,17 +353,21 @@ def _empty_radius_result(n_queries: int) -> BatchRadiusResult:
 
 def _build_radius_result(n_queries: int, hit_queries: List[np.ndarray],
                          hit_points: List[np.ndarray]) -> BatchRadiusResult:
-    """Assemble per-leaf (query, point) hit pairs into a sorted CSR result."""
+    """Assemble per-leaf (query, point) hit pairs into a sorted CSR result.
+
+    Empties both lists as it joins them: the per-leaf pieces are freed
+    before the sort, which keeps the peak memory of a large batch (a
+    clustering frame's whole radius graph) down.
+    """
     if not hit_queries:
         return _empty_radius_result(n_queries)
     flat_q = np.concatenate(hit_queries)
+    hit_queries.clear()
     flat_p = np.concatenate(hit_points)
-    order = np.lexsort((flat_p, flat_q))
-    flat_q = flat_q[order]
-    flat_p = flat_p[order]
-    counts = np.bincount(flat_q, minlength=n_queries)
+    hit_points.clear()
+    flat_p = flat_p[np.lexsort((flat_p, flat_q))]
     offsets = np.zeros(n_queries + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
+    np.cumsum(np.bincount(flat_q, minlength=n_queries), out=offsets[1:])
     return BatchRadiusResult(offsets=offsets, point_indices=flat_p)
 
 
@@ -401,9 +401,9 @@ def batch_knn(tree: KDTree, queries, k: int,
 
     Returns the same neighbours as
     :func:`repro.kdtree.knn.nearest_neighbors` per query, sorted by
-    ``(distance, index)`` — up to distance ties at the k-th place, which are
-    broken deterministically by lowest point index.  Rows are ``inf``/``-1``
-    padded when the tree holds fewer than ``k`` points.  See
-    :func:`batch_radius_search` for the shared parameters.
+    ``(distance, index)``; a distance tie at the k-th place keeps the lowest
+    point indices.  Rows are ``inf``/``-1`` padded when the tree holds fewer
+    than ``k`` points.  See :func:`batch_radius_search` for the shared
+    parameters.
     """
     return BatchQueryEngine(tree, stats=stats).knn(queries, k)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionConfig, PointCloudIndex, backend_names, get_backend, recorded
+from repro.core import BonsaiNearestNeighbors
+from repro.engine import (ExecutionConfig, PointCloudIndex, ShardedPointCloudIndex,
+                          backend_names, get_backend, recorded)
 from repro.kdtree import SearchStats, build_kdtree
 from repro.pointcloud import PointCloud, preprocess_for_clustering
 from repro.scenarios import build_sequence
@@ -186,3 +188,53 @@ class TestIndexParity:
         assert report is not None and report.compressed_bytes > 0
         index.radius_search(queries, radius, backend="bonsai-perquery")
         assert index.compression_report is report  # not recompressed
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    """A 12^3 integer lattice and every 37th lattice point as a query.
+
+    Nearly every k-th place is a distance tie, and the tied points lie in
+    different leaves, so each search meets them in a different order.
+    """
+    axis = np.arange(12, dtype=np.float32)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+    queries = points[::37].astype(np.float64)
+    return points, build_kdtree(points), queries
+
+
+def _lowest_pairs(points, queries, k):
+    """Brute force: each query's k lowest (squared distance, index) pairs."""
+    d2 = ((queries[:, None, :] - points[None, :, :].astype(np.float64)) ** 2).sum(axis=2)
+    # A stable sort keeps tied distances in index order.
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+class TestLatticeKNNTies:
+    """kNN keeps the lowest (distance, index) pairs on every path."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_backend_keeps_the_lowest_pairs(self, lattice, k):
+        points, tree, queries = lattice
+        expected = _lowest_pairs(points, queries, k)
+        reference = get_backend(REFERENCE, tree).knn(queries, k)
+        assert np.array_equal(reference.indices, expected)
+        for name in backend_names():
+            result = get_backend(name, tree).knn(queries, k)
+            assert np.array_equal(result.indices, reference.indices), name
+            assert np.array_equal(result.distances, reference.distances), name
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_sharded_perquery_and_compressed_knn_agree(self, lattice, k):
+        points, tree, queries = lattice
+        reference = get_backend(REFERENCE, tree).knn(queries, k)
+        for name in ("baseline-perquery", "bonsai-perquery"):
+            with ShardedPointCloudIndex(points, tile_size=4.0) as sharded:
+                result = sharded.knn(queries, k, backend=name)
+            assert np.array_equal(result.indices, reference.indices), name
+            assert np.array_equal(result.distances, reference.distances), name
+        compressed = BonsaiNearestNeighbors(build_kdtree(points))
+        for row, query in enumerate(queries):
+            assert [i for i, _ in compressed.search(query, k)] == \
+                reference.indices[row].tolist()

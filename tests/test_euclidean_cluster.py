@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionConfig
+from repro.engine.backends import BaselineBatchedBackend, BonsaiBatchedBackend
 from repro.hwmodel.cache import HierarchyRecorder
 from repro.perception import ClusterConfig, EuclideanClusterExtractor
+from repro.perception.euclidean_cluster import _component_roots
 from repro.pointcloud import PointCloud
+from repro.runtime import BatchRadiusResult
 
 
 def _two_blobs(rng, separation=10.0, n=40):
@@ -121,3 +125,117 @@ class TestClusterResultLabels:
         labels = result.labels
         assert labels.shape == (len(cloud),)
         assert set(np.unique(labels)) <= {-1, 0, 1}
+
+
+# ----------------------------------------------------------------------
+# The batched path labels one radius graph; it must give the per-query
+# growth's clusters, bit for bit, on degenerate clouds too.
+# ----------------------------------------------------------------------
+GRAPH_CONFIG = ClusterConfig(tolerance=0.5, min_cluster_size=5, max_cluster_size=12)
+
+
+def _chain(n, start):
+    """``n`` points along x, exactly ``GRAPH_CONFIG.tolerance`` apart."""
+    xs = start + GRAPH_CONFIG.tolerance * np.arange(n)
+    return np.column_stack([xs, np.full(n, 3.0), np.full(n, -1.25)])
+
+
+def _shuffled(points, seed):
+    rng = np.random.default_rng(seed)
+    return PointCloud(points[rng.permutation(len(points))].astype(np.float32))
+
+
+def _duplicates_cloud():
+    rng = np.random.default_rng(5)
+    blob = rng.normal(0.0, 0.1, (6, 3))
+    return _shuffled(np.vstack([np.repeat(blob, 3, axis=0),          # 18 points
+                                np.repeat([[10.0, 0.0, 0.0]], 5, axis=0),
+                                np.repeat([[20.0, 0.0, 0.0]], 4, axis=0),
+                                np.repeat(_chain(4, 30.0), 3, axis=0)]), 5)
+
+
+def _chain_cloud():
+    return _shuffled(_chain(1200, -300.0), 6)
+
+
+def _size_bounds_cloud():
+    sizes = (GRAPH_CONFIG.min_cluster_size - 1, GRAPH_CONFIG.min_cluster_size,
+             GRAPH_CONFIG.max_cluster_size, GRAPH_CONFIG.max_cluster_size + 1)
+    return _shuffled(np.vstack([_chain(size, 10.0 * i) for i, size in enumerate(sizes)]), 7)
+
+
+def _isolated_cloud():
+    grid = np.arange(8, dtype=np.float64) * 2.0
+    isolated = np.stack(np.meshgrid(grid, grid, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+    return _shuffled(np.vstack([isolated, _chain(7, 40.0)]), 8)
+
+
+DEGENERATE_CLOUDS = {
+    "duplicates": _duplicates_cloud,
+    "chain": _chain_cloud,
+    "size-bounds": _size_bounds_cloud,
+    "isolated": _isolated_cloud,
+}
+
+
+def _extract(cloud, backend, hardware=False):
+    execution = ExecutionConfig(backend=backend, hardware=hardware)
+    return EuclideanClusterExtractor(GRAPH_CONFIG, execution=execution).extract(cloud)
+
+
+def _assert_same_extraction(result, reference):
+    assert [c.indices for c in result.clusters] == [c.indices for c in reference.clusters]
+    for got, want in zip(result.clusters, reference.clusters):
+        assert got.centroid.tobytes() == want.centroid.tobytes()
+        assert got.bbox.minimum.tobytes() == want.bbox.minimum.tobytes()
+        assert got.bbox.maximum.tobytes() == want.bbox.maximum.tobytes()
+    assert result.search_stats == reference.search_stats
+    if reference.bonsai is not None:
+        assert result.bonsai.bonsai_stats == reference.bonsai.bonsai_stats
+
+
+class TestRadiusGraphClustering:
+    @pytest.fixture(scope="class", params=sorted(DEGENERATE_CLOUDS))
+    def cloud(self, request):
+        return DEGENERATE_CLOUDS[request.param]()
+
+    @pytest.mark.parametrize("flavour", ["baseline", "bonsai"])
+    def test_batched_matches_perquery_and_recorded(self, cloud, flavour):
+        batched = _extract(cloud, f"{flavour}-batched")
+        _assert_same_extraction(_extract(cloud, f"{flavour}-perquery"), batched)
+        _assert_same_extraction(_extract(cloud, f"{flavour}-perquery", hardware=True),
+                                batched)
+
+    def test_degenerate_clouds_cluster_as_expected(self):
+        sizes = {name: sorted(c.size for c in _extract(make(), "baseline-batched").clusters)
+                 for name, make in DEGENERATE_CLOUDS.items()}
+        # Points exactly `tolerance` apart are neighbours, so a chain is
+        # one component; only the size bounds keep it out.
+        assert sizes == {"duplicates": [5, 12], "chain": [], "size-bounds": [5, 12],
+                         "isolated": [7]}
+        chain = _extract(_chain_cloud(), "baseline-batched")
+        assert chain.search_stats.points_in_radius == 1200 + 2 * 1199
+        bounds = EuclideanClusterExtractor(
+            ClusterConfig(tolerance=0.5, min_cluster_size=1, max_cluster_size=2000))
+        assert [c.size for c in bounds.extract(_chain_cloud()).clusters] == [1200]
+
+    def test_labelling_reads_edges_as_undirected(self):
+        # Row 3 finds 1 but 1 finds nothing, not even itself; row 4 finds
+        # only 2; row 5, the last, finds nothing and nothing finds it.
+        graph = BatchRadiusResult(offsets=np.array([0, 1, 1, 2, 4, 5, 5]),
+                                  point_indices=np.array([0, 2, 1, 3, 2]))
+        assert _component_roots(graph).tolist() == [0, 1, 2, 1, 2, 5]
+
+    @pytest.mark.parametrize("cls", [BaselineBatchedBackend, BonsaiBatchedBackend])
+    def test_one_radius_search_per_extraction(self, cls, monkeypatch):
+        calls = []
+        search = cls.radius_search
+
+        def counting(backend, queries, radius):
+            calls.append(len(queries))
+            return search(backend, queries, radius)
+
+        monkeypatch.setattr(cls, "radius_search", counting)
+        cloud = _size_bounds_cloud()
+        _extract(cloud, cls.name)
+        assert calls == [len(cloud)]

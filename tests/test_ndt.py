@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionConfig
 from repro.perception import NDTConfig, NDTMap, NDTMatcher
 from repro.pointcloud import PointCloud
 
@@ -95,3 +96,67 @@ class TestNDTRegistration:
         result = NDTMatcher(ndt_map).register(structured_map_cloud)
         assert result.iterations >= 1
         assert result.final_score > 0.0
+
+
+def _pair_loop_evaluate(matcher, points, translation):
+    """The per-pair NDT accumulation, the oracle of ``NDTMatcher._evaluate``."""
+    score = 0.0
+    gradient = np.zeros(3)
+    hessian = np.zeros((3, 3))
+    transformed = points + translation
+    neighbors = matcher._batch_search(transformed, matcher.config.search_radius)
+    for point_index, point in enumerate(transformed):
+        for voxel_index in neighbors.indices_for(point_index):
+            voxel = matcher.map.voxels[voxel_index]
+            diff = point - voxel.mean
+            exponent = -0.5 * float(diff @ voxel.inverse_covariance @ diff)
+            weight = float(np.exp(max(exponent, -50.0)))
+            score += weight
+            grad_term = weight * (voxel.inverse_covariance @ diff)
+            gradient += -grad_term
+            hessian += weight * (
+                np.outer(voxel.inverse_covariance @ diff, voxel.inverse_covariance @ diff)
+                - voxel.inverse_covariance
+            )
+    return score, gradient, hessian
+
+
+def _assert_bitwise(got, want):
+    assert isinstance(got[0], float)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].shape == (3,) and got[1].tobytes() == want[1].tobytes()
+    assert got[2].shape == (3, 3) and got[2].tobytes() == want[2].tobytes()
+
+
+#: The last one moves every scan point out of reach of every voxel.
+TRANSLATIONS = [(0.0, 0.0, 0.0), (0.4, -0.3, 0.0), (-1.1, 0.7, 0.25),
+                (2.0, 2.0, -0.5), (500.0, -500.0, 0.0)]
+
+
+class TestEvaluateMatchesPairLoop:
+    @pytest.mark.parametrize("execution", [
+        ExecutionConfig(backend="baseline-batched"),
+        ExecutionConfig(backend="bonsai-batched"),
+        ExecutionConfig(backend="bonsai-perquery", hardware=True),
+    ], ids=["baseline-batched", "bonsai-batched", "recorded-bonsai-perquery"])
+    def test_score_gradient_hessian_bitwise(self, structured_map_cloud, execution):
+        matcher = NDTMatcher(NDTMap(structured_map_cloud, NDTConfig(voxel_size=2.0)),
+                             execution=execution)
+        points = structured_map_cloud.points[::37].astype(np.float64)
+        for translation in TRANSLATIONS:
+            translation = np.asarray(translation)
+            _assert_bitwise(matcher._evaluate(points, translation),
+                            _pair_loop_evaluate(matcher, points, translation))
+        score, gradient, hessian = matcher._evaluate(points, translation)
+        assert score == 0.0 and not gradient.any() and not hessian.any()
+
+    def test_sums_of_negative_zero_terms_are_positive_zero(self):
+        # One voxel; the scan point sits on its mean, so every gradient term
+        # is -0.0 and the loop's sum, started from +0.0, is +0.0.
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(rng.uniform(0.2, 1.8, (20, 3)).astype(np.float32))
+        matcher = NDTMatcher(NDTMap(cloud, NDTConfig(voxel_size=2.0)))
+        points = matcher.map.means.copy()
+        want = _pair_loop_evaluate(matcher, points, np.zeros(3))
+        assert np.signbit(want[1]).sum() == 0
+        _assert_bitwise(matcher._evaluate(points, np.zeros(3)), want)

@@ -2,8 +2,8 @@
 
 ``ShardedPointCloudIndex`` promises results **bitwise identical** to the
 unsharded ``PointCloudIndex`` over the same cloud — whatever the tiling,
-chunking or per-tile backend (kNN up to k-th-place distance ties; the fuzz
-uses continuous random coordinates, where ties do not occur).  This file
+chunking or per-tile backend (kNN distance ties are covered on a lattice in
+``tests/test_backend_parity.py``).  This file
 locks that promise down across every registered backend, plus the edge
 cases the grid introduces: queries landing in zero tiles, empty batches,
 empty clouds, ``k`` larger than the cloud, lazy tile building and the
