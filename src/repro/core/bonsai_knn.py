@@ -60,9 +60,10 @@ class BonsaiNearestNeighbors:
     def __init__(self, tree: KDTree, fmt: FloatFormat = FLOAT16):
         self.tree = tree
         self.fmt = fmt
-        if getattr(tree, "compressed_array", None) is None:
+        if tree.compressed_array is None:
             compress_tree(tree, fmt)
-        self.array: CompressedStructArray = tree.compressed_array  # type: ignore[attr-defined]
+        self.array: CompressedStructArray = tree.compressed_array
+        self.array.require_mirror()
         self.stats = BonsaiKNNStats()
 
     # ------------------------------------------------------------------

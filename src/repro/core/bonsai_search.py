@@ -91,13 +91,16 @@ class BonsaiLeafInspector:
     array:
         The tree's ``cmprsd_strct_array``, as built by
         :func:`compress_tree`.  If omitted, the inspector looks for
-        ``tree.compressed_array``.
+        ``tree.compressed_array``.  An array filled by ``append`` has no
+        decoded mirror and raises ``ValueError``.
     fmt:
         Reduced float format of the compressed coordinates.
     """
 
     def __init__(self, array: Optional[CompressedStructArray] = None,
                  fmt: FloatFormat = FLOAT16):
+        if array is not None:
+            array.require_mirror()
         self.array = array
         self.fmt = fmt
         self.part_error = PartErrorTable(fmt)
@@ -171,7 +174,10 @@ class BonsaiLeafInspector:
     def _resolve_array(self, tree: KDTree) -> Optional[CompressedStructArray]:
         if self.array is not None:
             return self.array
-        return getattr(tree, "compressed_array", None)
+        array = tree.compressed_array
+        if array is not None:
+            array.require_mirror()
+        return array
 
     def _baseline_inspect(self, tree, leaf, query, r2, results, stats, recorder, layout):
         points = tree.points_f64[leaf.indices]
@@ -199,12 +205,12 @@ class BonsaiRadiusSearch:
         self.fmt = fmt
         self.recorder = recorder
         self.layout = layout
-        if getattr(tree, "compressed_array", None) is None:
+        if tree.compressed_array is None:
             self.report = compress_tree(tree, fmt)
             self._record_compression_accesses()
         else:
             self.report = None
-        self.inspector = BonsaiLeafInspector(fmt=fmt)
+        self.inspector = BonsaiLeafInspector(tree.compressed_array, fmt=fmt)
         self.stats = SearchStats()
 
     def _record_compression_accesses(self) -> None:

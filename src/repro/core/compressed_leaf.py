@@ -70,22 +70,56 @@ class CompressedRef(NamedTuple):
 class CompressedStructArray:
     """Compressed leaf structures back to back, plus the tree's decoded mirror.
 
-    :func:`compress_tree` fills one in a single pass; :meth:`append` adds
-    one :func:`~repro.core.leaf_compression.compress_leaf` result at a time
-    and emits no mirror, so the search paths need an array built by
-    :func:`compress_tree`.  ``data`` may also be a read-only buffer, such as
-    a shared-memory segment, with ``refs`` and ``mirror`` rebuilt over it.
+    :func:`compress_tree` fills one in a single pass, together with the
+    decoded mirror and every leaf's slice count (``n_slices``);
+    :meth:`append` adds one :func:`~repro.core.leaf_compression.compress_leaf`
+    result at a time and emits neither, so the search paths need an array
+    built by :func:`compress_tree` (:meth:`require_mirror`).  ``data`` may
+    also be a read-only buffer, such as a shared-memory segment, with
+    ``mirror`` and ``n_slices`` laid over it too; the per-leaf
+    :class:`CompressedRef` table is then derived from them on first use.
     """
 
     def __init__(self, fmt: FloatFormat = FLOAT16, *, data=None,
-                 refs: Optional[Dict[int, CompressedRef]] = None,
-                 mirror: Optional[LeafMirror] = None):
+                 mirror: Optional[LeafMirror] = None,
+                 n_slices: Optional[np.ndarray] = None):
         self.fmt = fmt
         self._data = bytearray() if data is None else data
-        self._refs: Dict[int, CompressedRef] = {} if refs is None else refs
         #: Decoded coordinates and Eq. 6 bounds of every leaf
         #: (``None`` for an array built by :meth:`append`).
         self.mirror = mirror
+        #: 128-bit slices of every leaf's structure, by leaf id (``None``
+        #: for an array built by :meth:`append`).
+        self.n_slices = n_slices
+        self._refs: Optional[Dict[int, CompressedRef]] = (
+            {} if n_slices is None else None)
+
+    def require_mirror(self) -> LeafMirror:
+        """The decoded mirror; ``ValueError`` for an array built by :meth:`append`."""
+        if self.mirror is None:
+            raise ValueError(
+                "this compressed array was filled by append() and has no decoded "
+                "mirror, so it cannot be searched; compress the tree with "
+                "compress_tree() instead")
+        return self.mirror
+
+    def _table(self) -> Dict[int, CompressedRef]:
+        """The per-leaf references (derived once from ``n_slices``)."""
+        if self._refs is None:
+            lengths = self.n_slices * ZIPPTS_SLICE_BYTES
+            offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+            # The [cX cY cZ] flags are the top three bits of a structure.
+            head = np.frombuffer(self._data, dtype=np.uint8)[offsets]
+            flags = ((head[:, None] >> np.array([7, 6, 5])) & 1).astype(bool)
+            self._refs = {
+                leaf_id: CompressedRef(offset=offset, length=length,
+                                       n_points=n_points, n_slices=n_slices,
+                                       flags=tuple(leaf_flags))
+                for leaf_id, (offset, length, n_points, n_slices, leaf_flags)
+                in enumerate(zip(offsets.tolist(), lengths.tolist(),
+                                 np.diff(self.mirror.starts).tolist(),
+                                 self.n_slices.tolist(), flags.tolist()))}
+        return self._refs
 
     # ------------------------------------------------------------------
     # Population
@@ -96,7 +130,8 @@ class CompressedStructArray:
         The append offset is always slice aligned because every compressed
         structure is padded to whole 128-bit slices.
         """
-        if leaf_id in self._refs:
+        refs = self._table()
+        if leaf_id in refs:
             raise ValueError(f"leaf {leaf_id} already has a compressed structure")
         offset = len(self._data)
         self._data.extend(compressed.data)
@@ -107,14 +142,14 @@ class CompressedStructArray:
             n_slices=compressed.n_slices,
             flags=compressed.flags,
         )
-        self._refs[leaf_id] = ref
+        refs[leaf_id] = ref
         return ref
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._refs)
+        return len(self._table())
 
     @property
     def total_bytes(self) -> int:
@@ -128,11 +163,11 @@ class CompressedStructArray:
 
     def ref(self, leaf_id: int) -> CompressedRef:
         """The compressed reference of ``leaf_id``."""
-        return self._refs[leaf_id]
+        return self._table()[leaf_id]
 
     def get(self, leaf_id: int) -> CompressedLeaf:
         """The compressed structure of ``leaf_id`` (rebuilt from the bytes)."""
-        ref = self._refs[leaf_id]
+        ref = self.ref(leaf_id)
         return CompressedLeaf(
             data=self.read(ref),
             n_points=ref.n_points,
@@ -176,35 +211,22 @@ def compress_tree(tree: KDTree, fmt: FloatFormat = FLOAT16,
     """Compress every leaf of ``tree`` into a :class:`CompressedStructArray`.
 
     One vectorised pass (:func:`~repro.core.leaf_compression.compress_leaves`)
-    writes the bytes and the decoded mirror.  Each leaf's ``compressed_ref``
-    attribute is populated, mirroring the paper's reuse of unused leaf
-    fields to store the reference, and the array is stashed on the tree as
-    ``tree.compressed_array``.  ``mirror_buffer`` is a writable buffer of
+    over the tree's leaf arrays writes the bytes and the decoded mirror.  The
+    array is stored as ``tree.compressed_array``, which also gives every leaf
+    node its ``compressed_ref`` (the paper's reuse of unused leaf fields to
+    hold the reference).  ``mirror_buffer`` is a writable buffer of
     ``LeafMirror.nbytes(...)`` bytes to lay the mirror out in (a
     shared-memory segment); fresh memory when omitted.
     """
     global _COMPRESSION_PASSES
     _COMPRESSION_PASSES += 1
-    leaves = tree.leaves
-    indices = [leaf.indices for leaf in leaves]
-    counts = np.fromiter(map(len, indices), dtype=np.int64, count=len(indices))
-    points = tree.points[np.concatenate(indices)]
-    mirror = LeafMirror.allocate(points.shape[0], len(leaves), fmt, mirror_buffer)
-    packed = compress_leaves(points, counts, mirror, fmt)
-
-    lengths = np.diff(packed.offsets)
-    refs = {}
-    for leaf, offset, length, n_points, flags in zip(
-            leaves, packed.offsets.tolist(), lengths.tolist(), counts.tolist(),
-            packed.flags.tolist()):
-        ref = CompressedRef(offset=offset, length=length, n_points=n_points,
-                            n_slices=length // ZIPPTS_SLICE_BYTES,
-                            flags=tuple(flags))
-        leaf.compressed_ref = ref
-        refs[leaf.leaf_id] = ref
-    # Stash the array on the tree so searches can find it without new APIs.
-    tree.compressed_array = CompressedStructArray(  # type: ignore[attr-defined]
-        fmt, data=packed.data, refs=refs, mirror=mirror)
+    arrays = tree.arrays
+    points = tree.points[arrays.leaf_points]
+    mirror = LeafMirror.allocate(points.shape[0], arrays.n_leaves, fmt, mirror_buffer)
+    packed = compress_leaves(points, arrays.leaf_sizes, mirror, fmt)
+    tree.compressed_array = CompressedStructArray(
+        fmt, data=packed.data, mirror=mirror,
+        n_slices=np.diff(packed.offsets) // ZIPPTS_SLICE_BYTES)
     coords_shared = packed.flags.sum(axis=0).tolist()
     return CompressionReport(
         n_leaves=tree.n_leaves,

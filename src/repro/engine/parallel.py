@@ -24,7 +24,7 @@ counterpart's, however the workers are scheduled:
 * *Statistics* — :class:`~repro.kdtree.radius_search.SearchStats` and
   :class:`~repro.core.bonsai_search.BonsaiStats` counters aggregate exactly
   as if the queries had been issued one by one (the batched engines already
-  guarantee this, see :meth:`SearchStats.note_leaf_visit_batch`), and merging
+  guarantee this, see :meth:`SearchStats.note_leaf_visits`), and merging
   is commutative integer addition — worker *completion* order cannot change
   the totals.  ``tests/test_parallel_backends.py`` shuffles shard results to
   lock this down.

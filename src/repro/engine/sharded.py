@@ -31,7 +31,7 @@ mechanisms:
 * *Canonical merge order.*  Cross-tile radius hits are re-sorted into the
   global per-query ``(query, point)`` CSR order; kNN candidates go through
   the exact selection kernel of the batched engine
-  (:meth:`~repro.runtime.batch.BatchQueryEngine._knn_select`, sort by
+  (:func:`~repro.runtime.batch._select_nearest`, sort by
   ``(query, d2, point)``, square root applied after selection).  Query
   batches are processed in contiguous chunks concatenated through the
   parallel shard-merge helpers (:func:`~repro.engine.parallel.merge_radius_shards`
@@ -70,10 +70,10 @@ from ..kdtree.radius_search import SearchStats
 from ..pointcloud.cloud import PointCloud
 from ..runtime.batch import (
     BatchKNNResult,
-    BatchQueryEngine,
     BatchRadiusResult,
     _build_radius_result,
     _empty_radius_result,
+    _select_nearest,
 )
 from ..runtime.kernels import rowwise_distances2
 from ..runtime.queries import as_query_batch, check_k, check_radius
@@ -407,17 +407,18 @@ class ShardedPointCloudIndex:
                         tau[q] = np.partition(pool, width - 1)[width - 1]
                 next_rank[sub] += 1
 
-        flat_q: List[np.ndarray] = []
-        flat_p: List[np.ndarray] = []
-        flat_d2: List[np.ndarray] = []
+        flat_q: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        flat_p: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        flat_d2: List[np.ndarray] = [np.empty(0)]
         for q in range(n_chunk):
             if cand_points[q]:
                 points = np.concatenate(cand_points[q])
                 flat_q.append(np.full(points.size, q, dtype=np.intp))
                 flat_p.append(points)
                 flat_d2.append(np.concatenate(cand_d2[q]))
-        return BatchQueryEngine._knn_select(n_chunk, width, flat_q, flat_p,
-                                            flat_d2)
+        indices, d2 = _select_nearest(n_chunk, width, np.concatenate(flat_q),
+                                      np.concatenate(flat_p), np.concatenate(flat_d2))
+        return BatchKNNResult(indices=indices, distances=np.sqrt(d2))
 
     def search(self, query: Sequence[float], radius: float, *,
                backend: str = DEFAULT_BACKEND) -> List[int]:

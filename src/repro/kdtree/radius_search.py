@@ -64,17 +64,20 @@ class SearchStats:
         self.leaves_visited += 1
         self.leaf_visit_counts[leaf_id] = self.leaf_visit_counts.get(leaf_id, 0) + 1
 
-    def note_leaf_visit_batch(self, leaf_id: int, n_queries: int) -> None:
-        """Record ``n_queries`` simultaneous visits to ``leaf_id``.
+    def note_leaf_visits(self, visited_leaf_ids: np.ndarray) -> None:
+        """Record one visit per entry of ``visited_leaf_ids`` (repeats allowed).
 
-        Used by the batched engine (:mod:`repro.runtime`): one batched leaf
-        inspection on behalf of ``n_queries`` queries counts exactly like
-        ``n_queries`` single-query visits, so batched and per-query statistics
-        aggregate identically.
+        Used by the batched engine (:mod:`repro.runtime`): a whole
+        traversal's (query, leaf) pairs are counted at once with
+        ``bincount``, exactly like that many single-query visits, so batched
+        and per-query statistics aggregate identically.
         """
-        self.leaves_visited += n_queries
-        self.leaf_visit_counts[leaf_id] = (
-            self.leaf_visit_counts.get(leaf_id, 0) + n_queries)
+        counts = np.bincount(visited_leaf_ids)
+        leaf_ids = np.flatnonzero(counts)
+        table = self.leaf_visit_counts
+        for leaf_id, visits in zip(leaf_ids.tolist(), counts[leaf_ids].tolist()):
+            table[leaf_id] = table.get(leaf_id, 0) + visits
+        self.leaves_visited += int(visited_leaf_ids.shape[0])
 
     @property
     def mean_visits_per_leaf(self) -> float:

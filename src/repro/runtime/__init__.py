@@ -2,9 +2,9 @@
 
 The hot paths of the paper — radius and kNN search over (compressed) k-d
 tree leaves — are issued by the workloads in large batches.  This subsystem
-amortises the Python-level tree traversal across the whole batch and performs
-all leaf work as NumPy matrix kernels, while returning exactly the results of
-the per-query reference paths.
+walks the tree's flat arrays one level per NumPy step for the whole batch and
+performs all leaf work as NumPy kernels over gathered (query, leaf point)
+rows, while returning exactly the results of the per-query reference paths.
 
 Public API
 ----------

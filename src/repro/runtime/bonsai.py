@@ -1,18 +1,19 @@
 """Batched radius search over compressed (K-D Bonsai) leaves.
 
-Combines the batched traversal of :mod:`repro.runtime.batch` with the
-compressed leaf processing of :mod:`repro.core.bonsai_search`: approximate
-squared distances from the reduced-precision coordinates, the shell
-classification of Eq. 12, and exact 32-bit recomputation of inconclusive
-points only — so results are identical to the baseline search.
+Combines the level-synchronous traversal of :mod:`repro.runtime.batch` with
+the compressed leaf processing of :mod:`repro.core.bonsai_search`:
+approximate squared distances from the reduced-precision coordinates, the
+shell classification of Eq. 12, and exact 32-bit recomputation of
+inconclusive points only — so results are identical to the baseline search.
 
 Nothing is decoded at query time: the tree's compression pass emitted a
 decoded mirror (:class:`~repro.core.leaf_compression.LeafMirror`) of every
-leaf, and each visit takes the leaf's reduced coordinates and error bounds
-from it as a slice, once for all the queries of the batch that reach the
-leaf.  The byte/slice accounting still charges every (query, leaf) visit, as
-the hardware would, so :class:`~repro.core.bonsai_search.BonsaiStats`
-aggregates exactly like the per-query inspector's.
+leaf, in the leaf order of the tree's arrays, so the leaf pass gathers each
+(query, leaf point) pair's reduced coordinates and error bounds from it by
+row.  The byte/slice accounting charges every (query, leaf) visit from pair
+counts and the array's per-leaf slice counts, as the hardware would, so
+:class:`~repro.core.bonsai_search.BonsaiStats` aggregates exactly like the
+per-query inspector's.
 
 Example
 -------
@@ -24,30 +25,25 @@ True
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..core.bonsai_search import BonsaiStats
-from ..core.compressed_leaf import CompressedStructArray, compress_tree
+from ..core.compressed_leaf import compress_tree
 from ..core.floatfmt import FLOAT16, FloatFormat
 from ..core.leaf_compression import ZIPPTS_SLICE_BYTES
 from ..kdtree.build import KDTree
 from ..kdtree.layout import POINT_STRIDE_BYTES
-from ..kdtree.node import LeafNode
 from ..kdtree.radius_search import SearchStats
 from .batch import (
     BatchRadiusResult,
     _build_radius_result,
     _empty_radius_result,
-    radius_traverse,
+    leaf_rows,
+    radius_leaf_pairs,
 )
-from .kernels import (
-    batch_shell_distances,
-    pairwise_distances2,
-    rowwise_distances2,
-    shell_classify,
-)
+from .kernels import rowwise_distances2, rowwise_shell_distances, shell_classify
 from .queries import as_query_batch, check_radius
 
 __all__ = ["BonsaiBatchSearcher"]
@@ -64,7 +60,9 @@ class BonsaiBatchSearcher:
     Parameters
     ----------
     tree:
-        The k-d tree; compressed on construction if it is not already.
+        The k-d tree; compressed on construction if it is not already.  A
+        tree whose compressed array was filled by ``append`` has no decoded
+        mirror and is refused with a ``ValueError``.
     fmt:
         Reduced float format of the compressed coordinates.
     """
@@ -72,10 +70,11 @@ class BonsaiBatchSearcher:
     def __init__(self, tree: KDTree, fmt: FloatFormat = FLOAT16):
         self.tree = tree
         self.fmt = fmt
-        if getattr(tree, "compressed_array", None) is None:
+        if tree.compressed_array is None:
             self.report = compress_tree(tree, fmt)
         else:
             self.report = None
+        tree.compressed_array.require_mirror()
         self.stats = SearchStats()
         self.bonsai_stats = BonsaiStats()
 
@@ -90,69 +89,54 @@ class BonsaiBatchSearcher:
 
         r2 = radius * radius
         tree = self.tree
+        arrays = tree.arrays
         points_f64 = tree.points_f64
-        array: Optional[CompressedStructArray] = getattr(tree, "compressed_array", None)
-        mirror = array.mirror if array is not None else None
+        array = tree.compressed_array
+        mirror = array.mirror
         stats = self.stats
         bstats = self.bonsai_stats
+        pair_q, pair_leaf = radius_leaf_pairs(arrays, query_arr, radius, stats)
         hit_queries: List[np.ndarray] = []
         hit_points: List[np.ndarray] = []
-
-        def visit_leaf(leaf: LeafNode, qidx: np.ndarray) -> None:
-            ref = leaf.compressed_ref
-            if array is None or ref is None:
-                # No compressed structure: baseline 32-bit processing.
-                bstats.fallback_leaf_visits += qidx.size
-                d2 = pairwise_distances2(points_f64[leaf.indices], query_arr[qidx])
-                inside = d2 <= r2
-                stats.points_examined += qidx.size * leaf.n_points
-                stats.points_in_radius += int(inside.sum())
-                stats.point_bytes_loaded += qidx.size * leaf.n_points * POINT_STRIDE_BYTES
-                rows, cols = np.nonzero(inside)
-                if rows.size:
-                    hit_queries.append(qidx[rows])
-                    hit_points.append(leaf.indices[cols])
-                return
-
-            n_visits = qidx.size
-            bstats.leaf_visits += n_visits
-            bstats.slices_loaded += n_visits * ref.n_slices
-            bstats.compressed_bytes_loaded += n_visits * ref.n_slices * ZIPPTS_SLICE_BYTES
-            stats.points_examined += n_visits * leaf.n_points
-            stats.point_bytes_loaded += n_visits * ref.n_slices * ZIPPTS_SLICE_BYTES
-            bstats.points_classified += n_visits * leaf.n_points
-
-            reduced, max_delta = mirror.leaf(leaf.leaf_id)
-            d2_approx, eps = batch_shell_distances(reduced, query_arr[qidx], max_delta)
+        n_in = n_inconclusive = n_exact = 0
+        for pairs, rows in leaf_rows(arrays, pair_q, pair_leaf):
+            qs = pair_q[pairs]
+            q_rows = query_arr[qs]
+            d2_approx, eps = rowwise_shell_distances(
+                mirror.reduced[rows], q_rows, mirror.max_delta[rows])
             conclusive_in, _, inconclusive = shell_classify(d2_approx, eps, r2)
-            in_rows, in_cols = np.nonzero(conclusive_in)
-            n_in = in_rows.size
-            n_inconclusive = int(np.count_nonzero(inconclusive))
-            # The three classes partition the leaf's (query, point) pairs.
-            bstats.conclusive_in += n_in
-            bstats.conclusive_out += n_visits * leaf.n_points - n_in - n_inconclusive
-            bstats.inconclusive += n_inconclusive
-            if n_in:
-                hit_queries.append(qidx[in_rows])
-                hit_points.append(leaf.indices[in_cols])
-            stats.points_in_radius += n_in
-
-            if n_inconclusive:
+            ids = arrays.leaf_points[rows]
+            n_in += int(np.count_nonzero(conclusive_in))
+            hit_queries.append(qs[conclusive_in])
+            hit_points.append(ids[conclusive_in])
+            if inconclusive.any():
                 # Inconclusive pairs: fetch the original 32-bit points and
                 # recompute the exact classification.
-                bstats.recompute_bytes_loaded += n_inconclusive * POINT_STRIDE_BYTES
-                stats.point_bytes_loaded += n_inconclusive * POINT_STRIDE_BYTES
-                rows, cols = np.nonzero(inconclusive)
-                originals = points_f64[leaf.indices[cols]]
-                exact_d2 = rowwise_distances2(query_arr[qidx[rows]], originals)
-                exact_in = exact_d2 <= r2
-                n_exact = int(exact_in.sum())
-                if n_exact:
-                    hit_queries.append(qidx[rows[exact_in]])
-                    hit_points.append(leaf.indices[cols[exact_in]])
-                stats.points_in_radius += n_exact
+                inc_ids = ids[inconclusive]
+                exact_in = rowwise_distances2(
+                    q_rows[inconclusive], points_f64[inc_ids]) <= r2
+                n_inconclusive += inc_ids.shape[0]
+                n_exact += int(np.count_nonzero(exact_in))
+                hit_queries.append(qs[inconclusive][exact_in])
+                hit_points.append(inc_ids[exact_in])
 
-        radius_traverse(tree, query_arr, radius, stats, visit_leaf)
+        # Every (query, leaf) visit loads the leaf's slices; the three
+        # classes partition its (query, point) pairs.
+        n_visits = pair_leaf.shape[0]
+        n_points = int(arrays.leaf_sizes[pair_leaf].sum())
+        slice_bytes = int(array.n_slices[pair_leaf].sum()) * ZIPPTS_SLICE_BYTES
+        recompute_bytes = n_inconclusive * POINT_STRIDE_BYTES
+        bstats.leaf_visits += n_visits
+        bstats.slices_loaded += slice_bytes // ZIPPTS_SLICE_BYTES
+        bstats.compressed_bytes_loaded += slice_bytes
+        bstats.points_classified += n_points
+        bstats.conclusive_in += n_in
+        bstats.conclusive_out += n_points - n_in - n_inconclusive
+        bstats.inconclusive += n_inconclusive
+        bstats.recompute_bytes_loaded += recompute_bytes
+        stats.points_examined += n_points
+        stats.point_bytes_loaded += slice_bytes + recompute_bytes
+        stats.points_in_radius += n_in + n_exact
         return _build_radius_result(n_queries, hit_queries, hit_points)
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:

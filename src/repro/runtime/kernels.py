@@ -6,13 +6,20 @@ euclidean distances between leaf points and one query
 (:func:`pairwise_distances2`) or matched row pairs
 (:func:`rowwise_distances2`), and the reduced-precision error bound / shell
 classification of the K-D Bonsai paper (:func:`reduced_precision_max_delta`,
-:func:`batch_shell_distances`, :func:`shell_classify`).
+:func:`batch_shell_distances`, :func:`rowwise_shell_distances`,
+:func:`shell_classify`).
 
 Both the single-query paths (:mod:`repro.kdtree.knn`,
 :mod:`repro.kdtree.radius_search`, :mod:`repro.core.bonsai_search`) and the
 batched engine (:mod:`repro.runtime.batch`) call into this module, so the two
 produce bit-identical distances: ``(a - b)**2`` summed over the three
-coordinates in the same order, in float64.
+coordinates in the same order, in float64.  That order holds only on
+C-contiguous ``(..., 3)`` rows: an einsum over a contiguous coordinate axis
+sums ``(d0**2 + d2**2) + d1**2`` on current NumPy, while a coordinate-major
+(strided) operand sums in another order and rounds differently in about
+23% of random pairs.  The kernels therefore make their differences
+contiguous before the einsum.  The Eq. 11 bound's ``.sum(axis=-1)`` adds
+``(e0 + e1) + e2`` on the same rows.
 
 The module intentionally imports nothing from the rest of :mod:`repro`
 (only NumPy), so it can be used from any layer without import cycles.
@@ -39,6 +46,7 @@ __all__ = [
     "rowwise_distances2",
     "reduced_precision_max_delta",
     "batch_shell_distances",
+    "rowwise_shell_distances",
     "shell_error_bound",
     "shell_classify",
 ]
@@ -46,7 +54,7 @@ __all__ = [
 
 def leaf_distances2(points: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Squared distances from one ``(3,)`` query to ``(M, 3)`` leaf points."""
-    diffs = points - query
+    diffs = np.ascontiguousarray(points - query)
     return np.einsum("ij,ij->i", diffs, diffs)
 
 
@@ -58,13 +66,17 @@ def pairwise_distances2(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     per-pair differences), so batched and per-query classifications agree
     bitwise.
     """
-    diffs = queries[:, None, :] - points[None, :, :]
+    diffs = np.ascontiguousarray(queries[:, None, :] - points[None, :, :])
     return np.einsum("qmd,qmd->qm", diffs, diffs)
 
 
 def rowwise_distances2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between matched rows of two ``(N, 3)`` arrays."""
-    diffs = a - b
+    """Squared distances between matched rows of two ``(N, 3)`` arrays.
+
+    Bit for bit :func:`pairwise_distances2` of the same (query, point)
+    pairs, whatever the memory layout of ``a`` and ``b``.
+    """
+    diffs = np.ascontiguousarray(a - b)
     return np.einsum("nd,nd->n", diffs, diffs)
 
 
@@ -77,8 +89,21 @@ def batch_shell_distances(reduced: np.ndarray, queries: np.ndarray,
     :func:`pairwise_distances2`) together with the worst-case error bound of
     Eq. 11 per (query, point) pair — the inputs of :func:`shell_classify`.
     """
-    diffs = queries[:, None, :] - reduced[None, :, :]
+    diffs = np.ascontiguousarray(queries[:, None, :] - reduced[None, :, :])
     d2_approx = np.einsum("qmd,qmd->qm", diffs, diffs)
+    return d2_approx, shell_error_bound(np.abs(diffs), max_delta)
+
+
+def rowwise_shell_distances(reduced: np.ndarray, queries: np.ndarray,
+                            max_delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_shell_distances` of matched ``(N, 3)`` rows.
+
+    Row ``n`` pairs query ``queries[n]`` with the reduced point
+    ``reduced[n]`` and its bound ``max_delta[n]``; the results equal
+    :func:`batch_shell_distances`'s entries for the same pairs bit for bit.
+    """
+    diffs = np.ascontiguousarray(queries - reduced)
+    d2_approx = np.einsum("nd,nd->n", diffs, diffs)
     return d2_approx, shell_error_bound(np.abs(diffs), max_delta)
 
 

@@ -4,19 +4,21 @@ The ``*-batched-mp`` backends ship the whole k-d tree to every worker through
 the pool initializer — one pickle per worker, one resident copy per process.
 That is fine for a single backend's private pool, but a *service* wants the
 opposite shape: one resident map serving a fleet of client processes.  This
-module puts the heavy, immutable parts of an index — the float32/float64
-point arrays, the concatenated leaf index lists, the Bonsai
-compressed-structure bytes and their decoded mirror — into POSIX shared
-memory (:mod:`multiprocessing.shared_memory`), so that
+module puts an index — the float32/float64 point arrays, the tree's flat
+node and leaf arrays (:class:`~repro.kdtree.build.TreeArrays`) with every
+leaf's compressed slice count, the Bonsai compressed-structure bytes and
+their decoded mirror — into POSIX shared memory
+(:mod:`multiprocessing.shared_memory`), so that
 
 * the tree is built and compressed **exactly once**, by the creating
   process (``compression_pass_count()`` counts the pass), whose
   compression pass writes the decoded mirror straight into its segment,
   so no attached process ever decodes a leaf;
-* any number of processes **attach by name** and reconstruct a fully
-  functional :class:`~repro.kdtree.build.KDTree` whose arrays are zero-copy
-  views into the shared segments (only the node skeleton — a few bytes per
-  node — is rebuilt per process);
+* any number of processes **attach by name** and get a fully functional
+  :class:`~repro.kdtree.build.KDTree` whose arrays are all zero-copy views
+  into the shared segments; the batched searches read only those arrays,
+  and the node objects the per-query paths walk are created in a process
+  only if it runs one of them;
 * the segments are **refcounted**: every refcounted attach increments a
   counter in the control segment under an advisory file lock, every
   ``close()`` decrements it, and the last closer unlinks all segments.
@@ -51,7 +53,7 @@ import struct
 import weakref
 from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -60,17 +62,17 @@ try:  # Advisory locking of the refcount; POSIX only (Linux/macOS).
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..core.compressed_leaf import CompressedRef, CompressedStructArray, compress_tree
+from ..core.compressed_leaf import CompressedStructArray, compress_tree
 from ..core.floatfmt import FLOAT16, FORMATS_BY_NAME, FloatFormat
 from ..core.leaf_compression import LeafMirror
-from ..kdtree.build import KDTree, KDTreeConfig, KDTreeStats, build_kdtree
-from ..kdtree.node import InteriorNode, LeafNode
+from ..kdtree.build import KDTree, KDTreeConfig, KDTreeStats, TreeArrays, build_kdtree
 
 __all__ = ["SharedCloudStore"]
 
 #: Suffixes of the segments one store is made of (``<name>-<suffix>``);
-#: ``dec`` holds the decoded mirror of the compressed leaves.
-SEGMENT_SUFFIXES = ("ctrl", "meta", "pts32", "pts64", "idx", "cmp", "dec")
+#: ``tree`` holds the tree's flat arrays and every leaf's slice count,
+#: ``dec`` the decoded mirror of the compressed leaves.
+SEGMENT_SUFFIXES = ("ctrl", "meta", "pts32", "pts64", "tree", "cmp", "dec")
 
 #: Control-segment layout: one little-endian int64 refcount.
 _CTRL_BYTES = 8
@@ -110,29 +112,24 @@ def _unlink_segment(shm: shared_memory.SharedMemory) -> bool:
         return False
 
 
-def _leaf_payload(node) -> tuple:
-    """Serialise one node of the tree skeleton into plain tuples."""
-    if node.is_leaf:
-        ref = node.compressed_ref
-        return (
-            "L",
-            int(node.leaf_id),
-            tuple(float(v) for v in node.bbox_min),
-            tuple(float(v) for v in node.bbox_max),
-            (int(ref.offset), int(ref.length), int(ref.n_points),
-             int(ref.n_slices), tuple(bool(f) for f in ref.flags)),
-        )
-    return (
-        "I",
-        int(node.split_dim),
-        float(node.split_value),
-        float(node.split_low),
-        float(node.split_high),
-        tuple(float(v) for v in node.bbox_min),
-        tuple(float(v) for v in node.bbox_max),
-        _leaf_payload(node.left),
-        _leaf_payload(node.right),
-    )
+def _array_layout(arrays: Dict[str, np.ndarray]) -> Tuple[list, int]:
+    """Where each array goes in one segment: ``(name, dtype, shape, offset)``
+    entries at 8-byte aligned offsets, and the segment size."""
+    layout, offset = [], 0
+    for name, array in arrays.items():
+        layout.append((name, array.dtype.str, array.shape, offset))
+        offset += -(-array.nbytes // 8) * 8
+    return layout, offset
+
+
+def _array_views(buffer, layout: list) -> Dict[str, np.ndarray]:
+    """Read-only views of the arrays :func:`_array_layout` placed in ``buffer``."""
+    views = {}
+    for name, dtype, shape, offset in layout:
+        view = np.ndarray(shape, dtype=dtype, buffer=buffer, offset=offset)
+        view.flags.writeable = False
+        views[name] = view
+    return views
 
 
 class SharedCloudStore:
@@ -179,7 +176,7 @@ class SharedCloudStore:
             tree = cloud
         else:
             tree = build_kdtree(cloud, tree_config)
-        array = getattr(tree, "compressed_array", None)
+        array = tree.compressed_array
         if array is not None:
             fmt = array.fmt
         name = name or f"repro-store-{os.getpid():x}-{secrets.token_hex(3)}"
@@ -198,25 +195,20 @@ class SharedCloudStore:
                 "dec", LeafMirror.nbytes(tree.n_points, tree.n_leaves, fmt))
             if array is None:
                 compress_tree(tree, fmt, mirror_buffer=dec.buf)
-                array = tree.compressed_array  # type: ignore[attr-defined]
+                array = tree.compressed_array
             else:
+                source = array.require_mirror()
                 mirror = LeafMirror.allocate(tree.n_points, tree.n_leaves, fmt,
                                              dec.buf)
-                mirror.starts[:] = array.mirror.starts
-                mirror.reduced[:] = array.mirror.reduced
-                mirror.max_delta[:] = array.mirror.max_delta
+                mirror.starts[:] = source.starts
+                mirror.reduced[:] = source.reduced
+                mirror.max_delta[:] = source.max_delta
 
             points32 = np.ascontiguousarray(tree.points, dtype=np.float32)
             points64 = np.ascontiguousarray(tree.points_f64, dtype=np.float64)
-            indices = np.concatenate(
-                [leaf.indices for leaf in tree.leaves]).astype(np.int64)
+            tree_arrays = {**tree.arrays.as_dict(), "n_slices": array.n_slices}
+            layout, tree_bytes = _array_layout(tree_arrays)
             blob = array.data
-
-            offset = 0
-            index_spans: Dict[int, Tuple[int, int]] = {}
-            for leaf in tree.leaves:
-                index_spans[leaf.leaf_id] = (offset, leaf.n_points)
-                offset += leaf.n_points
 
             meta = {
                 "fmt_name": fmt.name,
@@ -224,15 +216,14 @@ class SharedCloudStore:
                 "max_leaf_size": int(tree.config.max_leaf_size),
                 "stats": (int(tree.stats.n_points), int(tree.stats.n_leaves),
                           int(tree.stats.n_interior), int(tree.stats.max_depth)),
-                "skeleton": _leaf_payload(tree.root),
-                "index_spans": index_spans,
+                "tree_layout": layout,
                 "compressed_bytes": int(array.total_bytes),
             }
             meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
             for suffix, size in (("ctrl", _CTRL_BYTES), ("meta", len(meta_blob)),
                                  ("pts32", points32.nbytes),
                                  ("pts64", points64.nbytes),
-                                 ("idx", indices.nbytes), ("cmp", len(blob))):
+                                 ("tree", tree_bytes), ("cmp", len(blob))):
                 create_segment(suffix, size)
         except BaseException:
             for shm in segments.values():
@@ -245,9 +236,10 @@ class SharedCloudStore:
                    buffer=segments["pts32"].buf)[:] = points32
         np.ndarray(points64.shape, dtype=np.float64,
                    buffer=segments["pts64"].buf)[:] = points64
-        if indices.size:
-            np.ndarray(indices.shape, dtype=np.int64,
-                       buffer=segments["idx"].buf)[:] = indices
+        for field, _, shape, offset in layout:
+            source = tree_arrays[field]
+            np.ndarray(shape, dtype=source.dtype, buffer=segments["tree"].buf,
+                       offset=offset)[...] = source
         if blob:
             segments["cmp"].buf[:len(blob)] = blob
         struct.pack_into("<q", segments["ctrl"].buf, 0, 1)
@@ -391,14 +383,16 @@ class SharedCloudStore:
         return self._meta
 
     def tree(self) -> KDTree:
-        """The shared k-d tree (reconstructed once per handle, zero-copy).
+        """The shared k-d tree (created once per handle, zero-copy).
 
-        Point arrays, leaf index lists, the compressed-structure bytes and
-        their decoded mirror are read-only views into the shared segments;
-        only the node skeleton is process-local.  The tree is pre-compressed
-        (``compressed_array`` is a :class:`CompressedStructArray` over the
-        segments) and carries ``shared_store_name`` so the
-        ``*-batched-mp`` pools re-attach instead of pickling it.
+        Point arrays, the tree's flat arrays, the compressed-structure bytes
+        and their decoded mirror are read-only views into the shared
+        segments; nothing is rebuilt per process, and the node objects are
+        only created if a per-query path asks for them.  The tree is
+        pre-compressed (``compressed_array`` is a
+        :class:`CompressedStructArray` over the segments) and carries
+        ``shared_store_name`` so the ``*-batched-mp`` pools re-attach
+        instead of pickling it.
         """
         if self._closed:
             raise ValueError(f"shared store {self.name!r} is closed")
@@ -411,58 +405,21 @@ class SharedCloudStore:
                                   buffer=self._segments["pts64"].buf)
             points32.flags.writeable = False
             points64.flags.writeable = False
-            index_array = np.ndarray((max(n_points, 1),), dtype=np.int64,
-                                     buffer=self._segments["idx"].buf)
-            index_array.flags.writeable = False
-            spans = meta["index_spans"]
-
-            leaves: List[LeafNode] = []
-
-            def rebuild(payload) -> object:
-                if payload[0] == "L":
-                    _, leaf_id, bbox_min, bbox_max, ref_fields = payload
-                    offset, length = spans[leaf_id]
-                    ref = CompressedRef(
-                        offset=ref_fields[0], length=ref_fields[1],
-                        n_points=ref_fields[2], n_slices=ref_fields[3],
-                        flags=tuple(ref_fields[4]))
-                    leaf = LeafNode(
-                        indices=index_array[offset:offset + length].view(np.intp),
-                        leaf_id=leaf_id,
-                        bbox_min=np.asarray(bbox_min, dtype=np.float64),
-                        bbox_max=np.asarray(bbox_max, dtype=np.float64),
-                        compressed_ref=ref,
-                    )
-                    leaves.append(leaf)
-                    return leaf
-                (_, split_dim, split_value, split_low, split_high,
-                 bbox_min, bbox_max, left, right) = payload
-                return InteriorNode(
-                    split_dim=split_dim, split_value=split_value,
-                    split_low=split_low, split_high=split_high,
-                    left=rebuild(left), right=rebuild(right),
-                    bbox_min=np.asarray(bbox_min, dtype=np.float64),
-                    bbox_max=np.asarray(bbox_max, dtype=np.float64),
-                )
-
-            root = rebuild(meta["skeleton"])
-            leaves.sort(key=lambda leaf: leaf.leaf_id)
-            stats = KDTreeStats(*meta["stats"])
-            tree = KDTree(points32, root,
+            views = _array_views(self._segments["tree"].buf, meta["tree_layout"])
+            n_slices = views.pop("n_slices")
+            arrays = TreeArrays(**views)
+            tree = KDTree(points32, arrays,
                           KDTreeConfig(max_leaf_size=meta["max_leaf_size"]),
-                          stats, leaves)
-            tree._points_f64 = points64
+                          KDTreeStats(*meta["stats"]), points_f64=points64)
             fmt = FORMATS_BY_NAME[meta["fmt_name"]]
             blob = np.ndarray((meta["compressed_bytes"],), dtype=np.uint8,
                               buffer=self._segments["cmp"].buf)
-            mirror = LeafMirror.allocate(n_points, len(leaves), fmt,
+            mirror = LeafMirror.allocate(n_points, arrays.n_leaves, fmt,
                                          self._segments["dec"].buf)
             for view in (blob, mirror.reduced, mirror.max_delta, mirror.starts):
                 view.flags.writeable = False
-            tree.compressed_array = CompressedStructArray(  # type: ignore[attr-defined]
-                fmt, data=blob,
-                refs={leaf.leaf_id: leaf.compressed_ref for leaf in leaves},
-                mirror=mirror)
+            tree.compressed_array = CompressedStructArray(
+                fmt, data=blob, mirror=mirror, n_slices=n_slices)
             tree.shared_store_name = self.name  # type: ignore[attr-defined]
             tree._shared_store = self  # keep the mappings alive with the tree
             self._tree = tree

@@ -4,7 +4,7 @@ The engine's contract is *exact parity*: batched radius and kNN queries must
 return precisely what the per-query reference paths return, and the
 ``SearchStats`` counters must aggregate as if the queries had been issued one
 by one (exactly for radius search, approximately for kNN, whose batched
-traversal plans with a two-pass bound).
+traversal bounds each query from its home leaf and tightens per level).
 """
 
 from __future__ import annotations
@@ -175,13 +175,14 @@ class TestBonsaiBatchParity:
 
 
 class TestSearchStatsAggregation:
-    def test_note_leaf_visit_batch_equals_repeated_single(self):
+    def test_note_leaf_visits_equals_repeated_single(self):
         a, b = SearchStats(), SearchStats()
-        for _ in range(7):
-            a.note_leaf_visit(3)
-        b.note_leaf_visit_batch(3, 7)
-        assert a.leaves_visited == b.leaves_visited == 7
-        assert a.leaf_visit_counts == b.leaf_visit_counts == {3: 7}
+        for leaf_id in (3, 0, 3, 3, 5, 3, 3, 3):
+            a.note_leaf_visit(leaf_id)
+        b.note_leaf_visits(np.array([3, 0, 3, 3]))
+        b.note_leaf_visits(np.array([5, 3, 3, 3]))
+        assert a.leaves_visited == b.leaves_visited == 8
+        assert a.leaf_visit_counts == b.leaf_visit_counts == {3: 6, 0: 1, 5: 1}
 
     def test_sub_batches_sum_to_full_batch(self, tree, queries):
         full = SearchStats()

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.compressed_leaf import compress_tree, compression_pass_count
 from repro.engine import PointCloudIndex, backend_names
-from repro.kdtree import build_kdtree
+from repro.kdtree import InteriorNode, LeafNode, build_kdtree
 from repro.serve import QueryService, SharedCloudStore
 
 SEGMENT_GLOB = "/dev/shm/repro-store-*"
@@ -207,6 +207,40 @@ class TestAttachedTreeParity:
             assert compression_pass_count() == passes_before
             assert store.n_points == len(cloud)
         index.close()
+
+    def test_attached_tree_serves_batches_without_node_objects(
+            self, cloud, queries, monkeypatch):
+        """Batched searches read the published arrays; no graph is built."""
+        local = PointCloudIndex(cloud)
+        expected = [local.radius_search(queries, 0.6, backend=name)
+                    for name in ("baseline-batched", "bonsai-batched")]
+        expected_knn = local.knn(queries, 5)
+        local.close()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} created")
+
+        monkeypatch.setattr(LeafNode, "__init__", refuse)
+        monkeypatch.setattr(InteriorNode, "__init__", refuse)
+        with SharedCloudStore.create(cloud) as store, \
+                SharedCloudStore.attach(store.name) as client:
+            with client.index() as served:
+                for name, want in zip(("baseline-batched", "bonsai-batched"),
+                                      expected):
+                    got = served.radius_search(queries, 0.6, backend=name)
+                    assert np.array_equal(got.point_indices, want.point_indices)
+                    got_k = served.knn(queries, 5, backend=name)
+                    assert np.array_equal(got_k.indices, expected_knn.indices)
+        monkeypatch.undo()
+        with SharedCloudStore.create(cloud) as store:
+            # A per-query path builds the graph on first use, refs included.
+            tree = store.tree()
+            hits = store.index().radius_search(queries, 0.6,
+                                               backend="bonsai-perquery")
+            assert np.array_equal(hits.point_indices, expected[1].point_indices)
+            assert all(leaf.compressed_ref == tree.compressed_array.ref(leaf.leaf_id)
+                       for leaf in tree.leaves)
+            store.index().close()
 
     def test_shared_arrays_are_readonly_views(self, cloud):
         with SharedCloudStore.create(cloud) as store:
