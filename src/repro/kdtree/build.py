@@ -14,9 +14,12 @@ uses, and which Autoware's euclidean cluster relies on):
   the two children along the split coordinate (used by the search to bound
   the distance to the not-taken sub-tree).
 
-The build writes the tree as flat arrays (:class:`TreeArrays`): the batched
-searches traverse those directly, and the shared-memory store publishes
-them.  The :class:`~repro.kdtree.node.InteriorNode` /
+The build runs level by level: one array pass splits every node of a level
+(:func:`_build_levels`), with the medians, partitions and node order that
+splitting one node at a time gives.  It writes the tree as flat arrays
+(:class:`TreeArrays`): the batched searches traverse those directly, and the
+shared-memory store publishes them.  The
+:class:`~repro.kdtree.node.InteriorNode` /
 :class:`~repro.kdtree.node.LeafNode` object graph the per-query paths walk
 is created from the arrays on first access to :attr:`KDTree.root` or
 :attr:`KDTree.leaves`.
@@ -301,7 +304,11 @@ class KDTree:
 
 
 def build_kdtree(cloud_or_points, config: Optional[KDTreeConfig] = None) -> KDTree:
-    """Build a k-d tree over a :class:`PointCloud` or an ``(N, 3)`` array."""
+    """Build a k-d tree over a :class:`PointCloud` or an ``(N, 3)`` array.
+
+    Raises ``ValueError`` for an empty or mis-shaped point set and for NaN
+    or infinite coordinates.
+    """
     config = config or KDTreeConfig()
     if isinstance(cloud_or_points, PointCloud):
         points = cloud_or_points.points
@@ -313,88 +320,176 @@ def build_kdtree(cloud_or_points, config: Optional[KDTreeConfig] = None) -> KDTr
         raise ValueError("cannot build a k-d tree over an empty point set")
 
     points = np.ascontiguousarray(points, dtype=np.float32)
-    stats = KDTreeStats(n_points=points.shape[0])
-    nodes = _NodeTable()
-    indices = np.arange(points.shape[0], dtype=np.intp)
-    _build_recursive(points, indices, config, stats, nodes, depth=0)
-    return KDTree(points, nodes.arrays(), config, stats)
+    if not np.isfinite(points).all():
+        raise ValueError("cannot build a k-d tree over NaN or infinite points")
+    levels, order = _build_levels(points, config.max_leaf_size)
+    arrays = _preorder_arrays(levels, order)
+    stats = KDTreeStats(n_points=points.shape[0], n_leaves=arrays.n_leaves,
+                        n_interior=arrays.n_leaves - 1, max_depth=len(levels) - 1)
+    return KDTree(points, arrays, config, stats)
 
 
-class _NodeTable:
-    """Per-node fields in preorder plus the leaves' point ids, as lists."""
+@dataclass
+class _Level:
+    """The nodes of one tree level, in ``order`` position order.
 
-    def __init__(self):
-        self.split = []  # (split_dim, split_value, split_low, split_high, left, right)
-        self.leaf_id: List[int] = []
-        self.bbox_min: List[np.ndarray] = []
-        self.bbox_max: List[np.ndarray] = []
-        self.leaf_indices: List[np.ndarray] = []
+    Node ``j`` owns ``order[start[j]:start[j] + size[j]]`` and took
+    ``turns[j]`` right-child steps from the root.  The split fields list
+    the interior nodes (``inner``) only.
+    """
 
-    def add(self, bbox_min: np.ndarray, bbox_max: np.ndarray) -> int:
-        self.split.append((0, 0.0, 0.0, 0.0, -1, -1))
-        self.leaf_id.append(-1)
-        self.bbox_min.append(bbox_min)
-        self.bbox_max.append(bbox_max)
-        return len(self.leaf_id) - 1
-
-    def arrays(self) -> TreeArrays:
-        split_dim, split_value, split_low, split_high, left, right = zip(*self.split)
-        starts = np.zeros(len(self.leaf_indices) + 1, dtype=np.int64)
-        np.cumsum([len(i) for i in self.leaf_indices], out=starts[1:])
-        return TreeArrays(
-            split_dim=np.array(split_dim, dtype=np.intp),
-            split_value=np.array(split_value, dtype=np.float64),
-            split_low=np.array(split_low, dtype=np.float64),
-            split_high=np.array(split_high, dtype=np.float64),
-            left=np.array(left, dtype=np.intp),
-            right=np.array(right, dtype=np.intp),
-            leaf_id=np.array(self.leaf_id, dtype=np.intp),
-            bbox_min=np.array(self.bbox_min, dtype=np.float64),
-            bbox_max=np.array(self.bbox_max, dtype=np.float64),
-            leaf_starts=starts,
-            leaf_points=np.concatenate(self.leaf_indices),
-        )
+    start: np.ndarray
+    size: np.ndarray
+    turns: np.ndarray
+    inner: np.ndarray
+    bbox_min: np.ndarray
+    bbox_max: np.ndarray
+    split_dim: Optional[np.ndarray] = None
+    split_value: Optional[np.ndarray] = None
+    split_low: Optional[np.ndarray] = None
+    split_high: Optional[np.ndarray] = None
+    n_left: Optional[np.ndarray] = None
 
 
-def _build_recursive(points: np.ndarray, indices: np.ndarray, config: KDTreeConfig,
-                     stats: KDTreeStats, nodes: _NodeTable, depth: int) -> int:
-    stats.max_depth = max(stats.max_depth, depth)
-    subset = points[indices].astype(np.float64)
-    bbox_min = subset.min(axis=0)
-    bbox_max = subset.max(axis=0)
-    node_id = nodes.add(bbox_min, bbox_max)
+def _build_levels(points: np.ndarray, max_leaf_size: int) -> Tuple[List[_Level], np.ndarray]:
+    """Split every node of a level in one array pass, level by level.
 
-    if indices.shape[0] <= config.max_leaf_size:
-        nodes.leaf_id[node_id] = len(nodes.leaf_indices)
-        nodes.leaf_indices.append(indices)
-        stats.n_leaves += 1
-        return node_id
+    A node is a range of ``order``, which is refined in place: an interior
+    node stably partitions its range into the points at or below the
+    median of its widest coordinate (left child) and the rest (right
+    child), so children stay inside their parent's range and the final
+    ``order`` lists the points leaf by leaf in preorder.  When the median
+    would leave a side empty, the value-sorted first half goes left.
+    """
+    xyz = np.ascontiguousarray(points.T)
+    order = np.arange(points.shape[0], dtype=np.intp)
+    start = np.zeros(1, dtype=np.intp)
+    size = np.array([points.shape[0]], dtype=np.intp)
+    turns = np.zeros(1, dtype=np.intp)
+    levels: List[_Level] = []
+    while start.size:
+        offsets = np.cumsum(size) - size
+        positions = np.repeat(start - offsets, size)
+        positions += np.arange(positions.size)
+        ids = np.take(order, positions)
+        coords = np.take(xyz, ids, axis=1)
+        level = _Level(start=start, size=size, turns=turns, inner=size > max_leaf_size,
+                       bbox_min=np.minimum.reduceat(coords, offsets, axis=1).T.astype(np.float64),
+                       bbox_max=np.maximum.reduceat(coords, offsets, axis=1).T.astype(np.float64))
+        levels.append(level)
+        if not level.inner.any():
+            break
+        if not level.inner.all():
+            interior = np.repeat(level.inner, size)
+            ids, coords = ids[interior], coords[:, interior]
+        start, size, turns = _split_level(level, order, ids, coords)
+    return levels, order
 
-    spread = bbox_max - bbox_min
-    split_dim = int(np.argmax(spread))
-    values = subset[:, split_dim]
-    split_value = float(np.median(values))
 
-    left_mask = values <= split_value
-    # Degenerate splits (all values equal, or the median swallowing every
-    # point) are resolved by splitting the sorted order in half, which keeps
-    # the recursion making progress.
-    if left_mask.all() or not left_mask.any():
-        order = np.argsort(values, kind="stable")
-        half = indices.shape[0] // 2
-        left_idx = indices[order[:half]]
-        right_idx = indices[order[half:]]
-    else:
-        left_idx = indices[left_mask]
-        right_idx = indices[~left_mask]
+def _split_level(level: _Level, order: np.ndarray, ids: np.ndarray,
+                 coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the interior nodes of ``level``; returns the children's ranges.
 
-    left_values = points[left_idx, split_dim].astype(np.float64)
-    right_values = points[right_idx, split_dim].astype(np.float64)
-    split_low = float(left_values.max())
-    split_high = float(right_values.min())
+    ``ids`` and the ``(3, n)`` ``coords`` are the interior nodes' points in
+    ``order`` order.  The median is what ``np.median`` returns: the middle
+    value, or the float64 mean of the two middle values.  Each node's
+    values are sorted as one integer key: the node, then the float32
+    value's order-preserving bits.
+    """
+    inner = level.inner
+    start, size = level.start[inner], level.size[inner]
+    offsets = np.cumsum(size) - size
+    node = np.repeat(np.arange(size.size), size)
+    split_dim = np.argmax(level.bbox_max[inner] - level.bbox_min[inner], axis=1)
+    element = np.arange(node.size)
+    values = np.take(coords, split_dim[node] * node.size + element)
+    keys = _ordered_bits(values.view(np.int32)).astype(np.int64)
+    keys += node.astype(np.int64) << 32
+    keys.sort()
 
-    left = _build_recursive(points, left_idx, config, stats, nodes, depth + 1)
-    right = _build_recursive(points, right_idx, config, stats, nodes, depth + 1)
-    stats.n_interior += 1
-    nodes.split[node_id] = (split_dim, split_value, split_low, split_high, left, right)
-    return node_id
+    def sorted_value(rank: np.ndarray) -> np.ndarray:
+        """Each node's ``rank``-th smallest value, as float64."""
+        bits = np.take(keys, offsets + rank).astype(np.int32)  # the low 32 bits
+        return _ordered_bits(bits).view(np.float32).astype(np.float64)
+
+    upper = sorted_value(size // 2)
+    split_value = np.where(size % 2 == 1, upper, (sorted_value(size // 2 - 1) + upper) / 2)
+    right = values > np.take(split_value, node)
+    n_left = size - np.add.reduceat(right, offsets, dtype=np.intp)
+    degenerate = (n_left == 0) | (n_left == size)
+    n_left[degenerate] = size[degenerate] // 2
+
+    # Stable partition: a point's slot in its node is its rank among the
+    # node's left points, or the left count plus its rank among the right.
+    local = element - np.take(offsets, node)
+    rights_before = np.cumsum(right) - right
+    rights_before -= np.take(rights_before[offsets], node)
+    slot = np.where(right, np.take(n_left, node) + rights_before, local - rights_before)
+    if degenerate.any():
+        members = np.flatnonzero(np.take(degenerate, node))
+        ranked = members[np.lexsort((values[members], node[members]))]
+        slot[ranked] = local[members]
+    slot += np.take(start, node)
+    order[slot] = ids
+
+    level.split_dim = split_dim
+    level.split_value = split_value
+    level.split_low = sorted_value(n_left - 1)
+    level.split_high = sorted_value(n_left)
+    level.n_left = n_left
+    turns = level.turns[inner]
+    return (np.column_stack([start, start + n_left]).ravel(),
+            np.column_stack([n_left, size - n_left]).ravel(),
+            np.column_stack([turns, turns + 1]).ravel())
+
+
+def _ordered_bits(bits: np.ndarray) -> np.ndarray:
+    """Map float32 bit patterns (as int32) to int32 keys in the same order.
+
+    The map is its own inverse: it turns the keys back into bit patterns.
+    """
+    return bits ^ ((bits >> 31) & 0x7FFFFFFF)
+
+
+def _preorder_arrays(levels: List[_Level], order: np.ndarray) -> TreeArrays:
+    """Number the nodes of ``levels`` in preorder and write the flat arrays.
+
+    The leaves tile ``order`` in preorder, so a node's preorder id is its
+    depth (its ancestors) plus the nodes of the subtrees left of its path:
+    ``2 * L - turns``, ``L`` the leaves starting before it, each of its
+    ``turns`` right-child steps passing one whole left subtree.
+    """
+    leaf_start = np.sort(np.concatenate([lv.start[~lv.inner] for lv in levels]))
+    n_nodes = 2 * leaf_start.size - 1
+    split_dim = np.zeros(n_nodes, dtype=np.intp)
+    split_value = np.zeros(n_nodes)
+    split_low = np.zeros(n_nodes)
+    split_high = np.zeros(n_nodes)
+    left = np.full(n_nodes, -1, dtype=np.intp)
+    right = np.full(n_nodes, -1, dtype=np.intp)
+    leaf_id = np.full(n_nodes, -1, dtype=np.intp)
+    bbox_min = np.empty((n_nodes, 3))
+    bbox_max = np.empty((n_nodes, 3))
+    for depth, level in enumerate(levels):
+        before = np.searchsorted(leaf_start, level.start)
+        node = depth + 2 * before - level.turns
+        bbox_min[node] = level.bbox_min
+        bbox_max[node] = level.bbox_max
+        leaf_id[node[~level.inner]] = before[~level.inner]
+        if level.n_left is None:
+            continue
+        inner = node[level.inner]
+        split_dim[inner] = level.split_dim
+        split_value[inner] = level.split_value
+        split_low[inner] = level.split_low
+        split_high[inner] = level.split_high
+        left[inner] = inner + 1
+        left_leaves = (np.searchsorted(leaf_start, level.start[level.inner] + level.n_left)
+                       - before[level.inner])
+        right[inner] = inner + 2 * left_leaves
+    return TreeArrays(
+        split_dim=split_dim, split_value=split_value, split_low=split_low,
+        split_high=split_high, left=left, right=right, leaf_id=leaf_id,
+        bbox_min=bbox_min, bbox_max=bbox_max,
+        leaf_starts=np.append(leaf_start, order.size).astype(np.int64),
+        leaf_points=order)

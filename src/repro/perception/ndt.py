@@ -24,7 +24,7 @@ radius-search workload (the part the paper accelerates) untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from ..kdtree.build import KDTree, build_kdtree
 from ..kdtree.layout import TreeMemoryLayout
 from ..kdtree.radius_search import MemoryRecorder, SearchStats
 from ..pointcloud.cloud import PointCloud
+from ..pointcloud.filters import voxel_ids
 
 __all__ = ["VoxelGaussian", "NDTConfig", "NDTResult", "NDTMap", "NDTMatcher"]
 
@@ -87,50 +88,68 @@ class NDTMap:
         self.config = config or NDTConfig()
         if map_cloud.is_empty:
             raise ValueError("cannot build an NDT map from an empty cloud")
-        self.voxels = self._build_voxels(map_cloud)
-        if not self.voxels:
+        #: Per voxel, in order of first appearance in the map cloud: point
+        #: counts ``(V,)``, means ``(V, 3)``, covariances and inverse
+        #: covariances ``(V, 3, 3)``.  An iteration gathers every pair's
+        #: Gaussian from these at once.
+        self.counts, self.means, self.covariances = self._fit_voxels(map_cloud)
+        if not self.counts.size:
             raise ValueError(
                 "no voxel accumulated enough points; decrease min_points_per_voxel "
                 "or increase voxel_size"
             )
-        #: Voxel means ``(V, 3)`` and inverse covariances ``(V, 3, 3)``,
-        #: stacked once so an iteration gathers every pair's Gaussian at once.
-        self.means = np.array([voxel.mean for voxel in self.voxels])
-        self.inverse_covariances = np.array(
-            [voxel.inverse_covariance for voxel in self.voxels])
+        self.inverse_covariances = np.linalg.inv(self.covariances)
+        self._voxels: Optional[List[VoxelGaussian]] = None
         self.tree: KDTree = build_kdtree(self.means.astype(np.float32))
 
-    def _build_voxels(self, cloud: PointCloud) -> List[VoxelGaussian]:
+    @property
+    def voxels(self) -> List[VoxelGaussian]:
+        """The voxel Gaussians as objects (created on first access)."""
+        if self._voxels is None:
+            self._voxels = [
+                VoxelGaussian(mean=mean, covariance=covariance,
+                              inverse_covariance=inverse, n_points=int(count))
+                for mean, covariance, inverse, count in zip(
+                    self.means, self.covariances, self.inverse_covariances, self.counts)
+            ]
+        return self._voxels
+
+    def _fit_voxels(self, cloud: PointCloud) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Counts, means and regularised covariances of the occupied voxels.
+
+        Voxels with the same point count are fitted as one ``(G, k, 3)``
+        stack with the per-voxel arithmetic: sequential sums
+        (``np.add.reduce`` along the points, as ``mean`` does) and one
+        matrix product per voxel; the eigen-decomposition, the eigenvalue
+        floor and the reconstruction then run once over all voxels.
+        """
         config = self.config
         points = cloud.points.astype(np.float64)
-        keys = np.floor(points / config.voxel_size).astype(np.int64)
-        voxels: List[VoxelGaussian] = []
-        _, inverse = np.unique(keys, axis=0, return_inverse=True)
-        buckets: Dict[int, List[int]] = {}
-        for index, bucket in enumerate(inverse):
-            buckets.setdefault(int(bucket), []).append(index)
-        for indices in buckets.values():
-            if len(indices) < config.min_points_per_voxel:
-                continue
-            subset = points[indices]
-            mean = subset.mean(axis=0)
-            centered = subset - mean
-            covariance = centered.T @ centered / max(len(indices) - 1, 1)
-            # Regularise small eigenvalues (as PCL's VoxelGridCovariance does)
-            # so the inverse exists and thin surfaces keep a usable basin.
-            eigvals, eigvecs = np.linalg.eigh(covariance)
-            floor = max(max(eigvals.max(), 1e-6) * 1e-2, config.min_component_std ** 2)
-            eigvals = np.maximum(eigvals, floor)
-            covariance = eigvecs @ np.diag(eigvals) @ eigvecs.T
-            voxels.append(
-                VoxelGaussian(
-                    mean=mean,
-                    covariance=covariance,
-                    inverse_covariance=np.linalg.inv(covariance),
-                    n_points=len(indices),
-                )
-            )
-        return voxels
+        ids = voxel_ids(points, config.voxel_size)
+        by_voxel = np.argsort(ids, kind="stable")
+        counts = np.bincount(ids)
+        starts = np.cumsum(counts) - counts
+        # First-appearance order: by each voxel's lowest point index.
+        voxels = np.argsort(by_voxel[starts])
+        voxels = voxels[counts[voxels] >= config.min_points_per_voxel]
+        counts, starts = counts[voxels], starts[voxels]
+        means = np.empty((voxels.size, 3))
+        covariances = np.empty((voxels.size, 3, 3))
+        for size in np.unique(counts).tolist():
+            group = np.flatnonzero(counts == size)
+            stack = points[by_voxel[starts[group, None] + np.arange(size)]]
+            mean = np.add.reduce(stack, axis=1) / size
+            centered = stack - mean[:, None, :]
+            covariances[group] = centered.transpose(0, 2, 1) @ centered / max(size - 1, 1)
+            means[group] = mean
+        # Regularise small eigenvalues (as PCL's VoxelGridCovariance does)
+        # so the inverse exists and thin surfaces keep a usable basin.
+        eigvals, eigvecs = np.linalg.eigh(covariances)
+        floor = np.maximum(np.maximum(eigvals.max(axis=1), 1e-6) * 1e-2,
+                           config.min_component_std ** 2)
+        eigvals = np.maximum(eigvals, floor[:, None])
+        covariances = eigvecs @ (eigvals[:, :, None] * np.eye(3)) @ eigvecs.transpose(0, 2, 1)
+        return counts, means, covariances
 
 
 class NDTMatcher:

@@ -131,21 +131,28 @@ class ClusterTracker:
     # ------------------------------------------------------------------
     def _associate(self, detections: Sequence[DetectedObject],
                    dt: float) -> List[Tuple[int, int]]:
-        """Greedy gated nearest-neighbour assignment (track_id, detection_index)."""
+        """Greedy gated nearest-neighbour assignment (track_id, detection_index).
+
+        Every (track, detection) distance comes from one stacked
+        ``(1, 3) @ (3, 1)`` product, which runs the dot routine
+        ``np.linalg.norm`` uses on a single pair, so gating and ranking see
+        the same distances.  Candidates go by distance, then track id, then
+        detection index.
+        """
         if not detections or not self._tracks:
             return []
-        candidates: List[Tuple[float, int, int]] = []
-        for track_id, track in self._tracks.items():
-            predicted = track.predict(dt)
-            for detection_index, detection in enumerate(detections):
-                distance = float(np.linalg.norm(predicted - detection.centroid))
-                if distance <= self.config.gating_distance:
-                    candidates.append((distance, track_id, detection_index))
-        candidates.sort()
+        track_ids = np.fromiter(self._tracks, dtype=np.intp, count=len(self._tracks))
+        predicted = np.array([track.predict(dt) for track in self._tracks.values()])
+        centroids = np.array([detection.centroid for detection in detections], dtype=np.float64)
+        offsets = predicted[:, None, :] - centroids[None, :, :]
+        distances = np.sqrt((offsets[..., None, :] @ offsets[..., :, None])[..., 0, 0])
+        rows, columns = np.nonzero(distances <= self.config.gating_distance)
+        ranked = np.lexsort((columns, track_ids[rows], distances[rows, columns]))
         assignments: List[Tuple[int, int]] = []
         used_tracks: set = set()
         used_detections: set = set()
-        for distance, track_id, detection_index in candidates:
+        for track_id, detection_index in zip(track_ids[rows[ranked]].tolist(),
+                                             columns[ranked].tolist()):
             if track_id in used_tracks or detection_index in used_detections:
                 continue
             assignments.append((track_id, detection_index))

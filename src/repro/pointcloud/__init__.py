@@ -8,6 +8,7 @@ from .filters import (
     range_filter,
     remove_ground_plane,
     voxel_grid_filter,
+    voxel_ids,
 )
 from .io import load_npz, load_pcd, save_npz, save_pcd
 from .lidar import HDL64E_RANGE_M, Lidar, LidarConfig
@@ -23,6 +24,7 @@ __all__ = [
     "range_filter",
     "remove_ground_plane",
     "voxel_grid_filter",
+    "voxel_ids",
     "load_npz",
     "load_pcd",
     "save_npz",

@@ -16,6 +16,7 @@ import numpy as np
 from .cloud import PointCloud
 
 __all__ = [
+    "voxel_ids",
     "voxel_grid_filter",
     "crop_box_filter",
     "remove_ground_plane",
@@ -25,12 +26,31 @@ __all__ = [
 ]
 
 
+def voxel_ids(points: np.ndarray, size: float) -> np.ndarray:
+    """The cubic voxel (edge ``size``) of every point, numbered lexicographically.
+
+    A point's voxel is the floor of its float64 coordinates over ``size``.
+    The ids are those ``np.unique(voxels, axis=0, return_inverse=True)``
+    gives: voxels in lexicographic (x, y, z) order.  The three integer
+    coordinates are sorted as separate keys, so no packed key can overflow
+    however fine the voxels or wide the cloud.
+    """
+    voxels = np.floor(np.asarray(points, dtype=np.float64) / size).astype(np.int64)
+    order = np.lexsort(voxels.T[::-1])
+    ranked = voxels[order]
+    first = np.ones(order.size, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    ids = np.empty(order.size, dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
+    return ids
+
+
 def voxel_grid_filter(cloud: PointCloud, leaf_size: float) -> PointCloud:
     """Downsample by keeping one centroid per occupied voxel.
 
     Matches PCL's ``VoxelGrid`` behaviour: points are bucketed into cubic
     voxels of edge ``leaf_size`` and each occupied voxel contributes the
-    centroid of its points.
+    centroid of its points.  Centroids come in lexicographic voxel order.
     """
     if leaf_size <= 0.0:
         raise ValueError("leaf_size must be positive")
@@ -38,11 +58,10 @@ def voxel_grid_filter(cloud: PointCloud, leaf_size: float) -> PointCloud:
         return PointCloud(frame_id=cloud.frame_id, timestamp=cloud.timestamp)
 
     points = cloud.points.astype(np.float64)
-    coords = np.floor(points / leaf_size).astype(np.int64)
-    # Unique voxel per point; centroid per voxel.
-    _, inverse, counts = np.unique(coords, axis=0, return_inverse=True, return_counts=True)
+    ids = voxel_ids(points, leaf_size)
+    counts = np.bincount(ids)
     sums = np.zeros((counts.shape[0], 3), dtype=np.float64)
-    np.add.at(sums, inverse, points)
+    np.add.at(sums, ids, points)
     centroids = sums / counts[:, None]
     return PointCloud(centroids.astype(np.float32), cloud.frame_id, cloud.timestamp)
 

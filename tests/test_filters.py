@@ -13,7 +13,54 @@ from repro.pointcloud import (
     range_filter,
     remove_ground_plane,
     voxel_grid_filter,
+    voxel_ids,
 )
+
+
+def _unique_voxel_ids(points, size):
+    """``np.unique(axis=0)`` over the integer voxels: the oracle of ``voxel_ids``."""
+    voxels = np.floor(np.asarray(points, dtype=np.float64) / size).astype(np.int64)
+    _, inverse = np.unique(voxels, axis=0, return_inverse=True)
+    return inverse.ravel()
+
+
+class TestVoxelIds:
+    def _check(self, points, size):
+        ids = voxel_ids(points, size)
+        assert ids.dtype == np.intp
+        np.testing.assert_array_equal(ids, _unique_voxel_ids(points, size))
+        return ids
+
+    def test_lidar_frame(self, lidar_frame):
+        for size in (0.3, 0.4, 2.0):
+            self._check(lidar_frame.points, size)
+
+    def test_negative_coordinates(self):
+        rng = np.random.default_rng(1)
+        points = rng.uniform(-3.0, 3.0, size=(500, 3))
+        points[:5] = [[-0.0, 0.0, -1e-9], [0.0, -0.0, 1e-9], [-1.0, -1.0, -1.0],
+                      [-1.0 + 1e-12, -2.0, 0.0], [-3.0, 3.0, -3.0]]
+        ids = self._check(points, 1.0)
+        assert ids[0] != ids[1]  # -1e-9 and 1e-9 lie on either side of z = 0
+
+    def test_micrometre_voxels_over_a_100_m_cloud(self):
+        rng = np.random.default_rng(2)
+        points = rng.uniform(-50.0, 50.0, size=(2000, 3))
+        points[1000:1010] = points[0] + rng.uniform(0.0, 1e-7, size=(10, 3))
+        ids = self._check(points, 1e-6)
+        assert len(np.unique(ids)) < len(points)
+
+    def test_single_point(self):
+        np.testing.assert_array_equal(self._check(np.array([[1.5, -2.5, 3.0]]), 0.5), [0])
+
+    def test_voxel_grid_filter_matches_unique_centroids(self, lidar_frame):
+        points = lidar_frame.points.astype(np.float64)
+        inverse = _unique_voxel_ids(points, 0.3)
+        counts = np.bincount(inverse)
+        sums = np.zeros((counts.size, 3))
+        np.add.at(sums, inverse, points)
+        want = (sums / counts[:, None]).astype(np.float32)
+        assert voxel_grid_filter(lidar_frame, 0.3).points.tobytes() == want.tobytes()
 
 
 class TestVoxelGrid:

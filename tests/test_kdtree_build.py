@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import List
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kdtree import DEFAULT_MAX_LEAF_SIZE, KDTreeConfig, build_kdtree
+from repro.kdtree import DEFAULT_MAX_LEAF_SIZE, KDTreeConfig, KDTreeStats, build_kdtree
+from repro.kdtree.build import TreeArrays
 from repro.pointcloud import PointCloud
 
 
@@ -27,6 +31,15 @@ class TestBuildBasics:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             build_kdtree(np.zeros((10, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        points = np.random.default_rng(0).uniform(-1, 1, size=(400, 3))
+        points[123, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            build_kdtree(points)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            build_kdtree(PointCloud(points.astype(np.float32)))
 
     def test_accepts_pointcloud_and_array(self, random_cloud):
         from_cloud = build_kdtree(random_cloud)
@@ -130,3 +143,157 @@ class TestBuildProperty:
         tree.validate()
         assert tree.n_points == n_points
         assert sum(leaf.n_points for leaf in tree.leaves) == n_points
+        _assert_matches_oracle(points, max_leaf_size)
+
+
+# ----------------------------------------------------------------------
+# The recursive builder: one node per call, ``np.median`` per split.  It is
+# the oracle the level-synchronous build must equal field by field.
+# ----------------------------------------------------------------------
+class _NodeTable:
+    """Per-node fields in preorder plus the leaves' point ids, as lists."""
+
+    def __init__(self):
+        self.split = []  # (split_dim, split_value, split_low, split_high, left, right)
+        self.leaf_id: List[int] = []
+        self.bbox_min: List[np.ndarray] = []
+        self.bbox_max: List[np.ndarray] = []
+        self.leaf_indices: List[np.ndarray] = []
+
+    def add(self, bbox_min: np.ndarray, bbox_max: np.ndarray) -> int:
+        self.split.append((0, 0.0, 0.0, 0.0, -1, -1))
+        self.leaf_id.append(-1)
+        self.bbox_min.append(bbox_min)
+        self.bbox_max.append(bbox_max)
+        return len(self.leaf_id) - 1
+
+    def arrays(self) -> TreeArrays:
+        split_dim, split_value, split_low, split_high, left, right = zip(*self.split)
+        starts = np.zeros(len(self.leaf_indices) + 1, dtype=np.int64)
+        np.cumsum([len(i) for i in self.leaf_indices], out=starts[1:])
+        return TreeArrays(
+            split_dim=np.array(split_dim, dtype=np.intp),
+            split_value=np.array(split_value, dtype=np.float64),
+            split_low=np.array(split_low, dtype=np.float64),
+            split_high=np.array(split_high, dtype=np.float64),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            leaf_id=np.array(self.leaf_id, dtype=np.intp),
+            bbox_min=np.array(self.bbox_min, dtype=np.float64),
+            bbox_max=np.array(self.bbox_max, dtype=np.float64),
+            leaf_starts=starts,
+            leaf_points=np.concatenate(self.leaf_indices),
+        )
+
+
+def _build_recursive(points, indices, max_leaf_size, stats, nodes, depth) -> int:
+    stats.max_depth = max(stats.max_depth, depth)
+    subset = points[indices].astype(np.float64)
+    bbox_min = subset.min(axis=0)
+    bbox_max = subset.max(axis=0)
+    node_id = nodes.add(bbox_min, bbox_max)
+
+    if indices.shape[0] <= max_leaf_size:
+        nodes.leaf_id[node_id] = len(nodes.leaf_indices)
+        nodes.leaf_indices.append(indices)
+        stats.n_leaves += 1
+        return node_id
+
+    spread = bbox_max - bbox_min
+    split_dim = int(np.argmax(spread))
+    values = subset[:, split_dim]
+    split_value = float(np.median(values))
+
+    left_mask = values <= split_value
+    if left_mask.all() or not left_mask.any():
+        order = np.argsort(values, kind="stable")
+        half = indices.shape[0] // 2
+        left_idx = indices[order[:half]]
+        right_idx = indices[order[half:]]
+    else:
+        left_idx = indices[left_mask]
+        right_idx = indices[~left_mask]
+
+    split_low = float(points[left_idx, split_dim].astype(np.float64).max())
+    split_high = float(points[right_idx, split_dim].astype(np.float64).min())
+    left = _build_recursive(points, left_idx, max_leaf_size, stats, nodes, depth + 1)
+    right = _build_recursive(points, right_idx, max_leaf_size, stats, nodes, depth + 1)
+    stats.n_interior += 1
+    nodes.split[node_id] = (split_dim, split_value, split_low, split_high, left, right)
+    return node_id
+
+
+def _recursive_oracle(points: np.ndarray, max_leaf_size: int):
+    points = np.ascontiguousarray(points, dtype=np.float32)
+    stats = KDTreeStats(n_points=points.shape[0])
+    nodes = _NodeTable()
+    _build_recursive(points, np.arange(points.shape[0], dtype=np.intp), max_leaf_size,
+                     stats, nodes, depth=0)
+    return nodes.arrays(), stats
+
+
+def _assert_matches_oracle(points: np.ndarray, max_leaf_size: int) -> None:
+    tree = build_kdtree(points, KDTreeConfig(max_leaf_size=max_leaf_size))
+    want, want_stats = _recursive_oracle(points, max_leaf_size)
+    for field in fields(TreeArrays):
+        got, expected = getattr(tree.arrays, field.name), getattr(want, field.name)
+        assert got.dtype == expected.dtype, field.name
+        assert np.array_equal(got, expected), field.name
+    assert tree.stats == want_stats
+
+
+def _cloud(family: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A cloud of one of the degenerate families the build must get right."""
+    if family == "lattice":
+        side = int(np.ceil(n ** (1 / 3)))
+        grid = np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        return (grid[rng.permutation(len(grid))[:n]] * 0.5).astype(np.float32)
+    if family == "duplicates":
+        base = rng.normal(0.0, 5.0, size=(max(n // 4, 1), 3))
+        return base[rng.integers(len(base), size=n)].astype(np.float32)
+    if family == "all-equal":
+        return np.tile(rng.normal(size=(1, 3)), (n, 1)).astype(np.float32)
+    if family == "coplanar":
+        points = rng.uniform(-10.0, 10.0, size=(n, 3))
+        points[:, rng.integers(3)] = rng.uniform(-1.0, 1.0)
+        return points.astype(np.float32)
+    if family == "collinear":
+        direction = rng.normal(size=3)
+        return (rng.normal(size=3) + rng.uniform(-5, 5, (n, 1)) * direction).astype(np.float32)
+    if family == "signed-zeros":
+        return rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), size=(n, 3)).astype(np.float32)
+    if family == "close-spreads":
+        # y spreads 1 + 1e-8, x exactly 1: equal in float32, apart in float64.
+        points = rng.uniform(0.0, 0.5, size=(n, 3))
+        points[:, 0] = rng.choice([0.0, 1.0], size=n)
+        points[:, 1] = rng.choice([-1e-8, 1.0], size=n)
+        return points.astype(np.float32)
+    # "on-split-planes": quarter steps, so medians and the midpoints of even
+    # medians land exactly on other points' coordinates.
+    return (rng.integers(-8, 9, size=(n, 3)) * 0.25).astype(np.float32)
+
+
+FAMILIES = ["lattice", "duplicates", "all-equal", "coplanar", "collinear",
+            "signed-zeros", "close-spreads", "on-split-planes"]
+
+
+class TestMatchesRecursiveBuild:
+    @given(family=st.sampled_from(FAMILIES),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_points=st.integers(min_value=1, max_value=300),
+           max_leaf_size=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_clouds(self, family, seed, n_points, max_leaf_size):
+        points = _cloud(family, n_points, np.random.default_rng(seed))
+        _assert_matches_oracle(points, max_leaf_size)
+
+    def test_frame(self, filtered_frame):
+        _assert_matches_oracle(filtered_frame.points, DEFAULT_MAX_LEAF_SIZE)
+
+    @pytest.mark.parametrize("max_leaf_size", [8, DEFAULT_MAX_LEAF_SIZE])
+    def test_100k_point_map(self, max_leaf_size):
+        from repro.scenarios import get_scenario
+        from repro.scenarios.map_scale import sample_map_cloud
+
+        points = sample_map_cloud(get_scenario("city_block").scene(), 100_000, seed=1)
+        _assert_matches_oracle(points, max_leaf_size)

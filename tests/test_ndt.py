@@ -7,7 +7,7 @@ import pytest
 
 from repro.engine import ExecutionConfig
 from repro.perception import NDTConfig, NDTMap, NDTMatcher
-from repro.pointcloud import PointCloud
+from repro.pointcloud import PointCloud, preprocess_for_clustering, voxel_grid_filter
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +160,102 @@ class TestEvaluateMatchesPairLoop:
         want = _pair_loop_evaluate(matcher, points, np.zeros(3))
         assert np.signbit(want[1]).sum() == 0
         _assert_bitwise(matcher._evaluate(points, np.zeros(3)), want)
+
+
+def _per_voxel_fit(cloud, config):
+    """The per-voxel loop, the oracle of ``NDTMap``'s one-pass voxel fit.
+
+    Returns ``(n_points, mean, covariance, inverse)`` per voxel, voxels in
+    order of first appearance.
+    """
+    points = cloud.points.astype(np.float64)
+    keys = np.floor(points / config.voxel_size).astype(np.int64)
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    buckets = {}
+    for index, bucket in enumerate(inverse.ravel().tolist()):
+        buckets.setdefault(bucket, []).append(index)
+    fitted = []
+    for indices in buckets.values():
+        if len(indices) < config.min_points_per_voxel:
+            continue
+        subset = points[indices]
+        mean = subset.mean(axis=0)
+        centered = subset - mean
+        covariance = centered.T @ centered / max(len(indices) - 1, 1)
+        eigvals, eigvecs = np.linalg.eigh(covariance)
+        floor = max(max(eigvals.max(), 1e-6) * 1e-2, config.min_component_std ** 2)
+        eigvals = np.maximum(eigvals, floor)
+        covariance = eigvecs @ np.diag(eigvals) @ eigvecs.T
+        fitted.append((len(indices), mean, covariance, np.linalg.inv(covariance)))
+    return fitted
+
+
+def _assert_fit_matches_loop(cloud, config) -> NDTMap:
+    ndt_map = NDTMap(cloud, config)
+    want = _per_voxel_fit(cloud, config)
+    assert ndt_map.counts.tolist() == [n for n, _, _, _ in want]
+    for name, column in (("means", 1), ("covariances", 2), ("inverse_covariances", 3)):
+        got = getattr(ndt_map, name)
+        assert got.tobytes() == np.array([fit[column] for fit in want]).tobytes(), name
+    for voxel, (n, mean, covariance, inverse) in zip(ndt_map.voxels, want):
+        assert voxel.n_points == n
+        assert voxel.mean.tobytes() == mean.tobytes()
+        assert voxel.covariance.tobytes() == covariance.tobytes()
+        assert voxel.inverse_covariance.tobytes() == inverse.tobytes()
+    return ndt_map
+
+
+def _voxel_points(rng, corner, n, voxel_size=2.0, flat_axis=None):
+    """``n`` points inside the voxel whose lowest corner is ``corner``."""
+    points = np.asarray(corner, dtype=np.float64) + rng.uniform(0.05, 0.95, (n, 3)) * voxel_size
+    if flat_axis is not None:
+        points[:, flat_axis] = corner[flat_axis] + 0.5 * voxel_size
+    return points
+
+
+class TestVoxelFitMatchesPerVoxelLoop:
+    def test_urban_frames(self, small_sequence):
+        from repro.workloads.pipeline import PipelineRunnerConfig
+
+        localization = PipelineRunnerConfig().localization_config
+        for index in range(len(small_sequence)):
+            cloud = voxel_grid_filter(
+                preprocess_for_clustering(small_sequence.frame(index), localization.preprocess),
+                localization.scan_voxel_size)
+            _assert_fit_matches_loop(cloud, localization.ndt)
+
+    def test_structured_map(self, structured_map_cloud):
+        _assert_fit_matches_loop(structured_map_cloud, NDTConfig(voxel_size=2.0))
+
+    def test_voxel_with_exactly_min_points(self):
+        rng = np.random.default_rng(5)
+        config = NDTConfig(voxel_size=2.0, min_points_per_voxel=4)
+        cloud = PointCloud(np.vstack([
+            _voxel_points(rng, (0.0, 0.0, 0.0), 3),
+            _voxel_points(rng, (2.0, 0.0, 0.0), 4),
+            _voxel_points(rng, (-4.0, 2.0, 0.0), 5),
+        ]).astype(np.float32))
+        ndt_map = _assert_fit_matches_loop(cloud, config)
+        assert ndt_map.counts.tolist() == [4, 5]
+
+    def test_planar_voxel_hits_the_eigenvalue_floor(self):
+        rng = np.random.default_rng(6)
+        config = NDTConfig(voxel_size=2.0)
+        cloud = PointCloud(np.vstack([
+            _voxel_points(rng, (0.0, 0.0, 0.0), 30, flat_axis=2),
+            _voxel_points(rng, (2.0, 2.0, 0.0), 30),
+        ]).astype(np.float32))
+        ndt_map = _assert_fit_matches_loop(cloud, config)
+        eigvals = np.linalg.eigvalsh(ndt_map.covariances[0])
+        assert eigvals.min() == pytest.approx(config.min_component_std ** 2)
+
+    def test_dense_voxel_among_sparse_ones(self):
+        rng = np.random.default_rng(7)
+        config = NDTConfig(voxel_size=2.0, min_points_per_voxel=4)
+        sparse = [_voxel_points(rng, (2.0 * i, 2.0 * j, 0.0), int(rng.integers(3, 8)))
+                  for i in range(-6, 6) for j in range(-6, 6) if (i, j) != (1, 1)]
+        dense = _voxel_points(rng, (2.0, 2.0, 0.0), 5000)
+        points = np.vstack(sparse[:40] + [dense] + sparse[40:])
+        cloud = PointCloud(points[rng.permutation(len(points))].astype(np.float32))
+        ndt_map = _assert_fit_matches_loop(cloud, config)
+        assert ndt_map.counts.max() == 5000

@@ -23,6 +23,75 @@ def _detection(cluster_id: int, center, label: str = "vehicle",
     )
 
 
+def _pair_loop_associate(tracker, detections, dt):
+    """The scalar pair loop, the oracle of ``ClusterTracker._associate``."""
+    if not detections or not tracker._tracks:
+        return []
+    candidates = []
+    for track_id, track in tracker._tracks.items():
+        predicted = track.predict(dt)
+        for detection_index, detection in enumerate(detections):
+            distance = float(np.linalg.norm(predicted - detection.centroid))
+            if distance <= tracker.config.gating_distance:
+                candidates.append((distance, track_id, detection_index))
+    candidates.sort()
+    assignments = []
+    used_tracks, used_detections = set(), set()
+    for _, track_id, detection_index in candidates:
+        if track_id in used_tracks or detection_index in used_detections:
+            continue
+        assignments.append((track_id, detection_index))
+        used_tracks.add(track_id)
+        used_detections.add(detection_index)
+    return assignments
+
+
+class TestAssociateMatchesPairLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_frames(self, seed):
+        """Noisy and lattice centroids (distance ties), float32 and float64."""
+        rng = np.random.default_rng(seed)
+        tracker = ClusterTracker(TrackerConfig(gating_distance=float(rng.uniform(0.5, 4.0)),
+                                               max_misses=2))
+        dtype = np.float32 if seed % 2 else np.float64
+        for step in range(8):
+            n = int(rng.integers(0, 40))
+            if seed % 3 == 0:
+                centers = rng.integers(-4, 5, size=(n, 3)) * 0.5
+            else:
+                centers = rng.normal(0.0, 8.0, size=(n, 3))
+            detections = [_detection(i, c.astype(dtype)) for i, c in enumerate(centers)]
+            dt = 0.1 * (step % 3)
+            assert tracker._associate(detections, dt) == _pair_loop_associate(
+                tracker, detections, dt)
+            tracker.update(detections, timestamp=0.1 * step)
+
+    def test_gate_sees_the_pair_loop_distance(self):
+        """Detections within an ulp or two of the gate, one at a time."""
+        rng = np.random.default_rng(11)
+        tracker = ClusterTracker(TrackerConfig(gating_distance=2.0, confirmation_hits=1))
+        origin = np.array([0.3, -0.2, 0.1])
+        tracker.update([_detection(0, origin)], timestamp=0.0)
+        directions = rng.normal(size=(400, 3))
+        centers = origin + 2.0 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        associated = 0
+        for center in centers:
+            detections = [_detection(0, center)]
+            assignments = tracker._associate(detections, 0.0)
+            assert assignments == _pair_loop_associate(tracker, detections, 0.0)
+            associated += len(assignments)
+        assert 0 < associated < len(centers)
+
+    def test_detection_exactly_at_the_gate(self):
+        tracker = ClusterTracker(TrackerConfig(gating_distance=2.0, confirmation_hits=1))
+        tracker.update([_detection(0, (0, 0, 0)), _detection(1, (10, 0, 0))], timestamp=0.0)
+        detections = [_detection(0, (10.0, 2.0, 0.0)), _detection(1, (2.0, 0.0, 0.0)),
+                      _detection(2, (0.0, 1.2, 1.6))]
+        assignments = tracker._associate(detections, 0.0)
+        assert assignments == _pair_loop_associate(tracker, detections, 0.0)
+        assert (0, 1) in assignments and (1, 0) in assignments
+
+
 class TestTrackLifecycle:
     def test_new_detections_spawn_tentative_tracks(self):
         tracker = ClusterTracker()
