@@ -50,7 +50,7 @@ __all__ = [
 MAP_SCALE_GEOMETRY_NAMES: Tuple[str, ...] = ("l2-256k", "table-iv", "l2-4m")
 
 #: The compared search flavours (recorded runs always trace the flavour's
-#: per-query path, so ``-batched``/``-mp`` strategy suffixes are moot here).
+#: per-query path, so the ``-batched`` strategy suffix is moot here).
 MAP_SCALE_FLAVORS: Tuple[str, ...] = ("baseline", "bonsai")
 
 

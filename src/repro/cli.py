@@ -23,9 +23,8 @@ The CLI exposes the most common flows without writing Python:
 ``python -m repro pipeline --scenario <name>``
     Run the end-to-end perception pipeline (clustering → filtering →
     tracking → NDT localization) over a scenario sequence and print the
-    per-stage report.  ``--backend`` selects the execution backend by name
-    (including the multiprocessing ``*-batched-mp`` strategies); with
-    ``--hardware`` the search stages run through the trace-driven
+    per-stage report.  ``--backend`` selects the execution backend by name;
+    with ``--hardware`` the search stages run through the trace-driven
     cache/timing/energy models (:mod:`repro.hwmodel`) and the per-stage
     hardware report (miss ratios, bytes per level, cycles, energy) is
     printed as well.
@@ -40,12 +39,6 @@ The CLI exposes the most common flows without writing Python:
     (:class:`~repro.engine.sharded.ShardedPointCloudIndex`) over a
     1M+-point map cloud, probed in recorded mode across the L2-size cut,
     printing the map-scale sensitivity table.
-``python -m repro serve-bench``
-    Run the serving-load experiment (:mod:`repro.serve.loadgen`): one
-    shared-memory :class:`~repro.serve.store.SharedCloudStore` (built and
-    compressed exactly once) serving ``--clients`` attaching client
-    processes firing mixed radius/kNN traffic; prints fleet throughput and
-    per-class p50/p95/p99 latency (the ``bench_serving_load.py`` table).
 ``python -m repro campaign``
     Run a differential-testing campaign (:mod:`repro.campaign`):
     ``--budget`` seed-derived randomized worlds, each fired at every
@@ -237,25 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     hw_sweep.add_argument("--map-queries", type=_positive_int, default=256,
                           help="map-scale mode: radius queries in the "
                                "recorded batch")
-
-    serve_bench = subparsers.add_parser(
-        "serve-bench",
-        help="serving load: N client processes attach to one shared-memory "
-             "store and fire mixed radius/kNN traffic")
-    serve_bench.add_argument("--clients", type=_positive_int, default=4,
-                             help="client processes attaching to the store")
-    serve_bench.add_argument("--points", type=_positive_int, default=15_000,
-                             help="points in the shared cloud")
-    serve_bench.add_argument("--requests", type=_positive_int, default=24,
-                             help="requests per client")
-    serve_bench.add_argument("--queries", type=_positive_int, default=96,
-                             help="queries per request batch")
-    serve_bench.add_argument("--radius", type=float, default=0.6,
-                             help="radius of the radius-search requests [m]")
-    serve_bench.add_argument("--k", type=int, default=5,
-                             help="neighbours per kNN request")
-    serve_bench.add_argument("--seed", type=int, default=7,
-                             help="cloud/request-stream seed")
 
     campaign = subparsers.add_parser(
         "campaign",
@@ -712,22 +686,6 @@ def _cmd_hw_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .serve import render_serving_load, run_serving_load
-
-    result = run_serving_load(
-        n_clients=args.clients,
-        n_points=args.points,
-        n_requests=args.requests,
-        n_queries=args.queries,
-        radius=args.radius,
-        k=args.k,
-        seed=args.seed,
-    )
-    print(render_serving_load(result))
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaign import CampaignConfig, run_campaign
 
@@ -851,7 +809,6 @@ _COMMANDS = {
     "scenarios": _cmd_scenarios,
     "pipeline": _cmd_pipeline,
     "hw-sweep": _cmd_hw_sweep,
-    "serve-bench": _cmd_serve_bench,
     "campaign": _cmd_campaign,
     "lint": _cmd_lint,
     "trends": _cmd_trends,

@@ -1,7 +1,6 @@
 """K-D Bonsai core: float formats, error model, leaf compression and search."""
 
 from .bitstream import BitReader, BitWriter
-from .bonsai_knn import BonsaiKNNStats, BonsaiNearestNeighbors
 from .bonsai_search import BonsaiLeafInspector, BonsaiRadiusSearch, BonsaiStats
 from .compressed_leaf import (
     CompressedRef,
@@ -45,8 +44,6 @@ from .stats import LeafSimilarityStats, aggregate_similarity, leaf_similarity
 __all__ = [
     "BitReader",
     "BitWriter",
-    "BonsaiKNNStats",
-    "BonsaiNearestNeighbors",
     "BonsaiLeafInspector",
     "BonsaiRadiusSearch",
     "BonsaiStats",

@@ -1,15 +1,12 @@
 """Unified execution-backend API for the K-D Bonsai reproduction.
 
-One protocol, six named backends, one facade.  The paper's claims are
+One protocol, four named backends, one facade.  The paper's claims are
 comparisons between execution modes; this layer makes the mode a *name*
-(``baseline-perquery`` / ``baseline-batched`` / ``baseline-batched-mp`` /
-``bonsai-perquery`` / ``bonsai-batched`` / ``bonsai-batched-mp``), selected
-through a registry, composable with a hardware-recording wrapper, and
-carried by workload configs as :class:`ExecutionConfig` data instead of
-scattered boolean flags.  The ``-mp`` strategies shard query batches across
-worker processes with a deterministic, bitwise-identical merge
-(:mod:`repro.engine.parallel`); ``docs/PERFORMANCE.md`` is the selection
-guide.
+(``baseline-perquery`` / ``baseline-batched`` / ``bonsai-perquery`` /
+``bonsai-batched``), selected through a registry, composable with a
+hardware-recording wrapper, and carried by workload configs as
+:class:`ExecutionConfig` data instead of scattered boolean flags;
+``docs/PERFORMANCE.md`` is the selection guide.
 
 Public API
 ----------
@@ -54,7 +51,6 @@ from .backends import (
 )
 from .execution import ExecutionConfig
 from .index import PointCloudIndex
-from .parallel import BaselineBatchedMPBackend, BonsaiBatchedMPBackend
 from .registry import backend_names, get_backend, register_backend
 from .sharded import ShardedPointCloudIndex
 
@@ -62,10 +58,8 @@ __all__ = [
     "SearchBackend",
     "BaselinePerQueryBackend",
     "BaselineBatchedBackend",
-    "BaselineBatchedMPBackend",
     "BonsaiPerQueryBackend",
     "BonsaiBatchedBackend",
-    "BonsaiBatchedMPBackend",
     "recorded",
     "ExecutionConfig",
     "PointCloudIndex",

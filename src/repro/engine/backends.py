@@ -15,16 +15,12 @@ name                     implementation                                 leaf dat
 ======================== ============================================== =========
 ``baseline-perquery``    one traversal per query                        32-bit
 ``baseline-batched``     one traversal per batch (:mod:`repro.runtime`) 32-bit
-``baseline-batched-mp``  batch sharded across worker processes          32-bit
 ``bonsai-perquery``      per-query compressed search (:mod:`repro.core`) compressed
 ``bonsai-batched``       batched compressed search                      compressed
-``bonsai-batched-mp``    compressed batch sharded across processes      compressed
 ======================== ============================================== =========
 
-The four single-process backends live here; the two multiprocessing
-strategies live in :mod:`repro.engine.parallel` (they compose the batched
-backends below through the registry).  ``docs/PERFORMANCE.md`` is the
-selection guide, with measured throughput per backend.
+``docs/PERFORMANCE.md`` is the selection guide, with measured throughput
+per backend.
 
 Every backend — whatever its internal execution strategy — returns the
 uniform batched containers (:class:`~repro.runtime.batch.BatchRadiusResult`,
@@ -34,8 +30,7 @@ radius hits, and accumulates the shared counters
 :class:`~repro.core.bonsai_search.BonsaiStats` for the compressed flavours).
 All of them produce *identical* functional results; the cross-backend parity
 suite (``tests/test_backend_parity.py``) locks that down for every
-registered name — including the multiprocessing ones, whose shard merge is
-bitwise-deterministic whatever the worker completion order.
+registered name.
 
 Any backend composes with :func:`recorded`, which rebuilds it on the
 per-query path with a :class:`~repro.hwmodel.cache.HierarchyRecorder`
@@ -90,8 +85,8 @@ class SearchBackend(Protocol):
     (``stats.point_bytes_loaded`` etc.) are in bytes.  For a given tree and
     query batch every registered backend must return bitwise-identical hits
     and neighbours and charge identical functional counters — execution
-    strategy (per-query, batched, multiprocessing) is never allowed to show
-    up in results.
+    strategy (per-query or batched) is never allowed to show up in
+    results.
     """
 
     name: str
@@ -154,9 +149,7 @@ class _PerQueryBackendBase:
 
         Both flavours answer kNN through the exact 32-bit branch-and-bound
         search (radius search is the operation the compressed leaves
-        accelerate; the compressed-kNN extension lives separately in
-        :mod:`repro.core.bonsai_knn`), so all backends return identical
-        neighbours.
+        accelerate), so all backends return identical neighbours.
         """
         k = check_k(k)
         batch = as_query_batch(queries)

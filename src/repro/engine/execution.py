@@ -64,7 +64,7 @@ class ExecutionConfig:
     @property
     def strategy(self) -> str:
         """Execution strategy of the backend: everything after the flavour
-        (``"perquery"``, ``"batched"`` or ``"batched-mp"``)."""
+        (``"perquery"`` or ``"batched"``)."""
         return self.backend.split("-", 1)[1]
 
     @property
@@ -109,10 +109,8 @@ class ExecutionConfig:
         backend is the recorded per-query counterpart of the configured
         flavour — trace-driven simulation depends on the exact access order,
         which only the per-query path defines — and functional results stay
-        bitwise identical.  This holds for the ``-mp`` strategies too:
-        ``ExecutionConfig(backend="bonsai-batched-mp", hardware=True)``
-        records through ``bonsai-perquery``, so hardware runs never depend
-        on worker scheduling.
+        bitwise identical: ``ExecutionConfig(backend="bonsai-batched",
+        hardware=True)`` records through ``bonsai-perquery``.
         """
         if self.hardware or recorder is not None:
             if recorder is None:

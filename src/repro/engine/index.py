@@ -137,32 +137,13 @@ class PointCloudIndex:
     def close(self) -> None:
         """Release every cached backend (idempotent; the index stays usable).
 
-        Backends that own external resources — the ``*-batched-mp``
-        strategies and their persistent worker pools — are closed; the
-        backend cache is then cleared, so the next query builds fresh
-        backends (and a fresh pool) while the tree and its compression are
-        kept.  Merged statistics reset alongside the cache: they live on
-        the backend instances.  Calling :meth:`close` twice, or before any
-        backend was ever requested, is a no-op — and so is a call racing
-        interpreter shutdown (finalizer ordering may have torn pieces of a
-        backend down already; those errors are swallowed, but only then).
+        The backend cache is cleared, so the next query builds fresh
+        backends while the tree and its compression are kept.  Merged
+        statistics reset alongside the cache: they live on the backend
+        instances.  Calling :meth:`close` twice, or before any backend was
+        ever requested, is a no-op.
         """
-        import sys
-
-        backends, self._backends = self._backends, {}
-        for backend in backends.values():
-            close = getattr(backend, "close", None)
-            if close is None:
-                continue
-            try:
-                close()
-            except Exception:
-                # During interpreter shutdown, pool/module internals a
-                # backend's close() relies on may already be finalized
-                # (weakref.finalize ordering is unspecified across
-                # objects).  Anywhere else, the failure is real.
-                if not sys.is_finalizing():
-                    raise
+        self._backends = {}
 
     def __enter__(self) -> "PointCloudIndex":
         return self
@@ -179,8 +160,7 @@ class PointCloudIndex:
         """All indexed points within ``radius`` of each query.
 
         Identical results whatever backend serves the batch (per-query
-        index-sorted CSR form) — including the multiprocessing strategies,
-        whose shard merge is deterministic — so backend choice is purely a
+        index-sorted CSR form), so backend choice is purely a
         throughput/statistics decision (see ``docs/PERFORMANCE.md``).
         ``radius`` is in the cloud's coordinate unit (metres for the
         built-in scenarios).

@@ -17,15 +17,14 @@ derive from it, so nothing drifts).
         backend = get_backend(name, tree)
         result = backend.radius_search(queries, radius=0.6)
 
-Extending the registry follows the same pattern the ``-mp`` backends use: a
-factory with the ``factory(tree, **opts) -> SearchBackend`` signature,
-registered under a ``<flavor>-<strategy>`` name.  This is literally how
-``baseline-batched-mp`` ships (see :mod:`repro.engine.parallel`)::
+Extending the registry takes a factory with the
+``factory(tree, **opts) -> SearchBackend`` signature, registered under a
+``<flavor>-<strategy>`` name — exactly how the four built-ins at the bottom
+of this module ship::
 
     from repro.engine import register_backend
-    from repro.engine.parallel import BaselineBatchedMPBackend
 
-    register_backend("baseline-batched-mp", BaselineBatchedMPBackend)
+    register_backend("baseline-mystrategy", MyStrategyBackend)
 
 After that one call the name works everywhere backends are selected — the
 CLI ``--backend`` flags, ``ExecutionConfig``, ``PointCloudIndex.backend``,
@@ -88,10 +87,8 @@ def get_backend(name: str, tree: KDTree, **opts) -> SearchBackend:
     ``opts`` are forwarded to the backend constructor: every backend accepts
     ``stats=`` (a shared :class:`~repro.kdtree.radius_search.SearchStats`
     accumulator); the per-query flavours additionally accept ``recorder=`` /
-    ``layout=`` (the hardware-recording hooks), the Bonsai flavours ``fmt=``
-    (the reduced float format), and the ``-mp`` strategies ``n_workers=`` /
-    ``min_parallel_queries=`` (worker-pool sizing, see
-    :mod:`repro.engine.parallel`).  Raises ``KeyError`` naming the
+    ``layout=`` (the hardware-recording hooks) and the Bonsai flavours
+    ``fmt=`` (the reduced float format).  Raises ``KeyError`` naming the
     registered backends on an unknown name.
     """
     try:
@@ -106,11 +103,3 @@ register_backend("baseline-perquery", BaselinePerQueryBackend)
 register_backend("baseline-batched", BaselineBatchedBackend)
 register_backend("bonsai-perquery", BonsaiPerQueryBackend)
 register_backend("bonsai-batched", BonsaiBatchedBackend)
-
-# The multiprocessing flavours live in their own module (they build on the
-# batched backends above through this registry), imported here so the names
-# register exactly once, at the same time as the built-ins.
-from .parallel import BaselineBatchedMPBackend, BonsaiBatchedMPBackend  # noqa: E402
-
-register_backend("baseline-batched-mp", BaselineBatchedMPBackend)
-register_backend("bonsai-batched-mp", BonsaiBatchedMPBackend)

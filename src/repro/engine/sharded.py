@@ -34,15 +34,12 @@ mechanisms:
   (:func:`~repro.runtime.batch._select_nearest`, sort by
   ``(query, d2, point)``, square root applied after selection).  Query
   batches are processed in contiguous chunks concatenated through the
-  parallel shard-merge helpers (:func:`~repro.engine.parallel.merge_radius_shards`
-  / :func:`~repro.engine.parallel.merge_knn_shards`) in index order, the
-  same contract the ``-mp`` backends are locked to.
+  shard-merge helpers (:func:`~repro.engine.parallel.merge_radius_shards`
+  / :func:`~repro.engine.parallel.merge_knn_shards`) in index order.
 
-Any registered backend name runs per tile — including the
-``*-batched-mp`` strategies, whose worker pools then shard each tile's
-sub-batch a second time — and the per-tile statistics merge into
-:attr:`search_stats` / :attr:`bonsai_stats` / :attr:`hierarchy_stats`
-exactly like the unsharded facade's.
+Any registered backend name runs per tile, and the per-tile statistics
+merge into :attr:`search_stats` / :attr:`bonsai_stats` /
+:attr:`hierarchy_stats` exactly like the unsharded facade's.
 
 Example
 -------
@@ -248,12 +245,11 @@ class ShardedPointCloudIndex:
             self.tile_index(tile).ensure_compressed()
 
     def close(self) -> None:
-        """Release every built tile's backends (worker pools included).
+        """Release every built tile's backends.
 
         Idempotent; tile trees and compression stay cached, so later
         queries only rebuild backends, exactly like
-        :meth:`PointCloudIndex.close` — and shutdown-safe the same way
-        (tile closes racing interpreter finalization are swallowed).
+        :meth:`PointCloudIndex.close`.
         """
         for index in self._tile_indexes:
             if index is not None:

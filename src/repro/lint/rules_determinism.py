@@ -57,8 +57,8 @@ NONDETERMINISM_ALLOWED: Dict[str, str] = {
         "names never affect query results",
 }
 
-#: Modules exempt from the wall-clock check, with the reason.  All four
-#: read the clock for *reported* timing (stage_seconds, latency percentiles,
+#: Modules exempt from the wall-clock check, with the reason.  All three
+#: read the clock for *reported* timing (stage_seconds, stage diagnostics,
 #: CLI throughput lines) that lives beside — never inside — the
 #: deterministic ``metrics()`` the golden suites snapshot.
 WALLCLOCK_ALLOWED: Dict[str, str] = {
@@ -70,8 +70,6 @@ WALLCLOCK_ALLOWED: Dict[str, str] = {
     "repro/serve/streaming.py":
         "stage timing diagnostics; the frame fold is completion-order- and "
         "time-independent",
-    "repro/serve/loadgen.py":
-        "latency percentiles are the serving benchmark's product",
 }
 
 #: Modules exempt from the environment-read check, with the reason.

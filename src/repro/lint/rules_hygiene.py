@@ -114,8 +114,8 @@ class UnpicklableTaskRule(Rule):
                 yield self.finding(
                     module, candidate,
                     f"nested function {candidate.id!r} is not picklable — "
-                    f"move it to module level (see repro.engine.parallel's "
-                    f"_radius_shard/_knn_shard)")
+                    f"move it to module level (see repro.analysis.hw_sweep's "
+                    f"run_sweep_task)")
 
 
 #: Default expressions that create a shared mutable object once, at def time.

@@ -28,7 +28,7 @@ __all__ = ["RESOURCE_LABELS"]
 #: Constructor spellings that yield a closeable resource (matched against
 #: the *last* segments of the resolved dotted call name).
 RESOURCE_LABELS: Dict[str, str] = {
-    "PointCloudIndex": "PointCloudIndex (cached backends may own worker pools)",
+    "PointCloudIndex": "PointCloudIndex (backend cache)",
     "ShardedPointCloudIndex": "ShardedPointCloudIndex (per-tile indexes)",
     "QueryService": "QueryService (persistent worker pool)",
     "SharedMemory": "SharedMemory segment (named; leaks into /dev/shm)",

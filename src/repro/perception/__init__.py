@@ -7,7 +7,6 @@ from .cluster_filter import (
     match_clusters_to_labels,
 )
 from .euclidean_cluster import Cluster, ClusterConfig, ClusterResult, EuclideanClusterExtractor
-from .icp import ICPConfig, ICPMatcher, ICPResult
 from .ndt import NDTConfig, NDTMap, NDTMatcher, NDTResult, VoxelGaussian
 from .tracking import ClusterTracker, Track, TrackerConfig
 
@@ -20,9 +19,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterResult",
     "EuclideanClusterExtractor",
-    "ICPConfig",
-    "ICPMatcher",
-    "ICPResult",
     "NDTConfig",
     "NDTMap",
     "NDTMatcher",

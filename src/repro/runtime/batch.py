@@ -3,13 +3,12 @@
 The single-query paths (:mod:`repro.kdtree.knn`,
 :mod:`repro.kdtree.radius_search`) walk the tree once per query and pay the
 Python interpreter for every node.  The perception workloads, however, issue
-queries in large, known batches — every scan point of an NDT iteration, every
-point of a euclidean-clustering frame, every ICP correspondence round — so
-this module walks the tree's flat arrays
-(:class:`~repro.kdtree.build.TreeArrays`) once per *batch*, one tree level
-per NumPy step: every live (query, node) pair of a level moves to the
-children its query reaches in one set of array operations
-(:func:`traverse_levels`), with no Python loop over nodes.  The leaf pass
+queries in large, known batches — every scan point of an NDT iteration,
+every point of a euclidean-clustering frame — so this module walks the
+tree's flat arrays (:class:`~repro.kdtree.build.TreeArrays`) once per
+*batch*, one tree level per NumPy step: every live (query, node) pair of a
+level moves to the children its query reaches in one set of array
+operations (:func:`traverse_levels`), with no Python loop over nodes.  The leaf pass
 then takes the (query, leaf) pairs in leaf order, expands only the occupied
 (query, leaf point) pairs, ``LEAF_CHUNK_POINTS`` at a time
 (:func:`leaf_rows`), and runs the shared row-wise distance kernels

@@ -13,23 +13,14 @@ Three pieces, layered bottom-up:
   end-to-end pipeline with frame generation and clustering overlapped
   across workers behind a bounded stage queue, folding results in frame
   order so ``metrics()`` stays bitwise identical to the serial runner.
-
-:mod:`repro.serve.loadgen` drives the whole stack: N client processes
-firing mixed traffic at one resident store, reported as throughput and
-latency percentiles (``repro serve-bench`` /
-``benchmarks/bench_serving_load.py``).
 """
 
-from .loadgen import ServingLoadResult, render_serving_load, run_serving_load
 from .service import QueryService
 from .store import SharedCloudStore
 from .streaming import StreamingPipelineRunner
 
 __all__ = [
     "QueryService",
-    "ServingLoadResult",
     "SharedCloudStore",
     "StreamingPipelineRunner",
-    "render_serving_load",
-    "run_serving_load",
 ]

@@ -33,12 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine.index import DEFAULT_BACKEND, PointCloudIndex
-from ..engine.parallel import (
-    _in_daemon_process,
-    _pool_context,
-    _terminate_pool,
-    resolve_workers,
-)
+from ..engine.parallel import _in_daemon_process, _pool_context, resolve_workers
 from ..kdtree.build import KDTreeConfig
 from ..runtime.batch import BatchKNNResult, BatchRadiusResult
 from ..runtime.queries import as_query_batch, check_k, check_radius
@@ -49,7 +44,9 @@ __all__ = ["QueryService"]
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: Per-worker state: (borrowed store handle, index over the shared tree).
+#: Per-worker state of a pool worker: (borrowed store handle, index over
+#: the shared tree).  Only pool workers read it; a serial service passes its
+#: own index to :func:`_serve_request`.
 _SERVICE_STATE: Optional[Tuple[SharedCloudStore, PointCloudIndex]] = None
 
 
@@ -60,10 +57,14 @@ def _service_worker_init(store_name: str) -> None:
 
 
 def _serve_one(request: tuple):
-    """Execute one request tuple against the worker's shared index."""
+    """Pool task: execute one request tuple against the worker's index."""
     if _SERVICE_STATE is None:
         raise RuntimeError("service worker was not initialised")
-    _, index = _SERVICE_STATE
+    return _serve_request(_SERVICE_STATE[1], request)
+
+
+def _serve_request(index: PointCloudIndex, request: tuple):
+    """Execute one request tuple against ``index``."""
     kind = request[0]
     if kind == "radius":
         _, queries, radius, backend = request
@@ -81,6 +82,12 @@ def _serve_one(request: tuple):
             scenario, n_frames=n_frames, seed=seed, backend=backend)
         return runner.run().metrics()
     raise ValueError(f"unknown service request kind {kind!r}")
+
+
+def _terminate_pool(pool) -> None:
+    """Tear down the worker pool without waiting for queued work."""
+    pool.terminate()
+    pool.join()
 
 
 # ----------------------------------------------------------------------
@@ -173,12 +180,8 @@ class QueryService:
         if self._serial:
             if self._local_index is None:
                 self._local_index = self.store.index()
-            saved = globals()["_SERVICE_STATE"]
-            globals()["_SERVICE_STATE"] = (self.store, self._local_index)
-            try:
-                return [_serve_one(request) for request in requests]
-            finally:
-                globals()["_SERVICE_STATE"] = saved
+            return [_serve_request(self._local_index, request)
+                    for request in requests]
         pool = self._ensure_pool()
         handles = [pool.apply_async(_serve_one, (request,))
                    for request in requests]

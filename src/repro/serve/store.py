@@ -1,13 +1,12 @@
 """SharedCloudStore: one compressed point-cloud index, many processes.
 
-The ``*-batched-mp`` backends ship the whole k-d tree to every worker through
-the pool initializer — one pickle per worker, one resident copy per process.
-That is fine for a single backend's private pool, but a *service* wants the
-opposite shape: one resident map serving a fleet of client processes.  This
-module puts an index — the float32/float64 point arrays, the tree's flat
-node and leaf arrays (:class:`~repro.kdtree.build.TreeArrays`) with every
-leaf's compressed slice count, the Bonsai compressed-structure bytes and
-their decoded mirror — into POSIX shared memory
+Pickling a k-d tree to every worker process leaves one resident copy per
+process; a *service* wants the opposite shape: one resident map serving a
+fleet of worker processes.  This module puts an index — the
+float32/float64 point arrays, the tree's flat node and leaf arrays
+(:class:`~repro.kdtree.build.TreeArrays`) with every leaf's compressed
+slice count, the Bonsai compressed-structure bytes and their decoded
+mirror — into POSIX shared memory
 (:mod:`multiprocessing.shared_memory`), so that
 
 * the tree is built and compressed **exactly once**, by the creating
@@ -390,9 +389,7 @@ class SharedCloudStore:
         segments; nothing is rebuilt per process, and the node objects are
         only created if a per-query path asks for them.  The tree is
         pre-compressed (``compressed_array`` is a
-        :class:`CompressedStructArray` over the segments) and carries
-        ``shared_store_name`` so the ``*-batched-mp`` pools re-attach
-        instead of pickling it.
+        :class:`CompressedStructArray` over the segments).
         """
         if self._closed:
             raise ValueError(f"shared store {self.name!r} is closed")
@@ -420,7 +417,6 @@ class SharedCloudStore:
                 view.flags.writeable = False
             tree.compressed_array = CompressedStructArray(
                 fmt, data=blob, mirror=mirror, n_slices=n_slices)
-            tree.shared_store_name = self.name  # type: ignore[attr-defined]
             tree._shared_store = self  # keep the mappings alive with the tree
             self._tree = tree
         return self._tree
@@ -429,8 +425,8 @@ class SharedCloudStore:
         """A :class:`~repro.engine.index.PointCloudIndex` over the shared tree.
 
         Cached per handle.  The tree is already compressed, so every Bonsai
-        backend runs without a local compression pass, and all six registry
-        names work unchanged (the ``*-batched-mp`` pools attach by name).
+        backend runs without a local compression pass, and every registry
+        name works unchanged.
         """
         if self._index is None:
             from ..engine.index import PointCloudIndex

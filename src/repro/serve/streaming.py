@@ -14,8 +14,8 @@ This runner overlaps the stages across a small thread pool while keeping a
 most ``queue_depth`` frames are in flight or buffered), and folds strictly
 in ascending frame order through the exact
 :class:`~repro.workloads.pipeline.FrameFold` code path the serial runner
-uses — the frame-order generalization of the index-ordered shard merge the
-``-mp`` backends are built on.  NDT localization stays serial (its scans
+uses — the frame-order generalization of the index-ordered shard merge of
+:mod:`repro.engine.parallel`.  NDT localization stays serial (its scans
 form a dependent chain against the first frame's map).  The result:
 :meth:`run` returns a ``PipelineRunResult`` whose :meth:`metrics` is
 **bitwise identical** to the serial runner's for any worker count and any

@@ -2,10 +2,10 @@
 
 The trends layer closes the observability gap left by the golden harness:
 goldens gate *one* commit's numbers, trends keep *every* recorded run —
-scenario matrices, cache sensitivity, map-scale sweeps, serving load,
-differential campaigns, the golden snapshots themselves — as versioned
-JSONL keyed by commit, with a threshold regression detector and a
-byte-deterministic static HTML explorer on top.
+scenario matrices, cache sensitivity, map-scale sweeps, differential
+campaigns, the golden snapshots themselves — as versioned JSONL keyed by
+commit, with a threshold regression detector and a byte-deterministic
+static HTML explorer on top.
 
 * :mod:`repro.trends.schema` — the versioned, exactly-roundtripping
   :class:`TrendRecord` plus migration hooks.
@@ -23,11 +23,10 @@ CLI: ``repro trends record | report | dashboard`` (see ``docs/TRENDS.md``).
 from .collect import (FAMILY_CACHE_SENSITIVITY, FAMILY_CAMPAIGN,
                       FAMILY_GOLDEN_HARDWARE, FAMILY_GOLDEN_PIPELINE,
                       FAMILY_MAP_SCALE, FAMILY_SCENARIO_HW,
-                      FAMILY_SCENARIO_MATRIX, FAMILY_SERVING_LOAD,
-                      KNOWN_FAMILIES, TrendContext, collect_cache_sweep,
-                      collect_campaign_manifest, collect_golden_snapshots,
-                      collect_hw_sweep, collect_map_scale,
-                      collect_pipeline_run, collect_serving_load,
+                      FAMILY_SCENARIO_MATRIX, KNOWN_FAMILIES, TrendContext,
+                      collect_cache_sweep, collect_campaign_manifest,
+                      collect_golden_snapshots, collect_hw_sweep,
+                      collect_map_scale, collect_pipeline_run,
                       flatten_metrics, maybe_record, trend_context)
 from .dashboard import render_dashboard
 from .regress import (DEFAULT_REL_TOL, DEFAULT_RELATIVE_METRICS, Regression,
@@ -48,7 +47,6 @@ __all__ = [
     "FAMILY_MAP_SCALE",
     "FAMILY_SCENARIO_HW",
     "FAMILY_SCENARIO_MATRIX",
-    "FAMILY_SERVING_LOAD",
     "KNOWN_FAMILIES",
     "MetricValue",
     "Regression",
@@ -66,7 +64,6 @@ __all__ = [
     "collect_hw_sweep",
     "collect_map_scale",
     "collect_pipeline_run",
-    "collect_serving_load",
     "find_regressions",
     "flatten_metrics",
     "maybe_record",

@@ -36,7 +36,6 @@ __all__ = [
     "FAMILY_MAP_SCALE",
     "FAMILY_SCENARIO_HW",
     "FAMILY_SCENARIO_MATRIX",
-    "FAMILY_SERVING_LOAD",
     "KNOWN_FAMILIES",
     "TrendContext",
     "collect_cache_sweep",
@@ -45,7 +44,6 @@ __all__ = [
     "collect_hw_sweep",
     "collect_map_scale",
     "collect_pipeline_run",
-    "collect_serving_load",
     "flatten_metrics",
     "maybe_record",
     "trend_context",
@@ -55,7 +53,6 @@ FAMILY_SCENARIO_MATRIX = "scenario-matrix"
 FAMILY_SCENARIO_HW = "scenario-hw"
 FAMILY_CACHE_SENSITIVITY = "cache-sensitivity"
 FAMILY_MAP_SCALE = "map-scale"
-FAMILY_SERVING_LOAD = "serving-load"
 FAMILY_CAMPAIGN = "campaign"
 FAMILY_GOLDEN_PIPELINE = "golden-pipeline"
 FAMILY_GOLDEN_HARDWARE = "golden-hardware"
@@ -67,7 +64,6 @@ KNOWN_FAMILIES = (
     FAMILY_SCENARIO_HW,
     FAMILY_CACHE_SENSITIVITY,
     FAMILY_MAP_SCALE,
-    FAMILY_SERVING_LOAD,
     FAMILY_CAMPAIGN,
     FAMILY_GOLDEN_PIPELINE,
     FAMILY_GOLDEN_HARDWARE,
@@ -170,38 +166,6 @@ def collect_map_scale(result, *, commit: str, run_id: str,
                 key={"scenario": result.scenario, "geometry": geometry.name,
                      "flavor": flavor},
                 metrics=metrics))
-    return records
-
-
-def collect_serving_load(result, *, commit: str, run_id: str,
-                         order: int = 0) -> List[TrendRecord]:
-    """A :class:`~repro.serve.loadgen.ServingLoadResult` as records.
-
-    One record per traffic class with the wall-clock latency percentiles
-    (the serving benchmark's product — inherently noisy, which is why the
-    regression detector applies a wide tolerance to ``latency.*``), plus
-    one ``fleet`` record with throughput and the structural counters.
-    """
-    records = [TrendRecord(
-        family=FAMILY_SERVING_LOAD, commit=commit, run_id=run_id,
-        order=order, key={"class": "fleet"},
-        metrics={
-            "n_clients": result.n_clients,
-            "n_points": result.n_points,
-            "total_requests": result.total_requests,
-            "throughput_rps": result.throughput_rps,
-            "parent_compression_passes": result.parent_compression_passes,
-            "client_compression_passes_total":
-                sum(result.client_compression_passes),
-        })]
-    for key in sorted(result.latencies):
-        p50, p95, p99 = result.percentiles(key)
-        records.append(TrendRecord(
-            family=FAMILY_SERVING_LOAD, commit=commit, run_id=run_id,
-            order=order, key={"class": key},
-            metrics={"latency.p50_s": p50, "latency.p95_s": p95,
-                     "latency.p99_s": p99,
-                     "requests": len(result.latencies[key])}))
     return records
 
 

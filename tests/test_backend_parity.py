@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BonsaiNearestNeighbors
 from repro.engine import (ExecutionConfig, PointCloudIndex, ShardedPointCloudIndex,
                           backend_names, get_backend, recorded)
 from repro.kdtree import SearchStats, build_kdtree
@@ -234,7 +233,3 @@ class TestLatticeKNNTies:
                 result = sharded.knn(queries, k, backend=name)
             assert np.array_equal(result.indices, reference.indices), name
             assert np.array_equal(result.distances, reference.distances), name
-        compressed = BonsaiNearestNeighbors(build_kdtree(points))
-        for row, query in enumerate(queries):
-            assert [i for i, _ in compressed.search(query, k)] == \
-                reference.indices[row].tolist()

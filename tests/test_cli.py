@@ -69,8 +69,9 @@ class TestParser:
 
     def test_backend_flags_reject_unknown_names(self):
         for command in ("pipeline", "batch-sweep"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--backend", "warp-drive"])
+            for name in ("warp-drive", "baseline-batched-mp"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, "--backend", name])
 
     def test_conflicting_backend_selections_rejected(self):
         with pytest.raises(SystemExit, match="--bonsai conflicts"):
@@ -264,13 +265,6 @@ class TestCommands:
     def test_pipeline_unknown_scenario(self):
         with pytest.raises(SystemExit, match="unknown scenario 'mars_colony'"):
             main(["pipeline", "--scenario", "mars_colony"])
-
-    def test_pipeline_mp_backend_by_name(self, capsys):
-        code = main(["pipeline", "--scenario", "urban", "--frames", "2",
-                     "--beams", "10", "--azimuth-steps", "90",
-                     "--backend", "baseline-batched-mp", "--no-localization"])
-        assert code == 0
-        assert "via baseline-batched-mp" in capsys.readouterr().out
 
     def test_hw_sweep_matrix(self, capsys):
         code = main(["hw-sweep", "--scenario", "urban", "--frames", "2",

@@ -41,17 +41,25 @@ def small_case():
     return build_kdtree(points), queries
 
 
+#: The registry's exact contents: two leaf formats x two strategies.
+BUILT_IN_BACKENDS = ["baseline-batched", "baseline-perquery",
+                     "bonsai-batched", "bonsai-perquery"]
+
+#: Names no backend answers to, including a removed one.
+UNKNOWN_BACKENDS = ("warp-drive", "baseline-batched-mp")
+
+
 class TestRegistry:
     def test_names_are_sorted_and_complete(self):
-        names = backend_names()
-        assert names == sorted(names)
-        assert set(names) >= {"baseline-perquery", "baseline-batched",
-                              "bonsai-perquery", "bonsai-batched"}
+        assert backend_names() == BUILT_IN_BACKENDS
 
     def test_unknown_backend_lists_options(self, small_case):
         tree, _ = small_case
-        with pytest.raises(KeyError, match="baseline-batched"):
-            get_backend("warp-drive", tree)
+        for name in UNKNOWN_BACKENDS:
+            with pytest.raises(KeyError) as excinfo:
+                get_backend(name, tree)
+            assert f"registered: {', '.join(BUILT_IN_BACKENDS)}" in \
+                str(excinfo.value)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -86,8 +94,9 @@ class TestExecutionConfig:
         assert config.flavor == "baseline" and config.strategy == "batched"
 
     def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ExecutionConfig(backend="baseline")
+        for name in ("baseline",) + UNKNOWN_BACKENDS:
+            with pytest.raises(ValueError, match="unknown backend"):
+                ExecutionConfig(backend=name)
 
     def test_with_flavor_and_hardware(self):
         config = ExecutionConfig(backend="baseline-perquery")

@@ -1,18 +1,20 @@
-"""Teardown/reuse tests of the backend cache and worker pools.
+"""Teardown/reuse tests of the backend cache and the query service's pool.
 
-``PointCloudIndex.close()`` and the ``-mp`` backends' ``close()`` must be
-idempotent, must never crash on double-close, and must leave the object
-fully usable afterwards — the next call rebuilds a fresh backend (index)
-or restarts a fresh pool (mp backend) and returns identical results.
+``PointCloudIndex.close()`` must be idempotent, must never crash on
+double-close, and must leave the index fully usable afterwards — the next
+call rebuilds a fresh backend and returns identical results.  A
+:class:`~repro.serve.QueryService` left open at interpreter exit must shut
+its worker pool and its shared store down cleanly.
 """
 
 from __future__ import annotations
 
+import glob
+
 import numpy as np
 import pytest
 
-from repro.engine import PointCloudIndex, get_backend
-from repro.engine.parallel import MIN_PARALLEL_QUERIES
+from repro.engine import PointCloudIndex
 from repro.kdtree import build_kdtree
 
 
@@ -20,8 +22,8 @@ from repro.kdtree import build_kdtree
 def case():
     rng = np.random.default_rng(23)
     points = rng.uniform(-7.0, 7.0, (500, 3)).astype(np.float32)
-    queries = points[:MIN_PARALLEL_QUERIES + 12].astype(np.float64) \
-        + rng.normal(0.0, 0.25, (MIN_PARALLEL_QUERIES + 12, 3))
+    queries = points[:60].astype(np.float64) \
+        + rng.normal(0.0, 0.25, (60, 3))
     return build_kdtree(points), queries
 
 
@@ -54,47 +56,37 @@ class TestPointCloudIndexClose:
         assert np.array_equal(first.offsets, second.offsets)
         assert np.array_equal(first.point_indices, second.point_indices)
 
-    def test_close_tears_down_mp_pools(self, case):
-        tree, queries = case
-        index = PointCloudIndex(tree)
-        backend = index.backend("baseline-batched-mp")
-        backend.radius_search(queries, 0.5)
-        assert backend._pool is not None
-        index.close()
-        assert backend._pool is None
-        assert backend._pool_finalizer is None
-
     def test_repeated_close_reuse_cycles(self, case):
         tree, queries = case
         index = PointCloudIndex(tree)
         reference = index.radius_search(queries, 0.5)
         for _ in range(3):
             result = index.radius_search(
-                queries, 0.5, backend="baseline-batched-mp")
+                queries, 0.5, backend="bonsai-batched")
             assert np.array_equal(result.point_indices,
                                   reference.point_indices)
             index.close()
+            assert index._backends == {}
 
 
 class TestContextManagers:
     def test_index_as_context_manager(self, case):
         tree, queries = case
         with PointCloudIndex(tree) as index:
-            backend = index.backend("baseline-batched-mp")
+            backend = index.backend("bonsai-batched")
             backend.radius_search(queries, 0.5)
-            assert backend._pool is not None
-        # __exit__ closed the cache; the pooled backend was torn down.
-        assert backend._pool is None
+            assert index._backends
+        # __exit__ cleared the cache; the next request builds afresh.
         assert index._backends == {}
+        assert index.backend("bonsai-batched") is not backend
 
     def test_context_manager_closes_on_exception(self, case):
         tree, queries = case
         with pytest.raises(RuntimeError, match="boom"):
             with PointCloudIndex(tree) as index:
-                backend = index.backend("baseline-batched-mp")
-                backend.radius_search(queries, 0.5)
+                index.radius_search(queries, 0.5, backend="bonsai-batched")
                 raise RuntimeError("boom")
-        assert backend._pool is None
+        assert index._backends == {}
 
     def test_sharded_index_as_context_manager(self, case):
         from repro.engine import ShardedPointCloudIndex
@@ -109,73 +101,28 @@ class TestContextManagers:
         assert np.array_equal(result.offsets, again.offsets)
         sharded.close()
 
-    def test_exit_without_close_in_subprocess_is_clean(self, case):
-        """Interpreter shutdown with live pools must not traceback."""
+    def test_exit_without_close_in_subprocess_is_clean(self):
+        """Interpreter exit with a live service pool must not traceback
+        and must unlink the service's shared store."""
         import subprocess
         import sys
 
         code = (
             "import numpy as np\n"
-            "from repro.engine import PointCloudIndex\n"
-            "from repro.engine.parallel import MIN_PARALLEL_QUERIES\n"
-            "from repro.kdtree import build_kdtree\n"
+            "from repro.serve import QueryService\n"
             "rng = np.random.default_rng(23)\n"
             "points = rng.uniform(-7.0, 7.0, (500, 3)).astype(np.float32)\n"
-            "queries = points[:MIN_PARALLEL_QUERIES + 12]"
-            ".astype(np.float64)\n"
-            "index = PointCloudIndex(build_kdtree(points))\n"
-            "index.radius_search(queries, 0.5, "
-            "backend='baseline-batched-mp')\n"
-            "print('done')\n"
+            "service = QueryService(points, n_workers=2)\n"
+            "service.radius(points[:60].astype(np.float64), 0.5)\n"
+            "assert service._pool is not None\n"
+            "print(service.store.name)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
             timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "done" in proc.stdout
         assert "Traceback" not in proc.stderr
-
-
-class TestMPBackendClose:
-    def test_double_close_without_pool_is_safe(self, case):
-        tree, _ = case
-        backend = get_backend("baseline-batched-mp", tree)
-        backend.close()  # never used: no pool yet
-        backend.close()
-
-    def test_close_restarts_a_fresh_pool_on_next_use(self, case):
-        tree, queries = case
-        backend = get_backend("baseline-batched-mp", tree)
-        first = backend.radius_search(queries, 0.5)
-        old_pool = backend._pool
-        assert old_pool is not None
-        backend.close()
-        assert backend._pool is None and backend._pool_finalizer is None
-        second = backend.radius_search(queries, 0.5)
-        assert backend._pool is not None
-        assert backend._pool is not old_pool
-        assert np.array_equal(first.offsets, second.offsets)
-        assert np.array_equal(first.point_indices, second.point_indices)
-        backend.close()
-
-    def test_small_batches_never_spawn_a_pool(self, case):
-        tree, queries = case
-        backend = get_backend("baseline-batched-mp", tree)
-        backend.radius_search(queries[:4], 0.5)
-        backend.knn(queries[:4], 3)
-        assert backend._pool is None
-        backend.close()
-
-    def test_stats_survive_close(self, case):
-        tree, queries = case
-        backend = get_backend("baseline-batched-mp", tree)
-        backend.radius_search(queries, 0.5)
-        queries_before = backend.stats.queries
-        assert queries_before == queries.shape[0]
-        backend.close()
-        # close() tears down the pool, not the accumulated counters.
-        assert backend.stats.queries == queries_before
-        backend.radius_search(queries, 0.5)
-        assert backend.stats.queries == 2 * queries_before
-        backend.close()
+        store_name = proc.stdout.strip()
+        assert store_name.startswith("repro-store-")
+        assert glob.glob(f"/dev/shm/{store_name}-*") == []

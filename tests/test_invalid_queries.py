@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bonsai_knn import BonsaiNearestNeighbors
 from repro.core.bonsai_search import BonsaiLeafInspector, BonsaiRadiusSearch
 from repro.core.compressed_leaf import CompressedStructArray
 from repro.core.leaf_compression import compress_leaf
@@ -107,11 +106,6 @@ class TestOtherEntryPoints:
             nearest_neighbors(tree, cloud[0], 1.5)
         with pytest.raises(ValueError, match="finite"):
             nearest_neighbors(tree, nan_query, 2)
-        bonsai_knn = BonsaiNearestNeighbors(tree)
-        with pytest.raises(ValueError, match="k must be"):
-            bonsai_knn.search(cloud[0], 0)
-        with pytest.raises(ValueError, match="finite"):
-            bonsai_knn.search(nan_query, 2)
 
     def test_sharded_index(self, cloud, good):
         with ShardedPointCloudIndex(cloud, tile_size=8.0) as sharded:
@@ -153,8 +147,6 @@ class TestAppendBuiltCompressedArray:
             BonsaiBatchSearcher(tree)
         with pytest.raises(ValueError, match="append"):
             BonsaiRadiusSearch(tree)
-        with pytest.raises(ValueError, match="append"):
-            BonsaiNearestNeighbors(tree)
         with pytest.raises(ValueError, match="append"):
             BonsaiLeafInspector(tree.compressed_array)
 

@@ -1,12 +1,13 @@
-"""Lockdown of the multiprocessing backends' determinism contract.
+"""Lockdown of the shard-merge contract and the process-pool utilities.
 
-The cross-backend parity suite (``test_backend_parity.py``) already fuzzes
-the ``-mp`` backends against the reference because they are registry names.
-This file locks down what parity alone cannot show: that the parallel path
-really shards and merges (not silently falling back to serial), that the
-merge is **order-independent** — shuffled worker completion order yields
-identical merged results and statistics — and that the end-to-end pipeline
-produces identical golden-grade metrics through the parallel backends.
+:class:`~repro.engine.sharded.ShardedPointCloudIndex` processes query
+batches in contiguous chunks and merges them through
+:func:`~repro.engine.parallel.merge_radius_shards` /
+:func:`~repro.engine.parallel.merge_knn_shards`; the sweeps run their cells
+through :func:`~repro.engine.parallel.process_map`.  This file locks down
+that the merge is **order-independent** — shuffled completion order yields
+identical merged results and statistics — and that the worker-count and
+process-map utilities keep their contracts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 
 from repro.engine import get_backend
 from repro.engine.parallel import (
-    MIN_PARALLEL_QUERIES,
     merge_knn_shards,
     merge_radius_shards,
     plan_shards,
@@ -28,20 +28,18 @@ from repro.engine.parallel import (
 )
 from repro.kdtree import SearchStats, build_kdtree
 
-MP_BACKENDS = ("baseline-batched-mp", "bonsai-batched-mp")
 RADIUS = 0.8
 K = 6
 
 
 @pytest.fixture(scope="module")
 def case():
-    """A batch comfortably above the parallel threshold."""
+    """A tree and a 400-query batch to split into shards."""
     rng = np.random.default_rng(11)
     points = rng.uniform(-15.0, 15.0, (5000, 3)).astype(np.float32)
     tree = build_kdtree(points)
     base = points[rng.integers(0, len(points), 400)]
     queries = base.astype(np.float64) + rng.normal(0.0, 0.3, base.shape)
-    assert queries.shape[0] >= MIN_PARALLEL_QUERIES
     return tree, queries
 
 
@@ -49,100 +47,6 @@ def _stats_tuple(stats: SearchStats):
     return (stats.queries, stats.leaves_visited, stats.interior_visited,
             stats.points_examined, stats.points_in_radius,
             stats.point_bytes_loaded, stats.leaf_visit_counts)
-
-
-# ----------------------------------------------------------------------
-# Bitwise parity of the genuinely parallel path
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", MP_BACKENDS)
-class TestParallelPathParity:
-    def test_radius_bitwise_identical_to_single_process(self, case, name):
-        tree, queries = case
-        mp_backend = get_backend(name, tree)
-        assert mp_backend._use_parallel(queries.shape[0])  # really parallel
-        reference = get_backend(mp_backend.inner_name, tree)
-        got = mp_backend.radius_search(queries, RADIUS)
-        want = reference.radius_search(queries, RADIUS)
-        assert got.offsets.dtype == want.offsets.dtype
-        assert got.point_indices.dtype == want.point_indices.dtype
-        assert np.array_equal(got.offsets, want.offsets)
-        assert np.array_equal(got.point_indices, want.point_indices)
-
-    def test_knn_bitwise_identical_to_single_process(self, case, name):
-        tree, queries = case
-        mp_backend = get_backend(name, tree)
-        reference = get_backend(mp_backend.inner_name, tree)
-        got = mp_backend.knn(queries, K)
-        want = reference.knn(queries, K)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.distances, want.distances)
-
-    def test_merged_search_stats_identical(self, case, name):
-        tree, queries = case
-        mp_stats, ref_stats = SearchStats(), SearchStats()
-        mp_backend = get_backend(name, tree, stats=mp_stats)
-        mp_backend.radius_search(queries, RADIUS)
-        get_backend(mp_backend.inner_name, tree,
-                    stats=ref_stats).radius_search(queries, RADIUS)
-        assert _stats_tuple(mp_stats) == _stats_tuple(ref_stats)
-
-    def test_serial_fallbacks_match_parallel(self, case, name):
-        """Tiny batches, one worker, and a huge threshold are all identical."""
-        tree, queries = case
-        want = get_backend(name, tree).radius_search(queries, RADIUS)
-        one_worker = get_backend(name, tree, n_workers=1)
-        forced_serial = get_backend(name, tree,
-                                    min_parallel_queries=10 ** 9)
-        assert not one_worker._use_parallel(queries.shape[0])
-        assert not forced_serial._use_parallel(queries.shape[0])
-        for backend in (one_worker, forced_serial):
-            got = backend.radius_search(queries, RADIUS)
-            assert np.array_equal(got.point_indices, want.point_indices)
-        small = get_backend(name, tree).radius_search(queries[:8], RADIUS)
-        assert np.array_equal(
-            small.point_indices,
-            get_backend(name, tree).radius_search(queries[:8], RADIUS).point_indices)
-
-
-def test_bonsai_stats_merge_identically(case):
-    tree, queries = case
-    reference = get_backend("bonsai-batched", tree)
-    parallel = get_backend("bonsai-batched-mp", tree)
-    reference.radius_search(queries, RADIUS)
-    parallel.radius_search(queries, RADIUS)
-    assert dataclasses.asdict(parallel.bonsai_stats) == \
-        dataclasses.asdict(reference.bonsai_stats)
-
-
-def test_pool_is_persistent_and_closeable(case):
-    """One pool per backend, reused across calls, torn down by close()."""
-    tree, queries = case
-    backend = get_backend("baseline-batched-mp", tree)
-    assert backend._pool is None  # lazy: no pool before the first parallel call
-    want = backend.radius_search(queries, RADIUS)
-    pool = backend._pool
-    assert pool is not None
-    backend.radius_search(queries, RADIUS)
-    assert backend._pool is pool  # reused, not rebuilt per call
-    backend.close()
-    assert backend._pool is None
-    backend.close()  # idempotent
-    # A call after close() restarts a fresh pool and still agrees.
-    again = backend.radius_search(queries, RADIUS)
-    assert backend._pool is not None and backend._pool is not pool
-    assert np.array_equal(again.point_indices, want.point_indices)
-    backend.close()
-
-
-def test_compression_happens_once_in_the_parent(case):
-    """Workers must receive the already-compressed tree."""
-    tree, queries = case
-    fresh = build_kdtree(tree.points)
-    backend = get_backend("bonsai-batched-mp", fresh)
-    assert backend.report is not None  # parent compressed on construction
-    backend.radius_search(queries, RADIUS)
-    # A second mp backend over the same tree sees it pre-compressed.
-    assert get_backend("bonsai-batched-mp", fresh).report is None
 
 
 # ----------------------------------------------------------------------
@@ -169,10 +73,9 @@ class TestOrderIndependence:
 
         parts = self._shard_parts(tree, queries, inner)
         for seed in (0, 1, 2):
-            # Simulate workers finishing in arbitrary order: shuffle the
-            # (index, part) arrivals, then merge exactly as the backend does
-            # — results by shard index, statistics by commutative merge in
-            # arrival order.
+            # Simulate parts finishing in arbitrary order: shuffle the
+            # (index, part) arrivals, then merge results by shard index and
+            # statistics by commutative merge in arrival order.
             arrivals = list(enumerate(parts))
             np.random.default_rng(seed).shuffle(arrivals)
             by_index = [part for _, part in sorted(arrivals, key=lambda a: a[0])]
@@ -222,28 +125,6 @@ class TestOrderIndependence:
         ab.merge(halves[0]); ab.merge(halves[1])
         ba.merge(halves[1]); ba.merge(halves[0])
         assert dataclasses.asdict(ab) == dataclasses.asdict(ba)
-
-
-# ----------------------------------------------------------------------
-# The pipeline through the parallel backends (golden-grade metrics)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("flavor", ["baseline", "bonsai"])
-def test_pipeline_metrics_identical_through_mp_backend(flavor):
-    """End-to-end metrics cannot tell ``-batched`` from ``-batched-mp``."""
-    import json
-
-    from repro.engine import ExecutionConfig
-    from repro.workloads import PipelineRunner, PipelineRunnerConfig
-
-    preset = dict(n_frames=2, seed=7, n_beams=10, n_azimuth_steps=90)
-
-    def metrics(backend):
-        runner = PipelineRunner.from_scenario(
-            "urban", config=PipelineRunnerConfig(
-                execution=ExecutionConfig(backend=backend)), **preset)
-        return json.dumps(runner.run().metrics(), sort_keys=True)
-
-    assert metrics(f"{flavor}-batched-mp") == metrics(f"{flavor}-batched")
 
 
 # ----------------------------------------------------------------------
@@ -305,65 +186,3 @@ class TestUtilities:
     def test_process_map_serial_fallback(self):
         items = [(i, 2) for i in range(2)]
         assert process_map(_slow_echo, items, n_jobs=1) == [0, 1]
-
-    def test_serial_fallback_restores_worker_globals(self, case):
-        """Regression: the serial path ran initializers in-process and left
-        ``_WORKER_STATE`` behind, so a later serial map (or a live worker
-        global in this process) saw a stale tree."""
-        from repro.engine import parallel
-        from repro.engine.parallel import _init_worker, _radius_shard
-
-        tree, queries = case
-        before = parallel._WORKER_STATE
-        want = get_backend("baseline-batched", tree).radius_search(
-            queries[:4], RADIUS)
-        got = process_map(
-            _radius_shard, [(queries[:4], RADIUS)], n_jobs=1,
-            initializer=_init_worker, initargs=(tree, "baseline-batched", {}))
-        assert parallel._WORKER_STATE is before  # restored, not leaked
-        assert np.array_equal(got[0][1], want.point_indices)
-
-        # Two serial maps with different trees cannot contaminate each other.
-        other_tree = build_kdtree(
-            np.random.default_rng(3).uniform(-5, 5, (64, 3)).astype(np.float32))
-        small = get_backend("baseline-batched", other_tree).radius_search(
-            queries[:4], RADIUS)
-        got2 = process_map(
-            _radius_shard, [(queries[:4], RADIUS)], n_jobs=1,
-            initializer=_init_worker,
-            initargs=(other_tree, "baseline-batched", {}))
-        assert np.array_equal(got2[0][1], small.point_indices)
-        assert parallel._WORKER_STATE is before
-
-
-# ----------------------------------------------------------------------
-# Empty and degenerate batches through the parallel backends
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", MP_BACKENDS)
-class TestEmptyBatches:
-    """``plan_shards(0, k) == []`` must surface as well-formed empty results."""
-
-    def test_empty_radius_batch(self, case, name):
-        tree, _ = case
-        empty = np.empty((0, 3), dtype=np.float64)
-        result = get_backend(name, tree).radius_search(empty, RADIUS)
-        assert result.n_queries == 0
-        assert result.offsets.shape == (1,) and result.offsets[0] == 0
-        assert result.point_indices.shape == (0,)
-        assert result.counts.shape == (0,)
-
-    def test_empty_knn_batch(self, case, name):
-        tree, _ = case
-        empty = np.empty((0, 3), dtype=np.float64)
-        result = get_backend(name, tree).knn(empty, K)
-        assert result.indices.shape == (0, min(K, len(tree.points)))
-        assert result.distances.shape == result.indices.shape
-
-    def test_single_query_batch(self, case, name):
-        """One query (below any parallel threshold) matches the reference."""
-        tree, queries = case
-        got = get_backend(name, tree).radius_search(queries[:1], RADIUS)
-        want = get_backend("baseline-batched", tree).radius_search(
-            queries[:1], RADIUS)
-        assert np.array_equal(got.offsets, want.offsets)
-        assert np.array_equal(got.point_indices, want.point_indices)

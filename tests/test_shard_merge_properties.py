@@ -1,8 +1,8 @@
 """Property-based edge tests of the shard plan/merge machinery.
 
-The ``-mp`` backends rest on one invariant: *any* contiguous split of a
-query batch, served shard by shard and merged in shard order, is bitwise
-identical to serving the whole batch at once.  Hypothesis drives the split
+The sharded index's chunked queries rest on one invariant: *any*
+contiguous split of a query batch, served shard by shard and merged in
+shard order, is bitwise identical to serving the whole batch at once.  Hypothesis drives the split
 through the edges a fixed unit test would miss — empty shard lists,
 single-query batches, zero-hit queries, duplicate kNN distances, and shard
 counts far beyond the query count.

@@ -231,11 +231,11 @@ class TestLifecycle:
     def test_close_is_idempotent_and_recoverable(self, cloud, queries):
         index = ShardedPointCloudIndex(cloud, tile_size=40.0)
         want = index.radius_search(queries[:40], RADIUS,
-                                   backend="baseline-batched-mp")
+                                   backend="bonsai-batched")
         index.close()
         index.close()
         again = index.radius_search(queries[:40], RADIUS,
-                                    backend="baseline-batched-mp")
+                                    backend="bonsai-batched")
         assert np.array_equal(again.point_indices, want.point_indices)
         index.close()
 

@@ -309,6 +309,37 @@ class TestQueryService:
             assert np.array_equal(a.offsets, b.offsets)
             assert np.array_equal(a.point_indices, b.point_indices)
 
+    def test_serial_service_answers_from_its_own_index(
+            self, cloud, queries, monkeypatch):
+        """Two serial services in one process never swap maps.
+
+        Each answers from its own index even when the module-global worker
+        state names the other service's, as a second serial service in
+        another thread could make it.  The other service's state is
+        installed in the middle of the first request instead of racing two
+        threads.
+        """
+        from repro.serve import service as service_module
+
+        other_cloud = cloud + np.float32(100.0)  # no point near ``queries``
+        with QueryService(cloud, serial=True) as mine, \
+                QueryService(other_cloud, serial=True) as other:
+            want = mine.radius(queries, 0.6)
+            assert other.radius(queries, 0.6).total_matches == 0
+            index = mine._local_index
+            search = index.radius_search
+
+            def swap_then_search(*args, **kwargs):
+                monkeypatch.setattr(service_module, "_SERVICE_STATE",
+                                    (other.store, other._local_index))
+                return search(*args, **kwargs)
+
+            monkeypatch.setattr(index, "radius_search", swap_then_search)
+            request = ("radius", queries, 0.6, "baseline-batched")
+            for offsets, point_indices in mine.serve([request, request]):
+                assert np.array_equal(offsets, want.offsets)
+                assert np.array_equal(point_indices, want.point_indices)
+
     def test_borrowed_store_survives_service_close(self, cloud, queries):
         with SharedCloudStore.create(cloud) as store:
             service = QueryService(store, serial=True)
@@ -318,18 +349,3 @@ class TestQueryService:
             assert SharedCloudStore.exists(store.name)
             with pytest.raises(ValueError):
                 service.serve([("radius", queries, 0.5, "baseline-batched")])
-
-    def test_mp_backend_pool_attaches_by_name(self, cloud):
-        """The ``*-batched-mp`` pool path over a shared tree (no pickle)."""
-        rng = np.random.default_rng(43)
-        base = cloud[rng.integers(0, len(cloud), 200)]
-        big = base.astype(np.float64) + rng.normal(0.0, 0.25, base.shape)
-        with PointCloudIndex(cloud) as local, \
-                SharedCloudStore.create(cloud) as store:
-            with store.index() as served:
-                got = served.radius_search(big, 0.6,
-                                           backend="bonsai-batched-mp")
-                ref = local.radius_search(big, 0.6,
-                                          backend="bonsai-batched-mp")
-                assert np.array_equal(got.offsets, ref.offsets)
-                assert np.array_equal(got.point_indices, ref.point_indices)

@@ -11,6 +11,8 @@ through the ``stage_delay`` hook, and fuzz seeded configurations.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from repro.serve import StreamingPipelineRunner
 from repro.workloads import PipelineRunner
 
 
+@functools.lru_cache(maxsize=None)
 def _serial_metrics(scenario: str, n_frames: int, seed: int) -> dict:
+    """The serial reference, run once per case (callers only compare)."""
     return PipelineRunner.from_scenario(
         scenario, n_frames=n_frames, seed=seed).run().metrics()
 

@@ -22,10 +22,10 @@ from repro.trends import (KNOWN_FAMILIES, TrendContext, TrendRecord,
                           TrendSchemaError, TrendStore, TrendStoreError,
                           collect_cache_sweep, collect_campaign_manifest,
                           collect_golden_snapshots, collect_hw_sweep,
-                          collect_pipeline_run, collect_serving_load,
-                          flatten_metrics, maybe_record, migrate,
-                          register_migration, render_dashboard,
-                          trend_context, unregister_migration)
+                          collect_pipeline_run, flatten_metrics,
+                          maybe_record, migrate, register_migration,
+                          render_dashboard, trend_context,
+                          unregister_migration)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -232,24 +232,6 @@ class TestCollectAdapters:
                                          "backend": "baseline"})
         # summed over the two scenarios of the fake sweep
         assert baseline_tiv.metrics["bytes_loaded"] == 2000
-
-    def test_collect_serving_load(self):
-        from repro.serve.loadgen import ServingLoadResult
-
-        result = ServingLoadResult(
-            n_clients=2, n_points=100, n_requests_per_client=4, n_queries=8,
-            radius=0.5, k=3, wall_seconds=2.0, parent_compression_passes=1,
-            client_compression_passes=[0, 0], checksums=[5, 5],
-            latencies={"radius:baseline-batched": [0.1, 0.2, 0.3, 0.4],
-                       "knn:bonsai-batched": [0.2, 0.2, 0.2, 0.2]})
-        records = collect_serving_load(result, commit="c", run_id="r")
-        classes = [r.key["class"] for r in records]
-        assert classes == ["fleet", "knn:bonsai-batched",
-                           "radius:baseline-batched"]
-        fleet = records[0]
-        assert fleet.metrics["total_requests"] == 8
-        assert fleet.metrics["throughput_rps"] == 4.0
-        assert records[1].metrics["latency.p50_s"] == pytest.approx(0.2)
 
     def test_collect_campaign_manifest(self):
         manifest = {
