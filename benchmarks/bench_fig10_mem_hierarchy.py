@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import render_fig10
 from repro.hwmodel import HierarchyRecorder
-from repro.kdtree import TreeMemoryLayout, build_kdtree, radius_search
+from repro.kdtree import build_kdtree, radius_search
 
 from paper_reference import PAPER, write_result
 
@@ -41,13 +41,12 @@ def test_fig10_report(benchmark, comparison):
 def test_fig10_cache_simulation_kernel(benchmark, clustering_input):
     """Time the trace-driven cache simulation of one frame's search trace."""
     tree = build_kdtree(clustering_input)
-    layout = TreeMemoryLayout(n_points=tree.n_points)
     queries = [clustering_input[i] for i in range(0, len(clustering_input), 10)]
 
     def run():
         recorder = HierarchyRecorder()
         for query in queries:
-            radius_search(tree, query, 0.6, recorder=recorder, layout=layout)
+            radius_search(tree, query, 0.6, recorder=recorder)
         return recorder.stats.l1_accesses
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0

@@ -45,16 +45,20 @@ def test_software_compression_report(benchmark, compressed_frame_tree):
     benchmark.pedantic(lambda: compressed_frame_tree.n_leaves, rounds=1, iterations=1)
     tree = compressed_frame_tree
     array = tree.compressed_array
-    leaves = tree.leaves
+    starts = tree.arrays.leaf_starts.tolist()
+    leaves = list(enumerate(tree.arrays.leaf_points[start:stop]
+                            for start, stop in zip(starts, starts[1:])))
     query = tree.points[0].astype(np.float64)
 
     def baseline_inspect(leaf):
-        points = tree.points[leaf.indices].astype(np.float64)
+        _, indices = leaf
+        points = tree.points[indices].astype(np.float64)
         diffs = points - query
         return (np.einsum("ij,ij->i", diffs, diffs) <= 0.36).sum()
 
     def software_decompress_inspect(leaf):
-        reduced = decompress_leaf(array.get(leaf.leaf_id))
+        leaf_id, _ = leaf
+        reduced = decompress_leaf(array.get(leaf_id))
         diffs = reduced - query
         return (np.einsum("ij,ij->i", diffs, diffs) <= 0.36).sum()
 
@@ -82,7 +86,8 @@ def test_software_decompression_kernel(benchmark, compressed_frame_tree):
     """Time one software decompression of a full leaf."""
     tree = compressed_frame_tree
     array = tree.compressed_array
-    leaf = max(tree.leaves, key=lambda l: l.n_points)
+    sizes = tree.arrays.leaf_sizes
+    leaf_id = int(np.argmax(sizes))
 
-    result = benchmark(lambda: decompress_leaf(array.get(leaf.leaf_id)))
-    assert result.shape[0] == leaf.n_points
+    result = benchmark(lambda: decompress_leaf(array.get(leaf_id)))
+    assert result.shape[0] == sizes[leaf_id]

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..core.floatfmt import FLOAT16, FloatFormat, table1_formats
 from ..kdtree.build import KDTree
-from ..kdtree.node import LeafNode
 from ..kdtree.radius_search import SearchStats, radius_search
 
 __all__ = [
@@ -72,10 +71,11 @@ class FormatErrorInspector:
         self.stats = ClassificationErrorStats(format_name=fmt.name)
         self._quantised_cache: Dict[int, np.ndarray] = {}
 
-    def inspect(self, tree: KDTree, leaf: LeafNode, query: np.ndarray, r2: float,
-                results: List[int], stats: SearchStats, recorder, layout) -> None:
-        original = tree.points[leaf.indices].astype(np.float64)
-        quantised = self._quantised(tree, leaf)
+    def inspect(self, tree: KDTree, leaf_id: int, indices: np.ndarray,
+                query: np.ndarray, r2: float, results: List[int],
+                stats: SearchStats, recorder) -> None:
+        original = tree.points[indices].astype(np.float64)
+        quantised = self._quantised(leaf_id, original)
 
         diffs = original - query
         d2_exact = np.einsum("ij,ij->i", diffs, diffs)
@@ -85,26 +85,23 @@ class FormatErrorInspector:
         in_exact = d2_exact <= r2
         in_reduced = d2_reduced <= r2
 
-        stats.points_examined += leaf.n_points
+        n_points = indices.shape[0]
+        stats.points_examined += n_points
         stats.points_in_radius += int(in_exact.sum())
 
-        self.stats.classifications += leaf.n_points
+        self.stats.classifications += n_points
         disagreements = in_exact != in_reduced
         self.stats.misclassified += int(disagreements.sum())
         self.stats.false_in += int((in_reduced & ~in_exact).sum())
         self.stats.false_out += int((~in_reduced & in_exact).sum())
 
-        for point_index, inside in zip(leaf.indices, in_exact):
-            if inside:
-                results.append(int(point_index))
+        results.extend(indices[in_exact].tolist())
 
-    def _quantised(self, tree: KDTree, leaf: LeafNode) -> np.ndarray:
-        cached = self._quantised_cache.get(leaf.leaf_id)
-        if cached is not None:
-            return cached
-        quantised = self.fmt.quantize_array(tree.points[leaf.indices].astype(np.float64))
-        self._quantised_cache[leaf.leaf_id] = quantised
-        return quantised
+    def _quantised(self, leaf_id: int, original: np.ndarray) -> np.ndarray:
+        cached = self._quantised_cache.get(leaf_id)
+        if cached is None:
+            cached = self._quantised_cache[leaf_id] = self.fmt.quantize_array(original)
+        return cached
 
 
 def classification_error(tree: KDTree, queries: Sequence[Sequence[float]], radius: float,

@@ -51,7 +51,7 @@ SEARCH_STAT_FIELDS = ("queries", "leaves_visited", "interior_visited",
 BONSAI_STAT_FIELDS = ("leaf_visits", "slices_loaded",
                       "compressed_bytes_loaded", "points_classified",
                       "conclusive_in", "conclusive_out", "inconclusive",
-                      "recompute_bytes_loaded", "fallback_leaf_visits")
+                      "recompute_bytes_loaded")
 
 #: HierarchyStats counters identical between two recorded runs of one flavor.
 HIERARCHY_STAT_FIELDS = ("l1_accesses", "l1_misses", "l2_accesses",

@@ -16,7 +16,7 @@ what the shrinker starts from.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,10 +141,6 @@ class WorldSpec:
         ops = tuple(QueryOp(**op) for op in data["ops"])
         return cls(**{**{k: v for k, v in data.items() if k != "ops"},
                       "ops": ops})
-
-    def with_ops(self, ops: Sequence[QueryOp]) -> "WorldSpec":
-        """A copy carrying a different op list (used by the shrinker)."""
-        return replace(self, ops=tuple(ops))
 
 
 def random_world(seed: int,

@@ -2,12 +2,7 @@
 
 from .bitstream import BitReader, BitWriter
 from .bonsai_search import BonsaiLeafInspector, BonsaiRadiusSearch, BonsaiStats
-from .compressed_leaf import (
-    CompressedRef,
-    CompressedStructArray,
-    CompressionReport,
-    compress_tree,
-)
+from .compressed_leaf import CompressedStructArray, CompressionReport, compress_tree
 from .error_model import (
     Classification,
     PartErrorTable,
@@ -47,7 +42,6 @@ __all__ = [
     "BonsaiLeafInspector",
     "BonsaiRadiusSearch",
     "BonsaiStats",
-    "CompressedRef",
     "CompressedStructArray",
     "CompressionReport",
     "compress_tree",

@@ -1,8 +1,7 @@
 """Radius search over compressed leaves (the K-D Bonsai leaf inspector).
 
 The traversal is unchanged from the baseline (:func:`repro.kdtree.radius_search`);
-only leaf processing differs.  When the search reaches a leaf whose compressed
-structure exists, the inspector:
+only leaf processing differs.  When the search reaches a leaf, the inspector:
 
 1. loads the compressed structure in 128-bit slices (modelling the LDDCP
    micro-operations) and takes its reduced-precision coordinates from the
@@ -21,18 +20,16 @@ memory-access recorder for cache simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..kdtree.build import KDTree
-from ..kdtree.layout import POINT_STRIDE_BYTES, TreeMemoryLayout
-from ..kdtree.node import LeafNode
-from ..kdtree.radius_search import MemoryRecorder, SearchStats
-from ..runtime.kernels import leaf_distances2, shell_classify, shell_error_bound
-from .compressed_leaf import CompressedRef, CompressedStructArray, compress_tree
-from .error_model import PartErrorTable
+from ..kdtree.layout import POINT_STRIDE_BYTES, compressed_address, point_address
+from ..kdtree.radius_search import MemoryRecorder, SearchStats, radius_search
+from ..runtime.kernels import shell_classify, shell_error_bound
+from .compressed_leaf import CompressedStructArray, compress_tree
 from .floatfmt import FLOAT16, FloatFormat
 from .leaf_compression import ZIPPTS_SLICE_BYTES
 
@@ -51,7 +48,6 @@ class BonsaiStats:
     conclusive_out: int = 0
     inconclusive: int = 0
     recompute_bytes_loaded: int = 0
-    fallback_leaf_visits: int = 0
 
     @property
     def inconclusive_rate(self) -> float:
@@ -75,7 +71,6 @@ class BonsaiStats:
         self.conclusive_out += other.conclusive_out
         self.inconclusive += other.inconclusive
         self.recompute_bytes_loaded += other.recompute_bytes_loaded
-        self.fallback_leaf_visits += other.fallback_leaf_visits
 
 
 class BonsaiLeafInspector:
@@ -90,121 +85,86 @@ class BonsaiLeafInspector:
     ----------
     array:
         The tree's ``cmprsd_strct_array``, as built by
-        :func:`compress_tree`.  If omitted, the inspector looks for
-        ``tree.compressed_array``.  An array filled by ``append`` has no
-        decoded mirror and raises ``ValueError``.
+        :func:`compress_tree`.  If omitted, the inspector reads
+        ``tree.compressed_array`` and raises ``ValueError`` for a tree that
+        was never compressed.
     fmt:
         Reduced float format of the compressed coordinates.
     """
 
     def __init__(self, array: Optional[CompressedStructArray] = None,
                  fmt: FloatFormat = FLOAT16):
-        if array is not None:
-            array.require_mirror()
         self.array = array
         self.fmt = fmt
-        self.part_error = PartErrorTable(fmt)
         self.bonsai_stats = BonsaiStats()
 
     # ------------------------------------------------------------------
     # LeafInspector protocol
     # ------------------------------------------------------------------
-    def inspect(self, tree: KDTree, leaf: LeafNode, query: np.ndarray, r2: float,
-                results: List[int], stats: SearchStats,
-                recorder: Optional[MemoryRecorder],
-                layout: Optional[TreeMemoryLayout]) -> None:
-        array = self._resolve_array(tree)
-        ref: Optional[CompressedRef] = leaf.compressed_ref  # type: ignore[assignment]
-        if array is None or ref is None:
-            # No compressed structure: fall back to the baseline behaviour.
-            self.bonsai_stats.fallback_leaf_visits += 1
-            self._baseline_inspect(tree, leaf, query, r2, results, stats, recorder, layout)
-            return
+    def inspect(self, tree: KDTree, leaf_id: int, indices: np.ndarray,
+                query: np.ndarray, r2: float, results: List[int],
+                stats: SearchStats, recorder: Optional[MemoryRecorder]) -> None:
+        array = self.array if self.array is not None else tree.compressed_array
+        if array is None:
+            raise ValueError("the tree has no compressed array to inspect; "
+                             "compress it with compress_tree() first")
+        offset = int(array.offsets[leaf_id])
+        slice_bytes = int(array.offsets[leaf_id + 1]) - offset
+        n_points = indices.shape[0]
+        bstats = self.bonsai_stats
+        bstats.leaf_visits += 1
+        bstats.slices_loaded += slice_bytes // ZIPPTS_SLICE_BYTES
+        bstats.compressed_bytes_loaded += slice_bytes
+        stats.points_examined += n_points
+        stats.point_bytes_loaded += slice_bytes
 
-        self.bonsai_stats.leaf_visits += 1
-        self.bonsai_stats.slices_loaded += ref.n_slices
-        self.bonsai_stats.compressed_bytes_loaded += ref.n_slices * ZIPPTS_SLICE_BYTES
-        stats.points_examined += leaf.n_points
-        stats.point_bytes_loaded += ref.n_slices * ZIPPTS_SLICE_BYTES
+        if recorder is not None:
+            for slice_offset in range(offset, offset + slice_bytes, ZIPPTS_SLICE_BYTES):
+                recorder.record_load(compressed_address(slice_offset), ZIPPTS_SLICE_BYTES)
 
-        if recorder is not None and layout is not None:
-            for slice_index in range(ref.n_slices):
-                recorder.record_load(
-                    layout.compressed_address(ref.offset + slice_index * ZIPPTS_SLICE_BYTES),
-                    ZIPPTS_SLICE_BYTES,
-                )
-
-        reduced, max_delta = array.mirror.leaf(leaf.leaf_id)
+        reduced, max_delta = array.mirror.leaf(leaf_id)
 
         diffs = query - reduced
         sq = diffs * diffs
         d2_approx = sq.sum(axis=1)
         eps = shell_error_bound(np.abs(diffs), max_delta)
 
-        self.bonsai_stats.points_classified += leaf.n_points
+        bstats.points_classified += n_points
 
         conclusive_in, conclusive_out, inconclusive = shell_classify(d2_approx, eps, r2)
 
-        self.bonsai_stats.conclusive_in += int(conclusive_in.sum())
-        self.bonsai_stats.conclusive_out += int(conclusive_out.sum())
-        self.bonsai_stats.inconclusive += int(inconclusive.sum())
+        n_inconclusive = int(np.count_nonzero(inconclusive))
+        bstats.conclusive_in += int(np.count_nonzero(conclusive_in))
+        bstats.conclusive_out += int(np.count_nonzero(conclusive_out))
+        bstats.inconclusive += n_inconclusive
 
-        for local_index, point_index in enumerate(leaf.indices):
-            if conclusive_in[local_index]:
-                results.append(int(point_index))
-                stats.points_in_radius += 1
-                continue
-            if conclusive_out[local_index]:
-                continue
-            # Inconclusive: fetch the original 32-bit point and recompute.
-            self.bonsai_stats.recompute_bytes_loaded += POINT_STRIDE_BYTES
-            stats.point_bytes_loaded += POINT_STRIDE_BYTES
-            if recorder is not None and layout is not None:
-                recorder.record_load(layout.point_address(int(point_index)),
-                                     POINT_STRIDE_BYTES)
-            original = tree.points_f64[int(point_index)]
-            diff = query - original
-            if float(diff @ diff) <= r2:
-                results.append(int(point_index))
-                stats.points_in_radius += 1
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _resolve_array(self, tree: KDTree) -> Optional[CompressedStructArray]:
-        if self.array is not None:
-            return self.array
-        array = tree.compressed_array
-        if array is not None:
-            array.require_mirror()
-        return array
-
-    def _baseline_inspect(self, tree, leaf, query, r2, results, stats, recorder, layout):
-        points = tree.points_f64[leaf.indices]
-        d2 = leaf_distances2(points, query)
-        inside = d2 <= r2
-        stats.points_examined += leaf.n_points
-        stats.points_in_radius += int(inside.sum())
-        stats.point_bytes_loaded += leaf.n_points * POINT_STRIDE_BYTES
-        if recorder is not None and layout is not None:
-            for point_index in leaf.indices:
-                recorder.record_load(layout.point_address(int(point_index)),
-                                     POINT_STRIDE_BYTES)
-        for point_index, in_radius in zip(leaf.indices, inside):
-            if in_radius:
-                results.append(int(point_index))
+        hits = conclusive_in
+        if n_inconclusive:
+            # Inconclusive: fetch the original 32-bit points and recompute.
+            hits = conclusive_in.copy()
+            points = tree.points_f64
+            for local_index in np.flatnonzero(inconclusive).tolist():
+                point_index = int(indices[local_index])
+                if recorder is not None:
+                    recorder.record_load(point_address(point_index), POINT_STRIDE_BYTES)
+                diff = query - points[point_index]
+                hits[local_index] = float(diff @ diff) <= r2
+            recompute_bytes = n_inconclusive * POINT_STRIDE_BYTES
+            bstats.recompute_bytes_loaded += recompute_bytes
+            stats.point_bytes_loaded += recompute_bytes
+        hit_ids = indices[hits].tolist()
+        stats.points_in_radius += len(hit_ids)
+        results.extend(hit_ids)
 
 
 class BonsaiRadiusSearch:
     """High-level helper: compress a tree once, then issue Bonsai searches."""
 
     def __init__(self, tree: KDTree, fmt: FloatFormat = FLOAT16,
-                 recorder: Optional[MemoryRecorder] = None,
-                 layout: Optional[TreeMemoryLayout] = None):
+                 recorder: Optional[MemoryRecorder] = None):
         self.tree = tree
         self.fmt = fmt
         self.recorder = recorder
-        self.layout = layout
         if tree.compressed_array is None:
             self.report = compress_tree(tree, fmt)
             self._record_compression_accesses()
@@ -222,23 +182,19 @@ class BonsaiRadiusSearch:
         during tree construction) and contribute to the Bonsai configuration's
         cache behaviour.
         """
-        if self.recorder is None or self.layout is None:
+        recorder = self.recorder
+        if recorder is None:
             return
-        for leaf in self.tree.leaves:
-            for point_index in leaf.indices:
-                self.recorder.record_load(
-                    self.layout.point_address(int(point_index)), POINT_STRIDE_BYTES
-                )
-            ref = leaf.compressed_ref
-            if ref is None:
-                continue
-            for slice_index in range(ref.n_slices):
-                self.recorder.record_store(
-                    self.layout.compressed_address(
-                        ref.offset + slice_index * ZIPPTS_SLICE_BYTES
-                    ),
-                    ZIPPTS_SLICE_BYTES,
-                )
+        arrays = self.tree.arrays
+        starts = arrays.leaf_starts.tolist()
+        point_ids = arrays.leaf_points.tolist()
+        offsets = self.tree.compressed_array.offsets.tolist()
+        for leaf_id in range(arrays.n_leaves):
+            for point_index in point_ids[starts[leaf_id]:starts[leaf_id + 1]]:
+                recorder.record_load(point_address(point_index), POINT_STRIDE_BYTES)
+            for slice_offset in range(offsets[leaf_id], offsets[leaf_id + 1],
+                                      ZIPPTS_SLICE_BYTES):
+                recorder.record_store(compressed_address(slice_offset), ZIPPTS_SLICE_BYTES)
 
     @property
     def bonsai_stats(self) -> BonsaiStats:
@@ -247,9 +203,7 @@ class BonsaiRadiusSearch:
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Radius search over compressed leaves; identical results to baseline."""
-        from ..kdtree.radius_search import radius_search
-
         return radius_search(
             self.tree, query, radius, inspector=self.inspector, stats=self.stats,
-            recorder=self.recorder, layout=self.layout,
+            recorder=self.recorder,
         )

@@ -91,19 +91,9 @@ class CompressedLeaf:
         return len(self.data)
 
     @property
-    def payload_bytes(self) -> int:
-        """Meaningful (unpadded) size in bytes, rounded up."""
-        return (self.payload_bits + 7) // 8
-
-    @property
     def n_slices(self) -> int:
         """Number of 128-bit ZipPts slices occupied."""
         return len(self.data) // ZIPPTS_SLICE_BYTES
-
-    @property
-    def n_coords_compressed(self) -> int:
-        """How many of the three coordinates share their <sign, exponent>."""
-        return sum(self.flags)
 
     def compression_ratio(self, baseline_bytes_per_point: int = 16) -> float:
         """Compressed bytes over baseline bytes for the same points."""

@@ -82,11 +82,14 @@ def leaf_similarity(tree: KDTree, fmt: FloatFormat = FLOAT32) -> LeafSimilarityS
     shares the fields of the 16-bit representation.
     """
     stats = LeafSimilarityStats(format_name=fmt.name)
-    for leaf in tree.leaves:
-        points = tree.leaf_points(leaf)
-        fields = _sign_exponent_fields(points.astype(np.float64), fmt)
+    arrays = tree.arrays
+    leaf_fields = _sign_exponent_fields(
+        tree.points[arrays.leaf_points].astype(np.float64), fmt)
+    starts = arrays.leaf_starts.tolist()
+    for start, stop in zip(starts, starts[1:]):
+        fields = leaf_fields[start:stop]
         stats.n_leaves += 1
-        stats.n_points += leaf.n_points
+        stats.n_points += stop - start
         all_shared = True
         for c, name in enumerate(_COORD_NAMES):
             column = fields[:, c]

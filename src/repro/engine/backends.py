@@ -52,7 +52,6 @@ from ..core.bonsai_search import BonsaiRadiusSearch, BonsaiStats
 from ..core.floatfmt import FLOAT16, FloatFormat
 from ..kdtree.build import KDTree
 from ..kdtree.knn import nearest_neighbors
-from ..kdtree.layout import TreeMemoryLayout
 from ..kdtree.radius_search import MemoryRecorder, SearchStats, radius_search
 from ..runtime.batch import BatchKNNResult, BatchQueryEngine, BatchRadiusResult
 from ..runtime.bonsai import BonsaiBatchSearcher
@@ -171,19 +170,16 @@ class BaselinePerQueryBackend(_PerQueryBackendBase):
     flavor = "baseline"
 
     def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None,
-                 recorder: Optional[MemoryRecorder] = None,
-                 layout: Optional[TreeMemoryLayout] = None):
+                 recorder: Optional[MemoryRecorder] = None):
         self.tree = tree
         self.stats = stats if stats is not None else SearchStats()
         self.recorder = recorder
-        self.layout = layout or (TreeMemoryLayout(n_points=tree.n_points)
-                                 if recorder is not None else None)
         self.bonsai_stats: Optional[BonsaiStats] = None
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Single-query radius search (native traversal order)."""
         return radius_search(self.tree, query, radius, stats=self.stats,
-                             recorder=self.recorder, layout=self.layout)
+                             recorder=self.recorder)
 
 
 class BonsaiPerQueryBackend(_PerQueryBackendBase):
@@ -200,15 +196,11 @@ class BonsaiPerQueryBackend(_PerQueryBackendBase):
 
     def __init__(self, tree: KDTree, *, fmt: FloatFormat = FLOAT16,
                  stats: Optional[SearchStats] = None,
-                 recorder: Optional[MemoryRecorder] = None,
-                 layout: Optional[TreeMemoryLayout] = None):
+                 recorder: Optional[MemoryRecorder] = None):
         self.tree = tree
         self.fmt = fmt
         self.recorder = recorder
-        self.layout = layout or (TreeMemoryLayout(n_points=tree.n_points)
-                                 if recorder is not None else None)
-        self._bonsai = BonsaiRadiusSearch(tree, fmt=fmt, recorder=recorder,
-                                          layout=self.layout)
+        self._bonsai = BonsaiRadiusSearch(tree, fmt=fmt, recorder=recorder)
         if stats is not None:
             self._bonsai.stats = stats
         self.stats = self._bonsai.stats

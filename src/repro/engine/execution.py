@@ -101,8 +101,7 @@ class ExecutionConfig:
             machine = TABLE_IV_CPU
         return HierarchyRecorder.for_cpu(machine)
 
-    def make_backend(self, tree, *, recorder=None, layout=None,
-                     stats=None) -> SearchBackend:
+    def make_backend(self, tree, *, recorder=None, stats=None) -> SearchBackend:
         """Construct this config's backend over ``tree``.
 
         With ``hardware`` set (or an explicit ``recorder`` passed), the
@@ -116,5 +115,5 @@ class ExecutionConfig:
             if recorder is None:
                 recorder = self.make_recorder()
             return get_backend(f"{self.flavor}-perquery", tree,
-                               recorder=recorder, layout=layout, stats=stats)
+                               recorder=recorder, stats=stats)
         return get_backend(self.backend, tree, stats=stats)

@@ -86,9 +86,9 @@ def get_backend(name: str, tree: KDTree, **opts) -> SearchBackend:
 
     ``opts`` are forwarded to the backend constructor: every backend accepts
     ``stats=`` (a shared :class:`~repro.kdtree.radius_search.SearchStats`
-    accumulator); the per-query flavours additionally accept ``recorder=`` /
-    ``layout=`` (the hardware-recording hooks) and the Bonsai flavours
-    ``fmt=`` (the reduced float format).  Raises ``KeyError`` naming the
+    accumulator); the per-query flavours additionally accept ``recorder=``
+    (the hardware-recording hook) and the Bonsai flavours ``fmt=`` (the
+    reduced float format).  Raises ``KeyError`` naming the
     registered backends on an unknown name.
     """
     try:

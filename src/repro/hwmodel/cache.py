@@ -13,9 +13,9 @@ Units and determinism
 ---------------------
 All sizes and counters are in **bytes** and **accesses** (cache-line-granular
 at every level).  The simulation is fully deterministic: LRU replacement has
-no random state, addresses come from the synthetic
-:class:`~repro.kdtree.layout.TreeMemoryLayout`, and identical access traces
-therefore produce bit-identical :class:`CacheStats`/:class:`HierarchyStats` —
+no random state, addresses come from the fixed synthetic layout of
+:mod:`repro.kdtree.layout`, and identical access traces therefore produce
+bit-identical :class:`CacheStats`/:class:`HierarchyStats` —
 which is what allows the golden hardware-metric snapshots
 (``tests/test_golden_hardware.py``) to pin miss counts exactly.
 """

@@ -2,13 +2,7 @@
 
 from .build import DEFAULT_MAX_LEAF_SIZE, KDTree, KDTreeConfig, KDTreeStats, build_kdtree
 from .knn import nearest_neighbor, nearest_neighbors
-from .layout import (
-    INDEX_STRIDE_BYTES,
-    NODE_RECORD_BYTES,
-    POINT_STRIDE_BYTES,
-    TreeMemoryLayout,
-)
-from .node import InteriorNode, LeafNode, Node
+from .layout import INDEX_STRIDE_BYTES, NODE_RECORD_BYTES, POINT_STRIDE_BYTES
 from .radius_search import (
     Float32LeafInspector,
     LeafInspector,
@@ -28,10 +22,6 @@ __all__ = [
     "INDEX_STRIDE_BYTES",
     "NODE_RECORD_BYTES",
     "POINT_STRIDE_BYTES",
-    "TreeMemoryLayout",
-    "InteriorNode",
-    "LeafNode",
-    "Node",
     "Float32LeafInspector",
     "LeafInspector",
     "RadiusSearcher",

@@ -17,12 +17,9 @@ uses, and which Autoware's euclidean cluster relies on):
 The build runs level by level: one array pass splits every node of a level
 (:func:`_build_levels`), with the medians, partitions and node order that
 splitting one node at a time gives.  It writes the tree as flat arrays
-(:class:`TreeArrays`): the batched searches traverse those directly, and the
-shared-memory store publishes them.  The
-:class:`~repro.kdtree.node.InteriorNode` /
-:class:`~repro.kdtree.node.LeafNode` object graph the per-query paths walk
-is created from the arrays on first access to :attr:`KDTree.root` or
-:attr:`KDTree.leaves`.
+(:class:`TreeArrays`): the batched searches traverse those one level per
+NumPy step, the per-query searches walk them node id by node id, and the
+shared-memory store publishes them.
 """
 # repro-lint: disable-file=hygiene-assert-control-flow -- KDTree.validate()
 # documents "Raises AssertionError" as its contract; its asserts are the API.
@@ -30,14 +27,13 @@ is created from the arrays on first access to :attr:`KDTree.root` or
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..pointcloud.cloud import PointCloud
-from .node import InteriorNode, LeafNode, Node
 
-__all__ = ["KDTree", "KDTreeConfig", "TreeArrays", "build_kdtree"]
+__all__ = ["KDTree", "KDTreeConfig", "NodeLists", "TreeArrays", "build_kdtree"]
 
 #: PCL's default maximum number of points per leaf.
 DEFAULT_MAX_LEAF_SIZE = 15
@@ -114,11 +110,30 @@ class TreeArrays:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+class NodeLists(NamedTuple):
+    """The node fields of :class:`TreeArrays` as Python lists.
+
+    The per-query walks step through node ids one at a time, and indexing a
+    list is cheaper than reading a NumPy scalar.
+    """
+
+    split_dim: List[int]
+    split_value: List[float]
+    split_low: List[float]
+    split_high: List[float]
+    left: List[int]
+    right: List[int]
+    leaf_id: List[int]
+    leaf_starts: List[int]
+
+
 class KDTree:
     """A leaf-based k-d tree over a fixed set of 3D points.
 
-    ``arrays`` is the tree itself; ``root`` and ``leaves`` are node objects
-    created from it on first access (and dropped when the tree is pickled).
+    ``arrays`` is the tree itself.  ``compressed_array`` is the K-D Bonsai
+    ``cmprsd_strct_array`` of the tree (a
+    :class:`~repro.core.compressed_leaf.CompressedStructArray`), set by
+    :func:`~repro.core.compressed_leaf.compress_tree`; ``None`` until then.
     """
 
     def __init__(self, points: np.ndarray, arrays: TreeArrays,
@@ -129,14 +144,8 @@ class KDTree:
         self.arrays = arrays
         self.config = config
         self.stats = stats
-        self._root: Optional[Node] = None
-        self._leaves: Optional[List[LeafNode]] = None
-        self._compressed_array = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_root"] = state["_leaves"] = None
-        return state
+        self.compressed_array = None
+        self._node_lists: Optional[NodeLists] = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -159,100 +168,27 @@ class KDTree:
         return self._points_f64
 
     @property
+    def node_lists(self) -> NodeLists:
+        """The node fields of :attr:`arrays` as lists, converted once and cached."""
+        if self._node_lists is None:
+            arrays = self.arrays
+            self._node_lists = NodeLists(
+                *(getattr(arrays, name).tolist() for name in NodeLists._fields))
+        return self._node_lists
+
+    @property
     def n_points(self) -> int:
         """Number of indexed points."""
         return self._points.shape[0]
-
-    @property
-    def root(self) -> Node:
-        """The root node of the object graph (created on first access)."""
-        if self._root is None:
-            self._build_nodes()
-        return self._root
-
-    @property
-    def leaves(self) -> List[LeafNode]:
-        """All leaf nodes in build order (leaf_id order)."""
-        if self._leaves is None:
-            self._build_nodes()
-        return self._leaves
 
     @property
     def n_leaves(self) -> int:
         """Number of leaf nodes."""
         return self.arrays.n_leaves
 
-    @property
-    def compressed_array(self):
-        """The K-D Bonsai ``cmprsd_strct_array`` of this tree, if compressed.
-
-        A :class:`~repro.core.compressed_leaf.CompressedStructArray`, set by
-        :func:`~repro.core.compressed_leaf.compress_tree`; assigning it also
-        gives every leaf node its ``compressed_ref``.
-        """
-        return self._compressed_array
-
-    @compressed_array.setter
-    def compressed_array(self, array) -> None:
-        self._compressed_array = array
-        if self._leaves is not None:
-            for leaf in self._leaves:
-                leaf.compressed_ref = array.ref(leaf.leaf_id)
-
-    def _build_nodes(self) -> None:
-        """Create the node objects from :attr:`arrays`, children first."""
-        arrays = self.arrays
-        starts = arrays.leaf_starts.tolist()
-        split_dim = arrays.split_dim.tolist()
-        split_value = arrays.split_value.tolist()
-        split_low = arrays.split_low.tolist()
-        split_high = arrays.split_high.tolist()
-        left = arrays.left.tolist()
-        right = arrays.right.tolist()
-        array = self._compressed_array
-        nodes: List[Optional[Node]] = [None] * arrays.n_nodes
-        leaves: List[Optional[LeafNode]] = [None] * arrays.n_leaves
-        for i, leaf_id in reversed(list(enumerate(arrays.leaf_id.tolist()))):
-            if leaf_id >= 0:
-                leaf = LeafNode(
-                    indices=arrays.leaf_points[starts[leaf_id]:starts[leaf_id + 1]],
-                    leaf_id=leaf_id,
-                    bbox_min=arrays.bbox_min[i],
-                    bbox_max=arrays.bbox_max[i],
-                    compressed_ref=None if array is None else array.ref(leaf_id),
-                )
-                nodes[i] = leaves[leaf_id] = leaf
-            else:
-                nodes[i] = InteriorNode(
-                    split_dim=split_dim[i],
-                    split_value=split_value[i],
-                    split_low=split_low[i],
-                    split_high=split_high[i],
-                    left=nodes[left[i]],
-                    right=nodes[right[i]],
-                    bbox_min=arrays.bbox_min[i],
-                    bbox_max=arrays.bbox_max[i],
-                )
-        self._leaves = leaves  # type: ignore[assignment]
-        self._root = nodes[0]
-
     def depth(self) -> int:
         """Maximum depth of the tree (root at depth 0)."""
         return self.stats.max_depth
-
-    def iter_nodes(self) -> Iterator[Node]:
-        """Depth-first iteration over all nodes."""
-        stack: List[Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    def leaf_points(self, leaf: LeafNode) -> np.ndarray:
-        """The coordinate array of the points stored in ``leaf``."""
-        return self._points[leaf.indices]
 
     def validate(self) -> None:
         """Check the structural invariants of the tree.
@@ -267,40 +203,43 @@ class KDTree:
         Raises ``AssertionError`` when an invariant is violated (used by the
         test-suite and by property-based tests).
         """
-        seen = np.zeros(self.n_points, dtype=bool)
-        for leaf in self.leaves:
-            assert leaf.n_points <= self.config.max_leaf_size, "oversized leaf"
-            assert not np.any(seen[leaf.indices]), "point indexed by two leaves"
-            seen[leaf.indices] = True
-            pts = self.leaf_points(leaf).astype(np.float64)
-            assert np.all(pts >= leaf.bbox_min - 1e-6), "point below leaf bbox"
-            assert np.all(pts <= leaf.bbox_max + 1e-6), "point above leaf bbox"
-        assert np.all(seen), "point missing from every leaf"
+        arrays = self.arrays
+        sizes = arrays.leaf_sizes
+        assert np.all(sizes <= self.config.max_leaf_size), "oversized leaf"
+        counts = np.bincount(arrays.leaf_points, minlength=self.n_points)
+        assert np.all(counts <= 1), "point indexed by two leaves"
+        assert np.all(counts >= 1), "point missing from every leaf"
 
-        def check(node: Node) -> Tuple[float, float]:
-            if node.is_leaf:
-                return 0.0, 0.0
-            left_vals = self._subtree_values(node.left, node.split_dim)
-            right_vals = self._subtree_values(node.right, node.split_dim)
-            assert left_vals.max() <= node.split_low + 1e-6, "left child exceeds split_low"
-            assert right_vals.min() >= node.split_high - 1e-6, "right child below split_high"
-            check(node.left)
-            check(node.right)
-            return 0.0, 0.0
+        leaf_nodes = np.flatnonzero(arrays.leaf_id >= 0)
+        node_of_leaf = np.empty(arrays.n_leaves, dtype=np.intp)
+        node_of_leaf[arrays.leaf_id[leaf_nodes]] = leaf_nodes
+        owner = np.repeat(node_of_leaf, sizes)
+        pts = self._points[arrays.leaf_points].astype(np.float64)
+        assert np.all(pts >= arrays.bbox_min[owner] - 1e-6), "point below leaf bbox"
+        assert np.all(pts <= arrays.bbox_max[owner] + 1e-6), "point above leaf bbox"
 
-        check(self.root)
-
-    def _subtree_values(self, node: Node, dim: int) -> np.ndarray:
-        indices: List[np.ndarray] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.is_leaf:
-                indices.append(current.indices)
-            else:
-                stack.append(current.left)
-                stack.append(current.right)
-        return self._points[np.concatenate(indices), dim].astype(np.float64)
+        # Each subtree's coordinate range, children before parents.
+        low = np.empty((arrays.n_nodes, 3))
+        high = np.empty((arrays.n_nodes, 3))
+        low[node_of_leaf] = np.minimum.reduceat(pts, arrays.leaf_starts[:-1])
+        high[node_of_leaf] = np.maximum.reduceat(pts, arrays.leaf_starts[:-1])
+        nodes = self.node_lists
+        walk, order = [0], []
+        while walk:
+            node = walk.pop()
+            order.append(node)
+            if nodes.leaf_id[node] < 0:
+                walk += (nodes.left[node], nodes.right[node])
+        for node in reversed(order):
+            if nodes.leaf_id[node] >= 0:
+                continue
+            left, right, dim = nodes.left[node], nodes.right[node], nodes.split_dim[node]
+            assert high[left, dim] <= nodes.split_low[node] + 1e-6, \
+                "left child exceeds split_low"
+            assert low[right, dim] >= nodes.split_high[node] - 1e-6, \
+                "right child below split_high"
+            low[node] = np.minimum(low[left], low[right])
+            high[node] = np.maximum(high[left], high[right])
 
 
 def build_kdtree(cloud_or_points, config: Optional[KDTreeConfig] = None) -> KDTree:

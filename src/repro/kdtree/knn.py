@@ -3,9 +3,10 @@
 Radius search is the paper's target operation, but the same tree serves
 nearest-neighbour queries in related Autoware code paths (NDT voxel lookup,
 registration correspondences).  The implementation follows the classic
-branch-and-bound descent: visit the near child first, keep a bounded max-heap
-of the best candidates, and prune the far child when its region cannot beat
-the current k-th best distance.
+branch-and-bound descent over the node ids of the tree's flat arrays: visit
+the near child first, keep a bounded max-heap of the best candidates, and
+prune the far child when its region cannot beat the current k-th best
+distance.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from ..runtime.kernels import leaf_distances2
 from ..runtime.queries import as_query_point, check_k
 from .build import KDTree
-from .node import Node
 from .radius_search import SearchStats
 
 __all__ = ["nearest_neighbors", "nearest_neighbor"]
@@ -51,33 +51,43 @@ def nearest_neighbors(
             return float("inf")
         return -heap[0][0]
 
-    def visit(node: Node) -> None:
-        if node.is_leaf:
-            stats.note_leaf_visit(node.leaf_id)
-            points = tree.points_f64[node.indices]
-            d2 = leaf_distances2(points, query_arr)
-            stats.points_examined += node.n_points
-            for point_index, dist2 in zip(node.indices, d2):
-                entry = (-float(dist2), -int(point_index))
+    nodes = tree.node_lists
+    starts = nodes.leaf_starts
+    leaf_points = tree.arrays.leaf_points
+    coords = query_arr.tolist()
+    # Depth-first, near child first: a far child is pushed under the near
+    # one with its squared gap, and entered only if the gap still beats the
+    # k-th best distance once the near subtree is done.
+    stack: List[Tuple[int, float]] = [(0, 0.0)]
+    while stack:
+        node, gap2 = stack.pop()
+        if gap2 > worst_d2():
+            continue
+        leaf_id = nodes.leaf_id[node]
+        if leaf_id >= 0:
+            stats.note_leaf_visit(leaf_id)
+            indices = leaf_points[starts[leaf_id]:starts[leaf_id + 1]]
+            d2 = leaf_distances2(tree.points_f64[indices], query_arr)
+            stats.points_examined += indices.shape[0]
+            for point_index, dist2 in zip(indices.tolist(), d2.tolist()):
+                entry = (-dist2, -point_index)
                 if len(heap) < k:
                     heapq.heappush(heap, entry)
                 elif entry > heap[0]:
                     heapq.heapreplace(heap, entry)
-            return
+            continue
 
         stats.interior_visited += 1
-        value = query_arr[node.split_dim]
-        if value <= node.split_value:
-            near, far = node.left, node.right
-            far_gap = node.split_high - value
+        value = coords[nodes.split_dim[node]]
+        if value <= nodes.split_value[node]:
+            near, far = nodes.left[node], nodes.right[node]
+            far_gap = nodes.split_high[node] - value
         else:
-            near, far = node.right, node.left
-            far_gap = value - node.split_low
-        visit(near)
-        if far_gap * far_gap <= worst_d2():
-            visit(far)
+            near, far = nodes.right[node], nodes.left[node]
+            far_gap = value - nodes.split_low[node]
+        stack.append((far, far_gap * far_gap))
+        stack.append((near, 0.0))
 
-    visit(tree.root)
     ordered = sorted((-neg_d2, -neg_idx) for neg_d2, neg_idx in heap)
     return [(idx, float(np.sqrt(d2))) for d2, idx in ordered]
 

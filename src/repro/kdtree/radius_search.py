@@ -2,8 +2,10 @@
 
 The traversal matches PCL/FLANN: descend towards the child whose region
 contains the query, then on the way back up visit the other child whenever its
-region is within the search radius along the splitting coordinate.  Every leaf
-reached is handed to a *leaf inspector*, which classifies the leaf's points.
+region is within the search radius along the splitting coordinate.  It steps
+through the node ids of the tree's flat arrays
+(:class:`~repro.kdtree.build.TreeArrays`).  Every leaf reached is handed to a
+*leaf inspector* with its point ids, which classifies the leaf's points.
 
 The inspector is pluggable so that the baseline 32-bit inspection and the
 K-D Bonsai compressed inspection share exactly the same traversal (only leaf
@@ -20,8 +22,14 @@ import numpy as np
 from ..runtime.kernels import leaf_distances2
 from ..runtime.queries import as_query_point, check_radius
 from .build import KDTree
-from .layout import POINT_STRIDE_BYTES, NODE_RECORD_BYTES, TreeMemoryLayout
-from .node import LeafNode, Node
+from .layout import (
+    INDEX_STRIDE_BYTES,
+    NODE_RECORD_BYTES,
+    POINT_STRIDE_BYTES,
+    index_entry_address,
+    node_address,
+    point_address,
+)
 
 __all__ = [
     "SearchStats",
@@ -99,18 +107,23 @@ class SearchStats:
 
 
 class LeafInspector(Protocol):
-    """Classifies the points of one leaf against a query and radius."""
+    """Classifies the points of one leaf against a query and radius.
+
+    ``indices`` are the leaf's point ids, the leaf's slice of
+    ``tree.arrays.leaf_points``; hits are appended to ``results`` in that
+    order.
+    """
 
     def inspect(
         self,
         tree: KDTree,
-        leaf: LeafNode,
+        leaf_id: int,
+        indices: np.ndarray,
         query: np.ndarray,
         r2: float,
         results: List[int],
         stats: SearchStats,
         recorder: Optional[MemoryRecorder],
-        layout: Optional[TreeMemoryLayout],
     ) -> None:  # pragma: no cover - protocol
         ...
 
@@ -123,25 +136,21 @@ class Float32LeafInspector:
     euclidean distance in 32-bit and compare against ``r2``.
     """
 
-    def inspect(self, tree, leaf, query, r2, results, stats, recorder, layout) -> None:
-        points = tree.points_f64[leaf.indices]
-        d2 = leaf_distances2(points, query)
-        inside = d2 <= r2
+    def inspect(self, tree, leaf_id, indices, query, r2, results, stats, recorder) -> None:
+        d2 = leaf_distances2(tree.points_f64[indices], query)
+        hits = indices[d2 <= r2].tolist()
 
-        stats.points_examined += leaf.n_points
-        stats.points_in_radius += int(inside.sum())
-        stats.point_bytes_loaded += leaf.n_points * POINT_STRIDE_BYTES
+        n_points = indices.shape[0]
+        stats.points_examined += n_points
+        stats.points_in_radius += len(hits)
+        stats.point_bytes_loaded += n_points * POINT_STRIDE_BYTES
 
-        if recorder is not None and layout is not None:
-            for position, point_index in enumerate(leaf.indices):
-                recorder.record_load(
-                    layout.index_entry_address(int(point_index)), 4
-                )
-                recorder.record_load(layout.point_address(int(point_index)), POINT_STRIDE_BYTES)
+        if recorder is not None:
+            for point_index in indices.tolist():
+                recorder.record_load(index_entry_address(point_index), INDEX_STRIDE_BYTES)
+                recorder.record_load(point_address(point_index), POINT_STRIDE_BYTES)
 
-        for point_index, in_radius in zip(leaf.indices, inside):
-            if in_radius:
-                results.append(int(point_index))
+        results.extend(hits)
 
 
 def radius_search(
@@ -151,7 +160,6 @@ def radius_search(
     inspector: Optional[LeafInspector] = None,
     stats: Optional[SearchStats] = None,
     recorder: Optional[MemoryRecorder] = None,
-    layout: Optional[TreeMemoryLayout] = None,
 ) -> List[int]:
     """Return the indices of all tree points within ``radius`` of ``query``.
 
@@ -159,50 +167,63 @@ def radius_search(
     ----------
     inspector:
         Leaf-processing strategy; defaults to the baseline 32-bit inspector.
-    stats / recorder / layout:
-        Optional accounting hooks (search counters, memory-access recorder and
-        address layout).
+    stats / recorder:
+        Optional accounting hooks (search counters and memory-access
+        recorder; addresses come from :mod:`repro.kdtree.layout`).
     """
     radius = check_radius(radius)
     query_arr = as_query_point(query)
     inspector = inspector or Float32LeafInspector()
     stats = stats if stats is not None else SearchStats()
-    r2 = radius * radius
     results: List[int] = []
     stats.queries += 1
-    _search_node(tree, tree.root, query_arr, radius, r2, inspector,
-                 results, stats, recorder, layout, node_ordinal=[0])
+    _search_node(tree, query_arr, radius, inspector, results, stats, recorder)
     return results
 
 
-def _search_node(tree, node: Node, query: np.ndarray, radius: float, r2: float,
+def _search_node(tree: KDTree, query: np.ndarray, radius: float,
                  inspector: LeafInspector, results: List[int], stats: SearchStats,
-                 recorder, layout, node_ordinal: List[int]) -> None:
-    ordinal = node_ordinal[0]
-    node_ordinal[0] += 1
-    if recorder is not None and layout is not None:
-        recorder.record_load(layout.node_address(ordinal), NODE_RECORD_BYTES)
+                 recorder: Optional[MemoryRecorder]) -> None:
+    """Depth-first walk from the root, near child first.
 
-    if node.is_leaf:
-        stats.note_leaf_visit(node.leaf_id)
-        inspector.inspect(tree, node, query, r2, results, stats, recorder, layout)
-        return
+    The node ids come from ``tree.node_lists``; a far child is pushed under
+    the near one when its region is within ``radius`` along the split
+    coordinate.  Node records are addressed by visit ordinal (the root is 0).
+    """
+    nodes = tree.node_lists
+    split_dim, split_value = nodes.split_dim, nodes.split_value
+    split_low, split_high = nodes.split_low, nodes.split_high
+    left, right, leaf_ids, starts = nodes.left, nodes.right, nodes.leaf_id, nodes.leaf_starts
+    leaf_points = tree.arrays.leaf_points
+    coords = query.tolist()
+    r2 = radius * radius
+    stack = [0]
+    ordinal = 0
+    while stack:
+        node = stack.pop()
+        if recorder is not None:
+            recorder.record_load(node_address(ordinal), NODE_RECORD_BYTES)
+        ordinal += 1
 
-    stats.interior_visited += 1
-    value = query[node.split_dim]
-    if value <= node.split_value:
-        near, far = node.left, node.right
-        # Distance from the query to the far (right) sub-tree's edge.
-        far_gap = node.split_high - value
-    else:
-        near, far = node.right, node.left
-        far_gap = value - node.split_low
+        leaf_id = leaf_ids[node]
+        if leaf_id >= 0:
+            stats.note_leaf_visit(leaf_id)
+            inspector.inspect(tree, leaf_id, leaf_points[starts[leaf_id]:starts[leaf_id + 1]],
+                              query, r2, results, stats, recorder)
+            continue
 
-    _search_node(tree, near, query, radius, r2, inspector, results, stats,
-                 recorder, layout, node_ordinal)
-    if far_gap <= radius:
-        _search_node(tree, far, query, radius, r2, inspector, results, stats,
-                     recorder, layout, node_ordinal)
+        stats.interior_visited += 1
+        value = coords[split_dim[node]]
+        if value <= split_value[node]:
+            near, far = left[node], right[node]
+            # Distance from the query to the far (right) sub-tree's edge.
+            far_gap = split_high[node] - value
+        else:
+            near, far = right[node], left[node]
+            far_gap = value - split_low[node]
+        if far_gap <= radius:
+            stack.append(far)
+        stack.append(near)
 
 
 class RadiusSearcher:
@@ -213,17 +234,15 @@ class RadiusSearcher:
     """
 
     def __init__(self, tree: KDTree, inspector: Optional[LeafInspector] = None,
-                 recorder: Optional[MemoryRecorder] = None,
-                 layout: Optional[TreeMemoryLayout] = None):
+                 recorder: Optional[MemoryRecorder] = None):
         self.tree = tree
         self.inspector = inspector or Float32LeafInspector()
         self.recorder = recorder
-        self.layout = layout
         self.stats = SearchStats()
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Radius search accumulating into the shared :class:`SearchStats`."""
         return radius_search(
             self.tree, query, radius, inspector=self.inspector, stats=self.stats,
-            recorder=self.recorder, layout=self.layout,
+            recorder=self.recorder,
         )

@@ -24,7 +24,13 @@ import numpy as np
 from ..engine.backends import SearchBackend
 from ..engine.execution import ExecutionConfig
 from ..kdtree.build import KDTree, KDTreeConfig, build_kdtree
-from ..kdtree.layout import TreeMemoryLayout
+from ..kdtree.layout import (
+    INDEX_STRIDE_BYTES,
+    POINT_STRIDE_BYTES,
+    flag_address,
+    point_address,
+    queue_address,
+)
 from ..kdtree.radius_search import MemoryRecorder, SearchStats
 from ..pointcloud.cloud import BoundingBox, PointCloud
 from ..runtime.batch import BatchRadiusResult
@@ -132,10 +138,8 @@ class EuclideanClusterExtractor:
             # with the recorder attached, so leaf/point loads — including
             # the build-time compression traffic of a fresh Bonsai tree —
             # stream into the cache model.
-            layout = TreeMemoryLayout(n_points=tree.n_points)
-            backend = execution.make_backend(tree, recorder=self.recorder,
-                                             layout=layout)
-            clusters = self._grow_clusters(cloud, backend.search, layout)
+            backend = execution.make_backend(tree, recorder=self.recorder)
+            clusters = self._grow_clusters(cloud, backend.search)
         elif execution.strategy == "perquery":
             backend = execution.make_backend(tree)
             clusters = self._grow_clusters(cloud, backend.search)
@@ -177,8 +181,7 @@ class EuclideanClusterExtractor:
                 for end, size in zip(ends[keep].tolist(), sizes[keep].tolist())]
 
     def _grow_clusters(self, cloud: PointCloud,
-                       search: Callable[[Sequence[float], float], List[int]],
-                       layout: Optional[TreeMemoryLayout] = None) -> List[Cluster]:
+                       search: Callable[[Sequence[float], float], List[int]]) -> List[Cluster]:
         n = len(cloud)
         processed = np.zeros(n, dtype=bool)
         clusters: List[Cluster] = []
@@ -193,26 +196,25 @@ class EuclideanClusterExtractor:
             frontier = deque([seed])
             while frontier:
                 current = frontier.popleft()
-                if recorder is not None and layout is not None:
+                if recorder is not None:
                     # The cluster loop reads the query point from the cloud and
                     # its processed flag; these accesses are part of the extract
                     # kernel's memory behaviour and keep the point array warm in
                     # the baseline configuration.
-                    recorder.record_load(layout.point_address(current), 16)
-                    recorder.record_load(layout.flag_address(current), 1)
+                    recorder.record_load(point_address(current), POINT_STRIDE_BYTES)
+                    recorder.record_load(flag_address(current), 1)
                 neighbors = search(cloud[current], tolerance)
                 for neighbor in neighbors:
-                    if recorder is not None and layout is not None:
-                        recorder.record_load(layout.flag_address(neighbor), 1)
+                    if recorder is not None:
+                        recorder.record_load(flag_address(neighbor), 1)
                     if not processed[neighbor]:
                         processed[neighbor] = True
                         members.append(neighbor)
                         frontier.append(neighbor)
-                        if recorder is not None and layout is not None:
-                            recorder.record_store(layout.flag_address(neighbor), 1)
-                            recorder.record_store(
-                                layout.queue_address(len(frontier)), 4
-                            )
+                        if recorder is not None:
+                            recorder.record_store(flag_address(neighbor), 1)
+                            recorder.record_store(queue_address(len(frontier)),
+                                                  INDEX_STRIDE_BYTES)
             if self.config.min_cluster_size <= len(members) <= self.config.max_cluster_size:
                 clusters.append(_make_cluster(cloud, sorted(members)))
         return clusters

@@ -32,7 +32,6 @@ from ..core.bonsai_search import BonsaiStats
 from ..core.compressed_leaf import compress_tree
 from ..engine.execution import ExecutionConfig
 from ..kdtree.build import KDTree, build_kdtree
-from ..kdtree.layout import TreeMemoryLayout
 from ..kdtree.radius_search import MemoryRecorder, SearchStats
 from ..pointcloud.cloud import PointCloud
 from ..pointcloud.filters import voxel_ids
@@ -183,16 +182,14 @@ class NDTMatcher:
             recorder = execution.make_recorder()
         self.recorder = recorder
         if recorder is not None:
-            layout = TreeMemoryLayout(n_points=ndt_map.tree.n_points)
             if self.use_bonsai:
                 # Compress the map tree *before* attaching the recorder: map
                 # preparation is offline (unlike the per-frame clustering
                 # trees), so its compression traffic must neither enter the
                 # localization trace nor pre-warm the simulated caches.
-                if getattr(ndt_map.tree, "compressed_array", None) is None:
+                if ndt_map.tree.compressed_array is None:
                     compress_tree(ndt_map.tree)
-            self._backend = execution.make_backend(
-                ndt_map.tree, recorder=recorder, layout=layout)
+            self._backend = execution.make_backend(ndt_map.tree, recorder=recorder)
         else:
             self._backend = execution.make_backend(ndt_map.tree)
         self._batch_search = self._backend.radius_search

@@ -145,7 +145,7 @@ class BatchQueryEngine:
     Binds a :class:`~repro.kdtree.build.KDTree` and a
     :class:`~repro.kdtree.radius_search.SearchStats` accumulator, mirroring
     :class:`~repro.kdtree.radius_search.RadiusSearcher` for the batched case.
-    Only the tree's flat arrays are read, never its node objects.
+    Only the tree's flat arrays are read, never the per-query node lists.
 
     Example
     -------

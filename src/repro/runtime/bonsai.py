@@ -60,9 +60,7 @@ class BonsaiBatchSearcher:
     Parameters
     ----------
     tree:
-        The k-d tree; compressed on construction if it is not already.  A
-        tree whose compressed array was filled by ``append`` has no decoded
-        mirror and is refused with a ``ValueError``.
+        The k-d tree; compressed on construction if it is not already.
     fmt:
         Reduced float format of the compressed coordinates.
     """
@@ -74,7 +72,6 @@ class BonsaiBatchSearcher:
             self.report = compress_tree(tree, fmt)
         else:
             self.report = None
-        tree.compressed_array.require_mirror()
         self.stats = SearchStats()
         self.bonsai_stats = BonsaiStats()
 

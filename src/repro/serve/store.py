@@ -16,8 +16,8 @@ mirror — into POSIX shared memory
 * any number of processes **attach by name** and get a fully functional
   :class:`~repro.kdtree.build.KDTree` whose arrays are all zero-copy views
   into the shared segments; the batched searches read only those arrays,
-  and the node objects the per-query paths walk are created in a process
-  only if it runs one of them;
+  and the per-query paths read the node fields as lists converted in a
+  process only if it runs one of them;
 * the segments are **refcounted**: every refcounted attach increments a
   counter in the control segment under an advisory file lock, every
   ``close()`` decrements it, and the last closer unlinks all segments.
@@ -196,7 +196,7 @@ class SharedCloudStore:
                 compress_tree(tree, fmt, mirror_buffer=dec.buf)
                 array = tree.compressed_array
             else:
-                source = array.require_mirror()
+                source = array.mirror
                 mirror = LeafMirror.allocate(tree.n_points, tree.n_leaves, fmt,
                                              dec.buf)
                 mirror.starts[:] = source.starts
@@ -386,8 +386,9 @@ class SharedCloudStore:
 
         Point arrays, the tree's flat arrays, the compressed-structure bytes
         and their decoded mirror are read-only views into the shared
-        segments; nothing is rebuilt per process, and the node objects are
-        only created if a per-query path asks for them.  The tree is
+        segments; nothing is rebuilt per process, and the node lists
+        (:attr:`~repro.kdtree.build.KDTree.node_lists`) are only converted
+        if a per-query path asks for them.  The tree is
         pre-compressed (``compressed_array`` is a
         :class:`CompressedStructArray` over the segments).
         """

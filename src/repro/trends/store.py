@@ -82,13 +82,6 @@ class TrendStore:
             records.append(record)
         return sorted(records, key=TrendRecord.sort_key)
 
-    def all_records(self) -> List[TrendRecord]:
-        """Every record of every family, family-major deterministic order."""
-        records: List[TrendRecord] = []
-        for family in self.families():
-            records.extend(self.load(family))
-        return records
-
     def runs(self, family: Optional[str] = None) -> List[Tuple[int, str, str]]:
         """Distinct ``(order, commit, run_id)`` identities, sorted.
 

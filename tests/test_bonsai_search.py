@@ -17,7 +17,6 @@ from repro.core.compressed_leaf import compress_tree
 from repro.kdtree import (
     KDTreeConfig,
     SearchStats,
-    TreeMemoryLayout,
     build_kdtree,
     radius_search,
 )
@@ -120,24 +119,20 @@ class TestBonsaiCounters:
         assert sorted(bonsai.search(query, 1.0)) == sorted(radius_search(tree, query, 1.0))
 
 
-class TestBonsaiLeafInspectorFallback:
-    def test_uncompressed_tree_falls_back_to_baseline(self, random_cloud):
+class TestBonsaiLeafInspectorWithoutArray:
+    def test_uncompressed_tree_is_refused(self, random_cloud):
         tree = build_kdtree(random_cloud)  # never compressed
         inspector = BonsaiLeafInspector()
-        stats = SearchStats()
-        query = random_cloud[5]
-        got = radius_search(tree, query, 1.5, inspector=inspector, stats=stats)
-        assert sorted(got) == sorted(radius_search(tree, query, 1.5))
-        assert inspector.bonsai_stats.fallback_leaf_visits > 0
+        with pytest.raises(ValueError, match="compress_tree"):
+            radius_search(tree, random_cloud[5], 1.5, inspector=inspector)
         assert inspector.bonsai_stats.leaf_visits == 0
 
 
 class TestBonsaiWithRecorder:
     def test_recorder_sees_compressed_and_recompute_loads(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
-        layout = TreeMemoryLayout(n_points=tree.n_points)
         recorder = HierarchyRecorder()
-        bonsai = BonsaiRadiusSearch(tree, recorder=recorder, layout=layout)
+        bonsai = BonsaiRadiusSearch(tree, recorder=recorder)
         searcher_recorder_stats_before = recorder.stats.loads
         for i in range(0, len(filtered_frame), 29):
             bonsai.search(filtered_frame[i], 0.6)
@@ -146,9 +141,8 @@ class TestBonsaiWithRecorder:
 
     def test_compression_pass_traced(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
-        layout = TreeMemoryLayout(n_points=tree.n_points)
         recorder = HierarchyRecorder()
-        BonsaiRadiusSearch(tree, recorder=recorder, layout=layout)
+        BonsaiRadiusSearch(tree, recorder=recorder)
         # The compression pass loads every point once and stores the slices.
         assert recorder.stats.loads >= tree.n_points
         assert recorder.stats.stores > 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.compressed_leaf import CompressedStructArray, compress_tree
+from repro.core.compressed_leaf import compress_tree
 from repro.core.floatfmt import BFLOAT16, FLOAT16, FLOAT24
 from repro.core.leaf_compression import (
     ZIPPTS_SLICE_BYTES,
@@ -17,60 +17,43 @@ from repro.kdtree import KDTreeConfig, build_kdtree
 from repro.runtime.kernels import reduced_precision_max_delta
 
 
+def _leaf_points(tree, leaf_id):
+    """The coordinates of leaf ``leaf_id`` (its slice of ``leaf_points``)."""
+    start, stop = tree.arrays.leaf_starts[leaf_id:leaf_id + 2]
+    return tree.points[tree.arrays.leaf_points[start:stop]]
+
+
 class TestCompressedStructArray:
-    def test_append_returns_consistent_ref(self, rng):
-        array = CompressedStructArray()
-        points = rng.normal(10.0, 0.3, size=(8, 3)).astype(np.float32)
-        compressed = compress_leaf(points)
-        ref = array.append(0, compressed)
-        assert ref.offset == 0
-        assert ref.length == compressed.size_bytes
-        assert ref.n_points == 8
-        assert ref.end == compressed.size_bytes
+    @pytest.fixture()
+    def array(self, random_tree):
+        tree = build_kdtree(random_tree.points)
+        compress_tree(tree)
+        return tree.compressed_array
 
-    def test_consecutive_appends_are_contiguous(self, rng):
-        array = CompressedStructArray()
-        offsets = []
-        for leaf_id in range(5):
-            points = rng.normal(leaf_id * 5.0 + 1.0, 0.2, size=(6, 3)).astype(np.float32)
-            ref = array.append(leaf_id, compress_leaf(points))
-            offsets.append((ref.offset, ref.length))
-        for (prev_off, prev_len), (off, _) in zip(offsets, offsets[1:]):
-            assert off == prev_off + prev_len
-        assert array.total_bytes == offsets[-1][0] + offsets[-1][1]
+    def test_offsets_slice_aligned(self, array):
+        """Leaves are stored back to back, each from a slice boundary."""
+        assert array.offsets[0] == 0
+        assert np.all(array.offsets % ZIPPTS_SLICE_BYTES == 0)
+        assert np.array_equal(np.diff(array.offsets),
+                              array.n_slices * ZIPPTS_SLICE_BYTES)
+        assert array.offsets[-1] == array.total_bytes
 
-    def test_offsets_slice_aligned(self, rng):
-        array = CompressedStructArray()
-        for leaf_id in range(4):
-            points = rng.normal(3.0, 0.2, size=(leaf_id + 1, 3)).astype(np.float32)
-            ref = array.append(leaf_id, compress_leaf(points))
-            assert ref.offset % ZIPPTS_SLICE_BYTES == 0
+    def test_read_returns_stored_bytes(self, array):
+        data = array.data
+        for leaf_id in (0, len(array) // 2, len(array) - 1):
+            start, stop = array.offsets[leaf_id:leaf_id + 2]
+            assert array.get(leaf_id).data == data[start:stop]
 
-    def test_read_returns_stored_bytes(self, rng):
-        array = CompressedStructArray()
-        compressed = compress_leaf(rng.normal(7.0, 0.1, size=(5, 3)).astype(np.float32))
-        ref = array.append(3, compressed)
-        assert array.read(ref) == compressed.data
-
-    def test_duplicate_leaf_rejected(self, rng):
-        array = CompressedStructArray()
-        compressed = compress_leaf(rng.normal(7.0, 0.1, size=(5, 3)).astype(np.float32))
-        array.append(1, compressed)
-        with pytest.raises(ValueError):
-            array.append(1, compressed)
-
-    def test_len_counts_leaves(self, rng):
-        array = CompressedStructArray()
-        for leaf_id in range(3):
-            array.append(leaf_id, compress_leaf(
-                rng.normal(2.0, 0.1, size=(4, 3)).astype(np.float32)))
-        assert len(array) == 3
+    def test_len_counts_leaves(self, random_tree, array):
+        assert len(array) == random_tree.n_leaves
 
 
 class TestCompressTree:
     def test_every_leaf_gets_a_reference(self, random_tree):
         report = compress_tree(random_tree)
-        assert all(leaf.compressed_ref is not None for leaf in random_tree.leaves)
+        array = random_tree.compressed_array
+        assert array.offsets.shape == (random_tree.n_leaves + 1,)
+        assert np.all(array.n_slices >= 1)
         assert report.n_leaves == random_tree.n_leaves
         assert report.n_points == random_tree.n_points
 
@@ -83,9 +66,9 @@ class TestCompressTree:
     def test_decompression_matches_fp16_points(self, random_tree):
         compress_tree(random_tree)
         array = random_tree.compressed_array
-        for leaf in random_tree.leaves[:20]:
-            decoded = decompress_leaf(array.get(leaf.leaf_id))
-            expected = random_tree.leaf_points(leaf).astype(np.float16).astype(np.float64)
+        for leaf_id in range(20):
+            decoded = decompress_leaf(array.get(leaf_id))
+            expected = _leaf_points(random_tree, leaf_id).astype(np.float16).astype(np.float64)
             np.testing.assert_array_equal(decoded, expected)
 
     def test_report_totals_consistent(self, random_tree):
@@ -121,15 +104,15 @@ class TestCompressTree:
         tree = build_kdtree(frame_tree.points)
         compress_tree(tree, fmt)
         array = tree.compressed_array
-        expected = [compress_leaf(tree.leaf_points(leaf), fmt) for leaf in tree.leaves]
+        expected = [compress_leaf(_leaf_points(tree, leaf_id), fmt)
+                    for leaf_id in range(tree.n_leaves)]
         assert array.data == b"".join(leaf.data for leaf in expected)
-        for leaf, scalar in zip(tree.leaves, expected):
-            ref = leaf.compressed_ref
-            assert (ref.flags, ref.n_slices, ref.length) == \
-                (scalar.flags, scalar.n_slices, scalar.size_bytes)
-            assert array.get(leaf.leaf_id) == scalar
+        for leaf_id, scalar in enumerate(expected):
+            assert (array.n_slices[leaf_id], array.offsets[leaf_id + 1] - array.offsets[leaf_id]) \
+                == (scalar.n_slices, scalar.size_bytes)
+            assert array.get(leaf_id) == scalar
             decoded = decompress_leaf(scalar, fmt)
-            reduced, max_delta = array.mirror.leaf(leaf.leaf_id)
+            reduced, max_delta = array.mirror.leaf(leaf_id)
             np.testing.assert_array_equal(
                 reduced.astype(np.float64).view(np.uint64), decoded.view(np.uint64))
             np.testing.assert_array_equal(

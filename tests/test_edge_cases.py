@@ -111,7 +111,7 @@ class TestOneLeafTrees:
     def flat(self):
         points = np.random.default_rng(42).uniform(-2, 2, (12, 3)).astype(np.float32)
         tree = build_kdtree(points, KDTreeConfig(max_leaf_size=64))
-        assert tree.root.is_leaf and tree.n_leaves == 1
+        assert tree.arrays.leaf_id.tolist() == [0]  # the root is the only leaf
         return tree, points
 
     def test_radius_parity(self, flat):

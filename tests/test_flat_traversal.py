@@ -28,6 +28,7 @@ import pytest
 
 from repro.engine import get_backend
 from repro.kdtree import SearchStats, build_kdtree
+from repro.kdtree.build import NodeLists
 from repro.runtime import BatchQueryEngine
 from repro.runtime.batch import (
     LEAF_CHUNK_POINTS,
@@ -101,8 +102,7 @@ def _search_counts(stats: SearchStats):
 def _bonsai_counts(stats):
     return (stats.leaf_visits, stats.slices_loaded, stats.compressed_bytes_loaded,
             stats.points_classified, stats.conclusive_in, stats.conclusive_out,
-            stats.inconclusive, stats.recompute_bytes_loaded,
-            stats.fallback_leaf_visits)
+            stats.inconclusive, stats.recompute_bytes_loaded)
 
 
 def _brute_knn(points: np.ndarray, queries: np.ndarray, k: int):
@@ -360,24 +360,25 @@ class TestLeafOrder:
 
 class TestTreeArrays:
     def test_node_graph_is_built_from_the_arrays(self, world):
+        """The node lists the per-query walks read are the arrays, converted once."""
         tree, points, _, _ = world
         arrays = tree.arrays
         assert arrays.n_nodes == tree.stats.n_nodes
         assert arrays.n_leaves == tree.n_leaves
         assert sorted(arrays.leaf_points.tolist()) == list(range(len(points)))
         tree.validate()
-        for leaf in tree.leaves:
-            start, stop = arrays.leaf_starts[leaf.leaf_id:leaf.leaf_id + 2]
-            assert np.array_equal(leaf.indices, arrays.leaf_points[start:stop])
+        nodes = tree.node_lists
+        for name in NodeLists._fields:
+            assert getattr(nodes, name) == getattr(arrays, name).tolist(), name
+        assert tree.node_lists is nodes
 
-    def test_pickled_tree_drops_and_rebuilds_its_node_graph(self):
+    def test_pickled_tree_searches_like_the_original(self):
         import pickle
 
         points, queries, radii = _world("on-split-planes")
         tree = build_kdtree(points)
-        tree.root  # materialise the node objects
+        tree.node_lists  # convert the node lists before pickling
         copy = pickle.loads(pickle.dumps(tree))
-        assert copy._root is None
         hits = get_backend("baseline-perquery", copy).radius_search(queries, radii[0])
         ref = get_backend("baseline-perquery", tree).radius_search(queries, radii[0])
         assert np.array_equal(hits.point_indices, ref.point_indices)

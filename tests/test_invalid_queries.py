@@ -3,8 +3,7 @@
 A NaN radius, a NaN or infinite query coordinate, or a ``k`` that is not an
 integer of at least 1 must raise ``ValueError`` from every registered
 backend, the sharded index, the query service and the single-query
-searches, instead of returning empty or backend-dependent results.  So must
-a compressed search over a tree whose compressed array cannot be searched.
+searches, instead of returning empty or backend-dependent results.
 """
 
 from __future__ import annotations
@@ -12,12 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bonsai_search import BonsaiLeafInspector, BonsaiRadiusSearch
-from repro.core.compressed_leaf import CompressedStructArray
-from repro.core.leaf_compression import compress_leaf
 from repro.engine import PointCloudIndex, ShardedPointCloudIndex, backend_names
 from repro.kdtree import build_kdtree, nearest_neighbors, radius_search
-from repro.runtime import BonsaiBatchSearcher
 from repro.runtime.queries import as_query_batch, check_k, check_radius
 from repro.serve import QueryService
 
@@ -128,28 +123,3 @@ class TestOtherEntryPoints:
                 service.radius(BAD_QUERIES[2], 0.5)
             with pytest.raises(ValueError, match="finite"):
                 service.knn(BAD_QUERIES[0], 3)
-
-
-class TestAppendBuiltCompressedArray:
-    """An array filled by ``append`` has no decoded mirror: refuse it early."""
-
-    @pytest.fixture()
-    def tree(self, cloud):
-        tree = build_kdtree(cloud)
-        array = CompressedStructArray()
-        for leaf in tree.leaves:
-            array.append(leaf.leaf_id, compress_leaf(tree.leaf_points(leaf)))
-        tree.compressed_array = array
-        return tree
-
-    def test_searches_refuse_the_tree(self, tree):
-        with pytest.raises(ValueError, match="append"):
-            BonsaiBatchSearcher(tree)
-        with pytest.raises(ValueError, match="append"):
-            BonsaiRadiusSearch(tree)
-        with pytest.raises(ValueError, match="append"):
-            BonsaiLeafInspector(tree.compressed_array)
-
-    def test_inspector_resolving_the_tree_array_refuses_it(self, tree, cloud):
-        with pytest.raises(ValueError, match="append"):
-            radius_search(tree, cloud[0], 0.5, inspector=BonsaiLeafInspector())

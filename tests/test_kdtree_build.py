@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import List
 
 import numpy as np
@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kdtree import DEFAULT_MAX_LEAF_SIZE, KDTreeConfig, KDTreeStats, build_kdtree
+from repro.kdtree import (
+    DEFAULT_MAX_LEAF_SIZE,
+    KDTree,
+    KDTreeConfig,
+    KDTreeStats,
+    build_kdtree,
+)
 from repro.kdtree.build import TreeArrays
 from repro.pointcloud import PointCloud
 
@@ -49,7 +55,7 @@ class TestBuildBasics:
     def test_single_point(self):
         tree = build_kdtree(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
         assert tree.n_leaves == 1
-        assert tree.root.is_leaf
+        assert tree.arrays.leaf_id.tolist() == [0]  # the root is the leaf
         tree.validate()
 
     def test_small_cloud_single_leaf(self):
@@ -71,24 +77,31 @@ class TestInvariants:
         random_tree.validate()
 
     def test_leaf_sizes_bounded(self, frame_tree):
-        for leaf in frame_tree.leaves:
-            assert 1 <= leaf.n_points <= frame_tree.config.max_leaf_size
+        sizes = frame_tree.arrays.leaf_sizes
+        assert sizes.min() >= 1
+        assert sizes.max() <= frame_tree.config.max_leaf_size
 
     def test_all_points_indexed_once(self, frame_tree):
-        all_indices = np.concatenate([leaf.indices for leaf in frame_tree.leaves])
+        all_indices = frame_tree.arrays.leaf_points
         assert len(all_indices) == frame_tree.n_points
         assert len(np.unique(all_indices)) == frame_tree.n_points
 
     def test_leaf_ids_sequential(self, frame_tree):
-        assert [leaf.leaf_id for leaf in frame_tree.leaves] == list(range(frame_tree.n_leaves))
+        """Leaves are numbered in node (preorder) order."""
+        leaf_id = frame_tree.arrays.leaf_id
+        assert leaf_id[leaf_id >= 0].tolist() == list(range(frame_tree.n_leaves))
 
     def test_node_counts(self, frame_tree):
-        leaves = sum(1 for node in frame_tree.iter_nodes() if node.is_leaf)
-        interior = sum(1 for node in frame_tree.iter_nodes() if not node.is_leaf)
+        arrays = frame_tree.arrays
+        is_leaf = arrays.leaf_id >= 0
+        leaves, interior = int(is_leaf.sum()), int((~is_leaf).sum())
         assert leaves == frame_tree.stats.n_leaves == frame_tree.n_leaves
         assert interior == frame_tree.stats.n_interior
         # A full binary tree has exactly leaves - 1 interior nodes.
         assert interior == leaves - 1
+        # Every node but the root is the child of exactly one interior node.
+        children = np.concatenate([arrays.left[~is_leaf], arrays.right[~is_leaf]])
+        assert sorted(children.tolist()) == list(range(1, arrays.n_nodes))
 
     def test_depth_reasonably_balanced(self, frame_tree):
         """Median splits keep the depth within a small factor of the optimum."""
@@ -96,12 +109,10 @@ class TestInvariants:
         assert frame_tree.depth() <= optimal + 4
 
     def test_split_dimension_is_widest(self, random_tree):
-        points = random_tree.points
-        for node in random_tree.iter_nodes():
-            if node.is_leaf:
-                continue
-            spread = node.bbox_max - node.bbox_min
-            assert spread[node.split_dim] == pytest.approx(spread.max())
+        arrays = random_tree.arrays
+        for node in np.flatnonzero(arrays.leaf_id < 0):
+            spread = arrays.bbox_max[node] - arrays.bbox_min[node]
+            assert spread[arrays.split_dim[node]] == pytest.approx(spread.max())
 
     def test_duplicate_points_handled(self):
         points = np.tile(np.array([[1.0, 2.0, 3.0]], dtype=np.float32), (50, 1))
@@ -118,14 +129,93 @@ class TestInvariants:
     def test_custom_leaf_size(self, random_cloud):
         tree = build_kdtree(random_cloud, KDTreeConfig(max_leaf_size=5))
         tree.validate()
-        assert max(leaf.n_points for leaf in tree.leaves) <= 5
+        assert tree.arrays.leaf_sizes.max() <= 5
         assert tree.n_leaves > build_kdtree(random_cloud).n_leaves
 
     def test_leaf_points_accessor(self, random_tree):
-        leaf = random_tree.leaves[0]
-        pts = random_tree.leaf_points(leaf)
-        assert pts.shape == (leaf.n_points, 3)
-        np.testing.assert_array_equal(pts, random_tree.points[leaf.indices])
+        """Leaf ``j``'s points are its ``leaf_starts`` slice of ``leaf_points``."""
+        arrays = random_tree.arrays
+        start, stop = arrays.leaf_starts[:2]
+        pts = random_tree.points[arrays.leaf_points[start:stop]]
+        node = arrays.leaf_id.tolist().index(0)
+        assert pts.shape == (arrays.leaf_sizes[0], 3)
+        assert np.all(pts >= arrays.bbox_min[node])
+        assert np.all(pts <= arrays.bbox_max[node])
+
+
+def _corrupted(tree, **changes):
+    """A tree over ``tree``'s points whose arrays differ by ``changes``."""
+    return KDTree(tree.points, replace(tree.arrays, **changes), tree.config, tree.stats)
+
+
+class TestValidateFails:
+    """Each invariant ``validate()`` checks, broken once."""
+
+    @pytest.fixture()
+    def tree(self, random_cloud):
+        tree = build_kdtree(random_cloud)
+        tree.validate()
+        return tree
+
+    def test_oversized_leaf(self, tree):
+        starts = tree.arrays.leaf_starts.copy()
+        starts[1] = starts[2] - 1  # leaf 0 takes all but one point of leaf 1
+        assert starts[1] > tree.config.max_leaf_size
+        with pytest.raises(AssertionError, match="oversized leaf"):
+            _corrupted(tree, leaf_starts=starts).validate()
+
+    def test_point_in_two_leaves(self, tree):
+        leaf_points = tree.arrays.leaf_points.copy()
+        leaf_points[-1] = leaf_points[0]  # the last leaf repeats leaf 0's first point
+        with pytest.raises(AssertionError, match="two leaves"):
+            _corrupted(tree, leaf_points=leaf_points).validate()
+
+    def test_point_in_no_leaf(self, tree):
+        starts = tree.arrays.leaf_starts.copy()
+        starts[-1] -= 1  # the last leaf drops its last point
+        with pytest.raises(AssertionError, match="missing from every leaf"):
+            _corrupted(tree, leaf_starts=starts,
+                       leaf_points=tree.arrays.leaf_points[:-1]).validate()
+
+    @pytest.mark.parametrize("edge, shift, message", [
+        ("bbox_min", 1.0, "below leaf bbox"), ("bbox_max", -1.0, "above leaf bbox")])
+    def test_point_outside_its_leaf_box(self, tree, edge, shift, message):
+        node = tree.arrays.leaf_id.tolist().index(0)
+        box = getattr(tree.arrays, edge).copy()
+        box[node] += shift
+        with pytest.raises(AssertionError, match=message):
+            _corrupted(tree, **{edge: box}).validate()
+
+    @pytest.fixture()
+    def nested(self):
+        """The root splits on x and each child on y.  The left subtree's
+        largest x lies in its left child and the right subtree's smallest x
+        in its right child, so a check that reads only one side of a
+        subtree misses them."""
+        y = np.linspace(0.0, 5.0, 8)
+        left_x = [-10.0, -10.6, -10.7, -10.8, -10.6, -10.7, -10.8, -10.9]
+        right_x = [10.6, 10.7, 10.8, 10.9, 10.0, 10.6, 10.7, 10.8]
+        points = np.zeros((16, 3), dtype=np.float32)
+        points[:, 0] = left_x + right_x
+        points[:, 1] = np.concatenate([y, y])
+        tree = build_kdtree(points, KDTreeConfig(max_leaf_size=4))
+        arrays = tree.arrays
+        assert arrays.split_dim[[0, 1, arrays.right[0]]].tolist() == [0, 1, 1]
+        assert (arrays.split_low[0], arrays.split_high[0]) == (-10.0, 10.0)
+        tree.validate()
+        return tree
+
+    def test_left_subtree_value_above_split_low(self, nested):
+        split_low = nested.arrays.split_low.copy()
+        split_low[0] -= 0.25
+        with pytest.raises(AssertionError, match="exceeds split_low"):
+            _corrupted(nested, split_low=split_low).validate()
+
+    def test_right_subtree_value_below_split_high(self, nested):
+        split_high = nested.arrays.split_high.copy()
+        split_high[0] += 0.25
+        with pytest.raises(AssertionError, match="below split_high"):
+            _corrupted(nested, split_high=split_high).validate()
 
 
 class TestBuildProperty:
@@ -142,7 +232,7 @@ class TestBuildProperty:
         tree = build_kdtree(points, KDTreeConfig(max_leaf_size=max_leaf_size))
         tree.validate()
         assert tree.n_points == n_points
-        assert sum(leaf.n_points for leaf in tree.leaves) == n_points
+        assert int(tree.arrays.leaf_sizes.sum()) == n_points
         _assert_matches_oracle(points, max_leaf_size)
 
 

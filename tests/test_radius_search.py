@@ -11,7 +11,6 @@ from repro.hwmodel.cache import HierarchyRecorder
 from repro.kdtree import (
     RadiusSearcher,
     SearchStats,
-    TreeMemoryLayout,
     build_kdtree,
     radius_search,
 )
@@ -139,8 +138,7 @@ class TestPruning:
 class TestMemoryRecording:
     def test_recorder_receives_accesses(self, random_tree, random_cloud):
         recorder = HierarchyRecorder()
-        layout = TreeMemoryLayout(n_points=random_tree.n_points)
-        radius_search(random_tree, random_cloud[0], 1.0, recorder=recorder, layout=layout)
+        radius_search(random_tree, random_cloud[0], 1.0, recorder=recorder)
         assert recorder.stats.loads > 0
         assert recorder.stats.bytes_loaded > 0
 
@@ -149,9 +147,7 @@ class TestMemoryRecording:
 
     def test_point_loads_counted_in_bytes(self, random_tree, random_cloud):
         recorder = HierarchyRecorder()
-        layout = TreeMemoryLayout(n_points=random_tree.n_points)
         stats = SearchStats()
-        radius_search(random_tree, random_cloud[0], 1.0, stats=stats,
-                      recorder=recorder, layout=layout)
+        radius_search(random_tree, random_cloud[0], 1.0, stats=stats, recorder=recorder)
         # Every examined point contributes one 16-byte load plus a 4-byte index load.
         assert recorder.stats.bytes_loaded >= stats.points_examined * 20

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.compressed_leaf import compress_tree, compression_pass_count
 from repro.engine import PointCloudIndex, backend_names
-from repro.kdtree import InteriorNode, LeafNode, build_kdtree
+from repro.kdtree import KDTree, build_kdtree
 from repro.serve import QueryService, SharedCloudStore
 
 SEGMENT_GLOB = "/dev/shm/repro-store-*"
@@ -210,18 +210,18 @@ class TestAttachedTreeParity:
 
     def test_attached_tree_serves_batches_without_node_objects(
             self, cloud, queries, monkeypatch):
-        """Batched searches read the published arrays; no graph is built."""
+        """Batched searches read the published arrays; the node lists the
+        per-query walks read are never converted."""
         local = PointCloudIndex(cloud)
         expected = [local.radius_search(queries, 0.6, backend=name)
                     for name in ("baseline-batched", "bonsai-batched")]
         expected_knn = local.knn(queries, 5)
         local.close()
 
-        def refuse(self, *args, **kwargs):
-            raise AssertionError(f"{type(self).__name__} created")
+        def refuse(tree):
+            raise AssertionError("node lists converted")
 
-        monkeypatch.setattr(LeafNode, "__init__", refuse)
-        monkeypatch.setattr(InteriorNode, "__init__", refuse)
+        monkeypatch.setattr(KDTree, "node_lists", property(refuse))
         with SharedCloudStore.create(cloud) as store, \
                 SharedCloudStore.attach(store.name) as client:
             with client.index() as served:
@@ -233,13 +233,10 @@ class TestAttachedTreeParity:
                     assert np.array_equal(got_k.indices, expected_knn.indices)
         monkeypatch.undo()
         with SharedCloudStore.create(cloud) as store:
-            # A per-query path builds the graph on first use, refs included.
-            tree = store.tree()
+            # A per-query path converts the node lists on first use.
             hits = store.index().radius_search(queries, 0.6,
                                                backend="bonsai-perquery")
             assert np.array_equal(hits.point_indices, expected[1].point_indices)
-            assert all(leaf.compressed_ref == tree.compressed_array.ref(leaf.leaf_id)
-                       for leaf in tree.leaves)
             store.index().close()
 
     def test_shared_arrays_are_readonly_views(self, cloud):
