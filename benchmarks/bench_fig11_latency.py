@@ -53,7 +53,7 @@ def test_fig11_end_to_end_frame(benchmark, pipeline, bench_sequence):
     cloud = bench_sequence.frame(0)
 
     def run():
-        return pipeline.run_frame(cloud, use_bonsai=False).end_to_end_seconds
+        return pipeline.run_frame(cloud).end_to_end_seconds
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0
 
@@ -72,9 +72,8 @@ def test_fig11_batched_engine_matches_functional_counters(benchmark, pipeline,
     batched_pipeline = EuclideanClusterPipeline(PipelineConfig(simulate_caches=False))
 
     batched = benchmark.pedantic(
-        batched_pipeline.run_frame, args=(cloud,), kwargs={"use_bonsai": False},
-        rounds=1, iterations=1)
-    reference = pipeline.run_frame(cloud, use_bonsai=False)
+        batched_pipeline.run_frame, args=(cloud,), rounds=1, iterations=1)
+    reference = pipeline.run_frame(cloud)
 
     assert batched.n_clusters == reference.n_clusters
     for attribute in ("queries", "leaves_visited", "interior_visited",

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.workloads import NDTLocalizationPipeline
+from repro.workloads import ExecutionConfig, NDTLocalizationPipeline
 
 from paper_reference import write_result
 
@@ -30,8 +30,9 @@ def ndt_measurements(bench_sequence):
     ego_speed = bench_sequence.config.ego_speed_mps
     dt = 1.0 / bench_sequence.config.frame_rate_hz
     initials = [(ego_speed * dt * (i + 1) - 0.3, 0.0, 0.0) for i in range(len(scans))]
-    baseline = NDTLocalizationPipeline(map_cloud, use_bonsai=False)
-    bonsai = NDTLocalizationPipeline(map_cloud, use_bonsai=True)
+    baseline = NDTLocalizationPipeline(map_cloud)
+    bonsai = NDTLocalizationPipeline(
+        map_cloud, execution=ExecutionConfig(backend="bonsai-batched"))
     return (baseline.register_sequence(scans, initials),
             bonsai.register_sequence(scans, initials))
 
@@ -74,7 +75,7 @@ def test_ndt_localization_report(benchmark, ndt_measurements):
 
 def test_ndt_registration_kernel(benchmark, bench_sequence):
     """Time one baseline NDT registration (map build excluded)."""
-    pipeline = NDTLocalizationPipeline(bench_sequence.frame(0), use_bonsai=False)
+    pipeline = NDTLocalizationPipeline(bench_sequence.frame(0))
     scan = bench_sequence.frame(1)
 
     def run():
@@ -85,7 +86,7 @@ def test_ndt_registration_kernel(benchmark, bench_sequence):
 
 def test_ndt_queries_served_by_batched_engine(benchmark, bench_sequence):
     """Each NDT iteration issues one batched query covering all scan points."""
-    pipeline = NDTLocalizationPipeline(bench_sequence.frame(0), use_bonsai=False)
+    pipeline = NDTLocalizationPipeline(bench_sequence.frame(0))
     assert pipeline.matcher._backend.name == "baseline-batched"  # noqa: SLF001
     measurement = benchmark.pedantic(
         pipeline.register_scan, args=(bench_sequence.frame(1),),

@@ -57,6 +57,6 @@ def test_table3_subsampling_kernel(benchmark, bench_sequence, pipeline):
     cloud = bench_sequence.frame(0)
 
     def run():
-        return pipeline.run_frame(cloud, use_bonsai=False).extract.ipc
+        return pipeline.run_frame(cloud).extract.ipc
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0

@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.analysis import compare_measurements
 from repro.pointcloud import DrivingSequence, LidarConfig, SceneConfig, SequenceConfig
-from repro.workloads import EuclideanClusterPipeline
+from repro.workloads import EuclideanClusterPipeline, ExecutionConfig
 
 #: Number of synthetic frames the sequence-level benchmarks process.  Small
 #: enough for a pure-Python pipeline, large enough for stable statistics.
@@ -58,13 +58,14 @@ def pipeline() -> EuclideanClusterPipeline:
 @pytest.fixture(scope="session")
 def baseline_measurements(pipeline, bench_clouds):
     """Per-frame measurements of the baseline configuration."""
-    return pipeline.run_frames(bench_clouds, use_bonsai=False)
+    return pipeline.run_frames(bench_clouds, execution=ExecutionConfig(hardware=True))
 
 
 @pytest.fixture(scope="session")
 def bonsai_measurements(pipeline, bench_clouds):
     """Per-frame measurements of the Bonsai configuration."""
-    return pipeline.run_frames(bench_clouds, use_bonsai=True)
+    return pipeline.run_frames(
+        bench_clouds, execution=ExecutionConfig(backend="bonsai-batched", hardware=True))
 
 
 @pytest.fixture(scope="session")

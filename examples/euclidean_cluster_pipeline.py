@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 
 from repro.analysis import compare_measurements, render_fig9a, render_fig9b
+from repro.engine import ExecutionConfig
 from repro.perception import ClusterConfig, EuclideanClusterExtractor, label_clusters
 from repro.perception.cluster_filter import match_clusters_to_labels
 from repro.pointcloud import default_sequence, preprocess_for_clustering
@@ -34,7 +35,7 @@ def describe_detections(sequence, frame_index: int) -> None:
     """Run one frame through clustering + labeling and print the detections."""
     cloud = preprocess_for_clustering(sequence.frame(frame_index))
     extractor = EuclideanClusterExtractor(ClusterConfig(tolerance=0.6, min_cluster_size=5),
-                                          use_bonsai=True)
+                                          execution=ExecutionConfig(backend="bonsai-batched"))
     result = extractor.extract(cloud)
     detections = label_clusters(cloud, result.clusters)
     histogram = match_clusters_to_labels(detections)
@@ -53,8 +54,9 @@ def main() -> None:
     print("\n=== Baseline vs Bonsai hardware metrics ===")
     pipeline = EuclideanClusterPipeline()
     clouds = [sequence.frame(i) for i in range(n_frames)]
-    baseline = pipeline.run_frames(clouds, use_bonsai=False)
-    bonsai = pipeline.run_frames(clouds, use_bonsai=True)
+    baseline = pipeline.run_frames(clouds, execution=ExecutionConfig(hardware=True))
+    bonsai = pipeline.run_frames(
+        clouds, execution=ExecutionConfig(backend="bonsai-batched", hardware=True))
     summary = compare_measurements(baseline, bonsai)
 
     print(render_fig9a(summary, PAPER_FIG9A))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import ExecutionConfig
 from repro.perception import NDTConfig, NDTMap, NDTMatcher
 from repro.pointcloud import default_sequence, preprocess_for_clustering, voxel_grid_filter
 from repro.workloads import profile_ndt_matching
@@ -33,9 +34,9 @@ def main() -> None:
     ndt_map = NDTMap(map_cloud, config)
     print(f"NDT map: {len(map_cloud)} points -> {len(ndt_map.voxels)} voxel Gaussians")
 
-    for use_bonsai in (False, True):
-        matcher = NDTMatcher(NDTMap(map_cloud, config), use_bonsai=use_bonsai)
-        label = "Bonsai-extensions" if use_bonsai else "Baseline"
+    for execution in (ExecutionConfig(), ExecutionConfig(backend="bonsai-batched")):
+        matcher = NDTMatcher(NDTMap(map_cloud, config), execution=execution)
+        label = "Bonsai-extensions" if execution.use_bonsai else "Baseline"
         print(f"\n=== {label} radius search ===")
         for frame_index in range(1, len(sequence)):
             scan = voxel_grid_filter(preprocess_for_clustering(sequence.frame(frame_index)), 0.4)

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from repro.engine import ExecutionConfig
 from repro.perception import (
     ClusterConfig,
     ClusterTracker,
@@ -33,7 +34,8 @@ def main() -> None:
     frame_dt = 1.0 / sequence.config.frame_rate_hz
 
     extractor = EuclideanClusterExtractor(
-        ClusterConfig(tolerance=0.6, min_cluster_size=5), use_bonsai=True
+        ClusterConfig(tolerance=0.6, min_cluster_size=5),
+        execution=ExecutionConfig(backend="bonsai-batched"),
     )
     tracker = ClusterTracker(TrackerConfig(gating_distance=3.0, confirmation_hits=2))
 

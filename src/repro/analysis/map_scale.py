@@ -20,7 +20,7 @@ instruction estimates, and the map-scale question is a *traffic* question:
 where does the compressed-leaf byte win keep paying once the working set
 overflows the L2?
 
-Recording always runs the per-query paths (the recorded wrapper's
+Recording always runs the per-query paths (the recorded backend's
 contract), so results are exact traces and the sweep is deterministic in
 ``(scenario, n_points, seed)``.  ``benchmarks/bench_map_scale.py`` renders
 the result into ``benchmarks/results/map_scale_sensitivity.txt``;

@@ -62,20 +62,22 @@ class FormatErrorInspector:
 
     Results appended to the search output match the *baseline* (32-bit)
     classification, so searches remain correct; the reduced-precision outcome
-    is only tallied.  Quantised leaves are cached because leaves are visited
-    many times per frame.
+    is only tallied.  The tree's points are quantised once per tree (leaves
+    are visited many times per frame) and indexed by point id, so one
+    inspector can serve searches over several trees.
     """
 
     def __init__(self, fmt: FloatFormat = FLOAT16):
         self.fmt = fmt
         self.stats = ClassificationErrorStats(format_name=fmt.name)
-        self._quantised_cache: Dict[int, np.ndarray] = {}
+        self._quantised_tree: Optional[KDTree] = None
+        self._quantised_points: Optional[np.ndarray] = None
 
     def inspect(self, tree: KDTree, leaf_id: int, indices: np.ndarray,
                 query: np.ndarray, r2: float, results: List[int],
                 stats: SearchStats, recorder) -> None:
         original = tree.points[indices].astype(np.float64)
-        quantised = self._quantised(leaf_id, original)
+        quantised = self._quantised(tree)[indices]
 
         diffs = original - query
         d2_exact = np.einsum("ij,ij->i", diffs, diffs)
@@ -97,11 +99,13 @@ class FormatErrorInspector:
 
         results.extend(indices[in_exact].tolist())
 
-    def _quantised(self, leaf_id: int, original: np.ndarray) -> np.ndarray:
-        cached = self._quantised_cache.get(leaf_id)
-        if cached is None:
-            cached = self._quantised_cache[leaf_id] = self.fmt.quantize_array(original)
-        return cached
+    def _quantised(self, tree: KDTree) -> np.ndarray:
+        """Every point of ``tree`` quantised to the format, by point id."""
+        if self._quantised_tree is not tree:
+            self._quantised_points = self.fmt.quantize_array(
+                tree.points.astype(np.float64))
+            self._quantised_tree = tree
+        return self._quantised_points
 
 
 def classification_error(tree: KDTree, queries: Sequence[Sequence[float]], radius: float,

@@ -1,7 +1,7 @@
 """Differential-testing campaign engine.
 
 Random sampling of worlds, pairwise diffing of every registered execution
-backend (plus the recorded hardware wrappers), and automatic shrinking of
+backend (plus the recorded hardware backends), and automatic shrinking of
 any divergence to a minimal pytest-ready reproducer — the parity suite as a
 discovery tool rather than a fixed gate.
 

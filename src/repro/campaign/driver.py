@@ -2,11 +2,12 @@
 
 One campaign = ``budget`` seed-derived worlds (:func:`~repro.campaign.worlds
 .random_world`), each fired at every selected backend plus — per flavor —
-two independent ``recorded(...)`` hardware wrappers.  Per trial the driver
-diffs, pairwise against the reference backend:
+two independently built recorded backends
+(``ExecutionConfig(backend=..., hardware=True).make_backend``).  Per trial
+the driver diffs, pairwise against the reference backend:
 
 * every op's results (radius hits / kNN neighbours, bitwise),
-* the recorded wrappers' functional results (must equal the reference
+* the recorded backends' functional results (must equal the reference
   bitwise) and their two hardware traces against each other (the cache
   model must be deterministic),
 * the per-trial aggregated ``SearchStats`` (flavor-invariant counters),
@@ -35,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.bonsai_search import BonsaiStats
-from ..engine import PointCloudIndex, backend_names, get_backend, recorded
+from ..engine import ExecutionConfig, PointCloudIndex, backend_names, get_backend
 from ..kdtree.build import build_kdtree
 from ..kdtree.radius_search import SearchStats
 from .diff import (
@@ -71,7 +72,7 @@ class CampaignConfig:
     out_dir: Path = Path("campaign-results")
     #: Restrict sampled worlds to these scenarios (``None``: all registered).
     scenarios: Optional[Sequence[str]] = None
-    #: Also run the per-flavor recorded hardware wrappers and diff them.
+    #: Also run the per-flavor recorded hardware backends and diff them.
     recorded: bool = True
     #: Shrink divergences to minimal pytest reproducers.
     shrink: bool = True
@@ -188,7 +189,6 @@ def _service_divergence_check(kind: str, op: QueryOp, left: str,
 
 def _run_pipeline_op(world: WorldSpec, op: QueryOp, backend: str) -> dict:
     """One short end-to-end run of the world's scenario through ``backend``."""
-    from ..engine import ExecutionConfig
     from ..workloads import PipelineRunner, PipelineRunnerConfig
 
     config = PipelineRunnerConfig(
@@ -304,32 +304,36 @@ def _run_trial(
                             op_index=op_index, op=op.describe(),
                             detail=detail))
 
-    # --- Recorded hardware wrappers, per flavor -------------------------
+    # --- Recorded hardware backends, per flavor ------------------------
+    # A Bonsai flavor's tree is compressed by now (every selected backend
+    # served the search ops above), so neither recorder sees the
+    # compression pass and the two traces must match.
     if config.recorded and search_ops:
         flavors = sorted({name.split("-", 1)[0] for name in backends
                           if f"{name.split('-', 1)[0]}-perquery" in backend_names()})
         for flavor in flavors:
-            base = index.backend(f"{flavor}-perquery")
-            wrapped_a, wrapped_b = recorded(base), recorded(base)
+            hardware = ExecutionConfig(backend=f"{flavor}-perquery", hardware=True)
+            recorded_a = hardware.make_backend(index.tree)
+            recorded_b = hardware.make_backend(index.tree)
             for op_index, op in search_ops:
                 queries = query_arrays[op_index]
                 ref = reference_results[op_index]
                 if op.kind == "radius":
-                    got_a = wrapped_a.radius_search(queries, op.radius)
-                    got_b = wrapped_b.radius_search(queries, op.radius)
+                    got_a = recorded_a.radius_search(queries, op.radius)
+                    got_b = recorded_b.radius_search(queries, op.radius)
                     detail = diff_radius(got_a, ref) or diff_radius(got_b, ref)
                 else:
-                    got_a = wrapped_a.knn(queries, op.k)
-                    got_b = wrapped_b.knn(queries, op.k)
+                    got_a = recorded_a.knn(queries, op.k)
+                    got_b = recorded_b.knn(queries, op.k)
                     detail = diff_knn(got_a, ref) or diff_knn(got_b, ref)
                 if detail is not None:
                     divergences.append(Divergence(
                         trial=trial, kind="recorded-functional",
                         left=f"recorded({flavor})", right=reference,
                         op_index=op_index, op=op.describe(),
-                        detail=f"hardware wrapper changed results: {detail}"))
-            detail = diff_hierarchy_stats(wrapped_a.hierarchy,
-                                          wrapped_b.hierarchy)
+                        detail=f"recording changed results: {detail}"))
+            detail = diff_hierarchy_stats(recorded_a.hierarchy,
+                                          recorded_b.hierarchy)
             if detail is not None:
                 divergences.append(Divergence(
                     trial=trial, kind="hardware",

@@ -8,8 +8,8 @@ The CLI exposes the most common flows without writing Python:
     Report the compression opportunity (sign/exponent sharing, compressed
     footprint, recompute rate) of one frame.
 ``python -m repro cluster``
-    Run euclidean clustering (baseline or Bonsai) on one frame and print the
-    detections.
+    Run euclidean clustering on one frame through a named execution backend
+    (``--backend``) and print the detections.
 ``python -m repro compare``
     Run the baseline-vs-Bonsai pipeline over a few frames and print the
     Figure 9/11/12-style summary.
@@ -42,7 +42,7 @@ The CLI exposes the most common flows without writing Python:
 ``python -m repro campaign``
     Run a differential-testing campaign (:mod:`repro.campaign`):
     ``--budget`` seed-derived randomized worlds, each fired at every
-    selected backend (plus the recorded hardware wrappers), results and
+    selected backend (plus recorded hardware backends), results and
     statistics diffed pairwise, divergences shrunk to minimal pytest
     reproducers.  Writes a JSON manifest under ``--out-dir`` and exits
     non-zero when any divergence was found.
@@ -130,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=7, help="scene random seed")
     cluster.add_argument("--tolerance", type=float, default=0.6,
                          help="clustering tolerance (radius) [m]")
-    cluster.add_argument("--bonsai", action="store_true",
-                         help="use the K-D Bonsai compressed search")
+    cluster.add_argument("--backend", choices=backends, default="baseline-batched",
+                         help="execution backend serving the clustering searches "
+                              "(default: baseline-batched)")
 
     compare = subparsers.add_parser(
         "compare", help="baseline vs Bonsai summary over a few frames")
@@ -146,11 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of queries in the sweep")
     sweep.add_argument("--radius", type=float, default=0.6, help="search radius [m]")
     sweep.add_argument("--k", type=int, default=5, help="neighbours per kNN query")
-    sweep.add_argument("--backend", choices=backends, default=None,
+    sweep.add_argument("--backend", choices=backends, default="baseline-batched",
                        help="execution backend for the radius sweep "
                             "(default: baseline-batched)")
-    sweep.add_argument("--engine", choices=("baseline", "bonsai"), default=None,
-                       help="legacy flavour selector; prefer --backend")
     sweep.add_argument("--compare-loop", action="store_true",
                        help="also time the per-query backend of the same flavour "
                             "and print the speed-up")
@@ -174,13 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="LiDAR beams (default: the scenario's)")
     pipeline.add_argument("--azimuth-steps", type=int, default=None,
                           help="LiDAR azimuth steps (default: the scenario's)")
-    pipeline.add_argument("--backend", choices=backends, default=None,
+    pipeline.add_argument("--backend", choices=backends, default="baseline-batched",
                           help="execution backend serving the search stages "
-                               "(default: baseline-batched, or bonsai-batched "
-                               "with --bonsai)")
-    pipeline.add_argument("--bonsai", action="store_true",
-                          help="use the K-D Bonsai compressed search "
-                               "(shorthand for --backend bonsai-batched)")
+                               "(default: baseline-batched)")
     pipeline.add_argument("--no-localization", action="store_true",
                           help="skip the NDT localization stage")
     pipeline.add_argument("--hardware", action="store_true",
@@ -416,19 +411,21 @@ def _cmd_compress_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    from .engine import ExecutionConfig
     from .perception import ClusterConfig, EuclideanClusterExtractor, label_clusters
     from .perception.cluster_filter import match_clusters_to_labels
     from .pointcloud import preprocess_for_clustering
 
     sequence = _sequence(args.frame + 1, args.seed)
     cloud = preprocess_for_clustering(sequence.frame(args.frame))
+    execution = ExecutionConfig(backend=args.backend)
     extractor = EuclideanClusterExtractor(
-        ClusterConfig(tolerance=args.tolerance), use_bonsai=args.bonsai)
+        ClusterConfig(tolerance=args.tolerance), execution=execution)
     result = extractor.extract(cloud)
     detections = label_clusters(cloud, result.clusters)
     histogram = match_clusters_to_labels(detections)
 
-    mode = "Bonsai-extensions" if args.bonsai else "baseline"
+    mode = "Bonsai-extensions" if execution.use_bonsai else "baseline"
     print(f"frame {args.frame} ({mode} search): {len(cloud)} points -> "
           f"{result.n_clusters} clusters")
     for label, count in sorted(histogram.items()):
@@ -442,13 +439,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis import compare_measurements, render_fig9a, render_fig9b
+    from .engine import ExecutionConfig
     from .workloads import EuclideanClusterPipeline
 
     sequence = _sequence(args.frames, args.seed)
     clouds = [sequence.frame(i) for i in range(args.frames)]
     pipeline = EuclideanClusterPipeline()
-    baseline = pipeline.run_frames(clouds, use_bonsai=False)
-    bonsai = pipeline.run_frames(clouds, use_bonsai=True)
+    baseline = pipeline.run_frames(clouds, execution=ExecutionConfig(hardware=True))
+    bonsai = pipeline.run_frames(
+        clouds, execution=ExecutionConfig(backend="bonsai-batched", hardware=True))
     summary = compare_measurements(baseline, bonsai)
 
     print(render_fig9a(summary))
@@ -460,22 +459,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"energy:  mean -{summary.energy_improvements['mean_reduction']:.1%}")
     print(f"recomputed classifications: {summary.inconclusive_rate:.2%}")
     return 0
-
-
-def _resolve_backend(args: argparse.Namespace) -> str:
-    """The sweep's backend name from ``--backend`` (or legacy ``--engine``).
-
-    Contradictory selections (``--engine bonsai --backend baseline-...``)
-    are an error rather than a silent precedence.
-    """
-    engine = getattr(args, "engine", None)
-    if args.backend is not None:
-        if engine is not None and engine != args.backend.split("-", 1)[0]:
-            raise SystemExit(
-                f"repro batch-sweep: --engine {engine} conflicts with "
-                f"--backend {args.backend}")
-        return args.backend
-    return "bonsai-batched" if engine == "bonsai" else "baseline-batched"
 
 
 def _cmd_batch_sweep(args: argparse.Namespace) -> int:
@@ -492,7 +475,7 @@ def _cmd_batch_sweep(args: argparse.Namespace) -> int:
         base = cloud.points[rng.integers(0, len(cloud), args.queries)]
         queries = base.astype(np.float64) + rng.normal(0.0, 0.25, base.shape)
 
-        backend_name = _resolve_backend(args)
+        backend_name = args.backend
         backend = index.backend(backend_name)
 
         start = time.perf_counter()
@@ -563,14 +546,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     from .workloads import PipelineRunner, PipelineRunnerConfig
 
     _check_scenarios("pipeline", [args.scenario])
-    backend = args.backend
-    if backend is None:
-        backend = "bonsai-batched" if args.bonsai else "baseline-batched"
-    elif args.bonsai and not backend.startswith("bonsai-"):
-        raise SystemExit(
-            f"repro pipeline: --bonsai conflicts with --backend {backend}")
     config = PipelineRunnerConfig(
-        execution=ExecutionConfig(backend=backend, hardware=args.hardware),
+        execution=ExecutionConfig(backend=args.backend, hardware=args.hardware),
         localization=not args.no_localization,
     )
     runner = PipelineRunner.from_scenario(

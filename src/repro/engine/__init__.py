@@ -3,10 +3,9 @@
 One protocol, four named backends, one facade.  The paper's claims are
 comparisons between execution modes; this layer makes the mode a *name*
 (``baseline-perquery`` / ``baseline-batched`` / ``bonsai-perquery`` /
-``bonsai-batched``), selected through a registry, composable with a
-hardware-recording wrapper, and carried by workload configs as
-:class:`ExecutionConfig` data instead of scattered boolean flags;
-``docs/PERFORMANCE.md`` is the selection guide.
+``bonsai-batched``), selected through a registry, and carried by workload
+configs as :class:`ExecutionConfig` data (the name plus a hardware-recording
+switch); ``docs/PERFORMANCE.md`` is the selection guide.
 
 Public API
 ----------
@@ -22,10 +21,9 @@ Public API
     The registry (the single source of valid backend names).
 :class:`ExecutionConfig`
     A workload's execution mode as one value (backend name + hardware
-    switch + recorded cache geometry).
-:func:`recorded`
-    Hardware-recording wrapper: any backend's per-query recorded
-    counterpart with bitwise-identical functional results.
+    switch + recorded cache geometry); ``make_backend`` builds its backend,
+    with ``hardware=True`` the flavour's per-query backend with a recorder
+    attached and bitwise-identical functional results.
 :class:`SearchBackend`
     The protocol every backend implements.
 
@@ -47,7 +45,6 @@ from .backends import (
     BonsaiBatchedBackend,
     BonsaiPerQueryBackend,
     SearchBackend,
-    recorded,
 )
 from .execution import ExecutionConfig
 from .index import PointCloudIndex
@@ -60,7 +57,6 @@ __all__ = [
     "BaselineBatchedBackend",
     "BonsaiPerQueryBackend",
     "BonsaiBatchedBackend",
-    "recorded",
     "ExecutionConfig",
     "PointCloudIndex",
     "ShardedPointCloudIndex",

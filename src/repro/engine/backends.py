@@ -1,12 +1,10 @@
 """Execution backends: one query surface over every search implementation.
 
-The repo grew four ways to answer the same two questions ("which points are
-within ``r`` of these queries?", "which ``k`` points are nearest?"):
-per-query baseline search, the batched vectorised engine, and the Bonsai
-compressed variants of both — plus a recorded flavour that streams every
-tree access through the trace-driven cache simulation.  Each spelled its own
-API, so every consumer (workloads, benchmarks, the CLI) carried
-``use_bonsai`` / ``simulate_caches`` / ``hardware`` boolean triples.
+The repo answers the same two questions ("which points are within ``r`` of
+these queries?", "which ``k`` points are nearest?") four ways: per-query
+baseline search, the batched vectorised engine, and the Bonsai compressed
+variants of both — plus a recorded flavour that streams every tree access
+through the trace-driven cache simulation.
 
 This module normalises them behind one :class:`SearchBackend` protocol:
 
@@ -32,10 +30,12 @@ All of them produce *identical* functional results; the cross-backend parity
 suite (``tests/test_backend_parity.py``) locks that down for every
 registered name.
 
-Any backend composes with :func:`recorded`, which rebuilds it on the
-per-query path with a :class:`~repro.hwmodel.cache.HierarchyRecorder`
-attached, so every tree access streams through the cache simulation while
-the functional results stay bitwise unchanged.
+Recording is part of the execution mode:
+``ExecutionConfig(backend=name, hardware=True).make_backend(tree)``
+(:mod:`repro.engine.execution`) builds the flavour's per-query backend with a
+:class:`~repro.hwmodel.cache.HierarchyRecorder` attached, so every tree
+access streams through the cache simulation while the functional results
+stay bitwise unchanged.
 
 Backends are constructed by name through :mod:`repro.engine.registry`
 (:func:`~repro.engine.registry.get_backend`); nothing outside this package
@@ -63,7 +63,6 @@ __all__ = [
     "BaselineBatchedBackend",
     "BonsaiPerQueryBackend",
     "BonsaiBatchedBackend",
-    "recorded",
 ]
 
 
@@ -116,9 +115,6 @@ class _PerQueryBackendBase:
     """
 
     name = "perquery"
-    #: "baseline" or "bonsai"; :func:`recorded` rebuilds a backend of the
-    #: same flavour with a recorder attached.
-    flavor = "baseline"
 
     tree: KDTree
     stats: SearchStats
@@ -167,7 +163,6 @@ class BaselinePerQueryBackend(_PerQueryBackendBase):
     """One 32-bit traversal per query (the PCL/FLANN reference path)."""
 
     name = "baseline-perquery"
-    flavor = "baseline"
 
     def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None,
                  recorder: Optional[MemoryRecorder] = None):
@@ -192,7 +187,6 @@ class BonsaiPerQueryBackend(_PerQueryBackendBase):
     """
 
     name = "bonsai-perquery"
-    flavor = "bonsai"
 
     def __init__(self, tree: KDTree, *, fmt: FloatFormat = FLOAT16,
                  stats: Optional[SearchStats] = None,
@@ -221,7 +215,6 @@ class BaselineBatchedBackend:
     """One 32-bit traversal per query *batch* (:mod:`repro.runtime`)."""
 
     name = "baseline-batched"
-    flavor = "baseline"
 
     def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None):
         self.tree = tree
@@ -247,7 +240,6 @@ class BonsaiBatchedBackend:
     """One compressed-leaf traversal per query batch over the decoded mirror."""
 
     name = "bonsai-batched"
-    flavor = "bonsai"
 
     def __init__(self, tree: KDTree, *, fmt: FloatFormat = FLOAT16,
                  stats: Optional[SearchStats] = None):
@@ -281,43 +273,3 @@ class BonsaiBatchedBackend:
         """Single-query convenience wrapper (sorted point indices)."""
         return self._searcher.search(query, radius)
 
-
-def recorded(backend: SearchBackend, *,
-             recorder: Optional[MemoryRecorder] = None,
-             cpu=None) -> SearchBackend:
-    """A hardware-recorded counterpart of ``backend`` over the same tree.
-
-    Trace-driven cache simulation depends on the exact order of the recorded
-    memory accesses, so the recorded counterpart always executes on the
-    per-query path — regardless of the wrapped backend's strategy — with a
-    :class:`~repro.hwmodel.cache.HierarchyRecorder` attached.  Functional
-    results are bitwise identical to the unrecorded backend's (the per-query
-    hits are re-sorted into the batched order); the parity suite asserts
-    this for every named backend.
-
-    Parameters
-    ----------
-    backend:
-        Any constructed backend; only its tree and flavour are reused (the
-        recorded backend accumulates its own fresh statistics).  The
-        flavour's ``<flavor>-perquery`` backend must be registered — a
-        custom flavour without a per-query counterpart is an error, not a
-        silent fallback to the baseline.
-    recorder:
-        The recorder to attach; built from ``cpu`` when omitted.
-    cpu:
-        Cache geometry (:class:`~repro.hwmodel.cpu_config.CPUConfig`) for
-        the default recorder; the paper's Table IV machine when omitted.
-    """
-    from .registry import get_backend
-
-    if recorder is None:
-        from ..hwmodel.cache import HierarchyRecorder
-        if cpu is None:
-            from ..hwmodel.cpu_config import TABLE_IV_CPU
-            cpu = TABLE_IV_CPU
-        recorder = HierarchyRecorder.for_cpu(cpu)
-    flavor = getattr(backend, "flavor", None) or backend.name.split("-", 1)[0]
-    opts = {"fmt": backend.fmt} if hasattr(backend, "fmt") else {}
-    return get_backend(f"{flavor}-perquery", backend.tree,
-                       recorder=recorder, **opts)

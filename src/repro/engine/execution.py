@@ -1,18 +1,18 @@
 """ExecutionConfig: the execution mode of a workload as one value.
 
-Before the engine layer existed, every consumer threaded a boolean triple
-(``use_bonsai`` / ``simulate_caches`` / ``hardware``) through its own config
-dataclasses.  :class:`ExecutionConfig` replaces the triple: a backend *name*
-(from :mod:`repro.engine.registry`), a ``hardware`` switch that routes the
-searches through the trace-driven cache simulation, and an optional
-``cache_config`` overriding the recorded machine's cache geometry — which is
-what makes cache-geometry sensitivity sweeps a config change instead of new
-plumbing.
+The mode is a backend *name* (from :mod:`repro.engine.registry`), a
+``hardware`` switch that routes the searches through the trace-driven cache
+simulation, and an optional ``cache_config`` overriding the recorded
+machine's cache geometry — which is what makes cache-geometry sensitivity
+sweeps a config change instead of new plumbing.  It is the one spelling of
+the mode: the perception stages, the workloads, the pipeline runner and the
+CLI all take it (or a ``--backend`` name that becomes one), and every
+hardware recorder is built here, by :meth:`ExecutionConfig.make_recorder`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .backends import SearchBackend
@@ -73,25 +73,14 @@ class ExecutionConfig:
         return self.flavor == "bonsai"
 
     # ------------------------------------------------------------------
-    # Functional updates
-    # ------------------------------------------------------------------
-    def with_flavor(self, use_bonsai: bool) -> "ExecutionConfig":
-        """This config with the backend's leaf format replaced."""
-        flavor = "bonsai" if use_bonsai else "baseline"
-        return replace(self, backend=f"{flavor}-{self.strategy}")
-
-    def with_hardware(self, hardware: bool) -> "ExecutionConfig":
-        """This config with the ``hardware`` switch replaced."""
-        return replace(self, hardware=hardware)
-
-    # ------------------------------------------------------------------
     # Backend construction
     # ------------------------------------------------------------------
     def make_recorder(self, cpu=None):
         """A fresh :class:`~repro.hwmodel.cache.HierarchyRecorder`.
 
         Uses ``cache_config`` when set, else the caller's stage ``cpu``,
-        else the paper's Table IV machine.
+        else the paper's Table IV machine.  Every recorder of the repo is
+        built here: the stages pass their own machine as ``cpu``.
         """
         from ..hwmodel.cache import HierarchyRecorder
 

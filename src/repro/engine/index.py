@@ -2,9 +2,9 @@
 
 The facade of the engine layer.  It owns one k-d tree, compresses it lazily
 the first time a Bonsai backend is requested, caches one backend instance
-per (name, recorded) pair, and serves radius/kNN queries through whichever
-backend the caller names — with uniform batched results and statistics that
-merge across every backend the index has served.
+per (name, recorded, cpu) request, and serves radius/kNN queries through
+whichever backend the caller names — with uniform batched results and
+statistics that merge across every backend the index has served.
 
 Example
 -------
@@ -31,6 +31,7 @@ from ..kdtree.build import KDTree, KDTreeConfig, build_kdtree
 from ..kdtree.radius_search import SearchStats
 from ..runtime.batch import BatchKNNResult, BatchRadiusResult
 from .backends import SearchBackend
+from .execution import ExecutionConfig
 from .registry import get_backend
 
 __all__ = ["PointCloudIndex"]
@@ -105,12 +106,13 @@ class PointCloudIndex:
         """The named backend over this index's tree (cached per request).
 
         With ``recorded=True`` the returned backend is the hardware-recorded
-        counterpart (see :func:`repro.engine.backends.recorded`): the
-        flavour's per-query backend with every tree access streaming through
-        the trace-driven cache simulation of ``cpu``'s geometry (Table IV
-        when omitted), functional results bitwise unchanged.  Backends are
-        cached per ``(name, recorded, cpu)``, so recorded requests with
-        different cache geometries get distinct simulations.
+        counterpart, as ``ExecutionConfig(backend=name, hardware=True)``
+        builds it: the flavour's per-query backend with every tree access
+        streaming through the trace-driven cache simulation of ``cpu``'s
+        geometry (Table IV when omitted), functional results bitwise
+        unchanged.  Backends are cached per ``(name, recorded, cpu)``, so
+        recorded requests with different cache geometries get distinct
+        simulations.
         """
         flavor = name.split("-", 1)[0]
         key = (name, recorded, cpu)
@@ -120,13 +122,7 @@ class PointCloudIndex:
                 self.ensure_compressed()
             opts = {"fmt": self.fmt} if flavor == "bonsai" else {}
             if recorded:
-                # Construct the recorded per-query counterpart directly
-                # instead of building the functional backend first only to
-                # discard it.
-                from ..hwmodel.cache import HierarchyRecorder
-                from ..hwmodel.cpu_config import TABLE_IV_CPU
-                recorder = HierarchyRecorder.for_cpu(
-                    cpu if cpu is not None else TABLE_IV_CPU)
+                recorder = ExecutionConfig().make_recorder(cpu)
                 backend = get_backend(f"{flavor}-perquery", self.tree,
                                       recorder=recorder, **opts)
             else:

@@ -53,7 +53,7 @@ _REGISTRY: Dict[str, Callable[..., SearchBackend]] = {}
 
 #: Backend names are ``<flavor>-<strategy>``: lowercase dash-separated
 #: segments, at least two.  The engine layer splits on the first dash
-#: (``ExecutionConfig.flavor`` / ``.strategy``, the recorded-wrapper's
+#: (``ExecutionConfig.flavor`` / ``.strategy``, the recorded backend's
 #: ``<flavor>-perquery`` lookup), so the shape is enforced at registration.
 _NAME_RE = re.compile(r"[a-z0-9_]+(?:-[a-z0-9_]+)+")
 

@@ -96,23 +96,20 @@ class ClusterResult:
 class EuclideanClusterExtractor:
     """Cluster a point cloud by euclidean proximity over a k-d tree.
 
-    The search backend is selected by :class:`ExecutionConfig` (the
-    ``use_bonsai`` boolean remains as a convenience and maps to the batched
-    backend of the corresponding flavour).  All backends produce identical
-    clusters and search statistics.
+    The search backend is selected by :class:`ExecutionConfig`
+    (``baseline-batched`` when omitted).  All backends produce identical
+    clusters and search statistics.  ``recorder`` attaches a caller's memory
+    recorder (a hardware ``execution`` without one records on the Table IV
+    machine, or on its ``cache_config``).
     """
 
-    def __init__(self, config: Optional[ClusterConfig] = None, use_bonsai: bool = False,
+    def __init__(self, config: Optional[ClusterConfig] = None, *,
                  recorder: Optional[MemoryRecorder] = None,
                  execution: Optional[ExecutionConfig] = None):
         self.config = config or ClusterConfig()
-        if execution is None:
-            execution = ExecutionConfig(
-                backend="bonsai-batched" if use_bonsai else "baseline-batched")
-        self.execution = execution
-        self.use_bonsai = execution.use_bonsai
-        if recorder is None and execution.hardware:
-            recorder = execution.make_recorder()
+        self.execution = execution or ExecutionConfig()
+        if recorder is None and self.execution.hardware:
+            recorder = self.execution.make_recorder()
         self.recorder = recorder
 
     def extract(self, cloud: PointCloud) -> ClusterResult:
@@ -151,7 +148,7 @@ class EuclideanClusterExtractor:
             n_points=len(cloud),
             search_stats=backend.stats,
             tree=tree,
-            bonsai=backend if self.use_bonsai else None,
+            bonsai=backend if execution.use_bonsai else None,
         )
 
     # ------------------------------------------------------------------

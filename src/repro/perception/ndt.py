@@ -160,29 +160,27 @@ class NDTMatcher:
     All backends return identical results and accumulate identical
     :class:`SearchStats`.
 
-    With a memory ``recorder`` attached the recorded per-query backend of
-    the configured flavour is used instead, so every map-tree load streams
-    through the trace-driven cache simulation (:mod:`repro.hwmodel.cache`);
-    results stay identical — the per-query hits are re-sorted by point
-    index, matching the batched engine's order, so even the floating-point
-    summation order of the NDT score is preserved.
+    With a memory ``recorder`` attached (a hardware ``execution`` without
+    one records on the Table IV machine, or on its ``cache_config``) the
+    recorded per-query backend of the configured flavour is used instead,
+    so every map-tree load streams through the trace-driven cache
+    simulation (:mod:`repro.hwmodel.cache`); results stay identical — the
+    per-query hits are re-sorted by point index, matching the batched
+    engine's order, so even the floating-point summation order of the NDT
+    score is preserved.
     """
 
-    def __init__(self, ndt_map: NDTMap, use_bonsai: bool = False,
+    def __init__(self, ndt_map: NDTMap, *,
                  recorder: Optional[MemoryRecorder] = None,
                  execution: Optional[ExecutionConfig] = None):
         self.map = ndt_map
         self.config = ndt_map.config
-        if execution is None:
-            execution = ExecutionConfig(
-                backend="bonsai-batched" if use_bonsai else "baseline-batched")
-        self.execution = execution
-        self.use_bonsai = execution.use_bonsai
+        self.execution = execution = execution or ExecutionConfig()
         if recorder is None and execution.hardware:
             recorder = execution.make_recorder()
         self.recorder = recorder
         if recorder is not None:
-            if self.use_bonsai:
+            if execution.use_bonsai:
                 # Compress the map tree *before* attaching the recorder: map
                 # preparation is offline (unlike the per-frame clustering
                 # trees), so its compression traffic must neither enter the

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.execution import ExecutionConfig
 from ..engine.index import DEFAULT_BACKEND, PointCloudIndex
 from ..engine.parallel import _in_daemon_process, _pool_context, resolve_workers
 from ..kdtree.build import KDTreeConfig
@@ -79,7 +80,8 @@ def _serve_request(index: PointCloudIndex, request: tuple):
 
         _, scenario, n_frames, seed, backend = request
         runner = PipelineRunner.from_scenario(
-            scenario, n_frames=n_frames, seed=seed, backend=backend)
+            scenario, n_frames=n_frames, seed=seed,
+            execution=ExecutionConfig(backend=backend))
         return runner.run().metrics()
     raise ValueError(f"unknown service request kind {kind!r}")
 

@@ -36,6 +36,7 @@ from threading import BoundedSemaphore
 from typing import Callable, Dict, Optional
 
 from ..engine.parallel import resolve_workers
+from ..workloads.autoware import EuclideanClusterPipeline
 from ..workloads.pipeline import (
     FrameFold,
     PipelineRunner,
@@ -68,7 +69,8 @@ class StreamingPipelineRunner(PipelineRunner):
     Use exactly like the serial runner::
 
         result = StreamingPipelineRunner.from_scenario(
-            "urban", n_frames=6, backend="bonsai-batched").run()
+            "urban", n_frames=6,
+            execution=ExecutionConfig(backend="bonsai-batched")).run()
 
     (``from_scenario`` is inherited; set ``stage_workers`` either on the
     instance afterwards or via the constructor.)
@@ -95,8 +97,7 @@ class StreamingPipelineRunner(PipelineRunner):
         stage_seconds: Dict[str, float] = {}
         indices = self._select_frames()
         n_frames = len(indices)
-        pipeline_config, frame_execution, cluster_pipeline = (
-            self._cluster_stage_setup())
+        cluster_pipeline = EuclideanClusterPipeline(config.pipeline)
         fold = FrameFold(config, config.execution)
 
         depth = (self.queue_depth if self.queue_depth is not None
@@ -111,7 +112,7 @@ class StreamingPipelineRunner(PipelineRunner):
                 index = indices[position]
                 cloud = self.sequence.frame(index)
                 measurement = cluster_pipeline.run_frame(
-                    cloud, frame_index=index, execution=frame_execution)
+                    cloud, frame_index=index, execution=config.execution)
                 if self.stage_delay is not None:
                     time.sleep(self.stage_delay(position))
                 done.put((position, cloud, measurement,
@@ -160,5 +161,4 @@ class StreamingPipelineRunner(PipelineRunner):
         stage_seconds["cluster"] = cluster_s
         stage_seconds["track"] = track_s
 
-        return self._finish(indices, clouds, fold, pipeline_config,
-                            stage_seconds)
+        return self._finish(indices, clouds, fold, stage_seconds)

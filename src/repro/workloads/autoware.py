@@ -94,6 +94,8 @@ class PipelineConfig:
     energy: EnergyParameters = field(default_factory=EnergyParameters)
     instruction_budget: InstructionBudget = field(default_factory=InstructionBudget)
     phase_budget: PhaseBudget = field(default_factory=PhaseBudget)
+    #: Whether :meth:`EuclideanClusterPipeline.run_frame` records when the
+    #: caller passes no ``execution`` (a passed one decides on its own).
     simulate_caches: bool = True
 
 
@@ -149,7 +151,7 @@ class FrameMeasurement:
     #: cluster-filtering and tracking stages of the end-to-end runner.
     detections: List[DetectedObject] = field(default_factory=list)
     #: Raw per-frame cache-hierarchy statistics of the recorded search trace
-    #: (``None`` when ``simulate_caches`` is off and no trace was recorded).
+    #: (``None`` when the frame did not record).
     hierarchy: Optional[HierarchyStats] = None
 
 
@@ -164,22 +166,19 @@ class EuclideanClusterPipeline:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run_frame(self, cloud: PointCloud, frame_index: int = 0,
-                  use_bonsai: bool = False,
+    def run_frame(self, cloud: PointCloud, frame_index: int = 0, *,
                   execution: Optional[ExecutionConfig] = None) -> FrameMeasurement:
         """Process one raw LiDAR frame and return its measurements.
 
         ``execution`` selects the search backend and the hardware-recording
-        mode; when omitted it is derived from the legacy knobs (``use_bonsai``
-        plus the config's ``simulate_caches`` switch, which maps to
-        ``hardware=True``).
+        mode; when omitted the frame runs on ``baseline-batched``, recording
+        when the config's ``simulate_caches`` is set.  A recording frame
+        simulates the config's own machine, ``cpu`` (or the execution's
+        ``cache_config``).
         """
         config = self.config
         if execution is None:
-            execution = ExecutionConfig(
-                backend="bonsai-batched" if use_bonsai else "baseline-batched",
-                hardware=config.simulate_caches)
-        use_bonsai = execution.use_bonsai
+            execution = ExecutionConfig(hardware=config.simulate_caches)
         filtered = preprocess_for_clustering(cloud, config.preprocess)
         if filtered.is_empty:
             raise ValueError("pre-processing removed every point; adjust PreprocessConfig")
@@ -196,14 +195,14 @@ class EuclideanClusterPipeline:
         bonsai_stats = result.bonsai.bonsai_stats if result.bonsai is not None else None
         extract_report = self._extract_kernel_report(
             filtered, result.tree.n_leaves, result.tree.depth(), search_stats,
-            bonsai_stats, recorder.stats if recorder is not None else None, use_bonsai,
+            bonsai_stats, recorder.stats if recorder is not None else None,
         )
         end_to_end = self._end_to_end_seconds(
             cloud, filtered, result, extract_report,
         )
         return FrameMeasurement(
             frame_index=frame_index,
-            use_bonsai=use_bonsai,
+            use_bonsai=execution.use_bonsai,
             n_raw_points=len(cloud),
             n_filtered_points=len(filtered),
             n_clusters=result.n_clusters,
@@ -224,16 +223,12 @@ class EuclideanClusterPipeline:
             hierarchy=recorder.stats if recorder is not None else None,
         )
 
-    def run_frames(self, clouds: Iterable[PointCloud],
-                   use_bonsai: bool = False,
+    def run_frames(self, clouds: Iterable[PointCloud], *,
                    execution: Optional[ExecutionConfig] = None,
                    ) -> List[FrameMeasurement]:
         """Process several frames; frame indices follow iteration order."""
-        return [
-            self.run_frame(cloud, frame_index=i, use_bonsai=use_bonsai,
-                           execution=execution)
-            for i, cloud in enumerate(clouds)
-        ]
+        return [self.run_frame(cloud, frame_index=i, execution=execution)
+                for i, cloud in enumerate(clouds)]
 
     # ------------------------------------------------------------------
     # Cost accounting
@@ -241,15 +236,16 @@ class EuclideanClusterPipeline:
     def _extract_kernel_report(self, filtered: PointCloud, n_leaves: int, depth: int,
                                search_stats: SearchStats,
                                bonsai_stats: Optional[BonsaiStats],
-                               hierarchy: Optional[HierarchyStats],
-                               use_bonsai: bool) -> KernelReport:
+                               hierarchy: Optional[HierarchyStats]) -> KernelReport:
+        """The extract kernel's metrics; ``bonsai_stats`` is ``None`` on a
+        baseline frame and set on a Bonsai one."""
         budget = self.config.instruction_budget
         phase = self.config.phase_budget
         n_points = len(filtered)
         levels = max(depth, 1)
 
         # Search component (differs between the configurations).
-        if use_bonsai and bonsai_stats is not None:
+        if bonsai_stats is not None:
             search_estimate = estimate_bonsai(search_stats, bonsai_stats, budget)
         else:
             search_estimate = estimate_baseline(search_stats, budget)
@@ -277,7 +273,7 @@ class EuclideanClusterPipeline:
         # Build-time compression overhead (Bonsai only).
         compress_instructions = 0
         compress_stores = 0
-        if use_bonsai and bonsai_stats is not None:
+        if bonsai_stats is not None:
             compress_instructions = (
                 n_points * phase.compress_per_point + n_leaves * phase.compress_per_leaf
             )
@@ -321,7 +317,7 @@ class EuclideanClusterPipeline:
         cycles = self.timing.cycles(metrics)
         seconds = self.timing.seconds(metrics)
         bonsai_fu_ops = 0
-        if use_bonsai and bonsai_stats is not None:
+        if bonsai_stats is not None:
             bonsai_fu_ops = bonsai_stats.leaf_visits * BONSAI_FU_OPS_PER_LEAF_VISIT
         energy = self.energy.estimate(metrics, seconds, bonsai_fu_ops).total_j
         return KernelReport(

@@ -84,17 +84,19 @@ class RegistrationMeasurement:
 
 
 class NDTLocalizationPipeline:
-    """Registers a sequence of scans against a fixed map, with cost accounting."""
+    """Registers a sequence of scans against a fixed map, with cost accounting.
+
+    ``execution`` selects the search backend (``baseline-batched`` when
+    omitted).  A hardware ``execution`` records the map searches on this
+    workload's own machine, ``config.cpu`` (or the execution's
+    ``cache_config``); the recorder is :attr:`recorder` (``None`` when not
+    recording).
+    """
 
     def __init__(self, map_cloud: PointCloud, config: Optional[LocalizationConfig] = None,
-                 use_bonsai: bool = False, recorder=None,
-                 execution: Optional[ExecutionConfig] = None):
+                 *, execution: Optional[ExecutionConfig] = None):
         self.config = config or LocalizationConfig()
-        if execution is None:
-            execution = ExecutionConfig(
-                backend="bonsai-batched" if use_bonsai else "baseline-batched")
-        self.execution = execution
-        self.use_bonsai = execution.use_bonsai
+        self.execution = execution = execution or ExecutionConfig()
         self.timing = TimingModel(self.config.cpu)
         self.energy = EnergyModel(self.config.energy)
         map_filtered = voxel_grid_filter(
@@ -105,8 +107,10 @@ class NDTLocalizationPipeline:
         # With a memory recorder the matcher takes the per-query search path
         # and streams every map-tree access through the trace-driven cache
         # simulation (the map build itself is offline and not recorded).
-        self.recorder = recorder
-        self.matcher = NDTMatcher(self.map, execution=execution, recorder=recorder)
+        self.recorder = (execution.make_recorder(self.config.cpu)
+                         if execution.hardware else None)
+        self.matcher = NDTMatcher(self.map, execution=execution,
+                                  recorder=self.recorder)
 
     # ------------------------------------------------------------------
     # Public API
@@ -125,7 +129,7 @@ class NDTLocalizationPipeline:
 
         estimate = (
             estimate_bonsai(search_stats, bonsai_stats, self.config.instruction_budget)
-            if self.use_bonsai and bonsai_stats is not None
+            if self.execution.use_bonsai and bonsai_stats is not None
             else estimate_baseline(search_stats, self.config.instruction_budget)
         )
         phase = self.config.phase_budget
@@ -157,7 +161,7 @@ class NDTLocalizationPipeline:
         energy = self.energy.estimate(metrics, seconds, bonsai_fu_ops).total_j
         return RegistrationMeasurement(
             scan_index=scan_index,
-            use_bonsai=self.use_bonsai,
+            use_bonsai=self.execution.use_bonsai,
             translation=result.translation,
             iterations=result.iterations,
             instructions=instructions,
@@ -187,7 +191,7 @@ class NDTLocalizationPipeline:
         search_copy = (stats.queries, stats.leaves_visited, stats.interior_visited,
                        stats.points_examined, stats.points_in_radius,
                        stats.point_bytes_loaded)
-        if self.use_bonsai:
+        if self.execution.use_bonsai:
             b = self.matcher.bonsai_stats
             bonsai_copy = (b.leaf_visits, b.slices_loaded, b.compressed_bytes_loaded,
                            b.points_classified, b.conclusive_in, b.conclusive_out,

@@ -35,9 +35,10 @@ by the golden snapshots of ``tests/test_golden_hardware.py``.
 
 Example
 -------
->>> from repro.workloads import PipelineRunner
+>>> from repro.workloads import ExecutionConfig, PipelineRunner
 >>> result = PipelineRunner.from_scenario(          # doctest: +SKIP
-...     "tunnel", n_frames=4, backend="bonsai-batched").run()
+...     "tunnel", n_frames=4,
+...     execution=ExecutionConfig(backend="bonsai-batched")).run()
 >>> result.metrics()["clusters_total"]              # doctest: +SKIP
 42
 """
@@ -75,13 +76,6 @@ __all__ = [
 ]
 
 
-def _default_pipeline_config() -> PipelineConfig:
-    # By default the runner serves every frame through the batched engine;
-    # the trace-driven cache simulation (which forces the recorded per-query
-    # backend) is opted into end-to-end via ``ExecutionConfig(hardware=True)``.
-    return PipelineConfig(simulate_caches=False)
-
-
 def _default_localization_config() -> LocalizationConfig:
     # Coarser voxels and a lower occupancy threshold than the map-scale
     # defaults, so localization stays solvable on the sparse worlds
@@ -112,8 +106,10 @@ class PipelineRunnerConfig:
     #: ``(n_samples, sample_length)`` systematic frame sub-sampling applied to
     #: the selected frames (``None``: process every selected frame).
     subsample: Optional[Tuple[int, int]] = None
-    #: Euclidean-cluster pipeline configuration (batched engine by default).
-    pipeline: PipelineConfig = field(default_factory=_default_pipeline_config)
+    #: Euclidean-cluster pipeline configuration.  Every frame runs with
+    #: ``execution``, so its ``simulate_caches`` default is not consulted:
+    #: ``execution.hardware`` alone decides whether the frames record.
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     #: Detection-extent bounds of the cluster-filtering stage.
     min_detection_extent: float = 0.2
     max_detection_extent: float = 18.0
@@ -325,19 +321,15 @@ class PipelineRunner:
 
     @classmethod
     def from_scenario(cls, name: str, config: Optional[PipelineRunnerConfig] = None,
-                      use_bonsai: Optional[bool] = None,
                       n_frames: Optional[int] = None, seed: Optional[int] = None,
                       n_beams: Optional[int] = None,
                       n_azimuth_steps: Optional[int] = None,
-                      hardware: Optional[bool] = None,
-                      backend: Optional[str] = None,
                       execution: Optional[ExecutionConfig] = None) -> "PipelineRunner":
         """Build a runner for a registered scenario (see :mod:`repro.scenarios`).
 
         The execution mode resolves in precedence order: the explicit
-        ``execution`` argument, then ``backend`` / ``use_bonsai`` /
-        ``hardware`` tweaks, then the caller's ``config.execution``, then the
-        scenario's own execution default (``spec.execution``), then the
+        ``execution`` argument, then the caller's ``config.execution``, then
+        the scenario's own execution default (``spec.execution``), then the
         global default.  Scenario ``pipeline_overrides`` apply only when the
         caller passes no explicit ``config`` (an explicit config is taken
         verbatim).
@@ -352,17 +344,10 @@ class PipelineRunner:
             if spec.execution is not None and "execution" not in overrides:
                 overrides["execution"] = spec.execution
             config = PipelineRunnerConfig(**overrides)
-        resolved = execution if execution is not None else config.execution
-        if backend is not None:
-            resolved = replace(resolved, backend=backend)
-        if use_bonsai is not None and use_bonsai != resolved.use_bonsai:
-            resolved = resolved.with_flavor(use_bonsai)
-        if hardware is not None and hardware != resolved.hardware:
-            resolved = resolved.with_hardware(hardware)
-        if resolved is not config.execution:
+        if execution is not None:
             # Never mutate the caller's config: one config object must be
             # reusable for a baseline-then-Bonsai comparison.
-            config = replace(config, execution=resolved)
+            config = replace(config, execution=execution)
         return cls(sequence, scenario=name, config=config)
 
     # ------------------------------------------------------------------
@@ -378,8 +363,7 @@ class PipelineRunner:
         clouds = [self.sequence.frame(i) for i in indices]
         stage_seconds["generate"] = time.perf_counter() - start
 
-        pipeline_config, frame_execution, cluster_pipeline = (
-            self._cluster_stage_setup())
+        cluster_pipeline = EuclideanClusterPipeline(config.pipeline)
         fold = FrameFold(config, config.execution)
 
         cluster_s = 0.0
@@ -387,49 +371,24 @@ class PipelineRunner:
         for index, cloud in zip(indices, clouds):
             start = time.perf_counter()
             measurement = cluster_pipeline.run_frame(
-                cloud, frame_index=index, execution=frame_execution)
+                cloud, frame_index=index, execution=config.execution)
             cluster_s += time.perf_counter() - start
             track_s += fold.fold(index, cloud, measurement)
         stage_seconds["cluster"] = cluster_s
         stage_seconds["track"] = track_s
 
-        return self._finish(indices, clouds, fold, pipeline_config,
-                            stage_seconds)
+        return self._finish(indices, clouds, fold, stage_seconds)
 
-    def _cluster_stage_setup(self) -> Tuple[PipelineConfig, ExecutionConfig,
-                                            EuclideanClusterPipeline]:
-        """The per-frame stage's shared, immutable inputs."""
-        execution = self.config.execution
-        pipeline_config = self.config.pipeline
-        frame_execution = execution
-        if pipeline_config.simulate_caches and not execution.hardware:
-            # A cache-simulating PipelineConfig keeps its per-frame recording
-            # even when the runner itself is not in hardware-in-the-loop mode
-            # (no per-stage hardware report is produced in that case).
-            frame_execution = execution.with_hardware(True)
-        return pipeline_config, frame_execution, EuclideanClusterPipeline(
-            pipeline_config)
-
-    def _finish(self, indices: Sequence[int], clouds: Sequence,
-                fold: FrameFold, pipeline_config: PipelineConfig,
+    def _finish(self, indices: Sequence[int], clouds: Sequence, fold: FrameFold,
                 stage_seconds: Dict[str, float]) -> PipelineRunResult:
         """The serial tail every runner shares: localization + assembly."""
         config = self.config
         execution = config.execution
         localization = None
-        localization_recorder = None
         localization_pipeline = None
         if config.localization and len(indices) >= 2:
-            if execution.hardware:
-                # The localization workload carries its own machine config;
-                # its trace must be simulated on that geometry (it matches
-                # the clustering machine under the Table IV defaults), unless
-                # the execution config pins an explicit cache geometry.
-                localization_recorder = execution.make_recorder(
-                    config.localization_config.cpu)
             start = time.perf_counter()
-            localization, localization_pipeline = self._run_localization(
-                indices, clouds, recorder=localization_recorder)
+            localization, localization_pipeline = self._run_localization(indices, clouds)
             stage_seconds["localize"] = time.perf_counter() - start
 
         track_labels: Dict[str, int] = {}
@@ -439,8 +398,8 @@ class PipelineRunner:
         hardware_stages = None
         if execution.hardware:
             hardware_stages = self._hardware_stages(
-                pipeline_config, fold.measurements, fold.cluster_bonsai,
-                localization, localization_recorder, localization_pipeline)
+                fold.measurements, fold.cluster_bonsai, localization,
+                localization_pipeline)
 
         return PipelineRunResult(
             scenario=self.scenario,
@@ -473,15 +432,16 @@ class PipelineRunner:
 
     def _run_localization(
             self, indices: Sequence[int], clouds: Sequence,
-            recorder: Optional[HierarchyRecorder] = None,
     ) -> Tuple[LocalizationReport, NDTLocalizationPipeline]:
         """Register later frames against the first frame's NDT map.
 
         The ground-truth relative translation between frame ``i`` and the
         map frame is the ego displacement the sequence generator applied;
-        the initial guess perturbs it like an odometry prior would.  With a
-        ``recorder`` the stage's map-tree searches run through the per-query
-        path and stream into the trace-driven cache simulation.
+        the initial guess perturbs it like an odometry prior would.  In
+        hardware mode the localization workload records its map-tree
+        searches on its own machine (``localization_config.cpu``, unless the
+        execution pins a ``cache_config``) — it matches the clustering
+        machine under the Table IV defaults.
         """
         config = self.config
         n_scans = min(len(indices) - 1, config.max_localization_scans)
@@ -492,7 +452,7 @@ class PipelineRunner:
 
         pipeline = NDTLocalizationPipeline(
             clouds[0], config=config.localization_config,
-            execution=config.execution, recorder=recorder)
+            execution=config.execution)
         errors: List[float] = []
         iterations = 0
         instructions = 0
@@ -523,10 +483,9 @@ class PipelineRunner:
         return report, pipeline
 
     def _hardware_stages(
-            self, pipeline_config, measurements: List[FrameMeasurement],
+            self, measurements: List[FrameMeasurement],
             cluster_bonsai: Optional[BonsaiStats],
             localization: Optional[LocalizationReport],
-            localization_recorder: Optional[HierarchyRecorder],
             localization_pipeline: Optional[NDTLocalizationPipeline],
     ) -> Dict[str, StageHardwareReport]:
         """Fold the recorded traces into per-stage hardware reports.
@@ -544,6 +503,7 @@ class PipelineRunner:
                 cluster_trace.merge(measurement.hierarchy)
         cluster_fu_ops = (cluster_bonsai.leaf_visits * BONSAI_FU_OPS_PER_LEAF_VISIT
                           if cluster_bonsai is not None else 0)
+        pipeline_config = self.config.pipeline
         stages = {
             "clustering": StageHardwareReport.from_trace(
                 "clustering", cluster_trace,
@@ -554,16 +514,15 @@ class PipelineRunner:
                 l1_line_size=pipeline_config.cpu.l1d.line_size,
                 l2_line_size=pipeline_config.cpu.l2.line_size),
         }
-        if localization is not None and localization_recorder is not None:
+        if localization is not None:
             localization_fu_ops = 0
-            if localization_pipeline is not None:
-                bonsai_stats = localization_pipeline.matcher.bonsai_stats
-                if bonsai_stats is not None:
-                    localization_fu_ops = (
-                        bonsai_stats.leaf_visits * BONSAI_FU_OPS_PER_LEAF_VISIT)
+            bonsai_stats = localization_pipeline.matcher.bonsai_stats
+            if bonsai_stats is not None:
+                localization_fu_ops = (
+                    bonsai_stats.leaf_visits * BONSAI_FU_OPS_PER_LEAF_VISIT)
             localization_config = self.config.localization_config
             stages["localization"] = StageHardwareReport.from_trace(
-                "localization", localization_recorder.stats,
+                "localization", localization_pipeline.recorder.stats,
                 instructions=localization.instructions_total,
                 timing=TimingModel(localization_config.cpu),
                 energy=EnergyModel(localization_config.energy),

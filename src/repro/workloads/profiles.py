@@ -90,7 +90,7 @@ def profile_euclidean_cluster(cloud: PointCloud,
     """Radius-search share of the euclidean-cluster task for one frame."""
     timing = TimingModel()
     filtered = preprocess_for_clustering(cloud, preprocess)
-    extractor = EuclideanClusterExtractor(config=cluster, use_bonsai=False)
+    extractor = EuclideanClusterExtractor(config=cluster)
     result = extractor.extract(filtered)
 
     search_cycles = _search_cycles(timing, result.search_stats, budget)
@@ -116,7 +116,7 @@ def profile_ndt_matching(scan: PointCloud, map_cloud: PointCloud,
     timing = TimingModel()
     config = config or NDTConfig()
     ndt_map = NDTMap(map_cloud, config)
-    matcher = NDTMatcher(ndt_map, use_bonsai=False)
+    matcher = NDTMatcher(ndt_map)
     result = matcher.register(scan, initial_translation=(0.4, 0.2, 0.0))
 
     search_cycles = _search_cycles(timing, result.search_stats, budget)

@@ -44,14 +44,14 @@ class SubsamplingErrors:
 
 def measure_sequence(sequence: DrivingSequence, indices: Optional[Sequence[int]] = None,
                      pipeline: Optional[EuclideanClusterPipeline] = None,
-                     use_bonsai: bool = False) -> List[FrameMeasurement]:
+                     ) -> List[FrameMeasurement]:
     """Run the euclidean-cluster pipeline over (a subset of) a sequence."""
     pipeline = pipeline or EuclideanClusterPipeline()
     measurements: List[FrameMeasurement] = []
     frame_indices = list(indices) if indices is not None else list(range(len(sequence)))
     for index in frame_indices:
         cloud = sequence.frame(index)
-        measurements.append(pipeline.run_frame(cloud, frame_index=index, use_bonsai=use_bonsai))
+        measurements.append(pipeline.run_frame(cloud, frame_index=index))
     return measurements
 
 
@@ -80,10 +80,10 @@ def _miss_ratio(measurements: Iterable[FrameMeasurement], level: str) -> float:
 
 def evaluate_subsampling(sequence: DrivingSequence, n_samples: int, sample_length: int,
                          pipeline: Optional[EuclideanClusterPipeline] = None,
-                         use_bonsai: bool = False) -> SubsamplingErrors:
+                         ) -> SubsamplingErrors:
     """Compare sub-sampled metrics against the full sequence (Table III)."""
     pipeline = pipeline or EuclideanClusterPipeline()
-    full = measure_sequence(sequence, None, pipeline, use_bonsai)
+    full = measure_sequence(sequence, None, pipeline)
     indices = systematic_subsample(len(sequence), n_samples, sample_length)
     sampled = [m for m in full if m.frame_index in set(indices)]
 

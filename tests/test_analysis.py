@@ -26,7 +26,8 @@ from repro.core.floatfmt import BFLOAT16, FLOAT16, FLOAT24
 from repro.hwmodel import TABLE_V, estimate_bonsai_area
 from repro.kdtree import SearchStats, build_kdtree, radius_search
 from repro.pointcloud import DrivingSequence, LidarConfig, SceneConfig, SequenceConfig
-from repro.workloads import EuclideanClusterPipeline, profile_euclidean_cluster
+from repro.workloads import (EuclideanClusterPipeline, ExecutionConfig,
+                             profile_euclidean_cluster)
 
 
 class TestClassificationError:
@@ -54,6 +55,22 @@ class TestClassificationError:
         queries = [filtered_frame[i] for i in range(0, len(filtered_frame), 31)]
         stats = classification_error(frame_tree, queries, 0.6, BFLOAT16)
         assert stats.false_in + stats.false_out == stats.misclassified
+
+    def test_inspector_reused_across_trees(self):
+        """One inspector over two trees tallies what two fresh ones do."""
+        rng = np.random.default_rng(5)
+        trees = [build_kdtree(rng.uniform(-4.0, 4.0, (200, 3)).astype(np.float32) + offset)
+                 for offset in (np.float32(0.0), np.float32(1000.5))]
+        shared = FormatErrorInspector(FLOAT16)
+        fresh_total = ClassificationErrorStats(FLOAT16.name)
+        for tree in trees:
+            fresh = FormatErrorInspector(FLOAT16)
+            for query in tree.points[:25].astype(np.float64):
+                for inspector in (shared, fresh):
+                    radius_search(tree, query, 0.8, inspector=inspector)
+            fresh_total.merge(fresh.stats)
+        assert shared.stats == fresh_total
+        assert fresh_total.misclassified > 0
 
     def test_merge(self):
         a = ClassificationErrorStats("ieee_fp16", classifications=10, misclassified=1)
@@ -109,8 +126,9 @@ class TestCompareMeasurements:
             lidar=LidarConfig(n_beams=16, n_azimuth_steps=180, seed=80)))
         pipeline = EuclideanClusterPipeline()
         clouds = [sequence.frame(i) for i in range(2)]
-        baseline = pipeline.run_frames(clouds, use_bonsai=False)
-        bonsai = pipeline.run_frames(clouds, use_bonsai=True)
+        baseline = pipeline.run_frames(clouds, execution=ExecutionConfig(hardware=True))
+        bonsai = pipeline.run_frames(
+            clouds, execution=ExecutionConfig(backend="bonsai-batched", hardware=True))
         return compare_measurements(baseline, bonsai)
 
     def test_fig9a_directions(self, summary):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (ExecutionConfig, PointCloudIndex, ShardedPointCloudIndex,
-                          backend_names, get_backend, recorded)
+                          backend_names, get_backend)
 from repro.kdtree import SearchStats, build_kdtree
 from repro.pointcloud import PointCloud, preprocess_for_clustering
 from repro.scenarios import build_sequence
@@ -128,33 +128,43 @@ class TestCrossBackendParity:
 
 
 class TestRecordedParity:
-    """The hardware wrapper must never change functional results."""
+    """Recording (`ExecutionConfig(hardware=True)`) never changes results."""
 
     def test_recorded_radius_bitwise_unchanged(self, case):
         tree, queries, radius, _ = case
         for name in backend_names():
             plain = get_backend(name, tree)
             ref_offsets, ref_indices = _radius_arrays(plain, queries, radius)
-            wrapped = recorded(plain)
-            offsets, indices = _radius_arrays(wrapped, queries, radius)
+            recorded = ExecutionConfig(backend=name, hardware=True).make_backend(tree)
+            offsets, indices = _radius_arrays(recorded, queries, radius)
             assert np.array_equal(offsets, ref_offsets), name
             assert np.array_equal(indices, ref_indices), name
             # And the trace is live: the searches really hit the cache model.
-            assert wrapped.hierarchy is not None, name
-            assert wrapped.hierarchy.l1_accesses > 0, name
+            assert recorded.hierarchy is not None, name
+            assert recorded.hierarchy.l1_accesses > 0, name
 
     def test_execution_config_hardware_bitwise_unchanged(self, case):
-        """`ExecutionConfig(hardware=True)` is the same guarantee as data."""
-        tree, queries, radius, _ = case
+        """On any recorded cache geometry, and for kNN too."""
+        from dataclasses import replace
+
+        from repro.hwmodel.cpu_config import TABLE_IV_CPU
+
+        tree, queries, radius, k = case
+        tiny = replace(TABLE_IV_CPU, l1d=replace(TABLE_IV_CPU.l1d, size_bytes=4096))
         for name in backend_names():
-            functional = ExecutionConfig(backend=name)
-            hardware = ExecutionConfig(backend=name, hardware=True)
-            ref = functional.make_backend(tree).radius_search(queries, radius)
-            recorded_backend = hardware.make_backend(tree)
-            got = recorded_backend.radius_search(queries, radius)
-            assert np.array_equal(got.offsets, ref.offsets), name
-            assert np.array_equal(got.point_indices, ref.point_indices), name
-            assert recorded_backend.hierarchy.l1_accesses > 0, name
+            functional = ExecutionConfig(backend=name).make_backend(tree)
+            ref = functional.radius_search(queries, radius)
+            ref_knn = functional.knn(queries, k)
+            for cache_config in (None, tiny):
+                recorded = ExecutionConfig(backend=name, hardware=True,
+                                           cache_config=cache_config).make_backend(tree)
+                got = recorded.radius_search(queries, radius)
+                assert np.array_equal(got.offsets, ref.offsets), name
+                assert np.array_equal(got.point_indices, ref.point_indices), name
+                assert recorded.hierarchy.l1_accesses > 0, name
+                knn = recorded.knn(queries, k)
+                assert np.array_equal(knn.indices, ref_knn.indices), name
+                assert np.array_equal(knn.distances, ref_knn.distances), name
 
 
 class TestIndexParity:

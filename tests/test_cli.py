@@ -22,9 +22,11 @@ class TestParser:
         assert args.format == "pcd"
 
     def test_cluster_flags(self):
-        args = build_parser().parse_args(["cluster", "--bonsai", "--tolerance", "0.8"])
-        assert args.bonsai is True
+        args = build_parser().parse_args(
+            ["cluster", "--backend", "bonsai-batched", "--tolerance", "0.8"])
+        assert args.backend == "bonsai-batched"
         assert args.tolerance == 0.8
+        assert build_parser().parse_args(["cluster"]).backend == "baseline-batched"
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -38,10 +40,11 @@ class TestParser:
 
     def test_pipeline_flags(self):
         args = build_parser().parse_args(
-            ["pipeline", "--scenario", "tunnel", "--frames", "2", "--bonsai"])
+            ["pipeline", "--scenario", "tunnel", "--frames", "2",
+             "--backend", "bonsai-batched"])
         assert args.scenario == "tunnel"
         assert args.frames == 2
-        assert args.bonsai is True
+        assert args.backend == "bonsai-batched"
         assert args.no_localization is False
         assert args.hardware is False
 
@@ -68,29 +71,25 @@ class TestParser:
         assert args.backend == "baseline-perquery"
 
     def test_backend_flags_reject_unknown_names(self):
-        for command in ("pipeline", "batch-sweep"):
+        for command in ("cluster", "pipeline", "batch-sweep"):
             for name in ("warp-drive", "baseline-batched-mp"):
                 with pytest.raises(SystemExit):
                     build_parser().parse_args([command, "--backend", name])
 
-    def test_conflicting_backend_selections_rejected(self):
-        with pytest.raises(SystemExit, match="--bonsai conflicts"):
-            main(["pipeline", "--scenario", "urban", "--bonsai",
-                  "--backend", "baseline-batched"])
-        with pytest.raises(SystemExit, match="--engine bonsai conflicts"):
-            main(["batch-sweep", "--queries", "10", "--engine", "bonsai",
-                  "--backend", "baseline-perquery"])
-        # Consistent combinations still work.
-        args = build_parser().parse_args(
-            ["pipeline", "--bonsai", "--backend", "bonsai-perquery"])
-        assert args.backend == "bonsai-perquery"
+    def test_flavor_flags_removed(self, capsys):
+        """--backend is the one way to name the execution mode."""
+        for argv in (["cluster", "--bonsai"], ["pipeline", "--bonsai"],
+                     ["batch-sweep", "--engine", "bonsai"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_help_names_every_registered_backend(self):
         """--help must list the backend registry's names, with no drift."""
         from repro.engine import backend_names
 
         subparsers = build_parser()._subparsers._group_actions[0].choices
-        for command in ("pipeline", "batch-sweep", "hw-sweep", "campaign"):
+        for command in ("cluster", "pipeline", "batch-sweep", "hw-sweep", "campaign"):
             text = subparsers[command].format_help()
             for name in backend_names():
                 assert name in text, (command, name)
@@ -197,7 +196,8 @@ class TestCommands:
         assert "clusters" in out
 
     def test_cluster_bonsai(self, capsys):
-        code = main(["cluster", "--frame", "0", "--seed", "5", "--bonsai"])
+        code = main(["cluster", "--frame", "0", "--seed", "5",
+                     "--backend", "bonsai-batched"])
         assert code == 0
         assert "Bonsai-extensions search" in capsys.readouterr().out
 
@@ -229,7 +229,7 @@ class TestCommands:
     def test_pipeline_bonsai_no_localization(self, capsys):
         code = main(["pipeline", "--scenario", "urban", "--frames", "2",
                      "--beams", "12", "--azimuth-steps", "90",
-                     "--bonsai", "--no-localization"])
+                     "--backend", "bonsai-batched", "--no-localization"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Bonsai-extensions search" in out
@@ -292,7 +292,7 @@ class TestErrorPaths:
     def test_unknown_backend_lists_registry_choices(self, capsys):
         from repro.engine import backend_names
 
-        for command in ("pipeline", "batch-sweep", "hw-sweep", "campaign"):
+        for command in ("cluster", "pipeline", "batch-sweep", "hw-sweep", "campaign"):
             with pytest.raises(SystemExit) as excinfo:
                 main([command, "--backend", "warp-drive"])
             assert excinfo.value.code == 2

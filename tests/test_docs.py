@@ -9,6 +9,7 @@ and check that every relative markdown link in the first-class docs resolves
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,10 @@ SRC = REPO / "src" / "repro"
 
 #: Relative markdown links: [text](target), excluding http(s) and anchors.
 LINK_RE = re.compile(r"\[[^\]]*\]\((?!https?://|#)([^)#\s]+)")
+
+#: A documented command line: an optional ``$ `` prompt and ``VAR=value``
+#: prefixes, then ``python -m repro`` and the arguments.
+COMMAND_RE = re.compile(r"^\s*(?:\$\s+)?(?:\w+=\S*\s+)*python -m repro\b(.*)$")
 
 
 def _doc_tree_entries() -> set:
@@ -173,3 +178,47 @@ def test_relative_links_resolve(doc):
     for target in LINK_RE.findall(path.read_text(encoding="utf-8")):
         resolved = (path.parent / target).resolve()
         assert resolved.exists(), f"{doc}: broken link -> {target}"
+
+
+def _documented_commands():
+    """``(doc:line, argv)`` of every ``python -m repro`` line in the docs."""
+    docs = [README, *sorted((REPO / "docs").glob("*.md")),
+            SRC / "workloads" / "README.md"]
+    commands = []
+    for doc in docs:
+        lines = doc.read_text(encoding="utf-8").splitlines()
+        number = 0
+        while number < len(lines):
+            first = number
+            line = lines[number]
+            while line.endswith("\\") and number + 1 < len(lines):
+                number += 1
+                line = line[:-1] + " " + lines[number].strip()
+            number += 1
+            match = COMMAND_RE.match(line)
+            if match:
+                # A $(...) substitution stands for one argument.
+                arguments = re.sub(r"\$\([^)]*\)", "SUBSTITUTED", match.group(1))
+                commands.append((f"{doc.relative_to(REPO)}:{first + 1}",
+                                 shlex.split(arguments, comments=True)))
+    return commands
+
+
+DOCUMENTED_COMMANDS = _documented_commands()
+
+
+def test_documented_commands_found():
+    documents = {where.rsplit(":", 1)[0] for where, _ in DOCUMENTED_COMMANDS}
+    assert {"README.md", "src/repro/workloads/README.md"} <= documents
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in DOCUMENTED_COMMANDS],
+                         ids=[where for where, _ in DOCUMENTED_COMMANDS])
+def test_documented_command_lines_parse(argv):
+    """Every command line the docs show is one the CLI accepts."""
+    from repro.cli import build_parser
+
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"`repro {' '.join(argv)}` does not parse (exit {exc.code})")

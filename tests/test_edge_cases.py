@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.bonsai_search import BonsaiRadiusSearch
+from repro.engine import ExecutionConfig
 from repro.hwmodel.cache import HierarchyRecorder
 from repro.kdtree import (
     KDTreeConfig,
@@ -160,7 +161,8 @@ class TestIdenticalPoints:
     def test_bonsai_on_zero_spread_leaves(self):
         same = PointCloud(np.full((20, 3), 3.25, dtype=np.float32))
         result = EuclideanClusterExtractor(
-            ClusterConfig(min_cluster_size=1), use_bonsai=True).extract(same)
+            ClusterConfig(min_cluster_size=1),
+            execution=ExecutionConfig(backend="bonsai-batched")).extract(same)
         assert result.n_clusters == 1
 
 

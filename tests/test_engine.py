@@ -10,6 +10,7 @@ their cycle and must now fail loudly).
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -97,13 +98,6 @@ class TestExecutionConfig:
         for name in ("baseline",) + UNKNOWN_BACKENDS:
             with pytest.raises(ValueError, match="unknown backend"):
                 ExecutionConfig(backend=name)
-
-    def test_with_flavor_and_hardware(self):
-        config = ExecutionConfig(backend="baseline-perquery")
-        bonsai = config.with_flavor(True)
-        assert bonsai.backend == "bonsai-perquery" and bonsai.use_bonsai
-        assert config.with_flavor(False) == config
-        assert config.with_hardware(True).hardware
 
     def test_make_backend_honours_hardware(self, small_case):
         tree, _ = small_case
@@ -215,8 +209,8 @@ class TestScenarioExecutionOverrides:
 
     def test_explicit_backend_overrides_spec_execution(self, pinned_scenario):
         runner = PipelineRunner.from_scenario(
-            pinned_scenario, backend="baseline-perquery", n_frames=2,
-            n_beams=10, n_azimuth_steps=80)
+            pinned_scenario, execution=ExecutionConfig(backend="baseline-perquery"),
+            n_frames=2, n_beams=10, n_azimuth_steps=80)
         assert runner.config.execution.backend == "baseline-perquery"
         # The other spec overrides still apply.
         assert runner.config.localization is False
@@ -266,6 +260,35 @@ class TestRemovedEntryPoints:
         import importlib
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.engine.compat")
+
+    def test_second_execution_mode_spellings_removed(self):
+        """ExecutionConfig is the one spelling of the execution mode: the
+        boolean and per-field keywords beside it fail like any unknown
+        keyword, and the recorded-wrapper helpers are gone."""
+        from repro.perception import EuclideanClusterExtractor
+        from repro.perception.ndt import NDTMatcher
+        from repro.workloads import (EuclideanClusterPipeline,
+                                     NDTLocalizationPipeline,
+                                     evaluate_subsampling, measure_sequence)
+
+        removed = {
+            EuclideanClusterExtractor.__init__: {"use_bonsai"},
+            NDTMatcher.__init__: {"use_bonsai"},
+            NDTLocalizationPipeline.__init__: {"use_bonsai", "recorder"},
+            EuclideanClusterPipeline.run_frame: {"use_bonsai"},
+            EuclideanClusterPipeline.run_frames: {"use_bonsai"},
+            measure_sequence: {"use_bonsai"},
+            evaluate_subsampling: {"use_bonsai"},
+            PipelineRunner.from_scenario: {"use_bonsai", "hardware", "backend"},
+        }
+        for function, names in removed.items():
+            parameters = inspect.signature(function).parameters
+            assert not names & set(parameters), function.__qualname__
+        import repro.engine
+
+        assert not hasattr(repro.engine, "recorded")
+        assert not hasattr(ExecutionConfig, "with_flavor")
+        assert not hasattr(ExecutionConfig, "with_hardware")
 
     def test_runtime_spellings_still_work_without_warning(self, small_case):
         """Removal targeted the top-level re-exports only: the batched

@@ -13,6 +13,8 @@ from repro.perception.euclidean_cluster import _component_roots
 from repro.pointcloud import PointCloud
 from repro.runtime import BatchRadiusResult
 
+BONSAI = ExecutionConfig(backend="bonsai-batched")
+
 
 def _two_blobs(rng, separation=10.0, n=40):
     a = rng.normal(0.0, 0.3, size=(n, 3))
@@ -87,23 +89,23 @@ class TestBonsaiEquivalence:
     def test_same_clusters_with_bonsai(self, rng):
         cloud = _two_blobs(rng)
         config = ClusterConfig(tolerance=1.0, min_cluster_size=5)
-        baseline = EuclideanClusterExtractor(config, use_bonsai=False).extract(cloud)
-        bonsai = EuclideanClusterExtractor(config, use_bonsai=True).extract(cloud)
+        baseline = EuclideanClusterExtractor(config).extract(cloud)
+        bonsai = EuclideanClusterExtractor(config, execution=BONSAI).extract(cloud)
         assert baseline.n_clusters == bonsai.n_clusters
         for a, b in zip(baseline.clusters, bonsai.clusters):
             assert a.indices == b.indices
 
     def test_same_clusters_on_lidar_frame(self, filtered_frame):
         config = ClusterConfig(tolerance=0.6, min_cluster_size=5)
-        baseline = EuclideanClusterExtractor(config, use_bonsai=False).extract(filtered_frame)
-        bonsai = EuclideanClusterExtractor(config, use_bonsai=True).extract(filtered_frame)
+        baseline = EuclideanClusterExtractor(config).extract(filtered_frame)
+        bonsai = EuclideanClusterExtractor(config, execution=BONSAI).extract(filtered_frame)
         assert baseline.n_clusters == bonsai.n_clusters
         np.testing.assert_array_equal(baseline.labels, bonsai.labels)
 
     def test_bonsai_stats_available(self, rng):
         cloud = _two_blobs(rng)
         result = EuclideanClusterExtractor(
-            ClusterConfig(tolerance=1.0, min_cluster_size=5), use_bonsai=True).extract(cloud)
+            ClusterConfig(tolerance=1.0, min_cluster_size=5), execution=BONSAI).extract(cloud)
         assert result.bonsai is not None
         assert result.bonsai.bonsai_stats.points_classified > 0
 
@@ -111,8 +113,7 @@ class TestBonsaiEquivalence:
         cloud = _two_blobs(rng)
         recorder = HierarchyRecorder()
         EuclideanClusterExtractor(
-            ClusterConfig(tolerance=1.0, min_cluster_size=5),
-            use_bonsai=False, recorder=recorder,
+            ClusterConfig(tolerance=1.0, min_cluster_size=5), recorder=recorder,
         ).extract(cloud)
         assert recorder.stats.l1_accesses > 0
 

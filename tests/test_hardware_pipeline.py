@@ -38,8 +38,10 @@ class TestNDTRecorderPath:
     @pytest.mark.parametrize("use_bonsai", [False, True])
     def test_registration_identical(self, ndt_map, small_sequence, use_bonsai):
         scan = voxel_grid_filter(small_sequence.frame(1), 0.4)
-        batched = NDTMatcher(ndt_map, use_bonsai=use_bonsai)
-        recorded = NDTMatcher(ndt_map, use_bonsai=use_bonsai,
+        execution = ExecutionConfig(
+            backend="bonsai-batched" if use_bonsai else "baseline-batched")
+        batched = NDTMatcher(ndt_map, execution=execution)
+        recorded = NDTMatcher(ndt_map, execution=execution,
                               recorder=HierarchyRecorder())
         a = batched.register(scan, initial_translation=(0.3, 0.2, 0.0))
         b = recorded.register(scan, initial_translation=(0.3, 0.2, 0.0))
@@ -120,13 +122,15 @@ class TestHardwareRunnerFlag:
         assert "hardware" not in result.metrics()
 
     def test_from_scenario_hardware_override(self):
-        runner = PipelineRunner.from_scenario("urban", hardware=True, **PRESET)
+        runner = PipelineRunner.from_scenario(
+            "urban", execution=ExecutionConfig(hardware=True), **PRESET)
         assert runner.config.execution.hardware is True
         # The default config object must not have been mutated.
         assert PipelineRunnerConfig().execution.hardware is False
 
     def test_hardware_stage_structure(self):
-        result = PipelineRunner.from_scenario("urban", hardware=True, **PRESET).run()
+        result = PipelineRunner.from_scenario(
+            "urban", execution=ExecutionConfig(hardware=True), **PRESET).run()
         assert set(result.hardware_stages) == {"clustering", "localization"}
         metrics = result.metrics()["hardware"]
         for stage in ("clustering", "localization"):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.workloads import LocalizationConfig, NDTLocalizationPipeline
+from repro.hwmodel.cpu_config import TABLE_IV_CPU
+from repro.workloads import ExecutionConfig, LocalizationConfig, NDTLocalizationPipeline
+
+BONSAI = ExecutionConfig(backend="bonsai-batched")
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +23,8 @@ def localization_frames(small_sequence):
 @pytest.fixture(scope="module")
 def measurements(localization_frames):
     map_cloud, scans = localization_frames
-    baseline = NDTLocalizationPipeline(map_cloud, use_bonsai=False)
-    bonsai = NDTLocalizationPipeline(map_cloud, use_bonsai=True)
+    baseline = NDTLocalizationPipeline(map_cloud)
+    bonsai = NDTLocalizationPipeline(map_cloud, execution=BONSAI)
     initials = [(0.8 * (i + 1) - 0.3, 0.0, 0.0) for i in range(len(scans))]
     return (baseline.register_sequence(scans, initials),
             bonsai.register_sequence(scans, initials))
@@ -59,6 +64,36 @@ class TestLocalizationPipeline:
     def test_custom_config(self, localization_frames):
         map_cloud, scans = localization_frames
         config = LocalizationConfig()
-        pipeline = NDTLocalizationPipeline(map_cloud, config=config, use_bonsai=False)
+        pipeline = NDTLocalizationPipeline(map_cloud, config=config)
         measurement = pipeline.register_scan(scans[0], initial_translation=(0.5, 0.0, 0.0))
         assert measurement.use_bonsai is False
+        assert pipeline.recorder is None
+
+
+class TestHardwareLocalization:
+    """A stand-alone hardware pipeline records on its own machine."""
+
+    def test_records_on_the_configured_cpu(self, localization_frames):
+        map_cloud, scans = localization_frames
+        small_l1 = replace(TABLE_IV_CPU, l1d=replace(TABLE_IV_CPU.l1d, size_bytes=1024))
+        hardware = ExecutionConfig(backend="bonsai-batched", hardware=True)
+        runs = {}
+        for name, config in (("table-iv", LocalizationConfig()),
+                             ("l1-1k", LocalizationConfig(cpu=small_l1))):
+            pipeline = NDTLocalizationPipeline(map_cloud, config=config,
+                                               execution=hardware)
+            assert pipeline.recorder is pipeline.matcher.recorder
+            assert pipeline.recorder.hierarchy.l1.config == config.cpu.l1d
+            pipeline.register_scan(scans[0], initial_translation=(0.5, 0.0, 0.0))
+            runs[name] = pipeline.recorder.stats
+        # Same accesses, simulated on different L1 sizes.
+        assert runs["l1-1k"].l1_accesses == runs["table-iv"].l1_accesses
+        assert runs["l1-1k"].l1_misses > runs["table-iv"].l1_misses
+
+    def test_cache_config_wins_over_the_stage_cpu(self, localization_frames):
+        map_cloud, _ = localization_frames
+        small_l1 = replace(TABLE_IV_CPU, l1d=replace(TABLE_IV_CPU.l1d, size_bytes=1024))
+        pipeline = NDTLocalizationPipeline(
+            map_cloud, config=LocalizationConfig(cpu=small_l1),
+            execution=ExecutionConfig(hardware=True, cache_config=TABLE_IV_CPU))
+        assert pipeline.recorder.hierarchy.l1.config == TABLE_IV_CPU.l1d

@@ -84,8 +84,9 @@ class TestNDTRegistration:
         config = NDTConfig(voxel_size=2.0, max_iterations=5, max_scan_points=150)
         ndt_map = NDTMap(structured_map_cloud, config)
         scan = structured_map_cloud.translated([-0.3, 0.2, 0.0])
-        baseline = NDTMatcher(ndt_map, use_bonsai=False).register(scan)
-        bonsai = NDTMatcher(NDTMap(structured_map_cloud, config), use_bonsai=True).register(scan)
+        baseline = NDTMatcher(ndt_map).register(scan)
+        bonsai = NDTMatcher(NDTMap(structured_map_cloud, config),
+                            execution=ExecutionConfig(backend="bonsai-batched")).register(scan)
         # Radius search results are identical, so the optimisation trajectory is too.
         np.testing.assert_allclose(bonsai.translation, baseline.translation, atol=1e-9)
         assert bonsai.final_score == pytest.approx(baseline.final_score)

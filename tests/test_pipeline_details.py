@@ -9,9 +9,11 @@ from repro.analysis.boxplot import BoxPlotStats
 from repro.analysis.compare import MetricComparison
 from repro.analysis.reporting import render_boxplot_figure, render_table
 from repro.isa import InstructionBudget
-from repro.workloads import EuclideanClusterPipeline, PipelineConfig
+from repro.workloads import EuclideanClusterPipeline, ExecutionConfig, PipelineConfig
 from repro.workloads.autoware import PhaseBudget
 from repro.pointcloud import DrivingSequence, LidarConfig, SceneConfig, SequenceConfig
+
+HARDWARE_BONSAI = ExecutionConfig(backend="bonsai-batched", hardware=True)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +38,8 @@ class TestPipelineBudgets:
     def test_compression_overhead_charged_to_bonsai_build(self, one_frame):
         """The Bonsai extract kernel pays the build-time compression work."""
         pipeline = EuclideanClusterPipeline()
-        baseline = pipeline.run_frame(one_frame, use_bonsai=False)
-        bonsai = pipeline.run_frame(one_frame, use_bonsai=True)
+        baseline = pipeline.run_frame(one_frame, execution=ExecutionConfig(hardware=True))
+        bonsai = pipeline.run_frame(one_frame, execution=HARDWARE_BONSAI)
         phase = pipeline.config.phase_budget
         expected_overhead = (
             baseline.n_filtered_points * phase.compress_per_point
@@ -59,8 +61,8 @@ class TestPipelineBudgets:
 
     def test_measurement_is_deterministic(self, one_frame):
         pipeline = EuclideanClusterPipeline()
-        first = pipeline.run_frame(one_frame, use_bonsai=True)
-        second = pipeline.run_frame(one_frame, use_bonsai=True)
+        first = pipeline.run_frame(one_frame, execution=HARDWARE_BONSAI)
+        second = pipeline.run_frame(one_frame, execution=HARDWARE_BONSAI)
         assert first.extract.instructions == second.extract.instructions
         assert first.extract.l1_misses == second.extract.l1_misses
         assert first.n_clusters == second.n_clusters

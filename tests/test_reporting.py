@@ -25,7 +25,7 @@ from repro.analysis.hw_sweep import (
     HardwareScenarioRun,
     HardwareSweepResult,
 )
-from repro.workloads import EuclideanClusterPipeline
+from repro.workloads import EuclideanClusterPipeline, ExecutionConfig
 
 
 def _stage(bytes_loaded=1000, cycles=100.0, energy=1.0, l1=0.01, dram=64):
@@ -84,8 +84,10 @@ class TestCompareMeasurementsEdges:
 
     def test_single_frame_pair(self, lidar_frame):
         pipeline = EuclideanClusterPipeline()
-        baseline = [pipeline.run_frame(lidar_frame, use_bonsai=False)]
-        bonsai = [pipeline.run_frame(lidar_frame, use_bonsai=True)]
+        baseline = [pipeline.run_frame(
+            lidar_frame, execution=ExecutionConfig(hardware=True))]
+        bonsai = [pipeline.run_frame(
+            lidar_frame, execution=ExecutionConfig(backend="bonsai-batched", hardware=True))]
         summary = compare_measurements(baseline, bonsai)
         assert summary.latency_baseline.n == 1
         assert summary.latency_baseline.mean == summary.latency_baseline.p99

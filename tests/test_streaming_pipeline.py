@@ -18,7 +18,9 @@ import pytest
 
 from repro.scenarios import scenario_names
 from repro.serve import StreamingPipelineRunner
-from repro.workloads import PipelineRunner
+from repro.workloads import ExecutionConfig, PipelineRunner
+
+BONSAI = ExecutionConfig(backend="bonsai-batched")
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,9 +32,9 @@ def _serial_metrics(scenario: str, n_frames: int, seed: int) -> dict:
 
 def _streaming_metrics(scenario: str, n_frames: int, seed: int, *,
                        stage_workers: int, queue_depth=None,
-                       stage_delay=None, backend=None) -> dict:
+                       stage_delay=None, execution=None) -> dict:
     runner = StreamingPipelineRunner.from_scenario(
-        scenario, n_frames=n_frames, seed=seed, backend=backend)
+        scenario, n_frames=n_frames, seed=seed, execution=execution)
     runner.stage_workers = stage_workers
     runner.queue_depth = queue_depth
     runner.stage_delay = stage_delay
@@ -72,9 +74,9 @@ def test_queue_depth_is_backpressure_not_correctness(queue_depth):
 
 def test_streaming_with_bonsai_backend():
     serial = PipelineRunner.from_scenario(
-        "urban", n_frames=3, seed=4, backend="bonsai-batched").run().metrics()
+        "urban", n_frames=3, seed=4, execution=BONSAI).run().metrics()
     streaming = _streaming_metrics("urban", n_frames=3, seed=4,
-                                   stage_workers=2, backend="bonsai-batched")
+                                   stage_workers=2, execution=BONSAI)
     assert streaming == serial
 
 

@@ -248,12 +248,14 @@ class TestBoundaryBehaviour:
 class TestOnClusteringOutput:
     def test_tracking_over_synthetic_sequence(self, small_sequence):
         """End-to-end: cluster each frame, track detections across frames."""
+        from repro.engine import ExecutionConfig
         from repro.perception import ClusterConfig, EuclideanClusterExtractor, label_clusters
         from repro.pointcloud import preprocess_for_clustering
 
         tracker = ClusterTracker(TrackerConfig(gating_distance=3.0, confirmation_hits=2))
-        extractor = EuclideanClusterExtractor(ClusterConfig(tolerance=0.6, min_cluster_size=5),
-                                              use_bonsai=True)
+        extractor = EuclideanClusterExtractor(
+            ClusterConfig(tolerance=0.6, min_cluster_size=5),
+            execution=ExecutionConfig(backend="bonsai-batched"))
         confirmed_history = []
         for index in range(len(small_sequence)):
             cloud = preprocess_for_clustering(small_sequence.frame(index))

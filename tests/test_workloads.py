@@ -13,6 +13,7 @@ from repro.pointcloud import (
 )
 from repro.workloads import (
     EuclideanClusterPipeline,
+    ExecutionConfig,
     PipelineConfig,
     evaluate_subsampling,
     measure_sequence,
@@ -39,8 +40,9 @@ def pipeline():
 @pytest.fixture(scope="module")
 def baseline_and_bonsai(tiny_sequence, pipeline):
     clouds = [tiny_sequence.frame(i) for i in range(2)]
-    baseline = pipeline.run_frames(clouds, use_bonsai=False)
-    bonsai = pipeline.run_frames(clouds, use_bonsai=True)
+    baseline = pipeline.run_frames(clouds, execution=ExecutionConfig(hardware=True))
+    bonsai = pipeline.run_frames(
+        clouds, execution=ExecutionConfig(backend="bonsai-batched", hardware=True))
     return baseline, bonsai
 
 
@@ -194,7 +196,7 @@ class TestPipelineRunner:
 
         result = PipelineRunner.from_scenario(
             "urban", n_frames=2, seed=3, n_beams=12, n_azimuth_steps=90,
-            use_bonsai=True).run()
+            execution=ExecutionConfig(backend="bonsai-batched")).run()
         assert result.cluster_bonsai is not None
         assert result.cluster_bonsai.leaf_visits > 0
         assert result.metrics()["cluster_bonsai"]["points_classified"] > 0
@@ -204,7 +206,7 @@ class TestPipelineRunner:
 
         shared = PipelineRunnerConfig()
         runner = PipelineRunner.from_scenario(
-            "urban", config=shared, use_bonsai=True,
+            "urban", config=shared, execution=ExecutionConfig(backend="bonsai-batched"),
             n_frames=1, n_beams=8, n_azimuth_steps=64)
         assert runner.config.execution.use_bonsai is True
         assert shared.execution.use_bonsai is False
