@@ -28,7 +28,7 @@ import numpy as np
 from ..kdtree.build import KDTree
 from ..kdtree.layout import POINT_STRIDE_BYTES, compressed_address, point_address
 from ..kdtree.radius_search import MemoryRecorder, SearchStats, radius_search
-from ..runtime.kernels import shell_classify, shell_error_bound
+from ..runtime.kernels import leaf_distances2, shell_classify, shell_distances
 from .compressed_leaf import CompressedStructArray, compress_tree
 from .floatfmt import FLOAT16, FloatFormat
 from .leaf_compression import ZIPPTS_SLICE_BYTES
@@ -122,33 +122,29 @@ class BonsaiLeafInspector:
             for slice_offset in range(offset, offset + slice_bytes, ZIPPTS_SLICE_BYTES):
                 recorder.record_load(compressed_address(slice_offset), ZIPPTS_SLICE_BYTES)
 
+        # The batched leaf pass's kernel, on this leaf's rows of the mirror.
         reduced, max_delta = array.mirror.leaf(leaf_id)
+        d2_approx, eps = shell_distances(query - reduced, max_delta)
+        conclusive_in, inconclusive = shell_classify(d2_approx, eps, r2)
 
-        diffs = query - reduced
-        sq = diffs * diffs
-        d2_approx = sq.sum(axis=1)
-        eps = shell_error_bound(np.abs(diffs), max_delta)
-
-        bstats.points_classified += n_points
-
-        conclusive_in, conclusive_out, inconclusive = shell_classify(d2_approx, eps, r2)
-
+        n_in = int(np.count_nonzero(conclusive_in))
         n_inconclusive = int(np.count_nonzero(inconclusive))
-        bstats.conclusive_in += int(np.count_nonzero(conclusive_in))
-        bstats.conclusive_out += int(np.count_nonzero(conclusive_out))
+        bstats.points_classified += n_points
+        bstats.conclusive_in += n_in
+        bstats.conclusive_out += n_points - n_in - n_inconclusive
         bstats.inconclusive += n_inconclusive
 
         hits = conclusive_in
         if n_inconclusive:
-            # Inconclusive: fetch the original 32-bit points and recompute.
+            # Inconclusive: fetch the original 32-bit points and recompute
+            # with the baseline's distance kernel.
             hits = conclusive_in.copy()
-            points = tree.points_f64
-            for local_index in np.flatnonzero(inconclusive).tolist():
-                point_index = int(indices[local_index])
-                if recorder is not None:
+            local = np.flatnonzero(inconclusive)
+            inc_ids = indices[local]
+            if recorder is not None:
+                for point_index in inc_ids.tolist():
                     recorder.record_load(point_address(point_index), POINT_STRIDE_BYTES)
-                diff = query - points[point_index]
-                hits[local_index] = float(diff @ diff) <= r2
+            hits[local] = leaf_distances2(tree.points_f64[inc_ids], query) <= r2
             recompute_bytes = n_inconclusive * POINT_STRIDE_BYTES
             bstats.recompute_bytes_loaded += recompute_bytes
             stats.point_bytes_loaded += recompute_bytes

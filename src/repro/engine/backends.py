@@ -144,7 +144,8 @@ class _PerQueryBackendBase:
 
         Both flavours answer kNN through the exact 32-bit branch-and-bound
         search (radius search is the operation the compressed leaves
-        accelerate), so all backends return identical neighbours.
+        accelerate), so all backends return identical neighbours; a
+        recorded backend records its node and 32-bit point loads.
         """
         k = check_k(k)
         batch = as_query_batch(queries)
@@ -153,7 +154,8 @@ class _PerQueryBackendBase:
         distances = np.full((batch.shape[0], width), np.inf)
         for row, query in enumerate(batch):
             for column, (point_index, distance) in enumerate(
-                    nearest_neighbors(self.tree, query, k, stats=self.stats)):
+                    nearest_neighbors(self.tree, query, k, stats=self.stats,
+                                      recorder=self.recorder)):
                 indices[row, column] = point_index
                 distances[row, column] = distance
         return BatchKNNResult(indices=indices, distances=distances)

@@ -319,8 +319,8 @@ class ShardedPointCloudIndex:
                     hit_queries.append(np.repeat(sub, result.counts))
                     hit_points.append(
                         self._tile_point_indices[tile][result.point_indices])
-            parts.append(_build_radius_result(stop - start, hit_queries,
-                                              hit_points))
+            parts.append(_build_radius_result(stop - start, self.n_points,
+                                              hit_queries, hit_points))
         return merge_radius_shards(parts)
 
     def knn(self, queries, k: int, *, backend: str = DEFAULT_BACKEND,

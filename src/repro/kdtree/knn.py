@@ -6,7 +6,10 @@ registration correspondences).  The implementation follows the classic
 branch-and-bound descent over the node ids of the tree's flat arrays: visit
 the near child first, keep a bounded max-heap of the best candidates, and
 prune the far child when its region cannot beat the current k-th best
-distance.
+distance.  With a memory recorder, a search loads what the radius search
+loads: the record of every node it enters and, for every leaf point it
+examines, the ``vind`` entry and the ``PointXYZ``
+(:class:`~repro.kdtree.radius_search.Float32LeafInspector`'s pattern).
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import numpy as np
 from ..runtime.kernels import leaf_distances2
 from ..runtime.queries import as_query_point, check_k
 from .build import KDTree
-from .radius_search import SearchStats
+from .layout import (
+    INDEX_STRIDE_BYTES,
+    NODE_RECORD_BYTES,
+    POINT_STRIDE_BYTES,
+    index_entry_address,
+    node_address,
+    point_address,
+)
+from .radius_search import MemoryRecorder, SearchStats
 
 __all__ = ["nearest_neighbors", "nearest_neighbor"]
 
@@ -29,12 +40,15 @@ def nearest_neighbors(
     query: Sequence[float],
     k: int,
     stats: Optional[SearchStats] = None,
+    recorder: Optional[MemoryRecorder] = None,
 ) -> List[Tuple[int, float]]:
     """Return the ``k`` nearest points to ``query`` as ``(index, distance)``.
 
     Results are sorted by increasing distance, then index; among points tied
     at the k-th distance the lowest indices are kept.  If the tree holds
-    fewer than ``k`` points, all points are returned.
+    fewer than ``k`` points, all points are returned.  ``recorder`` receives
+    the search's loads; node records are addressed by visit ordinal (the
+    root is 0), as in :func:`~repro.kdtree.radius_search.radius_search`.
     """
     k = check_k(k)
     query_arr = as_query_point(query)
@@ -59,16 +73,25 @@ def nearest_neighbors(
     # one with its squared gap, and entered only if the gap still beats the
     # k-th best distance once the near subtree is done.
     stack: List[Tuple[int, float]] = [(0, 0.0)]
+    ordinal = 0
     while stack:
         node, gap2 = stack.pop()
         if gap2 > worst_d2():
             continue
+        if recorder is not None:
+            recorder.record_load(node_address(ordinal), NODE_RECORD_BYTES)
+        ordinal += 1
         leaf_id = nodes.leaf_id[node]
         if leaf_id >= 0:
             stats.note_leaf_visit(leaf_id)
             indices = leaf_points[starts[leaf_id]:starts[leaf_id + 1]]
             d2 = leaf_distances2(tree.points_f64[indices], query_arr)
             stats.points_examined += indices.shape[0]
+            if recorder is not None:
+                for point_index in indices.tolist():
+                    recorder.record_load(index_entry_address(point_index),
+                                         INDEX_STRIDE_BYTES)
+                    recorder.record_load(point_address(point_index), POINT_STRIDE_BYTES)
             for point_index, dist2 in zip(indices.tolist(), d2.tolist()):
                 entry = (-dist2, -point_index)
                 if len(heap) < k:

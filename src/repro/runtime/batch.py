@@ -181,15 +181,17 @@ class BatchQueryEngine:
         for pairs, rows in leaf_rows(arrays, pair_q, pair_leaf):
             qs = pair_q[pairs]
             ids = arrays.leaf_points[rows]
-            inside = rowwise_distances2(query_arr[qs], points_f64[ids]) <= r2
-            n_in += int(np.count_nonzero(inside))
+            inside = np.flatnonzero(rowwise_distances2(
+                query_arr.take(qs, axis=0), points_f64.take(ids, axis=0)) <= r2)
+            n_in += inside.shape[0]
             hit_queries.append(qs[inside])
             hit_points.append(ids[inside])
         n_examined = int(arrays.leaf_sizes[pair_leaf].sum())
         self.stats.points_examined += n_examined
         self.stats.points_in_radius += n_in
         self.stats.point_bytes_loaded += n_examined * POINT_STRIDE_BYTES
-        return _build_radius_result(n_queries, hit_queries, hit_points)
+        return _build_radius_result(n_queries, self.tree.n_points, hit_queries,
+                                    hit_points)
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Single-query convenience wrapper (sorted point indices)."""
@@ -482,10 +484,12 @@ def _empty_radius_result(n_queries: int) -> BatchRadiusResult:
     )
 
 
-def _build_radius_result(n_queries: int, hit_queries: List[np.ndarray],
+def _build_radius_result(n_queries: int, n_points: int, hit_queries: List[np.ndarray],
                          hit_points: List[np.ndarray]) -> BatchRadiusResult:
     """Assemble (query, point) hit pairs into a sorted CSR result.
 
+    Point ids lie in ``[0, n_points)``, so one sort of the int64 key
+    ``query * n_points + point`` orders the hits by query, then point.
     Empties both lists as it joins them: the per-chunk pieces are freed
     before the sort, which keeps the peak memory of a large batch (a
     clustering frame's whole radius graph) down.
@@ -494,12 +498,15 @@ def _build_radius_result(n_queries: int, hit_queries: List[np.ndarray],
         return _empty_radius_result(n_queries)
     flat_q = np.concatenate(hit_queries)
     hit_queries.clear()
-    flat_p = np.concatenate(hit_points)
-    hit_points.clear()
-    flat_p = flat_p[np.lexsort((flat_p, flat_q))]
     offsets = np.zeros(n_queries + 1, dtype=np.intp)
     np.cumsum(np.bincount(flat_q, minlength=n_queries), out=offsets[1:])
-    return BatchRadiusResult(offsets=offsets, point_indices=flat_p)
+    key = flat_q.astype(np.int64, copy=False)
+    key *= n_points
+    key += np.concatenate(hit_points)
+    hit_points.clear()
+    key.sort()
+    key %= n_points
+    return BatchRadiusResult(offsets=offsets, point_indices=key.astype(np.intp, copy=False))
 
 
 def batch_radius_search(tree: KDTree, queries, radius: float,

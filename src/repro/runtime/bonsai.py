@@ -8,10 +8,17 @@ inconclusive points only — so results are identical to the baseline search.
 
 Nothing is decoded at query time: the tree's compression pass emitted a
 decoded mirror (:class:`~repro.core.leaf_compression.LeafMirror`) of every
-leaf, in the leaf order of the tree's arrays, so the leaf pass gathers each
-(query, leaf point) pair's reduced coordinates and error bounds from it by
-row.  The byte/slice accounting charges every (query, leaf) visit from pair
-counts and the array's per-leaf slice counts, as the hardware would, so
+leaf, in the leaf order of the tree's arrays.  Per chunk of (query, leaf
+point) pairs, the leaf pass takes each pair's query row into one float64
+buffer, subtracts the pair's reduced row of the mirror, and runs
+:func:`~repro.runtime.kernels.shell_distances` on it, the kernel the
+per-query inspector runs too, which builds the Eq. 11 bound in that
+buffer.  The hit and inconclusive pairs are then picked by index
+(``np.flatnonzero``), so point ids and 32-bit points are gathered for
+those pairs only, and the hits are assembled into the CSR result with one
+sort of an int64 ``query * n_points + point`` key.  The byte/slice
+accounting charges every (query, leaf) visit from pair counts and the
+array's per-leaf slice counts, as the hardware would, so
 :class:`~repro.core.bonsai_search.BonsaiStats` aggregates exactly like the
 per-query inspector's.
 
@@ -43,7 +50,7 @@ from .batch import (
     leaf_rows,
     radius_leaf_pairs,
 )
-from .kernels import rowwise_distances2, rowwise_shell_distances, shell_classify
+from .kernels import rowwise_distances2, shell_classify, shell_distances
 from .queries import as_query_batch, check_radius
 
 __all__ = ["BonsaiBatchSearcher"]
@@ -92,30 +99,33 @@ class BonsaiBatchSearcher:
         mirror = array.mirror
         stats = self.stats
         bstats = self.bonsai_stats
+        leaf_points = arrays.leaf_points
         pair_q, pair_leaf = radius_leaf_pairs(arrays, query_arr, radius, stats)
         hit_queries: List[np.ndarray] = []
         hit_points: List[np.ndarray] = []
         n_in = n_inconclusive = n_exact = 0
         for pairs, rows in leaf_rows(arrays, pair_q, pair_leaf):
             qs = pair_q[pairs]
-            q_rows = query_arr[qs]
-            d2_approx, eps = rowwise_shell_distances(
-                mirror.reduced[rows], q_rows, mirror.max_delta[rows])
-            conclusive_in, _, inconclusive = shell_classify(d2_approx, eps, r2)
-            ids = arrays.leaf_points[rows]
-            n_in += int(np.count_nonzero(conclusive_in))
-            hit_queries.append(qs[conclusive_in])
-            hit_points.append(ids[conclusive_in])
-            if inconclusive.any():
+            diffs = query_arr.take(qs, axis=0)
+            diffs -= mirror.reduced.take(rows, axis=0)
+            d2_approx, eps = shell_distances(diffs, mirror.max_delta.take(rows, axis=0))
+            conclusive_in, inconclusive = shell_classify(d2_approx, eps, r2)
+            hit = np.flatnonzero(conclusive_in)
+            n_in += hit.shape[0]
+            hit_queries.append(qs[hit])
+            hit_points.append(leaf_points[rows[hit]])
+            inc = np.flatnonzero(inconclusive)
+            if inc.size:
                 # Inconclusive pairs: fetch the original 32-bit points and
                 # recompute the exact classification.
-                inc_ids = ids[inconclusive]
-                exact_in = rowwise_distances2(
-                    q_rows[inconclusive], points_f64[inc_ids]) <= r2
-                n_inconclusive += inc_ids.shape[0]
-                n_exact += int(np.count_nonzero(exact_in))
-                hit_queries.append(qs[inconclusive][exact_in])
-                hit_points.append(inc_ids[exact_in])
+                inc_q = qs[inc]
+                inc_ids = leaf_points[rows[inc]]
+                exact = np.flatnonzero(rowwise_distances2(
+                    query_arr.take(inc_q, axis=0), points_f64.take(inc_ids, axis=0)) <= r2)
+                n_inconclusive += inc.shape[0]
+                n_exact += exact.shape[0]
+                hit_queries.append(inc_q[exact])
+                hit_points.append(inc_ids[exact])
 
         # Every (query, leaf) visit loads the leaf's slices; the three
         # classes partition its (query, point) pairs.
@@ -134,7 +144,7 @@ class BonsaiBatchSearcher:
         stats.points_examined += n_points
         stats.point_bytes_loaded += slice_bytes + recompute_bytes
         stats.points_in_radius += n_in + n_exact
-        return _build_radius_result(n_queries, hit_queries, hit_points)
+        return _build_radius_result(n_queries, tree.n_points, hit_queries, hit_points)
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Single-query convenience wrapper (sorted point indices)."""

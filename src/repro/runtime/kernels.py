@@ -6,20 +6,25 @@ euclidean distances between leaf points and one query
 (:func:`pairwise_distances2`) or matched row pairs
 (:func:`rowwise_distances2`), and the reduced-precision error bound / shell
 classification of the K-D Bonsai paper (:func:`reduced_precision_max_delta`,
-:func:`batch_shell_distances`, :func:`rowwise_shell_distances`,
-:func:`shell_classify`).
+:func:`shell_distances`, :func:`shell_classify`, and the ``(Q, M)`` matrix
+form :func:`batch_shell_distances` with its :func:`shell_error_bound`).
 
 Both the single-query paths (:mod:`repro.kdtree.knn`,
 :mod:`repro.kdtree.radius_search`, :mod:`repro.core.bonsai_search`) and the
-batched engine (:mod:`repro.runtime.batch`) call into this module, so the two
-produce bit-identical distances: ``(a - b)**2`` summed over the three
-coordinates in the same order, in float64.  That order holds only on
-C-contiguous ``(..., 3)`` rows: an einsum over a contiguous coordinate axis
-sums ``(d0**2 + d2**2) + d1**2`` on current NumPy, while a coordinate-major
-(strided) operand sums in another order and rounds differently in about
-23% of random pairs.  The kernels therefore make their differences
-contiguous before the einsum.  The Eq. 11 bound's ``.sum(axis=-1)`` adds
-``(e0 + e1) + e2`` on the same rows.
+batched engine (:mod:`repro.runtime.batch`, :mod:`repro.runtime.bonsai`)
+call into this module, so the two produce bit-identical distances:
+``(a - b)**2`` summed over the three coordinates in the same order, in
+float64.  That order holds only on C-contiguous ``(..., 3)`` rows: an einsum
+over a contiguous coordinate axis sums ``(d0**2 + d2**2) + d1**2`` on
+current NumPy, while a coordinate-major (strided) operand sums in another
+order and rounds differently in about 23% of random pairs (so do a
+``.sum(axis=-1)`` and a 3-element ``@`` product).  The kernels therefore
+make their differences contiguous before the einsum.  The Eq. 11 bound
+adds its per-coordinate terms as ``(e0 + e1) + e2``, what ``.sum(axis=-1)``
+gives on those rows.  Both Bonsai searches, the per-query leaf inspector
+and the batched leaf pass, run the one kernel :func:`shell_distances` and
+recompute inconclusive points with the baseline's distance kernels, so they
+classify every (query, point) pair alike and charge the same counters.
 
 The module intentionally imports nothing from the rest of :mod:`repro`
 (only NumPy), so it can be used from any layer without import cycles.
@@ -46,7 +51,7 @@ __all__ = [
     "rowwise_distances2",
     "reduced_precision_max_delta",
     "batch_shell_distances",
-    "rowwise_shell_distances",
+    "shell_distances",
     "shell_error_bound",
     "shell_classify",
 ]
@@ -94,17 +99,32 @@ def batch_shell_distances(reduced: np.ndarray, queries: np.ndarray,
     return d2_approx, shell_error_bound(np.abs(diffs), max_delta)
 
 
-def rowwise_shell_distances(reduced: np.ndarray, queries: np.ndarray,
-                            max_delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`batch_shell_distances` of matched ``(N, 3)`` rows.
+def shell_distances(diffs: np.ndarray,
+                    max_delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Approximate squared distances and Eq. 11 bounds of (query, point) pairs.
 
-    Row ``n`` pairs query ``queries[n]`` with the reduced point
-    ``reduced[n]`` and its bound ``max_delta[n]``; the results equal
-    :func:`batch_shell_distances`'s entries for the same pairs bit for bit.
+    ``diffs`` holds ``query - reduced`` of each pair as an ``(n, 3)`` float64
+    array and ``max_delta`` the reduced point's per-coordinate bound (rows of
+    the decoded mirror).  The kernel works in ``diffs`` and overwrites it (a
+    C-contiguous float64 array is used as it is, anything else is copied
+    first): the einsum reads the contiguous differences, then the same
+    buffer becomes the per-coordinate terms ``2 |d| max_delta +
+    max_delta**2``, with ``max_delta`` cast to float64 (bfloat16's smallest
+    bound, 2**-134, squares to zero in float32), and the terms add as
+    ``(e0 + e1) + e2``.  The results equal :func:`batch_shell_distances`'s
+    entries for the same pairs bit for bit.
     """
-    diffs = np.ascontiguousarray(queries - reduced)
+    diffs = np.ascontiguousarray(diffs, dtype=np.float64)
     d2_approx = np.einsum("nd,nd->n", diffs, diffs)
-    return d2_approx, shell_error_bound(np.abs(diffs), max_delta)
+    delta = max_delta.astype(np.float64)
+    np.abs(diffs, out=diffs)
+    diffs *= 2.0
+    diffs *= delta
+    delta *= delta
+    diffs += delta
+    eps = diffs[:, 0] + diffs[:, 1]
+    eps += diffs[:, 2]
+    return d2_approx, eps
 
 
 def reduced_precision_max_delta(reduced: np.ndarray, fmt) -> np.ndarray:
@@ -137,15 +157,16 @@ def shell_error_bound(abs_diffs: np.ndarray, max_delta: np.ndarray) -> np.ndarra
 
 
 def shell_classify(d2_approx: np.ndarray, eps: np.ndarray,
-                   r2: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   r2: float) -> Tuple[np.ndarray, np.ndarray]:
     """Shell classification of Eq. 12.
 
-    Returns ``(conclusive_in, conclusive_out, inconclusive)`` boolean masks:
-    points conclusively inside the radius, conclusively outside, and those
-    whose approximate distance falls inside the error shell and need an exact
-    32-bit recomputation.
+    Returns ``(conclusive_in, inconclusive)`` boolean masks: points
+    conclusively inside the radius (``d2 <= r2 - eps``), and those whose
+    approximate distance falls inside the error shell and need an exact
+    32-bit recomputation.  Every other point (``d2 > r2 + eps``) is
+    conclusively outside.
     """
     conclusive_in = d2_approx <= r2 - eps
-    conclusive_out = d2_approx > r2 + eps
-    inconclusive = ~(conclusive_in | conclusive_out)
-    return conclusive_in, conclusive_out, inconclusive
+    inconclusive = d2_approx <= r2 + eps
+    inconclusive ^= conclusive_in
+    return conclusive_in, inconclusive

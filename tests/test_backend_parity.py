@@ -199,6 +199,49 @@ class TestIndexParity:
         assert index.compression_report is report  # not recompressed
 
 
+#: One-point float32 trees and one query each, ``(point, query, radius)``,
+#: where two summation orders of the same squares round apart: the first
+#: sits on the Eq. 11 shell's inner edge (``(s0 + s1) + s2`` puts it in the
+#: shell, the einsum's ``(s0 + s2) + s1`` conclusively inside), the other two
+#: at exactly ``r`` (a 3-element ``@`` product and the einsum put the point
+#: on either side of it).
+ROUNDING_CASES = {
+    "shell-edge": ([-1.8600844144821167, -14.63833236694336, -3.8754806518554688],
+                   [-10.883713796724468, 8.229521259404017, 9.225318121912007],
+                   27.86209035116359),
+    "at-r-outside": ([0.7092974781990051, 27.027822494506836, -21.35042381286621],
+                     [26.91896682823463, -11.290112879370874, -4.600413061645462],
+                     49.353559131240736),
+    "at-r-inside": ([-21.124677658081055, 19.177602767944336, 10.997214317321777],
+                    [17.225816493288065, -18.503024458791884, 18.1418496680718],
+                    54.23684987303041),
+}
+
+
+class TestRoundingParity:
+    """Per-query and batched Bonsai searches round every distance alike."""
+
+    @pytest.mark.parametrize("name", sorted(ROUNDING_CASES))
+    def test_one_point_tree(self, name):
+        point, query, radius = ROUNDING_CASES[name]
+        tree = build_kdtree(np.array([point], dtype=np.float32))
+        queries = np.array([query])
+        reference = get_backend(REFERENCE, tree).radius_search(queries, radius)
+        bonsai_counts = []
+        for backend_name in backend_names():
+            backend = get_backend(backend_name, tree)
+            result = backend.radius_search(queries, radius)
+            assert np.array_equal(result.point_indices, reference.point_indices), \
+                backend_name
+            if backend.bonsai_stats is not None:
+                bs = backend.bonsai_stats
+                bonsai_counts.append((bs.conclusive_in, bs.conclusive_out,
+                                      bs.inconclusive, bs.recompute_bytes_loaded))
+        # (conclusive_in, conclusive_out, inconclusive, recompute bytes)
+        expected = (1, 0, 0, 0) if name == "shell-edge" else (0, 0, 1, 16)
+        assert bonsai_counts and set(bonsai_counts) == {expected}
+
+
 @pytest.fixture(scope="module")
 def lattice():
     """A 12^3 integer lattice and every 37th lattice point as a query.

@@ -3,11 +3,14 @@
 The acceptance contract of ``docs/ARCHITECTURE.md`` is that its described
 module layout matches ``src/repro/`` *exactly*.  These tests enforce it —
 and check that every relative markdown link in the first-class docs resolves
-— so the docs-lint CI step fails the moment code and docs drift apart.
+— so the docs-lint CI step fails the moment code and docs drift apart.  The
+perf-trajectory files ``BENCH_<workload>.json`` at the repo root must parse
+and hold one well-formed entry per measured PR.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -222,3 +225,62 @@ def test_documented_command_lines_parse(argv):
         build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"`repro {' '.join(argv)}` does not parse (exit {exc.code})")
+
+
+#: Keys of every entry of a ``BENCH_<workload>.json`` perf-trajectory file.
+BENCH_ENTRY_KEYS = {"pr", "title", "backfilled", "claim", "run_seconds", "pairs",
+                    "seeds", "host_slowdown", "machine", "metrics", "trace1_raw_ms",
+                    "note"}
+
+
+def _number_or_none(value) -> bool:
+    return value is None or (isinstance(value, (int, float))
+                             and not isinstance(value, bool))
+
+
+@pytest.mark.parametrize("workload", ["frames-bonsai", "map-serve"])
+def test_bench_trajectory_entries(workload):
+    """One entry per measured PR, in PR order, with the benchmark's five
+    end-to-end metrics for parent and change; backfilled entries come first."""
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert workload in {w["name"] for w in benchmark["workloads"]}
+    end_to_end = {m["name"] for m in benchmark["end_to_end"]}
+    data = json.loads((REPO / f"BENCH_{workload}.json").read_text(encoding="utf-8"))
+    assert data["workload"] == workload
+    entries = data["entries"]
+    prs = [e["pr"] for e in entries]
+    assert prs == sorted(set(prs)) and entries
+    backfilled = [e["backfilled"] for e in entries]
+    assert backfilled == sorted(backfilled, reverse=True)
+    for e in entries:
+        assert set(e) == BENCH_ENTRY_KEYS, e["pr"]
+        assert isinstance(e["backfilled"], bool)
+        assert e["claim"] is None or e["claim"] in end_to_end
+        assert isinstance(e["pairs"], int) and e["pairs"] >= 1
+        assert all(isinstance(seed, int) for seed in e["seeds"])
+        assert set(e["metrics"]) == end_to_end, e["pr"]
+        for name, m in e["metrics"].items():
+            assert set(m) == {"parent", "change", "wins"}, (e["pr"], name)
+            assert m["wins"] is None or 0 <= m["wins"] <= e["pairs"]
+            for side in (m["parent"], m["change"]):
+                assert {"median", "q1", "q3"} <= set(side) <= {"median", "q1", "q3", "runs"}
+                assert all(_number_or_none(side[k]) for k in ("median", "q1", "q3"))
+                assert all(_number_or_none(v) for v in side.get("runs", []))
+        if e["host_slowdown"] is not None:
+            assert e["host_slowdown"]["min"] <= e["host_slowdown"]["max"]
+        assert set(e["machine"]) == {"nproc", "python", "numpy", "scipy", "machine"}
+        if e["trace1_raw_ms"] is not None:
+            assert set(e["trace1_raw_ms"]) == {"parent", "change"}
+            for layers in e["trace1_raw_ms"].values():
+                for layer, value in layers.items():
+                    assert layer.endswith("_ms"), (e["pr"], layer)
+                    values = value if isinstance(value, list) else [value]
+                    assert values and all(_number_or_none(v) for v in values)
+        if not e["backfilled"]:
+            # A measured entry has every median, its quartiles and its wins.
+            assert len(e["seeds"]) == e["pairs"] and e["host_slowdown"] is not None
+            for m in e["metrics"].values():
+                assert m["wins"] is not None
+                for side in (m["parent"], m["change"]):
+                    assert None not in (side["median"], side["q1"], side["q3"])
+                    assert len(side["runs"]) == e["pairs"]

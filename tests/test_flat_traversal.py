@@ -41,7 +41,7 @@ from repro.runtime.kernels import (
     batch_shell_distances,
     pairwise_distances2,
     rowwise_distances2,
-    rowwise_shell_distances,
+    shell_distances,
 )
 
 BACKENDS = ("baseline-batched", "bonsai-batched", "baseline-perquery",
@@ -142,8 +142,7 @@ class TestRowwiseKernels:
         reduced = points.astype(np.float16).astype(np.float32)
         max_delta = np.abs(reduced) * np.float32(2.0 ** -11)
         d2, eps = batch_shell_distances(reduced, queries, max_delta)
-        row_d2, row_eps = rowwise_shell_distances(reduced[p], queries[q],
-                                                  max_delta[p])
+        row_d2, row_eps = shell_distances(queries[q] - reduced[p], max_delta[p])
         assert np.array_equal(row_d2.view(np.uint64), d2.ravel().view(np.uint64))
         assert np.array_equal(row_eps.view(np.uint64), eps.ravel().view(np.uint64))
 
@@ -156,9 +155,9 @@ class TestRowwiseKernels:
         got = rowwise_distances2(a_cm, b_cm)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         reduced = b.astype(np.float32)
-        want = rowwise_shell_distances(reduced, a, np.abs(reduced))
-        got = rowwise_shell_distances(np.asfortranarray(reduced), a_cm,
-                                      np.abs(reduced))
+        want = shell_distances(a - reduced, np.abs(reduced))
+        got = shell_distances(a_cm - np.asfortranarray(reduced),
+                              np.asfortranarray(np.abs(reduced)))
         for x, y in zip(got, want):
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
