@@ -53,6 +53,33 @@ class TestVoxelIds:
     def test_single_point(self):
         np.testing.assert_array_equal(self._check(np.array([[1.5, -2.5, 3.0]]), 0.5), [0])
 
+    def test_empty(self):
+        ids = voxel_ids(np.empty((0, 3)), 0.5)
+        assert ids.dtype == np.intp and ids.shape == (0,)
+
+    # Spans (voxel counts per axis) whose product sits at either side of
+    # 2**63: below it the ids come from one packed int64 key, at and above
+    # it from the three-key lexsort.
+    @pytest.mark.parametrize("lowest, spans", [
+        ((0, 0, 0), (2**21 - 1, 2**21, 2**21)),        # 2**63 - 2**42
+        ((5, -7, 0), (454279, 31252369, 649657)),      # 2**63 - 1
+        ((0, -2**63, 0), (1, 2**63 - 1, 1)),           # 2**63 - 1, from int64's minimum
+        ((0, 0, 0), (2**21, 2**21, 2**21)),            # 2**63
+        ((0, -2**63, 0), (1, 2**63, 1)),               # 2**63 on one axis
+        ((-3, 0, 0), (2**21 + 1, 2**21, 2**21)),       # 2**63 + 2**42
+    ])
+    def test_span_products_either_side_of_2_63(self, lowest, spans):
+        rng = np.random.default_rng(7)
+        highest = np.array([low + span - 1 for low, span in zip(lowest, spans)], dtype=np.float64)
+        lowest = np.array(lowest, dtype=np.float64)
+        assert [int(h) - int(low) + 1 for h, low in zip(highest, lowest)] == list(spans)
+        inner = np.floor(rng.uniform(lowest, highest, size=(300, 3)))
+        inner[100:150] = inner[:50]                        # shared voxels
+        inner[150:200, :2] = inner[:50, :2]                # x and y shared, z differs
+        points = np.vstack([lowest, highest, inner, [lowest[0], highest[1], lowest[2]]])
+        ids = self._check(points, 1.0)
+        assert ids[0] == 0 and ids[1] == ids.max()
+
     def test_voxel_grid_filter_matches_unique_centroids(self, lidar_frame):
         points = lidar_frame.points.astype(np.float64)
         inverse = _unique_voxel_ids(points, 0.3)
@@ -61,6 +88,28 @@ class TestVoxelIds:
         np.add.at(sums, inverse, points)
         want = (sums / counts[:, None]).astype(np.float32)
         assert voxel_grid_filter(lidar_frame, 0.3).points.tobytes() == want.tobytes()
+
+
+class TestVoxelIdsRejects:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points(self, bad):
+        points = np.zeros((4, 3))
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            voxel_ids(points, 0.5)
+
+    @pytest.mark.parametrize("coordinate", [2.0**63, -2.0**63 - 2048.0, 1e300])
+    def test_voxel_coordinates_outside_int64(self, coordinate):
+        points = np.array([[0.0, 0.0, 0.0], [0.0, coordinate, 0.0]])
+        with pytest.raises(ValueError, match="int64"):
+            voxel_ids(points, 1.0)
+
+    def test_far_apart_points_do_not_merge_at_the_origin(self):
+        # Their voxels (about 3e30) lie outside int64: cast, both would wrap
+        # to INT64_MIN and share one centroid at the origin.
+        cloud = PointCloud([[1e30, 0, 0], [-1e30, 0, 0], [1, 1, 1]])
+        with pytest.raises(ValueError, match="int64"):
+            voxel_grid_filter(cloud, 0.3)
 
 
 class TestVoxelGrid:
@@ -90,6 +139,18 @@ class TestVoxelGrid:
         cloud = PointCloud([[-0.1, -0.1, -0.1], [0.1, 0.1, 0.1]])
         out = voxel_grid_filter(cloud, leaf_size=1.0)
         assert len(out) == 2  # floor() separates the two sides of the origin
+
+    def test_centroid_sums_run_in_point_order(self):
+        # In point order the two tiny x values vanish in 0.5 and the sum is
+        # 0.5 + 2**-25, whose quarter is a float32 tie (rounded to 0.125);
+        # in reverse order they survive and the centroid rounds up.
+        tiny = 3 * 2.0**-56
+        points = np.array([[0.5, 0.5, 0.5], [tiny, 0.5, 0.5], [tiny, 0.5, 0.5],
+                           [2.0**-25, 0.5, 0.5]], dtype=np.float32)
+        x = points[:, 0].astype(np.float64)
+        assert np.float32((((x[3] + x[2]) + x[1]) + x[0]) / 4) != np.float32(0.125)
+        out = voxel_grid_filter(PointCloud(points), 1.0)
+        assert out.points.tolist() == [[0.125, 0.5, 0.5]]
 
 
 class TestCropBox:
