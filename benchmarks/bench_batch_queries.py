@@ -20,10 +20,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.engine import PointCloudIndex, backend_names
+from repro.engine import PointCloudIndex, backend_names, get_backend
 from repro.kdtree import build_kdtree, nearest_neighbors, radius_search
 from repro.pointcloud import preprocess_for_clustering
-from repro.runtime import batch_knn, batch_radius_search
 
 from paper_reference import write_result
 
@@ -49,8 +48,9 @@ def test_batch_radius_speedup(benchmark, sweep_setup):
     """Batched radius sweep: >= 5x over the per-query loop, identical results."""
     tree, queries = sweep_setup
 
+    backend = get_backend("baseline-batched", tree)
     result = benchmark.pedantic(
-        batch_radius_search, args=(tree, queries, RADIUS), rounds=1, iterations=1)
+        backend.radius_search, args=(queries, RADIUS), rounds=1, iterations=1)
     batch_seconds = benchmark.stats.stats.mean
 
     start = time.perf_counter()
@@ -122,8 +122,9 @@ def test_batch_knn_speedup(benchmark, sweep_setup):
     """Batched kNN sweep: >= 5x over the per-query loop, identical results."""
     tree, queries = sweep_setup
 
+    backend = get_backend("baseline-batched", tree)
     result = benchmark.pedantic(
-        batch_knn, args=(tree, queries, K), rounds=1, iterations=1)
+        backend.knn, args=(queries, K), rounds=1, iterations=1)
     batch_seconds = benchmark.stats.stats.mean
 
     start = time.perf_counter()

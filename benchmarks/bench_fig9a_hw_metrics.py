@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import render_fig9a
 from repro.engine import get_backend
-from repro.kdtree import RadiusSearcher, build_kdtree
+from repro.kdtree import build_kdtree
 
 from paper_reference import PAPER, write_result
 
@@ -41,7 +41,7 @@ def test_fig9a_report(benchmark, comparison):
 def test_fig9a_baseline_search_kernel(benchmark, clustering_input):
     """Time the baseline radius-search kernel (one frame's worth of queries)."""
     tree = build_kdtree(clustering_input)
-    searcher = RadiusSearcher(tree)
+    searcher = get_backend("baseline-perquery", tree)
     queries = [clustering_input[i] for i in range(0, len(clustering_input), 8)]
 
     def run():

@@ -10,21 +10,23 @@ Subpackages
 -----------
 ``repro.core``
     Float formats, the worst-case error model, leaf compression and the
-    compressed (Bonsai) radius search.
+    compressed (Bonsai) leaf inspector.
 ``repro.pointcloud``
     Point cloud containers, synthetic LiDAR and driving scenes, filters, I/O.
 ``repro.scenarios``
     Scenario library: named, seeded, parameterized worlds (urban, highway,
     tunnel, warehouse, ...) behind one registry.
 ``repro.kdtree``
-    PCL/FLANN-style leaf-based k-d tree, baseline radius search, kNN.
+    PCL/FLANN-style leaf-based k-d tree and the single-query reference
+    searches (radius, kNN) every backend must match.
 ``repro.runtime``
-    Batched, vectorised query engine: many queries per traversal, shared
+    The two batched backends: many queries per traversal, shared
     leaf-distance kernels, exact parity with the per-query paths.
 ``repro.engine``
-    Unified execution-backend API: named backends (``baseline-perquery``,
-    ``baseline-batched``, ``bonsai-perquery``, ``bonsai-batched``) behind a
-    registry, the :class:`~repro.engine.index.PointCloudIndex` facade, and
+    Unified execution-backend API: four named backends
+    (``baseline-perquery``, ``baseline-batched``, ``bonsai-perquery``,
+    ``bonsai-batched``), one class each, in one name→class table, the
+    :class:`~repro.engine.index.PointCloudIndex` facade, and
     :class:`~repro.engine.execution.ExecutionConfig` carried by workloads.
 ``repro.perception``
     Euclidean cluster extraction and a simplified NDT registration.
@@ -73,13 +75,10 @@ instead of spelling out the subpackage:
     The engine facade: build the k-d tree once, query through any named
     backend (:class:`repro.engine.index.PointCloudIndex`).
 ``backend_names()`` / ``get_backend(name, tree, **opts)``
-    The execution-backend registry (:mod:`repro.engine.registry`).
+    The execution backends by name (:mod:`repro.engine.backends`).
 ``ExecutionConfig``
     A workload's execution mode as data: backend name, hardware switch,
     recorded cache geometry (:class:`repro.engine.execution.ExecutionConfig`).
-``BatchQueryEngine`` / ``BonsaiBatchSearcher``
-    Reusable batched engines, baseline and compressed
-    (:mod:`repro.runtime`).
 ``SearchStats``
     Functional search counters shared by every query path
     (:class:`repro.kdtree.radius_search.SearchStats`).
@@ -109,10 +108,10 @@ instead of spelling out the subpackage:
     The serving layer (:mod:`repro.serve`): the shared-memory store, the
     pooled query service over it, and the overlapped-stage pipeline runner.
 
-The pre-engine deprecated exports (``batch_radius_search``, ``batch_knn``,
-``BonsaiRadiusSearch``) completed their deprecation cycle and were removed
-in 2.0; use ``get_backend(...)`` / ``PointCloudIndex`` (the batched engines
-remain available undeprecated as :mod:`repro.runtime` functions).
+Every search object is one of the four backends ``get_backend(name,
+tree)`` builds; the pre-engine spellings (``batch_radius_search``,
+``batch_knn``, ``BonsaiRadiusSearch``, ``BatchQueryEngine``,
+``BonsaiBatchSearcher``) are gone.
 """
 
 from importlib import import_module
@@ -129,8 +128,6 @@ _EXPORTS = {
     "ExecutionConfig": "repro.engine",
     "backend_names": "repro.engine",
     "get_backend": "repro.engine",
-    "BatchQueryEngine": "repro.runtime",
-    "BonsaiBatchSearcher": "repro.runtime",
     "CampaignConfig": "repro.campaign",
     "run_campaign": "repro.campaign",
     "random_world": "repro.campaign",

@@ -33,7 +33,7 @@ __all__ = ["HardwareScenarioRun", "HardwareSweepResult", "HardwareScenarioSweep"
            "SweepTask", "run_sweep_task",
            "SWEEP_BACKENDS", "SWEEP_MODES", "mode_label"]
 
-#: The execution backends every scenario runs under (registry names).
+#: The execution backends every scenario runs under (backend names).
 SWEEP_BACKENDS = ("baseline-batched", "bonsai-batched")
 
 
@@ -42,7 +42,7 @@ def mode_label(backend: str) -> str:
 
     The default batched backends keep the historical short labels
     (``baseline`` / ``bonsai``); any other backend is labelled by its full
-    registry name so two same-flavour backends never collide in
+    backend name so two same-flavour backends never collide in
     ``HardwareSweepResult.pair``, a rendered table, or a golden-snapshot
     filename (``tests/goldens.py`` reuses this mapping).
     """
@@ -171,7 +171,7 @@ class HardwareScenarioSweep:
 
     ``scenarios`` defaults to every registered scenario and ``backends`` to
     the baseline/Bonsai batched pair (``SWEEP_BACKENDS``), both selected by
-    registry name; ``cache_config`` optionally pins the recorded machine's
+    backend name; ``cache_config`` optionally pins the recorded machine's
     cache geometry for sensitivity sweeps.  The sensor preset
     (``n_frames``/``n_beams``/``n_azimuth_steps``) applies to every run so
     the rows of the resulting matrix are comparable.

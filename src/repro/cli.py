@@ -15,7 +15,7 @@ The CLI exposes the most common flows without writing Python:
     Figure 9/11/12-style summary.
 ``python -m repro batch-sweep``
     Run a batched radius/kNN query sweep over one frame through a named
-    execution backend (``--backend``, from the :mod:`repro.engine` registry)
+    execution backend (``--backend``, one of :func:`repro.engine.backend_names`)
     and report throughput, search statistics and — with ``--compare-loop`` —
     the speed-up over the per-query backend of the same flavour.
 ``python -m repro scenarios list``

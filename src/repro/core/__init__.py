@@ -1,7 +1,14 @@
-"""K-D Bonsai core: float formats, error model, leaf compression and search."""
+"""K-D Bonsai core: float formats, error model, leaf compression and the
+compressed leaf inspector.
+
+The searches themselves are the execution backends of :mod:`repro.engine`:
+``bonsai-perquery`` runs :class:`BonsaiLeafInspector` under the per-query
+traversal after :func:`compress_and_record`, and ``bonsai-batched``
+(:mod:`repro.runtime.bonsai`) runs the same kernels over query batches.
+"""
 
 from .bitstream import BitReader, BitWriter
-from .bonsai_search import BonsaiLeafInspector, BonsaiRadiusSearch, BonsaiStats
+from .bonsai_search import BonsaiLeafInspector, BonsaiStats, compress_and_record
 from .compressed_leaf import CompressedStructArray, CompressionReport, compress_tree
 from .error_model import (
     Classification,
@@ -40,8 +47,8 @@ __all__ = [
     "BitReader",
     "BitWriter",
     "BonsaiLeafInspector",
-    "BonsaiRadiusSearch",
     "BonsaiStats",
+    "compress_and_record",
     "CompressedStructArray",
     "CompressionReport",
     "compress_tree",

@@ -15,25 +15,28 @@ only leaf processing differs.  When the search reaches a leaf, the inspector:
 
 The inspector accumulates the functional counters the hardware model needs
 (bytes loaded, slices, inconclusive classifications), and optionally feeds a
-memory-access recorder for cache simulation.
+memory-access recorder for cache simulation.  The ``bonsai-perquery``
+backend (:class:`~repro.engine.backends.BonsaiPerQueryBackend`) runs it
+under the per-query traversal, after :func:`compress_and_record` compressed
+the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..kdtree.build import KDTree
 from ..kdtree.layout import POINT_STRIDE_BYTES, compressed_address, point_address
-from ..kdtree.radius_search import MemoryRecorder, SearchStats, radius_search
+from ..kdtree.radius_search import MemoryRecorder, SearchStats
 from ..runtime.kernels import leaf_distances2, shell_classify, shell_distances
-from .compressed_leaf import CompressedStructArray, compress_tree
+from .compressed_leaf import CompressedStructArray, CompressionReport, compress_tree
 from .floatfmt import FLOAT16, FloatFormat
 from .leaf_compression import ZIPPTS_SLICE_BYTES
 
-__all__ = ["BonsaiStats", "BonsaiLeafInspector", "BonsaiRadiusSearch"]
+__all__ = ["BonsaiStats", "BonsaiLeafInspector", "compress_and_record"]
 
 
 @dataclass
@@ -153,53 +156,30 @@ class BonsaiLeafInspector:
         results.extend(hit_ids)
 
 
-class BonsaiRadiusSearch:
-    """High-level helper: compress a tree once, then issue Bonsai searches."""
+def compress_and_record(tree: KDTree, fmt: FloatFormat = FLOAT16,
+                        recorder: Optional[MemoryRecorder] = None
+                        ) -> Optional[CompressionReport]:
+    """Compress ``tree`` unless it already is, tracing the pass through ``recorder``.
 
-    def __init__(self, tree: KDTree, fmt: FloatFormat = FLOAT16,
-                 recorder: Optional[MemoryRecorder] = None):
-        self.tree = tree
-        self.fmt = fmt
-        self.recorder = recorder
-        if tree.compressed_array is None:
-            self.report = compress_tree(tree, fmt)
-            self._record_compression_accesses()
-        else:
-            self.report = None
-        self.inspector = BonsaiLeafInspector(tree.compressed_array, fmt=fmt)
-        self.stats = SearchStats()
-
-    def _record_compression_accesses(self) -> None:
-        """Trace the build-time compression pass through the memory recorder.
-
-        The LDSPZPB loads read every leaf point once and the STZPB stores
-        write the compressed slices into ``cmprsd_strct_array``; these
-        accesses are part of the extract kernel (the paper compresses leaves
-        during tree construction) and contribute to the Bonsai configuration's
-        cache behaviour.
-        """
-        recorder = self.recorder
-        if recorder is None:
-            return
-        arrays = self.tree.arrays
+    The LDSPZPB loads read every leaf point once and the STZPB stores write
+    the compressed slices into ``cmprsd_strct_array``; these accesses are
+    part of the extract kernel (the paper compresses leaves during tree
+    construction) and contribute to the Bonsai configuration's cache
+    behaviour.  A pre-compressed tree (an offline map) records nothing.
+    Returns the compression report, ``None`` for a pre-compressed tree.
+    """
+    if tree.compressed_array is not None:
+        return None
+    report = compress_tree(tree, fmt)
+    if recorder is not None:
+        arrays = tree.arrays
         starts = arrays.leaf_starts.tolist()
         point_ids = arrays.leaf_points.tolist()
-        offsets = self.tree.compressed_array.offsets.tolist()
+        offsets = tree.compressed_array.offsets.tolist()
         for leaf_id in range(arrays.n_leaves):
             for point_index in point_ids[starts[leaf_id]:starts[leaf_id + 1]]:
                 recorder.record_load(point_address(point_index), POINT_STRIDE_BYTES)
             for slice_offset in range(offsets[leaf_id], offsets[leaf_id + 1],
                                       ZIPPTS_SLICE_BYTES):
                 recorder.record_store(compressed_address(slice_offset), ZIPPTS_SLICE_BYTES)
-
-    @property
-    def bonsai_stats(self) -> BonsaiStats:
-        """Counters specific to compressed leaf processing."""
-        return self.inspector.bonsai_stats
-
-    def search(self, query: Sequence[float], radius: float) -> List[int]:
-        """Radius search over compressed leaves; identical results to baseline."""
-        return radius_search(
-            self.tree, query, radius, inspector=self.inspector, stats=self.stats,
-            recorder=self.recorder,
-        )
+    return report

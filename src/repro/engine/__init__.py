@@ -3,9 +3,10 @@
 One protocol, four named backends, one facade.  The paper's claims are
 comparisons between execution modes; this layer makes the mode a *name*
 (``baseline-perquery`` / ``baseline-batched`` / ``bonsai-perquery`` /
-``bonsai-batched``), selected through a registry, and carried by workload
-configs as :class:`ExecutionConfig` data (the name plus a hardware-recording
-switch); ``docs/PERFORMANCE.md`` is the selection guide.
+``bonsai-batched``), each naming one class in the table of
+:mod:`repro.engine.backends`, and carried by workload configs as
+:class:`ExecutionConfig` data (the name plus a hardware-recording switch);
+``docs/PERFORMANCE.md`` is the selection guide.
 
 Public API
 ----------
@@ -18,14 +19,16 @@ Public API
     compressed) per-tile index each, cross-tile queries bitwise identical
     to the unsharded index's (:mod:`repro.engine.sharded`).
 :func:`backend_names` / :func:`get_backend`
-    The registry (the single source of valid backend names).
+    The name→class table (the single source of valid backend names).
 :class:`ExecutionConfig`
     A workload's execution mode as one value (backend name + hardware
     switch + recorded cache geometry); ``make_backend`` builds its backend,
     with ``hardware=True`` the flavour's per-query backend with a recorder
     attached and bitwise-identical functional results.
 :class:`SearchBackend`
-    The protocol every backend implements.
+    The protocol every backend implements; the four classes are
+    :class:`BaselinePerQueryBackend`, :class:`BaselineBatchedBackend`,
+    :class:`BonsaiPerQueryBackend` and :class:`BonsaiBatchedBackend`.
 
 Example
 -------
@@ -45,10 +48,11 @@ from .backends import (
     BonsaiBatchedBackend,
     BonsaiPerQueryBackend,
     SearchBackend,
+    backend_names,
+    get_backend,
 )
 from .execution import ExecutionConfig
 from .index import PointCloudIndex
-from .registry import backend_names, get_backend, register_backend
 from .sharded import ShardedPointCloudIndex
 
 __all__ = [
@@ -62,5 +66,4 @@ __all__ = [
     "ShardedPointCloudIndex",
     "backend_names",
     "get_backend",
-    "register_backend",
 ]

@@ -1,34 +1,43 @@
-"""Execution backends: one query surface over every search implementation.
+"""Execution backends: one class per named search implementation.
 
 The repo answers the same two questions ("which points are within ``r`` of
-these queries?", "which ``k`` points are nearest?") four ways: per-query
-baseline search, the batched vectorised engine, and the Bonsai compressed
-variants of both — plus a recorded flavour that streams every tree access
-through the trace-driven cache simulation.
+these queries?", "which ``k`` points are nearest?") four ways: two leaf
+formats (32-bit baseline, Bonsai compressed) times two strategies (one
+traversal per query, one per query batch).  Each way is one class, named in
+:data:`BACKENDS`:
 
-This module normalises them behind one :class:`SearchBackend` protocol:
-
-======================== ============================================== =========
-name                     implementation                                 leaf data
-======================== ============================================== =========
-``baseline-perquery``    one traversal per query                        32-bit
-``baseline-batched``     one traversal per batch (:mod:`repro.runtime`) 32-bit
-``bonsai-perquery``      per-query compressed search (:mod:`repro.core`) compressed
-``bonsai-batched``       batched compressed search                      compressed
-======================== ============================================== =========
+===================== ==================================================== ==========
+name                  class                                                leaf data
+===================== ==================================================== ==========
+``baseline-perquery`` :class:`BaselinePerQueryBackend` (this module)       32-bit
+``baseline-batched``  :class:`~repro.runtime.batch.BaselineBatchedBackend` 32-bit
+``bonsai-perquery``   :class:`BonsaiPerQueryBackend` (this module)         compressed
+``bonsai-batched``    :class:`~repro.runtime.bonsai.BonsaiBatchedBackend`  compressed
+===================== ==================================================== ==========
 
 ``docs/PERFORMANCE.md`` is the selection guide, with measured throughput
 per backend.
 
-Every backend — whatever its internal execution strategy — returns the
-uniform batched containers (:class:`~repro.runtime.batch.BatchRadiusResult`,
+Every backend returns the uniform batched containers
+(:class:`~repro.runtime.batch.BatchRadiusResult`,
 :class:`~repro.runtime.batch.BatchKNNResult`) with per-query index-sorted
 radius hits, and accumulates the shared counters
 (:class:`~repro.kdtree.radius_search.SearchStats`, plus
 :class:`~repro.core.bonsai_search.BonsaiStats` for the compressed flavours).
 All of them produce *identical* functional results; the cross-backend parity
-suite (``tests/test_backend_parity.py``) locks that down for every
-registered name.
+suite (``tests/test_backend_parity.py``) locks that down for every name.
+
+Mode selection is data a config file, a CLI flag or a sweep loop can carry,
+so workloads, benchmarks and the CLI select backends by name through
+:func:`get_backend`, and :func:`backend_names` is the single source of the
+valid names (``--help`` listings, sweep dimensions and error messages all
+derive from it)::
+
+    from repro.engine import backend_names, get_backend
+
+    for name in backend_names():
+        backend = get_backend(name, tree)
+        result = backend.radius_search(queries, radius=0.6)
 
 Recording is part of the execution mode:
 ``ExecutionConfig(backend=name, hardware=True).make_backend(tree)``
@@ -36,33 +45,32 @@ Recording is part of the execution mode:
 :class:`~repro.hwmodel.cache.HierarchyRecorder` attached, so every tree
 access streams through the cache simulation while the functional results
 stay bitwise unchanged.
-
-Backends are constructed by name through :mod:`repro.engine.registry`
-(:func:`~repro.engine.registry.get_backend`); nothing outside this package
-should instantiate the concrete classes directly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ..core.bonsai_search import BonsaiRadiusSearch, BonsaiStats
+from ..core.bonsai_search import BonsaiLeafInspector, BonsaiStats, compress_and_record
 from ..core.floatfmt import FLOAT16, FloatFormat
 from ..kdtree.build import KDTree
 from ..kdtree.knn import nearest_neighbors
 from ..kdtree.radius_search import MemoryRecorder, SearchStats, radius_search
-from ..runtime.batch import BatchKNNResult, BatchQueryEngine, BatchRadiusResult
-from ..runtime.bonsai import BonsaiBatchSearcher
+from ..runtime.batch import BaselineBatchedBackend, BatchKNNResult, BatchRadiusResult
+from ..runtime.bonsai import BonsaiBatchedBackend
 from ..runtime.queries import as_query_batch, check_k, check_radius
 
 __all__ = [
+    "BACKENDS",
     "SearchBackend",
     "BaselinePerQueryBackend",
     "BaselineBatchedBackend",
     "BonsaiPerQueryBackend",
     "BonsaiBatchedBackend",
+    "backend_names",
+    "get_backend",
 ]
 
 
@@ -81,8 +89,8 @@ class SearchBackend(Protocol):
     unit (metres for every built-in scenario), returned distances are
     euclidean in the same unit, and byte counters
     (``stats.point_bytes_loaded`` etc.) are in bytes.  For a given tree and
-    query batch every registered backend must return bitwise-identical hits
-    and neighbours and charge identical functional counters — execution
+    query batch every backend must return bitwise-identical hits and
+    neighbours and charge identical functional counters — execution
     strategy (per-query or batched) is never allowed to show up in
     results.
     """
@@ -103,27 +111,36 @@ class SearchBackend(Protocol):
         ...
 
 
-class _PerQueryBackendBase:
-    """Shared machinery of the per-query flavours.
+class BaselinePerQueryBackend:
+    """``baseline-perquery``: one 32-bit traversal per query (PCL/FLANN's path).
 
     Single queries go through the reference per-query search; batches loop
     over it and present the hits in the batched CSR layout with each query's
-    indices sorted — bitwise identical to the batched engines' output (the
+    indices sorted — bitwise identical to the batched backends' output (the
     property the hardware-in-the-loop pipeline relies on).  kNN batches loop
     over the per-query branch-and-bound search into the dense
-    :class:`BatchKNNResult` layout.
+    :class:`BatchKNNResult` layout.  With a ``recorder`` attached, every
+    tree access streams into it.
     """
 
-    name = "perquery"
+    name = "baseline-perquery"
+    bonsai_stats: Optional[BonsaiStats] = None
 
-    tree: KDTree
-    stats: SearchStats
-    recorder: Optional[MemoryRecorder]
+    def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None,
+                 recorder: Optional[MemoryRecorder] = None):
+        self.tree = tree
+        self.stats = stats if stats is not None else SearchStats()
+        self.recorder = recorder
 
     @property
     def hierarchy(self):
         """Cache-hierarchy statistics of the recorder (``None`` unrecorded)."""
         return getattr(self.recorder, "stats", None)
+
+    def search(self, query: Sequence[float], radius: float) -> List[int]:
+        """Single-query radius search (native traversal order)."""
+        return radius_search(self.tree, query, radius, stats=self.stats,
+                             recorder=self.recorder)
 
     def radius_search(self, queries, radius: float) -> BatchRadiusResult:
         """Per-query searches presented in the batched (CSR) result format."""
@@ -161,31 +178,18 @@ class _PerQueryBackendBase:
         return BatchKNNResult(indices=indices, distances=distances)
 
 
-class BaselinePerQueryBackend(_PerQueryBackendBase):
-    """One 32-bit traversal per query (the PCL/FLANN reference path)."""
+class BonsaiPerQueryBackend(BaselinePerQueryBackend):
+    """``bonsai-perquery``: one compressed-leaf traversal per query (the
+    paper's search).
 
-    name = "baseline-perquery"
-
-    def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None,
-                 recorder: Optional[MemoryRecorder] = None):
-        self.tree = tree
-        self.stats = stats if stats is not None else SearchStats()
-        self.recorder = recorder
-        self.bonsai_stats: Optional[BonsaiStats] = None
-
-    def search(self, query: Sequence[float], radius: float) -> List[int]:
-        """Single-query radius search (native traversal order)."""
-        return radius_search(self.tree, query, radius, stats=self.stats,
-                             recorder=self.recorder)
-
-
-class BonsaiPerQueryBackend(_PerQueryBackendBase):
-    """One compressed-leaf traversal per query (the paper's search).
-
-    Compresses the tree on construction when it is not already compressed;
-    with a recorder attached, that build-time compression traffic is part of
-    the recorded trace (as in the extract kernel), whereas a pre-compressed
-    tree — an offline map — contributes nothing.
+    The traversal is the baseline's; a :class:`BonsaiLeafInspector`
+    classifies each reached leaf from its compressed slices and recomputes
+    inconclusive points in 32-bit, so results equal the baseline's.
+    Compresses the tree on construction when it is not already
+    (:func:`~repro.core.bonsai_search.compress_and_record`): with a recorder
+    attached, that build-time compression traffic is part of the recorded
+    trace (as in the extract kernel), whereas a pre-compressed tree — an
+    offline map — contributes nothing.
     """
 
     name = "bonsai-perquery"
@@ -193,85 +197,48 @@ class BonsaiPerQueryBackend(_PerQueryBackendBase):
     def __init__(self, tree: KDTree, *, fmt: FloatFormat = FLOAT16,
                  stats: Optional[SearchStats] = None,
                  recorder: Optional[MemoryRecorder] = None):
-        self.tree = tree
+        super().__init__(tree, stats=stats, recorder=recorder)
         self.fmt = fmt
-        self.recorder = recorder
-        self._bonsai = BonsaiRadiusSearch(tree, fmt=fmt, recorder=recorder)
-        if stats is not None:
-            self._bonsai.stats = stats
-        self.stats = self._bonsai.stats
         #: Tree-compression report (``None`` when the tree was pre-compressed).
-        self.report = self._bonsai.report
-
-    @property
-    def bonsai_stats(self) -> BonsaiStats:
-        """Compressed-leaf counters of the underlying inspector."""
-        return self._bonsai.bonsai_stats
+        self.report = compress_and_record(tree, fmt, recorder)
+        self.inspector = BonsaiLeafInspector(tree.compressed_array, fmt=fmt)
+        self.bonsai_stats = self.inspector.bonsai_stats
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Single-query compressed radius search (native traversal order)."""
-        return self._bonsai.search(query, radius)
+        return radius_search(self.tree, query, radius, inspector=self.inspector,
+                             stats=self.stats, recorder=self.recorder)
 
 
-class BaselineBatchedBackend:
-    """One 32-bit traversal per query *batch* (:mod:`repro.runtime`)."""
-
-    name = "baseline-batched"
-
-    def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None):
-        self.tree = tree
-        self._engine = BatchQueryEngine(tree, stats=stats)
-        self.stats = self._engine.stats
-        self.bonsai_stats: Optional[BonsaiStats] = None
-        self.recorder: Optional[MemoryRecorder] = None
-
-    def radius_search(self, queries, radius: float) -> BatchRadiusResult:
-        """Batched radius search (per-query index-sorted CSR result)."""
-        return self._engine.radius_search(queries, radius)
-
-    def knn(self, queries, k: int) -> BatchKNNResult:
-        """Batched kNN (dense, distance-then-index sorted rows)."""
-        return self._engine.knn(queries, k)
-
-    def search(self, query: Sequence[float], radius: float) -> List[int]:
-        """Single-query convenience wrapper (sorted point indices)."""
-        return self._engine.search(query, radius)
+#: Every execution backend, by name: two leaf formats x two strategies.
+#: A new backend is a class with the :class:`SearchBackend` surface and one
+#: line here; the name then works wherever backends are selected.
+BACKENDS: Dict[str, type] = {
+    "baseline-perquery": BaselinePerQueryBackend,
+    "baseline-batched": BaselineBatchedBackend,
+    "bonsai-perquery": BonsaiPerQueryBackend,
+    "bonsai-batched": BonsaiBatchedBackend,
+}
 
 
-class BonsaiBatchedBackend:
-    """One compressed-leaf traversal per query batch over the decoded mirror."""
+def backend_names() -> List[str]:
+    """Sorted names of all execution backends."""
+    return sorted(BACKENDS)
 
-    name = "bonsai-batched"
 
-    def __init__(self, tree: KDTree, *, fmt: FloatFormat = FLOAT16,
-                 stats: Optional[SearchStats] = None):
-        self.tree = tree
-        self.fmt = fmt
-        self._searcher = BonsaiBatchSearcher(tree, fmt=fmt)
-        if stats is not None:
-            self._searcher.stats = stats
-        self.stats = self._searcher.stats
-        self.recorder: Optional[MemoryRecorder] = None
-        #: Tree-compression report (``None`` when the tree was pre-compressed).
-        self.report = self._searcher.report
-        # kNN goes through the baseline batched engine (see
-        # ``_PerQueryBackendBase.knn`` for why), sharing this backend's stats.
-        self._knn_engine = BatchQueryEngine(tree, stats=self.stats)
+def get_backend(name: str, tree: KDTree, **opts) -> SearchBackend:
+    """Construct the named backend over ``tree``.
 
-    @property
-    def bonsai_stats(self) -> BonsaiStats:
-        """Compressed-leaf counters of the underlying batch searcher."""
-        return self._searcher.bonsai_stats
-
-    def radius_search(self, queries, radius: float) -> BatchRadiusResult:
-        """Batched compressed radius search; identical results to baseline."""
-        return self._searcher.radius_search(queries, radius)
-
-    def knn(self, queries, k: int) -> BatchKNNResult:
-        """Batched kNN over the 32-bit points (exact, same as baseline)."""
-        return self._knn_engine.knn(queries, k)
-
-    def search(self, query: Sequence[float], radius: float) -> List[int]:
-        """Single-query convenience wrapper (sorted point indices)."""
-        return self._searcher.search(query, radius)
-
+    ``opts`` are forwarded to the backend constructor: every backend accepts
+    ``stats=`` (a shared :class:`~repro.kdtree.radius_search.SearchStats`
+    accumulator); the per-query flavours additionally accept ``recorder=``
+    (the hardware-recording hook) and the Bonsai flavours ``fmt=`` (the
+    reduced float format).  Raises ``KeyError`` naming the registered
+    backends on an unknown name.
+    """
+    try:
+        backend = BACKENDS[name]
+    except KeyError:
+        known = ", ".join(backend_names())
+        raise KeyError(f"unknown backend {name!r}; registered: {known}") from None
+    return backend(tree, **opts)

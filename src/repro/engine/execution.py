@@ -1,6 +1,6 @@
 """ExecutionConfig: the execution mode of a workload as one value.
 
-The mode is a backend *name* (from :mod:`repro.engine.registry`), a
+The mode is a backend *name* (from :mod:`repro.engine.backends`), a
 ``hardware`` switch that routes the searches through the trace-driven cache
 simulation, and an optional ``cache_config`` overriding the recorded
 machine's cache geometry — which is what makes cache-geometry sensitivity
@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .backends import SearchBackend
-from .registry import backend_names, get_backend
+from .backends import SearchBackend, backend_names, get_backend
 
 __all__ = ["ExecutionConfig"]
 
@@ -28,8 +27,7 @@ class ExecutionConfig:
     Parameters
     ----------
     backend:
-        Registered backend name (see
-        :func:`repro.engine.registry.backend_names`).
+        Backend name (see :func:`repro.engine.backends.backend_names`).
     hardware:
         Route the searches through the per-query recorded path so every
         tree access streams into the trace-driven cache/timing/energy

@@ -30,9 +30,8 @@ from ..core.bonsai_search import BonsaiStats
 from ..kdtree.build import KDTree, KDTreeConfig, build_kdtree
 from ..kdtree.radius_search import SearchStats
 from ..runtime.batch import BatchKNNResult, BatchRadiusResult
-from .backends import SearchBackend
+from .backends import SearchBackend, get_backend
 from .execution import ExecutionConfig
-from .registry import get_backend
 
 __all__ = ["PointCloudIndex"]
 

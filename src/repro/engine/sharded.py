@@ -28,14 +28,14 @@ mechanisms:
   relative slack absorbing the bounding-box rounding), so no in-range point
   can hide in a skipped tile; visiting extra tiles only adds work, never
   results.
-* *Canonical merge order.*  Cross-tile radius hits are re-sorted into the
-  global per-query ``(query, point)`` CSR order; kNN candidates go through
-  the exact selection kernel of the batched engine
+* *Canonical merge order.*  Cross-tile radius hits of every chunk go into
+  one CSR assembly (:func:`~repro.runtime.batch._build_radius_result`),
+  which sorts them into the global per-query ``(query, point)`` order; kNN
+  candidates go through the exact selection kernel of the batched engine
   (:func:`~repro.runtime.batch._select_nearest`, sort by
-  ``(query, d2, point)``, square root applied after selection).  Query
-  batches are processed in contiguous chunks concatenated through the
-  shard-merge helpers (:func:`~repro.engine.parallel.merge_radius_shards`
-  / :func:`~repro.engine.parallel.merge_knn_shards`) in index order.
+  ``(query, d2, point)``, square root applied after selection), and the
+  per-chunk rows are stacked in query order.  Query batches are processed
+  in contiguous chunks, so the chunking never reaches the result.
 
 Any registered backend name runs per tile, and the per-tile statistics
 merge into :attr:`search_stats` / :attr:`bonsai_stats` /
@@ -75,7 +75,6 @@ from ..runtime.batch import (
 from ..runtime.kernels import rowwise_distances2
 from ..runtime.queries import as_query_batch, check_k, check_radius
 from .index import DEFAULT_BACKEND, PointCloudIndex
-from .parallel import merge_knn_shards, merge_radius_shards, plan_shards
 
 __all__ = ["ShardedPointCloudIndex", "DEFAULT_TILE_SIZE"]
 
@@ -86,8 +85,8 @@ __all__ = ["ShardedPointCloudIndex", "DEFAULT_TILE_SIZE"]
 DEFAULT_TILE_SIZE = 32.0
 
 #: Queries per processing chunk.  Chunks bound the (chunk, tiles) distance
-#: matrix the tile-selection step materialises; contiguous chunks merge
-#: through the shard-merge helpers, so the chunk size never reaches results.
+#: matrix the tile-selection step materialises; contiguous chunks merge in
+#: query order, so the chunk size never reaches results.
 DEFAULT_CHUNK_QUERIES = 2048
 
 #: Relative / absolute slack of the sphere-vs-tile-bbox intersection test:
@@ -281,8 +280,11 @@ class ShardedPointCloudIndex:
         return self.tile_index(tile).backend(name, recorded=recorded, cpu=cpu)
 
     def _query_chunks(self, n_queries: int) -> List[Tuple[int, int]]:
+        """Contiguous ``[start, stop)`` ranges of at most ``chunk_queries``
+        queries, of near-equal sizes, covering ``n_queries >= 1`` queries."""
         n_chunks = -(-n_queries // self.chunk_queries)
-        return plan_shards(n_queries, n_chunks)
+        bounds = [(i * n_queries) // n_chunks for i in range(n_chunks + 1)]
+        return list(zip(bounds[:-1], bounds[1:]))
 
     # ------------------------------------------------------------------
     # Queries
@@ -305,23 +307,21 @@ class ShardedPointCloudIndex:
         if n_queries == 0 or self.n_tiles == 0:
             return _empty_radius_result(n_queries)
         threshold = r * r * (1.0 + _BBOX_SLACK_REL) + _BBOX_SLACK_ABS
-        parts: List[BatchRadiusResult] = []
+        hit_queries: List[np.ndarray] = []
+        hit_points: List[np.ndarray] = []
         for start, stop in self._query_chunks(n_queries):
             chunk = batch[start:stop]
             bbox_d2 = self._tile_bbox_distances2(chunk)
-            hit_queries: List[np.ndarray] = []
-            hit_points: List[np.ndarray] = []
             for tile in np.nonzero((bbox_d2 <= threshold).any(axis=0))[0]:
                 sub = np.nonzero(bbox_d2[:, tile] <= threshold)[0]
                 result = self._backend_for(tile, backend, recorded, cpu) \
                     .radius_search(chunk[sub], r)
                 if result.total_matches:
-                    hit_queries.append(np.repeat(sub, result.counts))
+                    hit_queries.append(np.repeat(start + sub, result.counts))
                     hit_points.append(
                         self._tile_point_indices[tile][result.point_indices])
-            parts.append(_build_radius_result(stop - start, self.n_points,
-                                              hit_queries, hit_points))
-        return merge_radius_shards(parts)
+        return _build_radius_result(n_queries, self.n_points, hit_queries,
+                                    hit_points)
 
     def knn(self, queries, k: int, *, backend: str = DEFAULT_BACKEND,
             recorded: bool = False, cpu=None) -> BatchKNNResult:
@@ -346,7 +346,9 @@ class ShardedPointCloudIndex:
         parts = [self._knn_chunk(batch[start:stop], k, width, backend,
                                  recorded, cpu)
                  for start, stop in self._query_chunks(n_queries)]
-        return merge_knn_shards(parts)
+        return BatchKNNResult(
+            indices=np.vstack([part.indices for part in parts]),
+            distances=np.vstack([part.distances for part in parts]))
 
     def _knn_chunk(self, chunk: np.ndarray, k: int, width: int, backend: str,
                    recorded: bool, cpu) -> BatchKNNResult:

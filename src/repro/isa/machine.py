@@ -11,7 +11,7 @@ It exists for three purposes:
 * to demonstrate, end to end and at the instruction level, the compress /
   store / load-decompress / classify flow the paper describes;
 * to validate that the ISA-level flow computes exactly the same classification
-  as the library-level :class:`repro.core.BonsaiRadiusSearch`;
+  as the library-level :class:`repro.core.BonsaiLeafInspector`;
 * to provide per-leaf instruction/micro-op counts for the hardware model.
 """
 

@@ -1,12 +1,16 @@
-"""PCL/FLANN-style leaf-based k-d tree with pluggable leaf processing."""
+"""PCL/FLANN-style leaf-based k-d tree with pluggable leaf processing.
+
+:func:`radius_search` and :func:`nearest_neighbors` are the single-query
+reference searches: the per-query backends of :mod:`repro.engine` run them,
+and the tests use them as the oracles every backend must match.
+"""
 
 from .build import DEFAULT_MAX_LEAF_SIZE, KDTree, KDTreeConfig, KDTreeStats, build_kdtree
-from .knn import nearest_neighbor, nearest_neighbors
+from .knn import nearest_neighbors
 from .layout import INDEX_STRIDE_BYTES, NODE_RECORD_BYTES, POINT_STRIDE_BYTES
 from .radius_search import (
     Float32LeafInspector,
     LeafInspector,
-    RadiusSearcher,
     SearchStats,
     radius_search,
 )
@@ -17,14 +21,12 @@ __all__ = [
     "KDTreeConfig",
     "KDTreeStats",
     "build_kdtree",
-    "nearest_neighbor",
     "nearest_neighbors",
     "INDEX_STRIDE_BYTES",
     "NODE_RECORD_BYTES",
     "POINT_STRIDE_BYTES",
     "Float32LeafInspector",
     "LeafInspector",
-    "RadiusSearcher",
     "SearchStats",
     "radius_search",
 ]

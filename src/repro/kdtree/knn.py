@@ -32,7 +32,7 @@ from .layout import (
 )
 from .radius_search import MemoryRecorder, SearchStats
 
-__all__ = ["nearest_neighbors", "nearest_neighbor"]
+__all__ = ["nearest_neighbors"]
 
 
 def nearest_neighbors(
@@ -114,9 +114,3 @@ def nearest_neighbors(
     ordered = sorted((-neg_d2, -neg_idx) for neg_d2, neg_idx in heap)
     return [(idx, float(np.sqrt(d2))) for d2, idx in ordered]
 
-
-def nearest_neighbor(tree: KDTree, query: Sequence[float],
-                     stats: Optional[SearchStats] = None) -> Tuple[int, float]:
-    """Return the single nearest point to ``query`` as ``(index, distance)``."""
-    result = nearest_neighbors(tree, query, k=1, stats=stats)
-    return result[0]

@@ -37,7 +37,6 @@ __all__ = [
     "LeafInspector",
     "Float32LeafInspector",
     "radius_search",
-    "RadiusSearcher",
 ]
 
 
@@ -225,24 +224,3 @@ def _search_node(tree: KDTree, query: np.ndarray, radius: float,
             stack.append(far)
         stack.append(near)
 
-
-class RadiusSearcher:
-    """Convenience wrapper binding a tree, an inspector and accounting hooks.
-
-    Useful when issuing many queries against the same tree (the common pattern
-    in euclidean clustering): statistics accumulate across queries.
-    """
-
-    def __init__(self, tree: KDTree, inspector: Optional[LeafInspector] = None,
-                 recorder: Optional[MemoryRecorder] = None):
-        self.tree = tree
-        self.inspector = inspector or Float32LeafInspector()
-        self.recorder = recorder
-        self.stats = SearchStats()
-
-    def search(self, query: Sequence[float], radius: float) -> List[int]:
-        """Radius search accumulating into the shared :class:`SearchStats`."""
-        return radius_search(
-            self.tree, query, radius, inspector=self.inspector, stats=self.stats,
-            recorder=self.recorder,
-        )

@@ -1,10 +1,10 @@
 """Rule registry: lint rules selected by *name*, not by import.
 
-Mirrors the execution-backend registry (:mod:`repro.engine.registry`): rules
-are registered under ``<family>-<rule>`` names, every listing (``--help``,
-``docs/LINT.md`` lockdown, fixture-test parametrisation) derives from
-:func:`rule_names`, and extending the linter is one :func:`register_rule`
-call::
+Like the execution backends (:mod:`repro.engine.backends`), rules are
+selected by name: they are registered under ``<family>-<rule>`` names,
+every listing (``--help``, ``docs/LINT.md`` lockdown, fixture-test
+parametrisation) derives from :func:`rule_names`, and extending the linter
+is one :func:`register_rule` call::
 
     from repro.lint import Rule, register_rule
 

@@ -6,7 +6,7 @@ radius-searching around unprocessed points, then keep clusters whose size
 falls within configured bounds.  Radius search dominates its execution time,
 which is exactly the property the paper exploits (Figure 2).
 
-The extractor selects its search through the execution-backend registry
+The extractor selects its search by execution-backend name
 (:mod:`repro.engine`), so the same clustering code runs on top of any named
 backend — per-query or batched, baseline 32-bit or K-D Bonsai compressed —
 mirroring how the paper's PCL modification is toggled by a boolean flag but

@@ -68,6 +68,11 @@ class NDTConfig:
     #: Maximum translation update per iteration (fraction of the voxel size).
     max_step_fraction: float = 0.25
 
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.voxel_size) and self.voxel_size > 0.0):
+            raise ValueError("NDTConfig.voxel_size must be positive and finite, "
+                             f"got {self.voxel_size!r}")
+
 
 @dataclass
 class NDTResult:

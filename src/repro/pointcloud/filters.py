@@ -146,9 +146,16 @@ def crop_box_filter(cloud: PointCloud,
                     minimum: Sequence[float],
                     maximum: Sequence[float],
                     negative: bool = False) -> PointCloud:
-    """Keep points inside (or outside, if ``negative``) an axis-aligned box."""
-    inside = _in_box(_columns(cloud.points), minimum, maximum)
-    return _take(cloud, ~inside if negative else inside)
+    """Keep points inside (or outside, if ``negative``) an axis-aligned box.
+
+    A point with a NaN coordinate is neither, so both modes drop it, as
+    PCL's CropBox does.
+    """
+    columns = _columns(cloud.points)
+    inside = _in_box(columns, minimum, maximum)
+    if negative:
+        inside = ~inside & ~np.isnan(columns).any(axis=0)
+    return _take(cloud, inside)
 
 
 def remove_ground_plane(cloud: PointCloud, ground_z: float = -1.6,

@@ -5,17 +5,18 @@ tree leaves — are issued by the workloads in large batches.  This subsystem
 walks the tree's flat arrays one level per NumPy step for the whole batch and
 performs all leaf work as NumPy kernels over gathered (query, leaf point)
 rows, while returning exactly the results of the per-query reference paths.
+Its two classes are the batched backends of :mod:`repro.engine`, which
+builds every backend by name (:func:`repro.engine.get_backend`).
 
 Public API
 ----------
-:func:`batch_radius_search` / :func:`batch_knn`
-    One-shot batched queries over a tree.
-:class:`BatchQueryEngine`
-    Binds a tree plus a :class:`~repro.kdtree.radius_search.SearchStats`
-    accumulator for repeated batches (the batched ``RadiusSearcher``).
-:class:`BonsaiBatchSearcher`
-    The compressed-leaf (K-D Bonsai) variant, reading each visited leaf
-    from the tree's decoded mirror; same results as the baseline.
+:class:`BaselineBatchedBackend`
+    The ``baseline-batched`` backend: binds a tree plus a
+    :class:`~repro.kdtree.radius_search.SearchStats` accumulator that
+    every batch charges.
+:class:`BonsaiBatchedBackend`
+    The ``bonsai-batched`` backend, reading each visited leaf from the
+    tree's decoded mirror; same results as the baseline.
 :class:`BatchRadiusResult` / :class:`BatchKNNResult`
     CSR-style and dense result containers with ``as_lists()`` converters to
     the single-query formats.
@@ -32,11 +33,11 @@ Example
 -------
 >>> import numpy as np
 >>> from repro.kdtree import build_kdtree
->>> from repro.runtime import BatchQueryEngine
+>>> from repro.runtime import BaselineBatchedBackend
 >>> points = np.random.default_rng(1).uniform(-5, 5, (2000, 3)).astype(np.float32)
->>> engine = BatchQueryEngine(build_kdtree(points))
->>> result = engine.radius_search(points[:512], radius=0.8)
->>> result.n_queries, engine.stats.queries
+>>> backend = BaselineBatchedBackend(build_kdtree(points))
+>>> result = backend.radius_search(points[:512], radius=0.8)
+>>> result.n_queries, backend.stats.queries
 (512, 512)
 """
 
@@ -45,11 +46,9 @@ from importlib import import_module
 __all__ = [
     "kernels",
     "BatchKNNResult",
-    "BatchQueryEngine",
     "BatchRadiusResult",
-    "batch_knn",
-    "batch_radius_search",
-    "BonsaiBatchSearcher",
+    "BaselineBatchedBackend",
+    "BonsaiBatchedBackend",
 ]
 
 #: Lazy export table: public name -> submodule that defines it.
@@ -58,11 +57,9 @@ __all__ = [
 #: imports repro.kdtree, and only the laziness here keeps that acyclic.
 _EXPORTS = {
     "BatchKNNResult": ".batch",
-    "BatchQueryEngine": ".batch",
     "BatchRadiusResult": ".batch",
-    "batch_knn": ".batch",
-    "batch_radius_search": ".batch",
-    "BonsaiBatchSearcher": ".bonsai",
+    "BaselineBatchedBackend": ".batch",
+    "BonsaiBatchedBackend": ".bonsai",
     "kernels": ".kernels",
 }
 

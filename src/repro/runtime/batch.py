@@ -17,10 +17,10 @@ then takes the (query, leaf) pairs in leaf order, expands only the occupied
 Results are exact: the radius traversal applies the same per-query pruning
 rule as the single-query code (kNN prunes by bounding boxes, which only
 skips nodes that cannot hold an answer), and the distance kernels are
-shared, so
-``batch_radius_search`` / ``batch_knn`` return precisely the points the
-per-query functions return (radius results are index-sorted per query; kNN
-results are ``(distance, index)``-sorted like the single-query output, and a
+shared, so :class:`BaselineBatchedBackend` (the ``baseline-batched``
+backend of :mod:`repro.engine`) returns precisely the points the per-query
+functions return (radius results are index-sorted per query; kNN results
+are ``(distance, index)``-sorted like the single-query output, and a
 distance tie at the k-th place keeps the lowest point indices in both).
 
 A radius traversal visits exactly the (query, node) pairs the per-query
@@ -31,16 +31,15 @@ the counters are charged from pair counts.
 Example
 -------
 >>> import numpy as np
+>>> from repro.engine import get_backend
 >>> from repro.kdtree import build_kdtree
->>> from repro.runtime import batch_knn, batch_radius_search
 >>> points = np.random.default_rng(0).uniform(-1, 1, (500, 3)).astype(np.float32)
->>> tree = build_kdtree(points)
+>>> backend = get_backend("baseline-batched", build_kdtree(points))
 >>> queries = points[:100]
->>> near = batch_radius_search(tree, queries, radius=0.25)
+>>> near = backend.radius_search(queries, radius=0.25)
 >>> len(near.indices_for(0)) >= 1        # every query point finds itself
 True
->>> knn = batch_knn(tree, queries, k=4)
->>> knn.indices.shape
+>>> backend.knn(queries, k=4).indices.shape
 (100, 4)
 """
 
@@ -60,9 +59,7 @@ from .queries import as_query_batch, check_k, check_radius
 __all__ = [
     "BatchRadiusResult",
     "BatchKNNResult",
-    "BatchQueryEngine",
-    "batch_radius_search",
-    "batch_knn",
+    "BaselineBatchedBackend",
     "leaf_rows",
     "traverse_levels",
 ]
@@ -139,31 +136,26 @@ class BatchKNNResult:
         return out
 
 
-class BatchQueryEngine:
-    """Batched radius / kNN searches over one tree with shared statistics.
+class BaselineBatchedBackend:
+    """``baseline-batched``: one 32-bit traversal per query *batch*.
 
     Binds a :class:`~repro.kdtree.build.KDTree` and a
-    :class:`~repro.kdtree.radius_search.SearchStats` accumulator, mirroring
-    :class:`~repro.kdtree.radius_search.RadiusSearcher` for the batched case.
-    Only the tree's flat arrays are read, never the per-query node lists.
-
-    Example
-    -------
-    >>> engine = BatchQueryEngine(tree)                        # doctest: +SKIP
-    >>> result = engine.radius_search(queries, radius=0.5)     # doctest: +SKIP
-    >>> engine.stats.queries == len(queries)                   # doctest: +SKIP
-    True
+    :class:`~repro.kdtree.radius_search.SearchStats` accumulator that every
+    batch charges.  Only the tree's flat arrays are read, never the
+    per-query node lists.  Built by name through
+    :func:`repro.engine.get_backend`.
     """
 
-    def __init__(self, tree: KDTree, stats: Optional[SearchStats] = None):
+    name = "baseline-batched"
+    bonsai_stats = None
+    recorder = None
+
+    def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None):
         self.tree = tree
         self.stats = stats if stats is not None else SearchStats()
 
-    # ------------------------------------------------------------------
-    # Radius search
-    # ------------------------------------------------------------------
     def radius_search(self, queries, radius: float) -> BatchRadiusResult:
-        """All tree points within ``radius`` of each query."""
+        """All tree points within ``radius`` of each query (index-sorted CSR)."""
         radius = check_radius(radius)
         query_arr = as_query_batch(queries)
         n_queries = query_arr.shape[0]
@@ -193,112 +185,119 @@ class BatchQueryEngine:
         return _build_radius_result(n_queries, self.tree.n_points, hit_queries,
                                     hit_points)
 
+    def knn(self, queries, k: int) -> BatchKNNResult:
+        """The ``k`` nearest tree points of each query (see :func:`_knn_search`)."""
+        return _knn_search(self.tree, queries, k, self.stats)
+
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Single-query convenience wrapper (sorted point indices)."""
         return self.radius_search(as_query_batch(query), radius).indices_for(0).tolist()
 
-    # ------------------------------------------------------------------
-    # k nearest neighbours
-    # ------------------------------------------------------------------
-    def knn(self, queries, k: int) -> BatchKNNResult:
-        """The ``k`` nearest tree points of each query.
 
-        Bound, then sweep.  Every query first scans its *home subtree*, the
-        largest subtree on its descent path holding at most
-        ``KNN_HOME_POINTS`` (or ``k``) points but at least ``k`` (or else
-        its own leaf); the ``k``-th nearest of those points bounds the
-        query's answer, ``tau``.  A level-synchronous sweep then enters
-        each node whose bounding box lies within ``tau`` of the query,
-        scans the leaves it reaches outside the home subtree, and after
-        each level's leaves tightens ``tau`` to the smallest ``k``-th
-        distance of a leaf the query reached.  The ``k`` nearest of the
-        points seen within the final ``tau`` are the answer, equal to
-        :func:`repro.kdtree.knn.nearest_neighbors` per query, ties at the
-        k-th place included (both keep the lowest point indices).
+def _knn_search(tree: KDTree, queries, k: int, stats: SearchStats) -> BatchKNNResult:
+    """The ``k`` nearest tree points of each query, charged to ``stats``.
 
-        ``SearchStats`` counters (``leaves_visited``, ``leaf_visit_counts``,
-        ``points_examined`` over the home and swept leaves,
-        ``interior_visited`` over the sweep) are exact for this algorithm
-        and the same however a batch is split, since each query's ``tau``
-        depends on its own leaves only.  They differ from the per-query
-        search's, which prunes by split planes in depth-first order: as
-        counts of the per-query search they are approximate.  Radius-search
-        counters, by contrast, equal the per-query ones.
-        """
-        k = check_k(k)
-        query_arr = as_query_batch(queries)
-        n_queries = query_arr.shape[0]
-        self.stats.queries += n_queries
-        width = min(k, self.tree.n_points)
-        if n_queries == 0:
-            return BatchKNNResult(
-                indices=np.empty((0, width), dtype=np.intp),
-                distances=np.empty((0, width), dtype=np.float64),
-            )
+    Both batched backends answer kNN with it: radius search is the
+    operation compressed leaves accelerate, so kNN reads the 32-bit points
+    whatever the flavour.
 
-        arrays = self.tree.arrays
-        starts = arrays.leaf_starts
-        tau = np.full(n_queries, np.inf)
-        home_first, home_count = _home_subtrees(
-            arrays, query_arr, max(KNN_HOME_POINTS, width), width)
-        home_end = home_first + home_count
-        home_rows = starts[home_first]
-        found = [self._scan_rows(query_arr, np.arange(n_queries, dtype=np.intp),
-                                 home_rows, starts[home_end] - home_rows, width, tau)]
-        visited = [_leaf_ranges(home_first, home_count)]
-        for pair_q, pair_leaf in traverse_levels(arrays, query_arr, self.stats,
-                                                 tau=tau):
-            # The home subtree's leaves were scanned already.
-            new = (pair_leaf < home_first[pair_q]) | (pair_leaf >= home_end[pair_q])
-            pair_q, pair_leaf = pair_q[new], pair_leaf[new]
-            if not pair_q.size:
-                continue
-            visited.append(pair_leaf)
-            first = starts[pair_leaf]
-            found.append(self._scan_rows(query_arr, pair_q, first,
-                                         starts[pair_leaf + 1] - first, width, tau))
-        leaves = np.concatenate(visited)
-        self.stats.note_leaf_visits(leaves)
-        self.stats.points_examined += int(arrays.leaf_sizes[leaves].sum())
-        flat_q, flat_p, flat_d2 = (np.concatenate(part) for part in zip(*found))
-        keep = flat_d2 <= tau[flat_q]
-        indices, distances2 = _select_nearest(n_queries, width, flat_q[keep],
-                                              flat_p[keep], flat_d2[keep])
-        return BatchKNNResult(indices=indices, distances=np.sqrt(distances2))
+    Bound, then sweep.  Every query first scans its *home subtree*, the
+    largest subtree on its descent path holding at most
+    ``KNN_HOME_POINTS`` (or ``k``) points but at least ``k`` (or else its
+    own leaf); the ``k``-th nearest of those points bounds the query's
+    answer, ``tau``.  A level-synchronous sweep then enters each node whose
+    bounding box lies within ``tau`` of the query, scans the leaves it
+    reaches outside the home subtree, and after each level's leaves
+    tightens ``tau`` to the smallest ``k``-th distance of a leaf the query
+    reached.  The ``k`` nearest of the points seen within the final ``tau``
+    are the answer, equal to :func:`repro.kdtree.knn.nearest_neighbors` per
+    query, ties at the k-th place included (both keep the lowest point
+    indices).  Rows are ``inf``/``-1`` padded when the tree holds fewer
+    than ``k`` points.
 
-    def _scan_rows(self, query_arr: np.ndarray, pair_q: np.ndarray,
-                   first: np.ndarray, sizes: np.ndarray, width: int,
-                   tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distances to each pair's leaf-order rows, tightening ``tau`` in place.
+    ``SearchStats`` counters (``leaves_visited``, ``leaf_visit_counts``,
+    ``points_examined`` over the home and swept leaves,
+    ``interior_visited`` over the sweep) are exact for this algorithm and
+    the same however a batch is split, since each query's ``tau`` depends
+    on its own leaves only.  They differ from the per-query search's, which
+    prunes by split planes in depth-first order: as counts of the
+    per-query search they are approximate.  Radius-search counters, by
+    contrast, equal the per-query ones.
+    """
+    k = check_k(k)
+    query_arr = as_query_batch(queries)
+    n_queries = query_arr.shape[0]
+    stats.queries += n_queries
+    width = min(k, tree.n_points)
+    if n_queries == 0:
+        return BatchKNNResult(
+            indices=np.empty((0, width), dtype=np.intp),
+            distances=np.empty((0, width), dtype=np.float64),
+        )
 
-        Pair ``i`` holds the rows ``first[i]:first[i] + sizes[i]`` (a leaf,
-        or the leaves of a subtree).  The ``width``-th nearest point of a
-        pair with at least ``width`` rows bounds its query's answer, so
-        ``tau`` drops to the smallest such bound.  Returns ``(query, point,
-        d2)`` of the points within the tightened ``tau``.  The traversal
-        reads ``tau`` only between levels, so tightening it chunk by chunk
-        here changes no visit: it only keeps fewer candidates.
-        """
-        arrays = self.tree.arrays
-        points_f64 = self.tree.points_f64
-        n_slots = int(sizes.max()) if sizes.size else 0
-        parts: Tuple[List[np.ndarray], ...] = ([], [], [])
-        for pairs, rows in segment_rows(first, sizes):
-            qs = pair_q[pairs]
-            ids = arrays.leaf_points[rows]
-            d2 = rowwise_distances2(query_arr[qs], points_f64[ids])
-            if width <= n_slots:
-                # Each pair's distances in one row, unused slots inf, so a
-                # pair with fewer than `width` rows bounds nothing.
-                lo, hi = pairs[0], pairs[-1] + 1
-                slots = np.full((hi - lo, n_slots), np.inf)
-                slots[pairs - lo, rows - first[pairs]] = d2
-                np.minimum.at(tau, pair_q[lo:hi],
-                              np.partition(slots, width - 1, axis=1)[:, width - 1])
-            keep = d2 <= tau[qs]
-            for part, values in zip(parts, (qs, ids, d2)):
-                part.append(values[keep])
-        return tuple(np.concatenate(part) for part in parts)  # type: ignore[return-value]
+    arrays = tree.arrays
+    starts = arrays.leaf_starts
+    tau = np.full(n_queries, np.inf)
+    home_first, home_count = _home_subtrees(
+        arrays, query_arr, max(KNN_HOME_POINTS, width), width)
+    home_end = home_first + home_count
+    home_rows = starts[home_first]
+    found = [_scan_rows(tree, query_arr, np.arange(n_queries, dtype=np.intp),
+                        home_rows, starts[home_end] - home_rows, width, tau)]
+    visited = [_leaf_ranges(home_first, home_count)]
+    for pair_q, pair_leaf in traverse_levels(arrays, query_arr, stats, tau=tau):
+        # The home subtree's leaves were scanned already.
+        new = (pair_leaf < home_first[pair_q]) | (pair_leaf >= home_end[pair_q])
+        pair_q, pair_leaf = pair_q[new], pair_leaf[new]
+        if not pair_q.size:
+            continue
+        visited.append(pair_leaf)
+        first = starts[pair_leaf]
+        found.append(_scan_rows(tree, query_arr, pair_q, first,
+                                starts[pair_leaf + 1] - first, width, tau))
+    leaves = np.concatenate(visited)
+    stats.note_leaf_visits(leaves)
+    stats.points_examined += int(arrays.leaf_sizes[leaves].sum())
+    flat_q, flat_p, flat_d2 = (np.concatenate(part) for part in zip(*found))
+    keep = flat_d2 <= tau[flat_q]
+    indices, distances2 = _select_nearest(n_queries, width, flat_q[keep],
+                                          flat_p[keep], flat_d2[keep])
+    return BatchKNNResult(indices=indices, distances=np.sqrt(distances2))
+
+
+def _scan_rows(tree: KDTree, query_arr: np.ndarray, pair_q: np.ndarray,
+               first: np.ndarray, sizes: np.ndarray, width: int,
+               tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distances to each pair's leaf-order rows, tightening ``tau`` in place.
+
+    Pair ``i`` holds the rows ``first[i]:first[i] + sizes[i]`` (a leaf, or
+    the leaves of a subtree).  The ``width``-th nearest point of a pair
+    with at least ``width`` rows bounds its query's answer, so ``tau``
+    drops to the smallest such bound.  Returns ``(query, point, d2)`` of
+    the points within the tightened ``tau``.  The traversal reads ``tau``
+    only between levels, so tightening it chunk by chunk here changes no
+    visit: it only keeps fewer candidates.
+    """
+    arrays = tree.arrays
+    points_f64 = tree.points_f64
+    n_slots = int(sizes.max()) if sizes.size else 0
+    parts: Tuple[List[np.ndarray], ...] = ([], [], [])
+    for pairs, rows in segment_rows(first, sizes):
+        qs = pair_q[pairs]
+        ids = arrays.leaf_points[rows]
+        d2 = rowwise_distances2(query_arr[qs], points_f64[ids])
+        if width <= n_slots:
+            # Each pair's distances in one row, unused slots inf, so a
+            # pair with fewer than `width` rows bounds nothing.
+            lo, hi = pairs[0], pairs[-1] + 1
+            slots = np.full((hi - lo, n_slots), np.inf)
+            slots[pairs - lo, rows - first[pairs]] = d2
+            np.minimum.at(tau, pair_q[lo:hi],
+                          np.partition(slots, width - 1, axis=1)[:, width - 1])
+        keep = d2 <= tau[qs]
+        for part, values in zip(parts, (qs, ids, d2)):
+            part.append(values[keep])
+    return tuple(np.concatenate(part) for part in parts)  # type: ignore[return-value]
 
 
 def traverse_levels(arrays: TreeArrays, query_arr: np.ndarray, stats: SearchStats, *,
@@ -507,41 +506,3 @@ def _build_radius_result(n_queries: int, n_points: int, hit_queries: List[np.nda
     key.sort()
     key %= n_points
     return BatchRadiusResult(offsets=offsets, point_indices=key.astype(np.intp, copy=False))
-
-
-def batch_radius_search(tree: KDTree, queries, radius: float,
-                        stats: Optional[SearchStats] = None) -> BatchRadiusResult:
-    """Radius-search a whole query batch in one vectorised traversal.
-
-    Returns the same points as calling
-    :func:`repro.kdtree.radius_search.radius_search` once per query (indices
-    sorted per query), while visiting each tree node once per query *subset*
-    rather than once per query.
-
-    Parameters
-    ----------
-    tree:
-        The k-d tree to search.
-    queries:
-        ``(Q, 3)`` array-like of query points; an empty batch is allowed.
-    radius:
-        Search radius (must be positive, as in the single-query path).
-    stats:
-        Optional :class:`~repro.kdtree.radius_search.SearchStats` accumulator;
-        counters aggregate exactly as per-query searches would.
-    """
-    return BatchQueryEngine(tree, stats=stats).radius_search(queries, radius)
-
-
-def batch_knn(tree: KDTree, queries, k: int,
-              stats: Optional[SearchStats] = None) -> BatchKNNResult:
-    """Find the ``k`` nearest tree points of every query in one traversal.
-
-    Returns the same neighbours as
-    :func:`repro.kdtree.knn.nearest_neighbors` per query, sorted by
-    ``(distance, index)``; a distance tie at the k-th place keeps the lowest
-    point indices.  Rows are ``inf``/``-1`` padded when the tree holds fewer
-    than ``k`` points.  See :func:`batch_radius_search` for the shared
-    parameters.
-    """
-    return BatchQueryEngine(tree, stats=stats).knn(queries, k)

@@ -24,15 +24,15 @@ per-query inspector's.
 
 Example
 -------
->>> searcher = BonsaiBatchSearcher(tree)                    # doctest: +SKIP
->>> result = searcher.radius_search(scan_points, radius=2.5)  # doctest: +SKIP
->>> searcher.bonsai_stats.inconclusive_rate < 0.05          # doctest: +SKIP
+>>> backend = get_backend("bonsai-batched", tree)             # doctest: +SKIP
+>>> result = backend.radius_search(scan_points, radius=2.5)   # doctest: +SKIP
+>>> backend.bonsai_stats.inconclusive_rate < 0.05             # doctest: +SKIP
 True
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -44,25 +44,27 @@ from ..kdtree.build import KDTree
 from ..kdtree.layout import POINT_STRIDE_BYTES
 from ..kdtree.radius_search import SearchStats
 from .batch import (
+    BatchKNNResult,
     BatchRadiusResult,
     _build_radius_result,
     _empty_radius_result,
+    _knn_search,
     leaf_rows,
     radius_leaf_pairs,
 )
 from .kernels import rowwise_distances2, shell_classify, shell_distances
 from .queries import as_query_batch, check_radius
 
-__all__ = ["BonsaiBatchSearcher"]
+__all__ = ["BonsaiBatchedBackend"]
 
 
-class BonsaiBatchSearcher:
-    """Batched K-D Bonsai radius search: compress once, query in batches.
+class BonsaiBatchedBackend:
+    """``bonsai-batched``: one compressed-leaf traversal per query batch.
 
     The batched counterpart of
-    :class:`~repro.core.bonsai_search.BonsaiRadiusSearch`; exposes the same
-    ``stats`` / ``bonsai_stats`` / ``report`` surface so pipelines can swap
-    one for the other.
+    :class:`~repro.engine.backends.BonsaiPerQueryBackend`, with the same
+    ``stats`` / ``bonsai_stats`` / ``report`` surface.  Built by name
+    through :func:`repro.engine.get_backend`.
 
     Parameters
     ----------
@@ -70,16 +72,24 @@ class BonsaiBatchSearcher:
         The k-d tree; compressed on construction if it is not already.
     fmt:
         Reduced float format of the compressed coordinates.
+    stats:
+        Shared :class:`~repro.kdtree.radius_search.SearchStats` accumulator
+        (a fresh one when omitted).
     """
 
-    def __init__(self, tree: KDTree, fmt: FloatFormat = FLOAT16):
+    name = "bonsai-batched"
+    recorder = None
+
+    def __init__(self, tree: KDTree, *, fmt: FloatFormat = FLOAT16,
+                 stats: Optional[SearchStats] = None):
         self.tree = tree
         self.fmt = fmt
+        #: Tree-compression report (``None`` when the tree was pre-compressed).
         if tree.compressed_array is None:
             self.report = compress_tree(tree, fmt)
         else:
             self.report = None
-        self.stats = SearchStats()
+        self.stats = stats if stats is not None else SearchStats()
         self.bonsai_stats = BonsaiStats()
 
     def radius_search(self, queries, radius: float) -> BatchRadiusResult:
@@ -145,6 +155,10 @@ class BonsaiBatchSearcher:
         stats.point_bytes_loaded += slice_bytes + recompute_bytes
         stats.points_in_radius += n_in + n_exact
         return _build_radius_result(n_queries, tree.n_points, hit_queries, hit_points)
+
+    def knn(self, queries, k: int) -> BatchKNNResult:
+        """Batched kNN over the 32-bit points, exactly as ``baseline-batched``."""
+        return _knn_search(self.tree, queries, k, self.stats)
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Single-query convenience wrapper (sorted point indices)."""

@@ -426,7 +426,7 @@ class SharedCloudStore:
         """A :class:`~repro.engine.index.PointCloudIndex` over the shared tree.
 
         Cached per handle.  The tree is already compressed, so every Bonsai
-        backend runs without a local compression pass, and every registry
+        backend runs without a local compression pass, and every backend
         name works unchanged.
         """
         if self._index is None:

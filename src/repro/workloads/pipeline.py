@@ -18,8 +18,8 @@ search counters, localization error — trips the snapshot comparison.
 The execution mode — which search backend serves the stages, and whether
 they run through the hardware models — is carried as data:
 ``PipelineRunnerConfig(execution=ExecutionConfig(backend=<name>,
-hardware=...))``, with backend names resolved by the
-:mod:`repro.engine` registry.
+hardware=...))``, with backend names resolved by
+:func:`repro.engine.get_backend`.
 
 **Hardware-in-the-loop mode** (``ExecutionConfig(hardware=True)``)
 additionally routes the clustering and localization search stages through

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bonsai_search import BonsaiLeafInspector, BonsaiRadiusSearch
+from repro.core.bonsai_search import BonsaiLeafInspector, compress_and_record
 from repro.core.compressed_leaf import compress_tree
+from repro.engine import get_backend
 from repro.kdtree import (
     KDTreeConfig,
     SearchStats,
@@ -26,7 +27,7 @@ from repro.hwmodel.cache import HierarchyRecorder
 class TestEquivalenceWithBaseline:
     def test_identical_results_on_frame(self, frame_tree, filtered_frame):
         tree = build_kdtree(filtered_frame)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         for i in range(0, len(filtered_frame), 37):
             query = filtered_frame[i]
             expected = sorted(radius_search(tree, query, 0.6))
@@ -35,7 +36,7 @@ class TestEquivalenceWithBaseline:
 
     def test_identical_results_various_radii(self, random_tree, random_cloud):
         tree = build_kdtree(random_cloud)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         for radius in (0.1, 0.5, 1.0, 3.0, 10.0):
             for i in range(0, len(random_cloud), 101):
                 query = random_cloud[i]
@@ -45,7 +46,7 @@ class TestEquivalenceWithBaseline:
 
     def test_query_not_in_cloud(self, random_cloud):
         tree = build_kdtree(random_cloud)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         query = np.array([3.3, -7.7, 0.2])
         assert sorted(bonsai.search(query, 2.0)) == sorted(radius_search(tree, query, 2.0))
 
@@ -63,7 +64,7 @@ class TestEquivalenceWithBaseline:
             centers[i % n_clusters] + rng.normal(0.0, 0.8, size=3) for i in range(n_points)
         ]).astype(np.float32)
         tree = build_kdtree(points)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         brute = None
         for qi in range(0, n_points, max(1, n_points // 7)):
             query = points[qi]
@@ -81,7 +82,7 @@ class TestBonsaiCounters:
     def test_recompute_rate_is_small_on_frames(self, filtered_frame):
         """The paper reports 0.37% of classifications fall in the shell."""
         tree = build_kdtree(filtered_frame)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         for i in range(0, len(filtered_frame), 11):
             bonsai.search(filtered_frame[i], 0.6)
         stats = bonsai.bonsai_stats
@@ -90,7 +91,7 @@ class TestBonsaiCounters:
 
     def test_counter_consistency(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         for i in range(0, len(filtered_frame), 53):
             bonsai.search(filtered_frame[i], 0.6)
         stats = bonsai.bonsai_stats
@@ -105,7 +106,7 @@ class TestBonsaiCounters:
         baseline_stats = SearchStats()
         for i in range(0, len(filtered_frame), 13):
             radius_search(tree, filtered_frame[i], 0.6, stats=baseline_stats)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         for i in range(0, len(filtered_frame), 13):
             bonsai.search(filtered_frame[i], 0.6)
         assert bonsai.stats.point_bytes_loaded < 0.6 * baseline_stats.point_bytes_loaded
@@ -113,7 +114,7 @@ class TestBonsaiCounters:
     def test_existing_compressed_array_reused(self, random_cloud):
         tree = build_kdtree(random_cloud)
         compress_tree(tree)
-        bonsai = BonsaiRadiusSearch(tree)
+        bonsai = get_backend("bonsai-perquery", tree)
         assert bonsai.report is None  # compression not repeated
         query = random_cloud[0]
         assert sorted(bonsai.search(query, 1.0)) == sorted(radius_search(tree, query, 1.0))
@@ -132,7 +133,7 @@ class TestBonsaiWithRecorder:
     def test_recorder_sees_compressed_and_recompute_loads(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
         recorder = HierarchyRecorder()
-        bonsai = BonsaiRadiusSearch(tree, recorder=recorder)
+        bonsai = get_backend("bonsai-perquery", tree, recorder=recorder)
         searcher_recorder_stats_before = recorder.stats.loads
         for i in range(0, len(filtered_frame), 29):
             bonsai.search(filtered_frame[i], 0.6)
@@ -142,7 +143,15 @@ class TestBonsaiWithRecorder:
     def test_compression_pass_traced(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
         recorder = HierarchyRecorder()
-        BonsaiRadiusSearch(tree, recorder=recorder)
+        get_backend("bonsai-perquery", tree, recorder=recorder)
         # The compression pass loads every point once and stores the slices.
         assert recorder.stats.loads >= tree.n_points
         assert recorder.stats.stores > 0
+
+    def test_precompressed_tree_records_nothing(self, random_cloud):
+        """An offline-compressed map contributes no compression traffic."""
+        tree = build_kdtree(random_cloud)
+        compress_tree(tree)
+        recorder = HierarchyRecorder()
+        assert compress_and_record(tree, recorder=recorder) is None
+        assert recorder.stats.loads == recorder.stats.stores == 0

@@ -3,9 +3,9 @@
 Three layers: the randomized-world factory (determinism, JSON roundtrip,
 scenario restriction), a bounded-budget smoke campaign over every registered
 backend (must be clean and bitwise-deterministic), and the full
-divergence-hunting path — a deliberately broken backend registered for the
-test only must be caught, shrunk to a minimal case, and emitted as a
-runnable pytest reproducer that actually fails.
+divergence-hunting path — a deliberately broken backend added to the
+backend table for the test only must be caught, shrunk to a minimal case,
+and emitted as a runnable pytest reproducer that actually fails.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from repro.campaign import (
     random_world,
     run_campaign,
 )
-from repro.engine import get_backend, register_backend
-from repro.engine.registry import _REGISTRY as _BACKEND_REGISTRY
-from repro.kdtree.radius_search import SearchStats
+from repro.engine.backends import BACKENDS, BaselineBatchedBackend
 from repro.runtime.batch import BatchRadiusResult
 from repro.scenarios import scenario_names
 
@@ -99,41 +97,24 @@ class TestSmokeCampaign:
             config.resolved_backends()
 
 
-class _BrokenBatchedBackend:
+class _BrokenBatchedBackend(BaselineBatchedBackend):
     """baseline-batched clone that silently drops the last radius hit."""
 
     name = "broken-batched"
 
-    def __init__(self, tree, stats=None, **_):
-        self._inner = get_backend("baseline-batched", tree,
-                                  stats=stats if stats is not None
-                                  else SearchStats())
-
-    @property
-    def stats(self):
-        return self._inner.stats
-
     def radius_search(self, queries, radius):
-        result = self._inner.radius_search(queries, radius)
+        result = super().radius_search(queries, radius)
         n = result.point_indices.shape[0]
         if n == 0:
             return result
         return BatchRadiusResult(offsets=np.minimum(result.offsets, n - 1),
                                  point_indices=result.point_indices[:n - 1])
 
-    def knn(self, queries, k):
-        return self._inner.knn(queries, k)
-
-    def search(self, query, radius):
-        return self._inner.search(query, radius)
-
 
 @pytest.fixture()
-def broken_backend():
-    register_backend("broken-batched",
-                     lambda tree, **opts: _BrokenBatchedBackend(tree, **opts))
-    yield "broken-batched"
-    _BACKEND_REGISTRY.pop("broken-batched")
+def broken_backend(monkeypatch):
+    monkeypatch.setitem(BACKENDS, "broken-batched", _BrokenBatchedBackend)
+    return "broken-batched"
 
 
 class TestBrokenBackendCaught:

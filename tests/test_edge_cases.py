@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bonsai_search import BonsaiRadiusSearch
-from repro.engine import ExecutionConfig
+from repro.engine import ExecutionConfig, get_backend
 from repro.hwmodel.cache import HierarchyRecorder
 from repro.kdtree import (
     KDTreeConfig,
@@ -24,7 +23,6 @@ from repro.kdtree import (
 )
 from repro.perception import ClusterConfig, EuclideanClusterExtractor, label_clusters
 from repro.pointcloud import PointCloud, preprocess_for_clustering, systematic_subsample
-from repro.runtime import BonsaiBatchSearcher, batch_knn, batch_radius_search
 from repro.workloads import EuclideanClusterPipeline
 
 
@@ -70,21 +68,22 @@ class TestSinglePointClouds:
 
     def test_radius_search_finds_the_point(self, one):
         assert radius_search(one, [1.0, -2.0, 0.5], 0.1) == [0]
-        batch = batch_radius_search(one, [[1.0, -2.0, 0.5], [50.0, 0.0, 0.0]], 0.1)
+        batch = get_backend("baseline-batched", one).radius_search(
+            [[1.0, -2.0, 0.5], [50.0, 0.0, 0.0]], 0.1)
         assert batch.as_lists() == [[0], []]
 
     def test_knn_pads_beyond_tree_size(self, one):
-        result = batch_knn(one, [[0.0, 0.0, 0.0]], k=4)
+        result = get_backend("baseline-batched", one).knn([[0.0, 0.0, 0.0]], k=4)
         assert result.indices.shape == (1, 1)
         assert result.as_lists()[0] == nearest_neighbors(one, [0.0, 0.0, 0.0], 4)
 
     def test_bonsai_parity_on_single_point(self, one):
         queries = np.array([[1.0, -2.0, 0.5], [2.0, -2.0, 0.5]])
-        bonsai = BonsaiBatchSearcher(one).radius_search(queries, 1.5)
-        baseline = batch_radius_search(one, queries, 1.5)
+        bonsai = get_backend("bonsai-batched", one).radius_search(queries, 1.5)
+        baseline = get_backend("baseline-batched", one).radius_search(queries, 1.5)
         assert bonsai.as_lists() == baseline.as_lists()
-        assert bonsai.as_lists() == [sorted(BonsaiRadiusSearch(one).search(q, 1.5))
-                                     for q in queries]
+        per_query = get_backend("bonsai-perquery", one)
+        assert bonsai.as_lists() == [sorted(per_query.search(q, 1.5)) for q in queries]
 
     def test_clustering_single_point(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
@@ -120,22 +119,24 @@ class TestOneLeafTrees:
         single_stats, batch_stats = SearchStats(), SearchStats()
         single = [sorted(radius_search(tree, q, 1.0, stats=single_stats))
                   for q in points]
-        batch = batch_radius_search(tree, points, 1.0, stats=batch_stats)
+        batch = get_backend("baseline-batched", tree,
+                            stats=batch_stats).radius_search(points, 1.0)
         assert batch.as_lists() == single
         assert batch_stats.leaves_visited == single_stats.leaves_visited == len(points)
         assert batch_stats.interior_visited == 0
 
     def test_knn_parity(self, flat):
         tree, points = flat
-        batch = batch_knn(tree, points, k=5).as_lists()
+        batch = get_backend("baseline-batched", tree).knn(points, k=5).as_lists()
         for query, got in zip(points, batch):
             expected = nearest_neighbors(tree, query, 5)
             assert [i for i, _ in expected] == [i for i, _ in got]
 
     def test_bonsai_parity(self, flat):
         tree, points = flat
-        bonsai = BonsaiBatchSearcher(tree).radius_search(points, 1.0)
-        assert bonsai.as_lists() == batch_radius_search(tree, points, 1.0).as_lists()
+        bonsai = get_backend("bonsai-batched", tree).radius_search(points, 1.0)
+        baseline = get_backend("baseline-batched", tree).radius_search(points, 1.0)
+        assert bonsai.as_lists() == baseline.as_lists()
 
     def test_clustering_with_one_leaf(self, flat):
         _, points = flat
@@ -155,7 +156,7 @@ class TestIdenticalPoints:
         same = np.full((20, 3), 3.25, dtype=np.float32)
         tree = build_kdtree(same, KDTreeConfig(max_leaf_size=5))
         tree.validate()
-        batch = batch_radius_search(tree, same[:3], 0.1)
+        batch = get_backend("baseline-batched", tree).radius_search(same[:3], 0.1)
         assert batch.as_lists() == [list(range(20))] * 3
 
     def test_bonsai_on_zero_spread_leaves(self):

@@ -1,11 +1,11 @@
-"""Tests of the engine layer: registry, ExecutionConfig, facade, shims.
+"""Tests of the engine layer: backend names, ExecutionConfig, facade, removals.
 
 The parity of results across backends lives in ``test_backend_parity.py``;
-this file covers the API surface itself — name registration and errors,
-``ExecutionConfig`` resolution and validation, the ``PointCloudIndex``
-facade's bookkeeping, the per-scenario execution/pipeline overrides, and the
-removal of the pre-engine entry points (the deprecated spellings completed
-their cycle and must now fail loudly).
+this file covers the API surface itself — the name→class table and its
+errors, ``ExecutionConfig`` resolution and validation, the
+``PointCloudIndex`` facade's bookkeeping, the per-scenario
+execution/pipeline overrides, and the removal of the second spellings
+beside them (removed names must fail loudly).
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from repro.engine import (
     PointCloudIndex,
     backend_names,
     get_backend,
-    register_backend,
 )
-from repro.engine.registry import _REGISTRY as _BACKEND_REGISTRY
+from repro.engine import backends as backends_module
 from repro.kdtree import build_kdtree
-from repro.runtime import batch_knn, batch_radius_search
 from repro.scenarios import get_scenario
 from repro.scenarios.registry import _REGISTRY as _SCENARIO_REGISTRY
 from repro.scenarios.registry import register_scenario
@@ -62,29 +60,15 @@ class TestRegistry:
             assert f"registered: {', '.join(BUILT_IN_BACKENDS)}" in \
                 str(excinfo.value)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("baseline-batched", lambda tree, **_: None)
-
-    def test_malformed_names_rejected_at_registration(self):
-        """Names must be '<flavor>-<strategy>' — the layer splits on it."""
-        for bad in ("gpu", "Baseline-Batched", "baseline batched", "-batched"):
-            with pytest.raises(ValueError, match="flavor"):
-                register_backend(bad, lambda tree, **_: None)
-
-    def test_custom_backend_registers_and_resolves(self, small_case):
+    def test_custom_backend_registers_and_resolves(self, small_case, monkeypatch):
+        """A test's fake backend is one table entry, reachable by name."""
         tree, queries = small_case
-        name = "test-batched"
-        register_backend(
-            name, lambda t, **opts: get_backend("baseline-batched", t, **opts))
-        try:
-            assert name in backend_names()
-            result = get_backend(name, tree).radius_search(queries, 0.5)
-            reference = get_backend("baseline-batched", tree).radius_search(
-                queries, 0.5)
-            assert np.array_equal(result.point_indices, reference.point_indices)
-        finally:
-            _BACKEND_REGISTRY.pop(name)
+        monkeypatch.setitem(backends_module.BACKENDS, "test-batched",
+                            backends_module.BaselineBatchedBackend)
+        assert "test-batched" in backend_names()
+        result = get_backend("test-batched", tree).radius_search(queries, 0.5)
+        reference = get_backend("baseline-batched", tree).radius_search(queries, 0.5)
+        assert np.array_equal(result.point_indices, reference.point_indices)
 
 
 class TestExecutionConfig:
@@ -290,25 +274,62 @@ class TestRemovedEntryPoints:
         assert not hasattr(ExecutionConfig, "with_flavor")
         assert not hasattr(ExecutionConfig, "with_hardware")
 
-    def test_runtime_spellings_still_work_without_warning(self, small_case):
-        """Removal targeted the top-level re-exports only: the batched
-        engines stay first-class ``repro.runtime`` API."""
-        tree, queries = small_case
-        reference = get_backend("baseline-batched", tree)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            radius = batch_radius_search(tree, queries, 0.5)
-            knn = batch_knn(tree, queries, 4)
-        assert np.array_equal(radius.point_indices,
-                              reference.radius_search(queries, 0.5).point_indices)
-        assert np.array_equal(knn.indices, reference.knn(queries, 4).indices)
+    def test_one_class_per_backend(self, small_case):
+        """Each name is one class; the wrappers, one-shots, the registry
+        module and the shard-merge helpers beside them are gone."""
+        import importlib
 
-    def test_core_bonsai_class_still_importable(self, small_case):
-        """The real class keeps living in repro.core; only the top-level
-        deprecation shim is gone."""
-        from repro.core.bonsai_search import BonsaiRadiusSearch
+        import repro.core
+        import repro.core.bonsai_search
+        import repro.engine
+        import repro.engine.parallel
+        import repro.kdtree
+        import repro.kdtree.knn
+        import repro.kdtree.radius_search
+        import repro.runtime
+        import repro.runtime.batch
+        import repro.runtime.bonsai
+
+        removed = {
+            repro: ("BatchQueryEngine", "BonsaiBatchSearcher",
+                    "batch_radius_search", "batch_knn", "BonsaiRadiusSearch"),
+            repro.runtime: ("BatchQueryEngine", "BonsaiBatchSearcher",
+                            "batch_radius_search", "batch_knn"),
+            repro.runtime.batch: ("BatchQueryEngine", "batch_radius_search",
+                                  "batch_knn"),
+            repro.runtime.bonsai: ("BonsaiBatchSearcher",),
+            repro.core: ("BonsaiRadiusSearch",),
+            repro.core.bonsai_search: ("BonsaiRadiusSearch",),
+            repro.kdtree: ("RadiusSearcher", "nearest_neighbor"),
+            repro.kdtree.radius_search: ("RadiusSearcher",),
+            repro.kdtree.knn: ("nearest_neighbor",),
+            repro.engine: ("register_backend",),
+            backends_module: ("register_backend", "_PerQueryBackendBase"),
+            repro.engine.parallel: ("plan_shards", "merge_radius_shards",
+                                    "merge_knn_shards"),
+        }
+        for module, names in removed.items():
+            for name in names:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+                assert name not in getattr(module, "__all__", ())
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.registry")
 
         tree, queries = small_case
-        search = BonsaiRadiusSearch(build_kdtree(tree.points))
-        assert sorted(search.search(queries[0], 0.5)) == \
-            sorted(get_backend("baseline-batched", tree).search(queries[0], 0.5))
+        for name in BUILT_IN_BACKENDS:
+            backend = get_backend(name, build_kdtree(tree.points))
+            assert type(backend) is backends_module.BACKENDS[name]
+            assert type(backend) is getattr(repro.engine, type(backend).__name__)
+            assert backend.name == name
+
+        # bonsai-batched kNN charges the backend's own stats, as
+        # baseline-batched's does.
+        counts = {}
+        for name in ("baseline-batched", "bonsai-batched"):
+            backend = get_backend(name, build_kdtree(tree.points))
+            result = backend.knn(queries, 4)
+            counts[name] = (backend.stats.queries, backend.stats.leaves_visited,
+                            backend.stats.points_examined)
+            assert backend.stats.queries == len(queries)
+            assert result.indices.shape == (len(queries), 4)
+        assert counts["bonsai-batched"] == counts["baseline-batched"]

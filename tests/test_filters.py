@@ -160,7 +160,8 @@ class TestCropBox:
         assert len(out) == 1
 
     def test_negative_keeps_outside(self):
-        cloud = PointCloud([[0, 0, 0], [10, 0, 0]])
+        # A NaN point is neither inside nor outside: dropped, as by PCL's CropBox.
+        cloud = PointCloud([[0, 0, 0], [10, 0, 0], [np.nan, 0, 0], [0, np.nan, 9]])
         out = crop_box_filter(cloud, [-1, -1, -1], [1, 1, 1], negative=True)
         assert len(out) == 1
         np.testing.assert_allclose(out[0], [10, 0, 0])

@@ -29,7 +29,6 @@ import pytest
 from repro.engine import get_backend
 from repro.kdtree import SearchStats, build_kdtree
 from repro.kdtree.build import NodeLists
-from repro.runtime import BatchQueryEngine
 from repro.runtime.batch import (
     LEAF_CHUNK_POINTS,
     _home_subtrees,
@@ -223,12 +222,12 @@ class TestDegenerateKNN:
     def test_counters_independent_of_batch_split(self, world, k):
         tree, _, queries, _ = world
         whole = SearchStats()
-        BatchQueryEngine(tree, whole).knn(queries, k)
+        get_backend("baseline-batched", tree, stats=whole).knn(queries, k)
         for n_parts in (2, len(queries)):
             merged = SearchStats()
             for part in np.array_split(queries, n_parts):
                 stats = SearchStats()
-                BatchQueryEngine(tree, stats).knn(part, k)
+                get_backend("baseline-batched", tree, stats=stats).knn(part, k)
                 merged.merge(stats)
             assert _search_counts(merged) == _search_counts(whole)
 
@@ -238,7 +237,7 @@ class TestDegenerateKNN:
         tree, _, queries, _ = world
         for query in queries:
             stats = SearchStats()
-            BatchQueryEngine(tree, stats).knn(query[None, :], k)
+            get_backend("baseline-batched", tree, stats=stats).knn(query[None, :], k)
             assert set(stats.leaf_visit_counts.values()) == {1}
             assert stats.leaves_visited == len(stats.leaf_visit_counts)
 
@@ -249,13 +248,13 @@ class TestDegenerateKNN:
         points = rng.uniform(-10.0, 10.0, (3000, 3)).astype(np.float32)
         tree = build_kdtree(points)
         stats = SearchStats()
-        BatchQueryEngine(tree, stats).knn(points[:200], k)
+        get_backend("baseline-batched", tree, stats=stats).knn(points[:200], k)
         assert stats.leaves_visited < 200 * tree.n_leaves / 10
 
     def test_empty_batch(self, world):
         tree, _, _, _ = world
         stats = SearchStats()
-        result = BatchQueryEngine(tree, stats).knn(np.empty((0, 3)), 4)
+        result = get_backend("baseline-batched", tree, stats=stats).knn(np.empty((0, 3)), 4)
         assert result.indices.shape == (0, min(4, tree.n_points))
         assert _search_counts(stats) == _search_counts(SearchStats())
 
@@ -336,7 +335,7 @@ class TestSegmentRows:
         queries = rng.uniform(-1.0, 1.0, (3, 3))
         k = LEAF_CHUNK_POINTS + 100
         indices, distances = _brute_knn(points, queries, k)
-        got = BatchQueryEngine(build_kdtree(points)).knn(queries, k)
+        got = get_backend("baseline-batched", build_kdtree(points)).knn(queries, k)
         assert np.array_equal(got.indices, indices)
         assert np.array_equal(got.distances, distances)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kdtree import SearchStats, build_kdtree, nearest_neighbor, nearest_neighbors
+from repro.kdtree import SearchStats, build_kdtree, nearest_neighbors
 
 
 def _brute_force_knn(points: np.ndarray, query, k: int):
@@ -37,7 +37,7 @@ class TestNearestNeighbors:
         assert len(got) == 7
 
     def test_nearest_of_cloud_point_is_itself(self, random_tree, random_cloud):
-        index, distance = nearest_neighbor(random_tree, random_cloud[11])
+        [(index, distance)] = nearest_neighbors(random_tree, random_cloud[11], k=1)
         assert distance == pytest.approx(0.0, abs=1e-6)
 
     def test_invalid_k_rejected(self, random_tree):

@@ -48,6 +48,13 @@ class TestNDTMap:
         with pytest.raises(ValueError):
             NDTMap(PointCloud())
 
+    @pytest.mark.parametrize("voxel_size", [0.0, -2.0, np.nan])
+    def test_non_positive_or_nan_voxel_size_rejected(self, voxel_size):
+        cloud = PointCloud(np.random.default_rng(0).uniform(-5, 5, (500, 3))
+                           .astype(np.float32))
+        with pytest.raises(ValueError, match="voxel_size"):
+            NDTMap(cloud, NDTConfig(voxel_size=voxel_size))
+
     def test_sparse_map_without_voxels_rejected(self):
         cloud = PointCloud(np.array([[0, 0, 0], [100, 100, 100]], dtype=np.float32))
         with pytest.raises(ValueError):

@@ -1,13 +1,12 @@
-"""Lockdown of the shard-merge contract and the process-pool utilities.
+"""Lockdown of the chunk merge and the process-pool utilities.
 
 :class:`~repro.engine.sharded.ShardedPointCloudIndex` processes query
-batches in contiguous chunks and merges them through
-:func:`~repro.engine.parallel.merge_radius_shards` /
-:func:`~repro.engine.parallel.merge_knn_shards`; the sweeps run their cells
-through :func:`~repro.engine.parallel.process_map`.  This file locks down
-that the merge is **order-independent** — shuffled completion order yields
-identical merged results and statistics — and that the worker-count and
-process-map utilities keep their contracts.
+batches in contiguous chunks, tile by tile, and merges the hits and the
+per-tile statistics; the sweeps run their cells through
+:func:`~repro.engine.parallel.process_map`.  This file locks down that the
+merge is **order-independent** — any chunking and any order of the per-tile
+statistics yield the unsharded index's results and the same totals — and
+that the worker-count and process-map utilities keep their contracts.
 """
 
 from __future__ import annotations
@@ -18,14 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import get_backend
-from repro.engine.parallel import (
-    merge_knn_shards,
-    merge_radius_shards,
-    plan_shards,
-    process_map,
-    resolve_workers,
-)
+from repro.core.bonsai_search import BonsaiStats
+from repro.engine import PointCloudIndex, ShardedPointCloudIndex
+from repro.engine.parallel import process_map, resolve_workers
 from repro.kdtree import SearchStats, build_kdtree
 
 RADIUS = 0.8
@@ -34,7 +28,7 @@ K = 6
 
 @pytest.fixture(scope="module")
 def case():
-    """A tree and a 400-query batch to split into shards."""
+    """A tree and a 400-query batch to split into chunks."""
     rng = np.random.default_rng(11)
     points = rng.uniform(-15.0, 15.0, (5000, 3)).astype(np.float32)
     tree = build_kdtree(points)
@@ -53,60 +47,48 @@ def _stats_tuple(stats: SearchStats):
 # Order independence of the merge
 # ----------------------------------------------------------------------
 class TestOrderIndependence:
-    """Shuffled worker completion order cannot change any merged output."""
-
-    def _shard_parts(self, tree, queries, inner_name):
-        parts = []
-        for start, stop in plan_shards(queries.shape[0], 4):
-            stats = SearchStats()
-            backend = get_backend(inner_name, tree, stats=stats)
-            result = backend.radius_search(queries[start:stop], RADIUS)
-            parts.append((result, stats, backend.bonsai_stats))
-        return parts
+    """Neither the chunking nor the order of the per-tile parts can change
+    any merged output."""
 
     @pytest.mark.parametrize("inner", ["baseline-batched", "bonsai-batched"])
     def test_shuffled_completion_order_same_merge(self, case, inner):
         tree, queries = case
-        want = get_backend(inner, tree).radius_search(queries, RADIUS)
-        want_stats = SearchStats()
-        get_backend(inner, tree, stats=want_stats).radius_search(queries, RADIUS)
+        want = PointCloudIndex(tree.points).radius_search(queries, RADIUS,
+                                                          backend=inner)
+        totals = []
+        for chunk_queries in (400, 100, 7):
+            sharded = ShardedPointCloudIndex(tree.points, tile_size=10.0,
+                                             chunk_queries=chunk_queries)
+            got = sharded.radius_search(queries, RADIUS, backend=inner)
+            assert np.array_equal(got.offsets, want.offsets)
+            assert np.array_equal(got.point_indices, want.point_indices)
+            totals.append((_stats_tuple(sharded.search_stats),
+                           sharded.bonsai_stats))
 
-        parts = self._shard_parts(tree, queries, inner)
-        for seed in (0, 1, 2):
-            # Simulate parts finishing in arbitrary order: shuffle the
-            # (index, part) arrivals, then merge results by shard index and
-            # statistics by commutative merge in arrival order.
-            arrivals = list(enumerate(parts))
-            np.random.default_rng(seed).shuffle(arrivals)
-            by_index = [part for _, part in sorted(arrivals, key=lambda a: a[0])]
-            merged = merge_radius_shards([result for result, _, _ in by_index])
-            assert np.array_equal(merged.offsets, want.offsets)
-            assert np.array_equal(merged.point_indices, want.point_indices)
-
-            merged_stats = SearchStats()
-            merged_bonsai = None
-            for _, (_, stats, bonsai) in arrivals:
-                merged_stats.merge(stats)
-                if bonsai is not None:
-                    if merged_bonsai is None:
-                        from repro.core.bonsai_search import BonsaiStats
-                        merged_bonsai = BonsaiStats()
-                    merged_bonsai.merge(bonsai)
-            assert _stats_tuple(merged_stats) == _stats_tuple(want_stats)
-            if merged_bonsai is not None:
-                reference = get_backend(inner, tree)
-                reference.radius_search(queries, RADIUS)
-                assert dataclasses.asdict(merged_bonsai) == \
-                    dataclasses.asdict(reference.bonsai_stats)
+            # Per-tile statistics merged in shuffled order: same totals.
+            tiles = [index for _, index in sharded.built_tile_indexes()]
+            assert len(tiles) > 1
+            for seed in (0, 1, 2):
+                np.random.default_rng(seed).shuffle(tiles)
+                merged_stats, merged_bonsai = SearchStats(), BonsaiStats()
+                for index in tiles:
+                    merged_stats.merge(index.search_stats)
+                    if index.bonsai_stats is not None:
+                        merged_bonsai.merge(index.bonsai_stats)
+                assert _stats_tuple(merged_stats) == totals[-1][0]
+                if inner.startswith("bonsai"):
+                    assert dataclasses.asdict(merged_bonsai) == \
+                        dataclasses.asdict(totals[-1][1])
+        # The chunking reaches no counter either.
+        assert all(total == totals[0] for total in totals)
 
     def test_knn_merge_is_pure_row_stacking(self, case):
         tree, queries = case
-        want = get_backend("baseline-batched", tree).knn(queries, K)
-        shards = []
-        for start, stop in plan_shards(queries.shape[0], 5):
-            shards.append(get_backend("baseline-batched", tree)
-                          .knn(queries[start:stop], K))
-        merged = merge_knn_shards(shards)
+        want = PointCloudIndex(tree.points).knn(queries, K)
+        sharded = ShardedPointCloudIndex(tree.points, tile_size=10.0,
+                                         chunk_queries=80)
+        assert len(sharded._query_chunks(queries.shape[0])) == 5
+        merged = sharded.knn(queries, K)
         assert np.array_equal(merged.indices, want.indices)
         assert np.array_equal(merged.distances, want.distances)
 
@@ -128,7 +110,7 @@ class TestOrderIndependence:
 
 
 # ----------------------------------------------------------------------
-# Shard planning and pool utilities
+# Pool utilities
 # ----------------------------------------------------------------------
 def _slow_echo(item):
     """Completes in *reverse* submission order (later items finish first)."""
@@ -138,16 +120,6 @@ def _slow_echo(item):
 
 
 class TestUtilities:
-    def test_plan_shards_contiguous_and_complete(self):
-        for n, k in ((400, 4), (5, 8), (1, 3), (97, 3)):
-            shards = plan_shards(n, k)
-            assert shards[0][0] == 0 and shards[-1][1] == n
-            assert all(stop > start for start, stop in shards)
-            assert all(shards[i][1] == shards[i + 1][0]
-                       for i in range(len(shards) - 1))
-            assert len(shards) == min(n, k)
-        assert plan_shards(0, 4) == []
-
     def test_resolve_workers_precedence(self, monkeypatch):
         assert resolve_workers(3) == 3
         with pytest.raises(ValueError):

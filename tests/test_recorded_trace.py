@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from repro.core.bonsai_search import BonsaiRadiusSearch
+from repro.core.bonsai_search import BonsaiLeafInspector, compress_and_record
 from repro.engine import ExecutionConfig, get_backend
 from repro.kdtree import SearchStats, build_kdtree, nearest_neighbors, radius_search
 from repro.kdtree.build import KDTreeConfig
@@ -180,12 +180,15 @@ class TestRecorderAloneRecords:
 
     def test_bonsai_radius_search(self):
         points, queries, radii = _world("duplicates-and-spread")
+        tree = build_kdtree(points)
         alone, built = ListRecorder(), ListRecorder()
-        search = BonsaiRadiusSearch(build_kdtree(points), recorder=alone)
+        compress_and_record(tree, recorder=alone)
+        inspector = BonsaiLeafInspector(tree.compressed_array)
         backend = get_backend("bonsai-perquery", build_kdtree(points),
                               recorder=built)
         for query in queries:
-            search.search(query, radii[1])
+            radius_search(tree, query, radii[1], inspector=inspector,
+                          recorder=alone)
             backend.search(query, radii[1])
         assert alone.accesses
         assert alone.accesses == built.accesses

@@ -1,6 +1,6 @@
-"""Tests of the batched query engine (:mod:`repro.runtime`).
+"""Tests of the batched backends (:mod:`repro.runtime`).
 
-The engine's contract is *exact parity*: batched radius and kNN queries must
+Their contract is *exact parity*: batched radius and kNN queries must
 return precisely what the per-query reference paths return, and the
 ``SearchStats`` counters must aggregate as if the queries had been issued one
 by one (exactly for radius search, approximately for kNN, whose batched
@@ -12,18 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bonsai_search import BonsaiRadiusSearch
+from repro.engine import get_backend
 from repro.kdtree import (
     SearchStats,
     build_kdtree,
     nearest_neighbors,
     radius_search,
-)
-from repro.runtime import (
-    BatchQueryEngine,
-    BonsaiBatchSearcher,
-    batch_knn,
-    batch_radius_search,
 )
 
 
@@ -60,7 +54,7 @@ class TestBatchRadiusParity:
     @pytest.mark.parametrize("radius", [0.05, 0.6, 2.5])
     def test_results_match_per_query(self, tree, queries, radius):
         single = [sorted(radius_search(tree, q, radius)) for q in queries]
-        batch = batch_radius_search(tree, queries, radius)
+        batch = get_backend("baseline-batched", tree).radius_search(queries, radius)
         assert batch.as_lists() == single
 
     def test_stats_aggregate_exactly(self, tree, queries):
@@ -68,17 +62,17 @@ class TestBatchRadiusParity:
         for q in queries:
             radius_search(tree, q, 0.8, stats=single_stats)
         batch_stats = SearchStats()
-        batch_radius_search(tree, queries, 0.8, stats=batch_stats)
+        get_backend("baseline-batched", tree, stats=batch_stats).radius_search(queries, 0.8)
         assert _stats_tuple(batch_stats) == _stats_tuple(single_stats)
         assert batch_stats.leaf_visit_counts == single_stats.leaf_visit_counts
 
     def test_query_point_finds_itself(self, tree, cloud):
-        result = batch_radius_search(tree, cloud[:20], 0.1)
+        result = get_backend("baseline-batched", tree).radius_search(cloud[:20], 0.1)
         for i in range(20):
             assert i in result.indices_for(i)
 
     def test_csr_offsets_consistent(self, tree, queries):
-        result = batch_radius_search(tree, queries, 0.8)
+        result = get_backend("baseline-batched", tree).radius_search(queries, 0.8)
         assert result.offsets[0] == 0
         assert result.offsets[-1] == result.point_indices.shape[0]
         assert np.all(np.diff(result.offsets) == result.counts)
@@ -86,13 +80,14 @@ class TestBatchRadiusParity:
 
     def test_zero_radius_rejected(self, tree, queries):
         with pytest.raises(ValueError):
-            batch_radius_search(tree, queries, 0.0)
+            get_backend("baseline-batched", tree).radius_search(queries, 0.0)
         with pytest.raises(ValueError):
-            batch_radius_search(tree, queries, -1.0)
+            get_backend("baseline-batched", tree).radius_search(queries, -1.0)
 
     def test_empty_query_batch(self, tree):
         stats = SearchStats()
-        result = batch_radius_search(tree, np.empty((0, 3)), 1.0, stats=stats)
+        result = get_backend("baseline-batched", tree, stats=stats).radius_search(
+            np.empty((0, 3)), 1.0)
         assert result.n_queries == 0
         assert result.as_lists() == []
         assert stats.queries == 0
@@ -100,14 +95,14 @@ class TestBatchRadiusParity:
 
     def test_malformed_queries_rejected(self, tree):
         with pytest.raises(ValueError):
-            batch_radius_search(tree, np.zeros((4, 2)), 1.0)
+            get_backend("baseline-batched", tree).radius_search(np.zeros((4, 2)), 1.0)
 
 
 class TestBatchKNNParity:
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_results_match_per_query(self, tree, queries, k):
         single = [nearest_neighbors(tree, q, k) for q in queries]
-        batch = batch_knn(tree, queries, k).as_lists()
+        batch = get_backend("baseline-batched", tree).knn(queries, k).as_lists()
         for expected, got in zip(single, batch):
             assert [i for i, _ in expected] == [i for i, _ in got]
             assert [d for _, d in expected] == [d for _, d in got]
@@ -115,7 +110,7 @@ class TestBatchKNNParity:
     def test_k_larger_than_tree(self, queries):
         small = build_kdtree(np.random.default_rng(3).uniform(-1, 1, (6, 3))
                              .astype(np.float32))
-        result = batch_knn(small, queries[:5], k=50)
+        result = get_backend("baseline-batched", small).knn(queries[:5], k=50)
         assert result.indices.shape == (5, 6)
         for row in result.as_lists():
             assert len(row) == 6
@@ -124,18 +119,18 @@ class TestBatchKNNParity:
 
     def test_invalid_k_rejected(self, tree, queries):
         with pytest.raises(ValueError):
-            batch_knn(tree, queries, 0)
+            get_backend("baseline-batched", tree).knn(queries, 0)
 
     def test_empty_query_batch(self, tree):
         stats = SearchStats()
-        result = batch_knn(tree, np.empty((0, 3)), 3, stats=stats)
+        result = get_backend("baseline-batched", tree, stats=stats).knn(np.empty((0, 3)), 3)
         assert result.n_queries == 0
         assert result.as_lists() == []
         assert stats.queries == 0
 
     def test_stats_populated(self, tree, queries):
         stats = SearchStats()
-        batch_knn(tree, queries, 5, stats=stats)
+        get_backend("baseline-batched", tree, stats=stats).knn(queries, 5)
         assert stats.queries == len(queries)
         assert stats.leaves_visited >= len(queries)
         assert stats.points_examined > 0
@@ -143,19 +138,19 @@ class TestBatchKNNParity:
 
 class TestBonsaiBatchParity:
     def test_matches_per_query_bonsai_and_baseline(self, tree, queries):
-        per_query = BonsaiRadiusSearch(tree)
+        per_query = get_backend("bonsai-perquery", tree)
         single = [sorted(per_query.search(q, 0.8)) for q in queries]
-        searcher = BonsaiBatchSearcher(tree)
+        searcher = get_backend("bonsai-batched", tree)
         batch = searcher.radius_search(queries, 0.8)
         assert batch.as_lists() == single
-        baseline = batch_radius_search(tree, queries, 0.8)
+        baseline = get_backend("baseline-batched", tree).radius_search(queries, 0.8)
         assert batch.as_lists() == baseline.as_lists()
 
     def test_bonsai_stats_aggregate_exactly(self, tree, queries):
-        per_query = BonsaiRadiusSearch(tree)
+        per_query = get_backend("bonsai-perquery", tree)
         for q in queries:
             per_query.search(q, 0.8)
-        searcher = BonsaiBatchSearcher(tree)
+        searcher = get_backend("bonsai-batched", tree)
         searcher.radius_search(queries, 0.8)
         expected = per_query.bonsai_stats
         got = searcher.bonsai_stats
@@ -169,7 +164,7 @@ class TestBonsaiBatchParity:
         assert _stats_tuple(searcher.stats) == _stats_tuple(per_query.stats)
 
     def test_single_query_wrapper(self, tree, queries):
-        searcher = BonsaiBatchSearcher(tree)
+        searcher = get_backend("bonsai-batched", tree)
         assert searcher.search(queries[0], 0.8) == \
             sorted(radius_search(tree, queries[0], 0.8))
 
@@ -186,17 +181,17 @@ class TestSearchStatsAggregation:
 
     def test_sub_batches_sum_to_full_batch(self, tree, queries):
         full = SearchStats()
-        batch_radius_search(tree, queries, 0.8, stats=full)
+        get_backend("baseline-batched", tree, stats=full).radius_search(queries, 0.8)
         merged = SearchStats()
         for chunk in np.array_split(queries, 4):
             part = SearchStats()
-            batch_radius_search(tree, chunk, 0.8, stats=part)
+            get_backend("baseline-batched", tree, stats=part).radius_search(chunk, 0.8)
             merged.merge(part)
         assert _stats_tuple(merged) == _stats_tuple(full)
         assert merged.leaf_visit_counts == full.leaf_visit_counts
 
     def test_engine_accumulates_across_calls(self, tree, queries):
-        engine = BatchQueryEngine(tree)
+        engine = get_backend("baseline-batched", tree)
         engine.radius_search(queries[:50], 0.8)
         engine.radius_search(queries[50:], 0.8)
         assert engine.stats.queries == len(queries)

@@ -3,9 +3,9 @@
 PR 1 proved exact parity of the batched query engine against the per-query
 reference paths — on one urban point distribution.  These tests re-assert
 the property over the whole scenario library and randomized query sets:
-for seeded random (scenario, seed) cases, ``batch_radius_search`` /
-``batch_knn`` / the Bonsai batch searcher must return exactly what the
-per-query paths return, and the aggregated ``SearchStats`` / ``BonsaiStats``
+for seeded random (scenario, seed) cases, the ``baseline-batched`` and
+``bonsai-batched`` backends must return exactly what the per-query paths
+return, and the aggregated ``SearchStats`` / ``BonsaiStats``
 must match counter for counter.
 
 A compact three-scenario slice runs in tier-1; the full scenario x seed
@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bonsai_search import BonsaiRadiusSearch
+from repro.engine import get_backend
 from repro.kdtree import SearchStats, build_kdtree, nearest_neighbors, radius_search
 from repro.pointcloud import preprocess_for_clustering
-from repro.runtime import BonsaiBatchSearcher, batch_knn, batch_radius_search
 from repro.scenarios import build_sequence, scenario_names
 
 #: Scenarios covering the distribution extremes in tier-1: dense indoor,
@@ -62,7 +61,8 @@ def _assert_radius_parity(tree, queries, radius):
     single = [sorted(radius_search(tree, q, radius, stats=single_stats))
               for q in queries]
     batch_stats = SearchStats()
-    batch = batch_radius_search(tree, queries, radius, stats=batch_stats)
+    batch = get_backend("baseline-batched", tree,
+                        stats=batch_stats).radius_search(queries, radius)
     assert batch.as_lists() == single
     assert _stats_tuple(batch_stats) == _stats_tuple(single_stats)
     assert batch_stats.leaf_visit_counts == single_stats.leaf_visit_counts
@@ -70,16 +70,16 @@ def _assert_radius_parity(tree, queries, radius):
 
 def _assert_knn_parity(tree, queries, k):
     single = [nearest_neighbors(tree, q, k) for q in queries]
-    batch = batch_knn(tree, queries, k).as_lists()
+    batch = get_backend("baseline-batched", tree).knn(queries, k).as_lists()
     for expected, got in zip(single, batch):
         assert [i for i, _ in expected] == [i for i, _ in got]
         assert [d for _, d in expected] == [d for _, d in got]
 
 
 def _assert_bonsai_parity(tree, queries, radius):
-    per_query = BonsaiRadiusSearch(tree)
+    per_query = get_backend("bonsai-perquery", tree)
     single = [sorted(per_query.search(q, radius)) for q in queries]
-    batch = BonsaiBatchSearcher(tree)
+    batch = get_backend("bonsai-batched", tree)
     result = batch.radius_search(queries, radius)
     assert result.as_lists() == single
     assert _stats_tuple(batch.stats) == _stats_tuple(per_query.stats)
@@ -110,8 +110,8 @@ class TestTier1Parity:
 
     def test_bonsai_matches_baseline_results(self, case):
         tree, queries, radius, _ = case
-        baseline = batch_radius_search(tree, queries, radius)
-        bonsai = BonsaiBatchSearcher(tree).radius_search(queries, radius)
+        baseline = get_backend("baseline-batched", tree).radius_search(queries, radius)
+        bonsai = get_backend("bonsai-batched", tree).radius_search(queries, radius)
         assert bonsai.as_lists() == baseline.as_lists()
 
 

@@ -1,11 +1,13 @@
-"""Property-based edge tests of the shard plan/merge machinery.
+"""Property-based edge tests of the sharded index's chunked queries.
 
-The sharded index's chunked queries rest on one invariant: *any*
-contiguous split of a query batch, served shard by shard and merged in
-shard order, is bitwise identical to serving the whole batch at once.  Hypothesis drives the split
-through the edges a fixed unit test would miss — empty shard lists,
-single-query batches, zero-hit queries, duplicate kNN distances, and shard
-counts far beyond the query count.
+:class:`~repro.engine.sharded.ShardedPointCloudIndex` serves a query batch
+in contiguous chunks of at most ``chunk_queries`` queries and assembles the
+chunks' hits in one CSR pass (kNN rows are stacked in chunk order).  The
+invariant: *any* chunk size gives results bitwise identical to the
+unsharded :class:`~repro.engine.index.PointCloudIndex` over the same cloud.
+Hypothesis drives the chunk size through the edges a fixed unit test would
+miss — empty batches, single-query chunks, zero-hit chunks, duplicate kNN
+distances, and as many chunks as queries.
 """
 
 from __future__ import annotations
@@ -15,13 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import get_backend
-from repro.engine.parallel import (
-    merge_knn_shards,
-    merge_radius_shards,
-    plan_shards,
-)
-from repro.kdtree import build_kdtree
+from repro.engine import PointCloudIndex, ShardedPointCloudIndex
+
+RADIUS = 0.45
 
 
 @pytest.fixture(scope="module")
@@ -34,130 +32,115 @@ def case():
         points[:50].astype(np.float64) + rng.normal(0.0, 0.2, (50, 3)),
         rng.uniform(40.0, 50.0, (6, 3)),  # far away: zero radius hits
     ])
-    tree = build_kdtree(points)
-    return tree, queries, get_backend("baseline-batched", tree)
+    # 3 m tiles: a 12 m cloud spans 16 tiles, so queries cross tiles.
+    sharded = ShardedPointCloudIndex(points, tile_size=3.0)
+    return sharded, PointCloudIndex(points), queries
 
 
-def _split_points(n: int, draw_bounds):
-    """Interior cut points -> contiguous disjoint [start, stop) ranges."""
-    bounds = sorted(set([0, n] + draw_bounds))
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+def _radius_equal(got, want):
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.point_indices, want.point_indices)
+
+
+def _knn_equal(got, want):
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.distances, want.distances)
 
 
 class TestPlanShards:
-    @given(n_queries=st.integers(min_value=-3, max_value=200),
-           n_shards=st.integers(min_value=-3, max_value=400))
-    def test_plan_covers_batch_contiguously(self, n_queries, n_shards):
-        shards = plan_shards(n_queries, n_shards)
-        if n_queries < 1:
-            assert shards == []
-            return
-        # Contiguous, disjoint, covering, never empty.
-        assert shards[0][0] == 0 and shards[-1][1] == n_queries
-        for (start, stop), (next_start, _) in zip(shards, shards[1:]):
+    @given(n_queries=st.integers(min_value=1, max_value=200),
+           chunk_queries=st.integers(min_value=1, max_value=400))
+    def test_plan_covers_batch_contiguously(self, n_queries, chunk_queries):
+        index = ShardedPointCloudIndex(np.zeros((1, 3), np.float32),
+                                       chunk_queries=chunk_queries)
+        chunks = index._query_chunks(n_queries)
+        # Contiguous, disjoint, covering, never empty, never over-full.
+        assert chunks[0][0] == 0 and chunks[-1][1] == n_queries
+        for (start, stop), (next_start, _) in zip(chunks, chunks[1:]):
             assert stop == next_start
-        assert all(stop > start for start, stop in shards)
-        # Clamped: never more shards than queries, never fewer than one.
-        assert 1 <= len(shards) <= max(1, min(n_shards, n_queries))
+        assert all(0 < stop - start <= chunk_queries for start, stop in chunks)
+        assert len(chunks) == -(-n_queries // chunk_queries)
 
     def test_shard_count_clamped_to_query_count(self):
-        assert len(plan_shards(3, 16)) == 3
-        assert plan_shards(1, 9) == [(0, 1)]
-        assert plan_shards(5, 0) == [(0, 5)]
-        assert plan_shards(0, 4) == []
-        assert plan_shards(-2, 4) == []
+        points = np.zeros((1, 3), np.float32)
+        assert len(ShardedPointCloudIndex(points, chunk_queries=1)
+                   ._query_chunks(3)) == 3
+        assert ShardedPointCloudIndex(points, chunk_queries=9)._query_chunks(1) \
+            == [(0, 1)]
+        assert ShardedPointCloudIndex(points, chunk_queries=5)._query_chunks(5) \
+            == [(0, 5)]
+        with pytest.raises(ValueError, match="chunk_queries"):
+            ShardedPointCloudIndex(points, chunk_queries=0)
 
 
 class TestMergeRadiusShards:
     @settings(max_examples=40, deadline=None)
-    @given(cuts=st.lists(st.integers(min_value=1, max_value=55),
-                         max_size=12))
-    def test_any_contiguous_split_merges_bitwise(self, case, cuts):
-        tree, queries, backend = case
-        whole = backend.radius_search(queries, 0.45)
-        ranges = _split_points(queries.shape[0], cuts)
-        merged = merge_radius_shards(
-            [backend.radius_search(queries[start:stop], 0.45)
-             for start, stop in ranges])
-        assert np.array_equal(merged.offsets, whole.offsets)
-        assert np.array_equal(merged.point_indices, whole.point_indices)
+    @given(chunk_queries=st.integers(min_value=1, max_value=60))
+    def test_any_contiguous_split_merges_bitwise(self, case, chunk_queries):
+        sharded, flat, queries = case
+        sharded.chunk_queries = chunk_queries
+        _radius_equal(sharded.radius_search(queries, RADIUS),
+                      flat.radius_search(queries, RADIUS))
 
-    def test_empty_shard_list_is_an_empty_batch(self):
-        merged = merge_radius_shards([])
-        assert merged.n_queries == 0
-        assert merged.offsets.shape == (1,)
-        assert merged.point_indices.shape == (0,)
+    def test_empty_shard_list_is_an_empty_batch(self, case):
+        sharded, _, _ = case
+        result = sharded.radius_search(np.empty((0, 3)), RADIUS)
+        assert result.n_queries == 0
+        assert result.offsets.shape == (1,)
+        assert result.point_indices.shape == (0,)
 
     def test_single_query_shards(self, case):
-        tree, queries, backend = case
-        whole = backend.radius_search(queries, 0.45)
-        merged = merge_radius_shards(
-            [backend.radius_search(queries[i:i + 1], 0.45)
-             for i in range(queries.shape[0])])
-        assert np.array_equal(merged.offsets, whole.offsets)
-        assert np.array_equal(merged.point_indices, whole.point_indices)
+        sharded, flat, queries = case
+        sharded.chunk_queries = 1
+        _radius_equal(sharded.radius_search(queries, RADIUS),
+                      flat.radius_search(queries, RADIUS))
 
     def test_zero_hit_shards_keep_offsets_aligned(self, case):
-        tree, queries, backend = case
-        # The last six queries are far outside the cloud: all-empty shard.
-        empty = backend.radius_search(queries[-6:], 0.45)
-        assert empty.total_matches == 0
-        merged = merge_radius_shards(
-            [backend.radius_search(queries[:-6], 0.45), empty])
-        whole = backend.radius_search(queries, 0.45)
-        assert np.array_equal(merged.offsets, whole.offsets)
-        assert np.array_equal(merged.point_indices, whole.point_indices)
+        sharded, flat, queries = case
+        # 56 queries in chunks of at most 6: the last chunk holds exactly
+        # the six far-away queries, so it contributes no hit at all.
+        sharded.chunk_queries = 6
+        assert sharded._query_chunks(queries.shape[0])[-1] == (50, 56)
+        assert flat.radius_search(queries[-6:], RADIUS).total_matches == 0
+        got = sharded.radius_search(queries, RADIUS)
+        _radius_equal(got, flat.radius_search(queries, RADIUS))
+        assert np.all(got.counts[-6:] == 0)
 
 
 class TestMergeKnnShards:
     @settings(max_examples=40, deadline=None)
-    @given(cuts=st.lists(st.integers(min_value=1, max_value=55),
-                         max_size=12),
+    @given(chunk_queries=st.integers(min_value=1, max_value=60),
            k=st.integers(min_value=1, max_value=6))
-    def test_any_contiguous_split_merges_bitwise(self, case, cuts, k):
-        tree, queries, backend = case
-        whole = backend.knn(queries, k)
-        ranges = _split_points(queries.shape[0], cuts)
-        merged = merge_knn_shards(
-            [backend.knn(queries[start:stop], k) for start, stop in ranges])
-        assert np.array_equal(merged.indices, whole.indices)
-        assert np.array_equal(merged.distances, whole.distances)
+    def test_any_contiguous_split_merges_bitwise(self, case, chunk_queries, k):
+        sharded, flat, queries = case
+        sharded.chunk_queries = chunk_queries
+        _knn_equal(sharded.knn(queries, k), flat.knn(queries, k))
 
     def test_duplicate_distance_ties_survive_the_merge(self, case):
         """The fixture clones 30 points, so equidistant neighbours exist;
-        tie order (by point index) must be shard-split invariant."""
-        tree, queries, backend = case
-        whole = backend.knn(queries, 4)
-        merged = merge_knn_shards(
-            [backend.knn(queries[i:i + 1], 4)
-             for i in range(queries.shape[0])])
-        assert np.array_equal(merged.indices, whole.indices)
+        tie order (by point index) must not depend on the chunking."""
+        sharded, flat, queries = case
+        sharded.chunk_queries = 1
+        want = flat.knn(queries, 4)
+        _knn_equal(sharded.knn(queries, 4), want)
         # Ties really happen: some query has two neighbours at one distance.
         has_tie = any(
             len(set(np.round(row[np.isfinite(row)], 10))) < np.sum(np.isfinite(row))
-            for row in whole.distances)
+            for row in want.distances)
         assert has_tie
 
     def test_single_shard_roundtrip(self, case):
-        tree, queries, backend = case
-        whole = backend.knn(queries, 3)
-        merged = merge_knn_shards([whole])
-        assert np.array_equal(merged.indices, whole.indices)
-        assert np.array_equal(merged.distances, whole.distances)
-
-    def test_empty_knn_shard_list_raises(self):
-        """vstack of nothing is a contract violation, not a silent empty."""
-        with pytest.raises(ValueError):
-            merge_knn_shards([])
+        sharded, flat, queries = case
+        sharded.chunk_queries = queries.shape[0]
+        assert len(sharded._query_chunks(queries.shape[0])) == 1
+        _knn_equal(sharded.knn(queries, 3), flat.knn(queries, 3))
 
     def test_more_shards_than_queries_via_plan(self, case):
-        """plan_shards clamps, so the planned split always merges clean."""
-        tree, queries, backend = case
-        whole = backend.radius_search(queries, 0.45)
-        ranges = plan_shards(queries.shape[0], 10 * queries.shape[0])
-        assert len(ranges) == queries.shape[0]
-        merged = merge_radius_shards(
-            [backend.radius_search(queries[start:stop], 0.45)
-             for start, stop in ranges])
-        assert np.array_equal(merged.offsets, whole.offsets)
-        assert np.array_equal(merged.point_indices, whole.point_indices)
+        """The plan never makes more chunks than queries: chunks of one
+        query are the limit, and they merge clean."""
+        sharded, flat, queries = case
+        sharded.chunk_queries = 1
+        assert len(sharded._query_chunks(queries.shape[0])) == queries.shape[0]
+        _radius_equal(sharded.radius_search(queries, RADIUS),
+                      flat.radius_search(queries, RADIUS))
+        _knn_equal(sharded.knn(queries, 5), flat.knn(queries, 5))
