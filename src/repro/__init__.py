@@ -44,9 +44,8 @@ Subpackages
     registered backend, pairwise diffing, divergence shrinking.
 ``repro.serve``
     Serving layer: the shared-memory :class:`~repro.serve.store.SharedCloudStore`
-    (compress once, attach everywhere), the pooled
-    :class:`~repro.serve.service.QueryService` and the streaming pipeline
-    runner with serial-identical metrics.
+    (compress once, attach everywhere) and the pooled
+    :class:`~repro.serve.service.QueryService` of radius/kNN requests.
 ``repro.lint``
     Project-native static analysis: determinism, resource-lifecycle and
     multiprocessing-safety rules behind a name registry, surfaced as
@@ -84,7 +83,8 @@ instead of spelling out the subpackage:
     (:class:`repro.kdtree.radius_search.SearchStats`).
 ``PipelineRunner`` / ``PipelineRunnerConfig``
     End-to-end perception pipeline over a scenario sequence
-    (:mod:`repro.workloads.pipeline`); pass
+    (:mod:`repro.workloads.pipeline`), frames overlapped across threads
+    and folded in frame order; pass
     ``PipelineRunnerConfig(execution=ExecutionConfig(...))`` to pick the
     search backend and the hardware-in-the-loop mode.
 ``HardwareScenarioSweep``
@@ -104,9 +104,9 @@ instead of spelling out the subpackage:
     Golden-metric trend tracking (:mod:`repro.trends`): the versioned
     record, the deterministic JSONL store, the baseline-vs-head regression
     detector and the static HTML explorer.
-``SharedCloudStore`` / ``QueryService`` / ``StreamingPipelineRunner``
-    The serving layer (:mod:`repro.serve`): the shared-memory store, the
-    pooled query service over it, and the overlapped-stage pipeline runner.
+``SharedCloudStore`` / ``QueryService``
+    The serving layer (:mod:`repro.serve`): the shared-memory store and the
+    pooled query service over it.
 
 Every search object is one of the four backends ``get_backend(name,
 tree)`` builds; the pre-engine spellings (``batch_radius_search``,
@@ -141,7 +141,6 @@ _EXPORTS = {
     "PipelineRunnerConfig": "repro.workloads",
     "SharedCloudStore": "repro.serve",
     "QueryService": "repro.serve",
-    "StreamingPipelineRunner": "repro.serve",
     "HardwareScenarioSweep": "repro.analysis",
     "CacheGeometrySweep": "repro.analysis",
     "build_sequence": "repro.scenarios",

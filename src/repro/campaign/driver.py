@@ -113,12 +113,6 @@ class CampaignResult:
         return self.result_dir / "manifest.json"
 
 
-def _close_backend(backend) -> None:
-    close = getattr(backend, "close", None)
-    if close is not None:
-        close()
-
-
 def _result_divergence_check(kind: str, op: QueryOp, left: str,
                              right: str) -> Callable[[np.ndarray, np.ndarray], bool]:
     """The shrinker predicate: does the pair still diverge on this case?
@@ -135,20 +129,16 @@ def _result_divergence_check(kind: str, op: QueryOp, left: str,
         left_stats, right_stats = SearchStats(), SearchStats()
         left_backend = get_backend(left, tree, stats=left_stats)
         right_backend = get_backend(right, tree, stats=right_stats)
-        try:
-            if op.kind == "radius":
-                left_result = left_backend.radius_search(queries, op.radius)
-                right_result = right_backend.radius_search(queries, op.radius)
-                result_detail = diff_radius(left_result, right_result)
-            else:
-                result_detail = diff_knn(left_backend.knn(queries, op.k),
-                                         right_backend.knn(queries, op.k))
-            if kind == "search-stats":
-                return diff_search_stats(left_stats, right_stats) is not None
-            return result_detail is not None
-        finally:
-            _close_backend(left_backend)
-            _close_backend(right_backend)
+        if op.kind == "radius":
+            left_result = left_backend.radius_search(queries, op.radius)
+            right_result = right_backend.radius_search(queries, op.radius)
+            result_detail = diff_radius(left_result, right_result)
+        else:
+            result_detail = diff_knn(left_backend.knn(queries, op.k),
+                                     right_backend.knn(queries, op.k))
+        if kind == "search-stats":
+            return diff_search_stats(left_stats, right_stats) is not None
+        return result_detail is not None
 
     return diverges
 
@@ -309,8 +299,7 @@ def _run_trial(
     # served the search ops above), so neither recorder sees the
     # compression pass and the two traces must match.
     if config.recorded and search_ops:
-        flavors = sorted({name.split("-", 1)[0] for name in backends
-                          if f"{name.split('-', 1)[0]}-perquery" in backend_names()})
+        flavors = sorted({name.split("-", 1)[0] for name in backends})
         for flavor in flavors:
             hardware = ExecutionConfig(backend=f"{flavor}-perquery", hardware=True)
             recorded_a = hardware.make_backend(index.tree)

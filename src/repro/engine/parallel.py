@@ -4,7 +4,8 @@ Two pieces serve every parallel surface of the package:
 
 * :func:`resolve_workers` — the worker count of the query service's pool
   (:class:`~repro.serve.service.QueryService`), the parallel sweeps'
-  ``--jobs`` and the streaming runner's stage threads.
+  ``--jobs`` and the pipeline runner's frame threads
+  (:meth:`~repro.workloads.pipeline.PipelineRunner.run`).
 * :func:`process_map` — the order-preserving one-shot process map the
   hardware and cache-geometry sweeps run their cells through.
 
@@ -30,12 +31,12 @@ __all__ = [
 
 
 def resolve_workers(n_workers: Optional[int] = None) -> int:
-    """The effective worker count of a pool, a sweep or the stage threads.
+    """The effective worker count of a pool, a sweep or the frame threads.
 
     Precedence: an explicit ``n_workers`` (must be >= 1), then the
     ``REPRO_MP_WORKERS`` environment variable, then ``max(2, min(4, cpus))``
     — at least two so the query service runs its worker pool and the
-    sweeps and stage threads overlap their work by default, at most four
+    sweeps and frame threads overlap their work by default, at most four
     because the workloads stop scaling long before the typical core count
     does.
 

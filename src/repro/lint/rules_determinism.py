@@ -57,19 +57,16 @@ NONDETERMINISM_ALLOWED: Dict[str, str] = {
         "names never affect query results",
 }
 
-#: Modules exempt from the wall-clock check, with the reason.  All three
-#: read the clock for *reported* timing (stage_seconds, stage diagnostics,
-#: CLI throughput lines) that lives beside — never inside — the
-#: deterministic ``metrics()`` the golden suites snapshot.
+#: Modules exempt from the wall-clock check, with the reason.  Both read
+#: the clock for *reported* timing (stage_seconds, CLI throughput lines)
+#: that lives beside — never inside — the deterministic ``metrics()`` the
+#: golden suites snapshot.
 WALLCLOCK_ALLOWED: Dict[str, str] = {
     "repro/cli.py":
         "CLI throughput reporting; printed, never merged into results",
     "repro/workloads/pipeline.py":
         "wall-clock stage_seconds ride beside the deterministic metrics(), "
         "never inside them",
-    "repro/serve/streaming.py":
-        "stage timing diagnostics; the frame fold is completion-order- and "
-        "time-independent",
 }
 
 #: Modules exempt from the environment-read check, with the reason.

@@ -148,13 +148,14 @@ def crop_box_filter(cloud: PointCloud,
                     negative: bool = False) -> PointCloud:
     """Keep points inside (or outside, if ``negative``) an axis-aligned box.
 
-    A point with a NaN coordinate is neither, so both modes drop it, as
-    PCL's CropBox does.
+    A point with a NaN coordinate is neither, so both modes drop it; the
+    negative mode also drops points with an infinite coordinate, as PCL's
+    CropBox skips every non-finite point.
     """
     columns = _columns(cloud.points)
     inside = _in_box(columns, minimum, maximum)
     if negative:
-        inside = ~inside & ~np.isnan(columns).any(axis=0)
+        inside = ~inside & np.isfinite(columns).all(axis=0)
     return _take(cloud, inside)
 
 

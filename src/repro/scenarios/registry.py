@@ -23,9 +23,8 @@ a single registered world usable at benchmark scale and at test scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..engine.execution import ExecutionConfig
 from ..pointcloud.lidar import LidarConfig
 from ..pointcloud.scene import Scene, SceneConfig
 from ..pointcloud.sequence import DrivingSequence, SequenceConfig
@@ -60,13 +59,9 @@ class ScenarioDefaults:
 class ScenarioSpec:
     """A registered scenario: a seeded scene factory plus its defaults.
 
-    Beyond the sensor/sequence defaults a world may pin its own *pipeline*
-    behaviour: ``execution`` selects the default search backend and hardware
-    mode its end-to-end runs use, and ``pipeline_overrides`` carries keyword
-    overrides for :class:`~repro.workloads.pipeline.PipelineRunnerConfig`
-    (e.g. an indoor world's preprocessing crop box, a sparse world's
-    detection-extent bounds).  Both are defaults only: an explicit config or
-    execution passed to ``PipelineRunner.from_scenario`` wins.
+    A world sets its scene and its sequence/sensor defaults only; how a
+    pipeline runs over it (backend, hardware mode, stage settings) is the
+    runner's :class:`~repro.workloads.pipeline.PipelineRunnerConfig`.
     """
 
     name: str
@@ -74,12 +69,6 @@ class ScenarioSpec:
     scene_factory: Callable[[int], Scene]
     defaults: ScenarioDefaults = ScenarioDefaults()
     tags: Tuple[str, ...] = ()
-    #: Default execution mode of this world's pipeline runs (``None``: the
-    #: global default, baseline batched, functional only).
-    execution: Optional[ExecutionConfig] = None
-    #: Keyword overrides applied to ``PipelineRunnerConfig`` when no explicit
-    #: config is passed (``None``: no overrides).
-    pipeline_overrides: Optional[Mapping[str, object]] = None
 
     def scene(self, seed: Optional[int] = None) -> Scene:
         """Build the scenario's world for ``seed`` (default: the spec's)."""
@@ -123,17 +112,12 @@ _REGISTRY: Dict[str, ScenarioSpec] = {}
 
 def register_scenario(name: str, description: str,
                       defaults: Optional[ScenarioDefaults] = None,
-                      tags: Tuple[str, ...] = (),
-                      execution: Optional[ExecutionConfig] = None,
-                      pipeline_overrides: Optional[Mapping[str, object]] = None,
-                      ) -> Callable:
+                      tags: Tuple[str, ...] = ()) -> Callable:
     """Decorator registering a seeded scene factory as a scenario.
 
     ::
 
-        @register_scenario("tunnel", "two-lane road tunnel", tags=("indoor",),
-                           execution=ExecutionConfig(backend="bonsai-batched"),
-                           pipeline_overrides={"max_detection_extent": 12.0})
+        @register_scenario("tunnel", "two-lane road tunnel", tags=("indoor",))
         def make_tunnel_scene(seed: int) -> Scene:
             ...
     """
@@ -147,8 +131,6 @@ def register_scenario(name: str, description: str,
             scene_factory=factory,
             defaults=defaults or ScenarioDefaults(),
             tags=tags,
-            execution=execution,
-            pipeline_overrides=pipeline_overrides,
         )
         return factory
 

@@ -5,16 +5,15 @@ One process owns the map: it creates (or borrows) a
 processes.  Each worker attaches to the store **by name** — zero-copy, no
 tree pickle, no second compression pass — builds a worker-global
 :class:`~repro.engine.index.PointCloudIndex` over the shared tree and then
-serves whatever mixed traffic arrives: batched radius searches, batched kNN,
-and short end-to-end pipeline runs, each request naming any registered
-backend.
+serves whatever mixed traffic arrives: batched radius searches and batched
+kNN, each request naming any registered backend.
 
 Request/response model
 ----------------------
 Requests are plain tuples dispatched through :meth:`QueryService.serve`
 (results return in request order, whatever order workers finish in — the
 same order-by-index collection the parallel sweeps use) or through the
-typed conveniences :meth:`radius`, :meth:`knn` and :meth:`pipeline`.
+typed conveniences :meth:`radius` and :meth:`knn`.
 Results are bitwise identical to running the same request against a local
 :class:`PointCloudIndex` over the same cloud: the shared tree *is* the same
 tree (same float32 points, same leaf structure, same compressed bytes), and
@@ -30,12 +29,8 @@ from __future__ import annotations
 import weakref
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..engine.execution import ExecutionConfig
 from ..engine.index import DEFAULT_BACKEND, PointCloudIndex
 from ..engine.parallel import _in_daemon_process, _pool_context, resolve_workers
-from ..kdtree.build import KDTreeConfig
 from ..runtime.batch import BatchKNNResult, BatchRadiusResult
 from ..runtime.queries import as_query_batch, check_k, check_radius
 from .store import SharedCloudStore
@@ -75,14 +70,6 @@ def _serve_request(index: PointCloudIndex, request: tuple):
         _, queries, k, backend = request
         result = index.knn(queries, k, backend=backend)
         return result.indices, result.distances
-    if kind == "pipeline":
-        from ..workloads import PipelineRunner
-
-        _, scenario, n_frames, seed, backend = request
-        runner = PipelineRunner.from_scenario(
-            scenario, n_frames=n_frames, seed=seed,
-            execution=ExecutionConfig(backend=backend))
-        return runner.run().metrics()
     raise ValueError(f"unknown service request kind {kind!r}")
 
 
@@ -96,36 +83,32 @@ def _terminate_pool(pool) -> None:
 # The service
 # ----------------------------------------------------------------------
 class QueryService:
-    """Mixed radius/kNN/pipeline traffic over one resident shared index.
+    """Mixed radius/kNN traffic over one resident shared index.
 
     Parameters
     ----------
     source:
         A point cloud / ``(N, 3)`` array / :class:`KDTree` (a store is
-        created and owned — compressed exactly once), or an existing
-        :class:`SharedCloudStore` (borrowed; the caller keeps ownership).
+        created with the default tree config and float format and owned —
+        compressed exactly once), or an existing :class:`SharedCloudStore`
+        (borrowed; the caller keeps ownership — build one to serve another
+        tree config or format).
     n_workers:
-        Worker-pool size (default: :func:`resolve_workers`).
-    serial:
-        Force in-process serving (no pool) — automatic inside daemon
-        processes, where nested pools are not allowed.  Results are
+        Worker-pool size (default: :func:`resolve_workers`).  One worker
+        serves in-process, without a pool, as does any service inside a
+        daemon process, where nested pools are not allowed.  Results are
         identical either way.
     """
 
-    def __init__(self, source, *, n_workers: Optional[int] = None,
-                 tree_config: Optional[KDTreeConfig] = None,
-                 fmt=None, serial: bool = False):
+    def __init__(self, source, *, n_workers: Optional[int] = None):
         if isinstance(source, SharedCloudStore):
             self.store = source
             self._owns_store = False
         else:
-            kwargs = {"tree_config": tree_config}
-            if fmt is not None:
-                kwargs["fmt"] = fmt
-            self.store = SharedCloudStore.create(source, **kwargs)
+            self.store = SharedCloudStore.create(source)
             self._owns_store = True
         self.n_workers = resolve_workers(n_workers)
-        self._serial = serial or self.n_workers < 2 or _in_daemon_process()
+        self._serial = self.n_workers < 2 or _in_daemon_process()
         self._pool = None
         self._pool_finalizer = None
         self._local_index: Optional[PointCloudIndex] = None
@@ -173,9 +156,8 @@ class QueryService:
     def serve(self, requests: Sequence[tuple]) -> List:
         """Serve a mixed request batch; results in request order.
 
-        Request tuples: ``("radius", queries, radius, backend)``,
-        ``("knn", queries, k, backend)``,
-        ``("pipeline", scenario, n_frames, seed, backend)``.
+        Request tuples: ``("radius", queries, radius, backend)`` and
+        ``("knn", queries, k, backend)``.
         """
         if self._closed:
             raise ValueError("QueryService is closed")
@@ -203,9 +185,3 @@ class QueryService:
         indices, distances = self.serve(
             [("knn", as_query_batch(queries), check_k(k), backend)])[0]
         return BatchKNNResult(indices=indices, distances=distances)
-
-    def pipeline(self, scenario: str, *, n_frames: int = 2, seed: int = 0,
-                 backend: str = DEFAULT_BACKEND) -> dict:
-        """A short end-to-end pipeline run served by a worker."""
-        return self.serve(
-            [("pipeline", scenario, n_frames, seed, backend)])[0]

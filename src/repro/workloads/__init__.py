@@ -46,17 +46,4 @@ __all__ = [
     "SubsamplingErrors",
     "evaluate_subsampling",
     "measure_sequence",
-    "StreamingPipelineRunner",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy re-export (PEP 562): repro.serve.streaming subclasses
-    # PipelineRunner from this package, so an eager import here would be
-    # circular whenever repro.serve loads first.
-    if name == "StreamingPipelineRunner":
-        from ..serve.streaming import StreamingPipelineRunner
-
-        globals()[name] = StreamingPipelineRunner
-        return StreamingPipelineRunner
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

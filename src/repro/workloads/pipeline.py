@@ -33,12 +33,18 @@ bytes moved per hierarchy level, cycle and energy estimates — surfaced under
 the ``"hardware"`` key of :meth:`PipelineRunResult.metrics` and locked down
 by the golden snapshots of ``tests/test_golden_hardware.py``.
 
+Frames overlap: generation and clustering of one frame are a pure function
+of its index, so :meth:`PipelineRunner.run` runs them on a small thread pool
+and folds their outputs strictly in frame order; :meth:`metrics` is bitwise
+the same for any thread count and completion order.
+
 Example
 -------
->>> from repro.workloads import ExecutionConfig, PipelineRunner
+>>> from repro.workloads import ExecutionConfig, PipelineRunner, PipelineRunnerConfig
+>>> config = PipelineRunnerConfig(
+...     execution=ExecutionConfig(backend="bonsai-batched"))
 >>> result = PipelineRunner.from_scenario(          # doctest: +SKIP
-...     "tunnel", n_frames=4,
-...     execution=ExecutionConfig(backend="bonsai-batched")).run()
+...     "tunnel", config=config, n_frames=4).run()
 >>> result.metrics()["clusters_total"]              # doctest: +SKIP
 42
 """
@@ -46,13 +52,16 @@ Example
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.bonsai_search import BonsaiStats
 from ..engine.execution import ExecutionConfig
+from ..engine.parallel import _in_daemon_process, resolve_workers
 from ..hwmodel.cache import HierarchyStats
 from ..hwmodel.energy import EnergyModel
 from ..hwmodel.report import StageHardwareReport
@@ -72,7 +81,6 @@ __all__ = [
     "LocalizationReport",
     "PipelineRunResult",
     "PipelineRunner",
-    "FrameFold",
 ]
 
 
@@ -88,15 +96,12 @@ def _default_localization_config() -> LocalizationConfig:
 
 @dataclass
 class PipelineRunnerConfig:
-    """Configuration of the end-to-end runner.
+    """Configuration of the end-to-end runner: its one source of settings.
 
     The execution mode — which search backend serves the clustering and
     localization stages, and whether the searches run through the
     trace-driven hardware models — is one value, ``execution``
-    (:class:`~repro.engine.execution.ExecutionConfig`).  The pre-engine
-    boolean pair (``PipelineRunnerConfig(use_bonsai=..., hardware=...)``)
-    went through its deprecation cycle and has been removed; spell the mode
-    as ``execution=ExecutionConfig(backend=<name>, hardware=...)``.
+    (:class:`~repro.engine.execution.ExecutionConfig`).
     """
 
     #: The execution mode (backend name, hardware switch, cache geometry).
@@ -171,7 +176,10 @@ class PipelineRunResult:
     tracks_spawned: int
     confirmed_tracks_final: int
     localization: Optional[LocalizationReport]
-    #: Wall-clock seconds per stage (measured, excluded from golden metrics).
+    #: Wall-clock seconds per stage, summed over frames (measured, excluded
+    #: from golden metrics).  The generate and cluster stages of different
+    #: frames overlap across threads, so their sums can exceed the run's
+    #: wall time.
     stage_seconds: Dict[str, float]
     #: The underlying per-frame measurements (hardware-model reports).
     measurements: List[FrameMeasurement] = field(default_factory=list, repr=False)
@@ -252,57 +260,6 @@ class PipelineRunResult:
         return out
 
 
-class FrameFold:
-    """Order-sensitive accumulation of per-frame clustering results.
-
-    The per-frame *stage* work (frame generation + clustering) is a pure
-    function of the frame index, so it can run out of order or in parallel;
-    everything stateful — extent filtering feeding the tracker, the
-    tracker's own update, the commutative-but-ordered statistics merges and
-    the record lists — lives here and must be fed **strictly in frame-index
-    order**.  Both the serial :class:`PipelineRunner` and the streaming
-    :class:`~repro.serve.streaming.StreamingPipelineRunner` fold through
-    this one code path, which is what makes their metrics bitwise
-    identical.
-    """
-
-    def __init__(self, config: PipelineRunnerConfig, execution: ExecutionConfig):
-        self.config = config
-        self.tracker = ClusterTracker(config.tracker)
-        self.cluster_search = SearchStats()
-        self.cluster_bonsai = BonsaiStats() if execution.use_bonsai else None
-        self.frames: List[FrameRecord] = []
-        self.measurements: List[FrameMeasurement] = []
-
-    def fold(self, index: int, cloud, measurement: FrameMeasurement) -> float:
-        """Fold one frame's stage output; returns the tracker wall-time."""
-        config = self.config
-        kept = filter_by_extent(
-            measurement.detections,
-            min_extent=config.min_detection_extent,
-            max_extent=config.max_detection_extent,
-        )
-        start = time.perf_counter()
-        confirmed = self.tracker.update(kept, timestamp=cloud.timestamp)
-        track_s = time.perf_counter() - start
-
-        self.cluster_search.merge(measurement.search_stats)
-        if self.cluster_bonsai is not None and measurement.bonsai_stats is not None:
-            self.cluster_bonsai.merge(measurement.bonsai_stats)
-        self.measurements.append(measurement)
-        self.frames.append(FrameRecord(
-            frame_index=index,
-            n_raw_points=measurement.n_raw_points,
-            n_filtered_points=measurement.n_filtered_points,
-            n_clusters=measurement.n_clusters,
-            n_detections_kept=len(kept),
-            n_confirmed_tracks=len(confirmed),
-            model_extract_seconds=measurement.extract.seconds,
-            model_end_to_end_seconds=measurement.end_to_end_seconds,
-        ))
-        return track_s
-
-
 class PipelineRunner:
     """Chains the full perception path over one driving sequence.
 
@@ -323,67 +280,99 @@ class PipelineRunner:
     def from_scenario(cls, name: str, config: Optional[PipelineRunnerConfig] = None,
                       n_frames: Optional[int] = None, seed: Optional[int] = None,
                       n_beams: Optional[int] = None,
-                      n_azimuth_steps: Optional[int] = None,
-                      execution: Optional[ExecutionConfig] = None) -> "PipelineRunner":
+                      n_azimuth_steps: Optional[int] = None) -> "PipelineRunner":
         """Build a runner for a registered scenario (see :mod:`repro.scenarios`).
 
-        The execution mode resolves in precedence order: the explicit
-        ``execution`` argument, then the caller's ``config.execution``, then
-        the scenario's own execution default (``spec.execution``), then the
-        global default.  Scenario ``pipeline_overrides`` apply only when the
-        caller passes no explicit ``config`` (an explicit config is taken
-        verbatim).
+        ``config`` is taken as given (default: ``PipelineRunnerConfig()``);
+        the other arguments override the scenario's sequence defaults.
         """
         from ..scenarios import get_scenario
 
-        spec = get_scenario(name)
-        sequence = spec.sequence(n_frames=n_frames, seed=seed, n_beams=n_beams,
-                                 n_azimuth_steps=n_azimuth_steps)
-        if config is None:
-            overrides = dict(spec.pipeline_overrides or {})
-            if spec.execution is not None and "execution" not in overrides:
-                overrides["execution"] = spec.execution
-            config = PipelineRunnerConfig(**overrides)
-        if execution is not None:
-            # Never mutate the caller's config: one config object must be
-            # reusable for a baseline-then-Bonsai comparison.
-            config = replace(config, execution=execution)
+        sequence = get_scenario(name).sequence(
+            n_frames=n_frames, seed=seed, n_beams=n_beams,
+            n_azimuth_steps=n_azimuth_steps)
         return cls(sequence, scenario=name, config=config)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> PipelineRunResult:
-        """Run every stage and return the structured result."""
-        config = self.config
-        stage_seconds: Dict[str, float] = {}
+        """Run every stage and return the structured result.
 
-        indices = self._select_frames()
-        start = time.perf_counter()
-        clouds = [self.sequence.frame(i) for i in indices]
-        stage_seconds["generate"] = time.perf_counter() - start
-
-        cluster_pipeline = EuclideanClusterPipeline(config.pipeline)
-        fold = FrameFold(config, config.execution)
-
-        cluster_s = 0.0
-        track_s = 0.0
-        for index, cloud in zip(indices, clouds):
-            start = time.perf_counter()
-            measurement = cluster_pipeline.run_frame(
-                cloud, frame_index=index, execution=config.execution)
-            cluster_s += time.perf_counter() - start
-            track_s += fold.fold(index, cloud, measurement)
-        stage_seconds["cluster"] = cluster_s
-        stage_seconds["track"] = track_s
-
-        return self._finish(indices, clouds, fold, stage_seconds)
-
-    def _finish(self, indices: Sequence[int], clouds: Sequence, fold: FrameFold,
-                stage_seconds: Dict[str, float]) -> PipelineRunResult:
-        """The serial tail every runner shares: localization + assembly."""
+        Generating and clustering a frame is a pure function of its index
+        (the sequence re-seeds per frame, the cluster pipeline builds a
+        fresh extractor per call), so those stages run on
+        :func:`~repro.engine.parallel.resolve_workers` threads, with at most
+        twice that many frames in flight or waiting; the NumPy kernels
+        release the GIL.  Inside a pool worker the runner uses one thread,
+        so pools never stack.  Everything stateful — the extent filter
+        feeding the tracker, the tracker, the statistics merges and the
+        records — folds strictly in frame order, so :meth:`metrics` is
+        bitwise the same for any thread count and completion order.  A
+        stage's exception propagates.  NDT localization then runs serially:
+        its scans register against the first frame's map one by one.
+        """
         config = self.config
         execution = config.execution
+        indices = self._select_frames()
+        cluster_pipeline = EuclideanClusterPipeline(config.pipeline)
+        stage_seconds = dict.fromkeys(("generate", "cluster", "track"), 0.0)
+
+        def stage(index: int):
+            start = time.perf_counter()
+            cloud = self.sequence.frame(index)
+            generated = time.perf_counter()
+            measurement = cluster_pipeline.run_frame(
+                cloud, frame_index=index, execution=execution)
+            return (index, cloud, measurement, generated - start,
+                    time.perf_counter() - generated)
+
+        tracker = ClusterTracker(config.tracker)
+        cluster_search = SearchStats()
+        cluster_bonsai = BonsaiStats() if execution.use_bonsai else None
+        clouds: List = []
+        frames: List[FrameRecord] = []
+        measurements: List[FrameMeasurement] = []
+
+        def fold(future) -> None:
+            index, cloud, measurement, generate_s, cluster_s = future.result()
+            kept = filter_by_extent(
+                measurement.detections,
+                min_extent=config.min_detection_extent,
+                max_extent=config.max_detection_extent,
+            )
+            start = time.perf_counter()
+            confirmed = tracker.update(kept, timestamp=cloud.timestamp)
+            stage_seconds["track"] += time.perf_counter() - start
+            stage_seconds["generate"] += generate_s
+            stage_seconds["cluster"] += cluster_s
+
+            cluster_search.merge(measurement.search_stats)
+            if cluster_bonsai is not None and measurement.bonsai_stats is not None:
+                cluster_bonsai.merge(measurement.bonsai_stats)
+            clouds.append(cloud)
+            measurements.append(measurement)
+            frames.append(FrameRecord(
+                frame_index=index,
+                n_raw_points=measurement.n_raw_points,
+                n_filtered_points=measurement.n_filtered_points,
+                n_clusters=measurement.n_clusters,
+                n_detections_kept=len(kept),
+                n_confirmed_tracks=len(confirmed),
+                model_extract_seconds=measurement.extract.seconds,
+                model_end_to_end_seconds=measurement.end_to_end_seconds,
+            ))
+
+        n_threads = 1 if _in_daemon_process() else resolve_workers()
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            pending = deque()
+            for index in indices:
+                pending.append(pool.submit(stage, index))
+                if len(pending) == 2 * n_threads:
+                    fold(pending.popleft())
+            while pending:
+                fold(pending.popleft())
+
         localization = None
         localization_pipeline = None
         if config.localization and len(indices) >= 2:
@@ -392,28 +381,27 @@ class PipelineRunner:
             stage_seconds["localize"] = time.perf_counter() - start
 
         track_labels: Dict[str, int] = {}
-        for track in fold.tracker.confirmed_tracks:
+        for track in tracker.confirmed_tracks:
             track_labels[track.label] = track_labels.get(track.label, 0) + 1
 
         hardware_stages = None
         if execution.hardware:
             hardware_stages = self._hardware_stages(
-                fold.measurements, fold.cluster_bonsai, localization,
-                localization_pipeline)
+                measurements, cluster_bonsai, localization, localization_pipeline)
 
         return PipelineRunResult(
             scenario=self.scenario,
             use_bonsai=execution.use_bonsai,
             frame_indices=list(indices),
-            frames=fold.frames,
-            cluster_search=fold.cluster_search,
-            cluster_bonsai=fold.cluster_bonsai,
+            frames=frames,
+            cluster_search=cluster_search,
+            cluster_bonsai=cluster_bonsai,
             track_labels=track_labels,
-            tracks_spawned=fold.tracker.tracks_spawned,
-            confirmed_tracks_final=len(fold.tracker.confirmed_tracks),
+            tracks_spawned=tracker.tracks_spawned,
+            confirmed_tracks_final=len(tracker.confirmed_tracks),
             localization=localization,
             stage_seconds=stage_seconds,
-            measurements=fold.measurements,
+            measurements=measurements,
             hardware_stages=hardware_stages,
             backend=execution.backend,
         )

@@ -3,9 +3,8 @@
 The parity of results across backends lives in ``test_backend_parity.py``;
 this file covers the API surface itself — the name→class table and its
 errors, ``ExecutionConfig`` resolution and validation, the
-``PointCloudIndex`` facade's bookkeeping, the per-scenario
-execution/pipeline overrides, and the removal of the second spellings
-beside them (removed names must fail loudly).
+``PointCloudIndex`` facade's bookkeeping, and the removal of the second
+spellings beside them (removed names must fail loudly).
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from repro.engine import (
 )
 from repro.engine import backends as backends_module
 from repro.kdtree import build_kdtree
-from repro.scenarios import get_scenario
 from repro.scenarios.registry import _REGISTRY as _SCENARIO_REGISTRY
-from repro.scenarios.registry import register_scenario
+from repro.scenarios.registry import ScenarioSpec, register_scenario
 from repro.workloads import PipelineRunner, PipelineRunnerConfig
 
 
@@ -159,50 +157,6 @@ class TestPointCloudIndex:
         assert merged.leaf_visits == batched.leaf_visits + perquery.leaf_visits
 
 
-class TestScenarioExecutionOverrides:
-    """Worlds can pin their own backend and pipeline defaults."""
-
-    @pytest.fixture()
-    def pinned_scenario(self):
-        name = "engine_test_world"
-        urban = get_scenario("urban")
-        register_scenario(
-            name, "urban clone pinning bonsai + no localization",
-            defaults=urban.defaults,
-            execution=ExecutionConfig(backend="bonsai-batched"),
-            pipeline_overrides={"localization": False,
-                                "max_detection_extent": 9.0},
-        )(urban.scene_factory)
-        yield name
-        _SCENARIO_REGISTRY.pop(name)
-
-    def test_spec_defaults_flow_into_the_runner(self, pinned_scenario):
-        runner = PipelineRunner.from_scenario(pinned_scenario, n_frames=2,
-                                              n_beams=10, n_azimuth_steps=80)
-        assert runner.config.execution.backend == "bonsai-batched"
-        assert runner.config.localization is False
-        assert runner.config.max_detection_extent == 9.0
-
-    def test_explicit_config_wins_over_spec(self, pinned_scenario):
-        config = PipelineRunnerConfig()
-        runner = PipelineRunner.from_scenario(
-            pinned_scenario, config=config, n_frames=2,
-            n_beams=10, n_azimuth_steps=80)
-        assert runner.config.execution.backend == "baseline-batched"
-        assert runner.config.localization is True
-
-    def test_explicit_backend_overrides_spec_execution(self, pinned_scenario):
-        runner = PipelineRunner.from_scenario(
-            pinned_scenario, execution=ExecutionConfig(backend="baseline-perquery"),
-            n_frames=2, n_beams=10, n_azimuth_steps=80)
-        assert runner.config.execution.backend == "baseline-perquery"
-        # The other spec overrides still apply.
-        assert runner.config.localization is False
-
-
-PRESET = dict(n_frames=2, seed=7, n_beams=10, n_azimuth_steps=80)
-
-
 class TestRemovedEntryPoints:
     """The pre-engine spellings completed their soak and are gone.
 
@@ -273,6 +227,52 @@ class TestRemovedEntryPoints:
         assert not hasattr(repro.engine, "recorded")
         assert not hasattr(ExecutionConfig, "with_flavor")
         assert not hasattr(ExecutionConfig, "with_hardware")
+
+    def test_one_pipeline_runner_one_configuration(self, small_case):
+        """PipelineRunner is the one runner and PipelineRunnerConfig its one
+        source of configuration: the streaming fork, the scenario-pinned
+        modes, the service's pipeline requests and its unused knobs are
+        gone, with no shim."""
+        import importlib
+
+        import repro.serve
+        import repro.workloads
+        import repro.workloads.pipeline
+        from repro.serve import QueryService
+
+        removed = {
+            repro: ("StreamingPipelineRunner",),
+            repro.serve: ("StreamingPipelineRunner",),
+            repro.workloads: ("StreamingPipelineRunner", "__getattr__"),
+            repro.workloads.pipeline: ("FrameFold",),
+            QueryService: ("pipeline",),
+            ScenarioSpec: ("execution", "pipeline_overrides"),
+        }
+        for owner, names in removed.items():
+            for name in names:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+                assert name not in getattr(owner, "__all__", ())
+        assert repro.serve.__all__ == ["QueryService", "SharedCloudStore"]
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serve.streaming")
+
+        with pytest.raises(TypeError):
+            PipelineRunner.from_scenario("urban", n_frames=2,
+                                         execution=ExecutionConfig())
+        with pytest.raises(TypeError):
+            register_scenario("pinned_world", "pins a mode",
+                              execution=ExecutionConfig())
+        with pytest.raises(TypeError):
+            register_scenario("pinned_world", "pins stage settings",
+                              pipeline_overrides={"localization": False})
+        assert "pinned_world" not in _SCENARIO_REGISTRY
+
+        parameters = inspect.signature(QueryService).parameters
+        assert not {"serial", "tree_config", "fmt"} & set(parameters)
+        tree, _ = small_case
+        with QueryService(tree.points, n_workers=1) as service:
+            with pytest.raises(ValueError, match="unknown service request"):
+                service.serve([("pipeline", "urban", 2, 0, "baseline-batched")])
 
     def test_one_class_per_backend(self, small_case):
         """Each name is one class; the wrappers, one-shots, the registry

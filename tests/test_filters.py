@@ -160,8 +160,10 @@ class TestCropBox:
         assert len(out) == 1
 
     def test_negative_keeps_outside(self):
-        # A NaN point is neither inside nor outside: dropped, as by PCL's CropBox.
-        cloud = PointCloud([[0, 0, 0], [10, 0, 0], [np.nan, 0, 0], [0, np.nan, 9]])
+        # A non-finite point is dropped, as by PCL's CropBox: a NaN point is
+        # neither inside nor outside, an infinite one is skipped too.
+        cloud = PointCloud([[0, 0, 0], [10, 0, 0], [np.nan, 0, 0], [0, np.nan, 9],
+                            [np.inf, 0, 0], [-np.inf, 1, 1]])
         out = crop_box_filter(cloud, [-1, -1, -1], [1, 1, 1], negative=True)
         assert len(out) == 1
         np.testing.assert_allclose(out[0], [10, 0, 0])

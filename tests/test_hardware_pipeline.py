@@ -122,15 +122,15 @@ class TestHardwareRunnerFlag:
         assert "hardware" not in result.metrics()
 
     def test_from_scenario_hardware_override(self):
-        runner = PipelineRunner.from_scenario(
-            "urban", execution=ExecutionConfig(hardware=True), **PRESET)
+        config = PipelineRunnerConfig(execution=ExecutionConfig(hardware=True))
+        runner = PipelineRunner.from_scenario("urban", config=config, **PRESET)
+        assert runner.config is config
         assert runner.config.execution.hardware is True
-        # The default config object must not have been mutated.
         assert PipelineRunnerConfig().execution.hardware is False
 
     def test_hardware_stage_structure(self):
-        result = PipelineRunner.from_scenario(
-            "urban", execution=ExecutionConfig(hardware=True), **PRESET).run()
+        config = PipelineRunnerConfig(execution=ExecutionConfig(hardware=True))
+        result = PipelineRunner.from_scenario("urban", config=config, **PRESET).run()
         assert set(result.hardware_stages) == {"clustering", "localization"}
         metrics = result.metrics()["hardware"]
         for stage in ("clustering", "localization"):

@@ -300,7 +300,7 @@ class TestQueryService:
 
     def test_serial_and_pooled_results_identical(self, cloud, queries):
         with QueryService(cloud, n_workers=2) as pooled, \
-                QueryService(cloud, serial=True) as serial:
+                QueryService(cloud, n_workers=1) as serial:
             a = pooled.radius(queries, 0.6, backend="bonsai-batched")
             b = serial.radius(queries, 0.6, backend="bonsai-batched")
             assert np.array_equal(a.offsets, b.offsets)
@@ -319,8 +319,8 @@ class TestQueryService:
         from repro.serve import service as service_module
 
         other_cloud = cloud + np.float32(100.0)  # no point near ``queries``
-        with QueryService(cloud, serial=True) as mine, \
-                QueryService(other_cloud, serial=True) as other:
+        with QueryService(cloud, n_workers=1) as mine, \
+                QueryService(other_cloud, n_workers=1) as other:
             want = mine.radius(queries, 0.6)
             assert other.radius(queries, 0.6).total_matches == 0
             index = mine._local_index
@@ -339,7 +339,7 @@ class TestQueryService:
 
     def test_borrowed_store_survives_service_close(self, cloud, queries):
         with SharedCloudStore.create(cloud) as store:
-            service = QueryService(store, serial=True)
+            service = QueryService(store, n_workers=1)
             service.radius(queries, 0.5)
             service.close()
             # The service borrowed the store: closing it must not unlink.

@@ -1,149 +1,199 @@
-"""Bitwise-parity tests of the streaming pipeline runner.
+"""Bitwise-parity tests of the pipeline runner's overlapped frame schedule.
 
-The :class:`~repro.serve.streaming.StreamingPipelineRunner` overlaps frame
-generation and clustering across a bounded stage queue; the contract is that
-``metrics()`` stays **bitwise identical** to the serial
-:class:`~repro.workloads.pipeline.PipelineRunner` for any worker count, any
-queue depth and any stage completion order.  These tests sweep every
-registered scenario, force pathological (fully inverted) completion orders
-through the ``stage_delay`` hook, and fuzz seeded configurations.
+:meth:`~repro.workloads.pipeline.PipelineRunner.run` generates and clusters
+frames on ``REPRO_MP_WORKERS`` threads and folds their outputs strictly in
+frame order; the contract is that ``metrics()`` is **bitwise identical** for
+any thread count and any stage completion order.  The reference is one
+thread (``REPRO_MP_WORKERS=1``), which runs the frames strictly in order;
+the golden suites (``tests/test_golden_pipeline.py``,
+``tests/test_golden_hardware.py``) pin the same metrics independently of
+the schedule.  These tests sweep every registered scenario, force
+pathological (fully inverted) completion orders and a failing stage by
+wrapping ``EuclideanClusterPipeline.run_frame``, and fuzz seeded cases.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.pointcloud.sequence import DrivingSequence
 from repro.scenarios import scenario_names
-from repro.serve import StreamingPipelineRunner
-from repro.workloads import ExecutionConfig, PipelineRunner
+from repro.workloads import (EuclideanClusterPipeline, ExecutionConfig,
+                             PipelineRunner, PipelineRunnerConfig)
 
 BONSAI = ExecutionConfig(backend="bonsai-batched")
 
-
-@functools.lru_cache(maxsize=None)
-def _serial_metrics(scenario: str, n_frames: int, seed: int) -> dict:
-    """The serial reference, run once per case (callers only compare)."""
-    return PipelineRunner.from_scenario(
-        scenario, n_frames=n_frames, seed=seed).run().metrics()
+#: One-thread reference metrics, run once per case (callers only compare).
+_SERIAL: dict = {}
 
 
-def _streaming_metrics(scenario: str, n_frames: int, seed: int, *,
-                       stage_workers: int, queue_depth=None,
-                       stage_delay=None, execution=None) -> dict:
-    runner = StreamingPipelineRunner.from_scenario(
-        scenario, n_frames=n_frames, seed=seed, execution=execution)
-    runner.stage_workers = stage_workers
-    runner.queue_depth = queue_depth
-    runner.stage_delay = stage_delay
+def _metrics(monkeypatch, workers: int, scenario: str, n_frames: int,
+             seed: int, execution: ExecutionConfig = ExecutionConfig(),
+             **sequence) -> dict:
+    monkeypatch.setenv("REPRO_MP_WORKERS", str(workers))
+    runner = PipelineRunner.from_scenario(
+        scenario, config=PipelineRunnerConfig(execution=execution),
+        n_frames=n_frames, seed=seed, **sequence)
     return runner.run().metrics()
+
+
+def _serial_metrics(monkeypatch, scenario: str, n_frames: int, seed: int,
+                    execution: ExecutionConfig = ExecutionConfig(),
+                    **sequence) -> dict:
+    key = (scenario, n_frames, seed, execution, tuple(sorted(sequence.items())))
+    if key not in _SERIAL:
+        _SERIAL[key] = _metrics(monkeypatch, 1, scenario, n_frames, seed,
+                                execution, **sequence)
+    return _SERIAL[key]
+
+
+def _wrap_run_frame(monkeypatch, before, after=lambda index: None):
+    """Patch ``run_frame`` to call ``before(frame_index)`` ahead of the work
+    and ``after(frame_index)`` behind it."""
+    run_frame = EuclideanClusterPipeline.run_frame
+
+    def wrapped(self, cloud, frame_index=0, **kwargs):
+        before(frame_index)
+        measurement = run_frame(self, cloud, frame_index=frame_index, **kwargs)
+        after(frame_index)
+        return measurement
+
+    monkeypatch.setattr(EuclideanClusterPipeline, "run_frame", wrapped)
 
 
 # ----------------------------------------------------------------------
 # Every registered scenario, bitwise
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scenario", scenario_names())
-def test_streaming_matches_serial_on_every_scenario(scenario):
-    """The tentpole acceptance: all registered scenarios, bitwise."""
-    serial = _serial_metrics(scenario, n_frames=3, seed=5)
-    streaming = _streaming_metrics(scenario, n_frames=3, seed=5,
-                                   stage_workers=2)
-    assert streaming == serial
+def test_streaming_matches_serial_on_every_scenario(monkeypatch, scenario):
+    """All registered scenarios: two threads equal one, bitwise."""
+    serial = _serial_metrics(monkeypatch, scenario, n_frames=3, seed=5)
+    assert _metrics(monkeypatch, 2, scenario, n_frames=3, seed=5) == serial
 
 
 # ----------------------------------------------------------------------
-# Worker counts and queue depths
+# Thread counts, backends, recording
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("stage_workers", [1, 2, 4])
-def test_worker_count_never_changes_metrics(stage_workers):
-    serial = _serial_metrics("urban", n_frames=5, seed=2)
-    streaming = _streaming_metrics("urban", n_frames=5, seed=2,
-                                   stage_workers=stage_workers)
-    assert streaming == serial
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_worker_count_never_changes_metrics(monkeypatch, workers):
+    serial = _serial_metrics(monkeypatch, "urban", n_frames=5, seed=2)
+    assert _metrics(monkeypatch, workers, "urban", n_frames=5, seed=2) == serial
 
 
-@pytest.mark.parametrize("queue_depth", [1, 2, 7])
-def test_queue_depth_is_backpressure_not_correctness(queue_depth):
-    serial = _serial_metrics("highway", n_frames=4, seed=3)
-    streaming = _streaming_metrics("highway", n_frames=4, seed=3,
-                                   stage_workers=2, queue_depth=queue_depth)
-    assert streaming == serial
+def test_streaming_with_bonsai_backend(monkeypatch):
+    serial = _serial_metrics(monkeypatch, "urban", n_frames=3, seed=4,
+                             execution=BONSAI)
+    assert _metrics(monkeypatch, 2, "urban", n_frames=3, seed=4,
+                    execution=BONSAI) == serial
 
 
-def test_streaming_with_bonsai_backend():
-    serial = PipelineRunner.from_scenario(
-        "urban", n_frames=3, seed=4, execution=BONSAI).run().metrics()
-    streaming = _streaming_metrics("urban", n_frames=3, seed=4,
-                                   stage_workers=2, execution=BONSAI)
-    assert streaming == serial
+def test_streaming_while_recording(monkeypatch):
+    """Recorded frames overlap too: the hardware metrics stay bitwise."""
+    hardware = ExecutionConfig(backend="bonsai-batched", hardware=True)
+    case = dict(n_frames=3, seed=6, n_beams=12, n_azimuth_steps=90)
+    serial = _serial_metrics(monkeypatch, "urban", execution=hardware, **case)
+    assert set(serial["hardware"]) == {"clustering", "localization"}
+    assert _metrics(monkeypatch, 2, "urban", execution=hardware,
+                    **case) == serial
+
+
+@pytest.mark.parametrize("in_pool_worker", [False, True])
+def test_one_thread_runs_frames_in_order(monkeypatch, in_pool_worker):
+    """One thread runs the frames strictly in order: with
+    ``REPRO_MP_WORKERS=1``, and with any count inside a pool worker, where
+    the runner's threads must not stack on the pool's processes."""
+    from repro.workloads import pipeline
+
+    monkeypatch.setattr(pipeline, "_in_daemon_process", lambda: in_pool_worker)
+    started, threads = [], set()
+
+    def before(index):
+        started.append(index)
+        threads.add(threading.get_ident())
+
+    _wrap_run_frame(monkeypatch, before)
+    _metrics(monkeypatch, 4 if in_pool_worker else 1, "urban", n_frames=4, seed=2)
+    assert started == [0, 1, 2, 3]
+    assert len(threads) == 1
+
+
+def test_at_most_twice_the_threads_in_flight(monkeypatch):
+    """Frame 0 holds the fold back: frames 1-3 may start, frame 4 may not."""
+    started = []
+    frame_3_done = threading.Event()
+    seen_while_frame_0_waited = []
+    generate = DrivingSequence.frame
+
+    def frame(self, index):
+        started.append(index)
+        if index == 0:
+            # Give a free thread time to start frame 4, were it queued.
+            assert frame_3_done.wait(timeout=30.0)
+            time.sleep(0.05)
+            seen_while_frame_0_waited.extend(started)
+        return generate(self, index)
+
+    def frame_3_finishes(index):
+        if index == 3:
+            frame_3_done.set()
+
+    monkeypatch.setattr(DrivingSequence, "frame", frame)
+    _wrap_run_frame(monkeypatch, lambda index: None, after=frame_3_finishes)
+    _metrics(monkeypatch, 2, "urban", n_frames=6, seed=2)
+    assert sorted(seen_while_frame_0_waited) == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------
 # Adversarial completion orders
 # ----------------------------------------------------------------------
-def test_inverted_completion_order_is_folded_in_frame_order():
+def test_inverted_completion_order_is_folded_in_frame_order(monkeypatch):
     """Later frames finish first; the fold must still run 0,1,2,..."""
     n_frames = 5
-    serial = _serial_metrics("urban", n_frames=n_frames, seed=2)
-    streaming = _streaming_metrics(
-        "urban", n_frames=n_frames, seed=2, stage_workers=4,
-        stage_delay=lambda position: (n_frames - position) * 0.02)
-    assert streaming == serial
+    serial = _serial_metrics(monkeypatch, "urban", n_frames=n_frames, seed=2)
+    _wrap_run_frame(monkeypatch,
+                    lambda index: time.sleep((n_frames - index) * 0.02))
+    assert _metrics(monkeypatch, 4, "urban", n_frames=n_frames,
+                    seed=2) == serial
 
 
-def test_random_completion_jitter():
+def test_random_completion_jitter(monkeypatch):
     rng = np.random.default_rng(77)
     delays = rng.uniform(0.0, 0.03, 6)
-    serial = _serial_metrics("tunnel", n_frames=6, seed=9)
-    streaming = _streaming_metrics(
-        "tunnel", n_frames=6, seed=9, stage_workers=3,
-        stage_delay=lambda position: float(delays[position]))
-    assert streaming == serial
+    serial = _serial_metrics(monkeypatch, "tunnel", n_frames=6, seed=9)
+    _wrap_run_frame(monkeypatch, lambda index: time.sleep(delays[index]))
+    assert _metrics(monkeypatch, 3, "tunnel", n_frames=6, seed=9) == serial
 
 
-def test_stage_failure_propagates():
-    runner = StreamingPipelineRunner.from_scenario("urban", n_frames=4,
-                                                   seed=1)
-    runner.stage_workers = 2
-
-    def explode(position):
-        if position == 2:
+def test_stage_failure_propagates(monkeypatch):
+    def explode(index):
+        if index == 2:
             raise RuntimeError("stage blew up")
-        return 0.0
 
-    runner.stage_delay = explode
+    _wrap_run_frame(monkeypatch, explode)
     with pytest.raises(RuntimeError, match="stage blew up"):
-        runner.run()
-
-
-def test_invalid_worker_count_rejected():
-    sequence = PipelineRunner.from_scenario("urban", n_frames=2,
-                                            seed=1).sequence
-    with pytest.raises(ValueError):
-        StreamingPipelineRunner(sequence, stage_workers=0)
+        _metrics(monkeypatch, 2, "urban", n_frames=4, seed=1)
 
 
 # ----------------------------------------------------------------------
 # Fuzzed configurations
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("fuzz_seed", range(4))
-def test_fuzzed_scenarios_bitwise(fuzz_seed):
-    """Random (scenario, frames, seed, workers, depth, delays) cases."""
+def test_fuzzed_scenarios_bitwise(monkeypatch, fuzz_seed):
+    """Random (scenario, frames, seed, threads, delays) cases."""
     rng = np.random.default_rng(1000 + fuzz_seed)
     names = scenario_names()
     scenario = names[int(rng.integers(0, len(names)))]
     n_frames = int(rng.integers(2, 6))
     seed = int(rng.integers(0, 1000))
-    stage_workers = int(rng.integers(1, 5))
-    queue_depth = int(rng.integers(1, 2 * stage_workers + 2))
+    workers = int(rng.integers(1, 5))
     delays = rng.uniform(0.0, 0.02, n_frames)
 
-    serial = _serial_metrics(scenario, n_frames=n_frames, seed=seed)
-    streaming = _streaming_metrics(
-        scenario, n_frames=n_frames, seed=seed, stage_workers=stage_workers,
-        queue_depth=queue_depth,
-        stage_delay=lambda position: float(delays[position]))
-    assert streaming == serial, (scenario, n_frames, seed, stage_workers,
-                                 queue_depth)
+    serial = _serial_metrics(monkeypatch, scenario, n_frames=n_frames, seed=seed)
+    _wrap_run_frame(monkeypatch, lambda index: time.sleep(delays[index]))
+    streaming = _metrics(monkeypatch, workers, scenario, n_frames=n_frames,
+                         seed=seed)
+    assert streaming == serial, (scenario, n_frames, seed, workers)
