@@ -70,6 +70,7 @@ so the listings never drift from the code.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -626,9 +627,9 @@ def _cmd_hw_sweep(args: argparse.Namespace) -> int:
         # baseline vs Bonsai recorded traffic — not the scenario matrix.
         from .analysis import MapScaleSweep, render_map_scale_sensitivity
 
-        if args.tile_size <= 0:
+        if not (math.isfinite(args.tile_size) and args.tile_size > 0):
             raise SystemExit(
-                f"repro hw-sweep: --tile-size must be positive, "
+                f"repro hw-sweep: --tile-size must be positive and finite, "
                 f"got {args.tile_size:g}")
         scenario = args.scenarios[0] if args.scenarios else "city_block"
         sweep = MapScaleSweep(

@@ -15,9 +15,10 @@ Public API
     Bonsai use, serves radius/kNN queries through any named backend with
     uniform batched results and merged statistics.
 :class:`ShardedPointCloudIndex`
-    The map-scale facade: XY-grid tiles, one lazily built (and lazily
-    compressed) per-tile index each, cross-tile queries bitwise identical
-    to the unsharded index's (:mod:`repro.engine.sharded`).
+    The map-scale sweep's index: XY-grid tiles, one lazily built (and
+    lazily compressed) per-tile index each, cross-tile radius batches
+    (recorded or not) bitwise identical to the unsharded index's
+    (:mod:`repro.engine.sharded`).
 :func:`backend_names` / :func:`get_backend`
     The name→class table (the single source of valid backend names).
 :class:`ExecutionConfig`

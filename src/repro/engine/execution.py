@@ -60,12 +60,6 @@ class ExecutionConfig:
         return self.backend.split("-", 1)[0]
 
     @property
-    def strategy(self) -> str:
-        """Execution strategy of the backend: everything after the flavour
-        (``"perquery"`` or ``"batched"``)."""
-        return self.backend.split("-", 1)[1]
-
-    @property
     def use_bonsai(self) -> bool:
         """Whether the backend searches compressed (K-D Bonsai) leaves."""
         return self.flavor == "bonsai"

@@ -22,7 +22,7 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.compressed_leaf import CompressionReport, compress_tree
 from ..core.floatfmt import FLOAT16, FloatFormat
@@ -150,8 +150,7 @@ class PointCloudIndex:
     # Queries
     # ------------------------------------------------------------------
     def radius_search(self, queries, radius: float, *,
-                      backend: str = DEFAULT_BACKEND,
-                      recorded: bool = False) -> BatchRadiusResult:
+                      backend: str = DEFAULT_BACKEND) -> BatchRadiusResult:
         """All indexed points within ``radius`` of each query.
 
         Identical results whatever backend serves the batch (per-query
@@ -160,17 +159,12 @@ class PointCloudIndex:
         ``radius`` is in the cloud's coordinate unit (metres for the
         built-in scenarios).
         """
-        return self.backend(backend, recorded=recorded).radius_search(queries, radius)
+        return self.backend(backend).radius_search(queries, radius)
 
-    def knn(self, queries, k: int, *, backend: str = DEFAULT_BACKEND,
-            recorded: bool = False) -> BatchKNNResult:
+    def knn(self, queries, k: int, *,
+            backend: str = DEFAULT_BACKEND) -> BatchKNNResult:
         """The ``k`` nearest indexed points of each query."""
-        return self.backend(backend, recorded=recorded).knn(queries, k)
-
-    def search(self, query: Sequence[float], radius: float, *,
-               backend: str = DEFAULT_BACKEND) -> List[int]:
-        """Single-query radius search (the backend's native hit order)."""
-        return self.backend(backend).search(query, radius)
+        return self.backend(backend).knn(queries, k)
 
     # ------------------------------------------------------------------
     # Merged statistics
@@ -195,22 +189,5 @@ class PointCloudIndex:
             if stats is not None:
                 if merged is None:
                     merged = BonsaiStats()
-                merged.merge(stats)
-        return merged
-
-    @property
-    def hierarchy_stats(self):
-        """Cache-hierarchy counters merged across the recorded backends.
-
-        ``None`` when no recorded backend has been used yet; otherwise a
-        :class:`~repro.hwmodel.cache.HierarchyStats`.
-        """
-        merged = None
-        for backend in self._backends.values():
-            stats = getattr(backend, "hierarchy", None)
-            if stats is not None:
-                if merged is None:
-                    from ..hwmodel.cache import HierarchyStats
-                    merged = HierarchyStats()
                 merged.merge(stats)
         return merged

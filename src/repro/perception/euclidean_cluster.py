@@ -115,13 +115,13 @@ class EuclideanClusterExtractor:
     def extract(self, cloud: PointCloud) -> ClusterResult:
         """Build the tree, grow clusters and return the filtered result.
 
-        Batched backends search every point of the cloud in one batched
-        radius query and label the connected components of the resulting
-        radius graph.  Per-query backends — and any backend when a memory
-        recorder is attached, because the trace-driven cache simulation
-        depends on the exact order of the recorded memory accesses — keep
-        the query-by-query growth.  Both paths produce identical clusters
-        and search statistics.
+        Every point of the cloud is searched in one batched radius query
+        through the configured backend, and the clusters are the connected
+        components of the resulting radius graph.  Only with a memory
+        recorder attached do the clusters grow query by query, because the
+        trace-driven cache simulation depends on the exact order of the
+        recorded memory accesses.  Both paths search every point once, so
+        they produce identical clusters and search statistics.
         """
         if cloud.is_empty:
             return ClusterResult(clusters=[], n_points=0, search_stats=SearchStats(),
@@ -136,9 +136,6 @@ class EuclideanClusterExtractor:
             # the build-time compression traffic of a fresh Bonsai tree —
             # stream into the cache model.
             backend = execution.make_backend(tree, recorder=self.recorder)
-            clusters = self._grow_clusters(cloud, backend.search)
-        elif execution.strategy == "perquery":
-            backend = execution.make_backend(tree)
             clusters = self._grow_clusters(cloud, backend.search)
         else:
             backend = execution.make_backend(tree)
@@ -179,6 +176,8 @@ class EuclideanClusterExtractor:
 
     def _grow_clusters(self, cloud: PointCloud,
                        search: Callable[[Sequence[float], float], List[int]]) -> List[Cluster]:
+        """Grow clusters query by query, recording the extract kernel's own
+        point, flag and queue accesses around each search."""
         n = len(cloud)
         processed = np.zeros(n, dtype=bool)
         clusters: List[Cluster] = []
@@ -193,25 +192,22 @@ class EuclideanClusterExtractor:
             frontier = deque([seed])
             while frontier:
                 current = frontier.popleft()
-                if recorder is not None:
-                    # The cluster loop reads the query point from the cloud and
-                    # its processed flag; these accesses are part of the extract
-                    # kernel's memory behaviour and keep the point array warm in
-                    # the baseline configuration.
-                    recorder.record_load(point_address(current), POINT_STRIDE_BYTES)
-                    recorder.record_load(flag_address(current), 1)
+                # The cluster loop reads the query point from the cloud and
+                # its processed flag; these accesses are part of the extract
+                # kernel's memory behaviour and keep the point array warm in
+                # the baseline configuration.
+                recorder.record_load(point_address(current), POINT_STRIDE_BYTES)
+                recorder.record_load(flag_address(current), 1)
                 neighbors = search(cloud[current], tolerance)
                 for neighbor in neighbors:
-                    if recorder is not None:
-                        recorder.record_load(flag_address(neighbor), 1)
+                    recorder.record_load(flag_address(neighbor), 1)
                     if not processed[neighbor]:
                         processed[neighbor] = True
                         members.append(neighbor)
                         frontier.append(neighbor)
-                        if recorder is not None:
-                            recorder.record_store(flag_address(neighbor), 1)
-                            recorder.record_store(queue_address(len(frontier)),
-                                                  INDEX_STRIDE_BYTES)
+                        recorder.record_store(flag_address(neighbor), 1)
+                        recorder.record_store(queue_address(len(frontier)),
+                                              INDEX_STRIDE_BYTES)
             if self.config.min_cluster_size <= len(members) <= self.config.max_cluster_size:
                 clusters.append(_make_cluster(cloud, sorted(members)))
         return clusters

@@ -8,7 +8,7 @@ commit, with a threshold regression detector and a byte-deterministic
 static HTML explorer on top.
 
 * :mod:`repro.trends.schema` — the versioned, exactly-roundtripping
-  :class:`TrendRecord` plus migration hooks.
+  :class:`TrendRecord`.
 * :mod:`repro.trends.store` — per-family JSONL store with deterministic
   sort/merge appends.
 * :mod:`repro.trends.collect` — adapters from the existing result objects
@@ -32,9 +32,7 @@ from .dashboard import render_dashboard
 from .regress import (DEFAULT_REL_TOL, DEFAULT_RELATIVE_METRICS, Regression,
                       RegressionPolicy, RegressionReport, find_regressions,
                       render_regressions)
-from .schema import (SCHEMA_VERSION, MetricValue, TrendRecord,
-                     TrendSchemaError, migrate, register_migration,
-                     unregister_migration)
+from .schema import SCHEMA_VERSION, MetricValue, TrendRecord, TrendSchemaError
 from .store import TrendStore, TrendStoreError
 
 __all__ = [
@@ -67,10 +65,7 @@ __all__ = [
     "find_regressions",
     "flatten_metrics",
     "maybe_record",
-    "migrate",
-    "register_migration",
     "render_dashboard",
     "render_regressions",
     "trend_context",
-    "unregister_migration",
 ]

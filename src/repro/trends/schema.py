@@ -14,11 +14,8 @@ to finite ints and floats, and Python's ``repr``-based float serialisation
 (the shortest round-tripping form, the same contract campaign world specs
 rely on) guarantees ``from_json(to_json(r)) == r``.
 
-The schema is versioned.  :data:`SCHEMA_VERSION` stamps every record;
-:func:`register_migration` installs a hook that lifts a record dict from
-one version to the next, and :func:`migrate` chains hooks until the dict
-is current — so a store written by an older tree loads unchanged by a
-newer one.
+The schema is versioned.  :data:`SCHEMA_VERSION` stamps every record, and
+a record of any other version is refused on load, naming both versions.
 """
 
 from __future__ import annotations
@@ -26,19 +23,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Callable, Dict, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 __all__ = [
     "SCHEMA_VERSION",
     "MetricValue",
     "TrendRecord",
     "TrendSchemaError",
-    "migrate",
-    "register_migration",
 ]
 
-#: Current record schema version; bump when the record shape changes and
-#: install a :func:`register_migration` hook for the old version.
+#: Current record schema version; bump when the record shape changes.
 SCHEMA_VERSION = 1
 
 MetricValue = Union[int, float]
@@ -46,69 +40,6 @@ MetricValue = Union[int, float]
 
 class TrendSchemaError(ValueError):
     """A record dict does not satisfy the trend-record schema."""
-
-
-#: Migration hooks: ``from_version -> fn(dict) -> dict`` lifting a record
-#: dict to ``from_version + 1``.  Hooks must be pure (no clock, no I/O).
-_MIGRATIONS: Dict[int, Callable[[dict], dict]] = {}
-
-
-def register_migration(from_version: int):
-    """Register ``fn`` as the migration lifting ``from_version`` records.
-
-    Decorator form::
-
-        @register_migration(0)
-        def _lift_v0(data):
-            data["run_id"] = data.pop("run", "unknown")
-            return data
-
-    Registering two hooks for one version is an error — migrations are a
-    total, deterministic chain.
-    """
-
-    def decorate(fn: Callable[[dict], dict]) -> Callable[[dict], dict]:
-        if from_version in _MIGRATIONS:
-            raise TrendSchemaError(
-                f"a migration from schema version {from_version} is already "
-                f"registered")
-        _MIGRATIONS[from_version] = fn
-        return fn
-
-    return decorate
-
-
-def unregister_migration(from_version: int) -> None:
-    """Remove a registered migration hook (test teardown helper)."""
-    _MIGRATIONS.pop(from_version, None)
-
-
-def migrate(data: Mapping) -> dict:
-    """Lift a raw record dict to :data:`SCHEMA_VERSION` via the hooks.
-
-    A dict without a ``schema_version`` field is treated as version
-    :data:`SCHEMA_VERSION` (the field has a default).  Versions newer than
-    this tree's, and old versions without a registered hook, are errors —
-    never a silent guess.
-    """
-    current = dict(data)
-    version = current.get("schema_version", SCHEMA_VERSION)
-    if not isinstance(version, int):
-        raise TrendSchemaError(
-            f"schema_version must be an int, got {version!r}")
-    if version > SCHEMA_VERSION:
-        raise TrendSchemaError(
-            f"record has schema version {version}, this tree understands "
-            f"<= {SCHEMA_VERSION} — update the repro checkout")
-    while version < SCHEMA_VERSION:
-        hook = _MIGRATIONS.get(version)
-        if hook is None:
-            raise TrendSchemaError(
-                f"no migration registered from schema version {version}")
-        current = hook(dict(current))
-        version += 1
-        current["schema_version"] = version
-    return current
 
 
 def _canonical_key(key: Mapping[str, str]) -> Tuple[Tuple[str, str], ...]:
@@ -166,8 +97,8 @@ class TrendRecord:
             raise TrendSchemaError(f"order must be an int, got {self.order!r}")
         if self.schema_version != SCHEMA_VERSION:
             raise TrendSchemaError(
-                f"TrendRecord carries schema version {SCHEMA_VERSION}; "
-                f"migrate() raw dicts first (got {self.schema_version!r})")
+                f"TrendRecord carries schema version {SCHEMA_VERSION}, "
+                f"got {self.schema_version!r}")
         for name, value in self.key.items():
             _validate_str("key name", name)
             _validate_str(f"key[{name!r}]", value)
@@ -214,8 +145,21 @@ class TrendRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TrendRecord":
-        """Build a record from a (possibly old-version) dict, migrating it."""
-        current = migrate(data)
+        """Build a record from a dict of this tree's schema version.
+
+        A dict without a ``schema_version`` field is read as the current
+        version (the field has a default); any other version is refused.
+        """
+        current = dict(data)
+        version = current.get("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or not isinstance(version, int):
+            raise TrendSchemaError(
+                f"schema_version must be an int, got {version!r}")
+        if version != SCHEMA_VERSION:
+            raise TrendSchemaError(
+                f"record has schema version {version!r}, this tree reads "
+                f"schema version {SCHEMA_VERSION} only (update the repro "
+                f"checkout to read newer records)")
         known = {"schema_version", "family", "commit", "run_id", "order",
                  "key", "metrics"}
         unknown = sorted(k for k in current if k not in known)
@@ -233,7 +177,7 @@ class TrendRecord:
             key=key,
             metrics=metrics,
             order=current.get("order", 0),
-            schema_version=current.get("schema_version", SCHEMA_VERSION),
+            schema_version=version,
         )
 
     def to_json(self) -> str:

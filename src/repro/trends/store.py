@@ -10,11 +10,11 @@ bytes depend only on the set of records it holds — never on append order,
 process interleaving or wall-clock.  Appending the same records twice is
 a no-op by construction.
 
-Loading applies the schema migration chain
-(:func:`~repro.trends.schema.migrate`), so a store written by an older
-tree reads cleanly in a newer one.  Every error path raises
-:class:`TrendStoreError` with the file and line it happened on and what
-to do about it — the CLI surfaces these verbatim instead of a traceback.
+Loading refuses a record of another schema version
+(:meth:`~repro.trends.schema.TrendRecord.from_dict`).  Every error path
+raises :class:`TrendStoreError` with the file and line it happened on and
+what to do about it — the CLI surfaces these verbatim instead of a
+traceback.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import (ExecutionConfig, PointCloudIndex, ShardedPointCloudIndex,
-                          backend_names, get_backend)
+from repro.engine import ExecutionConfig, PointCloudIndex, backend_names, get_backend
 from repro.kdtree import SearchStats, build_kdtree
 from repro.pointcloud import PointCloud, preprocess_for_clustering
 from repro.scenarios import build_sequence
@@ -274,15 +273,5 @@ class TestLatticeKNNTies:
         assert np.array_equal(reference.indices, expected)
         for name in backend_names():
             result = get_backend(name, tree).knn(queries, k)
-            assert np.array_equal(result.indices, reference.indices), name
-            assert np.array_equal(result.distances, reference.distances), name
-
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_sharded_perquery_and_compressed_knn_agree(self, lattice, k):
-        points, tree, queries = lattice
-        reference = get_backend(REFERENCE, tree).knn(queries, k)
-        for name in ("baseline-perquery", "bonsai-perquery"):
-            with ShardedPointCloudIndex(points, tile_size=4.0) as sharded:
-                result = sharded.knn(queries, k, backend=name)
             assert np.array_equal(result.indices, reference.indices), name
             assert np.array_equal(result.distances, reference.distances), name

@@ -153,6 +153,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["hw-sweep", "--jobs", jobs])
 
+    def test_hw_sweep_rejects_bad_tile_size(self):
+        """Refused before the map cloud is sampled, with the CLI's message."""
+        for tile_size in ("0", "-4", "nan", "inf"):
+            with pytest.raises(SystemExit, match="--tile-size must be positive"):
+                main(["hw-sweep", "--tile-size", tile_size])
+
     def test_hw_sweep_rejects_single_backend(self):
         """The sweep compares backend pairs; one backend is a usage error."""
         with pytest.raises(SystemExit, match="at least two distinct"):

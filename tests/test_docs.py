@@ -2,10 +2,11 @@
 
 The acceptance contract of ``docs/ARCHITECTURE.md`` is that its described
 module layout matches ``src/repro/`` *exactly*.  These tests enforce it —
-and check that every relative markdown link in the first-class docs resolves
-— so the docs-lint CI step fails the moment code and docs drift apart.  The
-perf-trajectory files ``BENCH_<workload>.json`` at the repo root must parse
-and hold one well-formed entry per measured PR.
+and check that every relative markdown link in the first-class docs resolves,
+every documented command line parses and every Python block of the README
+runs — so the docs-lint CI step fails the moment code and docs drift apart.
+The perf-trajectory files ``BENCH_<workload>.json`` at the repo root must
+parse and hold one well-formed entry per measured PR.
 """
 
 from __future__ import annotations
@@ -225,6 +226,27 @@ def test_documented_command_lines_parse(argv):
         build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"`repro {' '.join(argv)}` does not parse (exit {exc.code})")
+
+
+#: A README block that builds one of these sweeps runs for tens of seconds,
+#: so it runs under the ``slow`` marker.
+SLOW_BLOCK_RE = re.compile(r"\b(?:HardwareScenarioSweep|CacheGeometrySweep)\(")
+
+
+def _readme_python_blocks():
+    """Each fenced ``python`` block of the README, with an ordinal id."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.DOTALL | re.MULTILINE)
+    return [pytest.param(code, id=f"block{number}",
+                         marks=[pytest.mark.slow] if SLOW_BLOCK_RE.search(code) else [])
+            for number, code in enumerate(blocks, 1)]
+
+
+@pytest.mark.parametrize("code", _readme_python_blocks())
+def test_readme_python_blocks_run(code):
+    """Every Python block the README shows runs as written, each in a
+    fresh namespace."""
+    exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
 
 
 #: Keys of every entry of a ``BENCH_<workload>.json`` perf-trajectory file.

@@ -74,7 +74,7 @@ class TestExecutionConfig:
         config = ExecutionConfig()
         assert config.backend == "baseline-batched"
         assert not config.hardware and not config.use_bonsai
-        assert config.flavor == "baseline" and config.strategy == "batched"
+        assert config.flavor == "baseline"
 
     def test_unknown_backend_rejected_at_construction(self):
         for name in ("baseline",) + UNKNOWN_BACKENDS:
@@ -139,10 +139,14 @@ class TestPointCloudIndex:
     def test_recorded_backend_merges_hierarchy_stats(self, small_case):
         tree, queries = small_case
         index = PointCloudIndex(tree)
-        assert index.hierarchy_stats is None
-        index.radius_search(queries, 0.5, recorded=True)
-        merged = index.hierarchy_stats
-        assert merged is not None and merged.l1_accesses > 0
+        recorded = index.backend("baseline-batched", recorded=True)
+        assert recorded.hierarchy.l1_accesses == 0
+        want = index.radius_search(queries, 0.5)
+        got = recorded.radius_search(queries, 0.5)
+        assert np.array_equal(got.point_indices, want.point_indices)
+        assert recorded.hierarchy.l1_accesses > 0
+        # The unrecorded backend beside it records nothing.
+        assert getattr(index.backend("baseline-batched"), "hierarchy", None) is None
 
     def test_bonsai_stats_merge_across_bonsai_backends(self, small_case):
         tree, queries = small_case
@@ -273,6 +277,53 @@ class TestRemovedEntryPoints:
         with QueryService(tree.points, n_workers=1) as service:
             with pytest.raises(ValueError, match="unknown service request"):
                 service.serve([("pipeline", "urban", 2, 0, "baseline-batched")])
+
+    def test_one_job_for_each_index_facade(self, small_case):
+        """The sharded index answers radius batches only, and both facades
+        keep just what their callers use: the sharded kNN, single-query
+        search, merged statistics, tile accessors and knobs are gone, as are
+        PointCloudIndex.search, its hierarchy_stats and the recorded=
+        keyword of its queries, with no shim."""
+        from repro.engine import ShardedPointCloudIndex
+        from repro.engine import sharded as sharded_module
+
+        removed = {
+            ShardedPointCloudIndex: (
+                "knn", "_knn_chunk", "search", "search_stats", "bonsai_stats",
+                "hierarchy_stats", "tile_counts", "tile_cells", "tile_bounds",
+                "n_built_tiles", "build_all", "ensure_compressed",
+                "_query_chunks", "_backend_for"),
+            PointCloudIndex: ("search", "hierarchy_stats"),
+            sharded_module: ("DEFAULT_CHUNK_QUERIES",),
+            ExecutionConfig: ("strategy",),
+        }
+        for owner, names in removed.items():
+            for name in names:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+                assert name not in getattr(owner, "__all__", ())
+        assert list(inspect.signature(ShardedPointCloudIndex).parameters) == \
+            ["cloud", "tile_size"]
+        for keyword in ("tree_config", "fmt", "chunk_queries"):
+            with pytest.raises(TypeError):
+                ShardedPointCloudIndex(np.zeros((1, 3)), **{keyword: None})
+        tree, queries = small_case
+        index = PointCloudIndex(tree)
+        for method in (index.radius_search, index.knn):
+            assert "recorded" not in inspect.signature(method).parameters
+        with pytest.raises(TypeError):
+            index.radius_search(queries, 0.5, recorded=True)
+        with pytest.raises(TypeError):
+            index.knn(queries, 3, recorded=True)
+        # A recorded backend is still one backend() call away.
+        recorded = index.backend("bonsai-batched", recorded=True)
+        recorded.radius_search(queries, 0.5)
+        assert recorded.hierarchy.l1_accesses > 0
+        # The sharded index keeps its recorded radius batches.
+        with ShardedPointCloudIndex(tree.points, tile_size=4.0) as sharded:
+            got = sharded.radius_search(queries, 0.5, backend="bonsai-perquery",
+                                        recorded=True)
+            want = index.radius_search(queries, 0.5)
+            assert np.array_equal(got.point_indices, want.point_indices)
 
     def test_one_class_per_backend(self, small_case):
         """Each name is one class; the wrappers, one-shots, the registry

@@ -1,13 +1,12 @@
 """Property-based edge tests of the sharded index's chunked queries.
 
 :class:`~repro.engine.sharded.ShardedPointCloudIndex` serves a query batch
-in contiguous chunks of at most ``chunk_queries`` queries and assembles the
-chunks' hits in one CSR pass (kNN rows are stacked in chunk order).  The
-invariant: *any* chunk size gives results bitwise identical to the
-unsharded :class:`~repro.engine.index.PointCloudIndex` over the same cloud.
-Hypothesis drives the chunk size through the edges a fixed unit test would
-miss — empty batches, single-query chunks, zero-hit chunks, duplicate kNN
-distances, and as many chunks as queries.
+in contiguous chunks of at most ``CHUNK_QUERIES`` queries and assembles the
+chunks' hits in one CSR pass.  The invariant: *any* chunk size gives results
+bitwise identical to the unsharded :class:`~repro.engine.index.PointCloudIndex`
+over the same cloud.  Hypothesis drives the chunk size through the edges a
+fixed unit test would miss — empty batches, single-query chunks, zero-hit
+chunks and as many chunks as queries.
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import PointCloudIndex, ShardedPointCloudIndex
+from repro.engine import sharded as sharded_module
+from repro.engine.sharded import _query_chunks
 
 RADIUS = 0.45
 
@@ -26,7 +27,7 @@ RADIUS = 0.45
 def case():
     rng = np.random.default_rng(17)
     points = rng.uniform(-6.0, 6.0, (300, 3)).astype(np.float32)
-    # Duplicate a slab of points so kNN distance ties actually occur.
+    # Duplicate a slab of points so hits at equal distances occur.
     points[150:180] = points[0:30]
     queries = np.vstack([
         points[:50].astype(np.float64) + rng.normal(0.0, 0.2, (50, 3)),
@@ -42,18 +43,11 @@ def _radius_equal(got, want):
     assert np.array_equal(got.point_indices, want.point_indices)
 
 
-def _knn_equal(got, want):
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.distances, want.distances)
-
-
 class TestPlanShards:
     @given(n_queries=st.integers(min_value=1, max_value=200),
            chunk_queries=st.integers(min_value=1, max_value=400))
     def test_plan_covers_batch_contiguously(self, n_queries, chunk_queries):
-        index = ShardedPointCloudIndex(np.zeros((1, 3), np.float32),
-                                       chunk_queries=chunk_queries)
-        chunks = index._query_chunks(n_queries)
+        chunks = _query_chunks(n_queries, chunk_queries)
         # Contiguous, disjoint, covering, never empty, never over-full.
         assert chunks[0][0] == 0 and chunks[-1][1] == n_queries
         for (start, stop), (next_start, _) in zip(chunks, chunks[1:]):
@@ -62,15 +56,9 @@ class TestPlanShards:
         assert len(chunks) == -(-n_queries // chunk_queries)
 
     def test_shard_count_clamped_to_query_count(self):
-        points = np.zeros((1, 3), np.float32)
-        assert len(ShardedPointCloudIndex(points, chunk_queries=1)
-                   ._query_chunks(3)) == 3
-        assert ShardedPointCloudIndex(points, chunk_queries=9)._query_chunks(1) \
-            == [(0, 1)]
-        assert ShardedPointCloudIndex(points, chunk_queries=5)._query_chunks(5) \
-            == [(0, 5)]
-        with pytest.raises(ValueError, match="chunk_queries"):
-            ShardedPointCloudIndex(points, chunk_queries=0)
+        assert len(_query_chunks(3, 1)) == 3
+        assert _query_chunks(1, 9) == [(0, 1)]
+        assert _query_chunks(5, 5) == [(0, 5)]
 
 
 class TestMergeRadiusShards:
@@ -78,9 +66,10 @@ class TestMergeRadiusShards:
     @given(chunk_queries=st.integers(min_value=1, max_value=60))
     def test_any_contiguous_split_merges_bitwise(self, case, chunk_queries):
         sharded, flat, queries = case
-        sharded.chunk_queries = chunk_queries
-        _radius_equal(sharded.radius_search(queries, RADIUS),
-                      flat.radius_search(queries, RADIUS))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sharded_module, "CHUNK_QUERIES", chunk_queries)
+            got = sharded.radius_search(queries, RADIUS)
+        _radius_equal(got, flat.radius_search(queries, RADIUS))
 
     def test_empty_shard_list_is_an_empty_batch(self, case):
         sharded, _, _ = case
@@ -89,58 +78,19 @@ class TestMergeRadiusShards:
         assert result.offsets.shape == (1,)
         assert result.point_indices.shape == (0,)
 
-    def test_single_query_shards(self, case):
+    def test_single_query_shards(self, case, monkeypatch):
         sharded, flat, queries = case
-        sharded.chunk_queries = 1
+        monkeypatch.setattr(sharded_module, "CHUNK_QUERIES", 1)
         _radius_equal(sharded.radius_search(queries, RADIUS),
                       flat.radius_search(queries, RADIUS))
 
-    def test_zero_hit_shards_keep_offsets_aligned(self, case):
+    def test_zero_hit_shards_keep_offsets_aligned(self, case, monkeypatch):
         sharded, flat, queries = case
         # 56 queries in chunks of at most 6: the last chunk holds exactly
         # the six far-away queries, so it contributes no hit at all.
-        sharded.chunk_queries = 6
-        assert sharded._query_chunks(queries.shape[0])[-1] == (50, 56)
+        monkeypatch.setattr(sharded_module, "CHUNK_QUERIES", 6)
+        assert _query_chunks(queries.shape[0], 6)[-1] == (50, 56)
         assert flat.radius_search(queries[-6:], RADIUS).total_matches == 0
         got = sharded.radius_search(queries, RADIUS)
         _radius_equal(got, flat.radius_search(queries, RADIUS))
         assert np.all(got.counts[-6:] == 0)
-
-
-class TestMergeKnnShards:
-    @settings(max_examples=40, deadline=None)
-    @given(chunk_queries=st.integers(min_value=1, max_value=60),
-           k=st.integers(min_value=1, max_value=6))
-    def test_any_contiguous_split_merges_bitwise(self, case, chunk_queries, k):
-        sharded, flat, queries = case
-        sharded.chunk_queries = chunk_queries
-        _knn_equal(sharded.knn(queries, k), flat.knn(queries, k))
-
-    def test_duplicate_distance_ties_survive_the_merge(self, case):
-        """The fixture clones 30 points, so equidistant neighbours exist;
-        tie order (by point index) must not depend on the chunking."""
-        sharded, flat, queries = case
-        sharded.chunk_queries = 1
-        want = flat.knn(queries, 4)
-        _knn_equal(sharded.knn(queries, 4), want)
-        # Ties really happen: some query has two neighbours at one distance.
-        has_tie = any(
-            len(set(np.round(row[np.isfinite(row)], 10))) < np.sum(np.isfinite(row))
-            for row in want.distances)
-        assert has_tie
-
-    def test_single_shard_roundtrip(self, case):
-        sharded, flat, queries = case
-        sharded.chunk_queries = queries.shape[0]
-        assert len(sharded._query_chunks(queries.shape[0])) == 1
-        _knn_equal(sharded.knn(queries, 3), flat.knn(queries, 3))
-
-    def test_more_shards_than_queries_via_plan(self, case):
-        """The plan never makes more chunks than queries: chunks of one
-        query are the limit, and they merge clean."""
-        sharded, flat, queries = case
-        sharded.chunk_queries = 1
-        assert len(sharded._query_chunks(queries.shape[0])) == queries.shape[0]
-        _radius_equal(sharded.radius_search(queries, RADIUS),
-                      flat.radius_search(queries, RADIUS))
-        _knn_equal(sharded.knn(queries, 5), flat.knn(queries, 5))

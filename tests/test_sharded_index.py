@@ -1,27 +1,25 @@
 """Determinism contract of the city-scale sharded index.
 
-``ShardedPointCloudIndex`` promises results **bitwise identical** to the
-unsharded ``PointCloudIndex`` over the same cloud — whatever the tiling,
-chunking or per-tile backend (kNN distance ties are covered on a lattice in
-``tests/test_backend_parity.py``).  This file
-locks that promise down across every registered backend, plus the edge
-cases the grid introduces: queries landing in zero tiles, empty batches,
-empty clouds, ``k`` larger than the cloud, lazy tile building and the
-merged per-tile statistics.
+``ShardedPointCloudIndex`` promises radius results **bitwise identical** to
+the unsharded ``PointCloudIndex`` over the same cloud — whatever the tiling,
+chunking or per-tile backend.  This file locks that promise down across
+every registered backend, plus the edge cases the grid introduces: queries
+landing in zero tiles, empty batches, empty clouds, invalid clouds and tile
+sizes, lazy tile building and the per-tile statistics a caller sums.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.engine import PointCloudIndex, ShardedPointCloudIndex, backend_names
+from repro.engine import sharded as sharded_module
 from repro.engine.sharded import DEFAULT_TILE_SIZE
+from repro.kdtree import SearchStats
+from repro.pointcloud import PointCloud
 
 RADIUS = 2.5
-K = 8
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +48,7 @@ def queries(cloud):
 
 @pytest.fixture(scope="module")
 def sharded(cloud):
-    return ShardedPointCloudIndex(cloud, tile_size=40.0, chunk_queries=64)
+    return ShardedPointCloudIndex(cloud, tile_size=40.0)
 
 
 @pytest.fixture(scope="module")
@@ -63,33 +61,26 @@ def flat(cloud):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", backend_names())
 class TestParity:
-    def test_radius_bitwise_identical(self, sharded, flat, backend, queries):
+    def test_radius_bitwise_identical(self, sharded, flat, backend, queries,
+                                      monkeypatch):
+        # 240 queries in chunks of at most 64: four chunks.
+        monkeypatch.setattr(sharded_module, "CHUNK_QUERIES", 64)
         got = sharded.radius_search(queries, RADIUS, backend=backend)
         want = flat.radius_search(queries, RADIUS)
         assert got.offsets.dtype == want.offsets.dtype
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.point_indices, want.point_indices)
 
-    def test_knn_bitwise_identical(self, sharded, flat, backend, queries):
-        got = sharded.knn(queries, K, backend=backend)
-        want = flat.knn(queries, K)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.distances, want.distances)
 
-
-def test_parity_is_tiling_invariant(cloud, flat, queries):
+def test_parity_is_tiling_invariant(cloud, flat, queries, monkeypatch):
     """Different tile sizes and chunkings cannot change a single bit."""
-    want_r = flat.radius_search(queries, RADIUS)
-    want_k = flat.knn(queries, K)
+    want = flat.radius_search(queries, RADIUS)
     for tile_size, chunk in ((13.0, 7), (DEFAULT_TILE_SIZE, 2048), (500.0, 64)):
-        index = ShardedPointCloudIndex(cloud, tile_size=tile_size,
-                                       chunk_queries=chunk)
-        got_r = index.radius_search(queries, RADIUS)
-        assert np.array_equal(got_r.offsets, want_r.offsets)
-        assert np.array_equal(got_r.point_indices, want_r.point_indices)
-        got_k = index.knn(queries, K)
-        assert np.array_equal(got_k.indices, want_k.indices)
-        assert np.array_equal(got_k.distances, want_k.distances)
+        monkeypatch.setattr(sharded_module, "CHUNK_QUERIES", chunk)
+        index = ShardedPointCloudIndex(cloud, tile_size=tile_size)
+        got = index.radius_search(queries, RADIUS)
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.point_indices, want.point_indices)
     # A 500 m tile degenerates to one cell per quadrant (grid cells are
     # anchored at the origin): few huge tiles, still bitwise identical.
     assert index.n_tiles <= 4
@@ -108,10 +99,6 @@ class TestEdgeCases:
         assert result.n_queries == 2
         assert result.total_matches == 0
         assert np.array_equal(result.offsets, np.zeros(3, dtype=result.offsets.dtype))
-        # kNN still finds the globally nearest points (no radius to prune by).
-        knn = sharded.knn(lost, 3)
-        assert (knn.indices >= 0).all()
-        assert np.isfinite(knn.distances).all()
 
     def test_empty_batch(self, sharded):
         empty = np.empty((0, 3))
@@ -119,9 +106,6 @@ class TestEdgeCases:
         assert result.n_queries == 0
         assert result.offsets.shape == (1,) and result.offsets[0] == 0
         assert result.point_indices.shape == (0,)
-        knn = sharded.knn(empty, K)
-        assert knn.indices.shape == (0, K)
-        assert knn.distances.shape == (0, K)
 
     def test_empty_cloud(self):
         """Zero points is legal here (unlike the unsharded tree build)."""
@@ -129,40 +113,25 @@ class TestEdgeCases:
         assert index.n_points == 0 and index.n_tiles == 0
         result = index.radius_search(np.zeros((4, 3)), RADIUS)
         assert result.n_queries == 4 and result.total_matches == 0
-        knn = index.knn(np.zeros((4, 3)), K)
-        assert knn.indices.shape == (4, 0)  # width = min(k, 0)
-
-    def test_k_exceeding_n_points(self, flat):
-        rng = np.random.default_rng(5)
-        small = rng.uniform(-50.0, 50.0, (37, 3)).astype(np.float32)
-        index = ShardedPointCloudIndex(small, tile_size=20.0)
-        want = PointCloudIndex(small).knn(small[:5].astype(np.float64), 50)
-        got = index.knn(small[:5].astype(np.float64), 50)
-        assert got.indices.shape == (5, 37)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.distances, want.distances)
-
-    def test_single_query_search(self, sharded, flat, cloud):
-        """`search` is index-sorted (CSR row order), unlike the per-query
-        backends' native traversal order — same hit set either way."""
-        query = cloud[11].astype(np.float64)
-        got = sharded.search(query, RADIUS)
-        assert got == flat.radius_search(query[None, :], RADIUS) \
-            .indices_for(0).tolist()
-        assert got == sorted(
-            flat.backend("baseline-perquery").search(query, RADIUS))
 
     def test_invalid_arguments(self, sharded, cloud):
-        with pytest.raises(ValueError):
-            ShardedPointCloudIndex(cloud, tile_size=0.0)
-        with pytest.raises(ValueError):
-            ShardedPointCloudIndex(cloud, chunk_queries=0)
+        for tile_size in (0.0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tile_size"):
+                ShardedPointCloudIndex(cloud, tile_size=tile_size)
         with pytest.raises(ValueError):
             ShardedPointCloudIndex(np.zeros((4, 2)))
+        # Non-finite points are refused, as the unsharded tree build
+        # refuses them: a NaN coordinate floors to no grid cell.
+        points = np.random.default_rng(3).uniform(-50.0, 50.0, (2000, 3))
+        points[5] = [np.nan, 1.0, 2.0]
+        points[7] = [np.inf, 0.0, 0.0]
+        for bad in (points, PointCloud(points.astype(np.float32))):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                ShardedPointCloudIndex(bad, tile_size=20.0)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            PointCloudIndex(points)
         with pytest.raises(ValueError):
             sharded.radius_search(np.zeros((1, 3)), 0.0)
-        with pytest.raises(ValueError):
-            sharded.knn(np.zeros((1, 3)), 0)
 
 
 # ----------------------------------------------------------------------
@@ -171,62 +140,74 @@ class TestEdgeCases:
 class TestLifecycle:
     def test_tiles_build_lazily(self, cloud):
         index = ShardedPointCloudIndex(cloud, tile_size=40.0)
-        assert index.n_built_tiles == 0
         assert index.built_tile_indexes() == []
         # One concentrated query touches only the tiles near it.
         index.radius_search(cloud[:1].astype(np.float64), RADIUS)
-        assert 0 < index.n_built_tiles < index.n_tiles
         built = index.built_tile_indexes()
-        assert len(built) == index.n_built_tiles
+        assert 0 < len(built) < index.n_tiles
         assert all(isinstance(tile, int) and idx is not None
                    for tile, idx in built)
-        index.build_all()
-        assert index.n_built_tiles == index.n_tiles
+        # tile_index builds the tile it names, and only that one.
+        untouched = next(tile for tile in range(index.n_tiles)
+                         if tile not in dict(built))
+        assert index.tile_index(untouched) is index.tile_index(untouched)
+        assert len(index.built_tile_indexes()) == len(built) + 1
 
     def test_partition_is_exhaustive_and_disjoint(self, sharded, cloud):
-        counts = sharded.tile_counts
-        assert counts.sum() == sharded.n_points == len(cloud)
-        assert (counts > 0).all()  # only non-empty tiles exist
-        assert sharded.tile_cells.shape == (sharded.n_tiles, 2)
-        seen = np.concatenate(
-            [sharded._tile_point_indices[t] for t in range(sharded.n_tiles)])
+        tiles = [sharded._tile_point_indices[t] for t in range(sharded.n_tiles)]
+        assert all(tile.size > 0 for tile in tiles)  # only non-empty tiles
+        assert sum(tile.size for tile in tiles) == sharded.n_points == len(cloud)
+        seen = np.concatenate(tiles)
         assert np.array_equal(np.sort(seen), np.arange(len(cloud)))
-        for tile in range(sharded.n_tiles):
-            lo, hi = sharded.tile_bounds(tile)
-            pts = cloud[sharded._tile_point_indices[tile]].astype(np.float64)
+        for tile, members in enumerate(tiles):
+            # Global indices ascend within a tile, and the tile's index
+            # holds exactly its points, in that order.
+            assert (np.diff(members) > 0).all()
+            pts = cloud[members].astype(np.float64)
+            lo, hi = sharded._tile_lo[tile], sharded._tile_hi[tile]
             assert (pts >= lo - 1e-9).all() and (pts <= hi + 1e-9).all()
+        assert np.array_equal(sharded.tile_index(0).tree.points, cloud[tiles[0]])
 
     def test_merged_search_and_bonsai_stats(self, cloud, queries):
+        """Per-tile statistics, summed over the built tiles as the
+        map-scale sweep sums them."""
         index = ShardedPointCloudIndex(cloud, tile_size=40.0)
-        assert index.bonsai_stats is None  # no Bonsai backend touched yet
         index.radius_search(queries, RADIUS, backend="bonsai-batched")
-        stats = index.search_stats
+        tiles = [idx for _, idx in index.built_tile_indexes()]
+        stats = SearchStats()
+        for idx in tiles:
+            stats.merge(idx.search_stats)
         assert stats.queries > 0 and stats.leaves_visited > 0
-        bonsai = index.bonsai_stats
-        assert bonsai is not None and bonsai.leaf_visits > 0
-        # The merged view equals the sum over the built tiles.
-        total = sum(idx.search_stats.leaves_visited
-                    for _, idx in index.built_tile_indexes())
-        assert stats.leaves_visited == total
+        assert all(idx.bonsai_stats is not None for idx in tiles)
+        assert sum(idx.bonsai_stats.leaf_visits for idx in tiles) > 0
+        # Tiles are disjoint, so the tiles' in-radius counts add up to the
+        # merged result's size.
+        result = index.radius_search(queries, RADIUS, backend="bonsai-batched")
+        assert stats.points_in_radius == result.total_matches
 
     def test_recorded_mode_merges_hierarchy_stats(self, cloud, queries):
         from repro.analysis import GEOMETRIES
+        from repro.hwmodel.cache import HierarchyStats
 
         index = ShardedPointCloudIndex(cloud, tile_size=40.0)
-        assert index.hierarchy_stats is None
         cpu = GEOMETRIES["l2-256k"].cpu()
         got = index.radius_search(queries[:60], RADIUS,
                                   backend="bonsai-perquery", recorded=True,
                                   cpu=cpu)
         want = PointCloudIndex(cloud).radius_search(queries[:60], RADIUS)
         assert np.array_equal(got.point_indices, want.point_indices)
-        merged = index.hierarchy_stats
-        assert merged is not None
-        assert merged.loads > 0 and merged.bytes_loaded > 0
         per_tile = [idx.backend("bonsai-perquery", recorded=True,
                                 cpu=cpu).hierarchy
                     for _, idx in index.built_tile_indexes()]
+        merged = HierarchyStats()
+        for hierarchy in per_tile:
+            merged.merge(hierarchy)
+        assert merged.loads > 0 and merged.bytes_loaded > 0
         assert merged.l1_misses == sum(h.l1_misses for h in per_tile)
+        # Each recorded tile backend traces its own geometry.
+        assert all(idx.backend("bonsai-perquery", recorded=True, cpu=cpu)
+                   .recorder.hierarchy.l2.config.size_bytes == cpu.l2.size_bytes
+                   for _, idx in index.built_tile_indexes())
 
     def test_close_is_idempotent_and_recoverable(self, cloud, queries):
         index = ShardedPointCloudIndex(cloud, tile_size=40.0)
@@ -264,12 +245,8 @@ def test_million_point_map_parity():
             want = flat.radius_search(queries, 2.0)
             assert np.array_equal(got.offsets, want.offsets)
             assert np.array_equal(got.point_indices, want.point_indices)
-        got_k = index.knn(queries, 5)
-        want_k = flat.knn(queries, 5)
-        assert np.array_equal(got_k.indices, want_k.indices)
-        assert np.array_equal(got_k.distances, want_k.distances)
         # Lazy build really paid off: the fuzz only touched some tiles.
-        assert index.n_built_tiles < index.n_tiles
+        assert len(index.built_tile_indexes()) < index.n_tiles
     finally:
         index.close()
         flat.close()

@@ -23,9 +23,7 @@ from repro.trends import (KNOWN_FAMILIES, TrendContext, TrendRecord,
                           collect_cache_sweep, collect_campaign_manifest,
                           collect_golden_snapshots, collect_hw_sweep,
                           collect_pipeline_run, flatten_metrics,
-                          maybe_record, migrate, register_migration,
-                          render_dashboard, trend_context,
-                          unregister_migration)
+                          maybe_record, render_dashboard, trend_context)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -83,6 +81,13 @@ class TestTrendRecordSchema:
         with pytest.raises(TrendSchemaError, match="wallclock"):
             TrendRecord.from_dict(data)
 
+    @pytest.mark.parametrize("version", [1.0, True, "1"])
+    def test_non_int_schema_version_is_rejected(self, version):
+        data = _record().as_dict()
+        data["schema_version"] = version
+        with pytest.raises(TrendSchemaError, match="must be an int"):
+            TrendRecord.from_dict(data)
+
     def test_newer_schema_version_is_rejected(self):
         data = _record().as_dict()
         data["schema_version"] = 99
@@ -92,27 +97,9 @@ class TestTrendRecordSchema:
     def test_old_version_without_hook_is_rejected(self):
         data = _record().as_dict()
         data["schema_version"] = 0
-        with pytest.raises(TrendSchemaError, match="no migration"):
+        with pytest.raises(TrendSchemaError,
+                           match="schema version 0, this tree reads schema version 1"):
             TrendRecord.from_dict(data)
-
-    def test_migration_hook_lifts_old_records(self):
-        data = _record().as_dict()
-        data["schema_version"] = 0
-        data["run"] = data.pop("run_id")
-
-        @register_migration(0)
-        def _lift(old):
-            old["run_id"] = old.pop("run")
-            return old
-
-        try:
-            with pytest.raises(TrendSchemaError):
-                register_migration(0)(lambda d: d)  # duplicates are errors
-            record = TrendRecord.from_dict(data)
-            assert record == _record()
-            assert migrate({"schema_version": 0, "run": "x"})["run_id"] == "x"
-        finally:
-            unregister_migration(0)
 
 
 class TestTrendStore:
