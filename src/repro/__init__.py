@@ -44,8 +44,9 @@ Subpackages
     registered backend, pairwise diffing, divergence shrinking.
 ``repro.serve``
     Serving layer: the shared-memory :class:`~repro.serve.store.SharedCloudStore`
-    (compress once, attach everywhere) and the pooled
-    :class:`~repro.serve.service.QueryService` of radius/kNN requests.
+    (compress once, attach everywhere) and the
+    :class:`~repro.serve.service.QueryService`, whose worker processes each
+    serve radius/kNN requests on their own pipe.
 ``repro.lint``
     Project-native static analysis: determinism, resource-lifecycle and
     multiprocessing-safety rules behind a name registry, surfaced as
@@ -106,7 +107,7 @@ instead of spelling out the subpackage:
     detector and the static HTML explorer.
 ``SharedCloudStore`` / ``QueryService``
     The serving layer (:mod:`repro.serve`): the shared-memory store and the
-    pooled query service over it.
+    query service, whose workers attach to it and answer on their own pipes.
 
 Every search object is one of the four backends ``get_backend(name,
 tree)`` builds; the pre-engine spellings (``batch_radius_search``,

@@ -2,7 +2,7 @@
 
 Two pieces serve every parallel surface of the package:
 
-* :func:`resolve_workers` — the worker count of the query service's pool
+* :func:`resolve_workers` — the worker count of the query service
   (:class:`~repro.serve.service.QueryService`), the parallel sweeps'
   ``--jobs`` and the pipeline runner's frame threads
   (:meth:`~repro.workloads.pipeline.PipelineRunner.run`).
@@ -31,11 +31,11 @@ __all__ = [
 
 
 def resolve_workers(n_workers: Optional[int] = None) -> int:
-    """The effective worker count of a pool, a sweep or the frame threads.
+    """The effective worker count of the service, a sweep or the frame threads.
 
     Precedence: an explicit ``n_workers`` (must be >= 1), then the
     ``REPRO_MP_WORKERS`` environment variable, then ``max(2, min(4, cpus))``
-    — at least two so the query service runs its worker pool and the
+    — at least two so the query service starts its worker processes and the
     sweeps and frame threads overlap their work by default, at most four
     because the workloads stop scaling long before the typical core count
     does.

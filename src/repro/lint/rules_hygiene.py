@@ -1,12 +1,12 @@
 """Multiprocessing-safety and hygiene rules.
 
 The fork/spawn contract of the engine layer (:mod:`repro.engine.parallel`)
-is that everything crossing a process boundary pickles: worker callables and
-pool initializers must be module-level functions, because ``spawn`` resolves
-them by qualified name.  A lambda or nested function works under ``fork`` on
-Linux and then breaks on the ``spawn`` fallback — the exact class of
-platform-dependent bug the parity suites cannot catch on the platform where
-it happens to pass.
+is that everything crossing a process boundary pickles: worker callables,
+pool initializers and process targets must be module-level functions,
+because ``spawn`` resolves them by qualified name.  A lambda or nested
+function works under ``fork`` on Linux and then breaks on the ``spawn``
+fallback — the exact class of platform-dependent bug the parity suites
+cannot catch on the platform where it happens to pass.
 
 The hygiene family covers the classic Python footguns with outsized blast
 radius in a determinism-sensitive codebase: mutable default arguments
@@ -30,7 +30,8 @@ _SUBMIT_METHODS = frozenset({"map", "imap", "imap_unordered", "starmap",
                              "starmap_async", "apply", "apply_async",
                              "submit"})
 
-#: Keyword arguments that carry a callable into worker processes.
+#: Keyword arguments that carry a callable into worker processes (besides
+#: the ``target=`` of ``Process(...)``; a ``Thread``'s target never pickles).
 _WORKER_KWARGS = frozenset({"initializer"})
 
 
@@ -73,7 +74,8 @@ def _thread_pool_names(module, scope: ast.AST) -> Set[str]:
 
 @register_rule
 class UnpicklableTaskRule(Rule):
-    """Callables handed to worker pools must be module-level functions."""
+    """Callables handed to worker pools and processes must be module-level
+    functions."""
 
     name = "mp-unpicklable-task"
     severity = "error"
@@ -95,7 +97,8 @@ class UnpicklableTaskRule(Rule):
                     threads: Set[str]) -> Iterator[Finding]:
         candidates: List[ast.AST] = []
         full = module.full_name(node.func) or ""
-        if full.rsplit(".", 1)[-1] == "process_map" and node.args:
+        callee = full.rsplit(".", 1)[-1] or getattr(node.func, "attr", "")
+        if callee == "process_map" and node.args:
             candidates.append(node.args[0])
         elif (isinstance(node.func, ast.Attribute)
                 and node.func.attr in _SUBMIT_METHODS and node.args
@@ -103,7 +106,8 @@ class UnpicklableTaskRule(Rule):
                          and node.func.value.id in threads)):
             candidates.append(node.args[0])
         candidates.extend(kw.value for kw in node.keywords
-                          if kw.arg in _WORKER_KWARGS)
+                          if kw.arg in _WORKER_KWARGS
+                          or (kw.arg == "target" and callee == "Process"))
         for candidate in candidates:
             if isinstance(candidate, ast.Lambda):
                 yield self.finding(

@@ -2,7 +2,7 @@
 
 The serving layer's guarantees — exactly one compression pass fleet-wide,
 refcounted shared-memory segments that unlink on the last close, worker
-pools torn down instead of leaked — all reduce to one discipline: whoever
+processes torn down instead of leaked — all reduce to one discipline: whoever
 constructs a :class:`~repro.serve.store.SharedCloudStore`, a
 :class:`~repro.engine.index.PointCloudIndex`, a worker pool or a raw
 ``SharedMemory`` segment must either scope it with ``with`` or close it on
@@ -30,7 +30,7 @@ __all__ = ["RESOURCE_LABELS"]
 RESOURCE_LABELS: Dict[str, str] = {
     "PointCloudIndex": "PointCloudIndex (backend cache)",
     "ShardedPointCloudIndex": "ShardedPointCloudIndex (per-tile indexes)",
-    "QueryService": "QueryService (persistent worker pool)",
+    "QueryService": "QueryService (persistent worker processes)",
     "SharedMemory": "SharedMemory segment (named; leaks into /dev/shm)",
     "SharedCloudStore.create": "SharedCloudStore (holds a refcount)",
     "SharedCloudStore.attach": "SharedCloudStore attach (holds a refcount)",

@@ -6,9 +6,10 @@ Two pieces, layered bottom-up:
   immutable arrays (points, leaf index lists, Bonsai compressed bytes and
   their decoded mirror) in refcounted POSIX shared memory; built and
   compressed exactly once, attached zero-copy by name.
-* :class:`QueryService` (:mod:`repro.serve.service`) — a persistent worker
-  pool attached to one store, serving mixed radius/kNN traffic against any
-  registered backend.
+* :class:`QueryService` (:mod:`repro.serve.service`) — persistent worker
+  processes attached to one store, each on its own pipe, serving mixed
+  radius/kNN traffic against any registered backend; the calling thread
+  sends each request straight to an idle worker.
 """
 
 from .service import QueryService

@@ -21,8 +21,8 @@ mirror — into POSIX shared memory
 * the segments are **refcounted**: every refcounted attach increments a
   counter in the control segment under an advisory file lock, every
   ``close()`` decrements it, and the last closer unlinks all segments.
-  Pool workers use *borrowed* (non-refcounted) attaches because
-  ``Pool.terminate()`` kills them without running any teardown.
+  The query service's workers use *borrowed* (non-refcounted) attaches
+  because ``QueryService.close()`` terminates them without any teardown.
 
 Lifecycle notes
 ---------------
@@ -254,8 +254,8 @@ class SharedCloudStore:
         With ``refcounted=False`` the attach is *borrowed*: the refcount is
         untouched and ``close()`` only drops the local mappings.  Borrowed
         attaches are for processes whose lifetime is bounded by a refcounted
-        holder — pool workers killed by ``Pool.terminate()`` — and must
-        never outlive the store.
+        holder — the query service's workers, which its ``close()``
+        terminates — and must never outlive the store.
         """
         segments: Dict[str, shared_memory.SharedMemory] = {}
         try:

@@ -11,9 +11,11 @@ parse and hold one well-formed entry per measured PR.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -185,15 +187,21 @@ def test_relative_links_resolve(doc):
 
 
 def _documented_commands():
-    """``(doc:line, argv)`` of every ``python -m repro`` line in the docs."""
+    """``(id, argv)`` of every ``python -m repro`` line in the docs.
+
+    A case is keyed by its file and command, not its line, so editing the
+    prose above a command renames nothing: ``<file>#<first 8 hex digits of
+    the SHA-1 of the joined argv>``, with ``-2``, ``-3`` for repeats of one
+    command in one file.
+    """
     docs = [README, *sorted((REPO / "docs").glob("*.md")),
             SRC / "workloads" / "README.md"]
     commands = []
     for doc in docs:
         lines = doc.read_text(encoding="utf-8").splitlines()
+        repeats = Counter()
         number = 0
         while number < len(lines):
-            first = number
             line = lines[number]
             while line.endswith("\\") and number + 1 < len(lines):
                 number += 1
@@ -203,8 +211,13 @@ def _documented_commands():
             if match:
                 # A $(...) substitution stands for one argument.
                 arguments = re.sub(r"\$\([^)]*\)", "SUBSTITUTED", match.group(1))
-                commands.append((f"{doc.relative_to(REPO)}:{first + 1}",
-                                 shlex.split(arguments, comments=True)))
+                argv = shlex.split(arguments, comments=True)
+                digest = hashlib.sha1(" ".join(argv).encode()).hexdigest()[:8]
+                key = f"{doc.relative_to(REPO)}#{digest}"
+                repeats[key] += 1
+                if repeats[key] > 1:
+                    key += f"-{repeats[key]}"
+                commands.append((key, argv))
     return commands
 
 
@@ -212,7 +225,7 @@ DOCUMENTED_COMMANDS = _documented_commands()
 
 
 def test_documented_commands_found():
-    documents = {where.rsplit(":", 1)[0] for where, _ in DOCUMENTED_COMMANDS}
+    documents = {where.split("#", 1)[0] for where, _ in DOCUMENTED_COMMANDS}
     assert {"README.md", "src/repro/workloads/README.md"} <= documents
 
 

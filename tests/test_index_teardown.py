@@ -1,10 +1,10 @@
-"""Teardown/reuse tests of the backend cache and the query service's pool.
+"""Teardown/reuse tests of the backend cache and the query service's workers.
 
 ``PointCloudIndex.close()`` must be idempotent, must never crash on
 double-close, and must leave the index fully usable afterwards — the next
 call rebuilds a fresh backend and returns identical results.  A
 :class:`~repro.serve.QueryService` left open at interpreter exit must shut
-its worker pool and its shared store down cleanly.
+its worker processes and its shared store down cleanly.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class TestContextManagers:
         sharded.close()
 
     def test_exit_without_close_in_subprocess_is_clean(self):
-        """Interpreter exit with a live service pool must not traceback
+        """Interpreter exit with live service workers must not traceback
         and must unlink the service's shared store."""
         import subprocess
         import sys
@@ -114,7 +114,7 @@ class TestContextManagers:
             "points = rng.uniform(-7.0, 7.0, (500, 3)).astype(np.float32)\n"
             "service = QueryService(points, n_workers=2)\n"
             "service.radius(points[:60].astype(np.float64), 0.5)\n"
-            "assert service._pool is not None\n"
+            "assert len(service._workers) == 2\n"
             "print(service.store.name)\n"
         )
         proc = subprocess.run(

@@ -133,6 +133,21 @@ class TestRuleDetails:
             "mp-unpicklable-task")
         assert findings == []
 
+    def test_process_target_closure_is_flagged(self, tmp_path):
+        findings, _ = self._one(
+            tmp_path,
+            "import multiprocessing\n"
+            "import threading\n"
+            "def run():\n"
+            "    def work():\n"
+            "        return 1\n"
+            "    ctx = multiprocessing.get_context('spawn')\n"
+            "    ctx.Process(target=work).start()\n"
+            "    multiprocessing.get_context().Process(target=lambda: 1)\n"
+            "    threading.Thread(target=work).start()\n",
+            "mp-unpicklable-task")
+        assert [finding.line for finding in findings] == [7, 8]
+
     def test_broad_except_reraise_is_clean(self, tmp_path):
         findings, _ = self._one(
             tmp_path,

@@ -4,8 +4,10 @@ Covers the :class:`~repro.serve.store.SharedCloudStore` refcount contract
 (attach/detach/unlink, double-close idempotence, borrowed attaches), the
 orphaned-segment story (a killed refcounted holder leaks by design until
 ``force_unlink``), cross-process attach through the
-:class:`~repro.serve.service.QueryService` pool, and bitwise parity of every
-registered backend over an attached tree vs. a process-local index.
+:class:`~repro.serve.service.QueryService` workers (their start under
+concurrent first requests, concurrent callers, worker errors and dead
+workers), and bitwise parity of every registered backend over an attached
+tree vs. a process-local index.
 
 Every test runs under a leak-check fixture: no ``repro-store-*`` segment may
 survive a test, whatever path it took through the API.
@@ -16,8 +18,13 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from repro.engine import PointCloudIndex, backend_names
 from repro.kdtree import KDTree, build_kdtree
 from repro.serve import QueryService, SharedCloudStore
 
+REPO = Path(__file__).resolve().parent.parent
 SEGMENT_GLOB = "/dev/shm/repro-store-*"
 
 
@@ -306,36 +314,20 @@ class TestQueryService:
             assert np.array_equal(a.offsets, b.offsets)
             assert np.array_equal(a.point_indices, b.point_indices)
 
-    def test_serial_service_answers_from_its_own_index(
-            self, cloud, queries, monkeypatch):
-        """Two serial services in one process never swap maps.
-
-        Each answers from its own index even when the module-global worker
-        state names the other service's, as a second serial service in
-        another thread could make it.  The other service's state is
-        installed in the middle of the first request instead of racing two
-        threads.
-        """
-        from repro.serve import service as service_module
-
+    def test_serial_service_answers_from_its_own_index(self, cloud, queries):
+        """Two serial services in one process never swap maps, however
+        their requests interleave."""
         other_cloud = cloud + np.float32(100.0)  # no point near ``queries``
         with QueryService(cloud, n_workers=1) as mine, \
                 QueryService(other_cloud, n_workers=1) as other:
             want = mine.radius(queries, 0.6)
-            assert other.radius(queries, 0.6).total_matches == 0
-            index = mine._local_index
-            search = index.radius_search
-
-            def swap_then_search(*args, **kwargs):
-                monkeypatch.setattr(service_module, "_SERVICE_STATE",
-                                    (other.store, other._local_index))
-                return search(*args, **kwargs)
-
-            monkeypatch.setattr(index, "radius_search", swap_then_search)
+            assert want.total_matches > 0
             request = ("radius", queries, 0.6, "baseline-batched")
-            for offsets, point_indices in mine.serve([request, request]):
-                assert np.array_equal(offsets, want.offsets)
-                assert np.array_equal(point_indices, want.point_indices)
+            for _ in range(2):
+                assert other.radius(queries, 0.6).total_matches == 0
+                for offsets, point_indices in mine.serve([request, request]):
+                    assert np.array_equal(offsets, want.offsets)
+                    assert np.array_equal(point_indices, want.point_indices)
 
     def test_borrowed_store_survives_service_close(self, cloud, queries):
         with SharedCloudStore.create(cloud) as store:
@@ -346,3 +338,187 @@ class TestQueryService:
             assert SharedCloudStore.exists(store.name)
             with pytest.raises(ValueError):
                 service.serve([("radius", queries, 0.5, "baseline-batched")])
+
+    def test_worker_errors_raise_after_every_reply_is_read(self, cloud,
+                                                           queries):
+        """A request that fails in a worker, or does not pickle, raises in
+        the caller, and every connection goes back with no reply unread."""
+        with PointCloudIndex(cloud) as local, \
+                QueryService(cloud, n_workers=2) as service:
+            good = ("radius", queries, 0.6, "baseline-batched")
+            with pytest.raises(ValueError, match="unknown service request"):
+                service.serve([good, ("bogus",), good, good])
+            with pytest.raises(KeyError, match="no-such-backend"):
+                service.knn(queries, 3, backend="no-such-backend")
+            with pytest.raises(Exception, match="pickle"):
+                service.serve([good, ("radius", lambda: 0, 0.6, "x"), good])
+            want = local.radius_search(queries, 0.6, backend="baseline-batched")
+            for offsets, point_indices in service.serve([good] * 5):
+                assert np.array_equal(offsets, want.offsets)
+                assert np.array_equal(point_indices, want.point_indices)
+
+    def test_concurrent_first_requests_start_one_set_of_workers(
+            self, cloud, queries):
+        """Two threads making a fresh service's first request together
+        start exactly ``n_workers`` worker processes between them."""
+        before = set(multiprocessing.active_children())
+        barrier = threading.Barrier(2)
+        results, errors = [], []
+
+        def first_request():
+            try:
+                barrier.wait(timeout=30)
+                results.append(service.radius(queries, 0.6))
+            except Exception as exc:
+                errors.append(exc)
+
+        with QueryService(cloud, n_workers=2) as service:
+            threads = [threading.Thread(target=first_request)
+                       for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            started = set(multiprocessing.active_children()) - before
+            assert errors == [] and len(results) == 2
+            assert len(started) == service.n_workers
+            assert np.array_equal(results[0].point_indices,
+                                  results[1].point_indices)
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_killed_workers_raise_instead_of_hanging(self):
+        """Every worker killed: the next requests raise ``RuntimeError``
+        naming a worker, ``close()`` returns and no worker is left.  Runs in
+        a subprocess so a hang fails by timeout."""
+        script = (
+            "import multiprocessing, os, signal\n"
+            "import numpy as np\n"
+            "from repro.serve import QueryService\n"
+            "rng = np.random.default_rng(5)\n"
+            "points = rng.uniform(-5.0, 5.0, (400, 3)).astype(np.float32)\n"
+            "queries = points[:20].astype(np.float64)\n"
+            "service = QueryService(points, n_workers=2)\n"
+            "service.radius(queries, 0.5)\n"
+            "pids = [child.pid for child in multiprocessing.active_children()]\n"
+            "print(len(pids))\n"
+            "for pid in pids:\n"
+            "    os.kill(pid, signal.SIGKILL)\n"
+            "for attempt in range(2):\n"
+            "    try:\n"
+            "        service.radius(queries, 0.5)\n"
+            "    except RuntimeError as exc:\n"
+            "        print(any(f'worker {pid} died (exit code -9)' in str(exc)\n"
+            "                  for pid in pids))\n"
+            "service.close()\n"
+            "print(multiprocessing.active_children())\n"
+            "for pid in pids:\n"
+            "    try:\n"
+            "        os.kill(pid, 0)\n"
+            "    except ProcessLookupError:\n"
+            "        print('gone')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "True", "True", "[]", "gone", "gone"]
+
+    def test_workers_exit_when_the_service_process_dies(self, cloud):
+        """A service process killed without any cleanup leaves no worker
+        behind: each sees EOF on its pipe and ends."""
+        script = (
+            "import multiprocessing, sys, time\n"
+            "import numpy as np\n"
+            "from repro.serve import QueryService, SharedCloudStore\n"
+            "store = SharedCloudStore.attach(sys.argv[1], refcounted=False)\n"
+            "service = QueryService(store, n_workers=2)\n"
+            "service.radius(np.zeros((4, 3)), 0.5)\n"
+            "print(*(c.pid for c in multiprocessing.active_children()),\n"
+            "      flush=True)\n"
+            "time.sleep(120)\n"
+        )
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] not in "ZX"
+
+        with SharedCloudStore.create(cloud) as store, subprocess.Popen(
+                [sys.executable, "-c", script, store.name],
+                stdout=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(REPO / "src")}) as proc:
+            try:
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                pids = [int(pid) for pid in proc.stdout.readline().split()] \
+                    if ready else []
+            finally:
+                proc.kill()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+
+    def test_concurrent_callers_get_their_own_replies(self, cloud):
+        """Four client threads, more than the two workers, each send mixed
+        radius/kNN requests over their own query set (singly and in
+        batches) while the interpreter switches threads as often as it
+        can; every reply must be the local index's answer to that very
+        request."""
+        rng = np.random.default_rng(44)
+        streams = []
+        with PointCloudIndex(cloud) as local:
+            for _ in range(4):
+                mine = cloud[rng.integers(0, len(cloud), 40)].astype(
+                    np.float64) + rng.normal(0.0, 0.3, (40, 3))
+                requests, expected = [], []
+                for number in range(25):
+                    backend = ("baseline-batched", "bonsai-batched")[number % 2]
+                    if number % 3 == 2:
+                        k = 1 + number % 7
+                        result = local.knn(mine, k, backend=backend)
+                        requests.append(("knn", mine, k, backend))
+                        expected.append((result.indices, result.distances))
+                    else:
+                        radius = 0.3 + 0.05 * number
+                        result = local.radius_search(mine, radius,
+                                                     backend=backend)
+                        requests.append(("radius", mine, radius, backend))
+                        expected.append((result.offsets,
+                                         result.point_indices))
+                streams.append((requests, expected))
+
+        mismatches, errors = [], []
+
+        def client(requests, expected):
+            try:
+                start = 0
+                for size in (1, 3, 1, 2, 5, 1, 4, 2, 1, 5):
+                    replies = service.serve(requests[start:start + size])
+                    for offset, reply in enumerate(replies):
+                        want = expected[start + offset]
+                        if not all(np.array_equal(a, b)
+                                   for a, b in zip(reply, want)):
+                            mismatches.append(start + offset)
+                    start += size
+            except Exception as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(cloud, n_workers=2) as service:
+                threads = [threading.Thread(target=client, args=stream)
+                           for stream in streams]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                alive = [thread for thread in threads if thread.is_alive()]
+        finally:
+            sys.setswitchinterval(switch)
+        assert alive == []
+        assert errors == [] and mismatches == []
