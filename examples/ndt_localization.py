@@ -32,7 +32,7 @@ def main() -> None:
     config = NDTConfig(voxel_size=2.0, search_radius=2.5, max_iterations=15,
                        max_scan_points=250)
     ndt_map = NDTMap(map_cloud, config)
-    print(f"NDT map: {len(map_cloud)} points -> {len(ndt_map.voxels)} voxel Gaussians")
+    print(f"NDT map: {len(map_cloud)} points -> {len(ndt_map.counts)} voxel Gaussians")
 
     for execution in (ExecutionConfig(), ExecutionConfig(backend="bonsai-batched")):
         matcher = NDTMatcher(NDTMap(map_cloud, config), execution=execution)

@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .compare import relative_change
 from .hw_sweep import (
     SWEEP_BACKENDS,
+    SWEEP_MODES,
     HardwareSweepResult,
     SweepTask,
-    mode_label,
     run_sweep_task,
 )
 
@@ -148,37 +149,27 @@ class CacheSweepResult:
     n_frames: int
     n_beams: int
     n_azimuth_steps: int
-    #: Mode labels of the swept backends, in backend order.
-    modes: Tuple[str, ...]
 
     def geometries(self) -> List[CacheGeometry]:
         """The swept geometry variants, in sweep order."""
         return [run.geometry for run in self.runs]
 
     def comparison_rows(self) -> List[Dict[str, object]]:
-        """Per-geometry (first mode vs. second mode) aggregate comparison.
+        """Per-geometry baseline vs. Bonsai aggregate comparison.
 
-        For the default backend pair the first mode is the baseline and the
-        second the Bonsai search; each row carries both modes' traffic and
-        energy totals plus the relative change of the second mode — the
+        Each row carries both modes' traffic and energy totals (``base``,
+        ``other``) plus the relative change of the Bonsai search — the
         numbers the sensitivity table renders.
         """
-        if len(self.modes) < 2:
-            raise ValueError("comparison needs at least two swept backends")
-        base_mode, other_mode = self.modes[0], self.modes[1]
         rows = []
         for run in self.runs:
-            base = run.mode_totals(base_mode)
-            other = run.mode_totals(other_mode)
+            base, other = (run.mode_totals(mode) for mode in SWEEP_MODES)
             rows.append({
                 "geometry": run.geometry,
                 "base": base,
                 "other": other,
-                "change": {
-                    key: ((other[key] - base[key]) / base[key]
-                          if base[key] else 0.0)
-                    for key in base
-                },
+                "change": {key: relative_change(base[key], other[key])
+                           for key in base},
             })
         return rows
 
@@ -188,8 +179,8 @@ class CacheGeometrySweep:
 
     ``geometries`` is a sequence of variant names (keys of
     :data:`GEOMETRIES`) or :class:`CacheGeometry` values, defaulting to the
-    L1-size cut (:data:`DEFAULT_GEOMETRY_NAMES`); ``scenarios`` /
-    ``backends`` / the sensor preset mean the same as in
+    L1-size cut (:data:`DEFAULT_GEOMETRY_NAMES`); ``scenarios`` and the
+    sensor preset mean the same as in
     :class:`~repro.analysis.hw_sweep.HardwareScenarioSweep`.  All
     (geometry, scenario, backend) cells run across **one** process pool of
     ``n_jobs`` workers and merge by task index, so the result is identical
@@ -200,7 +191,6 @@ class CacheGeometrySweep:
                  scenarios: Optional[Sequence[str]] = None, *,
                  n_frames: int = 3, seed: Optional[int] = None,
                  n_beams: int = 18, n_azimuth_steps: int = 180,
-                 backends: Optional[Sequence[str]] = None,
                  n_jobs: Optional[int] = None):
         from ..scenarios import scenario_names
 
@@ -209,7 +199,6 @@ class CacheGeometrySweep:
                            for g in names]
         self.scenarios = (list(scenarios) if scenarios is not None
                           else scenario_names())
-        self.backends = tuple(backends) if backends is not None else SWEEP_BACKENDS
         self.n_frames = n_frames
         self.seed = seed
         self.n_beams = n_beams
@@ -226,16 +215,15 @@ class CacheGeometrySweep:
                       cache_config=geometry.cpu())
             for geometry in self.geometries
             for scenario in self.scenarios
-            for backend in self.backends
+            for backend in SWEEP_BACKENDS
         ]
 
     def run(self) -> CacheSweepResult:
         """Execute the grid (serial or pooled) and return the result."""
         from ..engine.parallel import process_map
 
-        modes = tuple(mode_label(backend) for backend in self.backends)
         all_runs = process_map(run_sweep_task, self.tasks(), n_jobs=self.n_jobs)
-        per_geometry = len(self.scenarios) * len(self.backends)
+        per_geometry = len(self.scenarios) * len(SWEEP_BACKENDS)
         runs: List[GeometryRun] = []
         for index, geometry in enumerate(self.geometries):
             chunk = all_runs[index * per_geometry:(index + 1) * per_geometry]
@@ -243,8 +231,8 @@ class CacheGeometrySweep:
                 geometry=geometry,
                 sweep=HardwareSweepResult(
                     runs=chunk, n_frames=self.n_frames, n_beams=self.n_beams,
-                    n_azimuth_steps=self.n_azimuth_steps, modes=modes),
+                    n_azimuth_steps=self.n_azimuth_steps),
             ))
         return CacheSweepResult(
             runs=runs, n_frames=self.n_frames, n_beams=self.n_beams,
-            n_azimuth_steps=self.n_azimuth_steps, modes=modes)
+            n_azimuth_steps=self.n_azimuth_steps)

@@ -19,7 +19,8 @@ import numpy as np
 from ..workloads.autoware import FrameMeasurement
 from .boxplot import BoxPlotStats, compare_distributions
 
-__all__ = ["MetricComparison", "ComparisonSummary", "compare_measurements"]
+__all__ = ["MetricComparison", "ComparisonSummary", "compare_measurements",
+           "relative_change"]
 
 #: Order of Figure 9a's metric bars.
 FIG9A_METRICS = (
@@ -30,6 +31,12 @@ FIG9A_METRICS = (
     "l1_accesses",
     "l1_misses",
 )
+
+
+def relative_change(baseline: float, bonsai: float) -> float:
+    """``(bonsai - baseline) / baseline``, negative for a reduction and 0.0
+    when the baseline is 0."""
+    return (bonsai - baseline) / baseline if baseline else 0.0
 
 
 @dataclass
@@ -43,9 +50,7 @@ class MetricComparison:
     @property
     def relative_change(self) -> float:
         """``(bonsai - baseline) / baseline`` (negative means reduction)."""
-        if self.baseline == 0:
-            return 0.0
-        return (self.bonsai - self.baseline) / self.baseline
+        return relative_change(self.baseline, self.bonsai)
 
 
 @dataclass

@@ -30,29 +30,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["HardwareScenarioRun", "HardwareSweepResult", "HardwareScenarioSweep",
-           "SweepTask", "run_sweep_task",
-           "SWEEP_BACKENDS", "SWEEP_MODES", "mode_label"]
+           "SweepTask", "run_sweep_task", "SWEEP_BACKENDS", "SWEEP_MODES"]
 
-#: The execution backends every scenario runs under (backend names).
+#: The execution backends every scenario runs under (backend names): the
+#: baseline, then the Bonsai search.  A recorded run traces its flavour's
+#: per-query walk whatever the strategy, so a hardware sweep compares the
+#: two flavours and nothing else.
 SWEEP_BACKENDS = ("baseline-batched", "bonsai-batched")
 
-
-def mode_label(backend: str) -> str:
-    """A backend's short mode label, unique per backend.
-
-    The default batched backends keep the historical short labels
-    (``baseline`` / ``bonsai``); any other backend is labelled by its full
-    backend name so two same-flavour backends never collide in
-    ``HardwareSweepResult.pair``, a rendered table, or a golden-snapshot
-    filename (``tests/goldens.py`` reuses this mapping).
-    """
-    flavor, strategy = backend.split("-", 1)
-    return flavor if strategy == "batched" else backend
-
-
-#: Short mode labels of the default sweep backends, used in table rows and
-#: golden-snapshot filenames.
-SWEEP_MODES = tuple(mode_label(backend) for backend in SWEEP_BACKENDS)
+#: The flavours of :data:`SWEEP_BACKENDS`, in the same order: each run's
+#: ``mode``, the table rows' labels and the golden-snapshot stems.
+SWEEP_MODES = ("baseline", "bonsai")
 
 
 @dataclass
@@ -60,6 +48,7 @@ class HardwareScenarioRun:
     """One scenario under one search configuration."""
 
     scenario: str
+    #: The backend's flavour, one of :data:`SWEEP_MODES`.
     mode: str
     #: The full deterministic metrics dictionary of the run, including the
     #: per-stage ``"hardware"`` section (see ``PipelineRunResult.metrics``).
@@ -81,9 +70,6 @@ class HardwareSweepResult:
     n_frames: int
     n_beams: int
     n_azimuth_steps: int
-    #: The sweep's mode labels, in backend order (not hardwired to the
-    #: defaults — a sweep over other backends carries its own labels).
-    modes: Tuple[str, ...] = SWEEP_MODES
 
     def scenarios(self) -> List[str]:
         """Scenario names covered by the sweep, in run order (deduplicated)."""
@@ -93,16 +79,13 @@ class HardwareSweepResult:
         return list(seen)
 
     def pair(self, scenario: str) -> Tuple[HardwareScenarioRun, ...]:
-        """One scenario's runs, in the sweep's mode order.
-
-        For the default sweep this is the (baseline, bonsai) pair the
-        renderers compare.
-        """
+        """One scenario's ``(baseline, bonsai)`` runs, which the renderers
+        compare."""
         by_mode = {run.mode: run for run in self.runs if run.scenario == scenario}
-        missing = [mode for mode in self.modes if mode not in by_mode]
+        missing = [mode for mode in SWEEP_MODES if mode not in by_mode]
         if missing:
             raise KeyError(f"scenario {scenario!r} missing modes {missing} in sweep")
-        return tuple(by_mode[mode] for mode in self.modes)
+        return tuple(by_mode[mode] for mode in SWEEP_MODES)
 
     def as_dict(self) -> Dict[str, object]:
         """The whole sweep as one deterministic, JSON-serialisable mapping."""
@@ -114,7 +97,7 @@ class HardwareSweepResult:
             },
             "scenarios": {
                 scenario: {mode: run.metrics
-                           for mode, run in zip(self.modes, self.pair(scenario))}
+                           for mode, run in zip(SWEEP_MODES, self.pair(scenario))}
                 for scenario in sorted(self.scenarios())
             },
         }
@@ -161,18 +144,16 @@ def run_sweep_task(task: SweepTask) -> HardwareScenarioRun:
         n_beams=task.n_beams, n_azimuth_steps=task.n_azimuth_steps,
     )
     return HardwareScenarioRun(scenario=task.scenario,
-                               mode=mode_label(task.backend),
+                               mode=execution.flavor,
                                metrics=runner.run().metrics(),
                                backend=task.backend)
 
 
 class HardwareScenarioSweep:
-    """Runs every scenario x execution backend in hardware-in-the-loop mode.
+    """Runs every scenario with the baseline and the Bonsai search
+    (:data:`SWEEP_BACKENDS`) in hardware-in-the-loop mode.
 
-    ``scenarios`` defaults to every registered scenario and ``backends`` to
-    the baseline/Bonsai batched pair (``SWEEP_BACKENDS``), both selected by
-    backend name; ``cache_config`` optionally pins the recorded machine's
-    cache geometry for sensitivity sweeps.  The sensor preset
+    ``scenarios`` defaults to every registered scenario.  The sensor preset
     (``n_frames``/``n_beams``/``n_azimuth_steps``) applies to every run so
     the rows of the resulting matrix are comparable.
 
@@ -186,13 +167,10 @@ class HardwareScenarioSweep:
     def __init__(self, scenarios: Optional[Sequence[str]] = None, *,
                  n_frames: int = 3, seed: Optional[int] = None,
                  n_beams: int = 18, n_azimuth_steps: int = 180,
-                 backends: Optional[Sequence[str]] = None,
-                 cache_config=None, n_jobs: Optional[int] = None):
+                 n_jobs: Optional[int] = None):
         from ..scenarios import scenario_names
 
         self.scenarios = list(scenarios) if scenarios is not None else scenario_names()
-        self.backends = tuple(backends) if backends is not None else SWEEP_BACKENDS
-        self.cache_config = cache_config
         self.n_frames = n_frames
         self.seed = seed
         self.n_beams = n_beams
@@ -205,10 +183,9 @@ class HardwareScenarioSweep:
             SweepTask(scenario=scenario, backend=backend,
                       n_frames=self.n_frames, seed=self.seed,
                       n_beams=self.n_beams,
-                      n_azimuth_steps=self.n_azimuth_steps,
-                      cache_config=self.cache_config)
+                      n_azimuth_steps=self.n_azimuth_steps)
             for scenario in self.scenarios
-            for backend in self.backends
+            for backend in SWEEP_BACKENDS
         ]
 
     def run(self) -> HardwareSweepResult:
@@ -218,6 +195,4 @@ class HardwareScenarioSweep:
         runs = process_map(run_sweep_task, self.tasks(), n_jobs=self.n_jobs)
         return HardwareSweepResult(
             runs=runs, n_frames=self.n_frames,
-            n_beams=self.n_beams, n_azimuth_steps=self.n_azimuth_steps,
-            modes=tuple(mode_label(backend) for backend in self.backends),
-        )
+            n_beams=self.n_beams, n_azimuth_steps=self.n_azimuth_steps)

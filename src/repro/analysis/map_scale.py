@@ -30,33 +30,40 @@ the result into ``benchmarks/results/map_scale_sensitivity.txt``;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..hwmodel.cache import HierarchyStats
 from .cache_sweep import GEOMETRIES, CacheGeometry
+from .compare import relative_change
+from .hw_sweep import SWEEP_MODES
 
 __all__ = [
     "MAP_SCALE_GEOMETRY_NAMES",
-    "MAP_SCALE_FLAVORS",
     "MapScaleCell",
     "MapScaleResult",
     "MapScaleSweep",
 ]
 
-#: Default geometry grid of the map-scale sweep: the L2-size cut around the
+#: Geometry grid of the map-scale sweep: the L2-size cut around the
 #: paper's machine — the axis the frame-scale sweep cannot stress.
 MAP_SCALE_GEOMETRY_NAMES: Tuple[str, ...] = ("l2-256k", "table-iv", "l2-4m")
 
-#: The compared search flavours (recorded runs always trace the flavour's
-#: per-query path, so the ``-batched`` strategy suffix is moot here).
-MAP_SCALE_FLAVORS: Tuple[str, ...] = ("baseline", "bonsai")
+#: Radius of every recorded query [m].
+RADIUS_M = 2.0
+
+#: Radius of the disc around the map centre the queries fall in [m].
+QUERY_EXTENT_M = 30.0
 
 
 @dataclass
 class MapScaleCell:
-    """One (geometry, flavour) cell: recorded hierarchy totals at map scale."""
+    """One (geometry, flavour) cell: recorded hierarchy totals at map scale.
+
+    The flavours are :data:`~repro.analysis.hw_sweep.SWEEP_MODES`; a
+    recorded run traces the flavour's per-query walk.
+    """
 
     geometry: CacheGeometry
     flavor: str
@@ -100,7 +107,6 @@ class MapScaleResult:
     radius: float
     seed: int
     geometries: List[CacheGeometry]
-    flavors: Tuple[str, ...]
     cells: Dict[Tuple[str, str], MapScaleCell] = field(default_factory=dict)
 
     def cell(self, geometry: str, flavor: str) -> MapScaleCell:
@@ -108,30 +114,23 @@ class MapScaleResult:
         return self.cells[(geometry, flavor)]
 
     def comparison_rows(self) -> List[Dict[str, object]]:
-        """Per-geometry (first flavour vs. second flavour) comparison.
+        """Per-geometry baseline vs. Bonsai comparison.
 
         Mirrors :meth:`CacheSweepResult.comparison_rows`: each row carries
         both flavours' traffic totals plus the relative change of the
-        second (Bonsai) flavour — the quantities the sensitivity table
-        renders.
+        Bonsai search — the quantities the sensitivity table renders.
         """
-        if len(self.flavors) < 2:
-            raise ValueError("comparison needs at least two swept flavours")
-        base_flavor, other_flavor = self.flavors[0], self.flavors[1]
         rows: List[Dict[str, object]] = []
         for geometry in self.geometries:
-            base = self.cell(geometry.name, base_flavor).totals()
-            other = self.cell(geometry.name, other_flavor).totals()
+            base, other = (self.cell(geometry.name, flavor).totals()
+                           for flavor in SWEEP_MODES)
             rows.append({
                 "geometry": geometry,
                 "base": base,
                 "other": other,
-                "change": {
-                    key: ((other[key] - base[key]) / base[key]
-                          if base[key] else 0.0)
-                    for key in ("bytes_loaded", "l2_to_l1_bytes",
-                                "dram_to_l2_bytes")
-                },
+                "change": {key: relative_change(base[key], other[key])
+                           for key in ("bytes_loaded", "l2_to_l1_bytes",
+                                       "dram_to_l2_bytes")},
             })
         return rows
 
@@ -141,8 +140,9 @@ class MapScaleSweep:
 
     Builds one :class:`~repro.engine.sharded.ShardedPointCloudIndex` over
     the scenario's sampled map cloud, fuzzes ``n_queries`` query points
-    around the map's populated extent, then runs the batch once per
-    (geometry, flavour) cell in recorded mode — each cell gets its own
+    around the map's populated extent, then runs the batch of radius
+    :data:`RADIUS_M` once per (geometry in :data:`MAP_SCALE_GEOMETRY_NAMES`,
+    flavour) cell in recorded mode — each cell gets its own
     per-tile recorders (the tile backend cache keys on the geometry's CPU
     config), so cells never share counters.  One index serves every cell:
     tile trees build once, Bonsai compression runs once.
@@ -152,22 +152,13 @@ class MapScaleSweep:
                  n_points: int = 1_000_000,
                  tile_size: float = 32.0,
                  n_queries: int = 256,
-                 radius: float = 2.0,
-                 query_extent: float = 30.0,
-                 seed: int = 7,
-                 geometries: Optional[Sequence] = None,
-                 flavors: Optional[Sequence[str]] = None):
+                 seed: int = 7):
         self.scenario = scenario
         self.n_points = n_points
         self.tile_size = tile_size
         self.n_queries = n_queries
-        self.radius = radius
-        self.query_extent = query_extent
         self.seed = seed
-        names = geometries if geometries is not None else MAP_SCALE_GEOMETRY_NAMES
-        self.geometries = [g if isinstance(g, CacheGeometry) else GEOMETRIES[g]
-                           for g in names]
-        self.flavors = tuple(flavors) if flavors is not None else MAP_SCALE_FLAVORS
+        self.geometries = [GEOMETRIES[name] for name in MAP_SCALE_GEOMETRY_NAMES]
 
     def build_index(self):
         """The sweep's sharded index over the sampled map cloud."""
@@ -180,20 +171,20 @@ class MapScaleSweep:
     def queries(self, index) -> np.ndarray:
         """Fuzzed relocalization-style query batch: one scan's worth.
 
-        Queries concentrate in a disc of radius ``query_extent`` around the
-        map centre at sensor heights — the shape of one vehicle's scan
-        points probing the map.  The concentration is the point: queries
-        re-reference the same few tiles' trees, so the recorded caches see
-        *reuse*, and L2 capacity (the swept axis) decides how much of a
-        tile's working set survives between queries.  Deterministic in the
-        sweep seed.
+        Queries concentrate in a disc of radius :data:`QUERY_EXTENT_M`
+        around the map centre at sensor heights — the shape of one
+        vehicle's scan points probing the map.  The concentration is the
+        point: queries re-reference the same few tiles' trees, so the
+        recorded caches see *reuse*, and L2 capacity (the swept axis)
+        decides how much of a tile's working set survives between queries.
+        Deterministic in the sweep seed.
         """
         rng = np.random.default_rng(self.seed * 7919 + 13)
         lo = index.points.min(axis=0).astype(np.float64)
         hi = index.points.max(axis=0).astype(np.float64)
         center = 0.5 * (lo + hi)
         angle = rng.uniform(0.0, 2.0 * np.pi, size=self.n_queries)
-        rho = self.query_extent * np.sqrt(
+        rho = QUERY_EXTENT_M * np.sqrt(
             rng.uniform(0.0, 1.0, size=self.n_queries))
         queries = np.empty((self.n_queries, 3), dtype=np.float64)
         queries[:, 0] = center[0] + rho * np.cos(angle)
@@ -217,13 +208,13 @@ class MapScaleSweep:
                 scenario=self.scenario, n_points=index.n_points,
                 tile_size=self.tile_size, n_tiles=index.n_tiles,
                 n_touched_tiles=0, n_queries=self.n_queries,
-                radius=self.radius, seed=self.seed,
-                geometries=list(self.geometries), flavors=self.flavors)
+                radius=RADIUS_M, seed=self.seed,
+                geometries=list(self.geometries))
             for geometry in self.geometries:
                 cpu = geometry.cpu()
-                for flavor in self.flavors:
+                for flavor in SWEEP_MODES:
                     backend = f"{flavor}-perquery"
-                    index.radius_search(queries, self.radius, backend=backend,
+                    index.radius_search(queries, RADIUS_M, backend=backend,
                                         recorded=True, cpu=cpu)
                     totals = HierarchyStats()
                     for _, tile_index in index.built_tile_indexes():

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .boxplot import BoxPlotStats
-from .compare import ComparisonSummary, MetricComparison
+from .compare import ComparisonSummary, MetricComparison, relative_change
 
 __all__ = [
     "render_table",
@@ -169,25 +169,20 @@ def render_hw_matrix(sweep) -> str:
         for stage in sorted(baseline.hardware):
             base = baseline.hardware[stage]
             bon = bonsai.hardware[stage]
-            base_bytes = base["bytes_loaded"]
-            byte_change = ((bon["bytes_loaded"] - base_bytes) / base_bytes
-                           if base_bytes else 0.0)
-            cycle_change = ((bon["cycles"] - base["cycles"]) / base["cycles"]
-                            if base["cycles"] else 0.0)
-            energy_change = ((bon["energy_j"] - base["energy_j"]) / base["energy_j"]
-                             if base["energy_j"] else 0.0)
+            change = {key: relative_change(base[key], bon[key])
+                      for key in ("bytes_loaded", "cycles", "energy_j")}
             rows.append((
                 scenario,
                 stage,
                 _pct(base["l1_miss_ratio"]),
                 _pct(bon["l1_miss_ratio"]),
-                f"{base_bytes:,}",
+                f"{base['bytes_loaded']:,}",
                 f"{bon['bytes_loaded']:,}",
-                _pct(byte_change, signed=True),
+                _pct(change["bytes_loaded"], signed=True),
                 f"{base['dram_to_l2_bytes']:,}",
                 f"{bon['dram_to_l2_bytes']:,}",
-                _pct(cycle_change, signed=True),
-                _pct(energy_change, signed=True),
+                _pct(change["cycles"], signed=True),
+                _pct(change["energy_j"], signed=True),
             ))
     return render_table(
         ("Scenario", "Stage", "L1 miss", "L1 miss (B)", "Demand B", "Demand B (B)",

@@ -29,9 +29,10 @@ The CLI exposes the most common flows without writing Python:
     hardware report (miss ratios, bytes per level, cycles, energy) is
     printed as well.
 ``python -m repro hw-sweep``
-    Run the hardware-in-the-loop scenario matrix — every selected world ×
-    execution backend through the trace-driven models — across ``--jobs``
-    worker processes with a deterministic merge, and print the matrix.
+    Run the hardware-in-the-loop scenario matrix — every selected world with
+    the baseline and the Bonsai search through the trace-driven models —
+    across ``--jobs`` worker processes with a deterministic merge, and print
+    the matrix.
     With ``--cache-geometry`` (repeatable) the matrix is re-run per named
     L1/L2 geometry variation and the cache-sensitivity table is printed
     instead (see ``docs/PERFORMANCE.md`` for how to read it).  With
@@ -81,7 +82,7 @@ __all__ = ["build_parser", "main"]
 
 
 def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (worker/job counts)."""
+    """argparse type: an integer >= 1 (every count flag)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
@@ -112,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = subparsers.add_parser(
         "generate", help="generate synthetic LiDAR frames and write them to disk")
-    generate.add_argument("--frames", type=int, default=3, help="number of frames")
+    generate.add_argument("--frames", type=_positive_int, default=3,
+                          help="number of frames")
     generate.add_argument("--output-dir", type=Path, default=Path("frames"),
                           help="directory to write frames into")
     generate.add_argument("--format", choices=("pcd", "npz"), default="pcd",
@@ -137,17 +139,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser(
         "compare", help="baseline vs Bonsai summary over a few frames")
-    compare.add_argument("--frames", type=int, default=4, help="number of frames")
+    compare.add_argument("--frames", type=_positive_int, default=4,
+                         help="number of frames")
     compare.add_argument("--seed", type=int, default=7, help="scene random seed")
 
     sweep = subparsers.add_parser(
         "batch-sweep", help="run a batched query sweep through the vectorised engine")
     sweep.add_argument("--frame", type=int, default=0, help="frame index")
     sweep.add_argument("--seed", type=int, default=7, help="scene random seed")
-    sweep.add_argument("--queries", type=int, default=10000,
+    sweep.add_argument("--queries", type=_positive_int, default=10000,
                        help="number of queries in the sweep")
     sweep.add_argument("--radius", type=float, default=0.6, help="search radius [m]")
-    sweep.add_argument("--k", type=int, default=5, help="neighbours per kNN query")
+    sweep.add_argument("--k", type=_positive_int, default=5,
+                       help="neighbours per kNN query")
     sweep.add_argument("--backend", choices=backends, default="baseline-batched",
                        help="execution backend for the radius sweep "
                             "(default: baseline-batched)")
@@ -167,12 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline", help="run the end-to-end perception pipeline on a scenario")
     pipeline.add_argument("--scenario", default="urban",
                           help=f"registered scenario name, one of: {registered}")
-    pipeline.add_argument("--frames", type=int, default=4, help="number of frames")
+    pipeline.add_argument("--frames", type=_positive_int, default=4,
+                          help="number of frames")
     pipeline.add_argument("--seed", type=int, default=None,
                           help="scene/sensor seed (default: the scenario's)")
-    pipeline.add_argument("--beams", type=int, default=None,
+    pipeline.add_argument("--beams", type=_positive_int, default=None,
                           help="LiDAR beams (default: the scenario's)")
-    pipeline.add_argument("--azimuth-steps", type=int, default=None,
+    pipeline.add_argument("--azimuth-steps", type=_positive_int, default=None,
                           help="LiDAR azimuth steps (default: the scenario's)")
     pipeline.add_argument("--backend", choices=backends, default="baseline-batched",
                           help="execution backend serving the search stages "
@@ -193,16 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None, metavar="NAME",
                           help="scenario to include (repeatable; "
                                "default: every registered scenario)")
-    hw_sweep.add_argument("--backend", action="append", dest="backends",
-                          choices=backends, default=None,
-                          help="execution backend to sweep (repeatable; "
-                               "default: baseline-batched and bonsai-batched)")
-    hw_sweep.add_argument("--frames", type=int, default=3,
+    hw_sweep.add_argument("--frames", type=_positive_int, default=3,
                           help="frames per scenario run")
     hw_sweep.add_argument("--seed", type=int, default=None,
                           help="scene/sensor seed (default: the scenario's)")
-    hw_sweep.add_argument("--beams", type=int, default=18, help="LiDAR beams")
-    hw_sweep.add_argument("--azimuth-steps", type=int, default=180,
+    hw_sweep.add_argument("--beams", type=_positive_int, default=18, help="LiDAR beams")
+    hw_sweep.add_argument("--azimuth-steps", type=_positive_int, default=180,
                           help="LiDAR azimuth steps")
     hw_sweep.add_argument("--jobs", type=_positive_int, default=None,
                           help="worker processes running sweep cells "
@@ -486,16 +487,14 @@ def _cmd_batch_sweep(args: argparse.Namespace) -> int:
         knn_result = backend.knn(queries, args.k)
         knn_seconds = time.perf_counter() - start
 
-        n_queries = max(args.queries, 0)
-        mean_neighbors = radius_result.counts.mean() if n_queries else 0.0
-        mean_nearest = knn_result.distances[:, 0].mean() if n_queries else 0.0
         print(f"frame {args.frame}: {len(cloud)} points, {index.n_leaves} leaves, "
-              f"{n_queries} queries ({backend_name} backend)")
+              f"{args.queries} queries ({backend_name} backend)")
         print(f"  radius {args.radius} m: {radius_result.total_matches} matches, "
-              f"{mean_neighbors:.1f} neighbours/query, "
-              f"{n_queries / radius_seconds:,.0f} queries/s")
-        print(f"  knn k={args.k}: mean nearest distance {mean_nearest:.3f} m, "
-              f"{n_queries / knn_seconds:,.0f} queries/s")
+              f"{radius_result.counts.mean():.1f} neighbours/query, "
+              f"{args.queries / radius_seconds:,.0f} queries/s")
+        print(f"  knn k={args.k}: mean nearest distance "
+              f"{knn_result.distances[:, 0].mean():.3f} m, "
+              f"{args.queries / knn_seconds:,.0f} queries/s")
         stats = backend.stats
         print(f"  stats: {stats.leaves_visited / max(stats.queries, 1):.1f} leaf visits/query, "
               f"{stats.points_examined} points examined, "
@@ -638,20 +637,13 @@ def _cmd_hw_sweep(args: argparse.Namespace) -> int:
             seed=args.seed if args.seed is not None else 7)
         result = sweep.run()
         print(render_map_scale_sensitivity(result))
-        print(f"\nran {len(result.geometries) * len(result.flavors)} recorded "
+        print(f"\nran {len(result.cells)} recorded "
               f"map-scale batches over {result.n_touched_tiles} of "
               f"{result.n_tiles} tiles")
         return 0
-    if args.backends is not None and len(set(args.backends)) < 2:
-        # The matrix and the sensitivity table both compare a backend pair;
-        # a single --backend has nothing to compare against.
-        raise SystemExit(
-            "repro hw-sweep: need at least two distinct --backend values "
-            "to compare (default: baseline-batched vs bonsai-batched)")
     jobs = resolve_workers(args.jobs)
     common = dict(n_frames=args.frames, seed=args.seed, n_beams=args.beams,
-                  n_azimuth_steps=args.azimuth_steps, backends=args.backends,
-                  n_jobs=jobs)
+                  n_azimuth_steps=args.azimuth_steps, n_jobs=jobs)
     if args.cache_geometries:
         sweep = CacheGeometrySweep(args.cache_geometries, args.scenarios,
                                    **common)

@@ -1,7 +1,7 @@
 """Resource-lifecycle rule: every heavy handle is closed on every exit path.
 
 The serving layer's guarantees — exactly one compression pass fleet-wide,
-refcounted shared-memory segments that unlink on the last close, worker
+shared-memory segments that their creator unlinks when it closes, worker
 processes torn down instead of leaked — all reduce to one discipline: whoever
 constructs a :class:`~repro.serve.store.SharedCloudStore`, a
 :class:`~repro.engine.index.PointCloudIndex`, a worker pool or a raw
@@ -32,8 +32,8 @@ RESOURCE_LABELS: Dict[str, str] = {
     "ShardedPointCloudIndex": "ShardedPointCloudIndex (per-tile indexes)",
     "QueryService": "QueryService (persistent worker processes)",
     "SharedMemory": "SharedMemory segment (named; leaks into /dev/shm)",
-    "SharedCloudStore.create": "SharedCloudStore (holds a refcount)",
-    "SharedCloudStore.attach": "SharedCloudStore attach (holds a refcount)",
+    "SharedCloudStore.create": "SharedCloudStore (owns shared segments)",
+    "SharedCloudStore.attach": "SharedCloudStore attach (maps shared segments)",
     "Pool": "multiprocessing pool (worker processes)",
     "ThreadPoolExecutor": "thread pool",
     "ProcessPoolExecutor": "process pool",

@@ -7,7 +7,7 @@ from .cluster_filter import (
     match_clusters_to_labels,
 )
 from .euclidean_cluster import Cluster, ClusterConfig, ClusterResult, EuclideanClusterExtractor
-from .ndt import NDTConfig, NDTMap, NDTMatcher, NDTResult, VoxelGaussian
+from .ndt import NDTConfig, NDTMap, NDTMatcher, NDTResult
 from .tracking import ClusterTracker, Track, TrackerConfig
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "NDTMap",
     "NDTMatcher",
     "NDTResult",
-    "VoxelGaussian",
     "ClusterTracker",
     "Track",
     "TrackerConfig",

@@ -24,7 +24,7 @@ radius-search workload (the part the paper accelerates) untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,17 +36,7 @@ from ..kdtree.radius_search import MemoryRecorder, SearchStats
 from ..pointcloud.cloud import PointCloud
 from ..pointcloud.filters import voxel_ids
 
-__all__ = ["VoxelGaussian", "NDTConfig", "NDTResult", "NDTMap", "NDTMatcher"]
-
-
-@dataclass(frozen=True)
-class VoxelGaussian:
-    """Gaussian fitted to the map points falling in one voxel."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    inverse_covariance: np.ndarray
-    n_points: int
+__all__ = ["NDTConfig", "NDTResult", "NDTMap", "NDTMatcher"]
 
 
 @dataclass
@@ -103,20 +93,7 @@ class NDTMap:
                 "or increase voxel_size"
             )
         self.inverse_covariances = np.linalg.inv(self.covariances)
-        self._voxels: Optional[List[VoxelGaussian]] = None
         self.tree: KDTree = build_kdtree(self.means.astype(np.float32))
-
-    @property
-    def voxels(self) -> List[VoxelGaussian]:
-        """The voxel Gaussians as objects (created on first access)."""
-        if self._voxels is None:
-            self._voxels = [
-                VoxelGaussian(mean=mean, covariance=covariance,
-                              inverse_covariance=inverse, n_points=int(count))
-                for mean, covariance, inverse, count in zip(
-                    self.means, self.covariances, self.inverse_covariances, self.counts)
-            ]
-        return self._voxels
 
     def _fit_voxels(self, cloud: PointCloud) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Counts, means and regularised covariances of the occupied voxels.

@@ -4,8 +4,9 @@ Two pieces, layered bottom-up:
 
 * :class:`SharedCloudStore` (:mod:`repro.serve.store`) — the map's heavy,
   immutable arrays (points, leaf index lists, Bonsai compressed bytes and
-  their decoded mirror) in refcounted POSIX shared memory; built and
-  compressed exactly once, attached zero-copy by name.
+  their decoded mirror) in three POSIX shared-memory segments that the
+  creating handle owns; built and compressed exactly once, attached
+  zero-copy by name.
 * :class:`QueryService` (:mod:`repro.serve.service`) — persistent worker
   processes attached to one store, each on its own pipe, serving mixed
   radius/kNN traffic against any registered backend; the calling thread

@@ -34,10 +34,9 @@ breaks the service: that request and every later one raise a
 ``RuntimeError``.  Workers are not restarted.  A worker ends on EOF, which
 it also sees when the owning process dies without cleanup.
 
-Workers attach *borrowed* (non-refcounted): :meth:`QueryService.close`
-terminates them without teardown, so they must not participate in the
-store's refcount — their lifetime is bounded by the service's own
-refcounted handle.
+The store's creator owns its segments; workers attach by name and never
+unlink.  :meth:`QueryService.close` stops the workers before it closes a
+store the service created (and owns).
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ _REAP_TIMEOUT_S = 5.0
 # ----------------------------------------------------------------------
 def _service_worker_main(conn, store_name: str) -> None:
     """Worker process: serve request tuples from ``conn`` until EOF."""
-    with SharedCloudStore.attach(store_name, refcounted=False) as store, \
+    with SharedCloudStore.attach(store_name) as store, \
             store.index() as index:
         while True:
             try:
@@ -114,10 +113,10 @@ class QueryService:
     ----------
     source:
         A point cloud / ``(N, 3)`` array / :class:`KDTree` (a store is
-        created with the default tree config and float format and owned —
-        compressed exactly once), or an existing :class:`SharedCloudStore`
-        (borrowed; the caller keeps ownership — build one to serve another
-        tree config or format).
+        created and owned — compressed exactly once; pass a built and
+        compressed :class:`KDTree` to serve another tree config or float
+        format), or an existing :class:`SharedCloudStore` (borrowed; the
+        caller keeps ownership).
     n_workers:
         Worker-process count (default: :func:`resolve_workers`).  One
         worker serves in-process, without worker processes, as does any

@@ -18,29 +18,34 @@ mirror — into POSIX shared memory
   into the shared segments; the batched searches read only those arrays,
   and the per-query paths read the node fields as lists converted in a
   process only if it runs one of them;
-* the segments are **refcounted**: every refcounted attach increments a
-  counter in the control segment under an advisory file lock, every
-  ``close()`` decrements it, and the last closer unlinks all segments.
-  The query service's workers use *borrowed* (non-refcounted) attaches
-  because ``QueryService.close()`` terminates them without any teardown.
+* the **creator owns** the segments: the handle :meth:`SharedCloudStore.create`
+  returns unlinks them when it closes, and an attached handle's ``close()``
+  only drops its own mappings.
+
+A store is three segments (``<name>-<suffix>``): ``meta`` (a pickled
+layout), ``data`` (every array above but the mirror, at 8-byte aligned
+offsets) and ``dec`` (the decoded mirror, which the compression pass
+writes before the compressed size is known).
 
 Lifecycle notes
 ---------------
 ``SharedMemory`` on CPython < 3.13 registers every mapping — creates *and*
 attaches — with the ``resource_tracker``, which then unlinks segments when
 any attaching process exits (bpo-38119).  The store unregisters every
-mapping and manages unlinking purely through its own refcount, so attacher
-exit order cannot destroy a live store.  If a refcounted holder dies without
-closing (``SIGKILL``), the refcount never reaches zero;
-:meth:`SharedCloudStore.force_unlink` is the supervisor-side cleanup for
-that case, and :meth:`SharedCloudStore.exists` the probe.
+mapping and unlinks only from the creator's ``close()`` (or its
+``weakref.finalize`` safety net), so attacher exit order cannot destroy a
+live store.  If the creator dies without closing (``SIGKILL``), its
+segments stay behind; :meth:`SharedCloudStore.force_unlink` is the
+supervisor-side cleanup for that case, and :meth:`SharedCloudStore.exists`
+the probe.
 
 On Linux, ``unlink`` removes the *name* while existing mappings stay valid,
-so a store can be unlinked while clients still hold attached trees — their
-queries keep working and the memory is returned when the last mapping goes
-away.  ``close()`` therefore releases local mappings best-effort: a mapping
-still referenced by live NumPy views is left to the garbage collector
-(the segment itself is already unlinked, so nothing leaks by name).
+so the creator can close while clients still hold attached trees — their
+queries keep working, a later ``attach`` raises ``FileNotFoundError``, and
+the memory is returned when the last mapping goes away.  ``close()``
+therefore releases local mappings best-effort: a mapping still referenced
+by live NumPy views is left to the garbage collector (the segment itself is
+already unlinked, or is the creator's to unlink, so nothing leaks by name).
 """
 
 from __future__ import annotations
@@ -48,18 +53,11 @@ from __future__ import annotations
 import os
 import pickle
 import secrets
-import struct
 import weakref
-from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-try:  # Advisory locking of the refcount; POSIX only (Linux/macOS).
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
 
 from ..core.compressed_leaf import CompressedStructArray, compress_tree
 from ..core.floatfmt import FLOAT16, FORMATS_BY_NAME, FloatFormat
@@ -68,20 +66,15 @@ from ..kdtree.build import KDTree, KDTreeConfig, KDTreeStats, TreeArrays, build_
 
 __all__ = ["SharedCloudStore"]
 
-#: Suffixes of the segments one store is made of (``<name>-<suffix>``);
-#: ``tree`` holds the tree's flat arrays and every leaf's slice count,
-#: ``dec`` the decoded mirror of the compressed leaves.
-SEGMENT_SUFFIXES = ("ctrl", "meta", "pts32", "pts64", "tree", "cmp", "dec")
-
-#: Control-segment layout: one little-endian int64 refcount.
-_CTRL_BYTES = 8
+#: Suffixes of the segments one store is made of (``<name>-<suffix>``).
+SEGMENT_SUFFIXES = ("meta", "data", "dec")
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
     """Opt a mapping out of the resource tracker's unlink-at-exit.
 
     Both ``create=True`` and attach register with the tracker on
-    CPython < 3.13 (bpo-38119); the store refcounts unlinking itself, so a
+    CPython < 3.13 (bpo-38119); the creator unlinks the store itself, so a
     tracked mapping would tear the segment down under every other process
     the moment any one of them exits.
     """
@@ -134,51 +127,45 @@ def _array_views(buffer, layout: list) -> Dict[str, np.ndarray]:
 class SharedCloudStore:
     """A compressed point-cloud index resident in shared memory.
 
-    Construct with :meth:`create` (builds + compresses the tree, one pass)
-    or :meth:`attach` (zero-copy attach by name).  Both return a store whose
-    :meth:`tree` / :meth:`index` reconstruct the k-d tree over the shared
-    segments; :meth:`close` drops this handle's reference and the last
-    refcounted closer unlinks the segments.  Context-manager protocol
-    supported (``with SharedCloudStore.create(points) as store: ...``).
+    Construct with :meth:`create` (builds + compresses the tree, one pass,
+    and owns the segments) or :meth:`attach` (zero-copy attach by name).
+    Both return a store whose :meth:`tree` / :meth:`index` reconstruct the
+    k-d tree over the shared segments; :meth:`close` drops this handle's
+    mappings, and the creator's also unlinks the segments.  Context-manager
+    protocol supported (``with SharedCloudStore.create(points) as store: ...``).
     """
 
     def __init__(self, name: str, segments: Dict[str, shared_memory.SharedMemory],
-                 *, refcounted: bool, owner: bool):
+                 *, owner: bool):
         self.name = name
         self._segments = segments
-        self._refcounted = refcounted
         self._owner = owner
         self._closed = False
         self._meta: Optional[dict] = None
         self._tree: Optional[KDTree] = None
         self._index = None
-        # Safety net: a store dropped without close() must still give its
-        # reference back (finalizers may run at interpreter shutdown, where
-        # the decrement is attempted best-effort).
-        self._finalizer = weakref.finalize(
-            self, _finalize_store, name, segments, refcounted)
+        # Safety net: a store dropped without close() still releases its
+        # mappings, and the creator's still unlinks (finalizers may run at
+        # interpreter shutdown, where this is attempted best-effort).
+        self._finalizer = weakref.finalize(self, _finalize_store, segments, owner)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, cloud, *, name: Optional[str] = None,
-               tree_config: Optional[KDTreeConfig] = None,
-               fmt: FloatFormat = FLOAT16) -> "SharedCloudStore":
-        """Build + compress the index once and publish it under ``name``.
+    def create(cls, cloud) -> "SharedCloudStore":
+        """Build + compress the index once and publish it under a fresh name.
 
         ``cloud`` is anything :func:`~repro.kdtree.build.build_kdtree`
-        accepts, or an already-built :class:`KDTree` (compressed here if it
-        is not yet).  The creator holds the first reference.
+        accepts (built with the default tree config and compressed to
+        FLOAT16), or an already-built :class:`KDTree`, which keeps its own
+        config and, if already compressed, its float format.  The returned
+        handle owns the segments.
         """
-        if isinstance(cloud, KDTree):
-            tree = cloud
-        else:
-            tree = build_kdtree(cloud, tree_config)
+        tree = cloud if isinstance(cloud, KDTree) else build_kdtree(cloud)
         array = tree.compressed_array
-        if array is not None:
-            fmt = array.fmt
-        name = name or f"repro-store-{os.getpid():x}-{secrets.token_hex(3)}"
+        fmt = FLOAT16 if array is None else array.fmt
+        name = f"repro-store-{os.getpid():x}-{secrets.token_hex(3)}"
 
         segments: Dict[str, shared_memory.SharedMemory] = {}
 
@@ -203,59 +190,43 @@ class SharedCloudStore:
                 mirror.reduced[:] = source.reduced
                 mirror.max_delta[:] = source.max_delta
 
-            points32 = np.ascontiguousarray(tree.points, dtype=np.float32)
-            points64 = np.ascontiguousarray(tree.points_f64, dtype=np.float64)
-            tree_arrays = {**tree.arrays.as_dict(), "n_slices": array.n_slices}
-            layout, tree_bytes = _array_layout(tree_arrays)
-            blob = array.data
-
+            arrays = {
+                "points32": np.ascontiguousarray(tree.points, dtype=np.float32),
+                "points64": np.ascontiguousarray(tree.points_f64, dtype=np.float64),
+                **tree.arrays.as_dict(),
+                "n_slices": array.n_slices,
+                "compressed": np.frombuffer(array.data, dtype=np.uint8),
+            }
+            layout, data_bytes = _array_layout(arrays)
             meta = {
                 "fmt_name": fmt.name,
-                "n_points": int(tree.n_points),
                 "max_leaf_size": int(tree.config.max_leaf_size),
                 "stats": (int(tree.stats.n_points), int(tree.stats.n_leaves),
                           int(tree.stats.n_interior), int(tree.stats.max_depth)),
-                "tree_layout": layout,
-                "compressed_bytes": int(array.total_bytes),
+                "layout": layout,
             }
             meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-            for suffix, size in (("ctrl", _CTRL_BYTES), ("meta", len(meta_blob)),
-                                 ("pts32", points32.nbytes),
-                                 ("pts64", points64.nbytes),
-                                 ("tree", tree_bytes), ("cmp", len(blob))):
-                create_segment(suffix, size)
+            create_segment("meta", len(meta_blob)).buf[:len(meta_blob)] = meta_blob
+            data = create_segment("data", data_bytes)
+            for field, dtype, shape, offset in layout:
+                np.ndarray(shape, dtype=dtype, buffer=data.buf,
+                           offset=offset)[...] = arrays[field]
         except BaseException:
             for shm in segments.values():
                 _unlink_segment(shm)
                 shm.close()
             raise
 
-        segments["meta"].buf[:len(meta_blob)] = meta_blob
-        np.ndarray(points32.shape, dtype=np.float32,
-                   buffer=segments["pts32"].buf)[:] = points32
-        np.ndarray(points64.shape, dtype=np.float64,
-                   buffer=segments["pts64"].buf)[:] = points64
-        for field, _, shape, offset in layout:
-            source = tree_arrays[field]
-            np.ndarray(shape, dtype=source.dtype, buffer=segments["tree"].buf,
-                       offset=offset)[...] = source
-        if blob:
-            segments["cmp"].buf[:len(blob)] = blob
-        struct.pack_into("<q", segments["ctrl"].buf, 0, 1)
-
-        store = cls(name, segments, refcounted=True, owner=True)
+        store = cls(name, segments, owner=True)
         store._meta = meta
         return store
 
     @classmethod
-    def attach(cls, name: str, *, refcounted: bool = True) -> "SharedCloudStore":
+    def attach(cls, name: str) -> "SharedCloudStore":
         """Attach to an existing store by name (zero-copy).
 
-        With ``refcounted=False`` the attach is *borrowed*: the refcount is
-        untouched and ``close()`` only drops the local mappings.  Borrowed
-        attaches are for processes whose lifetime is bounded by a refcounted
-        holder — the query service's workers, which its ``close()``
-        terminates — and must never outlive the store.
+        The attached handle's ``close()`` only drops its own mappings; the
+        segments stay the creator's to unlink.
         """
         segments: Dict[str, shared_memory.SharedMemory] = {}
         try:
@@ -267,68 +238,24 @@ class SharedCloudStore:
             for shm in segments.values():
                 shm.close()
             raise
-        store = cls(name, segments, refcounted=refcounted, owner=False)
-        if refcounted:
-            with store._locked():
-                count = store._read_refcount()
-                if count < 1:
-                    # The last holder unlinked between our attach and the
-                    # lock: the mapping is a ghost.  Refuse it.
-                    store._refcounted = False
-                    store.close()
-                    raise FileNotFoundError(
-                        f"shared store {name!r} was unlinked during attach")
-                store._write_refcount(count + 1)
-        return store
-
-    # ------------------------------------------------------------------
-    # Refcount plumbing
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _locked(self):
-        """Advisory exclusive lock over the control segment.
-
-        Serialises attach-increment against close-decrement-and-unlink so an
-        attacher can never grab a store between "refcount hit zero" and
-        "segments unlinked".
-        """
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
-            return
-        fd = self._segments["ctrl"]._fd  # type: ignore[attr-defined]
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-
-    def _read_refcount(self) -> int:
-        return struct.unpack_from("<q", self._segments["ctrl"].buf, 0)[0]
-
-    def _write_refcount(self, value: int) -> None:
-        struct.pack_into("<q", self._segments["ctrl"].buf, 0, value)
-
-    @property
-    def refcount(self) -> int:
-        """Current number of refcounted holders (read under the lock)."""
-        with self._locked():
-            return self._read_refcount()
+        return cls(name, segments, owner=False)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drop this handle's reference; the last closer unlinks (idempotent).
+        """Drop this handle's mappings; the creator's also unlinks (idempotent).
 
         Local mappings are released best-effort: NumPy views handed out by
         :meth:`tree` keep their segments mapped until they are collected,
-        which is safe — by then the segments are already unlinked by name.
+        which is safe — the names are unlinked (or the creator's to unlink)
+        and the mappings stay valid until then.
         """
         if self._closed:
             return
         self._closed = True
         self._finalizer.detach()
-        _release_store(self.name, self._segments, self._refcounted)
+        _release_store(self._segments, self._owner)
         self._tree = None
         self._index = None
 
@@ -346,7 +273,7 @@ class SharedCloudStore:
     def exists(cls, name: str) -> bool:
         """Whether a store named ``name`` is currently published."""
         try:
-            shm = shared_memory.SharedMemory(name=f"{name}-ctrl")
+            shm = shared_memory.SharedMemory(name=f"{name}-meta")
         except FileNotFoundError:
             return False
         _untrack(shm)
@@ -355,11 +282,11 @@ class SharedCloudStore:
 
     @classmethod
     def force_unlink(cls, name: str) -> bool:
-        """Unlink every segment of ``name`` regardless of refcount.
+        """Unlink every segment of ``name`` that is still published.
 
-        Supervisor-side cleanup for stores orphaned by killed holders (a
-        ``SIGKILL``-ed refcounted attacher can never decrement).  Returns
-        ``True`` when at least one segment was removed.
+        Supervisor-side cleanup for a store whose creator died without
+        closing (``SIGKILL``).  Returns ``True`` when at least one segment
+        was removed.
         """
         removed = False
         for suffix in SEGMENT_SUFFIXES:
@@ -396,25 +323,19 @@ class SharedCloudStore:
             raise ValueError(f"shared store {self.name!r} is closed")
         if self._tree is None:
             meta = self._metadata()
-            n_points = meta["n_points"]
-            points32 = np.ndarray((n_points, 3), dtype=np.float32,
-                                  buffer=self._segments["pts32"].buf)
-            points64 = np.ndarray((n_points, 3), dtype=np.float64,
-                                  buffer=self._segments["pts64"].buf)
-            points32.flags.writeable = False
-            points64.flags.writeable = False
-            views = _array_views(self._segments["tree"].buf, meta["tree_layout"])
+            views = _array_views(self._segments["data"].buf, meta["layout"])
+            points32 = views.pop("points32")
+            points64 = views.pop("points64")
             n_slices = views.pop("n_slices")
+            blob = views.pop("compressed")
             arrays = TreeArrays(**views)
             tree = KDTree(points32, arrays,
                           KDTreeConfig(max_leaf_size=meta["max_leaf_size"]),
                           KDTreeStats(*meta["stats"]), points_f64=points64)
             fmt = FORMATS_BY_NAME[meta["fmt_name"]]
-            blob = np.ndarray((meta["compressed_bytes"],), dtype=np.uint8,
-                              buffer=self._segments["cmp"].buf)
-            mirror = LeafMirror.allocate(n_points, arrays.n_leaves, fmt,
+            mirror = LeafMirror.allocate(len(points32), arrays.n_leaves, fmt,
                                          self._segments["dec"].buf)
-            for view in (blob, mirror.reduced, mirror.max_delta, mirror.starts):
+            for view in (mirror.reduced, mirror.max_delta, mirror.starts):
                 view.flags.writeable = False
             tree.compressed_array = CompressedStructArray(
                 fmt, data=blob, mirror=mirror, n_slices=n_slices)
@@ -432,9 +353,7 @@ class SharedCloudStore:
         if self._index is None:
             from ..engine.index import PointCloudIndex
 
-            meta = self._metadata()
-            self._index = PointCloudIndex(
-                self.tree(), fmt=FORMATS_BY_NAME[meta["fmt_name"]])
+            self._index = PointCloudIndex(self.tree(), fmt=self.fmt)
         return self._index
 
     @property
@@ -443,47 +362,34 @@ class SharedCloudStore:
 
     @property
     def n_points(self) -> int:
-        return self._metadata()["n_points"]
+        return self._metadata()["stats"][0]
 
     @property
     def n_leaves(self) -> int:
         return self._metadata()["stats"][1]
 
 
-def _release_store(name: str,
-                   segments: Dict[str, shared_memory.SharedMemory],
-                   refcounted: bool) -> None:
-    """Decrement (refcounted handles), unlink on zero, drop local mappings."""
-    unlink = False
-    if refcounted:
-        ctrl = segments["ctrl"]
-        if fcntl is not None:
-            fcntl.flock(ctrl._fd, fcntl.LOCK_EX)  # type: ignore[attr-defined]
-        try:
-            count = struct.unpack_from("<q", ctrl.buf, 0)[0] - 1
-            struct.pack_into("<q", ctrl.buf, 0, count)
-            unlink = count <= 0
-            if unlink:
-                for shm in segments.values():
-                    _unlink_segment(shm)
-        finally:
-            if fcntl is not None:
-                fcntl.flock(ctrl._fd, fcntl.LOCK_UN)  # type: ignore[attr-defined]
+def _release_store(segments: Dict[str, shared_memory.SharedMemory],
+                   unlink: bool) -> None:
+    """Unlink every segment when ``unlink`` (the creator), then drop the
+    local mappings."""
+    if unlink:
+        for shm in segments.values():
+            _unlink_segment(shm)
     for shm in segments.values():
         try:
             shm.close()
         except BufferError:
             # A NumPy view into this segment is still alive; the mapping is
-            # released when the view is collected.  Unlinking already
-            # happened (or is another holder's job), so nothing leaks.
+            # released when the view is collected.  The name is unlinked
+            # already (or is the creator's to unlink), so nothing leaks.
             pass
 
 
-def _finalize_store(name: str,
-                    segments: Dict[str, shared_memory.SharedMemory],
-                    refcounted: bool) -> None:
+def _finalize_store(segments: Dict[str, shared_memory.SharedMemory],
+                    unlink: bool) -> None:
     """weakref.finalize hook: best-effort close of an abandoned handle."""
     try:
-        _release_store(name, segments, refcounted)
+        _release_store(segments, unlink)
     except Exception:  # pragma: no cover  # repro-lint: disable=hygiene-broad-except -- shutdown finalizer must never raise
         pass

@@ -129,9 +129,11 @@ def collect_cache_sweep(result, *, commit: str, run_id: str,
     over scenarios and stages — the exact quantities the sensitivity table
     renders.
     """
+    from ..analysis.hw_sweep import SWEEP_MODES
+
     records = []
     for run in result.runs:
-        for mode in result.modes:
+        for mode in SWEEP_MODES:
             records.append(TrendRecord(
                 family=FAMILY_CACHE_SENSITIVITY, commit=commit,
                 run_id=run_id, order=order,
@@ -148,6 +150,8 @@ def collect_map_scale(result, *, commit: str, run_id: str,
     plus the sweep's shape (points, tiles, queries) so a record is
     self-describing across map-size changes.
     """
+    from ..analysis.hw_sweep import SWEEP_MODES
+
     shape = {
         "n_points": result.n_points,
         "n_tiles": result.n_tiles,
@@ -156,7 +160,7 @@ def collect_map_scale(result, *, commit: str, run_id: str,
     }
     records = []
     for geometry in result.geometries:
-        for flavor in result.flavors:
+        for flavor in SWEEP_MODES:
             cell = result.cell(geometry.name, flavor)
             metrics = dict(shape)
             metrics.update(flatten_metrics(cell.totals()))

@@ -20,6 +20,7 @@ from ..perception.ndt import NDTConfig, NDTMap, NDTMatcher
 from ..pointcloud.cloud import PointCloud
 from ..pointcloud.filters import PreprocessConfig, preprocess_for_clustering
 from .autoware import PhaseBudget
+from .localization import NDTPhaseBudget
 
 __all__ = ["ExecutionShare", "profile_euclidean_cluster", "profile_ndt_matching"]
 
@@ -123,18 +124,14 @@ def profile_ndt_matching(scan: PointCloud, map_cloud: PointCloud,
 
     # Non-search NDT work: voxel Gaussian fits (once per map build) and the
     # score/gradient/Hessian contributions (per point-voxel pair per
-    # iteration).  Instruction budgets mirror the arithmetic in NDTMatcher.
-    pair_evaluations = result.search_stats.points_in_radius
+    # iteration), at the localization workload's instruction budgets.
+    phase = NDTPhaseBudget()
     n_scan_points = min(len(scan), config.max_scan_points)
-    per_pair_instructions = 160        # 3x3 mat-vec products, exp(), outer product
-    per_point_overhead = 40            # transform + loop bookkeeping
-    per_voxel_fit_instructions = 90    # covariance accumulate + eigen decomposition share
-    newton_solve_instructions = 600    # 3x3 solve per iteration
     other_instructions = (
-        pair_evaluations * per_pair_instructions
-        + n_scan_points * result.iterations * per_point_overhead
-        + len(ndt_map.voxels) * per_voxel_fit_instructions
-        + result.iterations * newton_solve_instructions
+        result.search_stats.points_in_radius * phase.per_pair
+        + n_scan_points * result.iterations * phase.per_point_per_iteration
+        + ndt_map.counts.size * phase.per_voxel_fit
+        + result.iterations * phase.per_iteration_solve
     )
     other_cycles = _cycles_from_instructions(timing, other_instructions)
     return ExecutionShare(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.hw_sweep import SWEEP_BACKENDS, mode_label
+from repro.analysis.hw_sweep import SWEEP_BACKENDS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,12 +34,10 @@ KINDS = {
     "hardware": "hw_pipeline",
 }
 
-#: A backend's snapshot stem (shared with the sweep's row labels): the
-#: default batched backends keep the historical short stems
-#: (``baseline`` / ``bonsai``); any other backend uses its full registry
-#: name, so adding e.g. ``baseline-perquery`` to a sweep can never collide
-#: with an existing snapshot file.
-mode_stem = mode_label
+def mode_stem(backend: str) -> str:
+    """A backend's snapshot stem, its flavour (``baseline`` / ``bonsai``),
+    as in the sweep's row labels."""
+    return backend.split("-", 1)[0]
 
 
 def golden_path(kind: str, scenario: str, backend: str) -> Path:

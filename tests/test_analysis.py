@@ -191,35 +191,26 @@ class TestRenderers:
 
 
 class TestHardwareSweepResultModes:
-    """The sweep result carries its own mode labels (not hardwired)."""
+    """A sweep result pairs the baseline run with the Bonsai run."""
 
     @staticmethod
-    def _result(backends):
+    def _result():
         from repro.analysis.hw_sweep import (
-            HardwareScenarioRun, HardwareSweepResult, mode_label)
+            SWEEP_BACKENDS, SWEEP_MODES, HardwareScenarioRun, HardwareSweepResult)
 
         runs = [
-            HardwareScenarioRun(scenario="urban", mode=mode_label(backend),
+            HardwareScenarioRun(scenario="urban", mode=mode,
                                 metrics={"backend": backend}, backend=backend)
-            for backend in backends
+            for backend, mode in zip(SWEEP_BACKENDS, SWEEP_MODES)
         ]
-        return HardwareSweepResult(
-            runs=runs, n_frames=1, n_beams=8, n_azimuth_steps=64,
-            modes=tuple(mode_label(backend) for backend in backends))
+        return HardwareSweepResult(runs=runs, n_frames=1, n_beams=8,
+                                   n_azimuth_steps=64)
 
     def test_default_backends_keep_short_labels(self):
-        result = self._result(("baseline-batched", "bonsai-batched"))
+        result = self._result()
         baseline, bonsai = result.pair("urban")
         assert (baseline.mode, bonsai.mode) == ("baseline", "bonsai")
+        assert (baseline.backend, bonsai.backend) == (
+            "baseline-batched", "bonsai-batched")
         assert set(result.as_dict()["scenarios"]["urban"]) == {
             "baseline", "bonsai"}
-
-    def test_non_default_backends_pair_and_serialise(self):
-        """A sweep over per-query backends must not KeyError on the
-        hardwired default labels (regression: pair()/as_dict() used the
-        module-global SWEEP_MODES)."""
-        backends = ("baseline-perquery", "bonsai-perquery")
-        result = self._result(backends)
-        first, second = result.pair("urban")
-        assert (first.backend, second.backend) == backends
-        assert set(result.as_dict()["scenarios"]["urban"]) == set(backends)

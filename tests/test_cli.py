@@ -9,6 +9,15 @@ import pytest
 from repro.cli import build_parser, main
 from repro.pointcloud import load_npz, load_pcd
 
+#: Every (command, flag) that counts something and so must be at least 1.
+COUNT_FLAGS = [
+    ("generate", "--frames"), ("compare", "--frames"),
+    ("pipeline", "--frames"), ("hw-sweep", "--frames"),
+    ("pipeline", "--beams"), ("pipeline", "--azimuth-steps"),
+    ("hw-sweep", "--beams"), ("hw-sweep", "--azimuth-steps"),
+    ("batch-sweep", "--queries"), ("batch-sweep", "--k"),
+]
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -89,7 +98,7 @@ class TestParser:
         from repro.engine import backend_names
 
         subparsers = build_parser()._subparsers._group_actions[0].choices
-        for command in ("cluster", "pipeline", "batch-sweep", "hw-sweep", "campaign"):
+        for command in ("cluster", "pipeline", "batch-sweep", "campaign"):
             text = subparsers[command].format_help()
             for name in backend_names():
                 assert name in text, (command, name)
@@ -132,7 +141,7 @@ class TestParser:
         assert args.cache_geometries == ["l1-8k", "table-iv"]
         defaults = build_parser().parse_args(["hw-sweep"])
         assert defaults.scenarios is None and defaults.jobs is None
-        assert defaults.cache_geometries is None and defaults.backends is None
+        assert defaults.cache_geometries is None
 
     def test_hw_sweep_help_names_every_cache_geometry(self):
         """--help must list the geometry registry's names, with no drift."""
@@ -159,14 +168,20 @@ class TestParser:
             with pytest.raises(SystemExit, match="--tile-size must be positive"):
                 main(["hw-sweep", "--tile-size", tile_size])
 
-    def test_hw_sweep_rejects_single_backend(self):
-        """The sweep compares backend pairs; one backend is a usage error."""
-        with pytest.raises(SystemExit, match="at least two distinct"):
-            main(["hw-sweep", "--scenario", "urban",
-                  "--backend", "bonsai-batched"])
-        with pytest.raises(SystemExit, match="at least two distinct"):
-            main(["hw-sweep", "--scenario", "urban",
-                  "--backend", "bonsai-batched", "--backend", "bonsai-batched"])
+    def test_hw_sweep_refuses_backend(self, capsys):
+        """A hardware sweep compares the baseline with Bonsai and takes no
+        backend."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["hw-sweep", "--backend", "bonsai-batched"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("case", COUNT_FLAGS,
+                             ids=lambda case: "".join(case))
+    def test_count_flags_refuse_values_below_one(self, case, value, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*case, value])
+        assert "must be a positive integer" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -298,7 +313,7 @@ class TestErrorPaths:
     def test_unknown_backend_lists_registry_choices(self, capsys):
         from repro.engine import backend_names
 
-        for command in ("cluster", "pipeline", "batch-sweep", "hw-sweep", "campaign"):
+        for command in ("cluster", "pipeline", "batch-sweep", "campaign"):
             with pytest.raises(SystemExit) as excinfo:
                 main([command, "--backend", "warp-drive"])
             assert excinfo.value.code == 2

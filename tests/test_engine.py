@@ -384,3 +384,75 @@ class TestRemovedEntryPoints:
             assert backend.stats.queries == len(queries)
             assert result.indices.shape == (len(queries), 4)
         assert counts["bonsai-batched"] == counts["baseline-batched"]
+
+    def test_the_creator_owns_the_shared_store(self, small_case):
+        """create() takes the cloud only and attach() the name only; the
+        cross-process count, its lock and the per-array segments are gone,
+        with no shim."""
+        from repro.serve import SharedCloudStore
+        from repro.serve import store as store_module
+
+        tree, queries = small_case
+        for keyword in ("name", "tree_config", "fmt"):
+            with pytest.raises(TypeError):
+                SharedCloudStore.create(tree.points, **{keyword: None})
+        assert list(inspect.signature(SharedCloudStore.create).parameters) == \
+            ["cloud"]
+        assert list(inspect.signature(SharedCloudStore.attach).parameters) == \
+            ["name"]
+        for name in ("refcount", "_locked", "_read_refcount", "_write_refcount"):
+            assert not hasattr(SharedCloudStore, name), name
+        for name in ("_CTRL_BYTES", "fcntl", "struct"):
+            assert not hasattr(store_module, name), name
+        assert store_module.SEGMENT_SUFFIXES == ("meta", "data", "dec")
+        with SharedCloudStore.create(tree.points) as store:
+            with pytest.raises(TypeError):
+                SharedCloudStore.attach(store.name, refcounted=False)
+            assert not hasattr(store, "refcount")
+            with SharedCloudStore.attach(store.name) as client, \
+                    client.index() as served, PointCloudIndex(tree) as local:
+                got = served.radius_search(queries, 0.5)
+                want = local.radius_search(queries, 0.5)
+                assert np.array_equal(got.point_indices, want.point_indices)
+
+    def test_hardware_sweeps_compare_baseline_with_bonsai(self):
+        """A recorded run traces its flavour's per-query walk, so a hardware
+        sweep compares the two flavours and takes no backend axis: the
+        backend keywords, the unset cache_config= and map-scale knobs,
+        mode_label and the results' modes/flavors fields are gone, with no
+        shim."""
+        import dataclasses
+
+        from repro.analysis import (CacheGeometrySweep, HardwareScenarioSweep,
+                                    MapScaleSweep, cache_sweep, hw_sweep,
+                                    map_scale)
+
+        removed_keywords = {
+            HardwareScenarioSweep: ("backends", "cache_config"),
+            CacheGeometrySweep: ("backends",),
+            MapScaleSweep: ("flavors", "geometries", "radius", "query_extent"),
+        }
+        for cls, keywords in removed_keywords.items():
+            for keyword in keywords:
+                with pytest.raises(TypeError):
+                    cls(**{keyword: None})
+        for module, name in ((hw_sweep, "mode_label"),
+                             (map_scale, "MAP_SCALE_FLAVORS")):
+            assert not hasattr(module, name), name
+            assert name not in module.__all__
+        for result, name in ((hw_sweep.HardwareSweepResult, "modes"),
+                             (cache_sweep.CacheSweepResult, "modes"),
+                             (map_scale.MapScaleResult, "flavors")):
+            assert name not in {f.name for f in dataclasses.fields(result)}
+        assert hw_sweep.SWEEP_MODES == ("baseline", "bonsai")
+        assert [ExecutionConfig(backend=name).flavor
+                for name in hw_sweep.SWEEP_BACKENDS] == list(hw_sweep.SWEEP_MODES)
+
+    def test_ndt_map_keeps_its_gaussians_as_arrays_only(self):
+        import repro.perception
+        from repro.perception import ndt
+
+        for owner in (repro.perception, ndt):
+            assert not hasattr(owner, "VoxelGaussian")
+            assert "VoxelGaussian" not in owner.__all__
+        assert not hasattr(ndt.NDTMap, "voxels")

@@ -216,7 +216,7 @@ class TestPropertyRoundTrip:
     @pytest.mark.parametrize("fmt", REDUCED_FORMATS, ids=lambda f: f.name)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_roundtrip_matches_quantisation_on_edge_values(self, fmt, data):
+    def test_roundtrip_matches_quantisation_on_edges(self, fmt, data):
         points, counts = data.draw(_leaves(fmt))
         leaf = points[:counts[0]]
         decoded = decompress_leaf(compress_leaf(leaf, fmt), fmt)

@@ -32,17 +32,16 @@ def structured_map_cloud():
 class TestNDTMap:
     def test_map_builds_voxels(self, structured_map_cloud):
         ndt_map = NDTMap(structured_map_cloud, NDTConfig(voxel_size=2.0))
-        assert len(ndt_map.voxels) > 10
-        assert ndt_map.tree.n_points == len(ndt_map.voxels)
+        assert ndt_map.counts.size > 10
+        assert ndt_map.tree.n_points == ndt_map.counts.size
 
     def test_voxel_gaussians_are_valid(self, structured_map_cloud):
         ndt_map = NDTMap(structured_map_cloud, NDTConfig(voxel_size=2.0))
-        for voxel in ndt_map.voxels[:50]:
-            assert voxel.n_points >= ndt_map.config.min_points_per_voxel
-            eigvals = np.linalg.eigvalsh(voxel.covariance)
-            assert np.all(eigvals > 0)
-            identity = voxel.covariance @ voxel.inverse_covariance
-            np.testing.assert_allclose(identity, np.eye(3), atol=1e-6)
+        assert np.all(ndt_map.counts >= ndt_map.config.min_points_per_voxel)
+        assert np.all(np.linalg.eigvalsh(ndt_map.covariances) > 0)
+        identity = ndt_map.covariances @ ndt_map.inverse_covariances
+        np.testing.assert_allclose(identity, np.broadcast_to(np.eye(3), identity.shape),
+                                   atol=1e-6)
 
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
@@ -115,17 +114,14 @@ def _pair_loop_evaluate(matcher, points, translation):
     neighbors = matcher._batch_search(transformed, matcher.config.search_radius)
     for point_index, point in enumerate(transformed):
         for voxel_index in neighbors.indices_for(point_index):
-            voxel = matcher.map.voxels[voxel_index]
-            diff = point - voxel.mean
-            exponent = -0.5 * float(diff @ voxel.inverse_covariance @ diff)
+            inverse = matcher.map.inverse_covariances[voxel_index]
+            diff = point - matcher.map.means[voxel_index]
+            exponent = -0.5 * float(diff @ inverse @ diff)
             weight = float(np.exp(max(exponent, -50.0)))
             score += weight
-            grad_term = weight * (voxel.inverse_covariance @ diff)
+            grad_term = weight * (inverse @ diff)
             gradient += -grad_term
-            hessian += weight * (
-                np.outer(voxel.inverse_covariance @ diff, voxel.inverse_covariance @ diff)
-                - voxel.inverse_covariance
-            )
+            hessian += weight * (np.outer(inverse @ diff, inverse @ diff) - inverse)
     return score, gradient, hessian
 
 
@@ -205,11 +201,6 @@ def _assert_fit_matches_loop(cloud, config) -> NDTMap:
     for name, column in (("means", 1), ("covariances", 2), ("inverse_covariances", 3)):
         got = getattr(ndt_map, name)
         assert got.tobytes() == np.array([fit[column] for fit in want]).tobytes(), name
-    for voxel, (n, mean, covariance, inverse) in zip(ndt_map.voxels, want):
-        assert voxel.n_points == n
-        assert voxel.mean.tobytes() == mean.tobytes()
-        assert voxel.covariance.tobytes() == covariance.tobytes()
-        assert voxel.inverse_covariance.tobytes() == inverse.tobytes()
     return ndt_map
 
 

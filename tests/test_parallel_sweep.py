@@ -75,7 +75,7 @@ class TestCacheGeometrySweep:
         for geometry_run in result.runs:
             assert [run.scenario for run in geometry_run.sweep.runs] == ["urban"] * 2
             assert [run.mode for run in geometry_run.sweep.runs] == \
-                list(result.modes)
+                ["baseline", "bonsai"]
 
     def test_table_iv_variant_matches_default_machine(self, result):
         """cache_config=Table IV geometry == no cache_config at all."""

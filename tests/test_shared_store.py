@@ -1,8 +1,9 @@
 """Lifecycle and parity tests of the shared-memory serve layer.
 
-Covers the :class:`~repro.serve.store.SharedCloudStore` refcount contract
-(attach/detach/unlink, double-close idempotence, borrowed attaches), the
-orphaned-segment story (a killed refcounted holder leaks by design until
+Covers the :class:`~repro.serve.store.SharedCloudStore` ownership contract
+(the creator unlinks, attached handles only unmap and keep answering,
+double-close idempotence), the orphaned-segment story (a killed attached
+holder leaves nothing behind; a killed creator's segments stay until
 ``force_unlink``), cross-process attach through the
 :class:`~repro.serve.service.QueryService` workers (their start under
 concurrent first requests, concurrent callers, worker errors and dead
@@ -70,52 +71,49 @@ def queries(cloud):
 
 
 # ----------------------------------------------------------------------
-# Refcount lifecycle
+# Ownership: the creator unlinks, attached handles only unmap
 # ----------------------------------------------------------------------
-class TestRefcounting:
-    def test_create_attach_detach_unlink(self, cloud):
+class TestOwnership:
+    def test_creator_close_unlinks_under_an_open_attach(self, cloud, queries):
+        """The creator unlinks while a handle is attached; the attached
+        index keeps answering from its live mappings, bit for bit."""
         store = SharedCloudStore.create(cloud)
-        assert store.refcount == 1
-        assert SharedCloudStore.exists(store.name)
+        with SharedCloudStore.attach(store.name) as client, \
+                client.index() as served:
+            before = {name: served.radius_search(queries, 0.6, backend=name)
+                      for name in backend_names()}
+            store.close()
+            assert not SharedCloudStore.exists(store.name)
+            assert [path for path in _segments() if store.name in path] == []
+            for name, want in before.items():
+                got = served.radius_search(queries, 0.6, backend=name)
+                assert np.array_equal(got.offsets, want.offsets), name
+                assert np.array_equal(got.point_indices,
+                                      want.point_indices), name
 
-        second = SharedCloudStore.attach(store.name)
-        assert store.refcount == 2
-        second.close()
-        assert store.refcount == 1
-        assert SharedCloudStore.exists(store.name)
+    def test_attached_close_never_unlinks(self, cloud):
+        with SharedCloudStore.create(cloud) as store:
+            for _ in range(2):
+                attached = SharedCloudStore.attach(store.name)
+                attached.close()
+                assert SharedCloudStore.exists(store.name)
+            assert store.tree().n_points == len(cloud)
 
-        store.close()
-        assert not SharedCloudStore.exists(store.name)
-
-    def test_last_closer_unlinks_regardless_of_order(self, cloud):
+    def test_attach_after_creator_closed_raises(self, cloud):
         store = SharedCloudStore.create(cloud)
-        second = SharedCloudStore.attach(store.name)
-        # The creator closes first; the attacher keeps the store alive.
         store.close()
-        assert SharedCloudStore.exists(store.name)
-        assert second.refcount == 1
-        second.close()
-        assert not SharedCloudStore.exists(store.name)
+        with pytest.raises(FileNotFoundError):
+            SharedCloudStore.attach(store.name)
 
     def test_double_close_is_idempotent(self, cloud):
         store = SharedCloudStore.create(cloud)
         second = SharedCloudStore.attach(store.name)
         second.close()
-        second.close()  # must not decrement twice
-        assert store.refcount == 1
+        second.close()
+        assert SharedCloudStore.exists(store.name)
         store.close()
         store.close()
         assert not SharedCloudStore.exists(store.name)
-
-    def test_borrowed_attach_does_not_refcount(self, cloud):
-        store = SharedCloudStore.create(cloud)
-        borrowed = SharedCloudStore.attach(store.name, refcounted=False)
-        assert store.refcount == 1
-        # A borrowed close must not decrement either.
-        borrowed.close()
-        assert store.refcount == 1
-        assert SharedCloudStore.exists(store.name)
-        store.close()
 
     def test_attach_missing_store_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -136,7 +134,7 @@ class TestRefcounting:
 
 
 # ----------------------------------------------------------------------
-# Orphan cleanup (killed holder)
+# Orphan cleanup (killed holder, killed creator)
 # ----------------------------------------------------------------------
 def _hold_attached(name, started):
     store = SharedCloudStore.attach(name)
@@ -146,7 +144,7 @@ def _hold_attached(name, started):
 
 
 class TestOrphanCleanup:
-    def test_killed_holder_orphans_then_force_unlink(self, cloud):
+    def test_killed_attached_holder_leaves_nothing_behind(self, cloud):
         store = SharedCloudStore.create(cloud)
         ctx = multiprocessing.get_context("fork")
         started = ctx.Event()
@@ -154,21 +152,42 @@ class TestOrphanCleanup:
                              args=(store.name, started), daemon=True)
         holder.start()
         assert started.wait(timeout=30)
-        assert store.refcount == 2
-
         os.kill(holder.pid, signal.SIGKILL)
         holder.join(timeout=30)
 
-        # The SIGKILLed holder never decremented: closing the last live
-        # handle leaves the segments orphaned by design (refcount still 1)
-        # rather than unlinking memory another process might still map.
         store.close()
-        assert SharedCloudStore.exists(store.name)
+        assert not SharedCloudStore.exists(store.name)
+        assert [path for path in _segments() if store.name in path] == []
+
+    def test_killed_creator_leaves_segments_until_force_unlink(self):
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "from repro.serve import SharedCloudStore\n"
+            "points = np.random.default_rng(3).uniform(-5, 5, (300, 3))\n"
+            "store = SharedCloudStore.create(points.astype(np.float32))\n"
+            "print(store.name, flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        with subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(REPO / "src")}) as proc:
+            try:
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                name = proc.stdout.readline().strip() if ready else ""
+            finally:
+                proc.kill()
+        assert name.startswith("repro-store-")
+        leftovers = [path for path in _segments() if name in path]
+        assert sorted(Path(path).name for path in leftovers) == [
+            f"{name}-{suffix}" for suffix in ("data", "dec", "meta")]
+        assert SharedCloudStore.exists(name)
 
         # force_unlink is the supervisor-side cleanup for exactly this.
-        assert SharedCloudStore.force_unlink(store.name)
-        assert not SharedCloudStore.exists(store.name)
-        assert not SharedCloudStore.force_unlink(store.name)  # idempotent
+        assert SharedCloudStore.force_unlink(name)
+        assert not SharedCloudStore.exists(name)
+        assert not SharedCloudStore.force_unlink(name)  # idempotent
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +450,7 @@ class TestQueryService:
             "import multiprocessing, sys, time\n"
             "import numpy as np\n"
             "from repro.serve import QueryService, SharedCloudStore\n"
-            "store = SharedCloudStore.attach(sys.argv[1], refcounted=False)\n"
+            "store = SharedCloudStore.attach(sys.argv[1])\n"
             "service = QueryService(store, n_workers=2)\n"
             "service.radius(np.zeros((4, 3)), 0.5)\n"
             "print(*(c.pid for c in multiprocessing.active_children()),\n"

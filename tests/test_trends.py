@@ -173,8 +173,7 @@ def _fake_hw_sweep() -> HardwareSweepResult:
                     "notes": "ignored",
                 }))
     return HardwareSweepResult(runs=runs, n_frames=2, n_beams=10,
-                               n_azimuth_steps=90,
-                               modes=("baseline", "bonsai"))
+                               n_azimuth_steps=90)
 
 
 class TestCollectAdapters:
@@ -208,8 +207,7 @@ class TestCollectAdapters:
         result = CacheSweepResult(
             runs=[GeometryRun(geometry=GEOMETRIES["table-iv"], sweep=sweep),
                   GeometryRun(geometry=GEOMETRIES["l1-8k"], sweep=sweep)],
-            n_frames=2, n_beams=10, n_azimuth_steps=90,
-            modes=("baseline", "bonsai"))
+            n_frames=2, n_beams=10, n_azimuth_steps=90)
         records = collect_cache_sweep(result, commit="c", run_id="r")
         assert len(records) == 4
         keys = {(r.key["geometry"], r.key["backend"]) for r in records}
