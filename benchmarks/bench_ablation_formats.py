@@ -27,12 +27,11 @@ FORMATS = (FLOAT16, BFLOAT16, FLOAT24)
 @pytest.fixture(scope="module")
 def sweep(clustering_input):
     rows = []
-    queries = [clustering_input[i] for i in range(0, len(clustering_input), 9)]
+    queries = clustering_input.points[::9]
     for fmt in FORMATS:
         tree = build_kdtree(clustering_input)
-        bonsai = get_backend("bonsai-perquery", tree, fmt=fmt)
-        for query in queries:
-            bonsai.search(query, RADIUS)
+        bonsai = get_backend("bonsai-batched", tree, fmt=fmt)
+        bonsai.radius_search(queries, RADIUS)
         rows.append({
             "format": fmt.name,
             "bits": fmt.total_bits,
@@ -73,13 +72,12 @@ def test_ablation_formats_results_identical(benchmark, clustering_input):
 
     tree = benchmark.pedantic(build_kdtree, args=(clustering_input,),
                               rounds=1, iterations=1)
-    queries = [clustering_input[i] for i in range(0, len(clustering_input), 120)]
+    queries = clustering_input.points[::120]
     expected = [sorted(radius_search(tree, q, RADIUS)) for q in queries]
     for fmt in FORMATS:
         fresh_tree = build_kdtree(clustering_input)
-        bonsai = get_backend("bonsai-perquery", fresh_tree, fmt=fmt)
-        got = [sorted(bonsai.search(q, RADIUS)) for q in queries]
-        assert got == expected
+        bonsai = get_backend("bonsai-batched", fresh_tree, fmt=fmt)
+        assert bonsai.radius_search(queries, RADIUS).as_lists() == expected
 
 
 def test_ablation_formats_compression_kernel(benchmark, clustering_input):

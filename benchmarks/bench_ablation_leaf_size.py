@@ -29,9 +29,8 @@ def sweep(clustering_input):
         tree = build_kdtree(clustering_input, KDTreeConfig(max_leaf_size=leaf_size))
         report = compress_tree(tree)
         similarity = leaf_similarity(tree)
-        bonsai = get_backend("bonsai-perquery", tree)
-        for index in range(0, len(clustering_input), 9):
-            bonsai.search(clustering_input[index], RADIUS)
+        bonsai = get_backend("bonsai-batched", tree)
+        bonsai.radius_search(clustering_input.points[::9], RADIUS)
         rows.append({
             "leaf_size": leaf_size,
             "n_leaves": tree.n_leaves,

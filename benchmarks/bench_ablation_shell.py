@@ -28,17 +28,16 @@ RADIUS = 0.6
 @pytest.fixture(scope="module")
 def shell_ablation(clustering_input):
     tree = build_kdtree(clustering_input)
-    queries = [clustering_input[i] for i in range(0, len(clustering_input), 7)]
+    queries = clustering_input.points[::7]
 
     naive = classification_error(tree, queries, RADIUS, FLOAT16)
 
     bonsai_tree = build_kdtree(clustering_input)
-    bonsai = get_backend("bonsai-perquery", bonsai_tree)
-    mismatched_searches = 0
-    for query in queries:
-        expected = sorted(radius_search(tree, query, RADIUS))
-        got = sorted(bonsai.search(query, RADIUS))
-        mismatched_searches += int(expected != got)
+    bonsai = get_backend("bonsai-batched", bonsai_tree)
+    got = bonsai.radius_search(queries, RADIUS).as_lists()
+    mismatched_searches = sum(
+        int(sorted(radius_search(tree, query, RADIUS)) != hits)
+        for query, hits in zip(queries, got))
     return {
         "naive": naive,
         "bonsai_recompute_rate": bonsai.bonsai_stats.inconclusive_rate,
@@ -79,10 +78,10 @@ def test_ablation_shell_report(benchmark, shell_ablation):
 def test_ablation_shell_kernel(benchmark, clustering_input):
     """Time the shell-protected search over a query batch."""
     tree = build_kdtree(clustering_input)
-    bonsai = get_backend("bonsai-perquery", tree)
-    queries = [clustering_input[i] for i in range(0, len(clustering_input), 30)]
+    bonsai = get_backend("bonsai-batched", tree)
+    queries = clustering_input.points[::30]
 
     def run():
-        return sum(len(bonsai.search(q, RADIUS)) for q in queries)
+        return bonsai.radius_search(queries, RADIUS).total_matches
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0

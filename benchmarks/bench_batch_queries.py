@@ -27,8 +27,8 @@ from repro.pointcloud import preprocess_for_clustering
 from paper_reference import write_result
 
 N_QUERIES = 10_000
-#: Query count of the all-backends table (the per-query backends run the
-#: sweep in pure Python, so the dimension table uses a lighter load).
+#: Query count of the backend-dimension table (the load its earlier tables,
+#: which also timed per-query backends, were measured at).
 N_BACKEND_QUERIES = 2_000
 RADIUS = 0.6
 K = 5

@@ -41,12 +41,11 @@ def test_fig9a_report(benchmark, comparison):
 def test_fig9a_baseline_search_kernel(benchmark, clustering_input):
     """Time the baseline radius-search kernel (one frame's worth of queries)."""
     tree = build_kdtree(clustering_input)
-    searcher = get_backend("baseline-perquery", tree)
-    queries = [clustering_input[i] for i in range(0, len(clustering_input), 8)]
+    searcher = get_backend("baseline-batched", tree)
+    queries = clustering_input.points[::8]
 
     def run():
-        for query in queries:
-            searcher.search(query, 0.6)
+        searcher.radius_search(queries, 0.6)
         return searcher.stats.queries
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0
@@ -55,12 +54,11 @@ def test_fig9a_baseline_search_kernel(benchmark, clustering_input):
 def test_fig9a_bonsai_search_kernel(benchmark, clustering_input):
     """Time the Bonsai radius-search kernel on the same queries."""
     tree = build_kdtree(clustering_input)
-    bonsai = get_backend("bonsai-perquery", tree)
-    queries = [clustering_input[i] for i in range(0, len(clustering_input), 8)]
+    bonsai = get_backend("bonsai-batched", tree)
+    queries = clustering_input.points[::8]
 
     def run():
-        for query in queries:
-            bonsai.search(query, 0.6)
+        bonsai.radius_search(queries, 0.6)
         return bonsai.stats.queries
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0

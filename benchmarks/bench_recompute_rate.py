@@ -52,12 +52,11 @@ def test_recompute_rate_counter_kernel(benchmark, clustering_input):
     from repro.kdtree import build_kdtree
 
     tree = build_kdtree(clustering_input)
-    bonsai = get_backend("bonsai-perquery", tree)
-    queries = [clustering_input[i] for i in range(0, len(clustering_input), 15)]
+    bonsai = get_backend("bonsai-batched", tree)
+    queries = clustering_input.points[::15]
 
     def run():
-        for query in queries:
-            bonsai.search(query, 0.6)
+        bonsai.radius_search(queries, 0.6)
         return bonsai.bonsai_stats.inconclusive_rate
 
     rate = benchmark.pedantic(run, rounds=1, iterations=1)

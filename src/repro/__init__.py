@@ -23,9 +23,9 @@ Subpackages
     The two batched backends: many queries per traversal, shared
     leaf-distance kernels, exact parity with the per-query paths.
 ``repro.engine``
-    Unified execution-backend API: four named backends
-    (``baseline-perquery``, ``baseline-batched``, ``bonsai-perquery``,
-    ``bonsai-batched``), one class each, in one name→class table, the
+    Unified execution-backend API: one named backend per leaf format
+    (``baseline-batched``, ``bonsai-batched``) in one name→class table, the
+    recorded per-query walks, the
     :class:`~repro.engine.index.PointCloudIndex` facade, and
     :class:`~repro.engine.execution.ExecutionConfig` carried by workloads.
 ``repro.perception``
@@ -109,10 +109,11 @@ instead of spelling out the subpackage:
     The serving layer (:mod:`repro.serve`): the shared-memory store and the
     query service, whose workers attach to it and answer on their own pipes.
 
-Every search object is one of the four backends ``get_backend(name,
-tree)`` builds; the pre-engine spellings (``batch_radius_search``,
-``batch_knn``, ``BonsaiRadiusSearch``, ``BatchQueryEngine``,
-``BonsaiBatchSearcher``) are gone.
+Every search object is a backend ``get_backend(name, tree)`` builds, or a
+recorded walk ``ExecutionConfig(backend=name, hardware=True)`` builds; the
+pre-engine spellings (``batch_radius_search``, ``batch_knn``,
+``BonsaiRadiusSearch``, ``BatchQueryEngine``, ``BonsaiBatchSearcher``) are
+gone.
 """
 
 from importlib import import_module

@@ -37,7 +37,7 @@ import numpy as np
 from ..hwmodel.cache import HierarchyStats
 from .cache_sweep import GEOMETRIES, CacheGeometry
 from .compare import relative_change
-from .hw_sweep import SWEEP_MODES
+from .hw_sweep import SWEEP_BACKENDS, SWEEP_MODES
 
 __all__ = [
     "MAP_SCALE_GEOMETRY_NAMES",
@@ -212,8 +212,7 @@ class MapScaleSweep:
                 geometries=list(self.geometries))
             for geometry in self.geometries:
                 cpu = geometry.cpu()
-                for flavor in SWEEP_MODES:
-                    backend = f"{flavor}-perquery"
+                for flavor, backend in zip(SWEEP_MODES, SWEEP_BACKENDS):
                     index.radius_search(queries, RADIUS_M, backend=backend,
                                         recorded=True, cpu=cpu)
                     totals = HierarchyStats()

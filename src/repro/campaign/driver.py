@@ -2,20 +2,23 @@
 
 One campaign = ``budget`` seed-derived worlds (:func:`~repro.campaign.worlds
 .random_world`), each fired at every selected backend plus — per flavor —
-two independently built recorded backends
+the recorded per-query walk, ``recorded(<flavor>)``
 (``ExecutionConfig(backend=..., hardware=True).make_backend``).  Per trial
-the driver diffs, pairwise against the reference backend:
+the driver diffs, pairwise against the reference backend, every other
+backend and every recorded walk on:
 
 * every op's results (radius hits / kNN neighbours, bitwise),
-* the recorded backends' functional results (must equal the reference
-  bitwise) and their two hardware traces against each other (the cache
-  model must be deterministic),
-* the per-trial aggregated ``SearchStats`` (flavor-invariant counters),
-  ``BonsaiStats`` (among Bonsai backends) and the pipeline ops' functional
-  metric signatures,
+* the per-trial aggregated radius ``SearchStats`` (flavor-invariant
+  counters) and ``BonsaiStats`` (among the Bonsai backends and the recorded
+  Bonsai walk),
+* the pipeline ops' functional metric signatures (the backends only),
 * service ops: the same query batch routed through a shared-memory
   :class:`~repro.serve.store.SharedCloudStore` attach (every backend over
   the attached tree) against the process-local reference index.
+
+A second, independently built recorded walk per flavor runs the same search
+ops, and its hardware trace must equal the first's (the cache model must be
+deterministic).
 
 Any divergence becomes a :class:`~repro.campaign.diff.Divergence` record in
 the campaign's JSON manifest; radius/kNN/stats divergences are additionally
@@ -35,8 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bonsai_search import BonsaiStats
-from ..engine import ExecutionConfig, PointCloudIndex, backend_names, get_backend
+from ..engine import ExecutionConfig, PointCloudIndex, backend_names
 from ..kdtree.build import build_kdtree
 from ..kdtree.radius_search import SearchStats
 from .diff import (
@@ -49,7 +51,7 @@ from .diff import (
     diff_search_stats,
     pipeline_signature,
 )
-from .shrink import emit_regression, shrink_divergence
+from .shrink import emit_regression, shrink_divergence, side_execution
 from .worlds import QueryOp, WorldSpec, random_world
 
 __all__ = ["CampaignConfig", "CampaignResult", "run_campaign"]
@@ -127,8 +129,8 @@ def _result_divergence_check(kind: str, op: QueryOp, left: str,
             return False
         tree = build_kdtree(points)
         left_stats, right_stats = SearchStats(), SearchStats()
-        left_backend = get_backend(left, tree, stats=left_stats)
-        right_backend = get_backend(right, tree, stats=right_stats)
+        left_backend = side_execution(left).make_backend(tree, stats=left_stats)
+        right_backend = side_execution(right).make_backend(tree, stats=right_stats)
         if op.kind == "radius":
             left_result = left_backend.radius_search(queries, op.radius)
             right_result = right_backend.radius_search(queries, op.radius)
@@ -204,6 +206,20 @@ def _run_trial(
     pipeline_ops = [(i, op) for i, op in enumerate(world.ops)
                     if op.kind == "pipeline"]
 
+    # --- The sides diffed against the reference -------------------------
+    # The backends, then each flavor's recorded walk.  The backends are
+    # built first, so no recorder sees a Bonsai compression pass and each
+    # walk's twin (a second recorder over the same ops) must trace the same.
+    sides = {name: index.backend(name) for name in backends}
+    twins = {}
+    if config.recorded and search_ops:
+        for flavor in sorted({name.split("-", 1)[0] for name in backends}):
+            side = f"recorded({flavor})"
+            execution = side_execution(side)
+            sides[side] = execution.make_backend(index.tree)
+            twins[side] = execution.make_backend(index.tree)
+    lefts = [side for side in sides if side != reference]
+
     # --- Result diffs, op by op -----------------------------------------
     # Radius ops run first so the aggregated-stats diff below sees radius
     # traffic only: radius traversal counters are flavor- and
@@ -212,52 +228,58 @@ def _run_trial(
     radius_ops = [(i, op) for i, op in search_ops if op.kind == "radius"]
     knn_ops = [(i, op) for i, op in search_ops if op.kind == "knn"]
     query_arrays: Dict[int, np.ndarray] = {}
-    reference_results: Dict[int, object] = {}
     for op_index, op in search_ops:
         query_arrays[op_index] = world.op_queries(op_index, cloud)
     for op_index, op in radius_ops:
         queries = query_arrays[op_index]
-        ref = index.radius_search(queries, op.radius, backend=reference)
-        reference_results[op_index] = ref
-        for name in others:
-            detail = diff_radius(
-                index.radius_search(queries, op.radius, backend=name), ref)
+        ref = sides[reference].radius_search(queries, op.radius)
+        for side in lefts:
+            detail = diff_radius(sides[side].radius_search(queries, op.radius), ref)
             if detail is not None:
                 divergences.append(Divergence(
-                    trial=trial, kind="radius-hits", left=name,
+                    trial=trial, kind="radius-hits", left=side,
                     right=reference, op_index=op_index,
                     op=op.describe(), detail=detail))
+        for twin in twins.values():
+            twin.radius_search(queries, op.radius)
 
     # --- Aggregated radius statistics (before any kNN traffic) ----------
     if radius_ops:
-        ref_stats = index.backend(reference).stats
-        for name in others:
-            detail = diff_search_stats(index.backend(name).stats, ref_stats)
+        ref_stats = sides[reference].stats
+        for side in lefts:
+            detail = diff_search_stats(sides[side].stats, ref_stats)
             if detail is not None:
                 divergences.append(Divergence(
-                    trial=trial, kind="search-stats", left=name,
+                    trial=trial, kind="search-stats", left=side,
                     right=reference, op_index=-1, op="", detail=detail))
-        bonsai = [name for name in backends if name.startswith("bonsai-")]
-        if len(bonsai) > 1:
-            ref_bonsai = index.backend(bonsai[0]).bonsai_stats or BonsaiStats()
-            for name in bonsai[1:]:
-                stats = index.backend(name).bonsai_stats or BonsaiStats()
-                detail = diff_bonsai_stats(stats, ref_bonsai)
-                if detail is not None:
-                    divergences.append(Divergence(
-                        trial=trial, kind="bonsai-stats", left=name,
-                        right=bonsai[0], op_index=-1, op="", detail=detail))
+        bonsai = [side for side in sides if sides[side].bonsai_stats is not None]
+        for side in bonsai[1:]:
+            detail = diff_bonsai_stats(sides[side].bonsai_stats,
+                                       sides[bonsai[0]].bonsai_stats)
+            if detail is not None:
+                divergences.append(Divergence(
+                    trial=trial, kind="bonsai-stats", left=side,
+                    right=bonsai[0], op_index=-1, op="", detail=detail))
 
     for op_index, op in knn_ops:
         queries = query_arrays[op_index]
-        ref = index.knn(queries, op.k, backend=reference)
-        reference_results[op_index] = ref
-        for name in others:
-            detail = diff_knn(index.knn(queries, op.k, backend=name), ref)
+        ref = sides[reference].knn(queries, op.k)
+        for side in lefts:
+            detail = diff_knn(sides[side].knn(queries, op.k), ref)
             if detail is not None:
                 divergences.append(Divergence(
-                    trial=trial, kind="knn", left=name, right=reference,
+                    trial=trial, kind="knn", left=side, right=reference,
                     op_index=op_index, op=op.describe(), detail=detail))
+        for twin in twins.values():
+            twin.knn(queries, op.k)
+
+    for side, twin in twins.items():
+        detail = diff_hierarchy_stats(sides[side].hierarchy, twin.hierarchy)
+        if detail is not None:
+            divergences.append(Divergence(
+                trial=trial, kind="hardware", left=f"{side}#a",
+                right=f"{side}#b", op_index=-1, op="",
+                detail=f"cache model nondeterministic: {detail}"))
 
     # --- Service ops: shared-store attach vs the local reference --------
     # One shared store per op (created from the same cloud), attached the
@@ -293,42 +315,6 @@ def _run_trial(
                             left=f"service:{name}", right=reference,
                             op_index=op_index, op=op.describe(),
                             detail=detail))
-
-    # --- Recorded hardware backends, per flavor ------------------------
-    # A Bonsai flavor's tree is compressed by now (every selected backend
-    # served the search ops above), so neither recorder sees the
-    # compression pass and the two traces must match.
-    if config.recorded and search_ops:
-        flavors = sorted({name.split("-", 1)[0] for name in backends})
-        for flavor in flavors:
-            hardware = ExecutionConfig(backend=f"{flavor}-perquery", hardware=True)
-            recorded_a = hardware.make_backend(index.tree)
-            recorded_b = hardware.make_backend(index.tree)
-            for op_index, op in search_ops:
-                queries = query_arrays[op_index]
-                ref = reference_results[op_index]
-                if op.kind == "radius":
-                    got_a = recorded_a.radius_search(queries, op.radius)
-                    got_b = recorded_b.radius_search(queries, op.radius)
-                    detail = diff_radius(got_a, ref) or diff_radius(got_b, ref)
-                else:
-                    got_a = recorded_a.knn(queries, op.k)
-                    got_b = recorded_b.knn(queries, op.k)
-                    detail = diff_knn(got_a, ref) or diff_knn(got_b, ref)
-                if detail is not None:
-                    divergences.append(Divergence(
-                        trial=trial, kind="recorded-functional",
-                        left=f"recorded({flavor})", right=reference,
-                        op_index=op_index, op=op.describe(),
-                        detail=f"recording changed results: {detail}"))
-            detail = diff_hierarchy_stats(recorded_a.hierarchy,
-                                          recorded_b.hierarchy)
-            if detail is not None:
-                divergences.append(Divergence(
-                    trial=trial, kind="hardware",
-                    left=f"recorded({flavor})#a", right=f"recorded({flavor})#b",
-                    op_index=-1, op="",
-                    detail=f"cache model nondeterministic: {detail}"))
 
     # --- Pipeline ops: functional metric signatures ---------------------
     for op_index, op in pipeline_ops:

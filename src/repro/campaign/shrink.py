@@ -28,9 +28,19 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine import ExecutionConfig
 from .worlds import QueryOp, WorldSpec
 
 __all__ = ["ShrinkBudget", "ShrunkCase", "shrink_divergence", "emit_regression"]
+
+
+def side_execution(side: str) -> ExecutionConfig:
+    """The mode of a divergence side: a registered backend name, or
+    ``recorded(<flavor>)``, that flavor's recorded per-query walk."""
+    if side.startswith("recorded("):
+        flavor = side[len("recorded("):-1]
+        return ExecutionConfig(backend=f"{flavor}-batched", hardware=True)
+    return ExecutionConfig(backend=side)
 
 
 class ShrinkBudget:
@@ -179,8 +189,16 @@ def _array_literal(array: np.ndarray, dtype: str) -> str:
     return f"np.array([\n    {rows},\n], dtype=np.{dtype})"
 
 
-def _assertion_block(kind: str, op: QueryOp) -> str:
-    """The pytest assertion body for a divergence ``kind``."""
+def _left_backend(left: str, stats: str = "") -> str:
+    """Source building the backend the divergence side ``left`` names."""
+    if left.startswith("recorded("):
+        return (f"ExecutionConfig(backend={side_execution(left).backend!r}, "
+                f"hardware=True).make_backend(tree{stats})")
+    return f"get_backend(LEFT, tree{stats})"
+
+
+def _assertion_block(kind: str, op: QueryOp, left: str) -> str:
+    """The pytest assertion body for a divergence ``kind`` of side ``left``."""
     if kind in ("service-hits", "service-knn"):
         # LEFT is "service:<backend>": replay the query through a fresh
         # shared-store attach on that backend vs RIGHT on the local tree.
@@ -211,7 +229,7 @@ def _assertion_block(kind: str, op: QueryOp) -> str:
     if kind == "search-stats":
         return f"""\
     left_stats, right_stats = SearchStats(), SearchStats()
-    get_backend(LEFT, tree, stats=left_stats).{call}
+    {_left_backend(left, ", stats=left_stats")}.{call}
     get_backend(RIGHT, tree, stats=right_stats).{call}
     for counter in ("queries", "leaves_visited", "interior_visited",
                     "points_examined", "points_in_radius"):
@@ -219,12 +237,12 @@ def _assertion_block(kind: str, op: QueryOp) -> str:
     assert left_stats.leaf_visit_counts == right_stats.leaf_visit_counts"""
     if op.kind == "radius":
         return f"""\
-    left = get_backend(LEFT, tree).{call}
+    left = {_left_backend(left)}.{call}
     right = get_backend(RIGHT, tree).{call}
     assert np.array_equal(left.offsets, right.offsets)
     assert np.array_equal(left.point_indices, right.point_indices)"""
     return f"""\
-    left = get_backend(LEFT, tree).{call}
+    left = {_left_backend(left)}.{call}
     right = get_backend(RIGHT, tree).{call}
     assert np.array_equal(left.indices, right.indices)
     assert np.array_equal(left.distances, right.distances, equal_nan=True)"""
@@ -245,6 +263,8 @@ def emit_regression(case: ShrunkCase, *, kind: str, left: str, right: str,
                     if needs_stats else "\nfrom repro.kdtree import build_kdtree")
     if kind.startswith("service"):
         stats_import += "\nfrom repro.serve import SharedCloudStore"
+    engine_import = ("ExecutionConfig, get_backend"
+                     if left.startswith("recorded(") else "get_backend")
     return f'''"""Auto-generated by `repro campaign` — minimal divergence reproducer.
 
 campaign trial {trial}: {left!r} vs {right!r} diverged on {kind!r}
@@ -255,7 +275,7 @@ shrunk to {case.points.shape[0]} points x {case.queries.shape[0]} queries
 
 import numpy as np
 
-from repro.engine import get_backend{stats_import}
+from repro.engine import {engine_import}{stats_import}
 
 LEFT = {left!r}
 RIGHT = {right!r}
@@ -267,5 +287,5 @@ QUERIES = {_array_literal(case.queries, "float64")}
 
 def {test_name}():
     tree = build_kdtree(POINTS)
-{_assertion_block(kind, case.op)}
+{_assertion_block(kind, case.op, left)}
 '''

@@ -16,8 +16,7 @@ The CLI exposes the most common flows without writing Python:
 ``python -m repro batch-sweep``
     Run a batched radius/kNN query sweep over one frame through a named
     execution backend (``--backend``, one of :func:`repro.engine.backend_names`)
-    and report throughput, search statistics and — with ``--compare-loop`` —
-    the speed-up over the per-query backend of the same flavour.
+    and report throughput and search statistics.
 ``python -m repro scenarios list``
     Enumerate the registered scenario worlds (:mod:`repro.scenarios`).
 ``python -m repro pipeline --scenario <name>``
@@ -74,7 +73,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +86,25 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (every seed and frame flag)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a number > 0 or ``inf``, as ``check_radius`` takes
+    (every radius flag); zero, negative values and NaN are refused."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
     return value
 
 
@@ -119,19 +137,23 @@ def build_parser() -> argparse.ArgumentParser:
                           help="directory to write frames into")
     generate.add_argument("--format", choices=("pcd", "npz"), default="pcd",
                           help="output file format")
-    generate.add_argument("--seed", type=int, default=7, help="scene random seed")
+    generate.add_argument("--seed", type=_nonnegative_int, default=7,
+                          help="scene random seed")
 
     compress = subparsers.add_parser(
         "compress-stats", help="report the compression opportunity of one frame")
-    compress.add_argument("--frame", type=int, default=0, help="frame index")
-    compress.add_argument("--seed", type=int, default=7, help="scene random seed")
-    compress.add_argument("--radius", type=float, default=0.6, help="search radius [m]")
+    compress.add_argument("--frame", type=_nonnegative_int, default=0, help="frame index")
+    compress.add_argument("--seed", type=_nonnegative_int, default=7,
+                          help="scene random seed")
+    compress.add_argument("--radius", type=_positive_float, default=0.6,
+                          help="search radius [m]")
 
     cluster = subparsers.add_parser(
         "cluster", help="run euclidean clustering on one synthetic frame")
-    cluster.add_argument("--frame", type=int, default=0, help="frame index")
-    cluster.add_argument("--seed", type=int, default=7, help="scene random seed")
-    cluster.add_argument("--tolerance", type=float, default=0.6,
+    cluster.add_argument("--frame", type=_nonnegative_int, default=0, help="frame index")
+    cluster.add_argument("--seed", type=_nonnegative_int, default=7,
+                         help="scene random seed")
+    cluster.add_argument("--tolerance", type=_positive_float, default=0.6,
                          help="clustering tolerance (radius) [m]")
     cluster.add_argument("--backend", choices=backends, default="baseline-batched",
                          help="execution backend serving the clustering searches "
@@ -141,30 +163,30 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="baseline vs Bonsai summary over a few frames")
     compare.add_argument("--frames", type=_positive_int, default=4,
                          help="number of frames")
-    compare.add_argument("--seed", type=int, default=7, help="scene random seed")
+    compare.add_argument("--seed", type=_nonnegative_int, default=7,
+                         help="scene random seed")
 
     sweep = subparsers.add_parser(
         "batch-sweep", help="run a batched query sweep through the vectorised engine")
-    sweep.add_argument("--frame", type=int, default=0, help="frame index")
-    sweep.add_argument("--seed", type=int, default=7, help="scene random seed")
+    sweep.add_argument("--frame", type=_nonnegative_int, default=0, help="frame index")
+    sweep.add_argument("--seed", type=_nonnegative_int, default=7,
+                       help="scene random seed")
     sweep.add_argument("--queries", type=_positive_int, default=10000,
                        help="number of queries in the sweep")
-    sweep.add_argument("--radius", type=float, default=0.6, help="search radius [m]")
+    sweep.add_argument("--radius", type=_positive_float, default=0.6,
+                       help="search radius [m]")
     sweep.add_argument("--k", type=_positive_int, default=5,
                        help="neighbours per kNN query")
     sweep.add_argument("--backend", choices=backends, default="baseline-batched",
                        help="execution backend for the radius sweep "
                             "(default: baseline-batched)")
-    sweep.add_argument("--compare-loop", action="store_true",
-                       help="also time the per-query backend of the same flavour "
-                            "and print the speed-up")
 
     scenarios = subparsers.add_parser(
         "scenarios", help="inspect the registered scenario library",
         description=f"Registered scenarios: {registered}")
     scenarios.add_argument("action", choices=("list",),
                            help="what to do (list: print the registry)")
-    scenarios.add_argument("--seed", type=int, default=None,
+    scenarios.add_argument("--seed", type=_nonnegative_int, default=None,
                            help="seed used when counting scene obstacles")
 
     pipeline = subparsers.add_parser(
@@ -173,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"registered scenario name, one of: {registered}")
     pipeline.add_argument("--frames", type=_positive_int, default=4,
                           help="number of frames")
-    pipeline.add_argument("--seed", type=int, default=None,
+    pipeline.add_argument("--seed", type=_nonnegative_int, default=None,
                           help="scene/sensor seed (default: the scenario's)")
     pipeline.add_argument("--beams", type=_positive_int, default=None,
                           help="LiDAR beams (default: the scenario's)")
@@ -200,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "default: every registered scenario)")
     hw_sweep.add_argument("--frames", type=_positive_int, default=3,
                           help="frames per scenario run")
-    hw_sweep.add_argument("--seed", type=int, default=None,
+    hw_sweep.add_argument("--seed", type=_nonnegative_int, default=None,
                           help="scene/sensor seed (default: the scenario's)")
     hw_sweep.add_argument("--beams", type=_positive_int, default=18, help="LiDAR beams")
     hw_sweep.add_argument("--azimuth-steps", type=_positive_int, default=180,
@@ -235,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=f"Registered scenarios: {registered}")
     campaign.add_argument("--budget", type=_positive_int, default=25,
                           help="number of randomized worlds to test")
-    campaign.add_argument("--seed", type=int, default=0,
+    campaign.add_argument("--seed", type=_nonnegative_int, default=0,
                           help="campaign seed (worlds derive from it "
                                "deterministically)")
     campaign.add_argument("--backend", action="append", dest="backends",
@@ -361,6 +383,12 @@ def _check_scenarios(command: str, names) -> None:
                 f"registered: {', '.join(registered)}")
 
 
+def _usage_error(command: str, message: str) -> NoReturn:
+    """Exit 2 with a one-line error, as argparse does for a bad flag."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _sequence(n_frames: int, seed: int):
     from .pointcloud import DrivingSequence, LidarConfig, SceneConfig, SequenceConfig
 
@@ -396,9 +424,8 @@ def _cmd_compress_stats(args: argparse.Namespace) -> int:
     cloud = preprocess_for_clustering(sequence.frame(args.frame))
     with PointCloudIndex(cloud) as index:
         similarity = leaf_similarity(index.tree)
-        bonsai = index.backend("bonsai-perquery")
-        for point_index in range(0, len(cloud), 10):
-            bonsai.search(cloud[point_index], args.radius)
+        bonsai = index.backend("bonsai-batched")
+        bonsai.radius_search(cloud.points[::10], args.radius)
         report = index.compression_report
 
         print(f"frame {args.frame}: {len(cloud)} points, "
@@ -499,22 +526,6 @@ def _cmd_batch_sweep(args: argparse.Namespace) -> int:
         print(f"  stats: {stats.leaves_visited / max(stats.queries, 1):.1f} leaf visits/query, "
               f"{stats.points_examined} points examined, "
               f"{stats.point_bytes_loaded} B of leaf points loaded")
-
-        if args.compare_loop:
-            flavor = backend_name.split("-", 1)[0]
-            loop_backend = index.backend(f"{flavor}-perquery")
-            start = time.perf_counter()
-            for query in queries:
-                loop_backend.search(query, args.radius)
-            loop_radius_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            loop_backend.knn(queries, args.k)
-            loop_knn_seconds = time.perf_counter() - start
-            print(f"  {flavor}-perquery backend: "
-                  f"radius {args.queries / loop_radius_seconds:,.0f} queries/s "
-                  f"({backend_name} is {loop_radius_seconds / radius_seconds:.1f}x faster), "
-                  f"knn {args.queries / loop_knn_seconds:,.0f} queries/s "
-                  f"({backend_name} is {loop_knn_seconds / knn_seconds:.1f}x faster)")
     return 0
 
 
@@ -690,6 +701,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import (load_baseline, render_json, render_text, run_lint,
                        write_baseline)
 
+    for path in args.paths:
+        if not path.exists():
+            _usage_error("lint", f"no such file or directory: {path}")
+    if args.baseline is not None and not args.baseline.is_file():
+        _usage_error("lint", f"no such baseline file: {args.baseline}")
     baseline = load_baseline(args.baseline) if args.baseline else None
     report = run_lint(args.paths, rules=args.rules, baseline=baseline)
     if args.write_baseline is not None:

@@ -2,9 +2,11 @@
 compressed leaf inspector.
 
 The searches themselves are the execution backends of :mod:`repro.engine`:
-``bonsai-perquery`` runs :class:`BonsaiLeafInspector` under the per-query
-traversal after :func:`compress_and_record`, and ``bonsai-batched``
-(:mod:`repro.runtime.bonsai`) runs the same kernels over query batches.
+``bonsai-batched`` (:mod:`repro.runtime.bonsai`) runs the leaf kernels over
+query batches, and the recorded Bonsai walk
+(:class:`~repro.engine.backends.BonsaiPerQueryBackend`) runs
+:class:`BonsaiLeafInspector` under the per-query traversal after
+:func:`compress_and_record`.
 """
 
 from .bitstream import BitReader, BitWriter

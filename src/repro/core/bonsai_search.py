@@ -15,8 +15,9 @@ only leaf processing differs.  When the search reaches a leaf, the inspector:
 
 The inspector accumulates the functional counters the hardware model needs
 (bytes loaded, slices, inconclusive classifications), and optionally feeds a
-memory-access recorder for cache simulation.  The ``bonsai-perquery``
-backend (:class:`~repro.engine.backends.BonsaiPerQueryBackend`) runs it
+memory-access recorder for cache simulation.  The recorded Bonsai walk
+(:class:`~repro.engine.backends.BonsaiPerQueryBackend`, which
+``ExecutionConfig(backend="bonsai-batched", hardware=True)`` builds) runs it
 under the per-query traversal, after :func:`compress_and_record` compressed
 the tree.
 """
@@ -88,17 +89,13 @@ class BonsaiLeafInspector:
     ----------
     array:
         The tree's ``cmprsd_strct_array``, as built by
-        :func:`compress_tree`.  If omitted, the inspector reads
-        ``tree.compressed_array`` and raises ``ValueError`` for a tree that
-        was never compressed.
-    fmt:
-        Reduced float format of the compressed coordinates.
+        :func:`compress_tree` (its float format included).  If omitted, the
+        inspector reads ``tree.compressed_array`` and raises ``ValueError``
+        for a tree that was never compressed.
     """
 
-    def __init__(self, array: Optional[CompressedStructArray] = None,
-                 fmt: FloatFormat = FLOAT16):
+    def __init__(self, array: Optional[CompressedStructArray] = None):
         self.array = array
-        self.fmt = fmt
         self.bonsai_stats = BonsaiStats()
 
     # ------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Unified execution-backend API for the K-D Bonsai reproduction.
 
-One protocol, four named backends, one facade.  The paper's claims are
-comparisons between execution modes; this layer makes the mode a *name*
-(``baseline-perquery`` / ``baseline-batched`` / ``bonsai-perquery`` /
-``bonsai-batched``), each naming one class in the table of
-:mod:`repro.engine.backends`, and carried by workload configs as
-:class:`ExecutionConfig` data (the name plus a hardware-recording switch);
+One protocol, two named backends, one facade.  The paper's claims are
+comparisons between leaf formats; this layer makes the format a *name*
+(``baseline-batched`` / ``bonsai-batched``), each naming one class in the
+table of :mod:`repro.engine.backends`, and carried by workload configs as
+:class:`ExecutionConfig` data (the name plus a hardware-recording switch
+that swaps in the format's recorded per-query walk);
 ``docs/PERFORMANCE.md`` is the selection guide.
 
 Public API
@@ -24,12 +24,13 @@ Public API
 :class:`ExecutionConfig`
     A workload's execution mode as one value (backend name + hardware
     switch + recorded cache geometry); ``make_backend`` builds its backend,
-    with ``hardware=True`` the flavour's per-query backend with a recorder
-    attached and bitwise-identical functional results.
+    with ``hardware=True`` the flavour's recorded per-query walk
+    (:class:`BaselinePerQueryBackend` or :class:`BonsaiPerQueryBackend`)
+    with a recorder attached and bitwise-identical functional results.
 :class:`SearchBackend`
-    The protocol every backend implements; the four classes are
-    :class:`BaselinePerQueryBackend`, :class:`BaselineBatchedBackend`,
-    :class:`BonsaiPerQueryBackend` and :class:`BonsaiBatchedBackend`.
+    The protocol every backend implements: the two registered classes
+    :class:`BaselineBatchedBackend` and :class:`BonsaiBatchedBackend`, and
+    the two recorded walks.
 
 Example
 -------
@@ -37,8 +38,8 @@ Example
 >>> from repro.engine import PointCloudIndex, backend_names
 >>> points = np.random.default_rng(1).uniform(-5, 5, (1000, 3)).astype(np.float32)
 >>> index = PointCloudIndex(points)
->>> sorted(backend_names())[:2]
-['baseline-batched', 'baseline-perquery']
+>>> backend_names()
+['baseline-batched', 'bonsai-batched']
 >>> index.radius_search(points[:8], radius=0.5, backend="bonsai-batched").n_queries
 8
 """

@@ -1,19 +1,16 @@
-"""Execution backends: one class per named search implementation.
+"""Execution backends: one class per leaf format, and the recorded walks.
 
 The repo answers the same two questions ("which points are within ``r`` of
-these queries?", "which ``k`` points are nearest?") four ways: two leaf
-formats (32-bit baseline, Bonsai compressed) times two strategies (one
-traversal per query, one per query batch).  Each way is one class, named in
+these queries?", "which ``k`` points are nearest?") in two leaf formats,
+each one class with one traversal per query batch, named in
 :data:`BACKENDS`:
 
-===================== ==================================================== ==========
-name                  class                                                leaf data
-===================== ==================================================== ==========
-``baseline-perquery`` :class:`BaselinePerQueryBackend` (this module)       32-bit
-``baseline-batched``  :class:`~repro.runtime.batch.BaselineBatchedBackend` 32-bit
-``bonsai-perquery``   :class:`BonsaiPerQueryBackend` (this module)         compressed
-``bonsai-batched``    :class:`~repro.runtime.bonsai.BonsaiBatchedBackend`  compressed
-===================== ==================================================== ==========
+==================== ==================================================== ==========
+name                 class                                                leaf data
+==================== ==================================================== ==========
+``baseline-batched`` :class:`~repro.runtime.batch.BaselineBatchedBackend` 32-bit
+``bonsai-batched``   :class:`~repro.runtime.bonsai.BonsaiBatchedBackend`  compressed
+==================== ==================================================== ==========
 
 ``docs/PERFORMANCE.md`` is the selection guide, with measured throughput
 per backend.
@@ -23,7 +20,7 @@ Every backend returns the uniform batched containers
 :class:`~repro.runtime.batch.BatchKNNResult`) with per-query index-sorted
 radius hits, and accumulates the shared counters
 (:class:`~repro.kdtree.radius_search.SearchStats`, plus
-:class:`~repro.core.bonsai_search.BonsaiStats` for the compressed flavours).
+:class:`~repro.core.bonsai_search.BonsaiStats` for the compressed format).
 All of them produce *identical* functional results; the cross-backend parity
 suite (``tests/test_backend_parity.py``) locks that down for every name.
 
@@ -41,10 +38,10 @@ derive from it)::
 
 Recording is part of the execution mode:
 ``ExecutionConfig(backend=name, hardware=True).make_backend(tree)``
-(:mod:`repro.engine.execution`) builds the flavour's per-query backend with a
-:class:`~repro.hwmodel.cache.HierarchyRecorder` attached, so every tree
-access streams through the cache simulation while the functional results
-stay bitwise unchanged.
+(:mod:`repro.engine.execution`) builds the format's recorded per-query walk
+instead (:data:`RECORDED_BACKENDS`), whose access order the trace-driven
+cache model depends on: every tree access streams through the cache
+simulation while the functional results stay bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..core.bonsai_search import BonsaiLeafInspector, BonsaiStats, compress_and_record
-from ..core.floatfmt import FLOAT16, FloatFormat
 from ..kdtree.build import KDTree
 from ..kdtree.knn import nearest_neighbors
 from ..kdtree.radius_search import MemoryRecorder, SearchStats, radius_search
@@ -64,6 +60,7 @@ from ..runtime.queries import as_query_batch, check_k, check_radius
 
 __all__ = [
     "BACKENDS",
+    "RECORDED_BACKENDS",
     "SearchBackend",
     "BaselinePerQueryBackend",
     "BaselineBatchedBackend",
@@ -79,20 +76,17 @@ class SearchBackend(Protocol):
     """What every execution backend exposes (duck-typed).
 
     ``radius_search`` / ``knn`` take whole query batches and return the
-    uniform batched result containers; ``search`` is the single-query
-    convenience used by per-query consumers (its return order is the
-    backend's native traversal order, which the recorded paths depend on).
-    ``stats`` always accumulates; ``bonsai_stats`` is ``None`` on the
-    baseline flavours and ``recorder`` is ``None`` on unrecorded backends.
+    uniform batched result containers.  ``stats`` always accumulates;
+    ``bonsai_stats`` is ``None`` on the baseline format and ``recorder`` is
+    ``None`` on unrecorded backends.
 
     Units and determinism: queries and radii are in the cloud's coordinate
     unit (metres for every built-in scenario), returned distances are
     euclidean in the same unit, and byte counters
     (``stats.point_bytes_loaded`` etc.) are in bytes.  For a given tree and
-    query batch every backend must return bitwise-identical hits and
-    neighbours and charge identical functional counters — execution
-    strategy (per-query or batched) is never allowed to show up in
-    results.
+    query batch every backend, recorded or not, must return
+    bitwise-identical hits and neighbours and charge identical functional
+    radius counters: recording is never allowed to show up in results.
     """
 
     name: str
@@ -107,35 +101,31 @@ class SearchBackend(Protocol):
     def knn(self, queries, k: int) -> BatchKNNResult:  # pragma: no cover - protocol
         ...
 
-    def search(self, query: Sequence[float], radius: float) -> List[int]:  # pragma: no cover - protocol
-        ...
-
 
 class BaselinePerQueryBackend:
-    """``baseline-perquery``: one 32-bit traversal per query (PCL/FLANN's path).
+    """The recorded 32-bit walk: one traversal per query (PCL/FLANN's path).
 
-    Single queries go through the reference per-query search; batches loop
-    over it and present the hits in the batched CSR layout with each query's
-    indices sorted — bitwise identical to the batched backends' output (the
-    property the hardware-in-the-loop pipeline relies on).  kNN batches loop
-    over the per-query branch-and-bound search into the dense
-    :class:`BatchKNNResult` layout.  With a ``recorder`` attached, every
-    tree access streams into it.
+    Every tree access streams into ``recorder``.  ``search`` is one query's
+    radius search in the walk's native order (the recorded cluster growth
+    calls it); batches loop over it and present the hits in the batched CSR
+    layout with each query's indices sorted, bitwise identical to the
+    batched backends' output.  kNN batches loop over the per-query
+    branch-and-bound search into the dense :class:`BatchKNNResult` layout.
     """
 
-    name = "baseline-perquery"
+    name = "recorded(baseline)"
     bonsai_stats: Optional[BonsaiStats] = None
 
-    def __init__(self, tree: KDTree, *, stats: Optional[SearchStats] = None,
-                 recorder: Optional[MemoryRecorder] = None):
+    def __init__(self, tree: KDTree, *, recorder: MemoryRecorder,
+                 stats: Optional[SearchStats] = None):
         self.tree = tree
         self.stats = stats if stats is not None else SearchStats()
         self.recorder = recorder
 
     @property
     def hierarchy(self):
-        """Cache-hierarchy statistics of the recorder (``None`` unrecorded)."""
-        return getattr(self.recorder, "stats", None)
+        """Cache-hierarchy statistics of the recorder."""
+        return self.recorder.stats
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
         """Single-query radius search (native traversal order)."""
@@ -159,10 +149,10 @@ class BaselinePerQueryBackend:
     def knn(self, queries, k: int) -> BatchKNNResult:
         """Per-query kNN presented in the dense batched result layout.
 
-        Both flavours answer kNN through the exact 32-bit branch-and-bound
+        Both formats answer kNN through the exact 32-bit branch-and-bound
         search (radius search is the operation the compressed leaves
-        accelerate), so all backends return identical neighbours; a
-        recorded backend records its node and 32-bit point loads.
+        accelerate), so every backend returns identical neighbours; the
+        walk records its node and 32-bit point loads.
         """
         k = check_k(k)
         batch = as_query_batch(queries)
@@ -179,29 +169,27 @@ class BaselinePerQueryBackend:
 
 
 class BonsaiPerQueryBackend(BaselinePerQueryBackend):
-    """``bonsai-perquery``: one compressed-leaf traversal per query (the
+    """The recorded compressed-leaf walk: one traversal per query (the
     paper's search).
 
     The traversal is the baseline's; a :class:`BonsaiLeafInspector`
     classifies each reached leaf from its compressed slices and recomputes
     inconclusive points in 32-bit, so results equal the baseline's.
     Compresses the tree on construction when it is not already
-    (:func:`~repro.core.bonsai_search.compress_and_record`): with a recorder
-    attached, that build-time compression traffic is part of the recorded
-    trace (as in the extract kernel), whereas a pre-compressed tree — an
-    offline map — contributes nothing.
+    (:func:`~repro.core.bonsai_search.compress_and_record`, in FLOAT16):
+    that build-time compression traffic is part of the recorded trace (as
+    in the extract kernel), whereas a pre-compressed tree — an offline map
+    — contributes nothing.
     """
 
-    name = "bonsai-perquery"
+    name = "recorded(bonsai)"
 
-    def __init__(self, tree: KDTree, *, fmt: FloatFormat = FLOAT16,
-                 stats: Optional[SearchStats] = None,
-                 recorder: Optional[MemoryRecorder] = None):
-        super().__init__(tree, stats=stats, recorder=recorder)
-        self.fmt = fmt
+    def __init__(self, tree: KDTree, *, recorder: MemoryRecorder,
+                 stats: Optional[SearchStats] = None):
+        super().__init__(tree, recorder=recorder, stats=stats)
         #: Tree-compression report (``None`` when the tree was pre-compressed).
-        self.report = compress_and_record(tree, fmt, recorder)
-        self.inspector = BonsaiLeafInspector(tree.compressed_array, fmt=fmt)
+        self.report = compress_and_record(tree, recorder=recorder)
+        self.inspector = BonsaiLeafInspector(tree.compressed_array)
         self.bonsai_stats = self.inspector.bonsai_stats
 
     def search(self, query: Sequence[float], radius: float) -> List[int]:
@@ -210,14 +198,19 @@ class BonsaiPerQueryBackend(BaselinePerQueryBackend):
                              stats=self.stats, recorder=self.recorder)
 
 
-#: Every execution backend, by name: two leaf formats x two strategies.
-#: A new backend is a class with the :class:`SearchBackend` surface and one
-#: line here; the name then works wherever backends are selected.
+#: Every execution backend, by name: one per leaf format.  A new backend is
+#: a class with the :class:`SearchBackend` surface and one line here; the
+#: name then works wherever backends are selected.
 BACKENDS: Dict[str, type] = {
-    "baseline-perquery": BaselinePerQueryBackend,
     "baseline-batched": BaselineBatchedBackend,
-    "bonsai-perquery": BonsaiPerQueryBackend,
     "bonsai-batched": BonsaiBatchedBackend,
+}
+
+#: The recorded walk of each leaf format, by flavour (a backend name's part
+#: before its ``-``); ``ExecutionConfig.make_backend`` builds them.
+RECORDED_BACKENDS: Dict[str, type] = {
+    "baseline": BaselinePerQueryBackend,
+    "bonsai": BonsaiPerQueryBackend,
 }
 
 
@@ -231,10 +224,9 @@ def get_backend(name: str, tree: KDTree, **opts) -> SearchBackend:
 
     ``opts`` are forwarded to the backend constructor: every backend accepts
     ``stats=`` (a shared :class:`~repro.kdtree.radius_search.SearchStats`
-    accumulator); the per-query flavours additionally accept ``recorder=``
-    (the hardware-recording hook) and the Bonsai flavours ``fmt=`` (the
-    reduced float format).  Raises ``KeyError`` naming the registered
-    backends on an unknown name.
+    accumulator) and ``bonsai-batched`` also ``fmt=`` (the reduced float
+    format it compresses an uncompressed tree in).  Raises ``KeyError``
+    naming the registered backends on an unknown name.
     """
     try:
         backend = BACKENDS[name]

@@ -7,7 +7,8 @@ machine's cache geometry — which is what makes cache-geometry sensitivity
 sweeps a config change instead of new plumbing.  It is the one spelling of
 the mode: the perception stages, the workloads, the pipeline runner and the
 CLI all take it (or a ``--backend`` name that becomes one), and every
-hardware recorder is built here, by :meth:`ExecutionConfig.make_recorder`.
+hardware recorder and recorded backend is built here, by
+:meth:`ExecutionConfig.make_recorder` and :meth:`ExecutionConfig.make_backend`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .backends import SearchBackend, backend_names, get_backend
+from .backends import RECORDED_BACKENDS, SearchBackend, backend_names, get_backend
 
 __all__ = ["ExecutionConfig"]
 
@@ -29,11 +30,11 @@ class ExecutionConfig:
     backend:
         Backend name (see :func:`repro.engine.backends.backend_names`).
     hardware:
-        Route the searches through the per-query recorded path so every
-        tree access streams into the trace-driven cache/timing/energy
-        models.  Functional results are unchanged (the recorded path is
-        bitwise-identical to the batched one); the run additionally carries
-        per-stage hardware reports.
+        Route the searches through the flavour's recorded per-query walk so
+        every tree access streams into the trace-driven cache/timing/energy
+        models.  Functional results are unchanged (the recorded walk is
+        bitwise-identical to the batched backend); the run additionally
+        carries per-stage hardware reports.
     cache_config:
         Machine geometry (:class:`~repro.hwmodel.cpu_config.CPUConfig`) the
         hardware recorder simulates.  ``None`` uses each stage's own CPU
@@ -86,15 +87,14 @@ class ExecutionConfig:
         """Construct this config's backend over ``tree``.
 
         With ``hardware`` set (or an explicit ``recorder`` passed), the
-        backend is the recorded per-query counterpart of the configured
-        flavour — trace-driven simulation depends on the exact access order,
-        which only the per-query path defines — and functional results stay
-        bitwise identical: ``ExecutionConfig(backend="bonsai-batched",
-        hardware=True)`` records through ``bonsai-perquery``.
+        backend is the flavour's recorded per-query walk
+        (:data:`~repro.engine.backends.RECORDED_BACKENDS`): trace-driven
+        simulation depends on the exact access order, which only the
+        per-query walk defines; functional results stay bitwise identical.
         """
         if self.hardware or recorder is not None:
             if recorder is None:
                 recorder = self.make_recorder()
-            return get_backend(f"{self.flavor}-perquery", tree,
-                               recorder=recorder, stats=stats)
+            return RECORDED_BACKENDS[self.flavor](tree, recorder=recorder,
+                                                  stats=stats)
         return get_backend(self.backend, tree, stats=stats)

@@ -25,12 +25,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..core.compressed_leaf import CompressionReport, compress_tree
-from ..core.floatfmt import FLOAT16, FloatFormat
 from ..core.bonsai_search import BonsaiStats
-from ..kdtree.build import KDTree, KDTreeConfig, build_kdtree
+from ..kdtree.build import KDTree, build_kdtree
 from ..kdtree.radius_search import SearchStats
 from ..runtime.batch import BatchKNNResult, BatchRadiusResult
-from .backends import SearchBackend, get_backend
+from .backends import SearchBackend
 from .execution import ExecutionConfig
 
 __all__ = ["PointCloudIndex"]
@@ -45,23 +44,18 @@ class PointCloudIndex:
     Parameters
     ----------
     cloud:
-        A :class:`~repro.pointcloud.cloud.PointCloud`, an ``(N, 3)`` array,
-        or an already-built :class:`~repro.kdtree.build.KDTree` (reused
-        as-is; ``tree_config`` is then ignored).
-    tree_config:
-        Tree-build parameters (PCL defaults when omitted).
-    fmt:
-        Reduced float format used when the index compresses its tree for
-        the Bonsai backends.
+        A :class:`~repro.pointcloud.cloud.PointCloud` or an ``(N, 3)`` array
+        (built with the PCL defaults), or a built
+        :class:`~repro.kdtree.build.KDTree` (reused as-is), compressed in
+        FLOAT16 when a Bonsai backend first asks: for another leaf size or
+        float format, pass a tree built and compressed that way.
     """
 
-    def __init__(self, cloud, *, tree_config: Optional[KDTreeConfig] = None,
-                 fmt: FloatFormat = FLOAT16):
+    def __init__(self, cloud):
         if isinstance(cloud, KDTree):
             self.tree = cloud
         else:
-            self.tree = build_kdtree(cloud, tree_config)
-        self.fmt = fmt
+            self.tree = build_kdtree(cloud)
         #: Report of the lazy compression pass (``None`` until a Bonsai
         #: backend is first requested; stays ``None`` for a pre-compressed
         #: tree).
@@ -94,7 +88,7 @@ class PointCloudIndex:
         compression pass.
         """
         if not self.is_compressed:
-            self.compression_report = compress_tree(self.tree, self.fmt)
+            self.compression_report = compress_tree(self.tree)
         return self.compression_report
 
     # ------------------------------------------------------------------
@@ -104,28 +98,24 @@ class PointCloudIndex:
                 cpu=None) -> SearchBackend:
         """The named backend over this index's tree (cached per request).
 
-        With ``recorded=True`` the returned backend is the hardware-recorded
-        counterpart, as ``ExecutionConfig(backend=name, hardware=True)``
-        builds it: the flavour's per-query backend with every tree access
-        streaming through the trace-driven cache simulation of ``cpu``'s
-        geometry (Table IV when omitted), functional results bitwise
-        unchanged.  Backends are cached per ``(name, recorded, cpu)``, so
-        recorded requests with different cache geometries get distinct
-        simulations.
+        Built by ``ExecutionConfig(backend=name, hardware=recorded,
+        cache_config=cpu).make_backend``: with ``recorded=True`` the
+        flavour's recorded per-query walk, tracing ``cpu``'s cache geometry
+        (Table IV when omitted).  Cached per ``(name, recorded, cpu)``, so
+        recorded requests with different geometries get distinct
+        simulations.  An unknown name raises ``KeyError``.
         """
-        flavor = name.split("-", 1)[0]
         key = (name, recorded, cpu)
         backend = self._backends.get(key)
         if backend is None:
-            if flavor == "bonsai":
+            try:
+                execution = ExecutionConfig(backend=name, hardware=recorded,
+                                            cache_config=cpu)
+            except ValueError as error:
+                raise KeyError(*error.args) from None
+            if execution.use_bonsai:
                 self.ensure_compressed()
-            opts = {"fmt": self.fmt} if flavor == "bonsai" else {}
-            if recorded:
-                recorder = ExecutionConfig().make_recorder(cpu)
-                backend = get_backend(f"{flavor}-perquery", self.tree,
-                                      recorder=recorder, **opts)
-            else:
-                backend = get_backend(name, self.tree, **opts)
+            backend = execution.make_backend(self.tree)
             self._backends[key] = backend
         return backend
 

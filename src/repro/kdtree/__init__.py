@@ -1,8 +1,8 @@
 """PCL/FLANN-style leaf-based k-d tree with pluggable leaf processing.
 
 :func:`radius_search` and :func:`nearest_neighbors` are the single-query
-reference searches: the per-query backends of :mod:`repro.engine` run them,
-and the tests use them as the oracles every backend must match.
+reference searches: the recorded walks of :mod:`repro.engine` run them, and
+the tests use them as the oracles every backend must match.
 """
 
 from .build import DEFAULT_MAX_LEAF_SIZE, KDTree, KDTreeConfig, KDTreeStats, build_kdtree

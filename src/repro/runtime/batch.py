@@ -46,7 +46,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -188,10 +188,6 @@ class BaselineBatchedBackend:
     def knn(self, queries, k: int) -> BatchKNNResult:
         """The ``k`` nearest tree points of each query (see :func:`_knn_search`)."""
         return _knn_search(self.tree, queries, k, self.stats)
-
-    def search(self, query: Sequence[float], radius: float) -> List[int]:
-        """Single-query convenience wrapper (sorted point indices)."""
-        return self.radius_search(as_query_batch(query), radius).indices_for(0).tolist()
 
 
 def _knn_search(tree: KDTree, queries, k: int, stats: SearchStats) -> BatchKNNResult:

@@ -32,7 +32,7 @@ True
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -61,10 +61,10 @@ __all__ = ["BonsaiBatchedBackend"]
 class BonsaiBatchedBackend:
     """``bonsai-batched``: one compressed-leaf traversal per query batch.
 
-    The batched counterpart of
-    :class:`~repro.engine.backends.BonsaiPerQueryBackend`, with the same
-    ``stats`` / ``bonsai_stats`` / ``report`` surface.  Built by name
-    through :func:`repro.engine.get_backend`.
+    Charges the same ``stats`` / ``bonsai_stats`` as the recorded walk
+    (:class:`~repro.engine.backends.BonsaiPerQueryBackend`) and carries the
+    same ``report``.  Built by name through
+    :func:`repro.engine.get_backend`.
 
     Parameters
     ----------
@@ -159,7 +159,3 @@ class BonsaiBatchedBackend:
     def knn(self, queries, k: int) -> BatchKNNResult:
         """Batched kNN over the 32-bit points, exactly as ``baseline-batched``."""
         return _knn_search(self.tree, queries, k, self.stats)
-
-    def search(self, query: Sequence[float], radius: float) -> List[int]:
-        """Single-query convenience wrapper (sorted point indices)."""
-        return self.radius_search(as_query_batch(query), radius).indices_for(0).tolist()

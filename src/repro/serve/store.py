@@ -353,7 +353,7 @@ class SharedCloudStore:
         if self._index is None:
             from ..engine.index import PointCloudIndex
 
-            self._index = PointCloudIndex(self.tree(), fmt=self.fmt)
+            self._index = PointCloudIndex(self.tree())
         return self._index
 
     @property

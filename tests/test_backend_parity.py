@@ -1,15 +1,17 @@
 """Randomized cross-backend parity: every named backend, one truth.
 
 The engine layer's core contract is that execution mode never changes
-results: the four registered backends must return *identical* radius hits
-and kNN neighbours for the same tree and queries, and wrapping any backend
-in the hardware recorder must leave the functional results bitwise
-unchanged while the cache trace fills.
+results: the registered backends, and the recorded per-query walk
+``ExecutionConfig(hardware=True)`` builds for each, must return *identical*
+radius hits and kNN neighbours for the same tree and queries, and recording
+must leave the functional results bitwise unchanged while the cache trace
+fills.
 
 These tests fuzz that contract: seeded random clustered clouds plus
 scenario-derived frames, perturbed query sets, random radius/k — compared
-across every name in the registry (the suite never imports a concrete
-backend class, so a newly registered backend is automatically swept).
+across every name in the registry, plain and recorded (the suite never
+imports a concrete backend class, so a newly registered backend is
+automatically swept).
 The CI ``backend-parity`` step runs exactly this file.
 """
 
@@ -24,6 +26,12 @@ from repro.pointcloud import PointCloud, preprocess_for_clustering
 from repro.scenarios import build_sequence
 
 REFERENCE = "baseline-batched"
+
+
+def _every_path():
+    """Every search path: each registered backend, then its recorded walk."""
+    return [ExecutionConfig(backend=name, hardware=hardware)
+            for hardware in (False, True) for name in backend_names()]
 
 
 def _fuzzed_cloud(seed: int) -> PointCloud:
@@ -84,45 +92,47 @@ class TestCrossBackendParity:
         tree, queries, radius, _ = case
         ref_offsets, ref_indices = _radius_arrays(
             get_backend(REFERENCE, tree), queries, radius)
-        for name in backend_names():
+        for execution in _every_path():
             offsets, indices = _radius_arrays(
-                get_backend(name, tree), queries, radius)
-            assert np.array_equal(offsets, ref_offsets), name
-            assert np.array_equal(indices, ref_indices), name
+                execution.make_backend(tree), queries, radius)
+            assert np.array_equal(offsets, ref_offsets), execution
+            assert np.array_equal(indices, ref_indices), execution
 
     def test_knn_neighbors_identical_across_backends(self, case):
         tree, queries, _, k = case
         reference = get_backend(REFERENCE, tree).knn(queries, k)
-        for name in backend_names():
-            result = get_backend(name, tree).knn(queries, k)
-            assert np.array_equal(result.indices, reference.indices), name
+        for execution in _every_path():
+            result = execution.make_backend(tree).knn(queries, k)
+            assert np.array_equal(result.indices, reference.indices), execution
             assert np.allclose(result.distances, reference.distances,
-                               rtol=0, atol=0, equal_nan=True), name
+                               rtol=0, atol=0, equal_nan=True), execution
 
     def test_radius_stats_aggregate_identically(self, case):
-        """Every backend charges the same functional search counters."""
+        """Every backend and recorded walk charges the same functional
+        search counters."""
         tree, queries, radius, _ = case
         reference = SearchStats()
         get_backend(REFERENCE, tree,
                     stats=reference).radius_search(queries, radius)
-        for name in backend_names():
+        for execution in _every_path():
             stats = SearchStats()
-            get_backend(name, tree, stats=stats).radius_search(queries, radius)
+            execution.make_backend(tree, stats=stats).radius_search(queries, radius)
             assert (stats.queries, stats.leaves_visited, stats.interior_visited,
                     stats.points_examined, stats.points_in_radius) == \
                    (reference.queries, reference.leaves_visited,
                     reference.interior_visited, reference.points_examined,
-                    reference.points_in_radius), name
-            assert stats.leaf_visit_counts == reference.leaf_visit_counts, name
+                    reference.points_in_radius), execution
+            assert stats.leaf_visit_counts == reference.leaf_visit_counts, execution
 
     def test_single_query_hits_match_batched(self, case):
-        """``search()`` returns the same set the batched result holds."""
+        """A recorded walk's ``search()`` returns the set the named
+        backend's batched result holds."""
         tree, queries, radius, _ = case
         for name in backend_names():
-            backend = get_backend(name, tree)
-            batched = backend.radius_search(queries[:10], radius)
+            walk = ExecutionConfig(backend=name, hardware=True).make_backend(tree)
+            batched = get_backend(name, tree).radius_search(queries[:10], radius)
             for q in range(10):
-                assert sorted(backend.search(queries[q], radius)) == \
+                assert sorted(walk.search(queries[q], radius)) == \
                     batched.indices_for(q).tolist(), (name, q)
 
 
@@ -174,14 +184,15 @@ class TestIndexParity:
         index = PointCloudIndex(tree)
         reference = index.radius_search(queries, radius, backend=REFERENCE)
         knn_reference = index.knn(queries, k, backend=REFERENCE)
-        for name in backend_names():
-            result = index.radius_search(queries, radius, backend=name)
+        for execution in _every_path():
+            backend = index.backend(execution.backend, recorded=execution.hardware)
+            result = backend.radius_search(queries, radius)
             assert np.array_equal(result.point_indices,
-                                  reference.point_indices), name
-            knn = index.knn(queries, k, backend=name)
-            assert np.array_equal(knn.indices, knn_reference.indices), name
+                                  reference.point_indices), execution
+            knn = backend.knn(queries, k)
+            assert np.array_equal(knn.indices, knn_reference.indices), execution
         # Stats merged across every served backend: radius + knn queries each.
-        n_backends = len(backend_names())
+        n_backends = len(_every_path())
         assert index.search_stats.queries >= 2 * n_backends * len(queries)
 
     def test_index_compresses_lazily_exactly_once(self, case):
@@ -194,7 +205,7 @@ class TestIndexParity:
         assert index.is_compressed
         report = index.compression_report
         assert report is not None and report.compressed_bytes > 0
-        index.radius_search(queries, radius, backend="bonsai-perquery")
+        index.backend("bonsai-batched", recorded=True).radius_search(queries, radius)
         assert index.compression_report is report  # not recompressed
 
 
@@ -227,11 +238,11 @@ class TestRoundingParity:
         queries = np.array([query])
         reference = get_backend(REFERENCE, tree).radius_search(queries, radius)
         bonsai_counts = []
-        for backend_name in backend_names():
-            backend = get_backend(backend_name, tree)
+        for execution in _every_path():
+            backend = execution.make_backend(tree)
             result = backend.radius_search(queries, radius)
             assert np.array_equal(result.point_indices, reference.point_indices), \
-                backend_name
+                execution
             if backend.bonsai_stats is not None:
                 bs = backend.bonsai_stats
                 bonsai_counts.append((bs.conclusive_in, bs.conclusive_out,
@@ -271,7 +282,7 @@ class TestLatticeKNNTies:
         expected = _lowest_pairs(points, queries, k)
         reference = get_backend(REFERENCE, tree).knn(queries, k)
         assert np.array_equal(reference.indices, expected)
-        for name in backend_names():
-            result = get_backend(name, tree).knn(queries, k)
-            assert np.array_equal(result.indices, reference.indices), name
-            assert np.array_equal(result.distances, reference.distances), name
+        for execution in _every_path():
+            result = execution.make_backend(tree).knn(queries, k)
+            assert np.array_equal(result.indices, reference.indices), execution
+            assert np.array_equal(result.distances, reference.distances), execution

@@ -2,7 +2,9 @@
 
 The central property — the one the paper's safety argument rests on — is that
 the Bonsai search returns *exactly* the same point set as the baseline 32-bit
-search, for any cloud and any query.
+search, for any cloud and any query.  The per-query Bonsai walk is checked
+alone (``radius_search`` with the compressed-leaf inspector) and as the
+recorded walk ``ExecutionConfig(hardware=True)`` builds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.bonsai_search import BonsaiLeafInspector, compress_and_record
 from repro.core.compressed_leaf import compress_tree
-from repro.engine import get_backend
+from repro.engine import ExecutionConfig
 from repro.kdtree import (
     KDTreeConfig,
     SearchStats,
@@ -24,10 +26,27 @@ from repro.kdtree import (
 from repro.hwmodel.cache import HierarchyRecorder
 
 
+class _BonsaiWalk:
+    """The per-query Bonsai walk alone, with no recorder: ``radius_search``
+    with the compressed-leaf inspector over the tree compressed in FLOAT16,
+    as the recorded walk runs it."""
+
+    def __init__(self, tree):
+        compress_and_record(tree)
+        self.tree = tree
+        self.stats = SearchStats()
+        self.inspector = BonsaiLeafInspector(tree.compressed_array)
+        self.bonsai_stats = self.inspector.bonsai_stats
+
+    def search(self, query, radius):
+        return radius_search(self.tree, query, radius, inspector=self.inspector,
+                             stats=self.stats)
+
+
 class TestEquivalenceWithBaseline:
     def test_identical_results_on_frame(self, frame_tree, filtered_frame):
         tree = build_kdtree(filtered_frame)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = _BonsaiWalk(tree)
         for i in range(0, len(filtered_frame), 37):
             query = filtered_frame[i]
             expected = sorted(radius_search(tree, query, 0.6))
@@ -36,7 +55,7 @@ class TestEquivalenceWithBaseline:
 
     def test_identical_results_various_radii(self, random_tree, random_cloud):
         tree = build_kdtree(random_cloud)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = _BonsaiWalk(tree)
         for radius in (0.1, 0.5, 1.0, 3.0, 10.0):
             for i in range(0, len(random_cloud), 101):
                 query = random_cloud[i]
@@ -46,7 +65,7 @@ class TestEquivalenceWithBaseline:
 
     def test_query_not_in_cloud(self, random_cloud):
         tree = build_kdtree(random_cloud)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = _BonsaiWalk(tree)
         query = np.array([3.3, -7.7, 0.2])
         assert sorted(bonsai.search(query, 2.0)) == sorted(radius_search(tree, query, 2.0))
 
@@ -64,7 +83,7 @@ class TestEquivalenceWithBaseline:
             centers[i % n_clusters] + rng.normal(0.0, 0.8, size=3) for i in range(n_points)
         ]).astype(np.float32)
         tree = build_kdtree(points)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = _BonsaiWalk(tree)
         brute = None
         for qi in range(0, n_points, max(1, n_points // 7)):
             query = points[qi]
@@ -82,7 +101,7 @@ class TestBonsaiCounters:
     def test_recompute_rate_is_small_on_frames(self, filtered_frame):
         """The paper reports 0.37% of classifications fall in the shell."""
         tree = build_kdtree(filtered_frame)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = _BonsaiWalk(tree)
         for i in range(0, len(filtered_frame), 11):
             bonsai.search(filtered_frame[i], 0.6)
         stats = bonsai.bonsai_stats
@@ -91,7 +110,7 @@ class TestBonsaiCounters:
 
     def test_counter_consistency(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = _BonsaiWalk(tree)
         for i in range(0, len(filtered_frame), 53):
             bonsai.search(filtered_frame[i], 0.6)
         stats = bonsai.bonsai_stats
@@ -106,7 +125,7 @@ class TestBonsaiCounters:
         baseline_stats = SearchStats()
         for i in range(0, len(filtered_frame), 13):
             radius_search(tree, filtered_frame[i], 0.6, stats=baseline_stats)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = _BonsaiWalk(tree)
         for i in range(0, len(filtered_frame), 13):
             bonsai.search(filtered_frame[i], 0.6)
         assert bonsai.stats.point_bytes_loaded < 0.6 * baseline_stats.point_bytes_loaded
@@ -114,7 +133,8 @@ class TestBonsaiCounters:
     def test_existing_compressed_array_reused(self, random_cloud):
         tree = build_kdtree(random_cloud)
         compress_tree(tree)
-        bonsai = get_backend("bonsai-perquery", tree)
+        bonsai = ExecutionConfig(backend="bonsai-batched",
+                                 hardware=True).make_backend(tree)
         assert bonsai.report is None  # compression not repeated
         query = random_cloud[0]
         assert sorted(bonsai.search(query, 1.0)) == sorted(radius_search(tree, query, 1.0))
@@ -133,7 +153,8 @@ class TestBonsaiWithRecorder:
     def test_recorder_sees_compressed_and_recompute_loads(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
         recorder = HierarchyRecorder()
-        bonsai = get_backend("bonsai-perquery", tree, recorder=recorder)
+        bonsai = ExecutionConfig(backend="bonsai-batched").make_backend(
+            tree, recorder=recorder)
         searcher_recorder_stats_before = recorder.stats.loads
         for i in range(0, len(filtered_frame), 29):
             bonsai.search(filtered_frame[i], 0.6)
@@ -143,7 +164,7 @@ class TestBonsaiWithRecorder:
     def test_compression_pass_traced(self, filtered_frame):
         tree = build_kdtree(filtered_frame)
         recorder = HierarchyRecorder()
-        get_backend("bonsai-perquery", tree, recorder=recorder)
+        ExecutionConfig(backend="bonsai-batched").make_backend(tree, recorder=recorder)
         # The compression pass loads every point once and stores the slices.
         assert recorder.stats.loads >= tree.n_points
         assert recorder.stats.stores > 0

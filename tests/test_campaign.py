@@ -4,8 +4,9 @@ Three layers: the randomized-world factory (determinism, JSON roundtrip,
 scenario restriction), a bounded-budget smoke campaign over every registered
 backend (must be clean and bitwise-deterministic), and the full
 divergence-hunting path — a deliberately broken backend added to the
-backend table for the test only must be caught, shrunk to a minimal case,
-and emitted as a runnable pytest reproducer that actually fails.
+backend table for the test only, or a broken per-query walk behind each
+flavour's recorded backend, must be caught, shrunk to a minimal case, and
+emitted as a runnable pytest reproducer that actually fails.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from repro.campaign import (
     random_world,
     run_campaign,
 )
+from repro.core.bonsai_search import BonsaiLeafInspector
 from repro.engine.backends import BACKENDS, BaselineBatchedBackend
+from repro.kdtree import Float32LeafInspector
 from repro.runtime.batch import BatchRadiusResult
 from repro.scenarios import scenario_names
 
@@ -166,12 +169,62 @@ class TestBrokenBackendCaught:
     def test_clean_pair_reports_nothing(self, tmp_path):
         config = CampaignConfig(
             budget=2, seed=1,
-            backends=("baseline-batched", "baseline-perquery"),
+            backends=("baseline-batched", "bonsai-batched"),
             out_dir=tmp_path, recorded=False)
         result = run_campaign(config)
         assert result.n_divergences == 0
         assert not list(result.result_dir.glob("divergence-*.json"))
         assert not list(result.result_dir.glob("repro_*.py"))
+
+
+def _drop_the_last_point_of_every_seventh_leaf(inspector_class, monkeypatch):
+    """Break ``inspector_class``: the last point of every seventh leaf is
+    neither examined nor found, as if the walk skipped it."""
+    inspect = inspector_class.inspect
+
+    def broken(self, tree, leaf_id, indices, query, r2, results, stats,
+               recorder):
+        n_before = len(results)
+        inspect(self, tree, leaf_id, indices, query, r2, results, stats,
+                recorder)
+        if leaf_id % 7 == 0:
+            stats.points_examined -= 1
+            if len(results) > n_before and results[-1] == int(indices[-1]):
+                results.pop()
+                stats.points_in_radius -= 1
+
+    monkeypatch.setattr(inspector_class, "inspect", broken)
+
+
+class TestBrokenWalkCaught:
+    """A broken per-query walk is caught through its flavour's recorded
+    backend, and shrunk to a reproducer that builds that backend."""
+
+    @pytest.mark.parametrize("flavour, inspector_class", [
+        ("baseline", Float32LeafInspector), ("bonsai", BonsaiLeafInspector)])
+    def test_recorded_walk_divergence_is_shrunk(self, tmp_path, monkeypatch,
+                                                flavour, inspector_class):
+        _drop_the_last_point_of_every_seventh_leaf(inspector_class, monkeypatch)
+        result = run_campaign(CampaignConfig(budget=4, seed=0, out_dir=tmp_path,
+                                             max_shrink_evals=40))
+        side = f"recorded({flavour})"
+        found = [d for d in result.divergences if d.left == side]
+        assert {"radius-hits", "search-stats"} <= {d.kind for d in found}
+        assert all(d.left.startswith(side) for d in result.divergences)
+
+        shrunk = [d for d in found if d.reproducer is not None]
+        assert shrunk, "a recorded walk's divergence must shrink"
+        builds = (f"ExecutionConfig(backend='{flavour}-batched', "
+                  f"hardware=True).make_backend(tree")
+        for divergence in shrunk:
+            source = (result.result_dir / divergence.reproducer).read_text()
+            assert builds in source
+        namespace: dict = {}
+        exec(compile(source, divergence.reproducer, "exec"), namespace)
+        test_functions = [value for name, value in namespace.items()
+                          if name.startswith("test_") and callable(value)]
+        with pytest.raises(AssertionError):
+            test_functions[0]()
 
 
 class TestServiceOps:

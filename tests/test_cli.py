@@ -18,6 +18,28 @@ COUNT_FLAGS = [
     ("batch-sweep", "--queries"), ("batch-sweep", "--k"),
 ]
 
+#: Every (command, flag) that takes a seed or a frame index, so must be >= 0.
+INDEX_FLAGS = [
+    ("generate", "--seed"), ("compress-stats", "--seed"), ("cluster", "--seed"),
+    ("compare", "--seed"), ("batch-sweep", "--seed"), ("scenarios", "--seed"),
+    ("pipeline", "--seed"), ("hw-sweep", "--seed"), ("campaign", "--seed"),
+    ("compress-stats", "--frame"), ("cluster", "--frame"),
+    ("batch-sweep", "--frame"),
+]
+
+#: Every (command, flag) that takes a search radius, so must be > 0.
+RADIUS_FLAGS = [
+    ("compress-stats", "--radius"), ("batch-sweep", "--radius"),
+    ("cluster", "--tolerance"),
+]
+
+#: Each (command, flag) with each value it must refuse.
+OUT_OF_RANGE = (
+    [(command, flag, "-1") for command, flag in INDEX_FLAGS]
+    + [(command, flag, value) for command, flag in RADIUS_FLAGS
+       for value in ("0", "-1", "nan")]
+)
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -72,16 +94,16 @@ class TestParser:
                 assert name in text, (command, name)
 
     def test_backend_flags_accept_registry_names(self):
-        args = build_parser().parse_args(
-            ["pipeline", "--backend", "bonsai-perquery"])
-        assert args.backend == "bonsai-perquery"
-        args = build_parser().parse_args(
-            ["batch-sweep", "--backend", "baseline-perquery"])
-        assert args.backend == "baseline-perquery"
+        from repro.engine import backend_names
+
+        for command in ("cluster", "pipeline", "batch-sweep"):
+            for name in backend_names():
+                args = build_parser().parse_args([command, "--backend", name])
+                assert args.backend == name
 
     def test_backend_flags_reject_unknown_names(self):
         for command in ("cluster", "pipeline", "batch-sweep"):
-            for name in ("warp-drive", "baseline-batched-mp"):
+            for name in ("warp-drive", "baseline-batched-mp", "bonsai-perquery"):
                 with pytest.raises(SystemExit):
                     build_parser().parse_args([command, "--backend", name])
 
@@ -183,6 +205,23 @@ class TestParser:
             build_parser().parse_args([*case, value])
         assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE,
+                             ids=[f"{c}{f}={v}" for c, f, v in OUT_OF_RANGE])
+    def test_out_of_range_values_are_usage_errors(self, command, flag, value,
+                                                  capsys):
+        """Seeds and frame indices below zero, and radii that are not
+        positive numbers, are refused by the parser (exit code 2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        expected = ("must be a positive number" if (command, flag) in RADIUS_FLAGS
+                    else "must be a non-negative integer")
+        assert expected in capsys.readouterr().err
+
+    def test_radius_flags_accept_inf(self):
+        args = build_parser().parse_args(["compress-stats", "--radius", "inf"])
+        assert args.radius == float("inf")
+
 
 class TestCommands:
     def test_generate_pcd(self, tmp_path, capsys):
@@ -277,11 +316,10 @@ class TestCommands:
 
     def test_batch_sweep_backend_by_name(self, capsys):
         code = main(["batch-sweep", "--queries", "200",
-                     "--backend", "bonsai-batched", "--compare-loop"])
+                     "--backend", "bonsai-batched"])
         assert code == 0
         out = capsys.readouterr().out
         assert "bonsai-batched backend" in out
-        assert "bonsai-perquery backend" in out
 
     def test_pipeline_unknown_scenario(self):
         with pytest.raises(SystemExit, match="unknown scenario 'mars_colony'"):

@@ -26,6 +26,7 @@ PERFORMANCE = REPO / "docs" / "PERFORMANCE.md"
 LINT = REPO / "docs" / "LINT.md"
 TRENDS = REPO / "docs" / "TRENDS.md"
 README = REPO / "README.md"
+SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
 SRC = REPO / "src" / "repro"
 
 #: Relative markdown links: [text](target), excluding http(s) and anchors.
@@ -147,6 +148,23 @@ def test_readme_backend_matrix_lists_every_backend():
     text = README.read_text(encoding="utf-8")
     for name in backend_names():
         assert f"`{name}`" in text, f"{name} missing from README backend matrix"
+
+
+#: A backticked backend-shaped name: ``baseline-*`` or ``bonsai-*``.
+BACKEND_NAME_RE = re.compile(r"`((?:baseline|bonsai)-[A-Za-z0-9_-]*)`")
+
+
+def test_docs_name_only_registered_backends():
+    """The reverse of the two checks above: every backticked
+    ``baseline-*``/``bonsai-*`` name in the docs is a registered backend,
+    so a removed backend cannot linger in them."""
+    from repro.engine import backend_names
+
+    registered = set(backend_names())
+    for path in (README, PERFORMANCE, ARCHITECTURE, SKILL):
+        named = set(BACKEND_NAME_RE.findall(path.read_text(encoding="utf-8")))
+        assert named <= registered, \
+            f"{path.relative_to(REPO)} names {sorted(named - registered)}"
 
 
 def test_module_tree_matches_src_exactly():

@@ -82,7 +82,8 @@ class TestSinglePointClouds:
         bonsai = get_backend("bonsai-batched", one).radius_search(queries, 1.5)
         baseline = get_backend("baseline-batched", one).radius_search(queries, 1.5)
         assert bonsai.as_lists() == baseline.as_lists()
-        per_query = get_backend("bonsai-perquery", one)
+        per_query = ExecutionConfig(backend="bonsai-batched",
+                                    hardware=True).make_backend(one)
         assert bonsai.as_lists() == [sorted(per_query.search(q, 1.5)) for q in queries]
 
     def test_clustering_single_point(self):

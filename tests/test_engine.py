@@ -38,9 +38,8 @@ def small_case():
     return build_kdtree(points), queries
 
 
-#: The registry's exact contents: two leaf formats x two strategies.
-BUILT_IN_BACKENDS = ["baseline-batched", "baseline-perquery",
-                     "bonsai-batched", "bonsai-perquery"]
+#: The registry's exact contents: one backend per leaf format.
+BUILT_IN_BACKENDS = ["baseline-batched", "bonsai-batched"]
 
 #: Names no backend answers to, including a removed one.
 UNKNOWN_BACKENDS = ("warp-drive", "baseline-batched-mp")
@@ -87,8 +86,16 @@ class TestExecutionConfig:
         assert functional.name == "bonsai-batched"
         hardware = ExecutionConfig(backend="bonsai-batched",
                                    hardware=True).make_backend(tree)
-        assert hardware.name == "bonsai-perquery"
+        assert type(hardware) is backends_module.BonsaiPerQueryBackend
+        assert hardware.name == "recorded(bonsai)"
         assert hardware.recorder is not None
+        baseline = ExecutionConfig(hardware=True).make_backend(tree)
+        assert type(baseline) is backends_module.BaselinePerQueryBackend
+        assert baseline.name == "recorded(baseline)"
+        assert baseline.recorder is not None
+        assert backends_module.RECORDED_BACKENDS == {
+            "baseline": backends_module.BaselinePerQueryBackend,
+            "bonsai": backends_module.BonsaiPerQueryBackend}
 
     def test_cache_config_reaches_the_recorder(self, small_case):
         from repro.hwmodel.cpu_config import TABLE_IV_CPU
@@ -153,11 +160,11 @@ class TestPointCloudIndex:
         index = PointCloudIndex(tree)
         assert index.bonsai_stats is None
         index.radius_search(queries, 0.5, backend="bonsai-batched")
-        index.radius_search(queries, 0.5, backend="bonsai-perquery")
+        index.backend("bonsai-batched", recorded=True).radius_search(queries, 0.5)
         merged = index.bonsai_stats
         assert merged is not None
         batched = index.backend("bonsai-batched").bonsai_stats
-        perquery = index.backend("bonsai-perquery").bonsai_stats
+        perquery = index.backend("bonsai-batched", recorded=True).bonsai_stats
         assert merged.leaf_visits == batched.leaf_visits + perquery.leaf_visits
 
 
@@ -188,9 +195,9 @@ class TestRemovedEntryPoints:
             warnings.simplefilter("error")
             copy = replace(config, n_frames=3)
             swapped = replace(config, execution=ExecutionConfig(
-                backend="baseline-perquery"))
+                backend="baseline-batched", hardware=True))
         assert copy.execution == config.execution and copy.n_frames == 3
-        assert swapped.execution.backend == "baseline-perquery"
+        assert swapped.execution.hardware
 
     def test_top_level_shims_removed(self):
         for name in ("batch_radius_search", "batch_knn", "BonsaiRadiusSearch"):
@@ -320,7 +327,7 @@ class TestRemovedEntryPoints:
         assert recorded.hierarchy.l1_accesses > 0
         # The sharded index keeps its recorded radius batches.
         with ShardedPointCloudIndex(tree.points, tile_size=4.0) as sharded:
-            got = sharded.radius_search(queries, 0.5, backend="bonsai-perquery",
+            got = sharded.radius_search(queries, 0.5, backend="bonsai-batched",
                                         recorded=True)
             want = index.radius_search(queries, 0.5)
             assert np.array_equal(got.point_indices, want.point_indices)
@@ -384,6 +391,62 @@ class TestRemovedEntryPoints:
             assert backend.stats.queries == len(queries)
             assert result.indices.shape == (len(queries), 4)
         assert counts["bonsai-batched"] == counts["baseline-batched"]
+
+    def test_a_backend_name_is_a_leaf_format(self, small_case):
+        """The per-query walks left the backend table and run only when
+        recording: the ``*-perquery`` names, the batched classes' and the
+        protocol's single-query ``search``, the index's tree_config=/fmt=,
+        the fmt= of the recorded Bonsai walk and its inspector, the
+        unrecorded walks and ``batch-sweep --compare-loop`` are gone, with
+        no shim."""
+        from repro.campaign import CampaignConfig
+        from repro.cli import build_parser
+        from repro.core.bonsai_search import BonsaiLeafInspector
+        from repro.core.floatfmt import BFLOAT16
+        from repro.serve import QueryService
+
+        tree, queries = small_case
+        for name in ("baseline-perquery", "bonsai-perquery"):
+            with pytest.raises(KeyError) as excinfo:
+                get_backend(name, tree)
+            assert f"registered: {', '.join(BUILT_IN_BACKENDS)}" in \
+                str(excinfo.value)
+            with pytest.raises(ValueError, match="unknown backend"):
+                ExecutionConfig(backend=name)
+            with pytest.raises(KeyError, match="baseline-batched"):
+                PointCloudIndex(tree).backend(name)
+            with pytest.raises(KeyError, match="baseline-batched"):
+                PointCloudIndex(tree).backend(name, recorded=True)
+            with pytest.raises(KeyError, match="baseline-batched"):
+                CampaignConfig(backends=(name,)).resolved_backends()
+            for command in ("cluster", "batch-sweep", "pipeline", "campaign"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, "--backend", name])
+        with QueryService(tree.points, n_workers=1) as service:
+            with pytest.raises(KeyError, match="baseline-batched"):
+                service.radius(queries, 0.5, backend="bonsai-perquery")
+
+        for cls in (backends_module.BaselineBatchedBackend,
+                    backends_module.BonsaiBatchedBackend):
+            assert not hasattr(cls, "search"), cls.__name__
+        assert "search" not in backends_module.SearchBackend.__dict__
+        for name in BUILT_IN_BACKENDS:
+            with pytest.raises(TypeError):
+                get_backend(name, tree, recorder=object())
+        for keyword in ("tree_config", "fmt"):
+            with pytest.raises(TypeError):
+                PointCloudIndex(tree.points, **{keyword: None})
+        assert list(inspect.signature(PointCloudIndex).parameters) == ["cloud"]
+        for cls in backends_module.RECORDED_BACKENDS.values():
+            with pytest.raises(TypeError):
+                cls(tree)
+        with pytest.raises(TypeError):
+            backends_module.BonsaiPerQueryBackend(
+                build_kdtree(tree.points), recorder=object(), fmt=BFLOAT16)
+        with pytest.raises(TypeError):
+            BonsaiLeafInspector(None, BFLOAT16)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch-sweep", "--compare-loop"])
 
     def test_the_creator_owns_the_shared_store(self, small_case):
         """create() takes the cloud only and attach() the name only; the

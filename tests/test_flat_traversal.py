@@ -9,9 +9,9 @@ rows.  These tests pin that design where it is easiest to get wrong:
   memory layout of their inputs;
 * on a single-point tree, all-duplicate points (the build's sorted-halves
   split), points exactly on a split plane, points exactly at distance ``r``,
-  a radius reaching every leaf and empty batches, the batched and per-query
-  backends agree on results, ``SearchStats`` (``leaf_visit_counts``
-  included) and ``BonsaiStats``;
+  a radius reaching every leaf and empty batches, the batched backends and
+  the recorded per-query walks agree on results, ``SearchStats``
+  (``leaf_visit_counts`` included) and ``BonsaiStats``;
 * batched kNN equals brute force there, and its counters do not depend on
   how a batch is split;
 * kNN's pruning bound (the squared distance to a node's bounding box) never
@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import get_backend
-from repro.kdtree import SearchStats, build_kdtree
+from repro.engine import ExecutionConfig, get_backend
+from repro.kdtree import SearchStats, build_kdtree, radius_search
 from repro.kdtree.build import NodeLists
 from repro.runtime.batch import (
     LEAF_CHUNK_POINTS,
@@ -43,8 +43,14 @@ from repro.runtime.kernels import (
     shell_distances,
 )
 
-BACKENDS = ("baseline-batched", "bonsai-batched", "baseline-perquery",
-            "bonsai-perquery")
+#: Every search path: the batched backends, then each flavour's recorded
+#: per-query walk.
+PATHS = {
+    "baseline-batched": ExecutionConfig(backend="baseline-batched"),
+    "bonsai-batched": ExecutionConfig(backend="bonsai-batched"),
+    "recorded(baseline)": ExecutionConfig(backend="baseline-batched", hardware=True),
+    "recorded(bonsai)": ExecutionConfig(backend="bonsai-batched", hardware=True),
+}
 
 
 def _lattice(n: int) -> np.ndarray:
@@ -174,11 +180,12 @@ class TestDegenerateRadius:
     def test_backends_agree_on_hits_and_counters(self, world):
         tree, _, queries, radii = world
         for radius in radii:
-            backends = {name: get_backend(name, tree) for name in BACKENDS}
+            backends = {name: execution.make_backend(tree)
+                        for name, execution in PATHS.items()}
             results = {name: backend.radius_search(queries, radius)
                        for name, backend in backends.items()}
-            reference = results["baseline-perquery"]
-            for name in BACKENDS:
+            reference = results["recorded(baseline)"]
+            for name in PATHS:
                 assert np.array_equal(results[name].offsets, reference.offsets), name
                 assert np.array_equal(results[name].point_indices,
                                       reference.point_indices), name
@@ -186,9 +193,9 @@ class TestDegenerateRadius:
             # slices vs 16-byte points); within a flavour they are equal.
             for flavor in ("baseline", "bonsai"):
                 assert _search_counts(backends[f"{flavor}-batched"].stats) == \
-                    _search_counts(backends[f"{flavor}-perquery"].stats), flavor
+                    _search_counts(backends[f"recorded({flavor})"].stats), flavor
             assert _bonsai_counts(backends["bonsai-batched"].bonsai_stats) == \
-                _bonsai_counts(backends["bonsai-perquery"].bonsai_stats)
+                _bonsai_counts(backends["recorded(bonsai)"].bonsai_stats)
 
     def test_every_leaf_reached_with_a_huge_radius(self):
         points, queries, (radius,) = _world("radius-reaches-every-leaf")
@@ -377,6 +384,6 @@ class TestTreeArrays:
         tree = build_kdtree(points)
         tree.node_lists  # convert the node lists before pickling
         copy = pickle.loads(pickle.dumps(tree))
-        hits = get_backend("baseline-perquery", copy).radius_search(queries, radii[0])
-        ref = get_backend("baseline-perquery", tree).radius_search(queries, radii[0])
-        assert np.array_equal(hits.point_indices, ref.point_indices)
+        hits = [radius_search(copy, query, radii[0]) for query in queries]
+        ref = [radius_search(tree, query, radii[0]) for query in queries]
+        assert hits == ref

@@ -2,8 +2,9 @@
 
 A NaN radius, a NaN or infinite query coordinate, or a ``k`` that is not an
 integer of at least 1 must raise ``ValueError`` from every registered
-backend, the sharded index, the query service and the single-query
-searches, instead of returning empty or backend-dependent results.
+backend, each flavour's recorded per-query walk, the sharded index, the
+query service and the single-query searches, instead of returning empty or
+backend-dependent results.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import PointCloudIndex, ShardedPointCloudIndex, backend_names
+from repro.engine import PointCloudIndex, ShardedPointCloudIndex
 from repro.kdtree import build_kdtree, nearest_neighbors, radius_search
 from repro.runtime.queries import as_query_batch, check_k, check_radius
 from repro.serve import QueryService
@@ -23,6 +24,15 @@ BAD_QUERIES = [
     [[1.0, 2.0, 3.0], [float("inf"), 0.0, 0.0]],
     [[0.0, float("-inf"), 0.0]],
 ]
+
+#: Every search path, by test id: ``(backend name, recorded)``.  The
+#: ``*-perquery`` ids are each flavour's recorded per-query walk.
+PATHS = {
+    "baseline-batched": ("baseline-batched", False),
+    "baseline-perquery": ("baseline-batched", True),
+    "bonsai-batched": ("bonsai-batched", False),
+    "bonsai-perquery": ("bonsai-batched", True),
+}
 
 
 @pytest.fixture(scope="module")
@@ -65,28 +75,40 @@ class TestChecks:
         assert as_query_batch([1.0, 2.0, 3.0]).shape == (1, 3)
 
 
-@pytest.mark.parametrize("name", backend_names())
+@pytest.fixture()
+def backend(request, index):
+    name, recorded = PATHS[request.param]
+    return index.backend(name, recorded=recorded)
+
+
+@pytest.mark.parametrize("backend", sorted(PATHS), indirect=True)
 class TestEveryBackend:
     @pytest.mark.parametrize("radius", BAD_RADII)
-    def test_bad_radius(self, index, good, name, radius):
+    def test_bad_radius(self, backend, good, radius):
         with pytest.raises(ValueError, match="radius"):
-            index.radius_search(good, radius, backend=name)
+            backend.radius_search(good, radius)
 
     @pytest.mark.parametrize("k", BAD_K)
-    def test_bad_k(self, index, good, name, k):
+    def test_bad_k(self, backend, good, k):
         with pytest.raises(ValueError, match="k must be"):
-            index.knn(good, k, backend=name)
+            backend.knn(good, k)
 
     @pytest.mark.parametrize("queries", BAD_QUERIES)
-    def test_nonfinite_queries(self, index, name, queries):
+    def test_nonfinite_queries(self, backend, queries):
         with pytest.raises(ValueError, match="finite"):
-            index.radius_search(queries, 0.5, backend=name)
+            backend.radius_search(queries, 0.5)
         with pytest.raises(ValueError, match="finite"):
-            index.knn(queries, 3, backend=name)
+            backend.knn(queries, 3)
 
-    def test_nonfinite_single_query(self, index, name):
+    def test_nonfinite_single_query(self, backend):
+        """One query given as a point, not a batch (the recorded walks'
+        ``search`` takes one too)."""
+        query = [0.0, float("nan"), 0.0]
         with pytest.raises(ValueError, match="finite"):
-            index.backend(name).search([0.0, float("nan"), 0.0], 0.5)
+            backend.radius_search(query, 0.5)
+        if hasattr(backend, "search"):
+            with pytest.raises(ValueError, match="finite"):
+                backend.search(query, 0.5)
 
 
 class TestOtherEntryPoints:

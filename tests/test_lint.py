@@ -432,9 +432,23 @@ class TestCli:
         assert main(["lint", str(target),
                      "--rule", "hygiene-mutable-default"]) == 1
 
-    def test_missing_target_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+    def test_missing_target_raises(self, tmp_path, capsys):
+        """A typo in a path is a usage error (exit 2), not a finding (exit
+        1) and not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
             main(["lint", str(tmp_path / "nope")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"repro lint: error: no such file or directory: {tmp_path / 'nope'}\n"
+
+    def test_missing_baseline_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "clean.py"
+        target.write_text("x = 1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(target), "--baseline", str(tmp_path / "nope.json")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"repro lint: error: no such baseline file: {tmp_path / 'nope.json'}\n"
 
 
 # ----------------------------------------------------------------------

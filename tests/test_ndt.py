@@ -141,7 +141,7 @@ class TestEvaluateMatchesPairLoop:
     @pytest.mark.parametrize("execution", [
         ExecutionConfig(backend="baseline-batched"),
         ExecutionConfig(backend="bonsai-batched"),
-        ExecutionConfig(backend="bonsai-perquery", hardware=True),
+        ExecutionConfig(backend="bonsai-batched", hardware=True),
     ], ids=["baseline-batched", "bonsai-batched", "recorded-bonsai-perquery"])
     def test_score_gradient_hessian_bitwise(self, structured_map_cloud, execution):
         matcher = NDTMatcher(NDTMap(structured_map_cloud, NDTConfig(voxel_size=2.0)),

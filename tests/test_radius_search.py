@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import get_backend
+from repro.engine import ExecutionConfig
 from repro.hwmodel.cache import HierarchyRecorder
 from repro.kdtree import (
     SearchStats,
@@ -100,7 +100,7 @@ class TestStats:
         assert a.leaf_visit_counts == {0: 3, 1: 2}
 
     def test_radius_searcher_accumulates(self, frame_tree, filtered_frame):
-        searcher = get_backend("baseline-perquery", frame_tree)
+        searcher = ExecutionConfig(hardware=True).make_backend(frame_tree)
         for i in range(0, len(filtered_frame), 301):
             searcher.search(filtered_frame[i], 0.6)
         assert searcher.stats.queries >= 2

@@ -5,16 +5,17 @@ model sees the loads and stores a search records, in order.  The goldens
 check only the resulting cache counts, so these tests pin the traces
 themselves, as SHA-256 digests of every ``(load|store, address, size)``:
 
-* recorded ``baseline-perquery`` and ``bonsai-perquery`` radius batches,
-  Bonsai's build-time compression pass included, on the degenerate worlds
-  of ``test_flat_traversal.py``;
+* radius batches through each flavour's recorded walk
+  (:data:`~repro.engine.backends.RECORDED_BACKENDS`), Bonsai's build-time
+  compression pass included, on the degenerate worlds of
+  ``test_flat_traversal.py``;
 * one recorded euclidean-cluster extraction per flavour on an urban frame;
 * recorded kNN batches on the same degenerate worlds, after a hand-checked
   access sequence on a two-leaf tree.
 
 A refactor of the per-query walk, the leaf inspectors or the address map
 must leave every digest as it is.  The single-query entry points record
-through a recorder alone, exactly as the backends built by the registry do.
+through a recorder alone, exactly as the recorded walks do.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 import pytest
 
 from repro.core.bonsai_search import BonsaiLeafInspector, compress_and_record
-from repro.engine import ExecutionConfig, get_backend
+from repro.engine import ExecutionConfig
+from repro.engine.backends import RECORDED_BACKENDS
 from repro.kdtree import SearchStats, build_kdtree, nearest_neighbors, radius_search
 from repro.kdtree.build import KDTreeConfig
 from repro.kdtree.layout import INDICES_BASE, NODES_BASE, POINTS_BASE
@@ -59,8 +61,7 @@ def _world_trace(name: str, flavor: str) -> ListRecorder:
     """Every radius batch of world ``name`` through a recorded backend."""
     points, queries, radii = _world(name)
     recorder = ListRecorder()
-    backend = get_backend(f"{flavor}-perquery", build_kdtree(points),
-                          recorder=recorder)
+    backend = RECORDED_BACKENDS[flavor](build_kdtree(points), recorder=recorder)
     for radius in radii:
         backend.radius_search(queries, radius)
     return recorder
@@ -73,8 +74,7 @@ def _world_knn_trace(name: str, flavor: str) -> ListRecorder:
     """kNN batches of world ``name`` (every k of ``KNN_KS``) through a recorded backend."""
     points, queries, _ = _world(name)
     recorder = ListRecorder()
-    backend = get_backend(f"{flavor}-perquery", build_kdtree(points),
-                          recorder=recorder)
+    backend = RECORDED_BACKENDS[flavor](build_kdtree(points), recorder=recorder)
     for k in KNN_KS:
         backend.knn(queries, k)
     return recorder
@@ -171,7 +171,7 @@ class TestRecorderAloneRecords:
         points, queries, radii = _world("duplicates-and-spread")
         tree = build_kdtree(points)
         alone, built = ListRecorder(), ListRecorder()
-        backend = get_backend("baseline-perquery", tree, recorder=built)
+        backend = RECORDED_BACKENDS["baseline"](tree, recorder=built)
         for query in queries:
             radius_search(tree, query, radii[1], recorder=alone)
             backend.search(query, radii[1])
@@ -184,8 +184,7 @@ class TestRecorderAloneRecords:
         alone, built = ListRecorder(), ListRecorder()
         compress_and_record(tree, recorder=alone)
         inspector = BonsaiLeafInspector(tree.compressed_array)
-        backend = get_backend("bonsai-perquery", build_kdtree(points),
-                              recorder=built)
+        backend = RECORDED_BACKENDS["bonsai"](build_kdtree(points), recorder=built)
         for query in queries:
             radius_search(tree, query, radii[1], inspector=inspector,
                           recorder=alone)
@@ -233,7 +232,7 @@ class TestRecordedKNN:
         want = nearest_neighbors(tree, query, k)
         assert nearest_neighbors(tree, query, k, recorder=alone) == want
         assert alone.accesses == expected
-        backend = get_backend("baseline-perquery", tree, recorder=built)
+        backend = RECORDED_BACKENDS["baseline"](tree, recorder=built)
         assert backend.knn(np.array([query]), k).as_lists() == [want]
         assert built.accesses == expected
 
@@ -248,12 +247,11 @@ class TestRecordedKNN:
         points, queries, _ = _world(name)
         tree = build_kdtree(points)
         plain_stats, recorded_stats = SearchStats(), SearchStats()
-        plain = get_backend("baseline-perquery", tree, stats=plain_stats)
-        recorded = get_backend("baseline-perquery", tree, stats=recorded_stats,
-                               recorder=ListRecorder())
+        recorded = RECORDED_BACKENDS["baseline"](tree, stats=recorded_stats,
+                                                 recorder=ListRecorder())
         for k in KNN_KS:
-            want, got = plain.knn(queries, k), recorded.knn(queries, k)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.distances, want.distances)
+            want = [nearest_neighbors(tree, query, k, stats=plain_stats)
+                    for query in queries]
+            assert recorded.knn(queries, k).as_lists() == want
         assert vars(recorded_stats) == vars(plain_stats)
         assert recorded.recorder.accesses

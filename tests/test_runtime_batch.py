@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import get_backend
+from repro.engine import ExecutionConfig, get_backend
 from repro.kdtree import (
     SearchStats,
     build_kdtree,
@@ -136,9 +136,14 @@ class TestBatchKNNParity:
         assert stats.points_examined > 0
 
 
+def _recorded_bonsai(tree):
+    """The recorded per-query Bonsai walk over ``tree``."""
+    return ExecutionConfig(backend="bonsai-batched", hardware=True).make_backend(tree)
+
+
 class TestBonsaiBatchParity:
     def test_matches_per_query_bonsai_and_baseline(self, tree, queries):
-        per_query = get_backend("bonsai-perquery", tree)
+        per_query = _recorded_bonsai(tree)
         single = [sorted(per_query.search(q, 0.8)) for q in queries]
         searcher = get_backend("bonsai-batched", tree)
         batch = searcher.radius_search(queries, 0.8)
@@ -147,7 +152,7 @@ class TestBonsaiBatchParity:
         assert batch.as_lists() == baseline.as_lists()
 
     def test_bonsai_stats_aggregate_exactly(self, tree, queries):
-        per_query = get_backend("bonsai-perquery", tree)
+        per_query = _recorded_bonsai(tree)
         for q in queries:
             per_query.search(q, 0.8)
         searcher = get_backend("bonsai-batched", tree)
@@ -163,9 +168,10 @@ class TestBonsaiBatchParity:
                 expected.inconclusive, expected.recompute_bytes_loaded)
         assert _stats_tuple(searcher.stats) == _stats_tuple(per_query.stats)
 
-    def test_single_query_wrapper(self, tree, queries):
+    def test_single_point_query(self, tree, queries):
+        """One query given as a point is a batch of one."""
         searcher = get_backend("bonsai-batched", tree)
-        assert searcher.search(queries[0], 0.8) == \
+        assert searcher.radius_search(queries[0], 0.8).indices_for(0).tolist() == \
             sorted(radius_search(tree, queries[0], 0.8))
 
 

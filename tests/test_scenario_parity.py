@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import get_backend
+from repro.engine import ExecutionConfig, get_backend
 from repro.kdtree import SearchStats, build_kdtree, nearest_neighbors, radius_search
 from repro.pointcloud import preprocess_for_clustering
 from repro.scenarios import build_sequence, scenario_names
@@ -77,7 +77,8 @@ def _assert_knn_parity(tree, queries, k):
 
 
 def _assert_bonsai_parity(tree, queries, radius):
-    per_query = get_backend("bonsai-perquery", tree)
+    per_query = ExecutionConfig(backend="bonsai-batched",
+                                hardware=True).make_backend(tree)
     single = [sorted(per_query.search(q, radius)) for q in queries]
     batch = get_backend("bonsai-batched", tree)
     result = batch.radius_search(queries, radius)

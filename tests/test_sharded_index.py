@@ -3,9 +3,10 @@
 ``ShardedPointCloudIndex`` promises radius results **bitwise identical** to
 the unsharded ``PointCloudIndex`` over the same cloud — whatever the tiling,
 chunking or per-tile backend.  This file locks that promise down across
-every registered backend, plus the edge cases the grid introduces: queries
-landing in zero tiles, empty batches, empty clouds, invalid clouds and tile
-sizes, lazy tile building and the per-tile statistics a caller sums.
+every registered backend and each flavour's recorded walk, plus the edge
+cases the grid introduces: queries landing in zero tiles, empty batches,
+empty clouds, invalid clouds and tile sizes, lazy tile building and the
+per-tile statistics a caller sums.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import PointCloudIndex, ShardedPointCloudIndex, backend_names
+from repro.engine import PointCloudIndex, ShardedPointCloudIndex
 from repro.engine import sharded as sharded_module
 from repro.engine.sharded import DEFAULT_TILE_SIZE
 from repro.kdtree import SearchStats
@@ -59,13 +60,25 @@ def flat(cloud):
 # ----------------------------------------------------------------------
 # Bitwise parity with the unsharded index, per backend
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", backend_names())
+#: Every search path, by test id: ``(backend name, recorded)``.  The
+#: ``*-perquery`` ids are each flavour's recorded per-query walk.
+PATHS = {
+    "baseline-batched": ("baseline-batched", False),
+    "baseline-perquery": ("baseline-batched", True),
+    "bonsai-batched": ("bonsai-batched", False),
+    "bonsai-perquery": ("bonsai-batched", True),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
 class TestParity:
-    def test_radius_bitwise_identical(self, sharded, flat, backend, queries,
+    def test_radius_bitwise_identical(self, sharded, flat, path, queries,
                                       monkeypatch):
         # 240 queries in chunks of at most 64: four chunks.
         monkeypatch.setattr(sharded_module, "CHUNK_QUERIES", 64)
-        got = sharded.radius_search(queries, RADIUS, backend=backend)
+        backend, recorded = PATHS[path]
+        got = sharded.radius_search(queries, RADIUS, backend=backend,
+                                    recorded=recorded)
         want = flat.radius_search(queries, RADIUS)
         assert got.offsets.dtype == want.offsets.dtype
         assert np.array_equal(got.offsets, want.offsets)
@@ -192,11 +205,11 @@ class TestLifecycle:
         index = ShardedPointCloudIndex(cloud, tile_size=40.0)
         cpu = GEOMETRIES["l2-256k"].cpu()
         got = index.radius_search(queries[:60], RADIUS,
-                                  backend="bonsai-perquery", recorded=True,
+                                  backend="bonsai-batched", recorded=True,
                                   cpu=cpu)
         want = PointCloudIndex(cloud).radius_search(queries[:60], RADIUS)
         assert np.array_equal(got.point_indices, want.point_indices)
-        per_tile = [idx.backend("bonsai-perquery", recorded=True,
+        per_tile = [idx.backend("bonsai-batched", recorded=True,
                                 cpu=cpu).hierarchy
                     for _, idx in index.built_tile_indexes()]
         merged = HierarchyStats()
@@ -205,7 +218,7 @@ class TestLifecycle:
         assert merged.loads > 0 and merged.bytes_loaded > 0
         assert merged.l1_misses == sum(h.l1_misses for h in per_tile)
         # Each recorded tile backend traces its own geometry.
-        assert all(idx.backend("bonsai-perquery", recorded=True, cpu=cpu)
+        assert all(idx.backend("bonsai-batched", recorded=True, cpu=cpu)
                    .recorder.hierarchy.l2.config.size_bytes == cpu.l2.size_bytes
                    for _, idx in index.built_tile_indexes())
 

@@ -17,6 +17,7 @@ survive a test, whatever path it took through the API.
 from __future__ import annotations
 
 import glob
+import itertools
 import multiprocessing
 import os
 import select
@@ -199,13 +200,16 @@ class TestAttachedTreeParity:
                 SharedCloudStore.create(cloud) as store, \
                 SharedCloudStore.attach(store.name) as client:
             with client.index() as served:
-                for name in backend_names():
-                    got = served.radius_search(queries, 0.6, backend=name)
+                # Every backend, and its recorded walk, over the attached tree.
+                for name, recorded in itertools.product(backend_names(),
+                                                        (False, True)):
+                    backend = served.backend(name, recorded=recorded)
+                    got = backend.radius_search(queries, 0.6)
                     ref = local.radius_search(queries, 0.6, backend=name)
                     assert np.array_equal(got.offsets, ref.offsets), name
                     assert np.array_equal(got.point_indices,
                                           ref.point_indices), name
-                    got_k = served.knn(queries, 5, backend=name)
+                    got_k = backend.knn(queries, 5)
                     ref_k = local.knn(queries, 5, backend=name)
                     assert np.array_equal(got_k.indices, ref_k.indices), name
                     assert np.array_equal(got_k.distances,
@@ -217,7 +221,7 @@ class TestAttachedTreeParity:
             passes_before = compression_pass_count()
             with client.index() as served:
                 served.radius_search(queries, 0.6, backend="bonsai-batched")
-                served.knn(queries, 5, backend="bonsai-perquery")
+                served.backend("bonsai-batched", recorded=True).knn(queries, 5)
             assert compression_pass_count() == passes_before
 
     def test_create_runs_exactly_one_pass(self, cloud):
@@ -260,9 +264,9 @@ class TestAttachedTreeParity:
                     assert np.array_equal(got_k.indices, expected_knn.indices)
         monkeypatch.undo()
         with SharedCloudStore.create(cloud) as store:
-            # A per-query path converts the node lists on first use.
-            hits = store.index().radius_search(queries, 0.6,
-                                               backend="bonsai-perquery")
+            # A recorded per-query walk converts the node lists on first use.
+            hits = store.index().backend(
+                "bonsai-batched", recorded=True).radius_search(queries, 0.6)
             assert np.array_equal(hits.point_indices, expected[1].point_indices)
             store.index().close()
 
