@@ -32,6 +32,7 @@ bitwise-identical manifest (no timestamps, no wall-clock anywhere).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -355,8 +356,12 @@ def _run_trial(
                 check, max_evals=config.max_shrink_evals)
             if case is not None:
                 divergence.shrunk = case.sizes()
+                # One file per record: a trial can diverge on one kind in
+                # several ops, and in one op on several sides.
+                side = re.sub(r"\W+", "_", divergence.left).strip("_")
                 divergence.reproducer = (
-                    f"repro_trial{trial}_{divergence.kind.replace('-', '_')}.py")
+                    f"repro_trial{trial}_op{op_index}_"
+                    f"{divergence.kind.replace('-', '_')}_{side}.py")
                 reproducers[divergence.reproducer] = emit_regression(
                     case, kind=divergence.kind, left=divergence.left,
                     right=divergence.right, world=world, trial=trial)

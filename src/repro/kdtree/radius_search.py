@@ -14,7 +14,7 @@ processing differs, as in the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -54,9 +54,18 @@ class MemoryRecorder(Protocol):
         ...
 
 
-@dataclass
+@dataclass(eq=False)
 class SearchStats:
-    """Counters accumulated across one or more radius searches."""
+    """Counters accumulated across one or more searches.
+
+    Leaf visits are counted per leaf id in an int64 array, ``visits_by_leaf``
+    (grown on demand, so trailing entries may be zero): the batched searches
+    add a whole traversal's visits with one ``bincount``, so long-lived
+    stats, such as a query-service worker's, pay no per-leaf update.
+    ``leaf_visit_counts`` reads the nonzero counts as a ``{leaf id:
+    visits}`` dict, and two stats compare equal when every counter and those
+    counts do.
+    """
 
     queries: int = 0
     leaves_visited: int = 0
@@ -64,12 +73,21 @@ class SearchStats:
     points_examined: int = 0
     points_in_radius: int = 0
     point_bytes_loaded: int = 0
-    leaf_visit_counts: Dict[int, int] = field(default_factory=dict)
+    visits_by_leaf: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    @property
+    def leaf_visit_counts(self) -> Dict[int, int]:
+        """Visits per visited leaf, as ``{leaf id: visits}``."""
+        leaf_ids = np.flatnonzero(self.visits_by_leaf)
+        return dict(zip(leaf_ids.tolist(), self.visits_by_leaf[leaf_ids].tolist()))
 
     def note_leaf_visit(self, leaf_id: int) -> None:
         """Record one visit to ``leaf_id``."""
         self.leaves_visited += 1
-        self.leaf_visit_counts[leaf_id] = self.leaf_visit_counts.get(leaf_id, 0) + 1
+        if leaf_id >= self.visits_by_leaf.shape[0]:
+            self._grow(max(leaf_id + 1, 2 * self.visits_by_leaf.shape[0]))
+        self.visits_by_leaf[leaf_id] += 1
 
     def note_leaf_visits(self, visited_leaf_ids: np.ndarray) -> None:
         """Record one visit per entry of ``visited_leaf_ids`` (repeats allowed).
@@ -79,19 +97,14 @@ class SearchStats:
         ``bincount``, exactly like that many single-query visits, so batched
         and per-query statistics aggregate identically.
         """
-        counts = np.bincount(visited_leaf_ids)
-        leaf_ids = np.flatnonzero(counts)
-        table = self.leaf_visit_counts
-        for leaf_id, visits in zip(leaf_ids.tolist(), counts[leaf_ids].tolist()):
-            table[leaf_id] = table.get(leaf_id, 0) + visits
+        self._add(np.bincount(visited_leaf_ids))
         self.leaves_visited += int(visited_leaf_ids.shape[0])
 
     @property
     def mean_visits_per_leaf(self) -> float:
         """Average number of visits per distinct leaf (the paper's ~52)."""
-        if not self.leaf_visit_counts:
-            return 0.0
-        return self.leaves_visited / len(self.leaf_visit_counts)
+        n_leaves = int(np.count_nonzero(self.visits_by_leaf))
+        return self.leaves_visited / n_leaves if n_leaves else 0.0
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate ``other``'s counters into this object."""
@@ -101,8 +114,24 @@ class SearchStats:
         self.points_examined += other.points_examined
         self.points_in_radius += other.points_in_radius
         self.point_bytes_loaded += other.point_bytes_loaded
-        for leaf_id, count in other.leaf_visit_counts.items():
-            self.leaf_visit_counts[leaf_id] = self.leaf_visit_counts.get(leaf_id, 0) + count
+        self._add(other.visits_by_leaf)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchStats):
+            return NotImplemented
+        return (self.leaf_visit_counts == other.leaf_visit_counts
+                and all(getattr(self, f.name) == getattr(other, f.name)
+                        for f in fields(self) if f.name != "visits_by_leaf"))
+
+    def _add(self, counts: np.ndarray) -> None:
+        if counts.shape[0] > self.visits_by_leaf.shape[0]:
+            self._grow(counts.shape[0])
+        self.visits_by_leaf[:counts.shape[0]] += counts
+
+    def _grow(self, size: int) -> None:
+        grown = np.zeros(size, dtype=np.int64)
+        grown[:self.visits_by_leaf.shape[0]] = self.visits_by_leaf
+        self.visits_by_leaf = grown
 
 
 class LeafInspector(Protocol):

@@ -205,11 +205,13 @@ def _knn_search(tree: KDTree, queries, k: int, stats: SearchStats) -> BatchKNNRe
     bounding box lies within ``tau`` of the query, scans the leaves it
     reaches outside the home subtree, and after each level's leaves
     tightens ``tau`` to the smallest ``k``-th distance of a leaf the query
-    reached.  The ``k`` nearest of the points seen within the final ``tau``
-    are the answer, equal to :func:`repro.kdtree.knn.nearest_neighbors` per
-    query, ties at the k-th place included (both keep the lowest point
-    indices).  Rows are ``inf``/``-1`` padded when the tree holds fewer
-    than ``k`` points.
+    reached.  The leaves are scanned as fixed-width blocks of leaf-order
+    rows (:func:`_scan_block`), which yield each pair's ``k``-th distance
+    with one ``np.partition``.  The ``k`` nearest of the points seen within
+    the final ``tau`` are the answer, equal to
+    :func:`repro.kdtree.knn.nearest_neighbors` per query, ties at the k-th
+    place included (both keep the lowest point indices).  Rows are
+    ``inf``/``-1`` padded when the tree holds fewer than ``k`` points.
 
     ``SearchStats`` counters (``leaves_visited``, ``leaf_visit_counts``,
     ``points_examined`` over the home and swept leaves,
@@ -237,62 +239,69 @@ def _knn_search(tree: KDTree, queries, k: int, stats: SearchStats) -> BatchKNNRe
     home_first, home_count = _home_subtrees(
         arrays, query_arr, max(KNN_HOME_POINTS, width), width)
     home_end = home_first + home_count
-    home_rows = starts[home_first]
-    found = [_scan_rows(tree, query_arr, np.arange(n_queries, dtype=np.intp),
-                        home_rows, starts[home_end] - home_rows, width, tau)]
+    home_rows = starts.take(home_first)
+    found = [_scan_block(tree, query_arr, np.arange(n_queries, dtype=np.intp),
+                         home_rows, starts.take(home_end) - home_rows, width, tau)]
     visited = [_leaf_ranges(home_first, home_count)]
     for pair_q, pair_leaf in traverse_levels(arrays, query_arr, stats, tau=tau):
         # The home subtree's leaves were scanned already.
-        new = (pair_leaf < home_first[pair_q]) | (pair_leaf >= home_end[pair_q])
+        new = ((pair_leaf < home_first.take(pair_q))
+               | (pair_leaf >= home_end.take(pair_q)))
         pair_q, pair_leaf = pair_q[new], pair_leaf[new]
         if not pair_q.size:
             continue
         visited.append(pair_leaf)
-        first = starts[pair_leaf]
-        found.append(_scan_rows(tree, query_arr, pair_q, first,
-                                starts[pair_leaf + 1] - first, width, tau))
+        first = starts.take(pair_leaf)
+        found.append(_scan_block(tree, query_arr, pair_q, first,
+                                 starts.take(pair_leaf + 1) - first, width, tau))
     leaves = np.concatenate(visited)
     stats.note_leaf_visits(leaves)
-    stats.points_examined += int(arrays.leaf_sizes[leaves].sum())
+    stats.points_examined += int(arrays.leaf_sizes.take(leaves).sum())
     flat_q, flat_p, flat_d2 = (np.concatenate(part) for part in zip(*found))
-    keep = flat_d2 <= tau[flat_q]
+    keep = flat_d2 <= tau.take(flat_q)
     indices, distances2 = _select_nearest(n_queries, width, flat_q[keep],
                                           flat_p[keep], flat_d2[keep])
     return BatchKNNResult(indices=indices, distances=np.sqrt(distances2))
 
 
-def _scan_rows(tree: KDTree, query_arr: np.ndarray, pair_q: np.ndarray,
-               first: np.ndarray, sizes: np.ndarray, width: int,
-               tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan_block(tree: KDTree, query_arr: np.ndarray, pair_q: np.ndarray,
+                first: np.ndarray, sizes: np.ndarray, width: int,
+                tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distances to each pair's leaf-order rows, tightening ``tau`` in place.
 
     Pair ``i`` holds the rows ``first[i]:first[i] + sizes[i]`` (a leaf, or
-    the leaves of a subtree).  The ``width``-th nearest point of a pair
-    with at least ``width`` rows bounds its query's answer, so ``tau``
-    drops to the smallest such bound.  Returns ``(query, point, d2)`` of
-    the points within the tightened ``tau``.  The traversal reads ``tau``
-    only between levels, so tightening it chunk by chunk here changes no
-    visit: it only keeps fewer candidates.
+    the leaves of a subtree).  The pairs are scanned as a ``(pairs,
+    widest)`` block, at most ``LEAF_CHUNK_POINTS`` rows (or one pair) at a
+    time; a pair's columns past its rows repeat its last row and are set to
+    ``inf`` after the distance.  The ``width``-th nearest point of a pair
+    with at least ``width`` rows bounds its query's answer, so ``tau`` drops
+    to the smallest such bound.  Returns ``(query, point, d2)`` of the
+    points within the tightened ``tau``.  The traversal reads ``tau`` only
+    between levels, so tightening it block by block here changes no visit:
+    it only keeps fewer candidates.
     """
-    arrays = tree.arrays
+    leaf_points = tree.arrays.leaf_points
     points_f64 = tree.points_f64
-    n_slots = int(sizes.max()) if sizes.size else 0
+    widest = int(sizes.max())
+    cols = np.arange(widest)
+    step = max(1, LEAF_CHUNK_POINTS // widest)
     parts: Tuple[List[np.ndarray], ...] = ([], [], [])
-    for pairs, rows in segment_rows(first, sizes):
-        qs = pair_q[pairs]
-        ids = arrays.leaf_points[rows]
-        d2 = rowwise_distances2(query_arr[qs], points_f64[ids])
-        if width <= n_slots:
-            # Each pair's distances in one row, unused slots inf, so a
-            # pair with fewer than `width` rows bounds nothing.
-            lo, hi = pairs[0], pairs[-1] + 1
-            slots = np.full((hi - lo, n_slots), np.inf)
-            slots[pairs - lo, rows - first[pairs]] = d2
-            np.minimum.at(tau, pair_q[lo:hi],
-                          np.partition(slots, width - 1, axis=1)[:, width - 1])
-        keep = d2 <= tau[qs]
-        for part, values in zip(parts, (qs, ids, d2)):
-            part.append(values[keep])
+    for lo in range(0, pair_q.shape[0], step):
+        qs = pair_q[lo:lo + step]
+        n_rows = sizes[lo:lo + step, None]
+        ids = leaf_points.take(first[lo:lo + step, None] + np.minimum(cols, n_rows - 1))
+        d2 = rowwise_distances2(np.repeat(query_arr.take(qs, axis=0), widest, axis=0),
+                                points_f64.take(ids.ravel(), axis=0)).reshape(ids.shape)
+        pad = cols >= n_rows
+        d2[pad] = np.inf
+        if width <= widest:
+            np.minimum.at(tau, qs, np.partition(d2, width - 1, axis=1)[:, width - 1])
+        keep = d2 <= tau.take(qs)[:, None]
+        keep[pad] = False
+        flat = np.flatnonzero(keep)
+        for part, values in zip(parts, (qs.take(flat // widest), ids.ravel().take(flat),
+                                        d2.ravel().take(flat))):
+            part.append(values)
     return tuple(np.concatenate(part) for part in parts)  # type: ignore[return-value]
 
 
@@ -319,35 +328,47 @@ def traverse_levels(arrays: TreeArrays, query_arr: np.ndarray, stats: SearchStat
       exceeds the distance to a point in the box, rounding included.
       ``tau`` is read at every level, so the caller may tighten it between
       the levels.
+
+    A level is bound by NumPy's per-call overhead, not by its arithmetic,
+    so every gather is a ``take``: of node fields by node id, of query rows
+    (``take(axis=0)`` returns C-contiguous rows, so the distance kernel
+    sums in its usual order), and of one coordinate per pair from the
+    flattened batch, which is why ``query_arr`` should be C-contiguous
+    (:func:`~repro.runtime.queries.as_query_batch` makes it so).
     """
     leaf_id = arrays.leaf_id
+    # Row-major coordinates: query q's coordinate d is coords[3 * q + d].
+    coords = query_arr.ravel()
     qidx = np.arange(query_arr.shape[0], dtype=np.intp)
     node = np.zeros(qidx.shape[0], dtype=np.intp)
     while qidx.size:
-        at_leaf = leaf_id[node] >= 0
+        leaves = leaf_id.take(node)
+        at_leaf = leaves >= 0
         if at_leaf.any():
-            leaves = leaf_id[node[at_leaf]]
+            leaves = leaves[at_leaf]
             order = np.argsort(leaves, kind="stable")
-            yield qidx[at_leaf][order], leaves[order]
+            yield qidx[at_leaf].take(order), leaves.take(order)
             inner = ~at_leaf
             qidx, node = qidx[inner], node[inner]
             if not qidx.size:
                 return
         stats.interior_visited += qidx.size
         if tau is None:
-            values = query_arr[qidx, arrays.split_dim[node]]
-            on_left = values <= arrays.split_value[node]
-            go_left = on_left | (values - arrays.split_low[node] <= radius)
-            go_right = ~on_left | (arrays.split_high[node] - values <= radius)
+            values = coords.take(qidx * 3 + arrays.split_dim.take(node))
+            on_left = values <= arrays.split_value.take(node)
+            go_left = on_left | (values - arrays.split_low.take(node) <= radius)
+            go_right = ~on_left | (arrays.split_high.take(node) - values <= radius)
             qidx = np.concatenate((qidx[go_left], qidx[go_right]))
-            node = np.concatenate((arrays.left[node[go_left]],
-                                   arrays.right[node[go_right]]))
+            node = np.concatenate((arrays.left.take(node[go_left]),
+                                   arrays.right.take(node[go_right])))
         else:
             qidx = np.concatenate((qidx, qidx))
-            node = np.concatenate((arrays.left[node], arrays.right[node]))
-            q_rows = query_arr[qidx]
-            nearest = np.clip(q_rows, arrays.bbox_min[node], arrays.bbox_max[node])
-            reach = rowwise_distances2(q_rows, nearest) <= tau[qidx]
+            node = np.concatenate((arrays.left.take(node), arrays.right.take(node)))
+            q_rows = query_arr.take(qidx, axis=0)
+            # The point of the child's box nearest to the query.
+            nearest = np.maximum(q_rows, arrays.bbox_min.take(node, axis=0))
+            np.minimum(nearest, arrays.bbox_max.take(node, axis=0), out=nearest)
+            reach = rowwise_distances2(q_rows, nearest) <= tau.take(qidx)
             qidx, node = qidx[reach], node[reach]
 
 
@@ -417,26 +438,29 @@ def _home_subtrees(arrays: TreeArrays, query_arr: np.ndarray, max_points: int,
     left.
     """
     starts = arrays.leaf_starts
+    coords = query_arr.ravel()
     n_queries = query_arr.shape[0]
     node = np.zeros(n_queries, dtype=np.intp)
     first = np.zeros(n_queries, dtype=np.intp)
     count = np.full(n_queries, arrays.n_leaves, dtype=np.intp)
     active = np.arange(n_queries, dtype=np.intp)
     while True:
-        lo = first[active]
-        large = starts[lo + count[active]] - starts[lo] > max_points
-        active = active[large & (arrays.leaf_id[node[active]] < 0)]
+        lo = first.take(active)
+        large = starts.take(lo + count.take(active)) - starts.take(lo) > max_points
+        active = active[large & (arrays.leaf_id.take(node.take(active)) < 0)]
         if not active.size:
             return first, count
-        at = node[active]
-        on_left = query_arr[active, arrays.split_dim[at]] <= arrays.split_value[at]
-        n_left = (arrays.right[at] - at) // 2
-        child_first = first[active] + np.where(on_left, 0, n_left)
-        child_count = np.where(on_left, n_left, count[active] - n_left)
-        enough = (starts[child_first + child_count] - starts[child_first]
+        at = node.take(active)
+        on_left = (coords.take(active * 3 + arrays.split_dim.take(at))
+                   <= arrays.split_value.take(at))
+        n_left = (arrays.right.take(at) - at) // 2
+        child_first = first.take(active) + np.where(on_left, 0, n_left)
+        child_count = np.where(on_left, n_left, count.take(active) - n_left)
+        enough = (starts.take(child_first + child_count) - starts.take(child_first)
                   >= min_points)
         active = active[enough]
-        node[active] = np.where(on_left, arrays.left[at], arrays.right[at])[enough]
+        node[active] = np.where(on_left, arrays.left.take(at),
+                                arrays.right.take(at))[enough]
         first[active] = child_first[enough]
         count[active] = child_count[enough]
 

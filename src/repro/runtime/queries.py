@@ -18,13 +18,18 @@ __all__ = ["as_query_batch", "as_query_point", "check_k", "check_radius"]
 
 
 def as_query_batch(queries) -> np.ndarray:
-    """Validate and convert ``queries`` into a ``(Q, 3)`` float64 array."""
+    """Validate and convert ``queries`` into a C-contiguous ``(Q, 3)`` float64 array.
+
+    The batched traversal reads coordinate ``d`` of query ``q`` from the
+    flattened batch at ``3 * q + d``; a strided input is copied once here
+    rather than at every tree level.
+    """
     arr = np.asarray(queries, dtype=np.float64)
     if arr.ndim == 1 and arr.shape == (3,):
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("queries must form a (Q, 3) array of 3D points")
-    return _finite(arr)
+    return np.ascontiguousarray(_finite(arr))
 
 
 def as_query_point(query) -> np.ndarray:

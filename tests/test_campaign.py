@@ -177,8 +177,8 @@ class TestBrokenBackendCaught:
         assert not list(result.result_dir.glob("repro_*.py"))
 
 
-def _drop_the_last_point_of_every_seventh_leaf(inspector_class, monkeypatch):
-    """Break ``inspector_class``: the last point of every seventh leaf is
+def _drop_the_last_point_of_every_nth_leaf(inspector_class, monkeypatch, n=7):
+    """Break ``inspector_class``: the last point of every ``n``-th leaf is
     neither examined nor found, as if the walk skipped it."""
     inspect = inspector_class.inspect
 
@@ -187,7 +187,7 @@ def _drop_the_last_point_of_every_seventh_leaf(inspector_class, monkeypatch):
         n_before = len(results)
         inspect(self, tree, leaf_id, indices, query, r2, results, stats,
                 recorder)
-        if leaf_id % 7 == 0:
+        if leaf_id % n == 0:
             stats.points_examined -= 1
             if len(results) > n_before and results[-1] == int(indices[-1]):
                 results.pop()
@@ -204,7 +204,7 @@ class TestBrokenWalkCaught:
         ("baseline", Float32LeafInspector), ("bonsai", BonsaiLeafInspector)])
     def test_recorded_walk_divergence_is_shrunk(self, tmp_path, monkeypatch,
                                                 flavour, inspector_class):
-        _drop_the_last_point_of_every_seventh_leaf(inspector_class, monkeypatch)
+        _drop_the_last_point_of_every_nth_leaf(inspector_class, monkeypatch)
         result = run_campaign(CampaignConfig(budget=4, seed=0, out_dir=tmp_path,
                                              max_shrink_evals=40))
         side = f"recorded({flavour})"
@@ -225,6 +225,33 @@ class TestBrokenWalkCaught:
                           if name.startswith("test_") and callable(value)]
         with pytest.raises(AssertionError):
             test_functions[0]()
+
+
+    def test_each_divergence_keeps_its_own_reproducer(self, tmp_path, monkeypatch):
+        """With both walks skipping a point of every third leaf, trial 3 of
+        seed 0 diverges on ``radius-hits`` in several ops, and in one op on
+        both recorded sides; every record names its own file, which holds
+        that record's shrunk case."""
+        for inspector_class in (Float32LeafInspector, BonsaiLeafInspector):
+            _drop_the_last_point_of_every_nth_leaf(inspector_class, monkeypatch, n=3)
+        result = run_campaign(CampaignConfig(budget=4, seed=0, out_dir=tmp_path,
+                                             max_shrink_evals=40))
+        hits = [d for d in result.divergences
+                if d.trial == 3 and d.kind == "radius-hits" and d.reproducer]
+        ops_by_side: dict = {}
+        for divergence in hits:
+            ops_by_side.setdefault(divergence.left, set()).add(divergence.op_index)
+        assert len(ops_by_side) == 2
+        assert max(len(ops) for ops in ops_by_side.values()) >= 2
+        assert set.intersection(*ops_by_side.values())
+        assert len({d.reproducer for d in hits}) == len(hits)
+        for divergence in hits:
+            source = (result.result_dir / divergence.reproducer).read_text()
+            shrunk = divergence.shrunk
+            assert (f"shrunk to {shrunk['n_points']} points x "
+                    f"{shrunk['n_queries']} queries") in source
+            assert f"op={divergence.op}" in source
+            assert f"LEFT = {divergence.left!r}" in source
 
 
 class TestServiceOps:

@@ -91,9 +91,9 @@ class TestStats:
 
     def test_merge(self):
         a = SearchStats(queries=1, leaves_visited=2, points_examined=10,
-                        leaf_visit_counts={0: 2})
+                        visits_by_leaf=np.array([2]))
         b = SearchStats(queries=2, leaves_visited=3, points_examined=5,
-                        leaf_visit_counts={0: 1, 1: 2})
+                        visits_by_leaf=np.array([1, 2]))
         a.merge(b)
         assert a.queries == 3
         assert a.leaves_visited == 5

@@ -253,5 +253,5 @@ class TestRecordedKNN:
             want = [nearest_neighbors(tree, query, k, stats=plain_stats)
                     for query in queries]
             assert recorded.knn(queries, k).as_lists() == want
-        assert vars(recorded_stats) == vars(plain_stats)
+        assert recorded_stats == plain_stats
         assert recorded.recorder.accesses

@@ -9,6 +9,8 @@ traversal bounds each query from its home leaf and tightens per level).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.kdtree import (
     nearest_neighbors,
     radius_search,
 )
+from repro.scenarios import get_scenario
+from repro.scenarios.map_scale import sample_map_cloud
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,41 @@ class TestBatchKNNParity:
         assert stats.points_examined > 0
 
 
+#: Batched kNN counters on a 20k-point ``city_block`` map (seed 3) for 256
+#: jittered map points (seed 41), as the slot-scatter leaf scan and the dict
+#: leaf counts charged them: ``(queries, leaves_visited, interior_visited,
+#: points_examined, distinct leaves, digest of the sorted leaf counts)``.
+KNN_COUNTER_PINS = {
+    1: (256, 1215, 3332, 12332, 893, "aaa70954a8045639"),
+    5: (256, 1650, 4685, 16853, 1099, "09eb7bed807eb5f7"),
+    20: (256, 3277, 7801, 33599, 1594, "7b5e78c91d989b9c"),
+}
+
+
+class TestKNNCounterPins:
+    """The batched kNN's counters on a map-scale tree, both backends."""
+
+    @pytest.fixture(scope="class")
+    def city_map(self):
+        points = sample_map_cloud(get_scenario("city_block").scene(), 20_000, seed=3)
+        rng = np.random.default_rng(41)
+        queries = (points[rng.integers(len(points), size=256)].astype(np.float64)
+                   + rng.normal(0.0, 0.1, (256, 3)))
+        return build_kdtree(points), queries
+
+    @pytest.mark.parametrize("name", ["baseline-batched", "bonsai-batched"])
+    @pytest.mark.parametrize("k", sorted(KNN_COUNTER_PINS))
+    def test_counters_are_pinned(self, city_map, k, name):
+        tree, queries = city_map
+        stats = SearchStats()
+        get_backend(name, tree, stats=stats).knn(queries, k)
+        counts = stats.leaf_visit_counts
+        digest = hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()
+        assert (stats.queries, stats.leaves_visited, stats.interior_visited,
+                stats.points_examined, len(counts), digest[:16]) == KNN_COUNTER_PINS[k]
+        assert stats.leaves_visited == sum(counts.values())
+
+
 def _recorded_bonsai(tree):
     """The recorded per-query Bonsai walk over ``tree``."""
     return ExecutionConfig(backend="bonsai-batched", hardware=True).make_backend(tree)
@@ -184,6 +223,45 @@ class TestSearchStatsAggregation:
         b.note_leaf_visits(np.array([5, 3, 3, 3]))
         assert a.leaves_visited == b.leaves_visited == 8
         assert a.leaf_visit_counts == b.leaf_visit_counts == {3: 6, 0: 1, 5: 1}
+
+    def test_note_leaf_visit_grows_the_counts(self):
+        stats = SearchStats()
+        stats.note_leaf_visit(2)
+        stats.note_leaf_visit(40)
+        stats.note_leaf_visit(2)
+        assert stats.visits_by_leaf.shape[0] >= 41
+        assert stats.leaf_visit_counts == {2: 2, 40: 1}
+        assert stats.mean_visits_per_leaf == 1.5
+
+    def test_merge_pads_the_shorter_counts(self):
+        short, long = SearchStats(), SearchStats()
+        short.note_leaf_visits(np.array([0, 1, 1]))
+        long.note_leaf_visits(np.array([1, 9, 9, 9]))
+        merged = SearchStats()
+        merged.merge(short)
+        merged.merge(long)
+        assert merged.leaf_visit_counts == {0: 1, 1: 3, 9: 3}
+        long.merge(short)
+        assert long.leaf_visit_counts == merged.leaf_visit_counts
+        assert long.leaves_visited == merged.leaves_visited == 7
+        assert long.mean_visits_per_leaf == merged.mean_visits_per_leaf == 7 / 3
+
+    def test_equality_is_by_value(self):
+        a = SearchStats()
+        a.note_leaf_visits(np.array([3, 3, 0]))
+        # Trailing zero counts are no visits.
+        b = SearchStats(leaves_visited=3, visits_by_leaf=np.array([1, 0, 0, 2, 0, 0]))
+        assert a == b
+        b.note_leaf_visit(5)
+        assert a != b
+        a.leaves_visited += 1
+        assert a != b
+        a.note_leaf_visit(5)
+        a.leaves_visited -= 1
+        assert a == b
+        b.interior_visited += 1
+        assert a != b
+        assert a != "stats"
 
     def test_sub_batches_sum_to_full_batch(self, tree, queries):
         full = SearchStats()
