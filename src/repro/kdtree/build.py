@@ -134,6 +134,9 @@ class KDTree:
     ``cmprsd_strct_array`` of the tree (a
     :class:`~repro.core.compressed_leaf.CompressedStructArray`), set by
     :func:`~repro.core.compressed_leaf.compress_tree`; ``None`` until then.
+    ``radius_tables`` holds the batched radius descent's per-node tables
+    for the last radius searched (:func:`repro.runtime.batch.radius_tables`);
+    a pickled tree leaves them behind.
     """
 
     def __init__(self, points: np.ndarray, arrays: TreeArrays,
@@ -145,7 +148,13 @@ class KDTree:
         self.config = config
         self.stats = stats
         self.compressed_array = None
+        self.radius_tables = None
         self._node_lists: Optional[NodeLists] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["radius_tables"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Accessors

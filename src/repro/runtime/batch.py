@@ -6,15 +6,23 @@ Python interpreter for every node.  The perception workloads, however, issue
 queries in large, known batches — every scan point of an NDT iteration,
 every point of a euclidean-clustering frame — so this module walks the
 tree's flat arrays (:class:`~repro.kdtree.build.TreeArrays`) once per
-*batch*, one tree level per NumPy step: every live (query, node) pair of a
-level moves to the children its query reaches in one set of array
-operations (:func:`traverse_levels`), with no Python loop over nodes.  The leaf pass
-then takes the (query, leaf) pairs in leaf order, expands only the occupied
-(query, leaf point) pairs, ``LEAF_CHUNK_POINTS`` at a time
+*batch*, one tree level per NumPy step, with no Python loop over nodes.
+
+* Radius search (:func:`radius_leaf_pairs`): for a fixed radius, the
+  per-query rule for entering a child reduces to one threshold per side
+  and node (:func:`reach_thresholds`), derived once per tree and radius
+  (:func:`radius_tables`).  Each live (query, node) pair moves to a child
+  in place, and only the pairs that enter both children append one; a
+  pair at a leaf stays there.  One sort orders the pairs by (leaf, query).
+* kNN (:func:`traverse_levels`): a bounding-box sweep that hands over each
+  level's (query, leaf) pairs as the level reaches them.
+
+The leaf pass then takes the (query, leaf) pairs in leaf order, expands only
+the occupied (query, leaf point) pairs, ``LEAF_CHUNK_POINTS`` at a time
 (:func:`leaf_rows`), and runs the shared row-wise distance kernels
 (:mod:`repro.runtime.kernels`) on them.
 
-Results are exact: the radius traversal applies the same per-query pruning
+Results are exact: the radius descent applies the same per-query pruning
 rule as the single-query code (kNN prunes by bounding boxes, which only
 skips nodes that cannot hold an answer), and the distance kernels are
 shared, so :class:`BaselineBatchedBackend` (the ``baseline-batched``
@@ -23,7 +31,7 @@ functions return (radius results are index-sorted per query; kNN results
 are ``(distance, index)``-sorted like the single-query output, and a
 distance tie at the k-th place keeps the lowest point indices in both).
 
-A radius traversal visits exactly the (query, node) pairs the per-query
+A radius descent visits exactly the (query, node) pairs the per-query
 searches visit, so its :class:`~repro.kdtree.radius_search.SearchStats`
 counters aggregate exactly as if the queries had been issued one by one;
 the counters are charged from pair counts.
@@ -45,8 +53,9 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +69,11 @@ __all__ = [
     "BatchRadiusResult",
     "BatchKNNResult",
     "BaselineBatchedBackend",
+    "RadiusTables",
     "leaf_rows",
+    "radius_leaf_pairs",
+    "radius_tables",
+    "reach_thresholds",
     "traverse_levels",
 ]
 
@@ -166,11 +179,12 @@ class BaselineBatchedBackend:
         r2 = radius * radius
         arrays = self.tree.arrays
         points_f64 = self.tree.points_f64
-        pair_q, pair_leaf = radius_leaf_pairs(arrays, query_arr, radius, self.stats)
+        pair_q, pair_leaf = radius_leaf_pairs(self.tree, query_arr, radius, self.stats)
         hit_queries: List[np.ndarray] = []
         hit_points: List[np.ndarray] = []
-        n_in = 0
+        n_in = n_examined = 0
         for pairs, rows in leaf_rows(arrays, pair_q, pair_leaf):
+            n_examined += rows.shape[0]
             qs = pair_q[pairs]
             ids = arrays.leaf_points[rows]
             inside = np.flatnonzero(rowwise_distances2(
@@ -178,7 +192,6 @@ class BaselineBatchedBackend:
             n_in += inside.shape[0]
             hit_queries.append(qs[inside])
             hit_points.append(ids[inside])
-        n_examined = int(arrays.leaf_sizes[pair_leaf].sum())
         self.stats.points_examined += n_examined
         self.stats.points_in_radius += n_in
         self.stats.point_bytes_loaded += n_examined * POINT_STRIDE_BYTES
@@ -240,8 +253,10 @@ def _knn_search(tree: KDTree, queries, k: int, stats: SearchStats) -> BatchKNNRe
         arrays, query_arr, max(KNN_HOME_POINTS, width), width)
     home_end = home_first + home_count
     home_rows = starts.take(home_first)
+    home_sizes = starts.take(home_end) - home_rows
+    n_examined = int(home_sizes.sum())
     found = [_scan_block(tree, query_arr, np.arange(n_queries, dtype=np.intp),
-                         home_rows, starts.take(home_end) - home_rows, width, tau)]
+                         home_rows, home_sizes, width, tau)]
     visited = [_leaf_ranges(home_first, home_count)]
     for pair_q, pair_leaf in traverse_levels(arrays, query_arr, stats, tau=tau):
         # The home subtree's leaves were scanned already.
@@ -252,11 +267,11 @@ def _knn_search(tree: KDTree, queries, k: int, stats: SearchStats) -> BatchKNNRe
             continue
         visited.append(pair_leaf)
         first = starts.take(pair_leaf)
-        found.append(_scan_block(tree, query_arr, pair_q, first,
-                                 starts.take(pair_leaf + 1) - first, width, tau))
-    leaves = np.concatenate(visited)
-    stats.note_leaf_visits(leaves)
-    stats.points_examined += int(arrays.leaf_sizes.take(leaves).sum())
+        sizes = starts.take(pair_leaf + 1) - first
+        n_examined += int(sizes.sum())
+        found.append(_scan_block(tree, query_arr, pair_q, first, sizes, width, tau))
+    stats.note_leaf_visits(np.concatenate(visited))
+    stats.points_examined += n_examined
     flat_q, flat_p, flat_d2 = (np.concatenate(part) for part in zip(*found))
     keep = flat_d2 <= tau.take(flat_q)
     indices, distances2 = _select_nearest(n_queries, width, flat_q[keep],
@@ -306,39 +321,27 @@ def _scan_block(tree: KDTree, query_arr: np.ndarray, pair_q: np.ndarray,
 
 
 def traverse_levels(arrays: TreeArrays, query_arr: np.ndarray, stats: SearchStats, *,
-                    radius: Optional[float] = None,
-                    tau: Optional[np.ndarray] = None
-                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Walk a query batch down the tree one level per step.
+                    tau: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Sweep a kNN query batch down the tree one level per step.
+
+    A query enters a child when the squared distance to the child's
+    bounding box is within ``tau[query]``.  The box distance runs through
+    the same kernel as the point distances, so it never exceeds the
+    distance to a point in the box, rounding included.  ``tau`` is read at
+    every level, so the caller may tighten it between the levels.
 
     Yields, level by level, the ``(query ids, leaf ids)`` pairs whose
     queries reach a leaf at that level, sorted by leaf id (leaves are
-    numbered in preorder, so the leaf pass then reads the leaf-order
-    arrays front to back instead of in the traversal's scattered order),
-    and charges every (query, interior node) pair to
-    ``stats.interior_visited``.
-
-    * Radius search (``radius``): a query descends into the side of a split
-      containing it, and into the other side when the gap to that side's
-      edge is within ``radius``.  Each pair is one visit of the per-query
-      traversal's, which applies the same rule node by node.
-    * kNN (``tau``): a query enters a child when the squared distance to
-      the child's bounding box is within ``tau[query]``.  The box distance
-      runs through the same kernel as the point distances, so it never
-      exceeds the distance to a point in the box, rounding included.
-      ``tau`` is read at every level, so the caller may tighten it between
-      the levels.
+    numbered in preorder, so the scans then read the leaf-order arrays
+    front to back instead of in the sweep's scattered order), and charges
+    every (query, interior node) pair to ``stats.interior_visited``.
 
     A level is bound by NumPy's per-call overhead, not by its arithmetic,
-    so every gather is a ``take``: of node fields by node id, of query rows
-    (``take(axis=0)`` returns C-contiguous rows, so the distance kernel
-    sums in its usual order), and of one coordinate per pair from the
-    flattened batch, which is why ``query_arr`` should be C-contiguous
-    (:func:`~repro.runtime.queries.as_query_batch` makes it so).
+    so every gather is a ``take``: of node fields by node id, and of query
+    rows (``take(axis=0)`` returns C-contiguous rows, so the distance
+    kernel sums in its usual order).
     """
     leaf_id = arrays.leaf_id
-    # Row-major coordinates: query q's coordinate d is coords[3 * q + d].
-    coords = query_arr.ravel()
     qidx = np.arange(query_arr.shape[0], dtype=np.intp)
     node = np.zeros(qidx.shape[0], dtype=np.intp)
     while qidx.size:
@@ -353,36 +356,190 @@ def traverse_levels(arrays: TreeArrays, query_arr: np.ndarray, stats: SearchStat
             if not qidx.size:
                 return
         stats.interior_visited += qidx.size
-        if tau is None:
-            values = coords.take(qidx * 3 + arrays.split_dim.take(node))
-            on_left = values <= arrays.split_value.take(node)
-            go_left = on_left | (values - arrays.split_low.take(node) <= radius)
-            go_right = ~on_left | (arrays.split_high.take(node) - values <= radius)
-            qidx = np.concatenate((qidx[go_left], qidx[go_right]))
-            node = np.concatenate((arrays.left.take(node[go_left]),
-                                   arrays.right.take(node[go_right])))
-        else:
-            qidx = np.concatenate((qidx, qidx))
-            node = np.concatenate((arrays.left.take(node), arrays.right.take(node)))
-            q_rows = query_arr.take(qidx, axis=0)
-            # The point of the child's box nearest to the query.
-            nearest = np.maximum(q_rows, arrays.bbox_min.take(node, axis=0))
-            np.minimum(nearest, arrays.bbox_max.take(node, axis=0), out=nearest)
-            reach = rowwise_distances2(q_rows, nearest) <= tau.take(qidx)
-            qidx, node = qidx[reach], node[reach]
+        qidx = np.concatenate((qidx, qidx))
+        node = np.concatenate((arrays.left.take(node), arrays.right.take(node)))
+        q_rows = query_arr.take(qidx, axis=0)
+        # The point of the child's box nearest to the query.
+        nearest = np.maximum(q_rows, arrays.bbox_min.take(node, axis=0))
+        np.minimum(nearest, arrays.bbox_max.take(node, axis=0), out=nearest)
+        reach = rowwise_distances2(q_rows, nearest) <= tau.take(qidx)
+        qidx, node = qidx[reach], node[reach]
 
 
-def radius_leaf_pairs(arrays: TreeArrays, query_arr: np.ndarray, radius: float,
+class RadiusTables(NamedTuple):
+    """A tree's per-node tables for the radius descent at one ``radius``.
+
+    At an interior node ``n``, a query whose coordinate along
+    ``split_dim[n]`` is ``v`` enters the left child (node ``n + 1``) iff
+    ``v <= reach_left[n]`` and the right child iff ``v >= reach_right[n]``
+    (:func:`reach_thresholds`).  At a leaf, ``reach_left`` is ``-inf``,
+    ``reach_right`` ``+inf`` and ``step_right`` the leaf itself, so a pair
+    at a leaf stays there.
+    """
+
+    radius: float
+    reach_left: np.ndarray
+    reach_right: np.ndarray
+    #: The right child of each interior node, each leaf's own id.
+    step_right: np.ndarray
+    #: Each node's depth (the root's is 0).
+    depth: np.ndarray
+    #: The depth of the deepest leaf: the descent's number of steps.
+    n_levels: int
+
+
+def radius_tables(tree: KDTree, radius: float) -> RadiusTables:
+    """The radius descent's tables of ``tree`` at ``radius``.
+
+    Kept on the tree for the last radius asked (``tree.radius_tables``), so
+    the searches of one radius over one tree derive them once.
+    """
+    tables = tree.radius_tables
+    if tables is None or tables.radius != radius:
+        arrays = tree.arrays
+        inner = np.flatnonzero(arrays.leaf_id < 0)
+        reach_left = np.full(arrays.n_nodes, -np.inf)
+        reach_right = np.full(arrays.n_nodes, np.inf)
+        reach_left[inner], reach_right[inner] = reach_thresholds(
+            arrays.split_value.take(inner), arrays.split_low.take(inner),
+            arrays.split_high.take(inner), radius)
+        step_right = np.arange(arrays.n_nodes, dtype=np.intp)
+        step_right[inner] = arrays.right.take(inner)
+        depth = _node_depths(arrays)
+        tables = tree.radius_tables = RadiusTables(
+            radius, reach_left, reach_right, step_right, depth, int(depth.max()))
+    return tables
+
+
+def reach_thresholds(split_value: np.ndarray, split_low: np.ndarray,
+                     split_high: np.ndarray,
+                     radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact thresholds of the per-query radius rule, one per node and side.
+
+    The per-query search (:func:`repro.kdtree.radius_search.radius_search`)
+    enters a node's left child iff ``v <= split_value`` or ``fl(v -
+    split_low) <= radius``, and its right child iff ``v > split_value`` or
+    ``fl(split_high - v) <= radius``, for the query's coordinate ``v``.
+    Rounded subtraction is monotone in ``v``, so each rule holds on one side
+    of a threshold: returns ``(reach_left, reach_right)``, the largest
+    double that enters the left child and the smallest that enters the
+    right one.  Every threshold is checked against its rule, and against
+    the next double beyond it; ``ArithmeticError`` if one is not exact.
+    """
+    reach_left = np.maximum(split_value, _reach_limit(split_low, radius))
+    # fl(split_high - v) == fl(-v - (-split_high)), so the right side is the
+    # left one mirrored.
+    reach_right = np.minimum(np.nextafter(split_value, np.inf),
+                             -_reach_limit(-split_high, radius))
+
+    def enters_left(v):
+        return (v <= split_value) | (v - split_low <= radius)
+
+    def enters_right(v):
+        return (v > split_value) | (split_high - v <= radius)
+
+    with np.errstate(over="ignore"):
+        exact = (enters_left(reach_left) & enters_right(reach_right)
+                 & ((reach_left == np.inf)
+                    | ~enters_left(np.nextafter(reach_left, np.inf)))
+                 & ((reach_right == -np.inf)
+                    | ~enters_right(np.nextafter(reach_right, -np.inf))))
+    if not exact.all():
+        raise ArithmeticError(
+            f"radius {radius!r}: a reach threshold does not match the search rule")
+    return reach_left, reach_right
+
+
+def _reach_limit(low: np.ndarray, radius: float) -> np.ndarray:
+    """The largest double ``v`` with ``fl(v - low) <= radius``, per entry.
+
+    ``v - low`` rounds to at most ``radius`` until it passes ``radius``
+    plus half the gap above it, so the limit lies near ``low + radius``.
+    ``fl(low + radius)`` starts within three doubles of it, except where the
+    sum cancels: for ``low`` in ``[-2 radius, -radius / 2]`` it is exact
+    and may sit ~2**52 of its own ulps below the limit, so the start there
+    is ``(radius + low) + half_gap``.  Three passes then step each value
+    down where it fails the rule, or up where the next double passes it.
+    """
+    if radius == np.inf:
+        return np.full(low.shape, np.inf)
+    half_gap = math.ldexp(1.0, math.frexp(radius)[1] - 54)
+    with np.errstate(over="ignore"):
+        limit = low + radius
+        band = np.flatnonzero((low >= -2.0 * radius) & (low <= -0.5 * radius))
+        limit[band] = (radius + low.take(band)) + half_gap
+        for _ in range(3):
+            limit = np.where(limit - low > radius, np.nextafter(limit, -np.inf), limit)
+            up = np.nextafter(limit, np.inf)
+            limit = np.where(up - low <= radius, up, limit)
+    return limit
+
+
+def _node_depths(arrays: TreeArrays) -> np.ndarray:
+    """Each node's depth, from a level-by-level walk of the whole tree."""
+    depth = np.zeros(arrays.n_nodes, dtype=np.intp)
+    level = np.zeros(1, dtype=np.intp)
+    steps = 0
+    while level.size:
+        depth[level] = steps
+        inner = level[arrays.leaf_id.take(level) < 0]
+        level = np.concatenate((inner + 1, arrays.right.take(inner)))
+        steps += 1
+    return depth
+
+
+def radius_leaf_pairs(tree: KDTree, query_arr: np.ndarray, radius: float,
                       stats: SearchStats) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (query, leaf) pair a radius traversal visits, sorted by leaf id;
-    leaf visits charged."""
-    levels = list(traverse_levels(arrays, query_arr, stats, radius=radius))
-    pair_leaf = np.concatenate([leaf for _, leaf in levels])
-    order = np.argsort(pair_leaf, kind="stable")
-    pair_q = np.concatenate([q for q, _ in levels])[order]
-    pair_leaf = pair_leaf[order]
+    """Every (query, leaf) pair a radius search visits, in (leaf, query) order.
+
+    Returns ``(query ids, leaf ids)`` sorted by leaf id, then query id (so
+    the leaf pass reads the leaf-order arrays front to back), and charges
+    ``stats.interior_visited`` and the leaf visits.  The pairs are exactly
+    the per-query search's leaf visits, ``interior_visited`` its interior
+    ones.
+
+    One step per tree level, over the :func:`radius_tables` of ``radius``:
+    each live (query, node) pair reads its query's coordinate along the
+    node's split and moves, in place, to the left child if it reaches it
+    and to the right child otherwise; a pair that reaches both children
+    also appends a pair at the right one.  A pair at a leaf stays there, so
+    after the deepest leaf's depth in steps every pair sits at its leaf,
+    with no per-level compaction or sort.  A pair spent every step from the
+    depth it started at down to its leaf at an interior node, which gives
+    ``interior_visited``.  ``query_arr`` should be C-contiguous
+    (:func:`~repro.runtime.queries.as_query_batch` makes it so): a pair's
+    coordinate is one ``take`` from the flattened batch.
+    """
+    tables = radius_tables(tree, radius)
+    arrays = tree.arrays
+    split_dim = arrays.split_dim
+    reach_left, reach_right, step_right = (
+        tables.reach_left, tables.reach_right, tables.step_right)
+    coords = query_arr.ravel()
+    n_queries = query_arr.shape[0]
+    # A pair holds its query as the offset of its row in ``coords``.
+    rows = np.arange(0, 3 * n_queries, 3, dtype=np.intp)
+    node = np.zeros(n_queries, dtype=np.intp)
+    appended_depths = 0
+    for level in range(tables.n_levels):
+        values = coords.take(rows + split_dim.take(node))
+        go_left = values <= reach_left.take(node)
+        go_right = values >= reach_right.take(node)
+        right = step_right.take(node)
+        both = np.flatnonzero(go_left & go_right)
+        node = np.where(go_left, node + 1, right)
+        if both.size:
+            appended_depths += (level + 1) * both.size
+            rows = np.concatenate((rows, rows.take(both)))
+            node = np.concatenate((node, right.take(both)))
+    stats.interior_visited += int(tables.depth.take(node).sum()) - appended_depths
+    stride = 3 * n_queries
+    key = arrays.leaf_id.take(node) * stride
+    key += rows
+    key.sort()
+    pair_leaf, rows = np.divmod(key, stride)
     stats.note_leaf_visits(pair_leaf)
-    return pair_q, pair_leaf
+    return rows // 3, pair_leaf
 
 
 def leaf_rows(arrays: TreeArrays, pair_q: np.ndarray,

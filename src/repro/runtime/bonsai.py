@@ -1,6 +1,6 @@
 """Batched radius search over compressed (K-D Bonsai) leaves.
 
-Combines the level-synchronous traversal of :mod:`repro.runtime.batch` with
+Combines the radius descent of :mod:`repro.runtime.batch` with
 the compressed leaf processing of :mod:`repro.core.bonsai_search`:
 approximate squared distances from the reduced-precision coordinates, the
 shell classification of Eq. 12, and exact 32-bit recomputation of
@@ -110,11 +110,12 @@ class BonsaiBatchedBackend:
         stats = self.stats
         bstats = self.bonsai_stats
         leaf_points = arrays.leaf_points
-        pair_q, pair_leaf = radius_leaf_pairs(arrays, query_arr, radius, stats)
+        pair_q, pair_leaf = radius_leaf_pairs(tree, query_arr, radius, stats)
         hit_queries: List[np.ndarray] = []
         hit_points: List[np.ndarray] = []
-        n_in = n_inconclusive = n_exact = 0
+        n_points = n_in = n_inconclusive = n_exact = 0
         for pairs, rows in leaf_rows(arrays, pair_q, pair_leaf):
+            n_points += rows.shape[0]
             qs = pair_q[pairs]
             diffs = query_arr.take(qs, axis=0)
             diffs -= mirror.reduced.take(rows, axis=0)
@@ -140,7 +141,6 @@ class BonsaiBatchedBackend:
         # Every (query, leaf) visit loads the leaf's slices; the three
         # classes partition its (query, point) pairs.
         n_visits = pair_leaf.shape[0]
-        n_points = int(arrays.leaf_sizes[pair_leaf].sum())
         slice_bytes = int(array.n_slices[pair_leaf].sum()) * ZIPPTS_SLICE_BYTES
         recompute_bytes = n_inconclusive * POINT_STRIDE_BYTES
         bstats.leaf_visits += n_visits

@@ -12,19 +12,28 @@ rows.  These tests pin that design where it is easiest to get wrong:
   a radius reaching every leaf and empty batches, the batched backends and
   the recorded per-query walks agree on results, ``SearchStats``
   (``leaf_visit_counts`` included) and ``BonsaiStats``;
+* the radius descent's per-node reach thresholds are exactly the
+  per-query rule's, on drawn split fields (cancelling sums, ±0.0,
+  subnormals, float32 values) and on queries placed on every threshold
+  of a tree and one double beyond it;
 * batched kNN equals brute force there, and its counters do not depend on
   how a batch is split;
 * kNN's pruning bound (the squared distance to a node's bounding box) never
   exceeds the distance to a point in the box, rounding included, its home
   subtree lies on the query's descent path, and it scans a leaf at most
   once per query;
-* the leaf pass receives its (query, leaf) pairs in leaf order.
+* the leaf pass receives its (query, leaf) pairs in (leaf, query) order,
+  whatever the order of the batch.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import ExecutionConfig, get_backend
 from repro.kdtree import SearchStats, build_kdtree, radius_search
@@ -33,6 +42,8 @@ from repro.runtime.batch import (
     LEAF_CHUNK_POINTS,
     _home_subtrees,
     radius_leaf_pairs,
+    radius_tables,
+    reach_thresholds,
     segment_rows,
     traverse_levels,
 )
@@ -215,6 +226,127 @@ class TestDegenerateRadius:
             assert _search_counts(backend.stats) == _search_counts(SearchStats())
 
 
+#: Radii of the threshold draws: the smallest subnormal, two search radii,
+#: one whose half gap above it is huge, and no bound at all.
+REACH_RADII = (5e-324, 0.6, 2.5, 1e300, math.inf)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         -2.2250738585072014e-308]) | st.floats(-1e-307, 1e-307)
+_FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+def _near(draw, scale: float) -> float:
+    """A value near ``scale``: a multiple in [0.4, 2.2], that rounded to
+    float32, or a few doubles from it."""
+    kind = draw(st.sampled_from(("multiple", "float32", "ulps")))
+    if kind == "ulps":
+        return scale + draw(st.integers(-3, 3)) * math.ulp(scale)
+    value = draw(st.floats(0.4, 2.2)) * scale
+    if kind == "float32" and abs(value) < 3e38:
+        value = float(np.float32(value))
+    return value
+
+
+@st.composite
+def _split_fields(draw):
+    """``(split_value, split_low, split_high, radius)``, with ``split_low``
+    often where ``split_low + radius`` cancels and ``split_high`` near
+    ``radius``."""
+    radius = draw(st.sampled_from(REACH_RADII))
+    scale = radius if math.isfinite(radius) else 1.0
+    general = _FINITE | _TINY | _FLOAT32
+    low = draw(general) if draw(st.booleans()) else -_near(draw, scale)
+    high = draw(general) if draw(st.booleans()) else _near(draw, scale)
+    value = draw(general | st.sampled_from([low, high]))
+    return value, low, high, radius
+
+
+def _steps(x: float, toward: float, n: int) -> float:
+    for _ in range(n):
+        x = math.nextafter(x, toward)
+    return x
+
+
+class TestReachThresholds:
+    """The thresholds against the per-query rule, in Python floats."""
+
+    @given(_split_fields())
+    @settings(max_examples=400, deadline=None)
+    def test_thresholds_are_the_rule(self, fields):
+        value, low, high, radius = fields
+
+        def enters_left(v):
+            return v <= value or v - low <= radius
+
+        def enters_right(v):
+            return v > value or high - v <= radius
+
+        reach_left, reach_right = (float(t[0]) for t in reach_thresholds(
+            np.array([value]), np.array([low]), np.array([high]), radius))
+        assert enters_left(reach_left) and enters_right(reach_right)
+        for n in (1, 2):
+            assert enters_left(_steps(reach_left, -math.inf, n))
+            assert enters_right(_steps(reach_right, math.inf, n))
+            if reach_left != math.inf:
+                assert not enters_left(_steps(reach_left, math.inf, n))
+            if reach_right != -math.inf:
+                assert not enters_right(_steps(reach_right, -math.inf, n))
+
+    @pytest.mark.parametrize("radius", [0.6, 2.5])
+    def test_queries_on_every_threshold(self, radius):
+        """Queries on each interior node's two thresholds and one double
+        either side: every path agrees on hits and counters."""
+        rng = np.random.default_rng(37)
+        points = rng.uniform(-3.0, 3.0, (400, 3)).astype(np.float32)
+        tree = build_kdtree(points)
+        arrays = tree.arrays
+        tables = radius_tables(tree, radius)
+        queries = []
+        for node in np.flatnonzero(arrays.leaf_id < 0):
+            # Start from a point of the node's subtree, so most queries
+            # reach the node.
+            leaf = arrays.leaf_id[node + np.argmax(arrays.leaf_id[node:] >= 0)]
+            base = tree.points_f64[arrays.leaf_points[arrays.leaf_starts[leaf]]]
+            for threshold in (tables.reach_left[node], tables.reach_right[node]):
+                for value in (np.nextafter(threshold, -np.inf), threshold,
+                              np.nextafter(threshold, np.inf)):
+                    query = base.copy()
+                    query[arrays.split_dim[node]] = value
+                    queries.append(query)
+        queries = np.array(queries)
+        backends = {name: execution.make_backend(tree)
+                    for name, execution in PATHS.items()}
+        results = {name: backend.radius_search(queries, radius)
+                   for name, backend in backends.items()}
+        reference = results["recorded(baseline)"]
+        assert reference.total_matches > 0
+        for name in PATHS:
+            assert np.array_equal(results[name].offsets, reference.offsets), name
+            assert np.array_equal(results[name].point_indices,
+                                  reference.point_indices), name
+        for flavor in ("baseline", "bonsai"):
+            assert backends[f"{flavor}-batched"].stats == \
+                backends[f"recorded({flavor})"].stats, flavor
+        assert _bonsai_counts(backends["bonsai-batched"].bonsai_stats) == \
+            _bonsai_counts(backends["recorded(bonsai)"].bonsai_stats)
+
+    def test_tables_kept_for_the_last_radius(self):
+        tree = build_kdtree(_lattice(4))
+        tables = radius_tables(tree, 0.5)
+        assert radius_tables(tree, 0.5) is tables
+        assert radius_tables(tree, 1.5).radius == 1.5
+        assert tree.radius_tables.radius == 1.5
+
+    def test_leaves_keep_their_pairs(self):
+        tree = build_kdtree(_lattice(4))
+        tables = radius_tables(tree, 1.0)
+        leaves = np.flatnonzero(tree.arrays.leaf_id >= 0)
+        assert np.all(tables.reach_left[leaves] == -np.inf)
+        assert np.all(tables.reach_right[leaves] == np.inf)
+        assert np.array_equal(tables.step_right[leaves], leaves)
+        assert tables.n_levels == tree.stats.max_depth
+
+
 class TestDegenerateKNN:
     @pytest.mark.parametrize("k", [1, 3, 8, 20])
     def test_batched_knn_matches_brute_force(self, world, k):
@@ -348,19 +480,45 @@ class TestSegmentRows:
 
 
 class TestLeafOrder:
-    def test_pairs_reach_the_leaf_pass_in_leaf_order(self):
+    @pytest.fixture(scope="class")
+    def cloud(self):
         rng = np.random.default_rng(29)
         points = rng.uniform(-5.0, 5.0, (2000, 3)).astype(np.float32)
         queries = rng.uniform(-5.0, 5.0, (300, 3))
-        arrays = build_kdtree(points).arrays
+        return build_kdtree(points), queries
+
+    def test_pairs_reach_the_leaf_pass_in_leaf_order(self, cloud):
+        tree, queries = cloud
         tau = np.full(len(queries), 1.0)
-        for bound in ({"radius": 0.8}, {"tau": tau}):
-            levels = list(traverse_levels(arrays, queries, SearchStats(), **bound))
-            assert len(levels) > 1
-            for _, leaves in levels:
-                assert np.all(np.diff(leaves) >= 0)
-        _, pair_leaf = radius_leaf_pairs(arrays, queries, 0.8, SearchStats())
+        levels = list(traverse_levels(tree.arrays, queries, SearchStats(), tau=tau))
+        assert len(levels) > 1
+        for _, leaves in levels:
+            assert np.all(np.diff(leaves) >= 0)
+        _, pair_leaf = radius_leaf_pairs(tree, queries, 0.8, SearchStats())
         assert np.all(np.diff(pair_leaf) >= 0)
+
+    def test_radius_pairs_in_leaf_then_query_order(self, cloud):
+        """The pairs are the per-query leaf visits, sorted by (leaf, query);
+        a permuted batch gives the same pairs, mapped through the
+        permutation."""
+        tree, queries = cloud
+        pair_q, pair_leaf = radius_leaf_pairs(tree, queries, 0.8, SearchStats())
+        assert np.all(np.diff(pair_leaf * len(queries) + pair_q) > 0)
+        visits = set()
+        for q, query in enumerate(queries):
+            stats = SearchStats()
+            radius_search(tree, query, 0.8, stats=stats)
+            visits |= {(leaf, q) for leaf in stats.leaf_visit_counts}
+        assert set(zip(pair_leaf.tolist(), pair_q.tolist())) == visits
+
+        perm = np.random.default_rng(3).permutation(len(queries))
+        perm_q, perm_leaf = radius_leaf_pairs(
+            tree, np.ascontiguousarray(queries[perm]), 0.8, SearchStats())
+        assert np.all(np.diff(perm_leaf * len(queries) + perm_q) > 0)
+        mapped = perm[perm_q]
+        order = np.lexsort((mapped, perm_leaf))
+        assert np.array_equal(perm_leaf[order], pair_leaf)
+        assert np.array_equal(mapped[order], pair_q)
 
 
 class TestTreeArrays:
@@ -383,7 +541,10 @@ class TestTreeArrays:
         points, queries, radii = _world("on-split-planes")
         tree = build_kdtree(points)
         tree.node_lists  # convert the node lists before pickling
+        get_backend("baseline-batched", tree).radius_search(queries, radii[0])
+        assert tree.radius_tables is not None
         copy = pickle.loads(pickle.dumps(tree))
+        assert copy.radius_tables is None
         hits = [radius_search(copy, query, radii[0]) for query in queries]
         ref = [radius_search(tree, query, radii[0]) for query in queries]
         assert hits == ref
